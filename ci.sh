@@ -74,6 +74,16 @@ timeout 300 cargo test -q --release --test wire_codec
 timeout 120 cargo test -q --release -p lcasgd-netcluster reactor
 timeout 120 cargo test -q --release -p lcasgd-netcluster pool
 
+# One checksum, byte-identical formats: the dispatched CRC-32 (PCLMULQDQ
+# where the host has it) must equal the portable slicing-by-16 path and
+# the bitwise oracle at every length, alignment and streaming split; and
+# the bulk codecs must emit exactly the bytes of the per-element reference
+# encoder, decode every bit pattern, refuse oversize lengths up front, and
+# still load a checkpoint and a WAL record written before they existed.
+echo "==> CRC differential + golden byte-identity suites (hard 300s timeout)"
+timeout 300 cargo test -q --release -p lcasgd-simcluster crc
+timeout 300 cargo test -q --release --test wire_golden
+
 # Kernel performance: re-measure the hot kernels and fail if any
 # optimized kernel regressed >20% against the committed BENCH_kernels.json
 # (schema is validated; the gate is skipped when no baseline exists).
@@ -88,6 +98,15 @@ timeout 300 ./target/release/kernel-baseline --smoke
 echo "==> net-scale --smoke (hard 300s timeout)"
 cargo build --release -q -p lcasgd-bench --bin net-scale
 timeout 300 ./target/release/net-scale --smoke
+
+# End-to-end benchmark: its own unit tests, then the short form of the
+# full report — every workload trains for two epochs through the public
+# API and the exit code is the correctness gate (planned updates applied,
+# loss falls, TCP bytes per update within 1 % of parameters × codec
+# width). The package builds into benchmark/target, not the root target.
+echo "==> benchmark tests + --smoke (hard 600s / 300s timeouts)"
+timeout 600 cargo test -q --manifest-path benchmark/Cargo.toml
+timeout 300 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 # CLI smoke: --trace must emit a non-empty, well-formed Chrome trace.
 echo "==> lcasgd train --trace smoke"

@@ -26,31 +26,18 @@
 
 use crate::metrics::EpochRecord;
 use crate::predictor::{LossPredictorSnapshot, StepPredictorSnapshot};
-use lcasgd_nn::checkpoint::{read_f32s, write_f32s};
 use lcasgd_nn::network::BnState;
+use lcasgd_simcluster::backend::wire;
+use lcasgd_simcluster::codec::crc32;
+use lcasgd_simcluster::{ClusterError, WireReader};
 use lcasgd_tensor::Tensor;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"LCTRCK02";
 /// Arrival-history sentinel for "no arrival yet" (`Option::None`).
 const NO_ARRIVAL: u64 = u64::MAX;
-
-/// CRC-32 (IEEE), bitwise. Kept local: core must not depend on the
-/// network crate for an integrity primitive. Also digests replication
-/// log deltas (`crate::replication`).
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// The complete resumable state of a [`run_cluster`] training run.
 ///
@@ -102,289 +89,209 @@ pub struct TrainingCheckpoint {
 }
 
 // ------------------------------------------------------------- primitives
+//
+// The body uses the wire codec's conventions (little-endian, `u64` counts
+// before `f32` runs), so it is written and parsed with the same bulk
+// helpers as the network messages.
 
-fn put_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_f32(w: &mut impl Write, v: f32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn put_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn get_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn get_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
-fn get_len(r: &mut impl Read, what: &str) -> io::Result<usize> {
-    let n = get_u64(r)?;
-    // Sanity cap against corrupted length headers that dodge the CRC
-    // check path (e.g. when parsing an unchecked byte stream in tests).
-    if n > (1 << 32) {
-        return Err(bad(&format!("implausible {what} count")));
-    }
-    Ok(n as usize)
-}
+type Parse<T> = Result<T, ClusterError>;
 
 fn bad(why: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why.to_string())
 }
 
-fn put_lstm_state(w: &mut impl Write, layers: &[(Vec<f32>, Vec<f32>)]) -> io::Result<()> {
-    put_u64(w, layers.len() as u64)?;
+fn put_u64s(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u64>) {
+    wire::put_u64(buf, vals.len() as u64);
+    buf.extend(vals.flat_map(u64::to_le_bytes));
+}
+
+fn get_u64s<'a>(r: &mut WireReader<'a>) -> Parse<impl Iterator<Item = u64> + 'a> {
+    let n = r.len(8)?;
+    Ok(r.bytes(n * 8)?.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())))
+}
+
+fn put_u32s(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u32>) {
+    wire::put_u64(buf, vals.len() as u64);
+    buf.extend(vals.flat_map(u32::to_le_bytes));
+}
+
+fn get_u32s<'a>(r: &mut WireReader<'a>) -> Parse<impl Iterator<Item = u32> + 'a> {
+    let n = r.len(4)?;
+    Ok(r.bytes(n * 4)?.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())))
+}
+
+fn put_lstm_state(buf: &mut Vec<u8>, layers: &[(Vec<f32>, Vec<f32>)]) {
+    wire::put_u64(buf, layers.len() as u64);
     for (h, c) in layers {
-        write_f32s(w, h)?;
-        write_f32s(w, c)?;
-    }
-    Ok(())
-}
-
-fn get_lstm_state(r: &mut impl Read) -> io::Result<Vec<(Vec<f32>, Vec<f32>)>> {
-    let n = get_len(r, "LSTM layer")?;
-    let mut layers = Vec::with_capacity(n);
-    for _ in 0..n {
-        layers.push((read_f32s(r)?, read_f32s(r)?));
-    }
-    Ok(layers)
-}
-
-fn put_opt_f32(w: &mut impl Write, v: Option<f32>) -> io::Result<()> {
-    match v {
-        Some(x) => {
-            w.write_all(&[1])?;
-            put_f32(w, x)
-        }
-        None => w.write_all(&[0]),
+        wire::put_vec_f32(buf, h);
+        wire::put_vec_f32(buf, c);
     }
 }
 
-fn get_opt_f32(r: &mut impl Read) -> io::Result<Option<f32>> {
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    match flag[0] {
-        0 => Ok(None),
-        1 => Ok(Some(get_f32(r)?)),
-        _ => Err(bad("bad option flag")),
+fn get_lstm_state(r: &mut WireReader<'_>) -> Parse<Vec<(Vec<f32>, Vec<f32>)>> {
+    // Each layer is two length-prefixed runs: at least 16 bytes.
+    let n = r.len(16)?;
+    (0..n).map(|_| Ok((r.vec_f32()?, r.vec_f32()?))).collect()
+}
+
+fn put_opt_f32(buf: &mut Vec<u8>, v: Option<f32>) {
+    wire::put_bool(buf, v.is_some());
+    if let Some(x) = v {
+        wire::put_f32(buf, x);
     }
+}
+
+fn get_opt_f32(r: &mut WireReader<'_>) -> Parse<Option<f32>> {
+    Ok(if r.bool()? { Some(r.f32()?) } else { None })
 }
 
 // ------------------------------------------------------------ (de)coding
 
 impl TrainingCheckpoint {
-    /// Serializes the body (everything between magic and CRC).
-    fn write_body(&self, w: &mut impl Write) -> io::Result<()> {
-        write_f32s(w, &self.weights)?;
-        put_u64(w, self.bn.means.len() as u64)?;
-        for (mean, var) in self.bn.means.iter().zip(&self.bn.vars) {
-            write_f32s(w, mean.data())?;
-            write_f32s(w, var.data())?;
-        }
-        put_u64(w, self.version)?;
-        put_u64(w, self.applied)?;
-        put_u64(w, self.arrival.len() as u64)?;
-        for a in &self.arrival {
-            put_u64(w, a.unwrap_or(NO_ARRIVAL))?;
-        }
-        put_u64(w, self.iter.len() as u64)?;
-        for &m in &self.iter {
-            put_u32(w, m as u32)?;
-        }
-        put_u64(w, self.staleness.len() as u64)?;
-        for &s in &self.staleness {
-            put_u32(w, s)?;
-        }
-        write_f32s(w, &self.epoch_losses)?;
-        put_u64(w, self.epochs.len() as u64)?;
-        for e in &self.epochs {
-            put_u64(w, e.epoch as u64)?;
-            put_f64(w, e.time)?;
-            put_f32(w, e.train_error)?;
-            put_f32(w, e.test_error)?;
-            put_f32(w, e.train_loss)?;
-            put_f32(w, e.lr)?;
-        }
-        match &self.loss_pred {
-            None => w.write_all(&[0])?,
-            Some(lp) => {
-                w.write_all(&[1])?;
-                write_f32s(w, &lp.params)?;
-                put_lstm_state(w, &lp.state)?;
-                put_opt_f32(w, lp.last_loss)?;
-                put_opt_f32(w, lp.next_forecast)?;
-                put_u64(w, lp.train_steps)?;
-            }
-        }
-        match &self.step_pred {
-            None => w.write_all(&[0])?,
-            Some(sp) => {
-                w.write_all(&[1])?;
-                write_f32s(w, &sp.params)?;
-                put_u64(w, sp.streams.len() as u64)?;
-                for (layers, prev) in &sp.streams {
-                    put_lstm_state(w, layers)?;
-                    match prev {
-                        None => w.write_all(&[0])?,
-                        Some([a, b, c]) => {
-                            w.write_all(&[1])?;
-                            put_f32(w, *a)?;
-                            put_f32(w, *b)?;
-                            put_f32(w, *c)?;
-                        }
-                    }
-                }
-                put_f64(w, sp.comm_scale)?;
-                put_f64(w, sp.comp_scale)?;
-                put_u64(w, sp.samples)?;
-                put_u64(w, sp.train_steps)?;
-            }
-        }
-        put_u64(w, self.worker_batches.len() as u64)?;
-        for &(reshuffles, pos) in &self.worker_batches {
-            put_u64(w, reshuffles)?;
-            put_u64(w, pos)?;
-        }
-        put_u64(w, self.server_epoch)?;
-        put_u64(w, self.push_seqs.len() as u64)?;
-        for &s in &self.push_seqs {
-            put_u64(w, s)?;
-        }
-        put_u64(w, self.shard_versions.len() as u64)?;
-        for &v in &self.shard_versions {
-            put_u64(w, v)?;
-        }
-        Ok(())
+    /// Bytes the model-sized and history fields will occupy: the capacity
+    /// `to_bytes` asks for up front (scalars ride in the slack).
+    fn size_hint(&self) -> usize {
+        let f32s = self.weights.len()
+            + self.epoch_losses.len()
+            + self.loss_pred.as_ref().map_or(0, |lp| lp.params.len())
+            + self.step_pred.as_ref().map_or(0, |sp| sp.params.len());
+        let u32s = self.iter.len() + self.staleness.len();
+        let u64s = self.arrival.len()
+            + 2 * self.worker_batches.len()
+            + self.push_seqs.len()
+            + self.shard_versions.len();
+        1024 + 4 * (f32s + u32s) + 8 * u64s + 32 * self.epochs.len()
     }
 
-    fn read_body(r: &mut impl Read) -> io::Result<Self> {
-        let weights = read_f32s(r)?;
-        let layers = get_len(r, "BN layer")?;
+    /// Serializes the body (everything between magic and CRC).
+    fn write_body(&self, w: &mut Vec<u8>) {
+        wire::put_vec_f32(w, &self.weights);
+        wire::put_u64(w, self.bn.means.len() as u64);
+        for (mean, var) in self.bn.means.iter().zip(&self.bn.vars) {
+            wire::put_vec_f32(w, mean.data());
+            wire::put_vec_f32(w, var.data());
+        }
+        wire::put_u64(w, self.version);
+        wire::put_u64(w, self.applied);
+        put_u64s(w, self.arrival.iter().map(|a| a.unwrap_or(NO_ARRIVAL)));
+        put_u32s(w, self.iter.iter().map(|&m| m as u32));
+        put_u32s(w, self.staleness.iter().copied());
+        wire::put_vec_f32(w, &self.epoch_losses);
+        wire::put_u64(w, self.epochs.len() as u64);
+        for e in &self.epochs {
+            wire::put_u64(w, e.epoch as u64);
+            wire::put_f64(w, e.time);
+            wire::put_f32(w, e.train_error);
+            wire::put_f32(w, e.test_error);
+            wire::put_f32(w, e.train_loss);
+            wire::put_f32(w, e.lr);
+        }
+        wire::put_bool(w, self.loss_pred.is_some());
+        if let Some(lp) = &self.loss_pred {
+            wire::put_vec_f32(w, &lp.params);
+            put_lstm_state(w, &lp.state);
+            put_opt_f32(w, lp.last_loss);
+            put_opt_f32(w, lp.next_forecast);
+            wire::put_u64(w, lp.train_steps);
+        }
+        wire::put_bool(w, self.step_pred.is_some());
+        if let Some(sp) = &self.step_pred {
+            wire::put_vec_f32(w, &sp.params);
+            wire::put_u64(w, sp.streams.len() as u64);
+            for (layers, prev) in &sp.streams {
+                put_lstm_state(w, layers);
+                wire::put_bool(w, prev.is_some());
+                if let Some(obs) = prev {
+                    wire::put_f32s(w, obs);
+                }
+            }
+            wire::put_f64(w, sp.comm_scale);
+            wire::put_f64(w, sp.comp_scale);
+            wire::put_u64(w, sp.samples);
+            wire::put_u64(w, sp.train_steps);
+        }
+        wire::put_u64(w, self.worker_batches.len() as u64);
+        for &(reshuffles, pos) in &self.worker_batches {
+            wire::put_u64(w, reshuffles);
+            wire::put_u64(w, pos);
+        }
+        wire::put_u64(w, self.server_epoch);
+        put_u64s(w, self.push_seqs.iter().copied());
+        put_u64s(w, self.shard_versions.iter().copied());
+    }
+
+    fn read_body(r: &mut WireReader<'_>) -> Parse<Self> {
+        let weights = r.vec_f32()?;
+        // Each BN layer is two length-prefixed runs: at least 16 bytes.
+        let layers = r.len(16)?;
         let mut bn = BnState::default();
         for _ in 0..layers {
-            let mean = read_f32s(r)?;
-            let var = read_f32s(r)?;
+            let mean = r.vec_f32()?;
+            let var = r.vec_f32()?;
             if mean.len() != var.len() {
-                return Err(bad("BN mean/var length mismatch"));
+                return Err(ClusterError::Protocol("BN mean/var length mismatch".into()));
             }
             let c = mean.len();
             bn.means.push(Tensor::from_vec(mean, &[c]));
             bn.vars.push(Tensor::from_vec(var, &[c]));
         }
-        let version = get_u64(r)?;
-        let applied = get_u64(r)?;
-        let n = get_len(r, "worker")?;
-        let mut arrival = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = get_u64(r)?;
-            arrival.push(if v == NO_ARRIVAL { None } else { Some(v) });
-        }
-        let n = get_len(r, "iter entry")?;
-        let mut iter = Vec::with_capacity(n);
-        for _ in 0..n {
-            iter.push(get_u32(r)? as usize);
-        }
-        let n = get_len(r, "staleness sample")?;
-        let mut staleness = Vec::with_capacity(n);
-        for _ in 0..n {
-            staleness.push(get_u32(r)?);
-        }
-        let epoch_losses = read_f32s(r)?;
-        let n = get_len(r, "epoch record")?;
-        let mut epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            epochs.push(EpochRecord {
-                epoch: get_u64(r)? as usize,
-                time: get_f64(r)?,
-                train_error: get_f32(r)?,
-                test_error: get_f32(r)?,
-                train_loss: get_f32(r)?,
-                lr: get_f32(r)?,
-            });
-        }
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)?;
-        let loss_pred = match flag[0] {
-            0 => None,
-            1 => Some(LossPredictorSnapshot {
-                params: read_f32s(r)?,
+        let version = r.u64()?;
+        let applied = r.u64()?;
+        let arrival = get_u64s(r)?.map(|v| (v != NO_ARRIVAL).then_some(v)).collect();
+        let iter = get_u32s(r)?.map(|m| m as usize).collect();
+        let staleness = get_u32s(r)?.collect();
+        let epoch_losses = r.vec_f32()?;
+        let n = r.len(32)?;
+        let epochs = (0..n)
+            .map(|_| {
+                Ok(EpochRecord {
+                    epoch: r.u64()? as usize,
+                    time: r.f64()?,
+                    train_error: r.f32()?,
+                    test_error: r.f32()?,
+                    train_loss: r.f32()?,
+                    lr: r.f32()?,
+                })
+            })
+            .collect::<Parse<_>>()?;
+        let loss_pred = if r.bool()? {
+            Some(LossPredictorSnapshot {
+                params: r.vec_f32()?,
                 state: get_lstm_state(r)?,
                 last_loss: get_opt_f32(r)?,
                 next_forecast: get_opt_f32(r)?,
-                train_steps: get_u64(r)?,
-            }),
-            _ => return Err(bad("bad loss-predictor flag")),
+                train_steps: r.u64()?,
+            })
+        } else {
+            None
         };
-        r.read_exact(&mut flag)?;
-        let step_pred = match flag[0] {
-            0 => None,
-            1 => {
-                let params = read_f32s(r)?;
-                let n = get_len(r, "predictor stream")?;
-                let mut streams = Vec::with_capacity(n);
-                for _ in 0..n {
+        let step_pred = if r.bool()? {
+            let params = r.vec_f32()?;
+            // Each stream is at least a layer count and a presence byte.
+            let n = r.len(9)?;
+            let streams = (0..n)
+                .map(|_| {
                     let layers = get_lstm_state(r)?;
-                    let mut pf = [0u8; 1];
-                    r.read_exact(&mut pf)?;
-                    let prev = match pf[0] {
-                        0 => None,
-                        1 => Some([get_f32(r)?, get_f32(r)?, get_f32(r)?]),
-                        _ => return Err(bad("bad observation flag")),
-                    };
-                    streams.push((layers, prev));
-                }
-                Some(StepPredictorSnapshot {
-                    params,
-                    streams,
-                    comm_scale: get_f64(r)?,
-                    comp_scale: get_f64(r)?,
-                    samples: get_u64(r)?,
-                    train_steps: get_u64(r)?,
+                    let prev = if r.bool()? { Some([r.f32()?, r.f32()?, r.f32()?]) } else { None };
+                    Ok((layers, prev))
                 })
-            }
-            _ => return Err(bad("bad step-predictor flag")),
+                .collect::<Parse<_>>()?;
+            Some(StepPredictorSnapshot {
+                params,
+                streams,
+                comm_scale: r.f64()?,
+                comp_scale: r.f64()?,
+                samples: r.u64()?,
+                train_steps: r.u64()?,
+            })
+        } else {
+            None
         };
-        let n = get_len(r, "worker batch position")?;
-        let mut worker_batches = Vec::with_capacity(n);
-        for _ in 0..n {
-            worker_batches.push((get_u64(r)?, get_u64(r)?));
-        }
-        let server_epoch = get_u64(r)?;
-        let n = get_len(r, "push sequence")?;
-        let mut push_seqs = Vec::with_capacity(n);
-        for _ in 0..n {
-            push_seqs.push(get_u64(r)?);
-        }
-        let n = get_len(r, "shard version")?;
-        let mut shard_versions = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_versions.push(get_u64(r)?);
-        }
+        let n = r.len(16)?;
+        let worker_batches = (0..n).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Parse<_>>()?;
+        let server_epoch = r.u64()?;
+        let push_seqs = get_u64s(r)?.collect();
+        let shard_versions = get_u64s(r)?.collect();
         Ok(TrainingCheckpoint {
             weights,
             bn,
@@ -406,9 +313,9 @@ impl TrainingCheckpoint {
 
     /// Serializes to `magic ‖ body ‖ crc32(magic ‖ body)`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + self.weights.len() * 4);
+        let mut buf = Vec::with_capacity(self.size_hint());
         buf.extend_from_slice(MAGIC);
-        self.write_body(&mut buf).expect("Vec writes are infallible");
+        self.write_body(&mut buf);
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf
@@ -429,11 +336,9 @@ impl TrainingCheckpoint {
         if &body[..MAGIC.len()] != MAGIC {
             return Err(bad("not an LC-ASGD training checkpoint"));
         }
-        let mut r = &body[MAGIC.len()..];
-        let ck = Self::read_body(&mut r)?;
-        if !r.is_empty() {
-            return Err(bad("trailing bytes after checkpoint body"));
-        }
+        let mut r = WireReader::new(&body[MAGIC.len()..]);
+        let ck = Self::read_body(&mut r).map_err(|e| bad(&e.to_string()))?;
+        r.finish().map_err(|e| bad(&e.to_string()))?;
         Ok(ck)
     }
 
@@ -593,16 +498,10 @@ mod tests {
         assert!(TrainingCheckpoint::from_bytes(b"short").is_err());
         let mut fake = b"NOTACKPT".to_vec();
         fake.extend_from_slice(&[0u8; 64]);
-        let crc = super::crc32(&fake);
+        let crc = crc32(&fake);
         fake.extend_from_slice(&crc.to_le_bytes());
         // CRC is fine but the magic is wrong.
         assert!(TrainingCheckpoint::from_bytes(&fake).is_err());
-    }
-
-    #[test]
-    fn crc_is_the_ieee_polynomial() {
-        // Standard check value: CRC-32("123456789") = 0xCBF43926.
-        assert_eq!(super::crc32(b"123456789"), 0xCBF4_3926);
     }
 
     proptest! {
@@ -639,7 +538,7 @@ mod tests {
             let off = MAGIC.len() + 8 + 2;
             bytes[off] ^= mask;
             let body_len = bytes.len() - 4;
-            let crc = super::crc32(&bytes[..body_len]);
+            let crc = crc32(&bytes[..body_len]);
             bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
             let back = TrainingCheckpoint::from_bytes(&bytes).unwrap();
             prop_assert!(back.weights != ck.weights);

@@ -81,6 +81,44 @@ impl CompressedGrad {
             CompressedGrad::Bf16(halves) => halves.iter().map(|&b| bf16_decode(b)).collect(),
         }
     }
+
+    /// [`CompressedGrad::decompress`] for an owner: a dense gradient is
+    /// handed over as is instead of being copied.
+    pub fn into_dense(self) -> Vec<f32> {
+        match self {
+            CompressedGrad::Dense(v) => v,
+            packed => packed.decompress(),
+        }
+    }
+
+    /// `signal ← signal − decompress(self)`, element for element what
+    /// subtracting the decompressed vector would give, without building it.
+    fn subtract_from(&self, signal: &mut [f32]) {
+        match self {
+            CompressedGrad::Dense(v) => {
+                for (s, a) in signal.iter_mut().zip(v) {
+                    *s -= a;
+                }
+            }
+            CompressedGrad::Sparse { entries, .. } => {
+                // Entries absent from the message decompress to +0.0, and
+                // `s − 0.0` is `s` for every `s`: only the kept ones move.
+                for &(i, a) in entries {
+                    signal[i as usize] -= a;
+                }
+            }
+            CompressedGrad::Quantized { scale, levels } => {
+                for (s, &l) in signal.iter_mut().zip(levels) {
+                    *s -= l as f32 * scale;
+                }
+            }
+            CompressedGrad::Bf16(halves) => {
+                for (s, &h) in signal.iter_mut().zip(halves) {
+                    *s -= bf16_decode(h);
+                }
+            }
+        }
+    }
 }
 
 /// Wire encoding: `CompressedGrad` is the payload of the gradient push in
@@ -88,6 +126,10 @@ impl CompressedGrad {
 /// compression scheme is active (tag byte, then the variant's fields; all
 /// little-endian, `u64` counts — the shared codec conventions).
 impl WireMsg for CompressedGrad {
+    fn size_hint(&self) -> usize {
+        17 + self.wire_bytes()
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             CompressedGrad::Dense(v) => {
@@ -107,16 +149,12 @@ impl WireMsg for CompressedGrad {
                 wire::put_u8(buf, 2);
                 wire::put_f32(buf, *scale);
                 wire::put_u64(buf, levels.len() as u64);
-                for &l in levels {
-                    wire::put_u8(buf, l as u8);
-                }
+                wire::put_i8s(buf, levels);
             }
             CompressedGrad::Bf16(halves) => {
                 wire::put_u8(buf, 3);
                 wire::put_u64(buf, halves.len() as u64);
-                for &h in halves {
-                    wire::put_u16(buf, h);
-                }
+                wire::put_u16s(buf, halves);
             }
         }
     }
@@ -150,13 +188,11 @@ impl WireMsg for CompressedGrad {
             2 => {
                 let scale = r.f32()?;
                 let n = r.len(1)?;
-                let levels = (0..n).map(|_| r.u8().map(|b| b as i8)).collect::<Result<_, _>>()?;
-                Ok(CompressedGrad::Quantized { scale, levels })
+                Ok(CompressedGrad::Quantized { scale, levels: r.i8s(n)? })
             }
             3 => {
                 let n = r.len(2)?;
-                let halves = (0..n).map(|_| r.u16()).collect::<Result<_, _>>()?;
-                Ok(CompressedGrad::Bf16(halves))
+                Ok(CompressedGrad::Bf16(r.u16s(n)?))
             }
             tag => Err(ClusterError::Protocol(format!("unknown CompressedGrad tag {tag}"))),
         }
@@ -167,18 +203,20 @@ impl Compression {
     /// Compresses `grads`, folding in and updating the worker's error-
     /// feedback residual when one is provided (`residual.len()` must match
     /// `grads.len()`; pass `None` to disable compensation).
-    pub fn compress(&self, grads: &[f32], residual: Option<&mut Vec<f32>>) -> CompressedGrad {
-        // Fold the carried residual into the signal to compress.
-        let mut signal: Vec<f32> = match &residual {
-            Some(r) => {
-                assert_eq!(r.len(), grads.len(), "residual length mismatch");
-                grads.iter().zip(r.iter()).map(|(g, e)| g + e).collect()
+    pub fn compress(&self, grads: &[f32], mut residual: Option<&mut Vec<f32>>) -> CompressedGrad {
+        // With error feedback the residual buffer doubles as the signal:
+        // e ← g + e in place, compress it, then e ← e − decompress(out).
+        // No model-sized temporary is allocated beyond the output itself.
+        if let Some(r) = residual.as_deref_mut() {
+            assert_eq!(r.len(), grads.len(), "residual length mismatch");
+            for (e, g) in r.iter_mut().zip(grads) {
+                *e += g;
             }
-            None => grads.to_vec(),
-        };
+        }
+        let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
 
         let out = match *self {
-            Compression::None => CompressedGrad::Dense(signal.clone()),
+            Compression::None => CompressedGrad::Dense(signal.to_vec()),
             Compression::TopK { k_frac } => {
                 assert!(k_frac > 0.0 && k_frac <= 1.0, "k_frac out of range");
                 let k = ((grads.len() as f32 * k_frac).ceil() as usize).clamp(1, grads.len());
@@ -211,12 +249,8 @@ impl Compression {
             }
         };
 
-        // Update the residual: e = signal − decompress(out).
         if let Some(r) = residual {
-            let approx = out.decompress();
-            for ((e, s), a) in r.iter_mut().zip(&mut signal).zip(&approx) {
-                *e = *s - a;
-            }
+            out.subtract_from(r);
         }
         out
     }
@@ -302,6 +336,38 @@ mod tests {
                 (d - expect).abs() <= expect * 0.5 + 1.0,
                 "coord {i}: delivered {d} vs {expect}"
             );
+        }
+    }
+
+    /// The residual update as first written: materialize the signal and
+    /// the decompressed message, subtract element by element.
+    fn reference_residual(grads: &[f32], residual: &[f32], out: &CompressedGrad) -> Vec<f32> {
+        let approx = out.decompress();
+        grads.iter().zip(residual).zip(&approx).map(|((g, e), a)| (g + e) - a).collect()
+    }
+
+    #[test]
+    fn in_place_error_feedback_matches_the_materialized_reference_bit_for_bit() {
+        let n = 1000;
+        let grads: Vec<f32> = (0..n).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.013).collect();
+        let carried: Vec<f32> = (0..n).map(|i| ((i * 53 % 89) as f32 - 44.0) * 1e-3).collect();
+        let folded: Vec<f32> = grads.iter().zip(&carried).map(|(g, e)| g + e).collect();
+        for scheme in [
+            Compression::None,
+            Compression::TopK { k_frac: 0.1 },
+            Compression::Uniform { bits: 8 },
+            Compression::Uniform { bits: 3 },
+            Compression::Bf16,
+        ] {
+            let mut residual = carried.clone();
+            let out = scheme.compress(&grads, Some(&mut residual));
+            // The message is what compressing the folded signal gives…
+            let plain = scheme.compress(&folded, None);
+            assert_eq!(out.encoded(), plain.encoded(), "{scheme:?}");
+            // …and the residual is what the reference computes.
+            let want = reference_residual(&grads, &carried, &out);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&residual), bits(&want), "{scheme:?}");
         }
     }
 

@@ -143,6 +143,26 @@ impl ClusterResp {
 }
 
 // ------------------------------------------------------- field helpers
+//
+// The `*_len` functions feed `WireMsg::size_hint`: the encoded size of the
+// field they are named after, so a message's buffer is allocated once.
+
+fn tensor_len(t: &Tensor) -> usize {
+    16 + 8 * t.dims().len() + 4 * t.data().len()
+}
+
+pub(crate) fn bn_state_len(s: &BnState) -> usize {
+    16 + s.means.iter().chain(&s.vars).map(tensor_len).sum::<usize>()
+}
+
+fn batch_stats_len(stats: &[BnBatchStats]) -> usize {
+    8 + stats.iter().map(|s| tensor_len(&s.mean) + tensor_len(&s.var)).sum::<usize>()
+}
+
+fn directive_len(directive: &Option<PullDirective>) -> usize {
+    let shard = directive.as_ref().and_then(|d| d.shard.as_ref());
+    3 + shard.map_or(0, |s| 8 + 8 * s.len())
+}
 
 fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
     let dims = t.dims();
@@ -281,6 +301,20 @@ impl WireMsg for ClusterReq {
         }
     }
 
+    fn size_hint(&self) -> usize {
+        // Tag and scalar fields fit in the constant.
+        64 + match self {
+            ClusterReq::Pull { .. } | ClusterReq::Join { .. } => 0,
+            ClusterReq::State { running, batch_stats, .. } => {
+                bn_state_len(running) + batch_stats_len(batch_stats)
+            }
+            ClusterReq::Grad { grads, batch_stats, running, .. } => {
+                grads.size_hint() + batch_stats_len(batch_stats) + bn_state_len(running)
+            }
+            ClusterReq::Replicate(payload) => payload.size_hint(),
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ClusterReq::Pull { epoch, shard } => {
@@ -357,6 +391,19 @@ impl WireMsg for ClusterReq {
 }
 
 impl WireMsg for ClusterResp {
+    fn size_hint(&self) -> usize {
+        // Tag and scalar fields fit in the constant.
+        32 + match self {
+            ClusterResp::Weights { flat, directive, .. } => {
+                4 * flat.len() + directive_len(directive)
+            }
+            ClusterResp::QWeights { packed, directive, .. } => {
+                packed.size_hint() + directive_len(directive)
+            }
+            _ => 0,
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ClusterResp::Weights { flat, version, directive, epoch } => {

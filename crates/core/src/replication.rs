@@ -47,11 +47,12 @@
 //! [`ReplicaDuplex`]: lcasgd_simcluster::ReplicaDuplex
 //! [`TrainingCheckpoint`]: crate::checkpoint::TrainingCheckpoint
 
-use crate::checkpoint::{crc32, TrainingCheckpoint};
+use crate::checkpoint::TrainingCheckpoint;
 use crate::protocol::{ClusterReq, ClusterResp};
 use crate::shard::ShardSpec;
 use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::backend::wire;
+use lcasgd_simcluster::codec::Crc32;
 use lcasgd_simcluster::{ClusterError, ReplicaDuplex, WireMsg, WireReader};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -125,13 +126,11 @@ pub struct LogRecord {
 
 impl LogRecord {
     /// The digest [`LogRecord::verify`] checks: CRC-32 over the delta's
-    /// little-endian bytes.
+    /// little-endian bytes, streamed — the bytes are never materialized.
     pub fn digest_of(delta: &[f32]) -> u32 {
-        let mut bytes = Vec::with_capacity(delta.len() * 4);
-        for &v in delta {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        crc32(&bytes)
+        let mut crc = Crc32::new();
+        crc.update_f32_le(delta);
+        crc.finish()
     }
 
     /// True when the stored digest matches the delta.
@@ -141,6 +140,10 @@ impl LogRecord {
 }
 
 impl WireMsg for LogRecord {
+    fn size_hint(&self) -> usize {
+        64 + 4 * self.delta.len() + self.bn.as_ref().map_or(0, crate::protocol::bn_state_len)
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_u64(buf, self.seq);
         wire::put_u64(buf, self.epoch);
@@ -218,6 +221,13 @@ pub enum ReplicaPayload {
 }
 
 impl WireMsg for ReplicaPayload {
+    fn size_hint(&self) -> usize {
+        17 + match self {
+            ReplicaPayload::Snapshot { blob, .. } => blob.len(),
+            ReplicaPayload::Records(recs) => recs.iter().map(WireMsg::size_hint).sum(),
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ReplicaPayload::Snapshot { next_seq, blob } => {
@@ -241,11 +251,7 @@ impl WireMsg for ReplicaPayload {
             0 => {
                 let next_seq = r.u64()?;
                 let n = r.len(1)?;
-                let mut blob = Vec::with_capacity(n);
-                for _ in 0..n {
-                    blob.push(r.u8()?);
-                }
-                Ok(ReplicaPayload::Snapshot { next_seq, blob })
+                Ok(ReplicaPayload::Snapshot { next_seq, blob: r.bytes(n)?.to_vec() })
             }
             1 => {
                 // Records are variable-size; guard the count against the

@@ -864,7 +864,8 @@ struct PendingPush {
     pull_version: u64,
     loss: f32,
     /// Full-length assembly buffer; slice `s` is written at the spec's
-    /// range for `s`.
+    /// range for `s`. With one shard the only slice *is* the gradient
+    /// and is adopted whole, so no buffer is allocated or copied into.
     grads: Vec<f32>,
     /// Bitmask of shards whose slice has arrived (`ShardSpec::MAX_SHARDS`
     /// is 64 so one word suffices).
@@ -1363,7 +1364,7 @@ pub fn run_cluster_with<B: ClusterBackend>(
             if is_ssgd {
                 // Formula 1's barrier: park until all M contributions are
                 // in, then average-apply and release everyone at once.
-                round.push((w, grads.decompress(), running, batch_stats));
+                round.push((w, grads.into_dense(), running, batch_stats));
                 losses.push(loss);
                 if round.len() == m {
                     let lr = cfg.lr.at_epoch(rounds_done / rounds_per_epoch) * cfg.ssgd_lr_scale;
@@ -1422,7 +1423,7 @@ pub fn run_cluster_with<B: ClusterBackend>(
                 if sh >= n_shards {
                     break 'grad;
                 }
-                let slice = grads.decompress();
+                let slice = grads.into_dense();
                 if slice.len() != wspec.range(sh).len() {
                     // A slice that does not fit its shard cannot be
                     // assembled; drop the whole push rather than apply
@@ -1443,7 +1444,7 @@ pub fn run_cluster_with<B: ClusterBackend>(
                             push_seq,
                             pull_version,
                             loss,
-                            grads: vec![0.0; wspec.len()],
+                            grads: Vec::new(),
                             seen: 0,
                             got: 0,
                             batch_stats: Vec::new(),
@@ -1456,7 +1457,13 @@ pub fn run_cluster_with<B: ClusterBackend>(
                     p.seen |= 1 << sh;
                     p.got += 1;
                 }
-                p.grads[wspec.range(sh)].copy_from_slice(&slice);
+                if n_shards == 1 {
+                    // The only slice is the whole gradient: adopt it.
+                    p.grads = slice;
+                } else {
+                    p.grads.resize(wspec.len(), 0.0);
+                    p.grads[wspec.range(sh)].copy_from_slice(&slice);
+                }
                 if sh == 0 {
                     // BN payloads ride the lead slice only.
                     p.batch_stats = batch_stats;

@@ -23,9 +23,10 @@
 //! `From<std::io::Error>` (EOF/reset → `Disconnected`, deadline →
 //! `Timeout`).
 
+pub use lcasgd_simcluster::codec::crc32;
+use lcasgd_simcluster::codec::Crc32;
 use lcasgd_simcluster::{ClusterError, WireCodec};
 use std::io::{Read, Write};
-use std::sync::OnceLock;
 
 /// `b"LCNW"` interpreted as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"LCNW");
@@ -131,31 +132,6 @@ impl Frame {
     }
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
-
-/// IEEE CRC-32 (the zlib/Ethernet polynomial, reflected).
-pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 /// Builds one frame header for a payload whose CRC is already known.
 /// This is how the reactor stamps a fresh `seq` onto a cached payload
 /// encoding without rehashing it: the checksum covers only the payload,
@@ -226,31 +202,75 @@ pub fn parse_header(bytes: &[u8]) -> Result<ParsedHeader, ClusterError> {
 
 /// Writes one frame. Returns the number of bytes put on the wire.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<u64, ClusterError> {
-    let header = header_bytes(frame.kind, frame.seq, frame.payload.len(), crc32(&frame.payload))?;
+    write_payload(w, frame.kind, frame.seq, &frame.payload)
+}
+
+/// [`write_frame`] for a payload the caller only borrows, so a
+/// model-sized message need not be copied into a [`Frame`] first.
+pub fn write_payload(
+    w: &mut impl Write,
+    kind: FrameKind,
+    seq: u64,
+    payload: &[u8],
+) -> Result<u64, ClusterError> {
+    let header = header_bytes(kind, seq, payload.len(), crc32(payload))?;
     w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
+    w.write_all(payload)?;
     w.flush()?;
-    Ok(frame.wire_len())
+    Ok((HEADER_LEN + payload.len()) as u64)
+}
+
+/// Most bytes asked of the reader at once while a payload arrives: small
+/// enough that each piece is still in cache when it is hashed, large
+/// enough that a model-sized payload costs a few dozen reads.
+const READ_PIECE: usize = 128 * 1024;
+
+/// Fills `payload` from `r`, hashing each piece as it arrives, and checks
+/// the result against the header's checksum.
+fn read_payload(r: &mut impl Read, payload: &mut [u8], want_crc: u32) -> Result<(), ClusterError> {
+    let mut crc = Crc32::new();
+    for piece in payload.chunks_mut(READ_PIECE) {
+        r.read_exact(piece)?;
+        crc.update(piece);
+    }
+    let got_crc = crc.finish();
+    if got_crc != want_crc {
+        return Err(ClusterError::Protocol(format!(
+            "payload checksum mismatch: header says {want_crc:#010x}, payload hashes to {got_crc:#010x}"
+        )));
+    }
+    Ok(())
+}
+
+fn read_header(r: &mut impl Read) -> Result<ParsedHeader, ClusterError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    parse_header(&header)
 }
 
 /// Reads one frame, validating magic, version, flags, kind, length bound
 /// and checksum. Returns the frame and its on-wire size.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, u64), ClusterError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let parsed = parse_header(&header)?;
+    let parsed = read_header(r)?;
     let mut payload = vec![0u8; parsed.payload_len];
-    r.read_exact(&mut payload)?;
-    let got_crc = crc32(&payload);
-    if got_crc != parsed.crc {
-        return Err(ClusterError::Protocol(format!(
-            "payload checksum mismatch: header says {:#010x}, payload hashes to {got_crc:#010x}",
-            parsed.crc
-        )));
-    }
+    read_payload(r, &mut payload, parsed.crc)?;
     let frame = Frame { kind: parsed.kind, seq: parsed.seq, payload };
     let wire = frame.wire_len();
     Ok((frame, wire))
+}
+
+/// [`read_frame`] into a buffer the caller keeps across frames: on
+/// success the payload is `buf[..header.payload_len]`. `buf` only ever
+/// grows, and only to the largest payload read through it (at most
+/// [`MAX_PAYLOAD`]), so a steady stream of replies allocates and
+/// zero-fills nothing.
+pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<ParsedHeader, ClusterError> {
+    let parsed = read_header(r)?;
+    if buf.len() < parsed.payload_len {
+        buf.resize(parsed.payload_len, 0);
+    }
+    read_payload(r, &mut buf[..parsed.payload_len], parsed.crc)?;
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -289,6 +309,30 @@ mod tests {
         }
         let empty = Frame::new(FrameKind::Heartbeat, 0, Vec::new());
         assert_eq!(roundtrip(&empty), empty);
+    }
+
+    #[test]
+    fn reused_buffer_reads_match_owned_reads() {
+        // Large then small through one buffer: the payload is the prefix
+        // the header names, stale bytes beyond it are never exposed, and
+        // the buffer does not shrink or regrow.
+        let big = Frame::new(FrameKind::Reply, 1, (0..300_000u32).map(|i| i as u8).collect());
+        let small = Frame::new(FrameKind::Reply, 2, vec![9, 8, 7]);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &big).unwrap();
+        write_payload(&mut wire, small.kind, small.seq, &small.payload).unwrap();
+        let mut r = Cursor::new(&wire);
+        let mut buf = Vec::new();
+        for want in [&big, &small] {
+            let h = read_frame_into(&mut r, &mut buf).unwrap();
+            assert_eq!((h.kind, h.seq), (want.kind, want.seq));
+            assert_eq!(&buf[..h.payload_len], &want.payload[..]);
+            assert_eq!(buf.len(), big.payload.len());
+        }
+        // A corrupted byte in a late piece of a multi-piece payload fails.
+        wire[HEADER_LEN + 290_000] ^= 1;
+        let err = read_frame_into(&mut Cursor::new(&wire), &mut buf).unwrap_err();
+        assert!(matches!(err, ClusterError::Protocol(ref why) if why.contains("checksum")));
     }
 
     #[test]

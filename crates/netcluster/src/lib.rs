@@ -41,7 +41,7 @@ pub use reactor::{ReactorServer, COALESCE_PHASE};
 pub use server::NetServer;
 pub use worker::NetWorker;
 
-use frame::{read_frame, write_frame, Frame, FrameKind};
+use frame::{read_frame, write_payload, FrameKind};
 use lcasgd_simcluster::{
     ClusterBackend, ClusterError, FaultPlan, FaultyLink, ReplicaDuplex, ReplicaDuplexPair,
     ServerCtx, TraceHook, TransportStats, WireMsg, WorkerLink,
@@ -64,7 +64,7 @@ struct TcpReplicaDuplex {
 impl ReplicaDuplex for TcpReplicaDuplex {
     fn send(&mut self, payload: &[u8]) -> Result<(), ClusterError> {
         self.seq += 1;
-        write_frame(&mut self.stream, &Frame::new(self.kind, self.seq, payload.to_vec()))?;
+        write_payload(&mut self.stream, self.kind, self.seq, payload)?;
         Ok(())
     }
 

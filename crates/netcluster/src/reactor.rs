@@ -59,12 +59,30 @@ pub const COALESCE_PHASE: &str = "coalesce";
 /// the idle loop off the CPU.
 const IDLE_SLEEP: Duration = Duration::from_micros(300);
 
-/// Smallest read window; pool buffers grow geometrically beyond it.
+/// Smallest read buffer. A connection's buffer grows beyond it only to
+/// the exact size of a frame that does not fit, so it never exceeds the
+/// largest frame its peer has sent (`HEADER_LEN + MAX_PAYLOAD` at most).
 const READ_CHUNK: usize = 4 * 1024;
 
-/// Coalescing cache entries kept before wholesale clearing; keys are
-/// version-unique so the cache self-invalidates, this only bounds memory.
+/// Most reply encodings the coalescing cache keeps.
 const CACHE_CAP: usize = 64;
+
+/// Byte budget of the coalescing cache: this many times the payload being
+/// inserted, or [`CACHE_FLOOR_BYTES`] if that is more. Keys are
+/// version-unique, so an entry can only be hit until the next apply moves
+/// the version; on a model-sized reply anything older than the last few
+/// is dead weight, and 64 of those would be hundreds of MB.
+///
+/// The cache is emptied wholesale at its bounds, not trimmed one entry at
+/// a time: evicting the oldest 80 KB payload on every insert punches a
+/// hole low in the heap per reply, and on `lc_4w_tcp` glibc's trim/regrow
+/// of the heap top around those holes doubled the server thread's system
+/// time (−15 % samples/s). Freed together the payloads coalesce.
+const CACHE_PAYLOADS: usize = 4;
+
+/// Budget floor: small replies (a sharded model's slices, a small model)
+/// may fill all [`CACHE_CAP`] entries, as they always could.
+const CACHE_FLOOR_BYTES: usize = 8 << 20;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankState {
@@ -96,6 +114,42 @@ struct Conn {
 struct CachedReply {
     payload: Rc<Vec<u8>>,
     crc: u32,
+}
+
+/// The coalescing cache: one payload encoding + CRC per key. It is
+/// emptied wholesale whenever the next insert would take it past
+/// [`CACHE_CAP`] entries or past `max(CACHE_PAYLOADS × newcomer,
+/// CACHE_FLOOR_BYTES)` bytes; the newcomer — the only entry sure to be
+/// live — always stays. A dropped payload that is still queued for
+/// writing lives on in that write queue only.
+#[derive(Default)]
+struct ReplyCache {
+    entries: HashMap<u64, CachedReply>,
+    bytes: usize,
+}
+
+impl ReplyCache {
+    fn get(&self, key: u64) -> Option<&CachedReply> {
+        self.entries.get(&key)
+    }
+
+    /// Caches `payload` under `key`, which must not be present.
+    fn insert(&mut self, key: u64, payload: Rc<Vec<u8>>, crc: u32) {
+        let size = payload.capacity();
+        let budget = (CACHE_PAYLOADS * size).max(CACHE_FLOOR_BYTES);
+        if self.entries.len() >= CACHE_CAP || self.bytes + size > budget {
+            self.entries.clear();
+            self.bytes = 0;
+        }
+        self.bytes += size;
+        self.entries.insert(key, CachedReply { payload, crc });
+    }
+
+    /// Bytes of payload capacity the cache itself keeps alive.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        self.bytes
+    }
 }
 
 /// A blocking request parsed this sweep, answered after all oneways.
@@ -159,7 +213,7 @@ impl ReactorServer {
         let mut awaiting: Vec<Option<u64>> = vec![None; m];
         let mut stats = TransportStats::default();
         let mut result: Result<(), ClusterError> = Ok(());
-        let mut cache: HashMap<u64, CachedReply> = HashMap::new();
+        let mut cache = ReplyCache::default();
         let mut pending: Vec<PendingReq<Req>> = Vec::new();
         let started = Instant::now();
 
@@ -206,8 +260,19 @@ impl ReactorServer {
                 let mut closed = false;
                 loop {
                     if conn.filled == conn.buf.len() {
-                        let grown = (conn.buf.len() * 2).max(READ_CHUNK);
-                        conn.buf.resize(grown, 0);
+                        // Full. Grow only for a head frame that cannot
+                        // complete in this buffer, and then to exactly
+                        // its size. Otherwise complete frames (or a
+                        // header the parser will reject) are waiting:
+                        // let the parse pass below drain them first.
+                        match parse_header(&conn.buf[..HEADER_LEN]) {
+                            Ok(h) if HEADER_LEN + h.payload_len > conn.buf.len() => {
+                                let total = HEADER_LEN + h.payload_len;
+                                conn.buf.reserve_exact(total - conn.buf.len());
+                                conn.buf.resize(total, 0);
+                            }
+                            _ => break,
+                        }
                     }
                     match conn.stream.read(&mut conn.buf[conn.filled..]) {
                         Ok(0) => {
@@ -586,7 +651,7 @@ fn deliver_replies<Resp: WireMsg>(
     rank_conn: &mut [Option<u64>],
     rank_state: &mut [RankState],
     awaiting: &mut [Option<u64>],
-    cache: &mut HashMap<u64, CachedReply>,
+    cache: &mut ReplyCache,
     stats: &mut TransportStats,
     hook: &Option<Arc<dyn TraceHook>>,
 ) -> Result<(), ClusterError> {
@@ -609,7 +674,7 @@ fn deliver_replies<Resp: WireMsg>(
         let t0 = Instant::now();
         let (payload, crc) = match key.filter(|_| coalescing) {
             Some(k) => {
-                if let Some(hit) = cache.get(&k) {
+                if let Some(hit) = cache.get(k) {
                     // Cache hit: byte-identical to a fresh encode (same
                     // payload, same CRC), no serialize time booked —
                     // that's the whole point. The span is attributed to
@@ -627,10 +692,7 @@ fn deliver_replies<Resp: WireMsg>(
                     if let Some(h) = hook {
                         h.wall_span(Some(target), "codec", t0, encode);
                     }
-                    if cache.len() >= CACHE_CAP {
-                        cache.clear();
-                    }
-                    cache.insert(k, CachedReply { payload: Rc::clone(&payload), crc });
+                    cache.insert(k, Rc::clone(&payload), crc);
                     (payload, crc)
                 }
             }
@@ -673,4 +735,56 @@ fn deliver_replies<Resp: WireMsg>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn payload(len: usize) -> Rc<Vec<u8>> {
+        Rc::new(vec![7u8; len])
+    }
+
+    #[test]
+    fn model_sized_versions_do_not_accumulate_in_the_cache() {
+        // 200 distinct versions of a 5 MiB reply, as 200 applies produce.
+        let size = 5 << 20;
+        let mut cache = ReplyCache::default();
+        for version in 0..200u64 {
+            cache.insert(version, payload(size), version as u32);
+            assert!(cache.retained_bytes() <= CACHE_PAYLOADS * size, "at version {version}");
+            assert!(cache.entries.len() <= CACHE_PAYLOADS);
+            // The live (newest) key always hits, with its own CRC.
+            assert_eq!(cache.get(version).map(|e| e.crc), Some(version as u32));
+        }
+        assert!(cache.get(0).is_none(), "superseded versions are gone");
+    }
+
+    #[test]
+    fn small_replies_keep_the_entry_cap() {
+        let mut cache = ReplyCache::default();
+        for key in 0..200u64 {
+            cache.insert(key, payload(80_000), 0);
+            assert!(cache.entries.len() <= CACHE_CAP);
+            assert!(cache.retained_bytes() <= CACHE_CAP * 80_000);
+        }
+        // 64 × 80 KB sits under the byte floor: only the entry cap binds,
+        // so the cache filled up exactly as it did before the budget.
+        const { assert!(CACHE_CAP * 80_000 <= CACHE_FLOOR_BYTES) };
+        assert_eq!(cache.entries.len(), 200 % CACHE_CAP);
+    }
+
+    #[test]
+    fn a_newcomer_that_would_break_the_budget_empties_the_cache_first() {
+        let mut cache = ReplyCache::default();
+        for key in 0..CACHE_CAP as u64 - 1 {
+            cache.insert(key, payload(120_000), 0);
+        }
+        assert!(cache.retained_bytes() <= CACHE_FLOOR_BYTES);
+        let size = 2 << 20;
+        cache.insert(1000, payload(size), 0);
+        assert_eq!(cache.retained_bytes(), size);
+        assert_eq!(cache.entries.len(), 1);
+        assert!(cache.get(1000).is_some());
+    }
 }

@@ -18,9 +18,12 @@
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
-use crate::frame::{read_frame, write_frame, Frame, FrameKind};
+use crate::frame::{
+    crc32, header_bytes, read_frame_into, write_frame, write_payload, Frame, FrameKind, HEADER_LEN,
+};
 use lcasgd_simcluster::{ClusterError, FaultHooks, TraceHook, TransportStats, WireMsg, WorkerLink};
 use parking_lot::Mutex;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -78,6 +81,13 @@ pub struct NetWorker {
     /// breaker and further dial attempts fail fast until the cooldown
     /// admits a half-open probe.
     breaker: CircuitBreaker,
+    /// The outgoing frame, `header ‖ payload`, encoded in place and
+    /// written with one call. Reused across messages: it holds at most
+    /// the largest frame this worker has sent.
+    wbuf: Vec<u8>,
+    /// Reply payloads land here instead of in a fresh allocation per
+    /// reply; holds at most the largest reply payload received.
+    rbuf: Vec<u8>,
 }
 
 impl NetWorker {
@@ -101,6 +111,8 @@ impl NetWorker {
             finished: false,
             trace_hook: None,
             breaker,
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
         };
         worker.reconnect()?;
         Ok(worker)
@@ -170,10 +182,7 @@ impl NetWorker {
                 let interval = self.cfg.heartbeat_interval;
                 std::thread::spawn(move || {
                     while !stop.wait(interval) {
-                        let sent = write_frame(
-                            &mut *write.lock(),
-                            &Frame::new(FrameKind::Heartbeat, 0, Vec::new()),
-                        );
+                        let sent = write_payload(&mut *write.lock(), FrameKind::Heartbeat, 0, &[]);
                         if sent.is_err() {
                             // The request path will notice and reconnect;
                             // a beating heart on a dead socket helps nobody.
@@ -205,21 +214,43 @@ impl NetWorker {
         }
     }
 
-    /// Writes a frame, reconnecting and retrying once if the write
-    /// itself fails.
-    fn write_with_retry(&mut self, frame: &Frame) -> Result<u64, ClusterError> {
-        match self.write_frame_now(frame) {
-            Ok(n) => Ok(n),
+    /// Encodes `req` as the next frame of `kind` into the write buffer:
+    /// payload after a header-sized gap, then the header (sequence
+    /// number, length, checksum) filled in over the gap.
+    fn stage<Req: WireMsg>(&mut self, kind: FrameKind, req: &Req) -> Result<u64, ClusterError> {
+        let t0 = Instant::now();
+        self.wbuf.clear();
+        self.wbuf.reserve(HEADER_LEN + req.size_hint());
+        self.wbuf.resize(HEADER_LEN, 0);
+        req.encode(&mut self.wbuf);
+        let encode = t0.elapsed().as_secs_f64();
+        self.stats.serialize_seconds += encode;
+        self.span("codec", t0, encode);
+        self.seq += 1;
+        let payload = &self.wbuf[HEADER_LEN..];
+        let header = header_bytes(kind, self.seq, payload.len(), crc32(payload))?;
+        self.wbuf[..HEADER_LEN].copy_from_slice(&header);
+        Ok(self.seq)
+    }
+
+    /// Writes the staged frame, reconnecting and retrying once if the
+    /// write itself fails.
+    fn write_with_retry(&mut self) -> Result<(), ClusterError> {
+        match self.write_staged() {
+            Ok(()) => Ok(()),
             Err(_) => {
                 self.reconnect()?;
-                self.write_frame_now(frame)
+                self.write_staged()
             }
         }
     }
 
-    fn write_frame_now(&mut self, frame: &Frame) -> Result<u64, ClusterError> {
+    fn write_staged(&mut self) -> Result<(), ClusterError> {
         let conn = self.conn.as_ref().ok_or(ClusterError::Disconnected)?;
-        write_frame(&mut *conn.write.lock(), frame)
+        let mut write = conn.write.lock();
+        write.write_all(&self.wbuf)?;
+        write.flush()?;
+        Ok(())
     }
 
     /// Sends a blocking request and waits for the matching reply.
@@ -227,20 +258,14 @@ impl NetWorker {
         &mut self,
         req: &Req,
     ) -> Result<Resp, ClusterError> {
-        let t0 = Instant::now();
-        let payload = req.encoded();
-        let encode = t0.elapsed().as_secs_f64();
-        self.stats.serialize_seconds += encode;
-        self.span("codec", t0, encode);
-        self.seq += 1;
-        let seq = self.seq;
-        self.write_with_retry(&Frame::new(FrameKind::Request, seq, payload))?;
+        let seq = self.stage(FrameKind::Request, req)?;
+        self.write_with_retry()?;
 
         let sent = Instant::now();
         loop {
             let conn = self.conn.as_mut().ok_or(ClusterError::Disconnected)?;
-            let (frame, _wire) = match read_frame(&mut conn.read) {
-                Ok(ok) => ok,
+            let header = match read_frame_into(&mut conn.read, &mut self.rbuf) {
+                Ok(header) => header,
                 Err(e) => {
                     // Timeouts and disconnects both leave the stream in
                     // an unknown framing state; drop the connection so
@@ -250,14 +275,14 @@ impl NetWorker {
                     return Err(e);
                 }
             };
-            if frame.kind != FrameKind::Reply {
+            if header.kind != FrameKind::Reply {
                 self.teardown();
                 return Err(ClusterError::Protocol(format!(
                     "server sent unexpected {:?} frame to a worker",
-                    frame.kind
+                    header.kind
                 )));
             }
-            if frame.seq != seq {
+            if header.seq != seq {
                 // A stale reply from before a reconnect; skip it, but
                 // keep the overall deadline.
                 if sent.elapsed() > self.cfg.request_timeout {
@@ -272,7 +297,7 @@ impl NetWorker {
             self.stats.rtt.record(rtt);
             self.span("comm", sent, rtt);
             let t0 = Instant::now();
-            let resp = match Resp::decoded(&frame.payload) {
+            let resp = match Resp::decoded(&self.rbuf[..header.payload_len]) {
                 Ok(resp) => resp,
                 Err(e) => {
                     // The frame layer vouched for the bytes, but the codec
@@ -292,15 +317,8 @@ impl NetWorker {
 
     /// Fire-and-forget send.
     pub fn send<Req: WireMsg>(&mut self, req: &Req) -> Result<(), ClusterError> {
-        let t0 = Instant::now();
-        let payload = req.encoded();
-        let encode = t0.elapsed().as_secs_f64();
-        self.stats.serialize_seconds += encode;
-        self.span("codec", t0, encode);
-        self.seq += 1;
-        let frame = Frame::new(FrameKind::Oneway, self.seq, payload);
-        self.write_with_retry(&frame)?;
-        Ok(())
+        self.stage(FrameKind::Oneway, req)?;
+        self.write_with_retry()
     }
 
     /// Performs the clean `Goodbye` handshake and closes the connection.
@@ -311,7 +329,10 @@ impl NetWorker {
         }
         self.finished = true;
         self.seq += 1;
-        let res = self.write_frame_now(&Frame::new(FrameKind::Goodbye, self.seq, Vec::new()));
+        let res = match &self.conn {
+            Some(conn) => write_payload(&mut *conn.write.lock(), FrameKind::Goodbye, self.seq, &[]),
+            None => Err(ClusterError::Disconnected),
+        };
         self.teardown();
         res.map(|_| ())
     }
@@ -343,7 +364,6 @@ impl NetWorker {
             let bad_crc = crate::frame::crc32(payload) ^ 0xFFFF_FFFF;
             buf[20..24].copy_from_slice(&bad_crc.to_le_bytes());
             {
-                use std::io::Write;
                 let mut write = conn.write.lock();
                 let _ = write.write_all(&buf);
                 let _ = write.write_all(payload);

@@ -15,8 +15,8 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"LCCKPT01";
 
 /// Writes a length-prefixed little-endian f32 slice (the primitive every
-/// LC-ASGD on-disk format builds on; also used by the full training
-/// checkpoint in lcasgd-core).
+/// LC-ASGD on-disk format builds on; lcasgd-core's full training
+/// checkpoint writes the same layout through the wire codec's helpers).
 pub fn write_f32s(w: &mut impl Write, xs: &[f32]) -> io::Result<()> {
     w.write_all(&(xs.len() as u64).to_le_bytes())?;
     for &x in xs {

@@ -131,9 +131,32 @@ impl<'a> WireReader<'a> {
         Ok(n)
     }
 
+    /// The next `n` raw payload bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
+        self.take(n)
+    }
+
+    /// `n` little-endian `f32`s in one pass: one bounds check for the
+    /// whole run, then a conversion loop the compiler vectorizes.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ClusterError> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+    }
+
+    /// `n` little-endian `u16`s in one pass (see [`WireReader::f32s`]).
+    pub fn u16s(&mut self, n: usize) -> Result<Vec<u16>, ClusterError> {
+        let bytes = self.take(n.saturating_mul(2))?;
+        Ok(bytes.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())).collect())
+    }
+
+    /// `n` bytes reinterpreted as two's-complement `i8`s in one pass.
+    pub fn i8s(&mut self, n: usize) -> Result<Vec<i8>, ClusterError> {
+        Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
+    }
+
     pub fn vec_f32(&mut self) -> Result<Vec<f32>, ClusterError> {
         let n = self.len(4)?;
-        (0..n).map(|_| self.f32()).collect()
+        self.f32s(n)
     }
 
     pub fn string(&mut self) -> Result<String, ClusterError> {
@@ -177,11 +200,22 @@ pub mod wire {
     pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
         buf.push(v as u8);
     }
+    /// Raw little-endian `f32`s, no length prefix. The exact-size
+    /// iterator lets `extend` reserve once and fill in a vectorized loop.
+    pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
+        buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    /// Raw little-endian `u16`s, no length prefix.
+    pub fn put_u16s(buf: &mut Vec<u8>, v: &[u16]) {
+        buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    /// Raw two's-complement `i8`s, no length prefix.
+    pub fn put_i8s(buf: &mut Vec<u8>, v: &[i8]) {
+        buf.extend(v.iter().map(|&x| x as u8));
+    }
     pub fn put_vec_f32(buf: &mut Vec<u8>, v: &[f32]) {
         put_u64(buf, v.len() as u64);
-        for &x in v {
-            put_f32(buf, x);
-        }
+        put_f32s(buf, v);
     }
     pub fn put_string(buf: &mut Vec<u8>, s: &str) {
         put_u64(buf, s.len() as u64);
@@ -209,8 +243,17 @@ pub trait WireMsg: Sized {
         false
     }
 
+    /// Roughly how many bytes [`WireMsg::encode`] will append. Only a
+    /// capacity hint: [`WireMsg::encoded`] sizes its buffer from it, so a
+    /// model-sized message is written into one allocation instead of
+    /// being copied through a series of doublings. Messages that carry
+    /// vectors override it; a few bytes over or under cost nothing.
+    fn size_hint(&self) -> usize {
+        0
+    }
+
     fn encoded(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.size_hint());
         self.encode(&mut buf);
         buf
     }
@@ -254,6 +297,9 @@ wiremsg_scalar!(
 );
 
 impl WireMsg for Vec<f32> {
+    fn size_hint(&self) -> usize {
+        8 + 4 * self.len()
+    }
     fn encode(&self, buf: &mut Vec<u8>) {
         wire::put_vec_f32(buf, self);
     }

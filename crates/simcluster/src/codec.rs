@@ -18,6 +18,7 @@
 //! machinery), and the codec simply selects a matching scheme there.
 
 use crate::backend::{wire, ClusterError, WireMsg, WireReader};
+pub use crate::crc::{crc32, Crc32};
 
 /// Entries per `int8` quantization block (one `f32` scale each).
 pub const INT8_BLOCK: usize = 256;
@@ -117,11 +118,11 @@ pub fn int8_pack(vals: &[f32]) -> (Vec<i8>, Vec<f32>) {
 
 /// Inverse of [`int8_pack`].
 pub fn int8_unpack(levels: &[i8], scales: &[f32]) -> Vec<f32> {
-    levels
-        .chunks(INT8_BLOCK)
-        .zip(scales)
-        .flat_map(|(block, &s)| block.iter().map(move |&l| l as f32 * s))
-        .collect()
+    let mut vals = Vec::with_capacity(levels.len());
+    for (block, &s) in levels.chunks(INT8_BLOCK).zip(scales) {
+        vals.extend(block.iter().map(|&l| l as f32 * s));
+    }
+    vals
 }
 
 /// A dense `f32` vector packed under a [`WireCodec`]. The `F32` case is
@@ -175,25 +176,25 @@ impl PackedF32 {
 }
 
 impl WireMsg for PackedF32 {
+    fn size_hint(&self) -> usize {
+        match self {
+            PackedF32::Bf16(halves) => 9 + 2 * halves.len(),
+            PackedF32::Int8 { levels, scales } => 17 + levels.len() + 4 * scales.len(),
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             PackedF32::Bf16(halves) => {
                 wire::put_u8(buf, 0);
                 wire::put_u64(buf, halves.len() as u64);
-                for &h in halves {
-                    wire::put_u16(buf, h);
-                }
+                wire::put_u16s(buf, halves);
             }
             PackedF32::Int8 { levels, scales } => {
                 wire::put_u8(buf, 1);
                 wire::put_u64(buf, levels.len() as u64);
-                for &l in levels {
-                    wire::put_u8(buf, l as u8);
-                }
-                wire::put_u64(buf, scales.len() as u64);
-                for &s in scales {
-                    wire::put_f32(buf, s);
-                }
+                wire::put_i8s(buf, levels);
+                wire::put_vec_f32(buf, scales);
             }
         }
     }
@@ -202,13 +203,11 @@ impl WireMsg for PackedF32 {
         match r.u8()? {
             0 => {
                 let n = r.len(2)?;
-                let halves = (0..n).map(|_| r.u16()).collect::<Result<_, _>>()?;
-                Ok(PackedF32::Bf16(halves))
+                Ok(PackedF32::Bf16(r.u16s(n)?))
             }
             1 => {
                 let n = r.len(1)?;
-                let levels: Vec<i8> =
-                    (0..n).map(|_| r.u8().map(|b| b as i8)).collect::<Result<_, _>>()?;
+                let levels = r.i8s(n)?;
                 let ns = r.len(4)?;
                 if ns != n.div_ceil(INT8_BLOCK) {
                     return Err(ClusterError::Protocol(format!(
@@ -216,7 +215,7 @@ impl WireMsg for PackedF32 {
                         n.div_ceil(INT8_BLOCK)
                     )));
                 }
-                let scales = (0..ns).map(|_| r.f32()).collect::<Result<_, _>>()?;
+                let scales = r.f32s(ns)?;
                 Ok(PackedF32::Int8 { levels, scales })
             }
             tag => Err(ClusterError::Protocol(format!("unknown PackedF32 tag {tag}"))),

@@ -21,6 +21,7 @@
 
 pub mod backend;
 pub mod codec;
+mod crc;
 pub mod event;
 pub mod faults;
 pub mod models;

@@ -24,8 +24,19 @@ impl Ctx<'_> {
         &self.nodes[v.0].value
     }
 
-    /// Adds `g` to the gradient accumulator of parent node `v`.
+    /// Whether anyone can read a gradient for `v`: false only for
+    /// [`Graph::input`] nodes. An op may skip computing a gradient it would
+    /// hand to such a node (a convolution's `dX` for the data batch).
+    pub fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
+    }
+
+    /// Adds `g` to the gradient accumulator of parent node `v` (dropped
+    /// when `v` [needs none](Self::needs_grad)).
     pub fn accumulate(&mut self, v: Var, g: Tensor) {
+        if !self.needs_grad(v) {
+            return;
+        }
         debug_assert_eq!(
             self.nodes[v.0].value.shape(),
             g.shape(),
@@ -51,6 +62,8 @@ struct Node {
     value: Tensor,
     /// `None` for leaves (parameters, constants): backward stops here.
     backward: Option<Box<dyn BackwardOp>>,
+    /// False for [`Graph::input`] nodes only.
+    needs_grad: bool,
 }
 
 /// A single forward pass's computation tape.
@@ -90,8 +103,18 @@ impl Graph {
         self.push(value, None)
     }
 
+    /// Adds a leaf nobody differentiates with respect to — a data batch.
+    /// Its gradient stays `None`, and ops may skip the work of producing
+    /// it (see [`Ctx::needs_grad`]). Use [`leaf`](Self::leaf) for anything
+    /// whose gradient is read, gradient checks included.
+    pub fn input(&mut self, value: Tensor) -> Var {
+        let v = self.push(value, None);
+        self.nodes[v.0].needs_grad = false;
+        v
+    }
+
     pub(crate) fn push(&mut self, value: Tensor, backward: Option<Box<dyn BackwardOp>>) -> Var {
-        self.nodes.push(Node { value, backward });
+        self.nodes.push(Node { value, backward, needs_grad: true });
         self.grads.push(None);
         Var(self.nodes.len() - 1)
     }
@@ -159,6 +182,47 @@ mod tests {
         let v = g.leaf(t.clone());
         assert_eq!(g.value(v), &t);
         assert!(g.grad(v).is_none());
+    }
+
+    /// An `input` node gets no gradient, costs its consumers no `dX`
+    /// product, and leaves every parameter gradient bitwise what a `leaf`
+    /// gives.
+    #[test]
+    fn input_nodes_take_no_gradient_and_change_no_other() {
+        use lcasgd_tensor::ops::conv::Conv2dSpec;
+        use lcasgd_tensor::Rng;
+        let mut rng = Rng::seed_from_u64(7);
+        let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
+        let img = Tensor::randn(&[2, 2, 5, 5], 1.0, &mut rng);
+        let kern = Tensor::randn(&[3, 2, 3, 3], 0.5, &mut rng);
+        let w = Tensor::randn(&[4, 75], 0.5, &mut rng);
+        let b = Tensor::randn(&[4], 0.5, &mut rng);
+        let run = |as_input: bool| {
+            let mut g = Graph::new();
+            let x = if as_input { g.input(img.clone()) } else { g.leaf(img.clone()) };
+            let (kv, wv, bv) = (g.leaf(kern.clone()), g.leaf(w.clone()), g.leaf(b.clone()));
+            let conv = g.conv2d(x, kv, spec);
+            let flat = g.reshape(conv, &[2, 75]);
+            let out = g.linear(flat, wv, bv);
+            let loss = g.mean(out);
+            g.backward(loss);
+            let params = [kv, wv, bv].map(|v| g.grad(v).expect("parameter gradient").clone());
+            (g.grad(x).cloned(), params)
+        };
+        let (dx_leaf, params_leaf) = run(false);
+        let (dx_input, params_input) = run(true);
+        assert!(dx_leaf.is_some());
+        assert!(dx_input.is_none());
+        assert_eq!(params_leaf, params_input);
+
+        // Directly under a linear layer, too (the MLPs' first layer).
+        let mut g = Graph::new();
+        let x = g.input(Tensor::randn(&[3, 75], 1.0, &mut rng));
+        let (wv, bv) = (g.leaf(w), g.leaf(b));
+        let out = g.linear(x, wv, bv);
+        let loss = g.mean(out);
+        g.backward(loss);
+        assert!(g.grad(x).is_none() && g.grad(wv).is_some() && g.grad(bv).is_some());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Differentiable 2-D convolution over the fused GEMM kernels.
+//! Differentiable 2-D convolution over the implicit-GEMM kernels.
 //!
-//! Both passes stay fused: the forward pass never materializes the im2col
-//! matrix, and the backward pass calls the dedicated `conv2d_dw`/`conv2d_dx`
-//! kernels instead of saving `cols` from the forward pass — which also
-//! removes the `[n·oh·ow, cin·k·k]` tensor that used to live in the tape
-//! for the whole backward sweep.
+//! No pass materializes the im2col matrix: the backward pass calls the
+//! dedicated `conv2d_dw`/`conv2d_dx` kernels instead of saving `cols` from
+//! the forward pass, so no `[n·oh·ow, cin·k·k]` tensor lives in the tape
+//! for the backward sweep — and `dX` is skipped outright when the input
+//! is a data batch nobody differentiates ([`Graph::input`]).
 
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
@@ -60,9 +60,11 @@ struct Conv2dBack {
 impl BackwardOp for Conv2dBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
         let dw = conv2d_dw(ctx.grad, ctx.value(self.x), &self.spec);
-        let dx = conv2d_dx(ctx.grad, ctx.value(self.w), &self.spec, self.in_h, self.in_w);
         ctx.accumulate(self.w, dw);
-        ctx.accumulate(self.x, dx);
+        if ctx.needs_grad(self.x) {
+            let dx = conv2d_dx(ctx.grad, ctx.value(self.w), &self.spec, self.in_h, self.in_w);
+            ctx.accumulate(self.x, dx);
+        }
     }
 }
 

@@ -26,10 +26,12 @@ struct LinearBack {
 impl BackwardOp for LinearBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
         // dX = dY·W ; dW = dYᵀ·X ; db = column-sum(dY)
-        let dx = ctx.grad.matmul(ctx.value(self.w));
+        if ctx.needs_grad(self.x) {
+            let dx = ctx.grad.matmul(ctx.value(self.w));
+            ctx.accumulate(self.x, dx);
+        }
         let dw = ctx.grad.matmul_tn(ctx.value(self.x));
         let db = ctx.grad.sum_rows();
-        ctx.accumulate(self.x, dx);
         ctx.accumulate(self.w, dw);
         ctx.accumulate(self.b, db);
     }

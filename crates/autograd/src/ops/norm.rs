@@ -20,8 +20,8 @@ pub struct BnBatchStats {
     pub var: Tensor,
 }
 
-/// Shared backward math: given per-channel reductions, produce dx for one
-/// element. All tensors are flattened with an `element -> channel` map.
+/// Training-mode backward: per-channel reductions, then
+/// `dx = γ·inv_std/m · (m·dy − dbeta − x̂·dgamma)`.
 struct BnBack {
     x: Var,
     gamma: Var,
@@ -35,68 +35,117 @@ struct BnBack {
     layout: Layout,
 }
 
-enum Layout {
-    /// `[b, n]`: channel = column.
-    Rows { n: usize },
-    /// `[n, c, h, w]`: channel = feature map.
-    Nchw { c: usize, hw: usize },
+/// How an activation's flat index splits into `(outer, channel, inner)`:
+/// `[n, c, h, w]` has `inner = h·w`, `[b, n]` is the same with
+/// `inner = 1`. Every loop below walks *runs* — the `inner` consecutive
+/// elements that share a channel — with that channel's scalars hoisted,
+/// instead of recovering the channel of each element by division; a
+/// channel's elements are still visited in ascending flat order, so
+/// per-channel sums accumulate in the order a flat walk gives.
+#[derive(Clone, Copy)]
+struct Layout {
+    c: usize,
+    inner: usize,
 }
 
 impl Layout {
-    #[inline]
-    fn channel_of(&self, flat: usize) -> usize {
-        match *self {
-            Layout::Rows { n } => flat % n,
-            Layout::Nchw { c, hw } => (flat / hw) % c,
+    fn of(x: &Tensor) -> Self {
+        match *x.dims() {
+            [_, n] => Layout { c: n, inner: 1 },
+            [_, c, h, w] => Layout { c, inner: h * w },
+            _ => panic!("batch norm on rank {}", x.shape().rank()),
         }
     }
 
-    fn channels(&self) -> usize {
-        match *self {
-            Layout::Rows { n } => n,
-            Layout::Nchw { c, .. } => c,
-        }
+    /// `(channel, flat range)` of every run, in ascending flat order.
+    fn runs(self, len: usize) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> {
+        let Layout { c, inner } = self;
+        (0..len / (c * inner).max(1)).flat_map(move |outer| {
+            (0..c).map(move |ch| {
+                let at = (outer * c + ch) * inner;
+                (ch, at..at + inner)
+            })
+        })
     }
+}
+
+/// `dgamma = Σ dy·x̂` and `dbeta = Σ dy` per channel, accumulated in `f64`.
+fn channel_sums(layout: Layout, dy: &[f32], xhat: &[f32]) -> (Vec<f64>, Vec<f64>) {
+    let mut dgamma = vec![0.0f64; layout.c];
+    let mut dbeta = vec![0.0f64; layout.c];
+    for (ch, run) in layout.runs(dy.len()) {
+        let (mut dg, mut db) = (dgamma[ch], dbeta[ch]);
+        for (&g, &xh) in dy[run.clone()].iter().zip(&xhat[run]) {
+            db += g as f64;
+            dg += (g * xh) as f64;
+        }
+        (dgamma[ch], dbeta[ch]) = (dg, db);
+    }
+    (dgamma, dbeta)
+}
+
+fn to_f32(sums: Vec<f64>) -> Tensor {
+    let c = sums.len();
+    Tensor::from_vec(sums.into_iter().map(|v| v as f32).collect(), &[c])
 }
 
 impl BackwardOp for BnBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
-        let c = self.layout.channels();
         let dy = ctx.grad.data();
         let xhat = self.xhat.data();
+        let (dgamma, dbeta) = channel_sums(self.layout, dy, xhat);
 
-        // Per-channel reductions: dbeta = Σdy, dgamma = Σ dy·x̂.
-        let mut dbeta = vec![0.0f64; c];
-        let mut dgamma = vec![0.0f64; c];
-        for (i, (&g, &xh)) in dy.iter().zip(xhat).enumerate() {
-            let ch = self.layout.channel_of(i);
-            dbeta[ch] += g as f64;
-            dgamma[ch] += (g * xh) as f64;
-        }
-
-        // dx = γ·inv_std/m · (m·dy − dbeta − x̂·dgamma)
         let gamma = ctx.value(self.gamma).data();
         let inv_std = self.inv_std.data();
         let m = self.m as f32;
         let mut dx = Tensor::zeros_like(&self.xhat);
-        for (i, o) in dx.data_mut().iter_mut().enumerate() {
-            let ch = self.layout.channel_of(i);
-            let term = m * dy[i] - dbeta[ch] as f32 - xhat[i] * dgamma[ch] as f32;
-            *o = gamma[ch] * inv_std[ch] / m * term;
+        let dxd = dx.data_mut();
+        for (ch, run) in self.layout.runs(dy.len()) {
+            let scale = gamma[ch] * inv_std[ch] / m;
+            let (db, dg) = (dbeta[ch] as f32, dgamma[ch] as f32);
+            for i in run {
+                dxd[i] = scale * (m * dy[i] - db - xhat[i] * dg);
+            }
         }
 
         ctx.accumulate(self.x, dx);
-        ctx.accumulate(
-            self.gamma,
-            Tensor::from_vec(dgamma.into_iter().map(|v| v as f32).collect(), &[c]),
-        );
-        ctx.accumulate(
-            self.beta,
-            Tensor::from_vec(dbeta.into_iter().map(|v| v as f32).collect(), &[c]),
-        );
+        ctx.accumulate(self.gamma, to_f32(dgamma));
+        ctx.accumulate(self.beta, to_f32(dbeta));
     }
 }
 
+/// Inference-mode backward. Fixed stats ⇒ x̂ is an affine function of x
+/// alone: `dx = dy·γ·inv_std`.
+struct InferenceBack {
+    x: Var,
+    gamma: Var,
+    beta: Var,
+    xhat: Tensor,
+    inv_std: Tensor,
+    layout: Layout,
+}
+
+impl BackwardOp for InferenceBack {
+    fn backward(&self, ctx: &mut Ctx<'_>) {
+        let dy = ctx.grad.data();
+        let (dgamma, dbeta) = channel_sums(self.layout, dy, self.xhat.data());
+        let gamma = ctx.value(self.gamma).data();
+        let inv_std = self.inv_std.data();
+        let mut dx = Tensor::zeros_like(&self.xhat);
+        let dxd = dx.data_mut();
+        for (ch, run) in self.layout.runs(dy.len()) {
+            let (g, s) = (gamma[ch], inv_std[ch]);
+            for i in run {
+                dxd[i] = dy[i] * g * s;
+            }
+        }
+        ctx.accumulate(self.x, dx);
+        ctx.accumulate(self.gamma, to_f32(dgamma));
+        ctx.accumulate(self.beta, to_f32(dbeta));
+    }
+}
+
+/// `x̂ = (x − mean)·inv_std` and `y = x̂·γ + β`, one pass.
 fn normalize(
     x: &Tensor,
     mean: &Tensor,
@@ -104,21 +153,20 @@ fn normalize(
     gamma: &Tensor,
     beta: &Tensor,
     eps: f32,
-    layout: &Layout,
+    layout: Layout,
 ) -> (Tensor, Tensor, Tensor) {
     let inv_std =
         Tensor::from_vec(var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(), var.dims());
     let mut xhat = x.clone();
-    let (md, isd) = (mean.data(), inv_std.data());
-    for (i, v) in xhat.data_mut().iter_mut().enumerate() {
-        let ch = layout.channel_of(i);
-        *v = (*v - md[ch]) * isd[ch];
-    }
-    let mut y = xhat.clone();
-    let (gd, bd) = (gamma.data(), beta.data());
-    for (i, v) in y.data_mut().iter_mut().enumerate() {
-        let ch = layout.channel_of(i);
-        *v = *v * gd[ch] + bd[ch];
+    let mut y = Tensor::zeros_like(x);
+    let (xh, yd) = (xhat.data_mut(), y.data_mut());
+    let (md, isd, gd, bd) = (mean.data(), inv_std.data(), gamma.data(), beta.data());
+    for (ch, run) in layout.runs(xh.len()) {
+        let (m, s, g, b) = (md[ch], isd[ch], gd[ch], bd[ch]);
+        for (v, o) in xh[run.clone()].iter_mut().zip(&mut yd[run]) {
+            *v = (*v - m) * s;
+            *o = *v * g + b;
+        }
     }
     (y, xhat, inv_std)
 }
@@ -130,12 +178,12 @@ impl Graph {
         let xt = self.value(x);
         assert_eq!(xt.shape().rank(), 4, "batch_norm2d expects NCHW");
         let d = xt.dims();
-        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
+        let (n, hw) = (d[0], d[2] * d[3]);
         let mean = xt.channel_mean();
         let var = xt.channel_var(&mean);
-        let layout = Layout::Nchw { c, hw };
+        let layout = Layout::of(xt);
         let (y, xhat, inv_std) =
-            normalize(xt, &mean, &var, self.value(gamma), self.value(beta), eps, &layout);
+            normalize(xt, &mean, &var, self.value(gamma), self.value(beta), eps, layout);
         let back = BnBack { x, gamma, beta, xhat, inv_std, m: n * hw, layout };
         let out = self.push(y, Some(Box::new(back)));
         (out, BnBatchStats { mean, var })
@@ -145,12 +193,12 @@ impl Graph {
     pub fn batch_norm1d(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> (Var, BnBatchStats) {
         let xt = self.value(x);
         assert_eq!(xt.shape().rank(), 2, "batch_norm1d expects [b, n]");
-        let (b, n) = (xt.dims()[0], xt.dims()[1]);
+        let b = xt.dims()[0];
         let mean = xt.column_mean();
         let var = xt.column_var(&mean);
-        let layout = Layout::Rows { n };
+        let layout = Layout::of(xt);
         let (y, xhat, inv_std) =
-            normalize(xt, &mean, &var, self.value(gamma), self.value(beta), eps, &layout);
+            normalize(xt, &mean, &var, self.value(gamma), self.value(beta), eps, layout);
         let back = BnBack { x, gamma, beta, xhat, inv_std, m: b, layout };
         let out = self.push(y, Some(Box::new(back)));
         (out, BnBatchStats { mean, var })
@@ -169,48 +217,9 @@ impl Graph {
         eps: f32,
     ) -> Var {
         let xt = self.value(x);
-        let layout = match xt.shape().rank() {
-            2 => Layout::Rows { n: xt.dims()[1] },
-            4 => Layout::Nchw { c: xt.dims()[1], hw: xt.dims()[2] * xt.dims()[3] },
-            r => panic!("batch_norm_inference on rank {r}"),
-        };
+        let layout = Layout::of(xt);
         let (y, xhat, inv_std) =
-            normalize(xt, mean, var, self.value(gamma), self.value(beta), eps, &layout);
-        // Fixed stats ⇒ x̂ is an affine function of x alone: dx = dy·γ·inv_std.
-        struct InferenceBack {
-            x: Var,
-            gamma: Var,
-            beta: Var,
-            xhat: Tensor,
-            inv_std: Tensor,
-            layout: Layout,
-        }
-        impl BackwardOp for InferenceBack {
-            fn backward(&self, ctx: &mut Ctx<'_>) {
-                let c = self.layout.channels();
-                let dy = ctx.grad.data();
-                let gd = ctx.value(self.gamma).data();
-                let isd = self.inv_std.data();
-                let mut dx = Tensor::zeros_like(&self.xhat);
-                let mut dgamma = vec![0.0f64; c];
-                let mut dbeta = vec![0.0f64; c];
-                for (i, o) in dx.data_mut().iter_mut().enumerate() {
-                    let ch = self.layout.channel_of(i);
-                    *o = dy[i] * gd[ch] * isd[ch];
-                    dgamma[ch] += (dy[i] * self.xhat.data()[i]) as f64;
-                    dbeta[ch] += dy[i] as f64;
-                }
-                ctx.accumulate(self.x, dx);
-                ctx.accumulate(
-                    self.gamma,
-                    Tensor::from_vec(dgamma.into_iter().map(|v| v as f32).collect(), &[c]),
-                );
-                ctx.accumulate(
-                    self.beta,
-                    Tensor::from_vec(dbeta.into_iter().map(|v| v as f32).collect(), &[c]),
-                );
-            }
-        }
+            normalize(xt, mean, var, self.value(gamma), self.value(beta), eps, layout);
         let back = InferenceBack { x, gamma, beta, xhat, inv_std, layout };
         self.push(y, Some(Box::new(back)))
     }

@@ -6,7 +6,8 @@
 //!   directory. Run from the repo root to refresh the committed baseline.
 //! * `kernel-baseline --smoke` — CI mode: quick re-measurement, validates
 //!   the committed baseline's schema, and exits nonzero if any kernel's
-//!   optimized time regressed more than 20 % against it. When no baseline
+//!   single-thread speedup over its seed fell more than 20 % below the
+//!   committed one (or its time more than 3× above it). When no baseline
 //!   file exists the gate is skipped (first run on a new checkout).
 
 use lcasgd_bench::kernels::{
@@ -25,17 +26,18 @@ fn main() {
     let reports = measure_all(samples);
 
     println!(
-        "{:<18} {:<24} {:>10} {:>10} {:>9}",
-        "kernel", "shape", "seed ms", "opt ms", "speedup"
+        "{:<18} {:<24} {:>10} {:>10} {:>9} {:>9}",
+        "kernel", "shape", "seed ms", "opt ms", "speedup", "1 thread"
     );
     for r in &reports {
         println!(
-            "{:<18} {:<24} {:>10.4} {:>10.4} {:>8.2}x",
+            "{:<18} {:<24} {:>10.4} {:>10.4} {:>8.2}x {:>8.2}x",
             r.name,
             r.shape,
             r.seed_ms,
             r.opt_ms,
-            r.speedup()
+            r.speedup(),
+            r.speedup_1t
         );
     }
 
@@ -54,7 +56,7 @@ fn main() {
                     std::process::exit(1);
                 }
                 println!(
-                    "kernel-baseline --smoke: schema ok, {} kernels within {:.0}% of baseline",
+                    "kernel-baseline --smoke: schema ok, {} kernels' single-thread speedups within {:.0}% of baseline",
                     baseline.len(),
                     GATE_TOLERANCE * 100.0
                 );

@@ -1,25 +1,37 @@
-//! Kernel perf baseline: seed kernels vs the packed/fused kernels.
+//! Kernel perf baseline: seed kernels vs the shipping kernels.
 //!
 //! The `kernel-baseline` binary times the hot tensor kernels twice — once
 //! with byte-faithful copies of the *seed* implementations (the pre-packing
-//! row-kernel matmul and the materializing im2col conv, preserved in
-//! [`seed`]) and once through the shipping `lcasgd-tensor` entry points —
-//! and emits `BENCH_kernels.json`. The committed copy of that file is the
-//! perf baseline: CI re-measures in `--smoke` mode and fails when any
-//! kernel's optimized time regresses more than [`GATE_TOLERANCE`] against
-//! it. All timings are min-of-samples (the minimum is the only estimator
-//! whose noise is one-sided under scheduler interference).
+//! row-kernel matmul, the materializing im2col conv, the per-element
+//! `channel_of` BatchNorm and the forking elementwise map, preserved in
+//! [`seed`]) and once through the shipping `lcasgd-tensor` /
+//! `lcasgd-autograd` entry points — and emits `BENCH_kernels.json`. The
+//! committed copy of that file is the perf baseline: CI re-measures in
+//! `--smoke` mode and fails when any kernel's *single-thread speedup over
+//! its seed* falls more than [`GATE_TOLERANCE`] below the committed one
+//! (see [`regression_gate`] for why that quantity). All timings are
+//! min-of-samples (the minimum is the only estimator whose noise is
+//! one-sided under scheduler interference).
 
-use lcasgd_tensor::ops::conv::{conv2d, conv2d_dw, im2col, Conv2dSpec};
+use lcasgd_autograd::Graph;
+use lcasgd_tensor::ops::conv::{col2im, conv2d, conv2d_dw, conv2d_dx, im2col, Conv2dSpec};
 use lcasgd_tensor::{Rng, Tensor};
+use rayon::prelude::*;
 use std::time::Instant;
 
-/// Relative regression tolerance for the CI gate: fail when the measured
-/// optimized time exceeds the committed baseline by more than 20 %.
+/// Relative regression tolerance for the CI gate: fail when a kernel's
+/// measured single-thread speedup over its seed is more than 20 % below
+/// the committed baseline's.
 pub const GATE_TOLERANCE: f64 = 0.20;
 
-/// Schema tag written to (and required of) `BENCH_kernels.json`.
-pub const SCHEMA: &str = "kernel_baseline/v1";
+/// Absolute backstop of the gate: whatever the speedup says, an optimized
+/// time more than this many times the committed one fails. Wide enough for
+/// the sandbox's slow regimes, in which a forked kernel reads ≈ 2× slow.
+pub const GATE_BACKSTOP: f64 = 3.0;
+
+/// Schema tag written to (and required of) `BENCH_kernels.json`. v2 added
+/// `speedup_1t`, the gated quantity.
+pub const SCHEMA: &str = "kernel_baseline/v2";
 
 /// Default output filename, written into the working directory (repo root
 /// when invoked via `ci.sh` or the README quickstart).
@@ -30,7 +42,6 @@ pub const BASELINE_FILE: &str = "BENCH_kernels.json";
 /// library evolves. Do not modernize these.
 pub mod seed {
     use super::*;
-    use rayon::prelude::*;
 
     const PAR_ROWS: usize = 8;
     const PAR_FLOPS: usize = 1 << 18;
@@ -138,10 +149,8 @@ pub mod seed {
         out
     }
 
-    /// The seed conv weight gradient: pixel-row reorder of dY, then
-    /// `dYᵀ × cols` against the materialized im2col matrix (what
-    /// `Conv2dBack` did before the fused `conv2d_dw`).
-    pub fn conv2d_dw(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    /// Pixel-row reorder of an NCHW gradient: `[n, c, h, w] -> [n·h·w, c]`.
+    fn pixel_rows(dy: &Tensor) -> Tensor {
         let d = dy.dims();
         let (n, cout, hw) = (d[0], d[1], d[2] * d[3]);
         let mut dy_rows = Tensor::zeros(&[n * hw, cout]);
@@ -155,6 +164,14 @@ pub mod seed {
                 }
             }
         }
+        dy_rows
+    }
+
+    /// The seed conv weight gradient: pixel-row reorder of dY, then
+    /// `dYᵀ × cols` against the materialized im2col matrix (what
+    /// `Conv2dBack` did before the fused `conv2d_dw`).
+    pub fn conv2d_dw(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec) -> Tensor {
+        let dy_rows = pixel_rows(dy);
         let cols = im2col(input, spec);
         matmul_tn(&dy_rows, &cols).reshape(&[
             spec.out_channels,
@@ -162,6 +179,98 @@ pub mod seed {
             spec.kernel,
             spec.kernel,
         ])
+    }
+
+    /// The seed conv input gradient: `col2im(dY_rows × Wmat)` over the
+    /// whole batch's materialized `dcols` (what `Conv2dBack` did before
+    /// `conv2d_dx`).
+    pub fn conv2d_dx(
+        dy: &Tensor,
+        weight: &Tensor,
+        spec: &Conv2dSpec,
+        h: usize,
+        w: usize,
+    ) -> Tensor {
+        let wmat = weight.reshaped(&[spec.out_channels, spec.patch_len()]);
+        col2im(&matmul(&pixel_rows(dy), &wmat), spec, dy.dims()[0], h, w)
+    }
+
+    /// The seed training-mode BatchNorm2d + ReLU, forward and backward
+    /// under the loss `Σ relu(y)`: the per-element `channel_of` loops of
+    /// `autograd::ops::norm` as they stood before the run-based rewrite
+    /// (two integer divisions per element per pass), around the same
+    /// `channel_mean`/`channel_var`/ReLU the tape runs. Returns
+    /// `(relu(y), dx, dgamma, dbeta)`.
+    pub fn bn2d_relu(
+        x: &Tensor,
+        gamma: &Tensor,
+        beta: &Tensor,
+        eps: f32,
+    ) -> (Tensor, Tensor, Tensor, Tensor) {
+        let d = x.dims();
+        let (n, c, hw) = (d[0], d[1], d[2] * d[3]);
+        let channel_of = |flat: usize| (flat / hw) % c;
+        let mean = x.channel_mean();
+        let var = x.channel_var(&mean);
+        let inv_std = Tensor::from_vec(
+            var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(),
+            var.dims(),
+        );
+        let mut xhat = x.clone();
+        let (md, isd) = (mean.data(), inv_std.data());
+        for (i, v) in xhat.data_mut().iter_mut().enumerate() {
+            let ch = channel_of(i);
+            *v = (*v - md[ch]) * isd[ch];
+        }
+        let mut y = xhat.clone();
+        let (gd, bd) = (gamma.data(), beta.data());
+        for (i, v) in y.data_mut().iter_mut().enumerate() {
+            let ch = channel_of(i);
+            *v = *v * gd[ch] + bd[ch];
+        }
+        let out = y.relu();
+
+        // ReLU backward of an all-ones upstream gradient.
+        let mut dy = Tensor::ones(out.dims());
+        for (gv, &yv) in dy.data_mut().iter_mut().zip(out.data()) {
+            if yv <= 0.0 {
+                *gv = 0.0;
+            }
+        }
+        let (dy, xh) = (dy.data(), xhat.data());
+        let mut dbeta = vec![0.0f64; c];
+        let mut dgamma = vec![0.0f64; c];
+        for (i, (&g, &xh)) in dy.iter().zip(xh).enumerate() {
+            let ch = channel_of(i);
+            dbeta[ch] += g as f64;
+            dgamma[ch] += (g * xh) as f64;
+        }
+        let m = (n * hw) as f32;
+        let mut dx = Tensor::zeros_like(&xhat);
+        for (i, o) in dx.data_mut().iter_mut().enumerate() {
+            let ch = channel_of(i);
+            let term = m * dy[i] - dbeta[ch] as f32 - xh[i] * dgamma[ch] as f32;
+            *o = gd[ch] * isd[ch] / m * term;
+        }
+        (
+            out,
+            dx,
+            Tensor::from_vec(dgamma.into_iter().map(|v| v as f32).collect(), &[c]),
+            Tensor::from_vec(dbeta.into_iter().map(|v| v as f32).collect(), &[c]),
+        )
+    }
+
+    /// The seed `Tensor::relu`: one thread below 16 K elements, a rayon
+    /// fork over the elements from there on.
+    pub fn relu(t: &Tensor) -> Tensor {
+        const PAR_THRESHOLD: usize = 16 * 1024;
+        let mut out = t.clone();
+        if out.numel() >= PAR_THRESHOLD {
+            out.data_mut().par_iter_mut().for_each(|x| *x = x.max(0.0));
+        } else {
+            out.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
+        }
+        out
     }
 
     /// The seed EMA update: two full passes (`scale_inplace` then
@@ -177,8 +286,12 @@ pub mod seed {
 pub struct KernelReport {
     pub name: String,
     pub shape: String,
+    /// Seed and optimized time at the machine's thread count.
     pub seed_ms: f64,
     pub opt_ms: f64,
+    /// `seed ÷ optimized` with both re-timed under
+    /// `rayon::with_num_threads(1)`: what [`regression_gate`] compares.
+    pub speedup_1t: f64,
 }
 
 impl KernelReport {
@@ -191,16 +304,48 @@ impl KernelReport {
     }
 }
 
-/// Minimum wall-clock over `samples` runs (after one warmup), in ms.
-fn time_min_ms<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+/// Minimum wall-clock of `seed` and of `opt` over `samples` rounds (after
+/// one warmup), in ms. The two are sampled in alternation, so a burst of
+/// interference longer than one round lands on both and the ratio of the
+/// minima moves less than either minimum; and the faster side is run as
+/// many times per round as fits in the slower side's time (up to 32), so
+/// on a busy box a 5 ms kernel gets as many chances at a quiet moment as
+/// the 100 ms seed it is compared with gets milliseconds.
+fn time_pair_min_ms<A, B>(
+    samples: usize,
+    seed: &mut impl FnMut() -> A,
+    opt: &mut impl FnMut() -> B,
+) -> (f64, f64) {
+    fn best_of<O>(runs: usize, f: &mut impl FnMut() -> O) -> f64 {
+        (0..runs).fold(f64::INFINITY, |best, _| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            best.min(t.elapsed().as_secs_f64() * 1e3)
+        })
     }
-    best
+    let (s0, o0) = (best_of(1, seed), best_of(1, opt));
+    let per_round = |slow: f64, fast: f64| ((slow / fast.max(1e-9)) as usize).clamp(1, 32);
+    let (seed_runs, opt_runs) = (per_round(o0, s0), per_round(s0, o0));
+    (0..samples.max(1)).fold((f64::INFINITY, f64::INFINITY), |(s, o), _| {
+        (s.min(best_of(seed_runs, seed)), o.min(best_of(opt_runs, opt)))
+    })
+}
+
+/// Measures one row: `seed` and `opt`, min of `n` samples each, at the
+/// machine's thread count, then both again with every fan-out pinned to
+/// one thread (the ratio the gate compares).
+fn row<A, B>(
+    reports: &mut Vec<KernelReport>,
+    name: &str,
+    shape: String,
+    n: usize,
+    mut seed: impl FnMut() -> A,
+    mut opt: impl FnMut() -> B,
+) {
+    let (seed_ms, opt_ms) = time_pair_min_ms(n, &mut seed, &mut opt);
+    let (seed_1t, opt_1t) = rayon::with_num_threads(1, || time_pair_min_ms(n, &mut seed, &mut opt));
+    let speedup_1t = seed_1t / opt_1t;
+    reports.push(KernelReport { name: name.into(), shape, seed_ms, opt_ms, speedup_1t });
 }
 
 fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
@@ -217,9 +362,6 @@ fn randn(dims: &[usize], seed: u64) -> Tensor {
 /// harness cannot quietly benchmark two kernels computing different things.
 pub fn measure_all(samples: usize) -> Vec<KernelReport> {
     let mut reports = Vec::new();
-    let mut push = |name: &str, shape: String, seed_ms: f64, opt_ms: f64| {
-        reports.push(KernelReport { name: name.into(), shape, seed_ms, opt_ms });
-    };
 
     // Square GEMM at the paper's hidden sizes (acceptance target: >= 2x).
     {
@@ -227,9 +369,14 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
         let a = randn(&[m, k], 1);
         let b = randn(&[k, n], 2);
         assert!(max_abs_diff(&seed::matmul(&a, &b), &a.matmul(&b)) < 1e-3, "matmul mismatch");
-        let seed_ms = time_min_ms(samples, || seed::matmul(&a, &b));
-        let opt_ms = time_min_ms(samples, || a.matmul(&b));
-        push("matmul", format!("{m}x{n}x{k}"), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "matmul",
+            format!("{m}x{n}x{k}"),
+            samples,
+            || seed::matmul(&a, &b),
+            || a.matmul(&b),
+        );
     }
     // Transposed variants (linear-layer backward products).
     {
@@ -237,18 +384,28 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
         let at = randn(&[k, m], 3);
         let b = randn(&[k, n], 4);
         assert!(max_abs_diff(&seed::matmul_tn(&at, &b), &at.matmul_tn(&b)) < 1e-3, "tn mismatch");
-        let seed_ms = time_min_ms(samples, || seed::matmul_tn(&at, &b));
-        let opt_ms = time_min_ms(samples, || at.matmul_tn(&b));
-        push("matmul_tn", format!("{m}x{n}x{k}"), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "matmul_tn",
+            format!("{m}x{n}x{k}"),
+            samples,
+            || seed::matmul_tn(&at, &b),
+            || at.matmul_tn(&b),
+        );
     }
     {
         let (m, n, k) = (256, 256, 256);
         let a = randn(&[m, k], 5);
         let bt = randn(&[n, k], 6);
         assert!(max_abs_diff(&seed::matmul_nt(&a, &bt), &a.matmul_nt(&bt)) < 1e-3, "nt mismatch");
-        let seed_ms = time_min_ms(samples, || seed::matmul_nt(&a, &bt));
-        let opt_ms = time_min_ms(samples, || a.matmul_nt(&bt));
-        push("matmul_nt", format!("{m}x{n}x{k}"), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "matmul_nt",
+            format!("{m}x{n}x{k}"),
+            samples,
+            || seed::matmul_nt(&a, &bt),
+            || a.matmul_nt(&bt),
+        );
     }
     // ResNet-18 CIFAR body conv: 3x3, 64->64 channels, 32x32 maps
     // (acceptance target: >= 1.5x).
@@ -261,9 +418,14 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             max_abs_diff(&seed::conv2d(&x, &w, &spec), &conv2d(&x, &w, &spec)) < 1e-2,
             "conv3x3 mismatch"
         );
-        let seed_ms = time_min_ms(samples, || seed::conv2d(&x, &w, &spec));
-        let opt_ms = time_min_ms(samples, || conv2d(&x, &w, &spec));
-        push("conv3x3", "n4_c64-64_32x32_s1p1".into(), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "conv3x3",
+            "n4_c64-64_32x32_s1p1".into(),
+            samples,
+            || seed::conv2d(&x, &w, &spec),
+            || conv2d(&x, &w, &spec),
+        );
     }
     // ResNet downsample-style 1x1 conv.
     {
@@ -275,9 +437,14 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             max_abs_diff(&seed::conv2d(&x, &w, &spec), &conv2d(&x, &w, &spec)) < 1e-2,
             "conv1x1 mismatch"
         );
-        let seed_ms = time_min_ms(samples, || seed::conv2d(&x, &w, &spec));
-        let opt_ms = time_min_ms(samples, || conv2d(&x, &w, &spec));
-        push("conv1x1", "n4_c64-128_16x16_s1p0".into(), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "conv1x1",
+            "n4_c64-128_16x16_s1p0".into(),
+            samples,
+            || seed::conv2d(&x, &w, &spec),
+            || conv2d(&x, &w, &spec),
+        );
     }
     // Conv weight gradient at the 3x3 CIFAR shape.
     {
@@ -289,9 +456,117 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             max_abs_diff(&seed::conv2d_dw(&dy, &x, &spec), &conv2d_dw(&dy, &x, &spec)) < 2e-1,
             "conv_dw mismatch"
         );
-        let seed_ms = time_min_ms(samples, || seed::conv2d_dw(&dy, &x, &spec));
-        let opt_ms = time_min_ms(samples, || conv2d_dw(&dy, &x, &spec));
-        push("conv3x3_dw", "n4_c64-64_32x32_s1p1".into(), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "conv3x3_dw",
+            "n4_c64-64_32x32_s1p1".into(),
+            samples,
+            || seed::conv2d_dw(&dy, &x, &spec),
+            || conv2d_dw(&dy, &x, &spec),
+        );
+    }
+    // What the end-to-end benchmark trains: ResNet-tiny's dominant
+    // convolution (8→8 3×3 on the 10×10 map) at batch 16, all three passes.
+    {
+        let spec = Conv2dSpec { in_channels: 8, out_channels: 8, kernel: 3, stride: 1, padding: 1 };
+        let shape = "n16_c8-8_10x10_s1p1";
+        let x = randn(&[16, 8, 10, 10], 17);
+        let w = randn(&[8, 8, 3, 3], 18);
+        let dy = randn(&[16, 8, 10, 10], 19);
+        let close = |a: &Tensor, b: &Tensor| max_abs_diff(a, b) < 1e-2;
+        assert!(close(&seed::conv2d(&x, &w, &spec), &conv2d(&x, &w, &spec)), "tiny conv mismatch");
+        assert!(
+            close(&seed::conv2d_dw(&dy, &x, &spec), &conv2d_dw(&dy, &x, &spec)),
+            "tiny conv_dw mismatch"
+        );
+        assert!(
+            close(&seed::conv2d_dx(&dy, &w, &spec, 10, 10), &conv2d_dx(&dy, &w, &spec, 10, 10)),
+            "tiny conv_dx mismatch"
+        );
+        let n = samples * 20;
+        row(
+            &mut reports,
+            "conv3x3",
+            shape.into(),
+            n,
+            || seed::conv2d(&x, &w, &spec),
+            || conv2d(&x, &w, &spec),
+        );
+        row(
+            &mut reports,
+            "conv3x3_dw",
+            shape.into(),
+            n,
+            || seed::conv2d_dw(&dy, &x, &spec),
+            || conv2d_dw(&dy, &x, &spec),
+        );
+        row(
+            &mut reports,
+            "conv3x3_dx",
+            shape.into(),
+            n,
+            || seed::conv2d_dx(&dy, &w, &spec, 10, 10),
+            || conv2d_dx(&dy, &w, &spec, 10, 10),
+        );
+    }
+    // The BatchNorm + ReLU that follows it, forward and backward: the seed
+    // loops standalone against the shipping ops on a tape (whose node
+    // bookkeeping is therefore charged to the optimized side).
+    {
+        let x = randn(&[16, 8, 10, 10], 20);
+        let gamma = randn(&[8], 21);
+        let beta = randn(&[8], 22);
+        let taped = || {
+            let mut g = Graph::new();
+            let (xv, gv, bv) = (g.leaf(x.clone()), g.leaf(gamma.clone()), g.leaf(beta.clone()));
+            let (y, _) = g.batch_norm2d(xv, gv, bv, 1e-5);
+            let out = g.relu(y);
+            let loss = g.sum(out);
+            g.backward(loss);
+            let out = g.value(out).clone();
+            let mut take = |v| g.take_grad(v).expect("gradient reached the leaf");
+            (out, take(xv), take(gv), take(bv))
+        };
+        // Same arithmetic in the same order: the four tensors are equal.
+        assert_eq!(seed::bn2d_relu(&x, &gamma, &beta, 1e-5), taped(), "bn2d_relu mismatch");
+        let n = samples * 20;
+        row(
+            &mut reports,
+            "bn2d_relu",
+            "n16_c8_10x10_fwd+bwd".into(),
+            n,
+            || seed::bn2d_relu(&x, &gamma, &beta, 1e-5),
+            taped,
+        );
+    }
+    // Elementwise dispatch: the seed forks from 16 K elements on, the
+    // shipping op never does. A speedup ≥ 1 at every size is what the
+    // deletion of the forked branch rests on.
+    for lg in [14usize, 18, 22] {
+        let x = randn(&[1 << lg], 23);
+        assert_eq!(seed::relu(&x), x.relu(), "relu mismatch");
+        let n = if lg < 20 { samples * 20 } else { samples };
+        row(&mut reports, "relu", format!("{}", 1usize << lg), n, || seed::relu(&x), || x.relu());
+    }
+    // The rayon shim's fork/join: a no-op parallel loop over 16 chunks —
+    // the cost `tune::CONV_PAR_MACS` and `tune::PAR_FLOPS` are sized
+    // against. There is no seed side: both columns time the same loop.
+    {
+        let fork_join = |chunks: &mut [f32]| {
+            chunks.par_chunks_mut(1).for_each(|c| {
+                std::hint::black_box(c);
+            })
+        };
+        let (mut a, mut b) = ([0.0f32; 16], [0.0f32; 16]);
+        let shape = format!("16_chunks_{}_threads", rayon::current_num_threads());
+        row(
+            &mut reports,
+            "fork_join",
+            shape,
+            samples * 50,
+            || fork_join(&mut a),
+            || fork_join(&mut b),
+        );
     }
     // The LSTM predictor's gate product must stay on the cheap serial
     // path: this row documents that small matmuls did not regress.
@@ -299,26 +574,36 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
         let (m, n, k) = (1, 512, 128);
         let a = randn(&[m, k], 13);
         let b = randn(&[k, n], 14);
-        let seed_ms = time_min_ms(samples * 50, || seed::matmul(&a, &b));
-        let opt_ms = time_min_ms(samples * 50, || a.matmul(&b));
-        push("predictor_matmul", format!("{m}x{n}x{k}"), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "predictor_matmul",
+            format!("{m}x{n}x{k}"),
+            samples * 50,
+            || seed::matmul(&a, &b),
+            || a.matmul(&b),
+        );
     }
     // Fused EMA vs the two-pass seed update (BN running stats).
     {
         let len = 1 << 18;
         let src = randn(&[len], 15);
         let base = randn(&[len], 16);
-        let seed_ms = time_min_ms(samples, || {
-            let mut d = base.clone();
-            seed::ema(&mut d, &src, 0.1);
-            d
-        });
-        let opt_ms = time_min_ms(samples, || {
-            let mut d = base.clone();
-            d.scale_add_inplace(0.9, &src, 0.1);
-            d
-        });
-        push("fused_ema", format!("{len}"), seed_ms, opt_ms);
+        row(
+            &mut reports,
+            "fused_ema",
+            format!("{len}"),
+            samples,
+            || {
+                let mut d = base.clone();
+                seed::ema(&mut d, &src, 0.1);
+                d
+            },
+            || {
+                let mut d = base.clone();
+                d.scale_add_inplace(0.9, &src, 0.1);
+                d
+            },
+        );
     }
     reports
 }
@@ -332,12 +617,13 @@ pub fn to_json(reports: &[KernelReport], samples: usize) -> String {
     s.push_str("  \"kernels\": [\n");
     for (i, r) in reports.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"seed_ms\": {:.4}, \"opt_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"shape\": \"{}\", \"seed_ms\": {:.4}, \"opt_ms\": {:.4}, \"speedup\": {:.2}, \"speedup_1t\": {:.2}}}{}\n",
             r.name,
             r.shape,
             r.seed_ms,
             r.opt_ms,
             r.speedup(),
+            r.speedup_1t,
             if i + 1 < reports.len() { "," } else { "" }
         ));
     }
@@ -345,13 +631,9 @@ pub fn to_json(reports: &[KernelReport], samples: usize) -> String {
     s
 }
 
-/// A `(name, shape, opt_ms)` row parsed back from a committed baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineEntry {
-    pub name: String,
-    pub shape: String,
-    pub opt_ms: f64,
-}
+/// A row parsed back from a committed baseline: a [`KernelReport`] as
+/// [`to_json`] wrote it.
+pub type BaselineEntry = KernelReport;
 
 fn extract_string(obj: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":");
@@ -397,12 +679,15 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
             .ok_or_else(|| format!("kernel object missing name: {obj}"))?;
         let shape =
             extract_string(obj, "shape").ok_or_else(|| format!("kernel {name} missing shape"))?;
-        let opt_ms =
-            extract_number(obj, "opt_ms").ok_or_else(|| format!("kernel {name} missing opt_ms"))?;
-        if !(opt_ms.is_finite() && opt_ms >= 0.0) {
-            return Err(format!("kernel {name} has invalid opt_ms {opt_ms}"));
+        let mut nums = [0.0; 3];
+        for (v, key) in nums.iter_mut().zip(["seed_ms", "opt_ms", "speedup_1t"]) {
+            *v = extract_number(obj, key).ok_or_else(|| format!("kernel {name} missing {key}"))?;
+            if !(v.is_finite() && *v >= 0.0) {
+                return Err(format!("kernel {name} has invalid {key} {v}"));
+            }
         }
-        entries.push(BaselineEntry { name, shape, opt_ms });
+        let [seed_ms, opt_ms, speedup_1t] = nums;
+        entries.push(BaselineEntry { name, shape, seed_ms, opt_ms, speedup_1t });
         rest = &rest[close + 1..];
     }
     if entries.is_empty() {
@@ -412,9 +697,23 @@ pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
 }
 
 /// Compares a fresh measurement against the committed baseline: an error
-/// names every kernel whose optimized time regressed beyond `tolerance`
-/// (relative). Kernels present on only one side are ignored (new kernels
-/// are allowed; removed ones no longer gate).
+/// names every kernel that regressed. Kernels present on only one side are
+/// ignored (new kernels are allowed; removed ones no longer gate).
+///
+/// The gated quantity is the *single-thread speedup*
+/// ([`KernelReport::speedup_1t`]), not `opt_ms`. The sandbox has
+/// minutes-long regimes in which the second core is mostly taken: a kernel
+/// that forks then reads ≈ 2× slow (at about its own serial time) while
+/// serial code is unmoved, so neither an absolute time nor a ratio of a
+/// serial seed to a forked kernel holds still — measured on one smoke run
+/// after another, `conv3x3` 31× → 16×, `matmul_nt` 23× → 14× against
+/// 8.25× vs 8.50× for the serial rows. Pinned to one thread both sides of
+/// the ratio are serial code timed moments apart in one process, which is
+/// what a code regression moves and a regime does not. A kernel fails
+/// when that ratio is more than `tolerance` below the baseline's — or
+/// when its `opt_ms` exceeds [`GATE_BACKSTOP`] × the baseline's, which
+/// catches what the ratio is blind to (a slowdown of seed and optimized
+/// side alike, a dispatch rule that starts forking where forking loses).
 pub fn regression_gate(
     current: &[KernelReport],
     baseline: &[BaselineEntry],
@@ -422,24 +721,30 @@ pub fn regression_gate(
 ) -> Result<(), String> {
     let mut failures = Vec::new();
     for b in baseline {
-        if let Some(c) = current.iter().find(|c| c.name == b.name && c.shape == b.shape) {
-            if c.opt_ms > b.opt_ms * (1.0 + tolerance) {
-                failures.push(format!(
-                    "{} [{}]: {:.4} ms vs baseline {:.4} ms (+{:.0}%)",
-                    b.name,
-                    b.shape,
-                    c.opt_ms,
-                    b.opt_ms,
-                    (c.opt_ms / b.opt_ms - 1.0) * 100.0
-                ));
-            }
+        let Some(c) = current.iter().find(|c| c.name == b.name && c.shape == b.shape) else {
+            continue;
+        };
+        if c.speedup_1t * (1.0 + tolerance) < b.speedup_1t {
+            failures.push(format!(
+                "{} [{}]: single-thread speedup {:.2}x vs baseline {:.2}x ({:.0}%)",
+                b.name,
+                b.shape,
+                c.speedup_1t,
+                b.speedup_1t,
+                (c.speedup_1t / b.speedup_1t - 1.0) * 100.0
+            ));
+        } else if c.opt_ms > b.opt_ms * GATE_BACKSTOP {
+            failures.push(format!(
+                "{} [{}]: {:.4} ms vs baseline {:.4} ms (> {GATE_BACKSTOP}x)",
+                b.name, b.shape, c.opt_ms, b.opt_ms
+            ));
         }
     }
     if failures.is_empty() {
         Ok(())
     } else {
         Err(format!(
-            "kernel perf regression (> {:.0}% over baseline):\n  {}",
+            "kernel perf regression (single-thread speedup > {:.0}% below baseline, or > {GATE_BACKSTOP}x its time):\n  {}",
             tolerance * 100.0,
             failures.join("\n  ")
         ))
@@ -451,20 +756,10 @@ mod tests {
     use super::*;
 
     fn sample_reports() -> Vec<KernelReport> {
-        vec![
-            KernelReport {
-                name: "matmul".into(),
-                shape: "8x8x8".into(),
-                seed_ms: 2.0,
-                opt_ms: 0.5,
-            },
-            KernelReport {
-                name: "conv3x3".into(),
-                shape: "tiny".into(),
-                seed_ms: 3.0,
-                opt_ms: 2.0,
-            },
-        ]
+        let report = |name: &str, shape: &str, seed_ms: f64, opt_ms: f64, speedup_1t: f64| {
+            KernelReport { name: name.into(), shape: shape.into(), seed_ms, opt_ms, speedup_1t }
+        };
+        vec![report("matmul", "8x8x8", 2.0, 0.5, 3.0), report("conv3x3", "tiny", 3.0, 2.0, 1.5)]
     }
 
     #[test]
@@ -475,13 +770,12 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "matmul");
         assert_eq!(parsed[0].shape, "8x8x8");
-        assert!((parsed[0].opt_ms - 0.5).abs() < 1e-9);
-        assert!((parsed[1].opt_ms - 2.0).abs() < 1e-9);
+        assert_eq!(parsed, reports);
     }
 
     #[test]
     fn parser_rejects_wrong_schema() {
-        let bad = to_json(&sample_reports(), 3).replace(SCHEMA, "kernel_baseline/v0");
+        let bad = to_json(&sample_reports(), 3).replace(SCHEMA, "kernel_baseline/v1");
         assert!(parse_baseline(&bad).unwrap_err().contains("unsupported baseline schema"));
         assert!(parse_baseline("{}").is_err());
     }
@@ -490,11 +784,32 @@ mod tests {
     fn gate_passes_within_tolerance_and_fails_beyond() {
         let baseline = parse_baseline(&to_json(&sample_reports(), 3)).unwrap();
         let mut current = sample_reports();
-        current[0].opt_ms = 0.55; // +10% — within the 20% gate
+        current[0].speedup_1t = 2.7; // -10% — within the 20% gate
         assert!(regression_gate(&current, &baseline, GATE_TOLERANCE).is_ok());
-        current[0].opt_ms = 0.65; // +30% — must fail and name the kernel
+        current[0].speedup_1t = 2.3; // -23% — must fail and name the kernel
         let err = regression_gate(&current, &baseline, GATE_TOLERANCE).unwrap_err();
-        assert!(err.contains("matmul"), "{err}");
+        assert!(err.contains("matmul") && !err.contains("conv3x3"), "{err}");
+    }
+
+    #[test]
+    fn gate_is_on_the_single_thread_speedup_with_an_absolute_backstop() {
+        let baseline = parse_baseline(&to_json(&sample_reports(), 3)).unwrap();
+        // A slow regime: the forked kernel's wall time doubles, its seed's
+        // does not, the single-thread ratio holds — passes, where a gate
+        // on `opt_ms` or on `seed_ms / opt_ms` would not.
+        let mut slow = sample_reports();
+        slow[0].opt_ms *= 2.0;
+        assert!(regression_gate(&slow, &baseline, GATE_TOLERANCE).is_ok());
+        // The optimized code itself 30 % slower inside that regime — fails.
+        slow[0].speedup_1t /= 1.3;
+        let err = regression_gate(&slow, &baseline, GATE_TOLERANCE).unwrap_err();
+        assert!(err.contains("matmul") && err.contains("single-thread speedup"), "{err}");
+        // 3.5x the committed time with the ratio intact (both sides slowed,
+        // or a dispatch rule forking where it loses): only the backstop sees it.
+        let mut stalled = sample_reports();
+        stalled[1].opt_ms *= 3.5;
+        let err = regression_gate(&stalled, &baseline, GATE_TOLERANCE).unwrap_err();
+        assert!(err.contains("conv3x3") && err.contains("3x"), "{err}");
     }
 
     #[test]
@@ -505,6 +820,7 @@ mod tests {
             shape: "1x1".into(),
             seed_ms: 1.0,
             opt_ms: 100.0,
+            speedup_1t: 0.01,
         }];
         assert!(regression_gate(&current, &baseline, GATE_TOLERANCE).is_ok());
     }
@@ -520,5 +836,10 @@ mod tests {
         assert!(max_abs_diff(&seed::conv2d(&x, &w, &spec), &conv2d(&x, &w, &spec)) < 1e-4);
         let dy = randn(&[2, 3, 4, 4], 104);
         assert!(max_abs_diff(&seed::conv2d_dw(&dy, &x, &spec), &conv2d_dw(&dy, &x, &spec)) < 1e-4);
+        let (dx_seed, dx) =
+            (seed::conv2d_dx(&dy, &w, &spec, 7, 7), conv2d_dx(&dy, &w, &spec, 7, 7));
+        assert!(max_abs_diff(&dx_seed, &dx) < 1e-4);
+        let big = randn(&[20_000], 105);
+        assert_eq!(seed::relu(&big), big.relu());
     }
 }

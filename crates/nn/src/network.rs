@@ -33,7 +33,7 @@ impl Network {
     /// context (parameter vars + BN batch stats).
     pub fn forward(&self, g: &mut Graph, input: Tensor, train: bool) -> (Var, ForwardCtx) {
         let mut ctx = ForwardCtx::new(train);
-        let mut x = g.leaf(input);
+        let mut x = g.input(input);
         for layer in &self.layers {
             x = layer.forward(g, x, &mut ctx);
         }

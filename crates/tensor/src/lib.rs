@@ -7,9 +7,10 @@
 //!
 //! The crate is deliberately small and predictable rather than general:
 //! every tensor is contiguous and owns its storage, so there are no stride
-//! or aliasing surprises in the hot paths. Parallelism is applied only above
-//! a size threshold ([`ops::PAR_THRESHOLD`]) so tiny tensors (e.g. the LSTM
-//! predictors' hidden states) never pay rayon dispatch overhead.
+//! or aliasing surprises in the hot paths. Parallelism is applied only
+//! where a call's work is several times a thread fork's cost (the shape
+//! rules in [`ops::tune`]), so small tensors (the LSTM predictors' hidden
+//! states, a ResNet-tiny convolution) never pay dispatch overhead.
 //!
 //! ```
 //! use lcasgd_tensor::Tensor;

@@ -1,22 +1,35 @@
-//! Convolution kernels: GEMM-fused forward/backward plus im2col / col2im
+//! Convolution kernels: implicit-GEMM forward/backward plus im2col / col2im
 //! helpers.
 //!
-//! The forward pass no longer materializes the `[n·oh·ow, cin·k·k]` im2col
-//! matrix. Instead, each image is one packed GEMM
-//! `Wmat [cout, plen] × P [plen, oh·ow]` where the virtual patch matrix `P`
-//! is generated straight into the GEMM's packed B panels
-//! ([`pack_patch_panel`]) — the unfold, the product and the NCHW layout all
-//! happen in one pass, because `C = Wmat·P` *is* the `[cout, oh·ow]` image
-//! slice of the NCHW output. The weight gradient ([`conv2d_dw`]) fuses the
-//! same way (per-image `dY [cout, oh·ow] × colsᵀ` with on-the-fly pixel
-//! packing), and the input gradient ([`conv2d_dx`]) materializes only one
-//! image's `dcols` at a time before folding with [`col2im`]'s inner loop.
+//! No pass materializes or packs the `[n·oh·ow, cin·k·k]` im2col matrix.
+//! Over a zero-padded copy of one image (`hp × wp` planes; the image
+//! itself when `padding = 0`) element (pixel `j`, patch entry `l`) of that
+//! matrix is `padded[base[j] + off[l]]` with
+//! `base[j] = oy·s·wp + ox·s` and `off[l] = ch·hp·wp + ky·wp + kx` — two
+//! small tables built once per call ([`Patches`]), after which no inner
+//! loop holds a bounds test, a division or a copy, for any stride. The
+//! GEMM micro-kernel gathers its A operand through those tables
+//! ([`gemm_gather`]):
 //!
-//! `im2col`/`col2im` remain public: `col2im` is the adjoint the input
-//! gradient needs, and `im2col` is kept for tests and external users.
+//! * [`conv2d`]: rows = pixels, `k` = patch entries, B = `Wᵀ` packed once
+//!   per call; each tile is stored transposed, straight into the image's
+//!   `[cout, oh·ow]` NCHW slab.
+//! * [`conv2d_dw`]: the same operand transposed — rows = patch entries,
+//!   `k` = pixels — against that image's `dY`, packed per image;
+//!   accumulated over images in order, transposed once at the end.
+//! * [`conv2d_dx`]: `dcolsᵀ = Wᵀ·dY` with A read in place from the
+//!   weights and B = that image's `dY`, then folded onto a padded image by
+//!   shifted row adds and the interior copied out.
+//!
+//! Every output element sees the products and the summation order of the
+//! pack-then-multiply kernels these replaced, so results are bitwise
+//! theirs (`tests/kernel_golden.rs`, DESIGN.md §8.2).
+//!
+//! `im2col`/`col2im` remain public for tests, the kernel benchmark's seed
+//! kernels and external users; no convolution pass calls them.
 
-use super::gemm::{gemm, gemm_band, MatRef};
-use super::tune::NR;
+use super::gemm::{gemm_gather, GatherMap, MatRef, PackedB};
+use super::tune::conv_threads;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -53,145 +66,130 @@ impl Conv2dSpec {
     }
 }
 
-/// Decodes a flat patch index into `(channel, ky, kx)`.
-#[inline(always)]
-fn decode_patch(idx: usize, k: usize) -> (usize, usize, usize) {
-    let kk = k * k;
-    (idx / kk, (idx % kk) / k, idx % k)
-}
-
-/// Packs the virtual patch matrix `P[plen, oh·ow]`
-/// (`P[patch, pixel] = im2col value`) block `[pc..pc+kc, jc..jc+nc]` into
-/// `NR`-lane GEMM B panels — this *is* im2col, fused into the panel loop.
-/// All index arithmetic in the pixel scan is incremental (no div/mod), so
-/// packing stays a small fraction of the GEMM's FMA work.
-#[allow(clippy::too_many_arguments)]
-fn pack_patch_panel(
-    dst: &mut [f32],
-    img: &[f32],
-    spec: &Conv2dSpec,
+/// The padded image one call's virtual im2col operand is read from
+/// (module docs): its geometry, its offset tables, and the copies in and
+/// out of it.
+struct Patches {
+    spec: Conv2dSpec,
     h: usize,
     w: usize,
-    ow: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
-    let k = spec.kernel;
-    let (s, pad) = (spec.stride, spec.padding as isize);
-    let panels = nc.div_ceil(NR);
-    if !nc.is_multiple_of(NR) {
-        // The last panel has dead lanes; clear them once so the micro-kernel
-        // reads zeros instead of a previous block's values.
-        dst[(panels - 1) * kc * NR..panels * kc * NR].fill(0.0);
-    }
-    let (mut ch, mut ky, mut kx) = decode_patch(pc, k);
-    let (oy0, ox0) = (jc / ow, jc % ow);
-    for l in 0..kc {
-        let plane = &img[ch * h * w..(ch + 1) * h * w];
-        // Scan pixels jc..jc+nc with incremental (iy, ix) tracking.
-        let mut ox = ox0;
-        let mut iy = (oy0 * s + ky) as isize - pad;
-        let mut ix = (ox * s + kx) as isize - pad;
-        let mut write = l * NR;
-        let mut lane = 0;
-        for _ in 0..nc {
-            dst[write + lane] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                plane[iy as usize * w + ix as usize]
-            } else {
-                0.0
-            };
-            lane += 1;
-            if lane == NR {
-                lane = 0;
-                write += kc * NR;
-            }
-            ox += 1;
-            ix += s as isize;
-            if ox == ow {
-                ox = 0;
-                iy += s as isize;
-                ix = kx as isize - pad;
-            }
-        }
-        if lane != 0 {
-            dst[write + lane..write + NR].fill(0.0);
-        }
-        kx += 1;
-        if kx == k {
-            kx = 0;
-            ky += 1;
-            if ky == k {
-                ky = 0;
-                ch += 1;
-            }
-        }
-    }
+    hp: usize,
+    wp: usize,
 }
 
-/// Packs the *transposed* virtual patch matrix `cols[oh·ow, plen]`
-/// (`cols[pixel, patch]`) block `[pc..pc+kc, jc..jc+nc]` into B panels —
-/// the operand of the fused weight-gradient GEMM.
-#[allow(clippy::too_many_arguments)]
-fn pack_pixel_panel(
-    dst: &mut [f32],
-    img: &[f32],
-    spec: &Conv2dSpec,
-    h: usize,
-    w: usize,
-    ow: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
-    let k = spec.kernel;
-    let (s, pad) = (spec.stride, spec.padding as isize);
-    let panels = nc.div_ceil(NR);
-    if !nc.is_multiple_of(NR) {
-        dst[(panels - 1) * kc * NR..panels * kc * NR].fill(0.0);
+impl Patches {
+    fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Self {
+        Patches { spec: *spec, h, w, hp: h + 2 * spec.padding, wp: w + 2 * spec.padding }
     }
-    let (mut oy, mut ox) = (pc / ow, pc % ow);
-    let (ch0, ky0, kx0) = decode_patch(jc, k);
-    for l in 0..kc {
-        let iy0 = (oy * s) as isize - pad;
-        let ix0 = (ox * s) as isize - pad;
-        // Scan patch indices jc..jc+nc with incremental (ch, ky, kx).
-        let (mut ch, mut ky, mut kx) = (ch0, ky0, kx0);
-        let mut write = l * NR;
-        let mut lane = 0;
-        for _ in 0..nc {
-            let iy = iy0 + ky as isize;
-            let ix = ix0 + kx as isize;
-            dst[write + lane] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                img[ch * h * w + iy as usize * w + ix as usize]
-            } else {
-                0.0
-            };
-            lane += 1;
-            if lane == NR {
-                lane = 0;
-                write += kc * NR;
+
+    /// `(base, off)`: `base[j]` per output pixel, `off[l]` per patch entry.
+    fn tables(&self) -> (Vec<usize>, Vec<usize>) {
+        let (c, k, s) = (self.spec.in_channels, self.spec.kernel, self.spec.stride);
+        let (oh, ow) = self.spec.out_hw(self.h, self.w);
+        let mut base = Vec::with_capacity(oh * ow);
+        for oy in 0..oh {
+            base.extend((0..ow).map(|ox| (oy * self.wp + ox) * s));
+        }
+        let mut off = Vec::with_capacity(c * k * k);
+        for ch in 0..c {
+            for ky in 0..k {
+                off.extend((0..k).map(|kx| (ch * self.hp + ky) * self.wp + kx));
             }
-            kx += 1;
-            if kx == k {
-                kx = 0;
-                ky += 1;
-                if ky == k {
-                    ky = 0;
-                    ch += 1;
+        }
+        (base, off)
+    }
+
+    /// A zeroed padded image (empty when there is no padding to add).
+    fn scratch(&self) -> Vec<f32> {
+        let planes = if self.spec.padding == 0 { 0 } else { self.spec.in_channels };
+        vec![0.0; planes * self.hp * self.wp]
+    }
+
+    /// Where row `y` of channel `ch` of the plain image sits in the padded one.
+    fn interior(&self, ch: usize, y: usize) -> std::ops::Range<usize> {
+        let at = (ch * self.hp + y + self.spec.padding) * self.wp + self.spec.padding;
+        at..at + self.w
+    }
+
+    /// The image as the tables address it: `img` itself without padding,
+    /// else `scratch` with `img` copied into its interior (the border
+    /// stays zero from [`scratch`](Self::scratch)).
+    fn padded<'a>(&self, scratch: &'a mut [f32], img: &'a [f32]) -> &'a [f32] {
+        if self.spec.padding == 0 {
+            return img;
+        }
+        for (ch, plane) in img.chunks_exact(self.h * self.w).enumerate() {
+            for (y, row) in plane.chunks_exact(self.w).enumerate() {
+                scratch[self.interior(ch, y)].copy_from_slice(row);
+            }
+        }
+        scratch
+    }
+
+    /// The adjoint of the gather: folds patch-major `dcols [plen, oh·ow]`
+    /// onto `dst [c·h·w]` (zero on entry), through `scratch` when the image
+    /// is padded. See [`conv2d_dx`] for why the reverse walk over a
+    /// channel's patch entries is [`col2im`]'s summation order.
+    fn fold(&self, dst: &mut [f32], scratch: &mut [f32], dcols: &[f32]) {
+        if self.spec.padding == 0 {
+            return self.add_planes(dst, dcols);
+        }
+        scratch.fill(0.0);
+        self.add_planes(scratch, dcols);
+        for (ch, plane) in dst.chunks_exact_mut(self.h * self.w).enumerate() {
+            for (y, row) in plane.chunks_exact_mut(self.w).enumerate() {
+                row.copy_from_slice(&scratch[self.interior(ch, y)]);
+            }
+        }
+    }
+
+    /// Adds plane `(ch, ky, kx)` of `dcols` at offset `(ky, kx)` of channel
+    /// `ch` of the padded image `acc`, last plane first.
+    fn add_planes(&self, acc: &mut [f32], dcols: &[f32]) {
+        let (k, s) = (self.spec.kernel, self.spec.stride);
+        let (oh, ow) = self.spec.out_hw(self.h, self.w);
+        for (l, plane) in dcols.chunks_exact(oh * ow).enumerate().rev() {
+            let (ch, ky, kx) = (l / (k * k), l / k % k, l % k);
+            for (oy, row) in plane.chunks_exact(ow).enumerate() {
+                let at = (ch * self.hp + oy * s + ky) * self.wp + kx;
+                if s == 1 {
+                    for (d, &v) in acc[at..at + ow].iter_mut().zip(row) {
+                        *d += v;
+                    }
+                } else {
+                    for (ox, &v) in row.iter().enumerate() {
+                        acc[at + ox * s] += v;
+                    }
                 }
             }
         }
-        if lane != 0 {
-            dst[write + lane..write + NR].fill(0.0);
+    }
+}
+
+/// Runs `f(scratch, image, slab)` for every `slab`-long stretch of `data`
+/// (one per image): on the calling thread when `threads ≤ 1`, else on
+/// contiguous bands of images, one per thread. `scratch()` is called once
+/// per band, so what it allocates is never paid per image. Images never
+/// share output, so the split cannot change a result.
+fn for_each_image<S>(
+    data: &mut [f32],
+    slab: usize,
+    threads: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut [f32]) + Sync,
+) {
+    let images = data.len() / slab;
+    let band = images.div_ceil(threads.clamp(1, images.max(1)));
+    let run = |(bi, chunk): (usize, &mut [f32])| {
+        let mut state = scratch();
+        for (i, dst) in chunk.chunks_exact_mut(slab).enumerate() {
+            f(&mut state, bi * band + i, dst);
         }
-        ox += 1;
-        if ox == ow {
-            ox = 0;
-            oy += 1;
-        }
+    };
+    if band >= images {
+        run((0, data));
+    } else {
+        data.par_chunks_mut(band * slab).enumerate().for_each(run);
     }
 }
 
@@ -209,69 +207,44 @@ pub fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let mut out = Tensor::zeros(&[n * oh * ow, plen]);
     let src = input.data();
     let img_stride = c * h * w;
-    let rows_per_img = oh * ow;
+    let slab = oh * ow * plen;
 
-    out.data_mut().par_chunks_mut(rows_per_img * plen).enumerate().for_each(|(img, img_rows)| {
-        let base = img * img_stride;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = &mut img_rows[(oy * ow + ox) * plen..(oy * ow + ox + 1) * plen];
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                for ch in 0..c {
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        let dst = &mut row[(ch * k + ky) * k..(ch * k + ky + 1) * k];
-                        if iy < 0 || iy >= h as isize {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let src_row = base + ch * h * w + iy as usize * w;
-                        for (kx, d) in dst.iter_mut().enumerate() {
-                            let ix = ix0 + kx as isize;
-                            *d = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                src[src_row + ix as usize]
-                            };
+    for_each_image(
+        out.data_mut(),
+        slab,
+        conv_threads(n, n * slab),
+        || (),
+        |(), img, img_rows| {
+            let base = img * img_stride;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = &mut img_rows[(oy * ow + ox) * plen..(oy * ow + ox + 1) * plen];
+                    let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
+                    let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
+                    for ch in 0..c {
+                        for ky in 0..k {
+                            let iy = iy0 + ky as isize;
+                            let dst = &mut row[(ch * k + ky) * k..(ch * k + ky + 1) * k];
+                            if iy < 0 || iy >= h as isize {
+                                dst.fill(0.0);
+                                continue;
+                            }
+                            let src_row = base + ch * h * w + iy as usize * w;
+                            for (kx, d) in dst.iter_mut().enumerate() {
+                                let ix = ix0 + kx as isize;
+                                *d = if ix < 0 || ix >= w as isize {
+                                    0.0
+                                } else {
+                                    src[src_row + ix as usize]
+                                };
+                            }
                         }
                     }
                 }
             }
-        }
-    });
+        },
+    );
     out
-}
-
-/// Folds one image's patch-row gradients (`[oh·ow, plen]`) onto that
-/// image's input gradient (`[c·h·w]`). Overlapping patches accumulate.
-fn col2im_image(dst: &mut [f32], img_rows: &[f32], spec: &Conv2dSpec, h: usize, w: usize) {
-    let (oh, ow) = spec.out_hw(h, w);
-    let k = spec.kernel;
-    let plen = spec.patch_len();
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = &img_rows[(oy * ow + ox) * plen..(oy * ow + ox + 1) * plen];
-            let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-            let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-            for ch in 0..spec.in_channels {
-                for ky in 0..k {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row = ch * h * w + iy as usize * w;
-                    let srow = &row[(ch * k + ky) * k..(ch * k + ky + 1) * k];
-                    for (kx, &v) in srow.iter().enumerate() {
-                        let ix = ix0 + kx as isize;
-                        if ix >= 0 && ix < w as isize {
-                            dst[dst_row + ix as usize] += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Folds patch-row gradients back onto the input: the adjoint of
@@ -279,6 +252,7 @@ fn col2im_image(dst: &mut [f32], img_rows: &[f32], spec: &Conv2dSpec, h: usize, 
 /// given spatial size. Overlapping patches accumulate.
 pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) -> Tensor {
     let (oh, ow) = spec.out_hw(h, w);
+    let k = spec.kernel;
     let plen = spec.patch_len();
     assert_eq!(cols.dims(), &[n * oh * ow, plen], "col2im shape");
     let mut out = Tensor::zeros(&[n, spec.in_channels, h, w]);
@@ -286,18 +260,52 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
     let rows_per_img = oh * ow;
     let src = cols.data();
 
-    out.data_mut().par_chunks_mut(img_stride).enumerate().for_each(|(img, dst)| {
-        let img_rows = &src[img * rows_per_img * plen..(img + 1) * rows_per_img * plen];
-        col2im_image(dst, img_rows, spec, h, w);
-    });
+    let threads = conv_threads(n, n * rows_per_img * plen);
+    for_each_image(
+        out.data_mut(),
+        img_stride,
+        threads,
+        || (),
+        |(), img, dst| {
+            let img_rows = &src[img * rows_per_img * plen..][..rows_per_img * plen];
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = &img_rows[(oy * ow + ox) * plen..(oy * ow + ox + 1) * plen];
+                    let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
+                    let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
+                    for ch in 0..spec.in_channels {
+                        for ky in 0..k {
+                            let iy = iy0 + ky as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            let dst_row = ch * h * w + iy as usize * w;
+                            let srow = &row[(ch * k + ky) * k..(ch * k + ky + 1) * k];
+                            for (kx, &v) in srow.iter().enumerate() {
+                                let ix = ix0 + kx as isize;
+                                if ix >= 0 && ix < w as isize {
+                                    dst[dst_row + ix as usize] += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        },
+    );
     out
 }
 
-/// Convolution forward pass, im2col fused into the GEMM panel loop.
+/// Multiply-adds of one convolution pass (any of the three): the work
+/// measure [`conv_threads`] dispatches on.
+fn macs(n: usize, ohw: usize, spec: &Conv2dSpec) -> usize {
+    n * ohw * spec.patch_len() * spec.out_channels
+}
+
+/// Convolution forward pass as an implicit GEMM (module docs).
 /// `input` is NCHW, `weight` is `[cout, cin, k, k]`.
-/// Returns `[n, cout, oh, ow]`. No `[n·oh·ow, cin·k·k]` intermediate is
-/// materialized; images are processed in parallel, each as one packed GEMM
-/// whose output slab is already in NCHW order.
+/// Returns `[n, cout, oh, ow]`. Per call: two offset tables and `Wᵀ`
+/// packed once; per band of images: one padded-image scratch.
 pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let dims = input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -308,88 +316,99 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
         "conv2d weight shape"
     );
     let (oh, ow) = spec.out_hw(h, w);
-    let (ohw, plen) = (oh * ow, spec.patch_len());
-    let mut out = Tensor::zeros(&[n, spec.out_channels, oh, ow]);
+    let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
+    let mut out = Tensor::zeros(&[n, cout, oh, ow]);
     let src = input.data();
-    let wd = weight.data(); // already [cout, plen] row-major
+    let patches = Patches::new(spec, h, w);
+    let (base, off) = patches.tables();
+    let map = GatherMap::new(base, off);
+    // B[l, co] = W[co, l]: the weight matrix is already [cout, plen].
+    let mut wt = PackedB::new(plen, cout);
+    wt.pack(MatRef::transposed(weight.data(), plen));
     let img_stride = c * h * w;
-    out.data_mut().par_chunks_mut(spec.out_channels * ohw).enumerate().for_each(|(img, dst)| {
-        let img_src = &src[img * img_stride..(img + 1) * img_stride];
-        let pack = |d: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize| {
-            pack_patch_panel(d, img_src, spec, h, w, ow, pc, kc, jc, nc)
-        };
-        gemm_band(dst, spec.out_channels, ohw, plen, MatRef::row_major(wd, plen), &pack);
+    let threads = conv_threads(n, macs(n, ohw, spec));
+    let scratch = || patches.scratch();
+    for_each_image(out.data_mut(), cout * ohw, threads, scratch, |scratch, img, dst| {
+        let img = &src[img * img_stride..][..img_stride];
+        // Rows are pixels, columns channels; the slab is [cout, ohw].
+        gemm_gather(dst, 1, ohw, &map, patches.padded(scratch, img), &wt);
     });
     out
 }
 
-/// Fused convolution weight gradient:
-/// `dW [cout, plen] = Σ_img dY_img [cout, oh·ow] × cols_img [oh·ow, plen]`,
-/// with the per-image `cols` operand generated straight into the packed
-/// panels (nothing materialized). `dy` is `[n, cout, oh, ow]`; returns
+/// Convolution weight gradient as an implicit GEMM:
+/// `dWᵀ [plen, cout] = Σ_img cols_imgᵀ [plen, oh·ow] × dY_imgᵀ [oh·ow, cout]`
+/// with `colsᵀ` read in place from the padded image and that image's `dY`
+/// packed per image. `dy` is `[n, cout, oh, ow]`; returns
 /// `[cout, cin, k, k]`.
 pub fn conv2d_dw(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let dims = input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+    assert_eq!(c, spec.in_channels, "conv2d_dw input channel mismatch");
     let (oh, ow) = spec.out_hw(h, w);
-    let (ohw, plen) = (oh * ow, spec.patch_len());
-    assert_eq!(dy.dims(), &[n, spec.out_channels, oh, ow], "conv2d_dw dy shape");
-    let mut dw = Tensor::zeros(&[spec.out_channels, spec.in_channels, spec.kernel, spec.kernel]);
-    let dyd = dy.data();
-    let src = input.data();
-    let img_stride = c * h * w;
-    // Images accumulate serially into dW (fixed order — thread-count
-    // invariant); row-banding inside each image's GEMM is safe because
-    // bands write disjoint dW rows.
-    for img in 0..n {
-        let dy_img = &dyd[img * spec.out_channels * ohw..(img + 1) * spec.out_channels * ohw];
-        let img_src = &src[img * img_stride..(img + 1) * img_stride];
-        let pack = |d: &mut [f32], pc: usize, kc: usize, jc: usize, nc: usize| {
-            pack_pixel_panel(d, img_src, spec, h, w, ow, pc, kc, jc, nc)
-        };
-        gemm_band(
-            dw.data_mut(),
-            spec.out_channels,
-            plen,
-            ohw,
-            MatRef::row_major(dy_img, ohw),
-            &pack,
-        );
+    let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
+    assert_eq!(dy.dims(), &[n, cout, oh, ow], "conv2d_dw dy shape");
+    let patches = Patches::new(spec, h, w);
+    let (base, off) = patches.tables();
+    let map = GatherMap::new(off, base);
+    let mut scratch = patches.scratch();
+    let mut dy_img = PackedB::new(ohw, cout);
+    // Images accumulate serially into dWᵀ (fixed order — thread-count
+    // invariant).
+    let mut dwt = vec![0.0f32; plen * cout];
+    let images = input.data().chunks_exact(c * h * w).zip(dy.data().chunks_exact(cout * ohw));
+    for (img, dy_slab) in images {
+        // B[j, co] = dY[co, j].
+        dy_img.pack(MatRef::transposed(dy_slab, ohw));
+        gemm_gather(&mut dwt, cout, 1, &map, patches.padded(&mut scratch, img), &dy_img);
+    }
+    let mut dw = Tensor::zeros(&[cout, spec.in_channels, spec.kernel, spec.kernel]);
+    for (co, row) in dw.data_mut().chunks_exact_mut(plen).enumerate() {
+        for (l, v) in row.iter_mut().enumerate() {
+            *v = dwt[l * cout + co];
+        }
     }
     dw
 }
 
-/// Fused convolution input gradient: per image,
-/// `dcols_img [oh·ow, plen] = dY_imgᵀ × Wmat`, folded immediately with
-/// the col2im adjoint — only one image's `dcols` exists at a time.
-/// `dy` is `[n, cout, oh, ow]`; returns `[n, cin, h, w]`.
+/// Convolution input gradient: per image, the patch-major
+/// `dcolsᵀ [plen, oh·ow] = Wᵀ × dY_img` as an implicit GEMM (A read in
+/// place from the weights, B = that image's `dY`), folded onto a padded
+/// image and the interior copied out. `dy` is `[n, cout, oh, ow]`;
+/// returns `[n, cin, h, w]`.
+///
+/// The fold is the col2im adjoint in shifted-row form: patch entry
+/// `(ch, ky, kx)` adds its whole `oh × ow` plane at offset `(ky, kx)` of
+/// channel `ch`. An input pixel is reached from output pixels in
+/// ascending order exactly when `ky`, then `kx`, *descend* — so visiting
+/// the entries of a channel in reverse reproduces [`col2im`]'s
+/// (pixel, patch) summation order element for element, while the inner
+/// loop is a contiguous row add instead of a bounds-tested scatter.
 pub fn conv2d_dx(dy: &Tensor, weight: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
     let n = dy.dims()[0];
     let (oh, ow) = spec.out_hw(h, w);
-    let (ohw, plen) = (oh * ow, spec.patch_len());
-    assert_eq!(dy.dims(), &[n, spec.out_channels, oh, ow], "conv2d_dx dy shape");
+    let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
+    assert_eq!(dy.dims(), &[n, cout, oh, ow], "conv2d_dx dy shape");
     assert_eq!(
         weight.dims(),
-        &[spec.out_channels, spec.in_channels, spec.kernel, spec.kernel],
+        &[cout, spec.in_channels, spec.kernel, spec.kernel],
         "conv2d_dx weight shape"
     );
     let mut dx = Tensor::zeros(&[n, spec.in_channels, h, w]);
     let dyd = dy.data();
     let wd = weight.data();
+    let patches = Patches::new(spec, h, w);
+    // A[l, co] = W[co, l], in place.
+    let map = GatherMap::new((0..plen).collect(), (0..cout).map(|co| co * plen).collect());
     let img_stride = spec.in_channels * h * w;
-    dx.data_mut().par_chunks_mut(img_stride).enumerate().for_each(|(img, dst)| {
-        let dy_img = &dyd[img * spec.out_channels * ohw..(img + 1) * spec.out_channels * ohw];
-        let mut dcols = vec![0.0f32; ohw * plen];
-        gemm(
-            &mut dcols,
-            ohw,
-            plen,
-            spec.out_channels,
-            MatRef::transposed(dy_img, ohw),
-            MatRef::row_major(wd, plen),
-            1,
-        );
-        col2im_image(dst, &dcols, spec, h, w);
+    let threads = conv_threads(n, macs(n, ohw, spec));
+    let scratch = || (PackedB::new(cout, ohw), vec![0.0f32; plen * ohw], patches.scratch());
+    for_each_image(dx.data_mut(), img_stride, threads, scratch, |state, img, dst| {
+        let (dy_img, dcols, padded) = state;
+        dy_img.pack(MatRef::row_major(&dyd[img * cout * ohw..][..cout * ohw], ohw));
+        dcols.fill(0.0);
+        gemm_gather(dcols, ohw, 1, &map, wd, dy_img);
+        patches.fold(dst, padded, dcols);
     });
     dx
 }

@@ -1,25 +1,25 @@
 //! Elementwise arithmetic, activation maps and in-place updates.
+//!
+//! Every op here is one serial, auto-vectorized pass. They used to fork
+//! above 16 K elements; with the rayon shim's per-call thread spawn the
+//! forked branch lost to the serial one at every size from 2¹⁴ to 2²²
+//! elements on two cores (3 vs 38 µs, 59 vs 155 µs, 2.0 vs 2.4 ms — the
+//! `relu` rows of `BENCH_kernels.json`), so the branch and its threshold
+//! are gone. Revisit only with a persistent pool (ROADMAP item 3).
 
-use super::PAR_THRESHOLD;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
-/// Applies `f` to every element, in parallel above [`PAR_THRESHOLD`].
-fn map_unary(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
+fn map_unary(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = t.clone();
     map_unary_inplace(&mut out, f);
     out
 }
 
-fn map_unary_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32 + Sync) {
-    if t.numel() >= PAR_THRESHOLD {
-        t.data_mut().par_iter_mut().for_each(|x| *x = f(*x));
-    } else {
-        t.data_mut().iter_mut().for_each(|x| *x = f(*x));
-    }
+fn map_unary_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32) {
+    t.data_mut().iter_mut().for_each(|x| *x = f(*x));
 }
 
-fn zip_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+fn zip_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     assert_eq!(
         a.shape(),
         b.shape(),
@@ -28,11 +28,7 @@ fn zip_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Ten
         b.shape()
     );
     let mut out = a.clone();
-    if out.numel() >= PAR_THRESHOLD {
-        out.data_mut().par_iter_mut().zip(b.data().par_iter()).for_each(|(x, &y)| *x = f(*x, y));
-    } else {
-        out.data_mut().iter_mut().zip(b.data()).for_each(|(x, &y)| *x = f(*x, y));
-    }
+    out.data_mut().iter_mut().zip(b.data()).for_each(|(x, &y)| *x = f(*x, y));
     out
 }
 
@@ -76,14 +72,7 @@ impl Tensor {
     /// update in the workspace.
     pub fn add_assign_scaled(&mut self, other: &Tensor, alpha: f32) {
         assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        if self.numel() >= PAR_THRESHOLD {
-            self.data_mut()
-                .par_iter_mut()
-                .zip(other.data().par_iter())
-                .for_each(|(x, &y)| *x += alpha * y);
-        } else {
-            self.data_mut().iter_mut().zip(other.data()).for_each(|(x, &y)| *x += alpha * y);
-        }
+        self.data_mut().iter_mut().zip(other.data()).for_each(|(x, &y)| *x += alpha * y);
     }
 
     /// `self += other`.
@@ -99,14 +88,7 @@ impl Tensor {
     /// equal to the unfused sequence.
     pub fn scale_add_inplace(&mut self, a: f32, other: &Tensor, b: f32) {
         assert_eq!(self.shape(), other.shape(), "scale_add shape mismatch");
-        if self.numel() >= PAR_THRESHOLD {
-            self.data_mut()
-                .par_iter_mut()
-                .zip(other.data().par_iter())
-                .for_each(|(x, &y)| *x = *x * a + b * y);
-        } else {
-            self.data_mut().iter_mut().zip(other.data()).for_each(|(x, &y)| *x = *x * a + b * y);
-        }
+        self.data_mut().iter_mut().zip(other.data()).for_each(|(x, &y)| *x = *x * a + b * y);
     }
 
     /// Elementwise `max(x, 0)`.
@@ -161,17 +143,9 @@ impl Tensor {
         let row = bias.numel();
         let mut out = self.clone();
         let bd = bias.data();
-        if out.numel() >= PAR_THRESHOLD {
-            out.data_mut().par_chunks_mut(row).for_each(|chunk| {
-                for (x, &b) in chunk.iter_mut().zip(bd) {
-                    *x += b;
-                }
-            });
-        } else {
-            for chunk in out.data_mut().chunks_mut(row) {
-                for (x, &b) in chunk.iter_mut().zip(bd) {
-                    *x += b;
-                }
+        for chunk in out.data_mut().chunks_mut(row) {
+            for (x, &b) in chunk.iter_mut().zip(bd) {
+                *x += b;
             }
         }
         out
@@ -265,18 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial() {
-        // Exceed PAR_THRESHOLD to exercise the rayon branch.
-        let n = super::PAR_THRESHOLD + 17;
-        let a = Tensor::from_vec((0..n).map(|i| i as f32 * 0.001).collect(), &[n]);
-        let serial: Vec<f32> = a.data().iter().map(|x| x.max(0.0) + 1.0).collect();
-        let par = a.relu().add_scalar(1.0);
-        assert_eq!(par.data(), &serial[..]);
-    }
-
-    #[test]
     fn fused_ema_bitwise_equals_two_pass() {
-        let n = super::PAR_THRESHOLD + 3; // cover the parallel branch too
+        let n = 1027; // a vector body plus a scalar tail
         let dst = Tensor::from_vec((0..n).map(|i| (i as f32).sin()).collect(), &[n]);
         let src = Tensor::from_vec((0..n).map(|i| (i as f32).cos()).collect(), &[n]);
         let momentum = 0.1f32;

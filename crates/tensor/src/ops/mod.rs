@@ -5,10 +5,10 @@
 //! downstream in a backward pass.
 //!
 //! Dispatch thresholds and cache-blocking parameters are centralized in
-//! [`tune`]; the packed GEMM kernel shared by the matmul variants and the
-//! fused conv path lives in [`gemm`]. Deliberately-naive reference kernels
-//! for differential testing live in [`reference`] (test builds and the
-//! `reference-kernels` feature only).
+//! [`tune`]; the packed GEMM behind the matmul variants and the implicit
+//! GEMM behind the convolutions share one micro-kernel in [`gemm`].
+//! Deliberately-naive reference kernels for differential testing live in
+//! [`reference`] (test builds and the `reference-kernels` feature only).
 
 pub mod conv;
 pub mod elementwise;
@@ -18,5 +18,3 @@ pub mod reduce;
 #[cfg(any(test, feature = "reference-kernels"))]
 pub mod reference;
 pub mod tune;
-
-pub use tune::PAR_THRESHOLD;

@@ -1,9 +1,10 @@
 //! Central tuning knobs for kernel dispatch and cache blocking.
 //!
 //! Every size threshold that decides *how* a kernel runs (serial fast path
-//! vs packed/blocked vs rayon-parallel) lives here, so the matmul, conv and
-//! elementwise kernels agree on one set of numbers instead of each carrying
-//! a private copy. The values are sized for a generic x86-64 cache
+//! vs packed/blocked vs rayon-parallel) lives here, so the matmul and conv
+//! kernels agree on one set of numbers instead of each carrying a private
+//! copy. (Elementwise ops have no threshold: they never fork — see
+//! `ops::elementwise`.) The values are sized for a generic x86-64 cache
 //! hierarchy (32 KiB L1d, 256 KiB–1 MiB L2) and for this workspace's two
 //! extremes: the LSTM predictors' tiny `[1, h] × [h, 4h]` products, which
 //! must never pay packing or thread-dispatch overhead, and the ResNet conv
@@ -14,11 +15,6 @@
 //! single output element is always accumulated in the same order (see
 //! DESIGN.md §8).
 
-/// Minimum element count before an elementwise op dispatches to rayon.
-/// Below this, the rayon fork/join overhead dwarfs the arithmetic (the LSTM
-/// predictors operate on vectors of 64–128 floats).
-pub const PAR_THRESHOLD: usize = 16 * 1024;
-
 /// Rows-of-output threshold before a matmul dispatches to the thread pool.
 /// A single LSTM predictor step multiplies `[1, h] × [h, 4h]`; those must
 /// stay serial.
@@ -26,6 +22,28 @@ pub const PAR_ROWS: usize = 8;
 
 /// Minimum total FLOPs (`m·n·k`) before a matmul parallelizes.
 pub const PAR_FLOPS: usize = 1 << 18;
+
+/// Minimum multiply-adds before a convolution pass fans its images out
+/// over threads.
+///
+/// The rayon shim forks and joins OS threads per parallel call: a no-op
+/// `par_chunks_mut` over 16 chunks on two cores measures 21 µs at its
+/// minimum, 55–57 µs at the median, 64 µs at p75 and 150–190 µs at p99
+/// (3 × 2000 calls; up to ≈ 90 µs median in the sandbox's contended
+/// regimes; the `fork_join` row of `BENCH_kernels.json` tracks the
+/// minimum), and two bands can at most halve a call. Forking therefore
+/// pays only when the serial call lasts several times that; at the ≈ 10
+/// multiply-adds/ns the implicit-GEMM kernels sustain on one core this
+/// constant is ≈ 0.6 ms of work, about ten median fork/joins. It sits
+/// between the two populations the workspace has: ResNet-tiny's
+/// convolutions (at most 5.3 M multiply-adds at the evaluation batch of
+/// 64, 1.3 M at batch 16 — 18 calls per training iteration that used to
+/// fork) stay on the calling thread, CIFAR-scale ones (8.4 M for the
+/// 64→128 1×1 row of `BENCH_kernels.json`, break-even between forked and
+/// serial, and 151 M for the 64→64 3×3 one) still fork. A constant over
+/// the call's shape, never a run-time timing, so the dispatch cannot
+/// break thread-count invariance.
+pub const CONV_PAR_MACS: usize = 6 << 20;
 
 /// Minimum total FLOPs before a matmul takes the packed/blocked GEMM path.
 /// Below this the panel-packing overhead is not amortized and the simple
@@ -74,6 +92,17 @@ pub fn gemm_threads(m: usize, n: usize, k: usize) -> usize {
     }
 }
 
+/// Number of threads a convolution pass over `images` images doing `macs`
+/// multiply-adds in total should fan out to (1 = stay on the calling
+/// thread). `im2col`/`col2im` count one per element moved.
+pub fn conv_threads(images: usize, macs: usize) -> usize {
+    if images >= 2 && macs >= CONV_PAR_MACS {
+        rayon::current_num_threads().max(1)
+    } else {
+        1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +113,38 @@ mod tests {
         // it must never pay packing or thread-dispatch overhead.
         assert!(!use_packed_gemm(1, 512, 128));
         assert_eq!(gemm_threads(1, 512, 128), 1);
+    }
+
+    #[test]
+    fn small_convolutions_stay_serial_and_cifar_ones_fork() {
+        // (cin, cout, kernel, oh·ow) of ResNet-tiny's nine convolutions on
+        // the benchmark's 10×10 images.
+        let tiny = [
+            (3, 8, 3, 100),
+            (8, 8, 3, 100),
+            (8, 8, 3, 100),
+            (8, 16, 3, 25),
+            (16, 16, 3, 25),
+            (8, 16, 1, 25),
+            (16, 32, 3, 9),
+            (32, 32, 3, 9),
+            (16, 32, 1, 9),
+        ];
+        let macs = |n: usize, (cin, cout, k, ohw): (usize, usize, usize, usize)| {
+            n * ohw * cin * k * k * cout
+        };
+        rayon::with_num_threads(4, || {
+            for conv in tiny {
+                for batch in [16, 64] {
+                    assert_eq!(conv_threads(batch, macs(batch, conv)), 1, "{conv:?} at {batch}");
+                }
+            }
+            // The CIFAR-scale rows of BENCH_kernels.json.
+            assert_eq!(conv_threads(4, macs(4, (64, 64, 3, 1024))), 4);
+            assert_eq!(conv_threads(4, macs(4, (64, 128, 1, 256))), 4);
+            // One image has nothing to fan out over.
+            assert_eq!(conv_threads(1, usize::MAX), 1);
+        });
     }
 
     #[test]

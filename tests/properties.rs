@@ -150,6 +150,7 @@ proptest! {
 mod thread_invariance {
     use lc_asgd::prelude::Rng;
     use lc_asgd::tensor::ops::conv::{conv2d, conv2d_dw, conv2d_dx, Conv2dSpec};
+    use lc_asgd::tensor::ops::tune::conv_threads;
     use lc_asgd::tensor::Tensor;
 
     fn randn(dims: &[usize], seed: u64) -> Tensor {
@@ -184,39 +185,28 @@ mod thread_invariance {
 
     #[test]
     fn conv_kernels_are_thread_invariant() {
-        let spec = Conv2dSpec { in_channels: 3, out_channels: 5, kernel: 3, stride: 1, padding: 1 };
-        let x = randn(&[4, 3, 10, 10], 5);
-        let w = randn(&[5, 3, 3, 3], 6);
-        let dy = randn(&[4, 5, 10, 10], 7);
-        pin("conv2d", || conv2d(&x, &w, &spec));
-        pin("conv2d_dw", || conv2d_dw(&dy, &x, &spec));
-        pin("conv2d_dx", || conv2d_dx(&dy, &w, &spec, 10, 10));
-    }
-
-    #[test]
-    fn elementwise_and_reductions_are_thread_invariant() {
-        // Above PAR_THRESHOLD so the parallel branches actually engage.
-        let n = 20_000;
-        let a = randn(&[n], 8);
-        let b = randn(&[n], 9);
-        let m = randn(&[8, 2500], 10);
-        let bias = randn(&[2500], 11);
-        pin("add", || a.add(&b));
-        pin("mul", || a.mul(&b));
-        pin("relu", || a.relu());
-        pin("sigmoid", || a.sigmoid());
-        pin("add_rows", || m.add_rows(&bias));
-        pin("sum_rows", || m.sum_rows());
-        pin("axpy", || {
-            let mut w = a.clone();
-            w.add_assign_scaled(&b, -0.37);
-            w
-        });
-        pin("scale_add (fused EMA)", || {
-            let mut w = a.clone();
-            w.scale_add_inplace(0.9, &b, 0.1);
-            w
-        });
+        // (n, cin, cout, h·w side): the first stays on the calling thread at
+        // any thread count; the second is past `tune::CONV_PAR_MACS` (5
+        // images so that 3 and 8 threads band them unevenly), so the
+        // banded branch of conv2d / conv2d_dx is what runs.
+        for (n, cin, cout, hw) in [(4, 3, 5, 10), (5, 16, 24, 20)] {
+            let spec = Conv2dSpec {
+                in_channels: cin,
+                out_channels: cout,
+                kernel: 3,
+                stride: 1,
+                padding: 1,
+            };
+            let macs = n * hw * hw * cin * 9 * cout;
+            let bands = rayon::with_num_threads(8, || conv_threads(n, macs));
+            assert_eq!(bands > 1, n == 5, "shape vs CONV_PAR_MACS");
+            let x = randn(&[n, cin, hw, hw], 5);
+            let w = randn(&[cout, cin, 3, 3], 6);
+            let dy = randn(&[n, cout, hw, hw], 7);
+            pin("conv2d", || conv2d(&x, &w, &spec));
+            pin("conv2d_dw", || conv2d_dw(&dy, &x, &spec));
+            pin("conv2d_dx", || conv2d_dx(&dy, &w, &spec, hw, hw));
+        }
     }
 }
 

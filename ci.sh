@@ -47,6 +47,13 @@ echo "==> shard equivalence suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test shard_equivalence
 timeout 120 cargo test -q --release -p lcasgd-core shard
 
+# Engine golden: the schedule run_cluster_with produces on the simulator
+# — per algorithm, and under shards, a supervisor, a primary kill and a
+# halt + resume — must hash to the constants taken from the commit before
+# the function was split into a server state machine and a worker loop.
+echo "==> engine golden suite (hard 300s timeout)"
+timeout 300 cargo test -q --release --test engine_golden
+
 # Observability contract: traced LC-ASGD on all three backends must tile
 # each worker's timeline (per-phase totals within 5% of elapsed time in
 # the run's clock domain) and the TCP byte counters must be frame-exact.

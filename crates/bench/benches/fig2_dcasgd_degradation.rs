@@ -1,5 +1,5 @@
 //! Figure 2 bench: cost of a short DC-ASGD training run as the worker
-//! count grows (the experiment whose full-length series `repro-fig2`
+//! count grows (the experiment whose full-length series `repro-all fig2`
 //! regenerates).
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,5 +1,5 @@
 //! Figure 3 bench: per-algorithm cost of the CIFAR-like training pipeline
-//! (epoch-denominated learning curves; `repro-fig3` prints the series).
+//! (epoch-denominated learning curves; `repro-all fig3` prints the series).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

@@ -1,6 +1,6 @@
 //! Figure 4 bench: simulated wall-clock throughput — virtual seconds per
 //! applied update for each algorithm (the quantity Figure 4's x-axis is
-//! built from; `repro-fig4` prints the full curves).
+//! built from; `repro-all fig4` prints the full curves).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

@@ -1,5 +1,5 @@
 //! Figure 5 bench: per-algorithm cost of the ImageNet-like pipeline
-//! (`repro-fig5` prints the series).
+//! (`repro-all fig5` prints the series).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

@@ -1,5 +1,5 @@
 //! Figure 6 bench: ImageNet-like wall-clock scaling of LC-ASGD with the
-//! worker count (`repro-fig6` prints the full curves).
+//! worker count (`repro-all fig6` prints the full curves).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

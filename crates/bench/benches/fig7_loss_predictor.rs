@@ -1,6 +1,6 @@
 //! Figure 7 bench: the loss predictor's per-arrival cost (online train +
 //! k-step rollout) at the paper's hidden size and rollout horizons.
-//! `repro-fig7` prints the forecast-vs-actual series.
+//! `repro-all fig7` prints the forecast-vs-actual series.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_core::predictor::LossPredictor;

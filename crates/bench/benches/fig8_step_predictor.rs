@@ -1,6 +1,6 @@
 //! Figure 8 bench: the step predictor's per-arrival cost (online train +
 //! one-step forecast) at the paper's hidden size, as the worker count
-//! grows. `repro-fig8` prints the forecast-vs-actual series.
+//! grows. `repro-all fig8` prints the forecast-vs-actual series.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_core::predictor::StepPredictor;

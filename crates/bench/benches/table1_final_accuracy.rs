@@ -1,5 +1,5 @@
 //! Table 1 bench: cost of one table cell (a full short training run) per
-//! algorithm and BN mode. `repro-table1` prints the accuracy grid.
+//! algorithm and BN mode. `repro-all table1` prints the accuracy grid.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

@@ -1,5 +1,5 @@
 //! Table 2 bench: LC-ASGD predictor overhead relative to a CIFAR-like
-//! training iteration — the measured quantities behind `repro-table2`.
+//! training iteration — the measured quantities behind `repro-all table2`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

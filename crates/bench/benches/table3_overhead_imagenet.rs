@@ -1,5 +1,5 @@
 //! Table 3 bench: LC-ASGD predictor overhead relative to an ImageNet-like
-//! training iteration — the measured quantities behind `repro-table3`.
+//! training iteration — the measured quantities behind `repro-all table3`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lcasgd_bench::quick;

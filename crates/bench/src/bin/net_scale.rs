@@ -1,8 +1,8 @@
-//! `net-scale` — measures the netcluster transports under 64–1024
-//! simulated workers and maintains `BENCH_net.json`.
+//! `net-scale` — measures the netcluster server under 64–1024 simulated
+//! workers and maintains `BENCH_net.json`.
 //!
-//! * `net-scale` — full run: measures the {threaded, reactor} × {64,
-//!   256, 1024} grid on loopback, prints the table, and (re)writes
+//! * `net-scale` — full run: measures the reactor at 64, 256 and 1024
+//!   workers on loopback, prints the table, and (re)writes
 //!   `BENCH_net.json` in the working directory. Run from the repo root
 //!   to refresh the committed baseline.
 //! * `net-scale --smoke` — CI mode: quick re-measurement of the reactor
@@ -15,7 +15,6 @@ use lcasgd_bench::netscale::{
     parse_baseline, regression_gate, run_one, to_json, Row, BASELINE_FILE, FULL_GRID,
     GATE_TOLERANCE, SMOKE_WORKERS,
 };
-use lcasgd_netcluster::Transport;
 use std::time::Duration;
 
 fn print_table(rows: &[Row]) {
@@ -41,7 +40,7 @@ fn main() {
             "net-scale: smoke mode (reactor @ {SMOKE_WORKERS} workers, {:.1}s window)...",
             measure.as_secs_f64()
         );
-        let row = run_one(Transport::Reactor, SMOKE_WORKERS, warmup, measure);
+        let row = run_one(SMOKE_WORKERS, warmup, measure);
         print_table(std::slice::from_ref(&row));
         match std::fs::read_to_string(BASELINE_FILE) {
             Ok(json) => {
@@ -70,33 +69,19 @@ fn main() {
 
     let mut rows = Vec::new();
     for &workers in &FULL_GRID {
-        // At 1024 workers the thread-per-connection server's first
-        // cycles take whole seconds (a thousand threads on few cores):
-        // stretch the windows so the slow transport completes enough
-        // cycles to measure at all.
+        // The committed 1024-worker row was measured with these longer
+        // windows (sized for the retired thread-per-connection server,
+        // whose first cycles at 1024 took whole seconds); kept so that a
+        // refreshed row stays comparable with it.
         let (warmup, measure) = if workers >= 1024 {
             (Duration::from_secs(4), Duration::from_secs(6))
         } else {
             (warmup, measure)
         };
-        for transport in [Transport::Threaded, Transport::Reactor] {
-            eprintln!(
-                "net-scale: measuring {} @ {workers} workers...",
-                lcasgd_bench::netscale::transport_name(transport)
-            );
-            rows.push(run_one(transport, workers, warmup, measure));
-        }
+        eprintln!("net-scale: measuring {workers} workers...");
+        rows.push(run_one(workers, warmup, measure));
     }
     print_table(&rows);
-    for &workers in &FULL_GRID {
-        let find = |t: &str| rows.iter().find(|r| r.transport == t && r.workers == workers);
-        if let (Some(th), Some(re)) = (find("threaded"), find("reactor")) {
-            println!(
-                "reactor speedup @ {workers}: {:.2}x",
-                re.updates_per_sec / th.updates_per_sec.max(1e-9)
-            );
-        }
-    }
 
     let json = to_json(&rows, measure);
     // Validate what we are about to write with the same parser CI uses.

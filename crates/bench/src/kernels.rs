@@ -13,6 +13,7 @@
 //! min-of-samples (the minimum is the only estimator whose noise is
 //! one-sided under scheduler interference).
 
+use crate::baseline;
 use lcasgd_autograd::Graph;
 use lcasgd_tensor::ops::conv::{col2im, conv2d, conv2d_dw, conv2d_dx, im2col, Conv2dSpec};
 use lcasgd_tensor::{Rng, Tensor};
@@ -635,63 +636,25 @@ pub fn to_json(reports: &[KernelReport], samples: usize) -> String {
 /// [`to_json`] wrote it.
 pub type BaselineEntry = KernelReport;
 
-fn extract_string(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn extract_number(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parses (and schema-validates) a `BENCH_kernels.json` document. This is
-/// a purpose-built scanner for the exact shape [`to_json`] emits, not a
-/// general JSON parser — the workspace has no serde and does not want one.
+/// Parses (and schema-validates) a `BENCH_kernels.json` document, of the
+/// exact shape [`to_json`] emits (see [`crate::baseline`]).
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
-    match extract_string(json, "schema") {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("unsupported baseline schema {s:?} (expected {SCHEMA:?})")),
-        None => return Err("baseline file has no \"schema\" field".into()),
-    }
-    let kernels_at = json
-        .find("\"kernels\"")
-        .ok_or_else(|| "baseline file has no \"kernels\" array".to_string())?;
     let mut entries = Vec::new();
-    let mut rest = &json[kernels_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .map(|c| open + c)
-            .ok_or_else(|| "unterminated kernel object".to_string())?;
-        let obj = &rest[open..=close];
-        let name = extract_string(obj, "name")
+    for obj in baseline::objects(json, SCHEMA, "kernels")? {
+        let name = baseline::string(obj, "name")
             .ok_or_else(|| format!("kernel object missing name: {obj}"))?;
         let shape =
-            extract_string(obj, "shape").ok_or_else(|| format!("kernel {name} missing shape"))?;
+            baseline::string(obj, "shape").ok_or_else(|| format!("kernel {name} missing shape"))?;
         let mut nums = [0.0; 3];
         for (v, key) in nums.iter_mut().zip(["seed_ms", "opt_ms", "speedup_1t"]) {
-            *v = extract_number(obj, key).ok_or_else(|| format!("kernel {name} missing {key}"))?;
+            *v =
+                baseline::number(obj, key).ok_or_else(|| format!("kernel {name} missing {key}"))?;
             if !(v.is_finite() && *v >= 0.0) {
                 return Err(format!("kernel {name} has invalid {key} {v}"));
             }
         }
         let [seed_ms, opt_ms, speedup_1t] = nums;
         entries.push(BaselineEntry { name, shape, seed_ms, opt_ms, speedup_1t });
-        rest = &rest[close + 1..];
-    }
-    if entries.is_empty() {
-        return Err("baseline file has an empty kernels array".into());
     }
     Ok(entries)
 }

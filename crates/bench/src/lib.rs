@@ -5,10 +5,11 @@
 //! every figure and table of the paper, and plain-text renderers.
 //!
 //! Each paper artifact has both a criterion bench target (`benches/`) and
-//! a standalone `repro-*` binary (`src/bin/`) that prints the regenerated
-//! rows/series. `EXPERIMENTS.md` at the workspace root records the
-//! paper-vs-measured comparison produced by these binaries.
+//! a section of the `repro-all` binary (`src/bin/`) that prints the
+//! regenerated rows/series. `EXPERIMENTS.md` at the workspace root records
+//! the paper-vs-measured comparison it produced.
 
+mod baseline;
 pub mod figures;
 pub mod kernels;
 pub mod netscale;
@@ -20,7 +21,7 @@ pub use scenario::{Scenario, ScenarioKind};
 
 use lcasgd_core::config::Scale;
 
-/// Parses the scale argument shared by all `repro-*` binaries:
+/// Parses the scale argument shared by the harness binaries:
 /// `tiny` (default for smoke runs), `small` (the documented EXPERIMENTS.md
 /// setting), or `paper` (full-size models/epochs; hours of CPU).
 pub fn scale_from_args() -> Scale {
@@ -31,13 +32,13 @@ pub fn scale_from_args() -> Scale {
     }
 }
 
-/// The seed every repro binary uses, so printed numbers are reproducible.
+/// The seed `repro-all` uses, so printed numbers are reproducible.
 pub const REPRO_SEED: u64 = 2020;
 
 /// Seconds-long experiment helpers for the criterion bench targets: the
 /// Tiny scenario with a reduced epoch budget, cached datasets, and knobs
-/// for the ablations. The full-length regenerations live in the
-/// `repro-*` binaries; the benches measure the *cost* of each pipeline.
+/// for the ablations. The full-length regenerations live in
+/// `repro-all`; the benches measure the *cost* of each pipeline.
 pub mod quick {
     use crate::Scenario;
     use lcasgd_core::algorithms::Algorithm;

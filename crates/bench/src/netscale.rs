@@ -1,10 +1,8 @@
 //! Transport scale bench: updates/sec and p99 RTT of the netcluster
-//! servers under 64–1024 simulated workers on loopback.
+//! server under 64–1024 simulated workers on loopback.
 //!
-//! The `net-scale` binary drives both server implementations — the
-//! thread-per-connection [`lcasgd_netcluster::NetServer`] and the
-//! readiness-driven [`lcasgd_netcluster::ReactorServer`] — with the same
-//! synthetic parameter-server workload: every cycle a worker pushes a
+//! The `net-scale` binary drives [`lcasgd_netcluster::ReactorServer`] with
+//! a synthetic parameter-server workload: every cycle a worker pushes a
 //! compressed gradient (a small oneway, the post-quantization uplink
 //! shape) and pulls the dense f32 weights back (a 32 KiB reply, the
 //! downlink shape whose encode + CRC the reactor coalesces across
@@ -18,8 +16,9 @@
 //! regresses more than [`GATE_TOLERANCE`] against it, mirroring the
 //! kernel baseline gate.
 
+use crate::baseline;
 use lcasgd_netcluster::frame::{self, Frame, FrameKind, HEADER_LEN};
-use lcasgd_netcluster::{NetConfig, NetServer, ReactorServer, Transport};
+use lcasgd_netcluster::{NetConfig, ReactorServer};
 use lcasgd_simcluster::backend::{wire, ServerCtx};
 use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader};
 use std::io::{Read, Write};
@@ -53,7 +52,7 @@ pub const GRAD_LEN: usize = 256;
 /// the workers are nonblocking sockets, not threads.
 const DRIVER_THREADS: usize = 4;
 
-/// The worker/transport grid a full run measures.
+/// The worker counts a full run measures.
 pub const FULL_GRID: [usize; 3] = [64, 256, 1024];
 
 /// The configuration the smoke gate re-measures.
@@ -114,13 +113,12 @@ impl WireMsg for ScaleResp {
 
 // ------------------------------------------------------------ workload
 
-fn bench_config(transport: Transport) -> NetConfig {
+fn bench_config() -> NetConfig {
     NetConfig {
         // Generous liveness windows: at 1024 workers the connection storm
         // takes a while, and a reaped conn would corrupt the measurement.
         heartbeat_timeout: Duration::from_secs(30),
         hello_timeout: Duration::from_secs(60),
-        transport,
         ..NetConfig::default()
     }
 }
@@ -347,29 +345,17 @@ pub struct Row {
     pub p99_rtt_us: f64,
 }
 
-pub fn transport_name(t: Transport) -> &'static str {
-    match t {
-        Transport::Reactor => "reactor",
-        Transport::Threaded => "threaded",
-    }
-}
+/// The `transport` tag of every measured row. `BENCH_net.json` keeps the
+/// field from when a second, thread-per-connection server was measured
+/// next to this one (DESIGN.md §12 has its last numbers).
+const TRANSPORT: &str = "reactor";
 
-/// Runs one (transport, workers) cell: spin the server up, drive it with
-/// multiplexed simulated workers, measure for `measure` after `warmup`.
-pub fn run_one(transport: Transport, workers: usize, warmup: Duration, measure: Duration) -> Row {
-    let cfg = bench_config(transport);
-    let (addr, server) = match transport {
-        Transport::Reactor => {
-            let srv = ReactorServer::bind("127.0.0.1:0", workers, cfg).expect("bench bind");
-            let addr = srv.local_addr().expect("bench addr");
-            (addr, std::thread::spawn(move || srv.serve(server_fn()).map(|_| ())))
-        }
-        Transport::Threaded => {
-            let srv = NetServer::bind("127.0.0.1:0", workers, cfg).expect("bench bind");
-            let addr = srv.local_addr().expect("bench addr");
-            (addr, std::thread::spawn(move || srv.serve(server_fn()).map(|_| ())))
-        }
-    };
+/// Runs one cell: spin the server up, drive it with multiplexed simulated
+/// workers, measure for `measure` after `warmup`.
+pub fn run_one(workers: usize, warmup: Duration, measure: Duration) -> Row {
+    let srv = ReactorServer::bind("127.0.0.1:0", workers, bench_config()).expect("bench bind");
+    let addr = srv.local_addr().expect("bench addr");
+    let server = std::thread::spawn(move || srv.serve(server_fn()).map(|_| ()));
 
     let measuring = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
@@ -404,12 +390,7 @@ pub fn run_one(transport: Transport, workers: usize, warmup: Duration, measure: 
 
     rtts.sort_unstable();
     let p99 = if rtts.is_empty() { 0.0 } else { rtts[(rtts.len() - 1) * 99 / 100] as f64 };
-    Row {
-        transport: transport_name(transport),
-        workers,
-        updates_per_sec: updates as f64 / window,
-        p99_rtt_us: p99,
-    }
+    Row { transport: TRANSPORT, workers, updates_per_sec: updates as f64 / window, p99_rtt_us: p99 }
 }
 
 // ------------------------------------------------------------ baseline
@@ -435,25 +416,6 @@ pub fn to_json(rows: &[Row], measure: Duration) -> String {
     s
 }
 
-fn extract_string(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn extract_number(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// A row parsed back from a committed baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaselineRow {
@@ -462,40 +424,22 @@ pub struct BaselineRow {
     pub updates_per_sec: f64,
 }
 
-/// Parses (and schema-validates) a `BENCH_net.json` document — the same
-/// purpose-built scanner idiom as the kernel baseline, not a general
-/// JSON parser.
+/// Parses (and schema-validates) a `BENCH_net.json` document, of the
+/// exact shape [`to_json`] emits (see [`crate::baseline`]).
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineRow>, String> {
-    match extract_string(json, "schema") {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => return Err(format!("unsupported baseline schema {s:?} (expected {SCHEMA:?})")),
-        None => return Err("baseline file has no \"schema\" field".into()),
-    }
-    let rows_at =
-        json.find("\"rows\"").ok_or_else(|| "baseline file has no \"rows\" array".to_string())?;
     let mut rows = Vec::new();
-    let mut rest = &json[rows_at..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .map(|c| open + c)
-            .ok_or_else(|| "unterminated row object".to_string())?;
-        let obj = &rest[open..=close];
-        let transport = extract_string(obj, "transport")
+    for obj in baseline::objects(json, SCHEMA, "rows")? {
+        let transport = baseline::string(obj, "transport")
             .ok_or_else(|| format!("row missing transport: {obj}"))?;
-        let workers = extract_number(obj, "workers")
+        let workers = baseline::number(obj, "workers")
             .ok_or_else(|| format!("row {transport} missing workers"))?
             as usize;
-        let ups = extract_number(obj, "updates_per_sec")
+        let ups = baseline::number(obj, "updates_per_sec")
             .ok_or_else(|| format!("row {transport}/{workers} missing updates_per_sec"))?;
         if !(ups.is_finite() && ups > 0.0) {
             return Err(format!("row {transport}/{workers} has invalid updates_per_sec {ups}"));
         }
         rows.push(BaselineRow { transport, workers, updates_per_sec: ups });
-        rest = &rest[close + 1..];
-    }
-    if rows.is_empty() {
-        return Err("baseline file has an empty rows array".into());
     }
     Ok(rows)
 }
@@ -550,15 +494,15 @@ mod tests {
     #[test]
     fn baseline_json_roundtrips_through_the_scanner() {
         let rows = vec![
-            Row { transport: "threaded", workers: 64, updates_per_sec: 1234.0, p99_rtt_us: 850.0 },
             Row { transport: "reactor", workers: 64, updates_per_sec: 9876.0, p99_rtt_us: 120.0 },
+            Row { transport: "reactor", workers: 256, updates_per_sec: 1234.0, p99_rtt_us: 850.0 },
         ];
         let json = to_json(&rows, Duration::from_secs(2));
         let back = parse_baseline(&json).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back[1].transport, "reactor");
-        assert_eq!(back[1].workers, 64);
-        assert_eq!(back[1].updates_per_sec, 9876.0);
+        assert_eq!(back[0].transport, "reactor");
+        assert_eq!(back[0].workers, 64);
+        assert_eq!(back[0].updates_per_sec, 9876.0);
     }
 
     #[test]
@@ -587,14 +531,12 @@ mod tests {
         assert!(parse_baseline(&empty).is_err());
     }
 
-    /// End-to-end micro-run of the harness itself: both transports serve
-    /// a handful of simulated workers for a fraction of a second.
+    /// End-to-end micro-run of the harness itself: the server serves a
+    /// handful of simulated workers for a fraction of a second.
     #[test]
-    fn harness_measures_both_transports() {
-        for transport in [Transport::Reactor, Transport::Threaded] {
-            let row = run_one(transport, 4, Duration::from_millis(50), Duration::from_millis(150));
-            assert_eq!(row.workers, 4);
-            assert!(row.updates_per_sec > 0.0, "{} measured no updates", transport_name(transport));
-        }
+    fn harness_measures_the_server() {
+        let row = run_one(4, Duration::from_millis(50), Duration::from_millis(150));
+        assert_eq!(row.workers, 4);
+        assert!(row.updates_per_sec > 0.0, "measured no updates");
     }
 }

@@ -276,6 +276,23 @@ impl Compression {
     }
 }
 
+/// Compresses a gradient for the wire, maintaining the worker's error-
+/// feedback residual. `Compression::None` short-circuits to a dense
+/// payload without touching the residual.
+pub(crate) fn wire_grads(
+    scheme: &Compression,
+    grads: Vec<f32>,
+    residual: &mut Vec<f32>,
+) -> CompressedGrad {
+    if *scheme == Compression::None {
+        return CompressedGrad::Dense(grads);
+    }
+    if residual.len() != grads.len() {
+        *residual = vec![0.0; grads.len()];
+    }
+    scheme.compress(&grads, Some(residual))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

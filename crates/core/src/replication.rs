@@ -20,6 +20,10 @@
 //!   primary's epoch is fenced off, the standby promotes with `epoch+1`,
 //!   and per-worker push sequence numbers (replayed from the log) reject
 //!   any delayed duplicate of an already-applied push;
+//! * the primary's end of the stream (`ReplicationStream`, driven by the
+//!   trainer's server) buffers records, flushes them as acknowledged
+//!   batches, ships snapshots, and degrades to an inert no-op — training
+//!   continues unreplicated — when the standby stops answering;
 //! * a [`Lease`] ties the primary's right to apply writes to recent
 //!   standby acknowledgment: a primary whose lease is revoked (the kill)
 //!   or expired (wall-clock backends, standby unresponsive) stops
@@ -591,6 +595,154 @@ impl Lease {
     }
 }
 
+// -------------------------------------------------------- primary stream
+
+/// The primary side of the replication stream: buffers [`LogRecord`]s and
+/// flushes them to the standby thread as synchronous, acknowledged
+/// `Replicate` batches. The blocking ack is what makes the standby's lag
+/// (and therefore the lost tail at a kill) a pure function of the
+/// applied-update count.
+pub(crate) struct ReplicationStream {
+    duplex: Box<dyn ReplicaDuplex>,
+    buffer: Vec<LogRecord>,
+    next_seq: u64,
+    flush_every: u64,
+    lease: Lease,
+    lease_timeout: Duration,
+    pub(crate) report: ReplicationReport,
+    /// Set when the standby duplex closed or stopped acknowledging: the
+    /// stream degrades to an inert no-op — training continues
+    /// *unreplicated* — instead of panicking mid-run.
+    degraded: bool,
+    /// The degradation cause, handed out exactly once via
+    /// [`ReplicationStream::take_degradation`] so the trainer can emit
+    /// the health event and fault record.
+    pending_degradation: Option<String>,
+}
+
+impl ReplicationStream {
+    pub(crate) fn new(duplex: Box<dyn ReplicaDuplex>, cfg: &StandbyConfig) -> Self {
+        ReplicationStream {
+            duplex,
+            buffer: Vec::new(),
+            next_seq: 1,
+            flush_every: cfg.flush_every.max(1),
+            lease: Lease::new(cfg.lease),
+            lease_timeout: cfg.lease,
+            report: ReplicationReport::default(),
+            degraded: false,
+            pending_degradation: None,
+        }
+    }
+
+    /// Appends an applied push to the log; auto-flushes a full batch.
+    /// Inert once degraded.
+    pub(crate) fn log(&mut self, mut rec: LogRecord) {
+        if self.degraded {
+            return;
+        }
+        rec.seq = self.next_seq;
+        self.next_seq += 1;
+        self.report.log_records += 1;
+        self.buffer.push(rec);
+        if self.buffer.len() as u64 >= self.flush_every {
+            self.flush();
+        }
+    }
+
+    /// Synchronous flush of the buffered batch (possibly empty — a lease
+    /// heartbeat). Blocks for the standby's ack. Inert once degraded.
+    fn flush(&mut self) {
+        if self.degraded {
+            self.buffer.clear();
+            return;
+        }
+        let lag = self.buffer.len() as u64;
+        self.report.max_lag = self.report.max_lag.max(lag);
+        let recs = std::mem::take(&mut self.buffer);
+        self.send_acked(ReplicaPayload::Records(recs));
+        if !self.degraded {
+            self.report.flushes += 1;
+        }
+    }
+
+    /// Ships a full-state snapshot, superseding (and discarding) any
+    /// buffered records — the snapshot already contains their effects.
+    /// Inert once degraded.
+    pub(crate) fn snapshot(&mut self, state: &TrainingCheckpoint) {
+        if self.degraded {
+            return;
+        }
+        self.buffer.clear();
+        self.send_acked(ReplicaPayload::Snapshot {
+            next_seq: self.next_seq,
+            blob: state.to_bytes(),
+        });
+        if !self.degraded {
+            self.report.snapshots += 1;
+        }
+    }
+
+    /// Wall-clock lease enforcement: an expired (but unrevoked) lease
+    /// forces a heartbeat round-trip — proof the standby is still
+    /// acknowledging — before the caller applies its next write. A
+    /// degraded stream's lease stays revoked, so this is a no-op.
+    pub(crate) fn ensure_lease(&mut self) {
+        if !self.lease.is_revoked() && !self.lease.held() {
+            self.flush();
+        }
+    }
+
+    /// Fences the killed primary: its write lease never renews again.
+    pub(crate) fn revoke_lease(&mut self) {
+        self.lease.revoke();
+    }
+
+    /// Accounts a promotion that discarded `lost` unreplicated updates and
+    /// grants the promoted server — the new primary — a fresh lease.
+    pub(crate) fn promoted(&mut self, lost: u64) {
+        self.report.failovers += 1;
+        self.report.lost_updates += lost;
+        self.lease = Lease::new(self.lease_timeout);
+    }
+
+    fn send_acked(&mut self, payload: ReplicaPayload) {
+        let expect = self.next_seq - 1;
+        let msg = ClusterReq::Replicate(payload);
+        if let Err(e) = self.duplex.send(&msg.encoded()) {
+            self.degrade(format!("standby duplex closed: {e:?}"));
+            return;
+        }
+        let ack = self.duplex.recv().ok().and_then(|b| ClusterResp::decoded(&b).ok());
+        match ack {
+            Some(ClusterResp::ReplicaAck { seq }) if seq == expect => self.lease.renew(),
+            Some(ClusterResp::ReplicaAck { seq }) => {
+                self.degrade(format!("standby acknowledged seq {seq} where {expect} was expected"))
+            }
+            _ => self.degrade(format!(
+                "standby failed to acknowledge replication batch ending at seq {expect}"
+            )),
+        }
+    }
+
+    /// Drops into unreplicated mode: the lease is revoked (no future
+    /// write will wait on the dead standby) and the buffered tail is
+    /// discarded.
+    fn degrade(&mut self, why: String) {
+        self.degraded = true;
+        self.buffer.clear();
+        self.lease.revoke();
+        self.pending_degradation = Some(why);
+    }
+
+    /// Returns the degradation cause exactly once, the first time it is
+    /// polled after the stream degraded — the caller's cue to emit the
+    /// one-time health event, fault record, and trace instant.
+    pub(crate) fn take_degradation(&mut self) -> Option<String> {
+        self.pending_degradation.take()
+    }
+}
+
 // --------------------------------------------------------------- report
 
 /// What replication did during a run; `RunResult::replication` when a
@@ -854,5 +1006,62 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         assert!(!expired.held(), "a zero-duration lease expires immediately");
         assert!(!expired.is_revoked());
+    }
+
+    /// A duplex whose peer is gone: every operation fails immediately.
+    struct DeadDuplex;
+
+    impl ReplicaDuplex for DeadDuplex {
+        fn send(&mut self, _payload: &[u8]) -> Result<(), ClusterError> {
+            Err(ClusterError::Disconnected)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, ClusterError> {
+            Err(ClusterError::Disconnected)
+        }
+    }
+
+    fn dead_record() -> LogRecord {
+        LogRecord {
+            seq: 0,
+            epoch: 0,
+            worker: 0,
+            push_seq: 1,
+            version: 1,
+            staleness: 0,
+            loss: 1.0,
+            delta: vec![0.25, -0.5],
+            digest: 0,
+            arrival: Some(1),
+            bn: None,
+            shard: 0,
+        }
+    }
+
+    #[test]
+    fn replication_stream_degrades_instead_of_panicking() {
+        let cfg = StandbyConfig { flush_every: 1, ..StandbyConfig::default() };
+        let mut rs = ReplicationStream::new(Box::new(DeadDuplex), &cfg);
+        // flush_every=1: the first log flushes synchronously into the
+        // dead duplex. Before the fix this was a
+        // `.expect("standby duplex closed")` panic.
+        rs.log(dead_record());
+        assert!(rs.degraded, "send failure must degrade the stream");
+        assert!(rs.lease.is_revoked(), "a degraded stream never waits on its lease");
+        assert!(rs.buffer.is_empty(), "the unflushed tail is discarded");
+        assert_eq!(rs.report.flushes, 0, "a failed flush is not a flush");
+        let why = rs.take_degradation().expect("cause surfaces exactly once");
+        assert!(why.contains("standby"), "cause names the standby: {why}");
+        assert!(rs.take_degradation().is_none(), "the cause is one-shot");
+        // Once degraded every entry point is inert — no panic, no buffer
+        // growth, no counter movement.
+        rs.log(dead_record());
+        rs.flush();
+        rs.snapshot(&TrainingCheckpoint::default());
+        rs.ensure_lease();
+        assert!(rs.buffer.is_empty());
+        assert_eq!(rs.report.flushes, 0);
+        assert_eq!(rs.report.snapshots, 0);
+        assert!(rs.take_degradation().is_none(), "inert calls surface no new cause");
     }
 }

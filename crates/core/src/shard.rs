@@ -12,6 +12,7 @@
 //! the BN running statistics. See DESIGN.md §11.
 
 use crate::bnmode::BnMode;
+use crate::comm::{wire_grads, CompressedGrad, Compression};
 use crate::server::ParameterServer;
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
@@ -275,6 +276,149 @@ impl ShardGroup {
     /// Overwrites the merged BN state (restore paths).
     pub fn set_bn(&mut self, bn: BnState) {
         self.shards[0].bn = bn;
+    }
+}
+
+// ------------------------------------------------------------- push path
+
+/// Compresses a full gradient into per-shard wire slices, maintaining the
+/// worker's full-length error-feedback residual. One shard delegates to
+/// [`wire_grads`] unchanged (bitwise-identical to the unsharded path);
+/// with more shards each slice is compressed independently against its
+/// slice of the residual.
+pub(crate) fn shard_wire_grads(
+    scheme: &Compression,
+    spec: &ShardSpec,
+    grads: Vec<f32>,
+    residual: &mut Vec<f32>,
+) -> Vec<CompressedGrad> {
+    if spec.count() == 1 {
+        return vec![wire_grads(scheme, grads, residual)];
+    }
+    if *scheme == Compression::None {
+        return spec.split(&grads).into_iter().map(CompressedGrad::Dense).collect();
+    }
+    if residual.len() != grads.len() {
+        *residual = vec![0.0; grads.len()];
+    }
+    (0..spec.count())
+        .map(|s| {
+            let r = spec.range(s);
+            let mut res = residual[r.clone()].to_vec();
+            let cg = scheme.compress(&grads[r.clone()], Some(&mut res));
+            residual[r].copy_from_slice(&res);
+            cg
+        })
+        .collect()
+}
+
+/// One shard's slice of a gradient push, as it comes off the wire.
+pub(crate) struct PushSlice {
+    pub push_seq: u64,
+    pub pull_version: u64,
+    pub loss: f32,
+    pub shard: usize,
+    pub grads: CompressedGrad,
+    pub batch_stats: Vec<BnBatchStats>,
+    pub running: BnState,
+}
+
+/// A sharded push, partially or fully assembled.
+#[derive(Default)]
+pub(crate) struct PendingPush {
+    pub push_seq: u64,
+    pub pull_version: u64,
+    pub loss: f32,
+    /// Full-length assembly buffer; slice `s` is written at the spec's
+    /// range for `s`. With one shard the only slice *is* the gradient
+    /// and is adopted whole, so no buffer is allocated or copied into.
+    pub grads: Vec<f32>,
+    /// Bitmask of shards whose slice has arrived ([`ShardSpec::MAX_SHARDS`]
+    /// is 64 so one word suffices).
+    seen: u64,
+    got: usize,
+    /// BN payloads, carried by the lead (shard-0) slice only.
+    pub batch_stats: Vec<BnBatchStats>,
+    pub running: BnState,
+}
+
+/// Per-worker in-flight push assembly: the slices a worker has fanned out
+/// arrive as individual `Grad` messages and buffer here until the last
+/// one lands, at which point the full gradient is applied to every shard
+/// atomically. One shard completes on the first (only) slice, preserving
+/// the unsharded apply path bit for bit.
+pub(crate) struct PushAssembly {
+    spec: ShardSpec,
+    pending: Vec<Option<PendingPush>>,
+}
+
+impl PushAssembly {
+    pub(crate) fn new(spec: ShardSpec, workers: usize) -> Self {
+        PushAssembly { spec, pending: (0..workers).map(|_| None).collect() }
+    }
+
+    /// Buffers one slice of worker `w`'s push and returns the push once
+    /// its last slice has landed. The worker's link is ordered, but
+    /// assembly tolerates any arrival order (and injected duplicates)
+    /// within one push.
+    pub(crate) fn accept(&mut self, w: usize, slice: PushSlice) -> Option<PendingPush> {
+        let n = self.spec.count();
+        let sh = slice.shard;
+        if sh >= n {
+            return None;
+        }
+        let grads = slice.grads.into_dense();
+        if grads.len() != self.spec.range(sh).len() {
+            // A slice that does not fit its shard cannot be assembled;
+            // drop the whole push rather than apply garbage.
+            self.pending[w] = None;
+            return None;
+        }
+        let p = match self.pending[w].as_mut() {
+            Some(p) if p.push_seq == slice.push_seq => p,
+            _ => {
+                // First slice of a new push; a leftover buffer from an
+                // abandoned one is discarded.
+                self.pending[w].insert(PendingPush {
+                    push_seq: slice.push_seq,
+                    pull_version: slice.pull_version,
+                    loss: slice.loss,
+                    ..PendingPush::default()
+                })
+            }
+        };
+        if p.seen & (1 << sh) == 0 {
+            p.seen |= 1 << sh;
+            p.got += 1;
+        }
+        if n == 1 {
+            // The only slice is the whole gradient: adopt it.
+            p.grads = grads;
+        } else {
+            p.grads.resize(self.spec.len(), 0.0);
+            p.grads[self.spec.range(sh)].copy_from_slice(&grads);
+        }
+        if sh == 0 {
+            // BN payloads ride the lead slice only.
+            p.batch_stats = slice.batch_stats;
+            p.running = slice.running;
+        }
+        if p.got < n {
+            return None;
+        }
+        self.pending[w].take()
+    }
+
+    /// Discards worker `w`'s half-assembled push (a fenced or duplicate
+    /// slice, a rejoining incarnation).
+    pub(crate) fn abandon(&mut self, w: usize) {
+        self.pending[w] = None;
+    }
+
+    /// Discards every half-assembled push (failover: they reference
+    /// pulls from the dead primary).
+    pub(crate) fn abandon_all(&mut self) {
+        self.pending.iter_mut().for_each(|p| *p = None);
     }
 }
 

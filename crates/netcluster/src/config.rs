@@ -4,20 +4,6 @@ use crate::breaker::BreakerConfig;
 use lcasgd_simcluster::WireCodec;
 use std::time::Duration;
 
-/// Which server implementation answers the cluster's sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// One readiness-driven reactor thread owns every connection
-    /// ([`crate::ReactorServer`]): nonblocking sockets, pooled read
-    /// buffers, pull-reply coalescing. The default.
-    #[default]
-    Reactor,
-    /// The original thread-per-connection server ([`crate::NetServer`]):
-    /// one reader thread per socket feeding a serialized apply loop. Kept
-    /// as the bench baseline and as a fallback.
-    Threaded,
-}
-
 /// The bounded-exponential reconnect schedule derived from a
 /// [`NetConfig`]: attempt 0 dials immediately, attempt `i > 0` waits
 /// `initial · 2^(i-1)` first, clamped to `cap`.
@@ -58,7 +44,7 @@ impl BackoffSchedule {
     }
 }
 
-/// Timeouts and retry policy shared by [`crate::NetServer`] and
+/// Timeouts and retry policy shared by [`crate::ReactorServer`] and
 /// [`crate::NetWorker`]. The invariants that make the protocol live:
 ///
 /// * `heartbeat_interval` ≪ `heartbeat_timeout`, so a healthy-but-idle
@@ -93,14 +79,12 @@ pub struct NetConfig {
     /// redial storms and the server gates codec-failing ranks through
     /// the same error-rate window → open → half-open probe machine.
     pub breaker: BreakerConfig,
-    /// Which server implementation answers the sockets.
-    pub transport: Transport,
     /// How dense `f32` payloads are packed on the wire. Negotiated at
     /// `Hello` time: the server closes any connection advertising a
     /// different codec. [`WireCodec::F32`] is byte-identical to the seed
     /// protocol (including the 4-byte `Hello` payload).
     pub wire_codec: WireCodec,
-    /// Reactor-only: answer every pull carrying the same coalescing key
+    /// Answer every pull carrying the same coalescing key
     /// from one cached encoding per server-version tick instead of
     /// re-encoding per request. Replies are byte-identical either way;
     /// disabling this only exists for A/B tests.
@@ -119,7 +103,6 @@ impl Default for NetConfig {
             connect_backoff_cap: Duration::from_secs(1),
             lease_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
-            transport: Transport::Reactor,
             wire_codec: WireCodec::F32,
             pull_coalescing: true,
         }
@@ -140,7 +123,6 @@ impl NetConfig {
             connect_backoff_cap: Duration::from_millis(100),
             lease_timeout: Duration::from_millis(100),
             breaker: BreakerConfig::fast(),
-            transport: Transport::Reactor,
             wire_codec: WireCodec::F32,
             pull_coalescing: true,
         }
@@ -154,7 +136,7 @@ impl NetConfig {
     }
 
     /// Invariants the *server* relies on, checked at
-    /// [`crate::NetServer::bind`]. Only the server's own reaping windows
+    /// [`crate::ReactorServer::bind`]. Only the server's own reaping windows
     /// are validated here — a worker may legitimately run a different
     /// heartbeat cadence (the reconnect tests do exactly that), so the
     /// interval/timeout relation is a per-process property, not a
@@ -322,9 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn default_transport_is_the_reactor_with_seed_codec() {
+    fn default_config_speaks_the_seed_codec_and_coalesces() {
         let cfg = NetConfig::default();
-        assert_eq!(cfg.transport, Transport::Reactor);
         assert_eq!(cfg.wire_codec, WireCodec::F32);
         assert!(cfg.pull_coalescing);
     }

@@ -11,8 +11,9 @@
 //! * [`frame`] — the length-prefixed binary wire format: magic,
 //!   protocol version, frame kind, sequence number and CRC-32 payload
 //!   checksum (see the module docs for the byte layout);
-//! * [`NetServer`] — accept loop + per-connection reader threads
-//!   multiplexed onto one serialized Algorithm-2 event loop, with
+//! * [`ReactorServer`] — one readiness-driven thread owning the listener
+//!   and every connection, multiplexed onto one serialized Algorithm-2
+//!   event loop, with pooled read buffers, coalesced pull replies and
 //!   heartbeat-based dead-worker reaping;
 //! * [`NetWorker`] — the client: bounded-exponential-backoff connect and
 //!   reconnect, per-request deadlines, a background heartbeat thread,
@@ -31,14 +32,12 @@ pub mod config;
 pub mod frame;
 pub mod pool;
 pub mod reactor;
-pub mod server;
 pub mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use config::{BackoffSchedule, NetConfig, Transport};
+pub use config::{BackoffSchedule, NetConfig};
 pub use pool::BufferPool;
 pub use reactor::{ReactorServer, COALESCE_PHASE};
-pub use server::NetServer;
 pub use worker::NetWorker;
 
 use frame::{read_frame, write_payload, FrameKind};
@@ -88,52 +87,8 @@ fn tcp_replica_pair() -> Result<(TcpReplicaDuplex, TcpReplicaDuplex), ClusterErr
     ))
 }
 
-/// The server implementation selected by [`config::Transport`], bound and
-/// ready to serve. Both speak the identical wire protocol; they differ
-/// only in how the sockets are driven.
-enum AnyServer {
-    Threaded(NetServer),
-    Reactor(ReactorServer),
-}
-
-impl AnyServer {
-    fn bind(addr: SocketAddr, workers: usize, cfg: NetConfig) -> std::io::Result<AnyServer> {
-        Ok(match cfg.transport {
-            Transport::Threaded => AnyServer::Threaded(NetServer::bind(addr, workers, cfg)?),
-            Transport::Reactor => AnyServer::Reactor(ReactorServer::bind(addr, workers, cfg)?),
-        })
-    }
-
-    fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        match self {
-            AnyServer::Threaded(s) => s.local_addr(),
-            AnyServer::Reactor(s) => s.local_addr(),
-        }
-    }
-
-    fn set_trace_hook(&mut self, hook: Arc<dyn TraceHook>) {
-        match self {
-            AnyServer::Threaded(s) => s.set_trace_hook(hook),
-            AnyServer::Reactor(s) => s.set_trace_hook(hook),
-        }
-    }
-
-    fn serve<Req, Resp, S>(self, server_fn: S) -> Result<TransportStats, ClusterError>
-    where
-        Req: WireMsg,
-        Resp: WireMsg,
-        S: FnMut(usize, Req, &mut ServerCtx<Resp>),
-    {
-        match self {
-            AnyServer::Threaded(s) => s.serve(server_fn),
-            AnyServer::Reactor(s) => s.serve(server_fn),
-        }
-    }
-}
-
-/// TCP instantiation of [`ClusterBackend`]: one server (reactor by
-/// default, see [`config::Transport`]) and M `NetWorker` threads over
-/// loopback by default.
+/// TCP instantiation of [`ClusterBackend`]: one [`ReactorServer`] and M
+/// `NetWorker` threads, over loopback by default.
 pub struct NetCluster {
     workers: usize,
     cfg: NetConfig,
@@ -208,7 +163,7 @@ impl ClusterBackend for NetCluster {
         W: Fn(usize, &mut dyn WorkerLink<Req, Resp>) + Send + Sync,
     {
         let m = self.workers;
-        let mut server = AnyServer::bind(self.addr, m, self.cfg.clone())?;
+        let mut server = ReactorServer::bind(self.addr, m, self.cfg.clone())?;
         if let Some(hook) = &self.trace_hook {
             server.set_trace_hook(Arc::clone(hook));
         }
@@ -379,7 +334,7 @@ mod tests {
     fn hung_worker_is_reaped_and_survivors_finish() {
         let finished = AtomicUsize::new(0);
         let cfg = NetConfig::fast();
-        let server = NetServer::bind("127.0.0.1:0", 3, cfg.clone()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 3, cfg.clone()).unwrap();
         let addr = server.local_addr().unwrap();
 
         std::thread::scope(|scope| {
@@ -440,14 +395,14 @@ mod tests {
     fn bind_and_connect_reject_invalid_configs() {
         let mut bad = NetConfig::fast();
         bad.heartbeat_timeout = Duration::from_millis(5); // below the 20ms interval
-        let err = match NetServer::bind("127.0.0.1:0", 1, bad) {
+        let err = match ReactorServer::bind("127.0.0.1:0", 1, bad) {
             Err(e) => e,
             Ok(_) => panic!("inverted heartbeat windows must be rejected"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("heartbeat_timeout"), "unhelpful error: {err}");
 
-        let server = NetServer::bind("127.0.0.1:0", 1, NetConfig::fast()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 1, NetConfig::fast()).unwrap();
         let addr = server.local_addr().unwrap();
         let mut bad = NetConfig::fast();
         bad.request_timeout = Duration::ZERO;
@@ -474,7 +429,7 @@ mod tests {
         flaky_cfg.heartbeat_interval = Duration::from_secs(30); // silence
         flaky_cfg.request_timeout = Duration::from_millis(300);
 
-        let server = NetServer::bind("127.0.0.1:0", 2, server_cfg.clone()).unwrap();
+        let server = ReactorServer::bind("127.0.0.1:0", 2, server_cfg.clone()).unwrap();
         let addr = server.local_addr().unwrap();
         let flaky_done = std::sync::atomic::AtomicBool::new(false);
 

@@ -1,10 +1,14 @@
-//! Readiness-driven parameter server: one thread, all connections.
+//! The parameter-server side of the TCP backend: a readiness-driven
+//! reactor — one thread, all connections.
 //!
-//! [`crate::NetServer`] spends a thread per connection; past a few dozen
-//! workers the scheduler, the per-frame allocations and the serialized
-//! reply encoding dominate the apply loop. `ReactorServer` keeps the
-//! protocol and its liveness semantics identical but restructures the
-//! transport:
+//! `ReactorServer` accepts up to M worker connections and multiplexes
+//! their frames onto one serialized event loop — Algorithm 2's `repeat …
+//! until forever`, with real sockets instead of a virtual clock. The loop
+//! owns all mutable server state, so the algorithm closure needs no
+//! locking. (Its predecessor spent a thread per connection; past a few
+//! dozen workers the scheduler, the per-frame allocations and the
+//! serialized reply encoding dominated the apply loop. DESIGN.md §12 keeps
+//! that server's last measured numbers.)
 //!
 //! * **One reactor thread** owns the listener and every connection as
 //!   nonblocking sockets, sweeping them for readiness (a small poll loop —
@@ -31,11 +35,18 @@
 //! connection's batch and per-connection FIFO is preserved; cross-
 //! connection ordering was never guaranteed by any backend.
 //!
-//! Everything else — heartbeat reaping, hello timeout, reconnect
-//! supersession, per-rank circuit breakers on codec failures, dead-rank
-//! reply discards, frame-exact byte accounting, Goodbye termination — is
-//! the same contract as `NetServer`, verified by running the existing
-//! integration suites against this transport (it is the default).
+//! Liveness: any frame (heartbeats included) refreshes a connection's
+//! `last_seen`. A connection silent past the heartbeat timeout is shut
+//! down and its worker marked dead — the loop keeps serving the survivors
+//! instead of stalling. A rank that never says hello within the hello
+//! timeout is likewise written off. A worker may reconnect and re-`Hello`
+//! at any time, superseding (and closing) its old connection and reviving
+//! a dead rank; a rank whose frames keep failing the payload codec has its
+//! redials refused by a per-rank circuit breaker until the cooldown admits
+//! a half-open probe.
+//!
+//! Termination: the run ends when every rank has either finished cleanly
+//! (`Goodbye`) or been declared dead.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
@@ -159,8 +170,7 @@ struct PendingReq<Req> {
     req: Req,
 }
 
-/// A bound-but-not-yet-serving reactor parameter server. Drop-in for
-/// [`crate::NetServer`]: same constructor shape, same `serve` contract.
+/// A bound-but-not-yet-serving reactor parameter server.
 pub struct ReactorServer {
     listener: TcpListener,
     workers: usize,
@@ -740,6 +750,10 @@ fn deliver_replies<Resp: WireMsg>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::BreakerConfig;
+    use crate::frame::{read_frame, write_frame, Frame};
+    use crate::worker::NetWorker;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn payload(len: usize) -> Rc<Vec<u8>> {
         Rc::new(vec![7u8; len])
@@ -786,5 +800,74 @@ mod tests {
         assert_eq!(cache.retained_bytes(), size);
         assert_eq!(cache.entries.len(), 1);
         assert!(cache.get(1000).is_some());
+    }
+
+    /// Frames correctly (valid CRC) but fails the `u32` payload codec.
+    fn garbage_request(seq: u64) -> Frame {
+        Frame::new(FrameKind::Request, seq, vec![1, 2, 3])
+    }
+
+    fn valid_request(seq: u64, x: u32) -> Frame {
+        Frame::new(FrameKind::Request, seq, x.encoded())
+    }
+
+    #[test]
+    fn codec_failures_trip_the_rank_breaker_until_cooldown() {
+        let mut cfg = NetConfig::fast();
+        cfg.breaker = BreakerConfig {
+            failure_threshold: 2,
+            window: Duration::from_secs(5),
+            cooldown: Duration::from_millis(500),
+            cooldown_cap: Duration::from_millis(500),
+        };
+        let server = ReactorServer::bind("127.0.0.1:0", 2, cfg.clone()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let done = AtomicBool::new(false);
+
+        std::thread::scope(|scope| {
+            let done = &done;
+            // A healthy rank 1 keeps the run alive while rank 0 abuses
+            // the codec from raw sockets.
+            scope.spawn(move || {
+                let mut link = NetWorker::connect(addr, 1, cfg).unwrap();
+                while !done.load(Ordering::SeqCst) {
+                    let _: u32 = link.request(&5u32).unwrap();
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                link.finish().unwrap();
+            });
+            scope.spawn(move || {
+                // Two codec failures (threshold 2) trip rank 0's breaker;
+                // each one costs the connection.
+                for seq in 0..2u64 {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                    write_frame(&mut s, &Frame::hello(0)).unwrap();
+                    write_frame(&mut s, &garbage_request(seq)).unwrap();
+                    assert!(read_frame(&mut s).is_err(), "codec failure must drop the link");
+                }
+                // During the cooldown even a clean redial is refused: the
+                // Hello is answered with a hangup, so the valid request
+                // after it never sees a reply.
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                write_frame(&mut s, &Frame::hello(0)).unwrap();
+                let _ = write_frame(&mut s, &valid_request(10, 7));
+                assert!(read_frame(&mut s).is_err(), "open breaker must refuse the redial");
+                // Past the cooldown the half-open probe is admitted, and
+                // its first clean frame closes the breaker again.
+                std::thread::sleep(Duration::from_millis(700));
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                write_frame(&mut s, &Frame::hello(0)).unwrap();
+                write_frame(&mut s, &valid_request(11, 7)).unwrap();
+                let (reply, _) = read_frame(&mut s).unwrap();
+                assert_eq!(reply.kind, FrameKind::Reply);
+                assert_eq!(u32::decoded(&reply.payload).unwrap(), 14);
+                write_frame(&mut s, &Frame::new(FrameKind::Goodbye, 12, Vec::new())).unwrap();
+                done.store(true, Ordering::SeqCst);
+            });
+            server.serve(|_w, x: u32, ctx: &mut ServerCtx<u32>| ctx.reply(x * 2)).unwrap();
+        });
     }
 }

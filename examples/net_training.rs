@@ -1,6 +1,6 @@
 //! LC-ASGD end to end over real TCP sockets.
 //!
-//! A `NetServer` parameter server and four `NetWorker` client threads talk
+//! A `ReactorServer` parameter server and four `NetWorker` client threads talk
 //! over loopback, speaking the full Algorithm 1/2 protocol (pull →
 //! forward → push state → compensated backward → push gradient) through
 //! the same `run_cluster` driver the simulator and thread backends use.

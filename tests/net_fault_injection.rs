@@ -12,7 +12,7 @@ use lc_asgd::core::protocol::{ClusterReq, ClusterResp};
 use lc_asgd::core::server::ParameterServer;
 use lc_asgd::core::worker::WorkerNode;
 use lc_asgd::data::synth::blobs_split;
-use lc_asgd::netcluster::{NetConfig, NetServer, NetWorker};
+use lc_asgd::netcluster::{NetConfig, NetWorker, ReactorServer};
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::ServerCtx;
@@ -31,7 +31,7 @@ fn hung_worker_is_dropped_and_survivors_finish() {
     let mut server = ParameterServer::new(&canonical, m, BnMode::Regular, 0.1);
 
     let cfg = NetConfig::fast();
-    let net_server = NetServer::bind("127.0.0.1:0", m, cfg.clone()).expect("bind loopback");
+    let net_server = ReactorServer::bind("127.0.0.1:0", m, cfg.clone()).expect("bind loopback");
     let addr = net_server.local_addr().expect("bound address");
 
     let mut applied = 0usize;

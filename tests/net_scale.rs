@@ -12,9 +12,7 @@
 //!    `FaultPlan` completes while rogue connections repeatedly deliver
 //!    partial headers / truncated payloads and disconnect mid-frame.
 
-use lc_asgd::netcluster::{
-    frame, NetCluster, NetConfig, NetWorker, ReactorServer, Transport, COALESCE_PHASE,
-};
+use lc_asgd::netcluster::{frame, NetCluster, NetConfig, NetWorker, ReactorServer, COALESCE_PHASE};
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::backend::wire;
 use lc_asgd::simcluster::{ServerCtx, TraceHook, WireCodec, WireMsg, WireReader};
@@ -297,9 +295,10 @@ fn training_run_survives_mid_frame_disconnects_under_an_active_fault_plan() {
             }
         });
 
-        let cfg = NetConfig { transport: Transport::Reactor, ..NetConfig::fast() };
-        let backend =
-            NetCluster::new(4).with_config(cfg).with_addr(addr).with_fault_plan(plan.clone());
+        let backend = NetCluster::new(4)
+            .with_config(NetConfig::fast())
+            .with_addr(addr)
+            .with_fault_plan(plan.clone());
         let opts = RunOptions { fault_plan: Some(plan.clone()), ..RunOptions::default() };
         let r = run_cluster_with(backend, &c, &build, &train, &test, opts);
         stop.store(true, Ordering::Relaxed);

@@ -3,7 +3,6 @@
 //! staleness from OS scheduling should look like the simulated one, and
 //! both should converge.
 
-use lc_asgd::core::trainer::{run_experiment, run_threaded_asgd};
 use lc_asgd::data::synth::blobs_split;
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::prelude::*;
@@ -27,7 +26,7 @@ fn build(rng: &mut Rng) -> lc_asgd::nn::Network {
 fn both_backends_converge_on_the_same_task() {
     let (train, test) = task();
     let sim = run_experiment(&cfg(4), &build, &train, &test);
-    let threads = run_threaded_asgd(&cfg(4), &build, &train, &test);
+    let threads = run_cluster(ThreadCluster::new(4), &cfg(4), &build, &train, &test).unwrap();
     assert!(sim.final_test_error() < 0.25, "sim err {}", sim.final_test_error());
     assert!(threads.final_test_error() < 0.25, "thread err {}", threads.final_test_error());
 }
@@ -40,7 +39,7 @@ fn staleness_scales_with_worker_count_in_both_backends() {
             if backend == "sim" {
                 run_experiment(&cfg(m), &build, &train, &test)
             } else {
-                run_threaded_asgd(&cfg(m), &build, &train, &test)
+                run_cluster(ThreadCluster::new(m), &cfg(m), &build, &train, &test).unwrap()
             }
         };
         let s2 = run(2).mean_staleness();
@@ -67,7 +66,7 @@ fn simulated_staleness_mean_matches_theory() {
 #[test]
 fn threaded_staleness_is_nonnegative_and_bounded() {
     let (train, test) = task();
-    let r = run_threaded_asgd(&cfg(4), &build, &train, &test);
+    let r = run_cluster(ThreadCluster::new(4), &cfg(4), &build, &train, &test).unwrap();
     // Every gradient's staleness is well-defined and no worker starves
     // completely (upper bound: nothing should exceed total updates).
     assert!(!r.staleness.is_empty());

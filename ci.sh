@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Crates this sequence of PRs actively touches; lint-gated at -D warnings.
-TOUCHED=(-p lcasgd-tensor -p lcasgd-autograd -p lcasgd-simcluster -p lcasgd-netcluster -p lcasgd-core -p lcasgd-bench -p lc-asgd)
+TOUCHED=(-p lcasgd-tensor -p lcasgd-autograd -p lcasgd-nn -p lcasgd-simcluster -p lcasgd-netcluster -p lcasgd-core -p lcasgd-bench -p lc-asgd)
 
 echo "==> cargo build --release"
 cargo build --release
@@ -53,6 +53,18 @@ timeout 120 cargo test -q --release -p lcasgd-core shard
 # the function was split into a server state machine and a worker loop.
 echo "==> engine golden suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test engine_golden
+
+# The apply thread only applies: the predictors track their series inside
+# full runs, restore bitwise (and from a checkpoint the autograd cell
+# wrote) and allocate nothing in steady state; the fused LSTM cell agrees
+# with the autograd reference; and no epoch record leaves the server before
+# the evaluator thread has completed it — a wedged hand-off hangs rather
+# than fails, hence the timeouts.
+echo "==> predictor + deferred-evaluation suites (hard 300s timeout)"
+timeout 300 cargo test -q --release --test predictor_integration
+timeout 300 cargo test -q --release --test predictor_alloc
+timeout 300 cargo test -q --release --test deferred_eval
+timeout 300 cargo test -q --release -p lcasgd-bench --test lstm_differential
 
 # Observability contract: traced LC-ASGD on all three backends must tile
 # each worker's timeline (per-phase totals within 5% of elapsed time in

@@ -50,17 +50,16 @@ fn bench_lstm(c: &mut Criterion) {
     let mut g = c.benchmark_group("lstm");
     let mut rng = Rng::seed_from_u64(3);
     for &hidden in &[64usize, 128] {
-        let lstm = Lstm::new(3, hidden, 2, 1, &mut rng);
+        let mut lstm = Lstm::new(3, hidden, 2, 1, &mut rng);
         let state = lstm.zero_state();
-        let x = Tensor::from_vec(vec![0.1, 0.2, 0.3], &[1, 3]);
+        let x = [0.1, 0.2, 0.3];
         g.bench_function(format!("predict_h{hidden}"), |bench| {
-            bench.iter(|| black_box(lstm.predict(&x, &state)));
+            bench.iter(|| black_box(lstm.predict(&x, &state)[0]));
         });
-        let target = Tensor::from_vec(vec![0.5], &[1, 1]);
         g.bench_function(format!("train_step_h{hidden}"), |bench| {
             bench.iter_batched(
-                || Lstm::new(3, hidden, 2, 1, &mut Rng::seed_from_u64(4)),
-                |mut l| black_box(l.train_step(&x, &target, &state, 0.02).0),
+                || (Lstm::new(3, hidden, 2, 1, &mut Rng::seed_from_u64(4)), state.clone()),
+                |(mut l, mut st)| black_box(l.train_step(&x, &[0.5], &mut st, 0.02)),
                 BatchSize::SmallInput,
             );
         });

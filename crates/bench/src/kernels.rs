@@ -14,7 +14,8 @@
 //! one-sided under scheduler interference).
 
 use crate::baseline;
-use lcasgd_autograd::Graph;
+use lcasgd_autograd::{Graph, Var};
+use lcasgd_nn::lstm::LstmState;
 use lcasgd_tensor::ops::conv::{col2im, conv2d, conv2d_dw, conv2d_dx, im2col, Conv2dSpec};
 use lcasgd_tensor::{Rng, Tensor};
 use rayon::prelude::*;
@@ -279,6 +280,133 @@ pub mod seed {
     pub fn ema(dst: &mut Tensor, src: &Tensor, momentum: f32) {
         dst.scale_inplace(1.0 - momentum);
         dst.add_assign_scaled(src, momentum);
+    }
+
+    /// The predictors' LSTM as it ran until the fused cell replaced it
+    /// (`nn::lstm::Lstm` at commit `e7efea8`): every step builds an
+    /// autograd [`Graph`] over clones of the weights, and `train_step`
+    /// backpropagates the one-step MSE through it. The one copy of that
+    /// formulation left — what the fused cell is timed and tested against.
+    pub struct Lstm {
+        /// Per layer `W: [4h, in+h]` and `b: [4h]` (gates `i, f, g, o`),
+        /// then the head's `W: [out, h]` and `b: [out]`.
+        params: Vec<Tensor>,
+        hidden: usize,
+        pub grad_clip: f32,
+    }
+
+    impl Lstm {
+        /// A reference model with `model`'s architecture and weights.
+        pub fn mirror(model: &lcasgd_nn::Lstm) -> Self {
+            let mut params = Vec::new();
+            model.visit_params(&mut |t| params.push(t.clone()));
+            Lstm { params, hidden: model.hidden(), grad_clip: model.grad_clip }
+        }
+
+        /// All parameters in `nn::lstm::Lstm::flat_params` order.
+        pub fn flat_params(&self) -> Vec<f32> {
+            self.params.iter().flat_map(|t| t.data().iter().copied()).collect()
+        }
+
+        /// Builds the one-step graph: the output var, the new `(h, c)` vars
+        /// per layer, and one leaf per parameter in `params` order.
+        fn build_step(
+            &self,
+            g: &mut Graph,
+            x: Var,
+            state: &LstmState,
+        ) -> (Var, Vec<(Var, Var)>, Vec<Var>) {
+            let leaves: Vec<Var> = self.params.iter().map(|p| g.leaf(p.clone())).collect();
+            let hsz = self.hidden;
+            let mut cur = x;
+            let mut new_state = Vec::with_capacity(state.layers.len());
+            for ((h, c), wb) in state.layers.iter().zip(leaves.chunks_exact(2)) {
+                let (h, c) = (g.leaf(h.clone()), g.leaf(c.clone()));
+                let xh = g.concat_cols(cur, h);
+                let gates = g.linear(xh, wb[0], wb[1]); // [1, 4h]
+                let i_pre = g.slice_cols(gates, 0, hsz);
+                let f_pre = g.slice_cols(gates, hsz, hsz);
+                let g_pre = g.slice_cols(gates, 2 * hsz, hsz);
+                let o_pre = g.slice_cols(gates, 3 * hsz, hsz);
+                let i = g.sigmoid(i_pre);
+                let f = g.sigmoid(f_pre);
+                let cand = g.tanh(g_pre);
+                let o = g.sigmoid(o_pre);
+                let fc = g.mul(f, c);
+                let ig = g.mul(i, cand);
+                let c_new = g.add(fc, ig);
+                let c_act = g.tanh(c_new);
+                let h_new = g.mul(o, c_act);
+                new_state.push((h_new, c_new));
+                cur = h_new;
+            }
+            let n = leaves.len();
+            let out = g.linear(cur, leaves[n - 2], leaves[n - 1]);
+            (out, new_state, leaves)
+        }
+
+        fn detach(g: &Graph, new_state: &[(Var, Var)]) -> LstmState {
+            LstmState {
+                layers: new_state
+                    .iter()
+                    .map(|&(h, c)| (g.value(h).clone(), g.value(c).clone()))
+                    .collect(),
+            }
+        }
+
+        /// Forward-only step: `x: [1, in]` to the output `[1, out]` and the
+        /// advanced state.
+        pub fn predict(&self, x: &Tensor, state: &LstmState) -> (Tensor, LstmState) {
+            let mut g = Graph::new();
+            let xv = g.leaf(x.clone());
+            let (out, new_state, _) = self.build_step(&mut g, xv, state);
+            (g.value(out).clone(), Self::detach(&g, &new_state))
+        }
+
+        /// One online training step: forward, MSE against `target`,
+        /// backward, global-norm-clipped SGD update. Returns the loss and
+        /// the advanced (detached) state.
+        pub fn train_step(
+            &mut self,
+            x: &Tensor,
+            target: &Tensor,
+            state: &LstmState,
+            lr: f32,
+        ) -> (f32, LstmState) {
+            let mut g = Graph::new();
+            let xv = g.leaf(x.clone());
+            let (out, new_state, leaves) = self.build_step(&mut g, xv, state);
+            let loss = g.mse(out, target.clone());
+            g.backward(loss);
+            let grads: Vec<Option<Tensor>> = leaves.iter().map(|&p| g.take_grad(p)).collect();
+            let total_sq: f64 = grads
+                .iter()
+                .flatten()
+                .map(|t| t.data().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>())
+                .sum();
+            let norm = total_sq.sqrt() as f32;
+            let scale = if norm > self.grad_clip { self.grad_clip / norm } else { 1.0 };
+            for (p, grad) in self.params.iter_mut().zip(grads) {
+                if let Some(grad) = grad {
+                    p.add_assign_scaled(&grad, -lr * scale);
+                }
+            }
+            (g.value(loss).item(), Self::detach(&g, &new_state))
+        }
+
+        /// `k` steps, each prediction fed back as the next input.
+        pub fn rollout(&self, x0: &Tensor, state: &LstmState, k: usize) -> Vec<Tensor> {
+            let mut out = Vec::with_capacity(k);
+            let mut x = x0.clone();
+            let mut st = state.clone();
+            for _ in 0..k {
+                let (y, next) = self.predict(&x, &st);
+                st = next;
+                x = y.clone();
+                out.push(y);
+            }
+            out
+        }
     }
 }
 
@@ -569,8 +697,49 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             || fork_join(&mut b),
         );
     }
-    // The LSTM predictor's gate product must stay on the cheap serial
-    // path: this row documents that small matmuls did not regress.
+    // The two predictors' per-arrival call at the paper's sizes: one online
+    // train step, then the step predictor's forecast (`i3_h128`) or the
+    // loss predictor's rollout (`i1_h64_k3`: horizon M − 1 at M = 4). The
+    // seed side is the autograd cell they ran on until the fused one.
+    for (shape, input, hidden, horizon) in
+        [("i3_h128", 3, 128, None), ("i1_h64_k3", 1, 64, Some(3))]
+    {
+        let mut fused = lcasgd_nn::Lstm::new(input, hidden, 2, 1, &mut Rng::seed_from_u64(24));
+        let mut reference = seed::Lstm::mirror(&fused);
+        let x: Vec<f32> = (0..input).map(|i| 0.6 - 0.2 * i as f32).collect();
+        let xt = Tensor::from_vec(x.clone(), &[1, input]);
+        let target = Tensor::from_vec(vec![0.5], &[1, 1]);
+        let mut ref_state = fused.zero_state();
+        let mut seed_call = || {
+            ref_state = reference.train_step(&xt, &target, &ref_state, 0.02).1;
+            match horizon {
+                None => reference.predict(&xt, &ref_state).0.item(),
+                Some(k) => reference.rollout(&xt, &ref_state, k).iter().map(Tensor::item).sum(),
+            }
+        };
+        let mut state = fused.zero_state();
+        let mut preds = Vec::new();
+        let mut opt_call = || {
+            fused.train_step(&x, &[0.5], &mut state, 0.02);
+            match horizon {
+                None => fused.predict(&x, &state)[0],
+                Some(k) => {
+                    fused.rollout(&x, &state, k, &mut preds);
+                    preds.iter().sum()
+                }
+            }
+        };
+        for step in 0..50 {
+            let (a, b): (f32, f32) = (seed_call(), opt_call());
+            assert!(
+                (a - b).abs() < 1e-4,
+                "lstm_online {shape} mismatch at step {step}: {a} vs {b}"
+            );
+        }
+        row(&mut reports, "lstm_online", shape.into(), samples * 50, seed_call, opt_call);
+    }
+    // A one-row product at the predictors' width must stay on the cheap
+    // serial path: this row documents that small matmuls did not regress.
     {
         let (m, n, k) = (1, 512, 128);
         let a = randn(&[m, k], 13);

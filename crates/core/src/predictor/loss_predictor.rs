@@ -49,6 +49,8 @@ pub struct LossPredictor {
     last_loss: Option<f32>,
     /// Forecast of the next arrival, cached for trace comparison.
     next_forecast: Option<f32>,
+    /// The rollout's forecasts, kept so a call allocates nothing.
+    preds: Vec<f32>,
     /// Online SGD learning rate.
     pub lr: f32,
     /// Accumulated measured CPU milliseconds.
@@ -72,6 +74,7 @@ impl LossPredictor {
             state,
             last_loss: None,
             next_forecast: None,
+            preds: Vec::new(),
             lr: 0.02,
             elapsed_ms: 0.0,
             train_steps: 0,
@@ -133,19 +136,14 @@ impl LossPredictor {
 
         // Line 1: train lossPred with (data = ℓ_t, label = ℓ_m).
         if let Some(prev) = self.last_loss {
-            let x = Tensor::from_vec(vec![prev], &[1, 1]);
-            let target = Tensor::from_vec(vec![loss_m], &[1, 1]);
-            let (_, new_state) = self.lstm.train_step(&x, &target, &self.state, self.lr);
-            self.state = new_state;
+            self.lstm.train_step(&[prev], &[loss_m], &mut self.state, self.lr);
             self.train_steps += 1;
         }
 
         // Line 2–3: roll `k` steps from ℓ_m and sum the predictions.
-        let x_m = Tensor::from_vec(vec![loss_m], &[1, 1]);
-        let horizon = k.max(1);
-        let preds = self.lstm.rollout(&x_m, &self.state, horizon);
-        let one_step = preds[0].item();
-        let l_delay: f32 = if k == 0 { 0.0 } else { preds.iter().map(|p| p.item()).sum() };
+        self.lstm.rollout(&[loss_m], &self.state, k.max(1), &mut self.preds);
+        let one_step = self.preds[0];
+        let l_delay: f32 = if k == 0 { 0.0 } else { self.preds.iter().sum() };
 
         // Line 4: ℓ_t = ℓ_m.
         self.last_loss = Some(loss_m);

@@ -112,23 +112,21 @@ impl StepPredictor {
         let mw = self.num_workers.max(1) as f32;
 
         // Line 2: train stepPred with (prev observation → actual step).
-        if let Some(prev) = self.streams[m].prev {
-            let x = Tensor::from_vec(prev.to_vec(), &[1, 3]);
-            let target = Tensor::from_vec(vec![actual_step / mw], &[1, 1]);
-            let (_, new_state) = self.lstm.train_step(&x, &target, &self.streams[m].state, self.lr);
-            self.streams[m].state = new_state;
+        let stream = &mut self.streams[m];
+        if let Some(prev) = stream.prev {
+            self.lstm.train_step(&prev, &[actual_step / mw], &mut stream.state, self.lr);
             self.train_steps += 1;
         }
 
         // Line 3: forecast the next step from the current observation.
         let cur = self.normalize(actual_step, t_comm, t_comp);
-        let (pred, _) =
-            self.lstm.predict(&Tensor::from_vec(cur.to_vec(), &[1, 3]), &self.streams[m].state);
+        let stream = &mut self.streams[m];
+        let pred = self.lstm.predict(&cur, &stream.state)[0];
         // Line 4: remember the current observation for the next round.
-        self.streams[m].prev = Some(cur);
+        stream.prev = Some(cur);
 
         self.elapsed_ms += t0.elapsed().as_secs_f64() * 1e3;
-        (pred.item() * mw).clamp(0.0, 4.0 * mw)
+        (pred * mw).clamp(0.0, 4.0 * mw)
     }
 
     /// Number of workers this predictor serves.

@@ -137,8 +137,11 @@ pub struct SupervisorConfig {
     pub grad_norm_warmup: u32,
     /// Norm-spike strikes before the worker is quarantined.
     pub quarantine_strikes: u32,
-    /// Quarantine length, in applied updates.
-    pub quarantine_updates: u64,
+    /// Quarantine length, in arrivals: pushes from any worker reaching
+    /// [`Supervisor::admit`], admitted or not. (Not applied updates: those
+    /// stop coming once every worker is quarantined, and a clock that only
+    /// admitted pushes advance would never release anyone again.)
+    pub quarantine_arrivals: u64,
     /// Sliding window (in applied updates) of the loss-explosion detector.
     pub loss_window: usize,
     /// The window mean exploding past `explode_factor ×` the best window
@@ -173,7 +176,7 @@ impl Default for SupervisorConfig {
             grad_norm_factor: 8.0,
             grad_norm_warmup: 8,
             quarantine_strikes: 2,
-            quarantine_updates: 30,
+            quarantine_arrivals: 30,
             loss_window: 12,
             explode_factor: 3.0,
             snapshot_every: 20,
@@ -195,8 +198,9 @@ pub enum HealthEvent {
     NanGradient { worker: usize },
     /// A gradient norm exceeded the spike threshold.
     NormSpike { worker: usize, norm: f32, limit: f32 },
-    /// A worker's pushes are discarded until the given applied update.
-    Quarantined { worker: usize, until_update: u64 },
+    /// A worker's pushes are discarded until the server has seen the
+    /// given number of arrivals.
+    Quarantined { worker: usize, until_arrival: u64 },
     /// A quarantine expired.
     Released { worker: usize },
     /// The loss window mean exploded past the threshold.
@@ -253,8 +257,8 @@ impl fmt::Display for HealthEvent {
             HealthEvent::NormSpike { worker, norm, limit } => {
                 write!(f, "norm-spike worker={worker} norm={norm:.3e} limit={limit:.3e}")
             }
-            HealthEvent::Quarantined { worker, until_update } => {
-                write!(f, "quarantined worker={worker} until-update={until_update}")
+            HealthEvent::Quarantined { worker, until_arrival } => {
+                write!(f, "quarantined worker={worker} until-arrival={until_arrival}")
             }
             HealthEvent::Released { worker } => write!(f, "released worker={worker}"),
             HealthEvent::LossExplosion { window_mean, baseline } => {
@@ -377,10 +381,15 @@ pub struct Supervisor {
     /// The run's configured algorithm — the ladder's top rung.
     base: AlgoMode,
     modes: Vec<AlgoMode>,
-    // Norm sentinel: global EMA over admitted gradient norms.
+    /// Pushes seen by [`Supervisor::admit`], admitted or not: the clock
+    /// quarantines run on.
+    seen: u64,
+    // Norm sentinel: global EMA over admitted gradient norms (and, slowly,
+    // over rejected ones).
     norm_ema: f32,
     norm_n: u32,
     strikes: Vec<u32>,
+    /// The arrival count (`seen`) each quarantined worker is held out until.
     quarantined_until: Vec<Option<u64>>,
     // Ladder bookkeeping.
     demerits: Vec<u32>,
@@ -409,6 +418,7 @@ impl Supervisor {
             cfg,
             base,
             modes: vec![base; m],
+            seen: 0,
             norm_ema: 0.0,
             norm_n: 0,
             strikes: vec![0; m],
@@ -484,10 +494,10 @@ impl Supervisor {
     }
 
     fn quarantine(&mut self, w: usize, applied: u64) {
-        let until = applied + self.cfg.quarantine_updates;
+        let until = self.seen + self.cfg.quarantine_arrivals;
         self.quarantined_until[w] = Some(until);
         self.strikes[w] = 0;
-        self.event(applied, HealthEvent::Quarantined { worker: w, until_update: until });
+        self.event(applied, HealthEvent::Quarantined { worker: w, until_arrival: until });
     }
 
     /// Adds `n` demerits to worker `w`, demoting it one rung when the
@@ -628,19 +638,25 @@ impl Supervisor {
         loss: f32,
     ) -> Admission {
         const DISCARD: f32 = 1.0;
+        /// How fast the spike baseline follows a *rejected* norm, against
+        /// 0.1 for an admitted one.
+        const REJECTED_NORM_RATE: f32 = 0.02;
         let discard =
             |rollback| Admission { grads: None, lr_scale: DISCARD, staleness: stale, rollback };
 
         // Straggler scoring sees every arrival, even ones about to be
         // discarded — slowness is a property of the worker, not of the
         // payload.
+        self.seen += 1;
         self.arrivals[w] += 1;
         self.stale_ema[w] = 0.8 * self.stale_ema[w] + 0.2 * stale as f32;
         self.straggler_check(w, applied);
 
-        // Quarantine gate (with release check).
+        // Quarantine gate (with release check). The clock is arrivals, which
+        // a quarantined worker's own dropped pushes advance too: however
+        // many workers are held out, each is released in bounded time.
         if let Some(until) = self.quarantined_until[w] {
-            if applied < until {
+            if self.seen < until {
                 self.report.quarantine_drops += 1;
                 return discard(false);
             }
@@ -667,6 +683,13 @@ impl Supervisor {
                 if self.strikes[w] >= self.cfg.quarantine_strikes {
                     self.quarantine(w, applied);
                 }
+                // The baseline learns from what it rejects, slowly and no
+                // further than the limit it just enforced: when the norms
+                // have genuinely moved (near convergence they swing by
+                // more than the factor) it catches up instead of striking
+                // every worker against a stale value, and a garbage payload
+                // cannot drag it anywhere.
+                self.norm_ema += REJECTED_NORM_RATE * (limit - self.norm_ema);
                 return discard(false);
             }
         }
@@ -760,7 +783,7 @@ mod tests {
         SupervisorConfig {
             grad_norm_warmup: 2,
             quarantine_strikes: 2,
-            quarantine_updates: 5,
+            quarantine_arrivals: 5,
             loss_window: 3,
             explode_factor: 2.0,
             demote_after: 2,
@@ -780,14 +803,18 @@ mod tests {
         let a = s.admit(0, 10, 0, vec![f32::NAN, 0.0], 1.0);
         assert!(a.grads.is_none());
         assert_eq!(s.mode(0), AlgoMode::Dc, "full rung of demerits on NaN");
-        assert!(s.quarantined_until[0] == Some(15));
+        assert!(s.quarantined_until[0] == Some(6), "arrival 1 + 5");
         // Pushes during quarantine are dropped without new events.
         let before = s.report.events.len();
-        assert!(admit_ok(&mut s, 0, 12, 1.0).grads.is_none());
+        assert!(admit_ok(&mut s, 0, 10, 1.0).grads.is_none());
         assert_eq!(s.report.events.len(), before);
         assert_eq!(s.report.quarantine_drops, 1);
-        // Past the release point the worker is admitted again.
-        let a = admit_ok(&mut s, 0, 16, 1.0);
+        // Worker 1's arrivals advance the clock too; the sixth arrival is
+        // past the release point and worker 0 is admitted again.
+        for applied in 10..13 {
+            assert!(admit_ok(&mut s, 1, applied, 1.0).grads.is_some());
+        }
+        let a = admit_ok(&mut s, 0, 13, 1.0);
         assert!(a.grads.is_some());
         assert!(s
             .report
@@ -799,14 +826,61 @@ mod tests {
     #[test]
     fn second_nan_storm_reaches_plain_asgd() {
         let mut s = Supervisor::new(cfg(), AlgoMode::Lc, 1);
+        // Four dropped pushes sit a five-arrival quarantine out.
+        let sit_out = |s: &mut Supervisor| {
+            for _ in 0..4 {
+                assert!(admit_ok(s, 0, 0, 1.0).grads.is_none());
+            }
+        };
         s.admit(0, 0, 0, vec![f32::INFINITY], 1.0);
         assert_eq!(s.mode(0), AlgoMode::Dc);
-        s.admit(0, 10, 0, vec![f32::NAN], 1.0); // past the release point
+        sit_out(&mut s);
+        s.admit(0, 0, 0, vec![f32::NAN], 1.0); // past the release point
         assert_eq!(s.mode(0), AlgoMode::Asgd);
         // The ladder has a floor.
-        s.admit(0, 20, 0, vec![f32::NAN], 1.0);
+        sit_out(&mut s);
+        s.admit(0, 0, 0, vec![f32::NAN], 1.0);
         assert_eq!(s.mode(0), AlgoMode::Asgd);
         assert_eq!(s.into_report().demotions(), 2);
+    }
+
+    /// ROADMAP item 1's absorbing state: with every worker quarantined no
+    /// update applies, so a quarantine counted in applied updates never
+    /// ends. Counted in arrivals it does, whatever `applied` is doing.
+    #[test]
+    fn quarantining_every_worker_still_releases_them() {
+        let m = 4;
+        let mut s = Supervisor::new(cfg(), AlgoMode::Lc, m);
+        for w in 0..m {
+            s.admit(w, 7, 0, vec![f32::NAN], 1.0);
+        }
+        assert!(s.quarantined_until.iter().all(Option::is_some), "all four are held out");
+        // Nothing applies from here on: `applied` stays at 7.
+        // Worker `w` went in at arrival `w + 1`, until arrival `w + 6`; the
+        // next round of pushes (arrivals 5–8) is dropped, one short each.
+        let dropped = (0..).find(|i| admit_ok(&mut s, i % m, 7, 1.0).grads.is_some());
+        assert_eq!(dropped, Some(m), "the first clean push after one quarantine length");
+        let admitted = (1..m).filter(|&w| admit_ok(&mut s, w, 7, 1.0).grads.is_some()).count();
+        assert_eq!(admitted, m - 1, "and every other worker's with it");
+    }
+
+    #[test]
+    fn the_spike_baseline_follows_rejected_norms_to_a_new_level() {
+        let mut s = Supervisor::new(cfg(), AlgoMode::Asgd, 1);
+        for i in 0..3 {
+            assert!(admit_ok(&mut s, 0, i, 1.0).grads.is_some());
+        }
+        // The gradient scale moves by 20× for good (factor 8): judged only
+        // against admitted norms the worker would be struck forever.
+        let pushes =
+            (0..200).take_while(|_| s.admit(0, 3, 0, vec![2.0, -2.0], 1.0).grads.is_none());
+        let rejected = pushes.count();
+        assert!((2..60).contains(&rejected), "admitted after {rejected} rejections");
+        // A garbage payload moves the baseline no further than a spike at
+        // the limit does.
+        let before = s.norm_ema;
+        assert!(s.admit(0, 4, 0, vec![1e30, 1e30], 1.0).grads.is_none());
+        assert!(s.norm_ema < before * 1.2, "{} -> {}", before, s.norm_ema);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use lcasgd_simcluster::{ClusterBackend, ClusterError, FaultPlan};
 use lcasgd_tensor::{Rng, Tensor};
 use serve::Server;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use work::{worker_loop, worker_nodes, RunEnv};
 
@@ -87,6 +88,18 @@ impl<'a> EvalHarness<'a> {
     }
 }
 
+/// An epoch's record before its evaluation: stamped, the epoch's losses
+/// averaged and cleared, both error rates still NaN.
+fn open_record(epoch: usize, time: f64, epoch_losses: &mut Vec<f32>, lr: f32) -> EpochRecord {
+    let train_loss = if epoch_losses.is_empty() {
+        f32::NAN
+    } else {
+        epoch_losses.iter().sum::<f32>() / epoch_losses.len() as f32
+    };
+    epoch_losses.clear();
+    EpochRecord { epoch, time, train_error: f32::NAN, test_error: f32::NAN, train_loss, lr }
+}
+
 fn epoch_record(
     epoch: usize,
     time: f64,
@@ -97,13 +110,60 @@ fn epoch_record(
     lr: f32,
 ) -> EpochRecord {
     let (train_error, test_error) = harness.evaluate(weights, bn);
-    let train_loss = if epoch_losses.is_empty() {
-        f32::NAN
-    } else {
-        epoch_losses.iter().sum::<f32>() / epoch_losses.len() as f32
-    };
-    epoch_losses.clear();
-    EpochRecord { epoch, time, train_error, test_error, train_loss, lr }
+    EpochRecord { train_error, test_error, ..open_record(epoch, time, epoch_losses, lr) }
+}
+
+/// The cluster engine's epoch evaluation, off the server's thread. The
+/// server closes an epoch by pushing an [`open_record`] and handing the
+/// weights it was closed at to [`Evaluator::submit`]; the evaluator thread
+/// ([`serve_evaluations`], owner of the [`EvalHarness`]) sends the two
+/// error rates back and [`Evaluator::collect`] writes them into the
+/// record. Evaluation is a pure function of `(weights, bn)`, so the record
+/// ends up bitwise what inline evaluation would have made it. At most one
+/// snapshot is in flight: a second `submit` first waits for the first.
+struct Evaluator {
+    jobs: Sender<(Vec<f32>, BnState)>,
+    results: Receiver<(f32, f32)>,
+    /// Index of the record whose error rates are in flight.
+    pending: Option<usize>,
+}
+
+impl Evaluator {
+    /// Queues the evaluation of the newest record in `records`.
+    fn submit(&mut self, records: &mut [EpochRecord], weights: Vec<f32>, bn: BnState) {
+        self.collect(records);
+        // A send can only fail once the evaluator has panicked, which
+        // `run_cluster_with` turns into the run's error when it joins it.
+        if self.jobs.send((weights, bn)).is_ok() {
+            self.pending = Some(records.len() - 1);
+        }
+    }
+
+    /// Waits for the evaluation in flight, if any, and completes its
+    /// record. Callers that read, ship or truncate `records` call this
+    /// first, so no record is seen half-made and the index stays valid.
+    fn collect(&mut self, records: &mut [EpochRecord]) {
+        let Some(at) = self.pending.take() else { return };
+        // As for `submit`: a dead evaluator hangs up instead of answering.
+        if let Ok((train_error, test_error)) = self.results.recv() {
+            records[at].train_error = train_error;
+            records[at].test_error = test_error;
+        }
+    }
+}
+
+/// The evaluator thread's body: one evaluation per submitted snapshot,
+/// until the server (and its [`Evaluator`]) is gone.
+fn serve_evaluations(
+    mut harness: EvalHarness<'_>,
+    jobs: Receiver<(Vec<f32>, BnState)>,
+    results: Sender<(f32, f32)>,
+) {
+    for (weights, bn) in jobs {
+        if results.send(harness.evaluate(&weights, &bn)).is_err() {
+            return;
+        }
+    }
 }
 
 /// The example indices each worker draws from, per the partition setting.
@@ -309,27 +369,45 @@ pub fn run_cluster_with<B: ClusterBackend>(
         sink.clone(),
     );
     let harness = EvalHarness::new(cfg, build, train, test);
-    let mut server = Server::new(&env, harness, group, base_mode, codec, standby.is_some());
-    server.sup = sup;
-    server.fault_plan = fault_plan;
-    server.halt_at = halt_at;
-    server.kill_at = kill_at;
-    server.checkpoint_path = checkpoint_path;
-    if checkpoint_every != 0 {
-        server.checkpoint_every = checkpoint_every;
-    }
-    if let Some(ck) = &resume {
-        server.resume(ck)?;
-    }
-    if let Some(sc) = &standby {
-        server.attach_standby(sc, backend.replica_duplex()?);
-    }
-    backend.attach_trace_hook(Arc::new(sink));
-    server.start();
+    std::thread::scope(|scope| {
+        let (jobs, job_queue) = mpsc::channel();
+        let (result_queue, results) = mpsc::channel();
+        let evaluator = scope.spawn(move || serve_evaluations(harness, job_queue, result_queue));
+        let run = || {
+            let eval = Evaluator { jobs, results, pending: None };
+            let mut server = Server::new(&env, eval, group, base_mode, codec, standby.is_some());
+            server.sup = sup;
+            server.fault_plan = fault_plan;
+            server.halt_at = halt_at;
+            server.kill_at = kill_at;
+            server.checkpoint_path = checkpoint_path;
+            if checkpoint_every != 0 {
+                server.checkpoint_every = checkpoint_every;
+            }
+            if let Some(ck) = &resume {
+                server.resume(ck)?;
+            }
+            if let Some(sc) = &standby {
+                server.attach_standby(sc, backend.replica_duplex()?);
+            }
+            backend.attach_trace_hook(Arc::new(sink));
+            server.start();
 
-    let transport = backend
-        .run(|w, req, ctx| server.handle(w, req, ctx), |w, link| worker_loop(w, link, &env))?;
-    Ok(server.finish(transport))
+            let transport = backend.run(
+                |w, req, ctx| server.handle(w, req, ctx),
+                |w, link| worker_loop(w, link, &env),
+            )?;
+            Ok(server.finish(transport))
+        };
+        let result = run();
+        // The server is gone and its job channel with it, so the evaluator
+        // has returned — unless an evaluation panicked, which left a record
+        // without its error rates: that fails the run.
+        match evaluator.join() {
+            Ok(()) => result,
+            Err(_) => Err(ClusterError::Protocol("the epoch evaluator thread panicked".into())),
+        }
+    })
 }
 
 #[cfg(test)]

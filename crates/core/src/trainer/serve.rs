@@ -4,7 +4,7 @@
 //! ([`Server::on_push`]). DESIGN.md §13 maps handlers to the paper's lines
 //! and says why the steps run in the order they do.
 
-use super::{epoch_record, km_steps, updates_per_epoch, EvalHarness, RunEnv};
+use super::{km_steps, open_record, updates_per_epoch, Evaluator, RunEnv};
 use crate::algorithms::Algorithm;
 use crate::checkpoint::TrainingCheckpoint;
 use crate::metrics::{EpochRecord, FaultReport, OverheadStats, PredictorTrace, RunResult};
@@ -239,7 +239,7 @@ struct GoodState {
 /// [`run_cluster_with`]: super::run_cluster_with
 pub(super) struct Server<'a> {
     env: &'a RunEnv<'a>,
-    harness: EvalHarness<'a>,
+    eval: Evaluator,
     codec: WireCodec,
     is_ssgd: bool,
     t0: Instant,
@@ -306,7 +306,7 @@ impl<'a> Server<'a> {
     /// `fenced` arms epoch fencing (runs with a standby).
     pub(super) fn new(
         env: &'a RunEnv<'a>,
-        harness: EvalHarness<'a>,
+        eval: Evaluator,
         group: ShardGroup,
         base_mode: AlgoMode,
         codec: WireCodec,
@@ -318,7 +318,7 @@ impl<'a> Server<'a> {
         let rounds_per_epoch = env.train.len().div_ceil(m * cfg.batch_size).max(1);
         Server {
             env,
-            harness,
+            eval,
             codec,
             is_ssgd: cfg.algorithm == Algorithm::Ssgd,
             // Reset by `start`, once set-up is over.
@@ -585,16 +585,8 @@ impl<'a> Server<'a> {
         sink.note_version(self.group.version());
         self.rounds_done += 1;
         if self.rounds_done.is_multiple_of(self.rounds_per_epoch) {
-            let record = epoch_record(
-                self.rounds_done / self.rounds_per_epoch,
-                self.now(),
-                &mut self.harness,
-                &self.group.lead().weights,
-                self.group.bn(),
-                &mut self.losses,
-                lr,
-            );
-            self.records.push(record);
+            let weights = self.group.lead().weights.clone();
+            self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr, weights);
         }
         let stop = self.rounds_done >= self.rounds_target;
         for &(parked, ..) in &self.round {
@@ -711,24 +703,25 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Step 2: at an epoch boundary, evaluate and record the epoch, then
-    /// refresh the standby's snapshot: fields the log does not carry
-    /// (predictor state, batch positions, epoch records) catch up here.
+    /// Step 2: at an epoch boundary, record the epoch and publish its
+    /// weights for evaluation, then refresh the standby's snapshot: fields
+    /// the log does not carry (predictor state, batch positions, epoch
+    /// records) catch up here.
     fn close_epoch(&mut self, lr: f32) {
         if !self.applied.is_multiple_of(self.updates_per_epoch) {
             return;
         }
-        let record = epoch_record(
-            self.applied / self.updates_per_epoch,
-            self.now(),
-            &mut self.harness,
-            &self.group.assembled_weights(),
-            self.group.bn(),
-            &mut self.losses,
-            lr,
-        );
-        self.records.push(record);
+        let weights = self.group.assembled_weights();
+        self.record_epoch(self.applied / self.updates_per_epoch, lr, weights);
         self.snapshot_standby();
+    }
+
+    /// Stamps epoch `epoch`'s record and hands `weights` — the model the
+    /// epoch ended on — to the evaluator thread, which fills in the error
+    /// rates while this thread goes back to Algorithm 2.
+    fn record_epoch(&mut self, epoch: usize, lr: f32, weights: Vec<f32>) {
+        self.records.push(open_record(epoch, self.now(), &mut self.losses, lr));
+        self.eval.submit(&mut self.records, weights, self.group.bn().clone());
     }
 
     /// Step 3: a planned server restart halts the run once its update
@@ -746,12 +739,13 @@ impl<'a> Server<'a> {
     /// write must not kill training: it goes to the fault report and the
     /// trace, and the server keeps serving gradients.
     fn write_checkpoint(&mut self, halt_now: bool) {
-        let Some(path) = &self.checkpoint_path else { return };
-        if !(halt_now || self.applied.is_multiple_of(self.checkpoint_every)) {
+        let due = halt_now || self.applied.is_multiple_of(self.checkpoint_every);
+        if self.checkpoint_path.is_none() || !due {
             return;
         }
-        let sink = &self.env.sink;
         let ck = self.checkpoint();
+        let Some(path) = &self.checkpoint_path else { return };
+        let sink = &self.env.sink;
         let t_ck = Instant::now();
         match ck.save(path) {
             Ok(()) => {
@@ -805,6 +799,7 @@ impl<'a> Server<'a> {
         self.losses = ck.epoch_losses.clone();
         // Epoch records computed from discarded updates are recomputed
         // when the boundary is crossed again.
+        self.eval.collect(&mut self.records);
         self.records.truncate(self.applied / self.updates_per_epoch);
         self.predictors.restore(ck.loss_pred.as_ref(), ck.step_pred.as_ref());
         // DC backups and half-assembled pushes reference pulls from the
@@ -924,8 +919,10 @@ impl<'a> Server<'a> {
     }
 
     /// The running server's full state: what the standby is sent and what
-    /// goes to disk.
-    fn checkpoint(&self) -> TrainingCheckpoint {
+    /// goes to disk — so it waits for the evaluation in flight, and every
+    /// epoch record in it is whole.
+    fn checkpoint(&mut self) -> TrainingCheckpoint {
+        self.eval.collect(&mut self.records);
         let group = &self.group;
         let (loss_pred, step_pred) = self.predictors.snapshot();
         TrainingCheckpoint {
@@ -952,6 +949,9 @@ impl<'a> Server<'a> {
     pub(super) fn finish(mut self, transport: TransportStats) -> RunResult {
         let env = self.env;
         let (cfg, sink) = (env.cfg, &env.sink);
+        // Before any clock is read: the run is over when its last epoch
+        // has been evaluated.
+        self.eval.collect(&mut self.records);
         // Dropping the stream hangs up the duplex; the standby thread's
         // recv fails and it exits cleanly.
         let replication = self.standby_slot.is_some().then(|| {

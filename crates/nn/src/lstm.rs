@@ -3,21 +3,72 @@
 //! layer at the end", paper §4.3–4.4).
 //!
 //! The predictors are trained *online*, one `(input, label)` pair at a
-//! time (truncated BPTT of length 1): the recurrent state is carried
-//! across steps as plain tensors (detached), and each [`Lstm::train_step`]
-//! builds a one-step graph, backpropagates an MSE loss, and applies a
-//! clipped SGD update.
+//! time (truncated BPTT of length 1), at batch size 1, on the parameter
+//! server's thread. So the cell is fused and allocation-free: the four
+//! gates are one `[4H × (I+H)]` row-dot product over the weights in place,
+//! the backward of the one-step MSE loss is written out by hand, and every
+//! intermediate lives in scratch the model owns. The autograd formulation
+//! it replaced is kept as `lcasgd_bench::kernels::seed::Lstm`, the
+//! reference the differential tests compare against.
 
 use crate::layer::Linear;
-use lcasgd_autograd::{Graph, Var};
 use lcasgd_tensor::{init, Rng, Tensor};
 
-/// One LSTM layer's weights, packed as `W: [4h, in+h]`, `b: [4h]` with the
-/// gate order `i, f, g, o`.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// `tanh x = 1 − 2 / (e²ˣ + 1)`, within 2·10⁻⁷ of `f32::tanh` everywhere
+/// and exact at both saturations. One `exp` is 3.9 ns here against
+/// 18.5 ns for libm's `tanhf`, which was a third of a predictor call.
+fn tanh(x: f32) -> f32 {
+    1.0 - 2.0 / ((2.0 * x).exp() + 1.0)
+}
+
+/// `a · b` over eight independent partial sums, so the loop vectorizes
+/// (a single running sum would pin the additions to program order).
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let (ac, bc) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let tail: f32 = ac.remainder().iter().zip(bc.remainder()).map(|(x, y)| x * y).sum();
+    let mut acc = [0.0f32; LANES];
+    for (x, y) in ac.zip(bc) {
+        for l in 0..LANES {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    acc.iter().sum::<f32>() + tail
+}
+
+/// `dst += a · src`.
+fn axpy(dst: &mut [f32], a: f32, src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += a * s;
+    }
+}
+
+fn sum_sq(v: &[f32]) -> f64 {
+    v.iter().map(|&x| f64::from(x) * f64::from(x)).sum()
+}
+
+/// One LSTM layer: weights packed as `W: [4h, in+h]`, `b: [4h]` with the
+/// gate order `i, f, g, o`, plus what one forward leaves behind for the
+/// backward of the same step.
 pub struct LstmCell {
     pub weight: Tensor,
     pub bias: Tensor,
+    input: usize,
     hidden: usize,
+    /// `[x, h_prev]`, the row every gate is dotted with.
+    xh: Vec<f32>,
+    c_prev: Vec<f32>,
+    /// Activated gates `σ(i), σ(f), tanh(g), σ(o)`.
+    gates: Vec<f32>,
+    tanh_c: Vec<f32>,
+    /// ∂loss/∂(gate pre-activations).
+    dgates: Vec<f32>,
+    /// ∂loss/∂x: the upstream gradient of the layer below.
+    dx: Vec<f32>,
 }
 
 impl LstmCell {
@@ -36,39 +87,85 @@ impl LstmCell {
                 rng,
             ),
             bias,
+            input,
             hidden,
+            xh: vec![0.0; input + hidden],
+            c_prev: vec![0.0; hidden],
+            gates: vec![0.0; 4 * hidden],
+            tanh_c: vec![0.0; hidden],
+            dgates: vec![0.0; 4 * hidden],
+            dx: vec![0.0; input],
         }
     }
 
-    /// One recurrence step. `x: [1, in]`, `h`/`c`: `[1, hidden]` graph vars.
-    /// Returns `(h', c')` vars.
-    fn step(&self, g: &mut Graph, x: Var, h: Var, c: Var, params: &mut Vec<Var>) -> (Var, Var) {
-        let w = g.leaf(self.weight.clone());
-        let b = g.leaf(self.bias.clone());
-        params.push(w);
-        params.push(b);
-        let xh = g.concat_cols(x, h);
-        let gates = g.linear(xh, w, b); // [1, 4h]
-        let hsz = self.hidden;
-        let i_pre = g.slice_cols(gates, 0, hsz);
-        let f_pre = g.slice_cols(gates, hsz, hsz);
-        let g_pre = g.slice_cols(gates, 2 * hsz, hsz);
-        let o_pre = g.slice_cols(gates, 3 * hsz, hsz);
-        let i = g.sigmoid(i_pre);
-        let f = g.sigmoid(f_pre);
-        let cand = g.tanh(g_pre);
-        let o = g.sigmoid(o_pre);
-        let fc = g.mul(f, c);
-        let ig = g.mul(i, cand);
-        let c_new = g.add(fc, ig);
-        let c_act = g.tanh(c_new);
-        let h_new = g.mul(o, c_act);
-        (h_new, c_new)
+    /// One recurrence step on `x`, advancing `(h, c)` in place.
+    fn forward(&mut self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
+        let hid = self.hidden;
+        self.xh[..self.input].copy_from_slice(x);
+        self.xh[self.input..].copy_from_slice(h);
+        self.c_prev.copy_from_slice(c);
+        let rows = self.weight.data().chunks_exact(self.xh.len());
+        for ((g, row), &b) in self.gates.iter_mut().zip(rows).zip(self.bias.data()) {
+            *g = b + dot(row, &self.xh);
+        }
+        for j in 0..hid {
+            let i = sigmoid(self.gates[j]);
+            let f = sigmoid(self.gates[hid + j]);
+            let g = tanh(self.gates[2 * hid + j]);
+            let o = sigmoid(self.gates[3 * hid + j]);
+            (self.gates[j], self.gates[hid + j]) = (i, f);
+            (self.gates[2 * hid + j], self.gates[3 * hid + j]) = (g, o);
+            c[j] = f * c[j] + i * g;
+            self.tanh_c[j] = tanh(c[j]);
+            h[j] = o * self.tanh_c[j];
+        }
+    }
+
+    /// Backward of the last [`forward`](Self::forward) given `dh` =
+    /// ∂loss/∂h'. The step is the whole history (truncated BPTT of length
+    /// 1), so nothing arrives through `c'` and nothing leaves through
+    /// `h_prev` / `c_prev`. Fills `dgates`, and `dx` when a layer below
+    /// wants it.
+    fn backward(&mut self, dh: &[f32], want_dx: bool) {
+        let hid = self.hidden;
+        assert_eq!(dh.len(), hid);
+        for (j, &dh) in dh.iter().enumerate() {
+            let (i, f) = (self.gates[j], self.gates[hid + j]);
+            let (g, o) = (self.gates[2 * hid + j], self.gates[3 * hid + j]);
+            let t = self.tanh_c[j];
+            let dc = dh * o * (1.0 - t * t);
+            self.dgates[j] = dc * g * i * (1.0 - i);
+            self.dgates[hid + j] = dc * self.c_prev[j] * f * (1.0 - f);
+            self.dgates[2 * hid + j] = dc * i * (1.0 - g * g);
+            self.dgates[3 * hid + j] = dh * t * o * (1.0 - o);
+        }
+        if want_dx {
+            self.dx.fill(0.0);
+            let rows = self.weight.data().chunks_exact(self.xh.len());
+            for (row, &d) in rows.zip(&self.dgates) {
+                axpy(&mut self.dx, d, &row[..self.input]);
+            }
+        }
+    }
+
+    /// `‖dW‖² + ‖db‖²`: `dW` is the outer product `dgates ⊗ xh`, so its
+    /// norm factors and the matrix is never formed.
+    fn grad_sq(&self) -> f64 {
+        sum_sq(&self.dgates) * (sum_sq(&self.xh) + 1.0)
+    }
+
+    /// `W -= step · dgates ⊗ xh`, `b -= step · dgates`.
+    fn sgd_step(&mut self, step: f32) {
+        let rows = self.weight.data_mut().chunks_exact_mut(self.xh.len());
+        for ((row, b), &d) in rows.zip(self.bias.data_mut()).zip(&self.dgates) {
+            axpy(row, -step * d, &self.xh);
+            *b -= step * d;
+        }
     }
 }
 
 /// Recurrent state: one `(h, c)` pair per layer, batch 1.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LstmState {
     pub layers: Vec<(Tensor, Tensor)>,
 }
@@ -82,6 +179,14 @@ impl LstmState {
                 .collect(),
         }
     }
+
+    /// Overwrites this state with `other`'s values (same architecture).
+    pub fn copy_from(&mut self, other: &LstmState) {
+        for ((h, c), (oh, oc)) in self.layers.iter_mut().zip(&other.layers) {
+            h.data_mut().copy_from_slice(oh.data());
+            c.data_mut().copy_from_slice(oc.data());
+        }
+    }
 }
 
 /// Stacked LSTM + linear head, batch size 1.
@@ -93,6 +198,13 @@ pub struct Lstm {
     /// Gradient-norm clip applied in [`train_step`](Self::train_step);
     /// online training on raw loss series occasionally sees spikes.
     pub grad_clip: f32,
+    /// The state [`predict`](Self::predict) and [`rollout`](Self::rollout)
+    /// advance, so the caller's stays where it was.
+    work: LstmState,
+    out: Vec<f32>,
+    dout: Vec<f32>,
+    /// ∂loss/∂h' of the top layer.
+    dh: Vec<f32>,
 }
 
 impl Lstm {
@@ -116,6 +228,10 @@ impl Lstm {
             input_dim,
             hidden,
             grad_clip: 5.0,
+            work: LstmState::zeros(hidden, num_layers),
+            out: vec![0.0; out_dim],
+            dout: vec![0.0; out_dim],
+            dh: vec![0.0; hidden],
         }
     }
 
@@ -135,108 +251,98 @@ impl Lstm {
         LstmState::zeros(self.hidden, self.cells.len())
     }
 
-    /// Builds the one-step graph. Returns the output var, the new state
-    /// vars per layer, and pushes parameter vars in a fixed order.
-    fn build_step(
-        &self,
-        g: &mut Graph,
-        x: Var,
-        state: &LstmState,
-        params: &mut Vec<Var>,
-    ) -> (Var, Vec<(Var, Var)>) {
-        let mut cur = x;
-        let mut new_state = Vec::with_capacity(self.cells.len());
-        for (cell, (h, c)) in self.cells.iter().zip(&state.layers) {
-            let hv = g.leaf(h.clone());
-            let cv = g.leaf(c.clone());
-            let (h2, c2) = cell.step(g, cur, hv, cv, params);
-            new_state.push((h2, c2));
-            cur = h2;
+    /// One step through every layer and the head: advances `state` in
+    /// place and leaves the output in `self.out`.
+    fn forward(&mut self, x: &[f32], state: &mut LstmState) {
+        assert_eq!(x.len(), self.input_dim, "input width mismatch");
+        assert_eq!(state.layers.len(), self.cells.len(), "LSTM layer count mismatch");
+        for (l, cell) in self.cells.iter_mut().enumerate() {
+            let (below, at) = state.layers.split_at_mut(l);
+            let input = below.last().map_or(x, |(h, _)| h.data());
+            let (h, c) = &mut at[0];
+            cell.forward(input, h.data_mut(), c.data_mut());
         }
-        let out = self.head.forward_raw(g, cur, params);
-        (out, new_state)
+        let top = state.layers[self.cells.len() - 1].0.data();
+        let rows = self.head.weight.data().chunks_exact(self.hidden);
+        for ((o, row), &b) in self.out.iter_mut().zip(rows).zip(self.head.bias.data()) {
+            *o = b + dot(row, top);
+        }
     }
 
-    /// Forward-only step: consumes `x: [1, input_dim]`, returns the output
-    /// `[1, out_dim]` and the advanced state.
-    pub fn predict(&self, x: &Tensor, state: &LstmState) -> (Tensor, LstmState) {
-        let mut g = Graph::new();
-        let xv = g.leaf(x.clone());
-        let mut params = Vec::new();
-        let (out, new_state) = self.build_step(&mut g, xv, state, &mut params);
-        let state = LstmState {
-            layers: new_state
-                .iter()
-                .map(|&(h, c)| (g.value(h).clone(), g.value(c).clone()))
-                .collect(),
-        };
-        (g.value(out).clone(), state)
+    /// Forward-only step from `state` (left untouched) on `x`; returns the
+    /// `out_dim` outputs.
+    pub fn predict(&mut self, x: &[f32], state: &LstmState) -> &[f32] {
+        let mut work = std::mem::take(&mut self.work);
+        work.copy_from(state);
+        self.forward(x, &mut work);
+        self.work = work;
+        &self.out
     }
 
     /// One online training step: forward from `state` on `x`, MSE against
-    /// `target: [1, out_dim]`, backward, clipped SGD update with rate `lr`.
-    /// Returns the loss and the advanced (detached) state.
-    pub fn train_step(
-        &mut self,
-        x: &Tensor,
-        target: &Tensor,
-        state: &LstmState,
-        lr: f32,
-    ) -> (f32, LstmState) {
-        let mut g = Graph::new();
-        let xv = g.leaf(x.clone());
-        let mut params = Vec::new();
-        let (out, new_state) = self.build_step(&mut g, xv, state, &mut params);
-        let loss = g.mse(out, target.clone());
-        g.backward(loss);
-        let loss_val = g.value(loss).item();
+    /// `target`, backward, clipped SGD update with rate `lr`. Advances
+    /// `state` (detached: the next step does not differentiate through it)
+    /// and returns the loss.
+    pub fn train_step(&mut self, x: &[f32], target: &[f32], state: &mut LstmState, lr: f32) -> f32 {
+        assert_eq!(target.len(), self.out.len(), "target width mismatch");
+        self.forward(x, state);
+        let n = self.out.len() as f32;
+        let mut loss = 0.0;
+        for ((d, &o), &t) in self.dout.iter_mut().zip(&self.out).zip(target) {
+            loss += (o - t) * (o - t) / n;
+            *d = 2.0 * (o - t) / n;
+        }
 
-        // Collect gradients in registration order and apply a global-norm
-        // clipped SGD step.
-        let grads: Vec<Option<Tensor>> = params.iter().map(|&p| g.take_grad(p)).collect();
-        let total_sq: f64 = grads
-            .iter()
-            .flatten()
-            .map(|t| t.data().iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>())
-            .sum();
-        let norm = total_sq.sqrt() as f32;
+        // Every gradient is taken against the pre-update weights: the head
+        // first, then down the stack, each layer handing `dx` to the one
+        // below.
+        let top = state.layers[self.cells.len() - 1].0.data();
+        self.dh.fill(0.0);
+        for (row, &d) in self.head.weight.data().chunks_exact(self.hidden).zip(&self.dout) {
+            axpy(&mut self.dh, d, row);
+        }
+        for l in (0..self.cells.len()).rev() {
+            let (at, above) = self.cells[l..].split_at_mut(1);
+            let dh = above.first().map_or(&self.dh, |cell| &cell.dx);
+            at[0].backward(dh, l > 0);
+        }
+
+        // Global-norm clip over all parameters, then one rank-1 pass per
+        // matrix.
+        let head_sq = sum_sq(&self.dout) * (sum_sq(top) + 1.0);
+        let norm = (self.cells.iter().map(LstmCell::grad_sq).sum::<f64>() + head_sq).sqrt() as f32;
         let scale = if norm > self.grad_clip { self.grad_clip / norm } else { 1.0 };
-
-        let mut it = grads.into_iter();
-        self.visit_params_mut(&mut |t| {
-            if let Some(Some(grad)) = it.next() {
-                t.add_assign_scaled(&grad, -lr * scale);
-            }
-        });
-
-        let state = LstmState {
-            layers: new_state
-                .iter()
-                .map(|&(h, c)| (g.value(h).clone(), g.value(c).clone()))
-                .collect(),
-        };
-        (loss_val, state)
+        let step = lr * scale;
+        for cell in &mut self.cells {
+            cell.sgd_step(step);
+        }
+        let rows = self.head.weight.data_mut().chunks_exact_mut(self.hidden);
+        for ((row, b), &d) in rows.zip(self.head.bias.data_mut()).zip(&self.dout) {
+            axpy(row, -step * d, top);
+            *b -= step * d;
+        }
+        loss
     }
 
     /// Rolls the model forward `k` steps feeding each prediction back as
     /// the next input (requires `out_dim == input_dim`, true for the loss
-    /// predictor). Returns the `k` predicted outputs. The entry state is
-    /// not mutated.
-    pub fn rollout(&self, x0: &Tensor, state: &LstmState, k: usize) -> Vec<Tensor> {
-        let mut out = Vec::with_capacity(k);
-        let mut x = x0.clone();
-        let mut st = state.clone();
-        for _ in 0..k {
-            let (y, next) = self.predict(&x, &st);
-            st = next;
-            x = y.clone();
-            out.push(y);
+    /// predictor). `out` is cleared and receives the `k` predicted outputs
+    /// back to back. The entry state is not mutated.
+    pub fn rollout(&mut self, x0: &[f32], state: &LstmState, k: usize, out: &mut Vec<f32>) {
+        assert_eq!(self.out.len(), self.input_dim, "rollout feeds outputs back as inputs");
+        out.clear();
+        let mut work = std::mem::take(&mut self.work);
+        work.copy_from(state);
+        for step in 0..k {
+            let x = if step == 0 { x0 } else { &out[out.len() - self.input_dim..] };
+            self.forward(x, &mut work);
+            out.extend_from_slice(&self.out);
         }
-        out
+        self.work = work;
     }
 
-    /// Visits parameters in the same order `build_step` registers them:
-    /// per-cell (weight, bias), then head (weight, bias).
+    /// Visits parameters in checkpoint order: per-cell (weight, bias), then
+    /// head (weight, bias).
     pub fn visit_params_mut(&mut self, f: &mut impl FnMut(&mut Tensor)) {
         for cell in &mut self.cells {
             f(&mut cell.weight);
@@ -289,44 +395,32 @@ impl Lstm {
     }
 }
 
-impl Linear {
-    /// Forward used outside the `Layer` enum (no `ForwardCtx`), registering
-    /// params into a caller-provided list.
-    pub fn forward_raw(&self, g: &mut Graph, x: Var, params: &mut Vec<Var>) -> Var {
-        let w = g.leaf(self.weight.clone());
-        let b = g.leaf(self.bias.clone());
-        params.push(w);
-        params.push(b);
-        g.linear(x, w, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcasgd_autograd::gradcheck::assert_grad_matches;
 
     #[test]
     fn shapes_and_state_advance() {
         let mut rng = Rng::seed_from_u64(111);
-        let lstm = Lstm::new(3, 8, 2, 1, &mut rng);
-        let st = lstm.zero_state();
-        let x = Tensor::from_vec(vec![0.1, 0.2, 0.3], &[1, 3]);
-        let (y, st2) = lstm.predict(&x, &st);
-        assert_eq!(y.dims(), &[1, 1]);
-        assert_eq!(st2.layers.len(), 2);
-        assert_eq!(st2.layers[0].0.dims(), &[1, 8]);
-        // State must actually change.
-        assert_ne!(st2.layers[0].0.data(), st.layers[0].0.data());
+        let mut lstm = Lstm::new(3, 8, 2, 1, &mut rng);
+        let mut st = lstm.zero_state();
+        let x = [0.1, 0.2, 0.3];
+        assert_eq!(lstm.predict(&x, &st).len(), 1);
+        assert!(st.layers[0].0.data().iter().all(|&v| v == 0.0), "predict leaves the state");
+        lstm.train_step(&x, &[0.5], &mut st, 0.0);
+        assert_eq!(st.layers.len(), 2);
+        assert_eq!(st.layers[0].0.dims(), &[1, 8]);
+        assert!(st.layers[0].0.data().iter().any(|&v| v != 0.0), "train_step advances it");
     }
 
     #[test]
     fn prediction_is_deterministic() {
         let mut rng = Rng::seed_from_u64(112);
-        let lstm = Lstm::new(1, 4, 2, 1, &mut rng);
+        let mut lstm = Lstm::new(1, 4, 2, 1, &mut rng);
         let st = lstm.zero_state();
-        let x = Tensor::from_vec(vec![0.5], &[1, 1]);
-        let (a, _) = lstm.predict(&x, &st);
-        let (b, _) = lstm.predict(&x, &st);
+        let a = lstm.predict(&[0.5], &st).to_vec();
+        let b = lstm.predict(&[0.5], &st).to_vec();
         assert_eq!(a, b);
     }
 
@@ -337,15 +431,9 @@ mod tests {
         let mut rng = Rng::seed_from_u64(113);
         let mut lstm = Lstm::new(1, 8, 2, 1, &mut rng);
         let mut st = lstm.zero_state();
-        let x = Tensor::from_vec(vec![0.7], &[1, 1]);
-        let target = Tensor::from_vec(vec![0.7], &[1, 1]);
         let mut last = f32::INFINITY;
-        for i in 0..400 {
-            let (loss, next) = lstm.train_step(&x, &target, &st, 0.05);
-            st = next;
-            if i >= 399 {
-                last = loss;
-            }
+        for _ in 0..400 {
+            last = lstm.train_step(&[0.7], &[0.7], &mut st, 0.05);
         }
         assert!(last < 1e-3, "final loss {last}");
     }
@@ -358,31 +446,30 @@ mod tests {
         let mut lstm = Lstm::new(1, 16, 2, 1, &mut rng);
         let mut st = lstm.zero_state();
         let series: Vec<f32> = (0..300).map(|i| 2.0 * (0.99f32).powi(i) + 0.5).collect();
-        let mut errs = Vec::new();
-        for w in series.windows(2) {
-            let x = Tensor::from_vec(vec![w[0]], &[1, 1]);
-            let t = Tensor::from_vec(vec![w[1]], &[1, 1]);
-            let (loss, next) = lstm.train_step(&x, &t, &st, 0.02);
-            st = next;
-            errs.push(loss);
-        }
+        let errs: Vec<f32> =
+            series.windows(2).map(|w| lstm.train_step(&w[..1], &w[1..], &mut st, 0.02)).collect();
         let late: f32 = errs[250..].iter().sum::<f32>() / 49.0;
         assert!(late < 5e-3, "late avg one-step MSE {late}");
     }
 
     #[test]
-    fn rollout_does_not_mutate_entry_state() {
+    fn rollout_feeds_predictions_back_without_mutating_the_entry_state() {
         let mut rng = Rng::seed_from_u64(115);
-        let lstm = Lstm::new(1, 4, 1, 1, &mut rng);
-        let st = lstm.zero_state();
-        let x = Tensor::from_vec(vec![1.0], &[1, 1]);
-        let k = 5;
-        let preds = lstm.rollout(&x, &st, k);
-        assert_eq!(preds.len(), k);
-        // Same call again gives identical results (state untouched).
-        let preds2 = lstm.rollout(&x, &st, k);
-        for (a, b) in preds.iter().zip(&preds2) {
-            assert_eq!(a, b);
+        let mut lstm = Lstm::new(1, 4, 1, 1, &mut rng);
+        let mut st = lstm.zero_state();
+        lstm.train_step(&[0.3], &[0.4], &mut st, 0.02);
+        let (mut preds, mut again) = (Vec::new(), Vec::new());
+        lstm.rollout(&[1.0], &st, 5, &mut preds);
+        assert_eq!(preds.len(), 5);
+        lstm.rollout(&[1.0], &st, 5, &mut again);
+        assert_eq!(preds, again, "same call, same state, same forecasts");
+        // The same five steps by hand: predict, then advance a copy of the
+        // state on the same input with a zero learning rate.
+        let (mut x, mut walk) = (1.0, st.clone());
+        for &p in &preds {
+            assert_eq!(lstm.predict(&[x], &walk), &[p]);
+            lstm.train_step(&[x], &[0.0], &mut walk, 0.0);
+            x = p;
         }
     }
 
@@ -391,19 +478,49 @@ mod tests {
         let mut rng = Rng::seed_from_u64(116);
         let mut lstm = Lstm::new(1, 4, 1, 1, &mut rng);
         lstm.grad_clip = 1e-6; // essentially freeze
-        let st = lstm.zero_state();
-        let before: Vec<f32> = {
-            let mut v = Vec::new();
-            lstm.visit_params_mut(&mut |t| v.extend_from_slice(t.data()));
-            v
-        };
-        let x = Tensor::from_vec(vec![10.0], &[1, 1]);
-        let t = Tensor::from_vec(vec![-10.0], &[1, 1]);
-        let _ = lstm.train_step(&x, &t, &st, 1.0);
-        let mut after = Vec::new();
-        lstm.visit_params_mut(&mut |t| after.extend_from_slice(t.data()));
-        let delta: f32 = before.iter().zip(&after).map(|(a, b)| (a - b).abs()).sum();
+        let mut st = lstm.zero_state();
+        let before = lstm.flat_params();
+        lstm.train_step(&[10.0], &[-10.0], &mut st, 1.0);
+        let delta: f32 = before.iter().zip(lstm.flat_params()).map(|(a, b)| (a - b).abs()).sum();
         assert!(delta < 1e-4, "clip failed, total delta {delta}");
+    }
+
+    /// The hand-written backward against central finite differences of
+    /// the loss in every parameter. With `lr = 1` and the clip out of
+    /// reach, the gradient is what `train_step` subtracted.
+    #[test]
+    fn hand_backward_matches_finite_differences() {
+        for (input, hidden, layers, out, seed) in
+            [(1, 5, 1, 1, 1u64), (3, 4, 2, 1, 2), (2, 3, 2, 2, 3)]
+        {
+            let mut rng = Rng::seed_from_u64(400 + seed);
+            let mut lstm = Lstm::new(input, hidden, layers, out, &mut rng);
+            lstm.grad_clip = f32::INFINITY;
+            // A warmed-up state, so `h_prev` and `c_prev` are not zero.
+            let mut st = lstm.zero_state();
+            let x: Vec<f32> = (0..input).map(|i| 0.3 - 0.2 * i as f32).collect();
+            let target: Vec<f32> = (0..out).map(|i| 0.8 - 0.5 * i as f32).collect();
+            lstm.train_step(&x, &target, &mut st, 0.0);
+
+            let params = lstm.flat_params();
+            let dims = [params.len()];
+            let before = Tensor::from_vec(params, &dims);
+            let mut advanced = st.clone();
+            lstm.train_step(&x, &target, &mut advanced, 1.0);
+            let after = Tensor::from_vec(lstm.flat_params(), &dims);
+            let analytic = before.sub(&after);
+            assert_grad_matches(
+                |probe| {
+                    lstm.set_flat_params(probe.data());
+                    let y = lstm.predict(&x, &st);
+                    y.iter().zip(&target).map(|(y, t)| (y - t) * (y - t)).sum::<f32>() / out as f32
+                },
+                &before,
+                &analytic,
+                1e-2,
+                2e-3,
+            );
+        }
     }
 }
 
@@ -414,10 +531,10 @@ mod sensitivity_tests {
     #[test]
     fn output_depends_on_input() {
         let mut rng = Rng::seed_from_u64(301);
-        let lstm = Lstm::new(2, 8, 2, 1, &mut rng);
+        let mut lstm = Lstm::new(2, 8, 2, 1, &mut rng);
         let st = lstm.zero_state();
-        let (a, _) = lstm.predict(&Tensor::from_vec(vec![0.1, 0.0], &[1, 2]), &st);
-        let (b, _) = lstm.predict(&Tensor::from_vec(vec![0.9, 0.5], &[1, 2]), &st);
+        let a = lstm.predict(&[0.1, 0.0], &st).to_vec();
+        let b = lstm.predict(&[0.9, 0.5], &st).to_vec();
         assert_ne!(a, b, "LSTM must react to its input");
     }
 
@@ -425,12 +542,12 @@ mod sensitivity_tests {
     fn output_depends_on_state_history() {
         // Same input, different histories → different outputs (memory).
         let mut rng = Rng::seed_from_u64(302);
-        let lstm = Lstm::new(1, 8, 1, 1, &mut rng);
-        let x = Tensor::from_vec(vec![0.3], &[1, 1]);
+        let mut lstm = Lstm::new(1, 8, 1, 1, &mut rng);
         let fresh = lstm.zero_state();
-        let (_, warmed) = lstm.predict(&Tensor::from_vec(vec![5.0], &[1, 1]), &fresh);
-        let (from_fresh, _) = lstm.predict(&x, &fresh);
-        let (from_warmed, _) = lstm.predict(&x, &warmed);
+        let mut warmed = lstm.zero_state();
+        lstm.train_step(&[5.0], &[0.0], &mut warmed, 0.0);
+        let from_fresh = lstm.predict(&[0.3], &fresh).to_vec();
+        let from_warmed = lstm.predict(&[0.3], &warmed).to_vec();
         assert_ne!(from_fresh, from_warmed);
     }
 

@@ -43,8 +43,11 @@ fn build(rng: &mut Rng) -> lc_asgd::nn::Network {
 /// guaranteed to cover exactly one gradient push regardless of parity.
 ///
 /// `straggle_ms` must dominate the backend's per-op cost for the
-/// straggler score to trip: the simulator's virtual compute step is
-/// ~32ms (so 60ms there), the real backends' is ~1ms (so 15ms there).
+/// straggler score to trip, and stay small enough that the straggler
+/// arrives `straggler_min_arrivals` times before the run is over: the
+/// simulator's virtual compute step is ~32ms (so 60ms there); a real
+/// backend serves an op in ~0.1ms and the whole run in ~40ms (so 3ms
+/// there — three-op iterations, four or so arrivals).
 fn storm_plan(straggle_ms: u32) -> FaultPlan {
     let mut plan = FaultPlan::new()
         .with_event(0, 2, FaultKind::NanGrad)
@@ -66,7 +69,7 @@ fn storm_supervisor() -> SupervisorConfig {
         grad_norm_factor: 3.0,
         grad_norm_warmup: 6,
         quarantine_strikes: 2,
-        quarantine_updates: 8,
+        quarantine_arrivals: 8,
         loss_window: 4,
         explode_factor: 1.4,
         snapshot_every: 6,
@@ -141,6 +144,40 @@ fn the_supervised_storm_survives_on_the_simulator_and_rolls_back() {
     assert!(h.quarantine_drops > 0, "quarantined pushes must be dropped, not applied");
 }
 
+/// ROADMAP item 1's hang, where it is deterministic: one NaN push from
+/// each of the four workers inside one quarantine length. With all of them
+/// held out no update applies, so a quarantine that waits for applied
+/// updates waits forever, and the run with it (this test never returned
+/// before quarantines were counted in arrivals).
+#[test]
+fn quarantining_every_worker_at_once_does_not_stop_the_run() {
+    let (train, test) = task();
+    let c = cfg(Algorithm::Asgd, 4);
+    // An ASGD worker's cycle is Pull=0 / Grad=1 (mod 2): op 5 is every
+    // worker's third push.
+    let plan = (0..4).fold(FaultPlan::new(), |p, w| p.with_event(w, 5, FaultKind::NanGrad));
+    let sup = SupervisorConfig {
+        quarantine_arrivals: 40,
+        grad_norm_factor: 1e9,
+        explode_factor: 1e9,
+        ..SupervisorConfig::default()
+    };
+    let sim: ClusterSim<SimPayload> =
+        ClusterSim::new(c.cluster.clone()).with_fault_plan(plan.clone());
+    let r = run_cluster_with(sim, &c, &build, &train, &test, opts(&plan, Some(sup)))
+        .expect("the run must finish");
+    let h = r.health.as_ref().expect("supervised runs carry a health report");
+    assert_eq!(h.quarantines(), 4, "all four workers were quarantined:\n{}", h.to_text());
+    let release = |e: &HealthEvent| matches!(e, HealthEvent::Released { .. });
+    let (first, last) = (
+        h.events.iter().position(|(_, e)| release(e)).expect("someone is released"),
+        h.events.iter().rposition(|(_, e)| matches!(e, HealthEvent::Quarantined { .. })).unwrap(),
+    );
+    assert!(last < first, "all four were in quarantine together:\n{}", h.to_text());
+    assert_eq!(r.epochs.len(), c.epochs, "and the run went on to its last epoch");
+    assert!(final_loss(&r).is_finite());
+}
+
 #[test]
 fn the_same_storm_without_a_supervisor_diverges() {
     let c = cfg(Algorithm::LcAsgd, 4);
@@ -179,7 +216,7 @@ fn sim_transition_sequences_are_bit_reproducible() {
 fn the_storm_completes_on_the_thread_cluster() {
     let (train, test) = task();
     let c = cfg(Algorithm::LcAsgd, 4);
-    let plan = storm_plan(15);
+    let plan = storm_plan(3);
     let r = run_cluster_with(
         ThreadCluster::new(4).with_fault_plan(plan.clone()),
         &c,
@@ -196,7 +233,7 @@ fn the_storm_completes_on_the_thread_cluster() {
 fn the_storm_completes_on_the_tcp_cluster() {
     let (train, test) = task();
     let c = cfg(Algorithm::LcAsgd, 4);
-    let plan = storm_plan(15);
+    let plan = storm_plan(3);
     let r = run_cluster_with(
         NetCluster::new(4).with_config(NetConfig::fast()).with_fault_plan(plan.clone()),
         &c,

@@ -66,6 +66,14 @@ timeout 300 cargo test -q --release --test predictor_alloc
 timeout 300 cargo test -q --release --test deferred_eval
 timeout 300 cargo test -q --release -p lcasgd-bench --test lstm_differential
 
+# Every model-sized buffer has one owner: a steady-state learner iteration
+# asks the heap for nothing of that size, a whole TCP run of the 5.3 MB
+# model for a bounded handful per applied update (a counting global
+# allocator; release, so the counts are those of the shipped codegen).
+# The cluster half hangs rather than fails when liveness regresses.
+echo "==> model-sized allocation suite (hard 300s timeout)"
+timeout 300 cargo test -q --release --test model_alloc
+
 # Observability contract: traced LC-ASGD on all three backends must tile
 # each worker's timeline (per-phase totals within 5% of elapsed time in
 # the run's clock domain) and the TCP byte counters must be frame-exact.
@@ -129,10 +137,15 @@ timeout 300 ./target/release/net-scale --smoke
 # full report — every workload trains for two epochs through the public
 # API and the exit code is the correctness gate (planned updates applied,
 # loss falls, TCP bytes per update within 1 % of parameters × codec
-# width). The package builds into benchmark/target, not the root target.
-echo "==> benchmark tests + --smoke (hard 600s / 300s timeouts)"
-timeout 600 cargo test -q --manifest-path benchmark/Cargo.toml
-timeout 300 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+# width). The package builds into benchmark/target, not the root target —
+# and against its committed lock file, offline: a change that would make
+# cargo rewrite benchmark/Cargo.lock (a new dependency edge between
+# workspace crates, say) fails here, not in the benchmark pipeline.
+echo "==> benchmark build --locked, tests + --smoke (hard 600s / 300s timeouts)"
+cargo build --release --quiet --locked --offline --manifest-path benchmark/Cargo.toml
+timeout 600 cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
+timeout 300 cargo run --release --quiet --locked --offline \
+    --manifest-path benchmark/Cargo.toml -- --smoke
 
 # CLI smoke: --trace must emit a non-empty, well-formed Chrome trace.
 echo "==> lcasgd train --trace smoke"

@@ -8,7 +8,7 @@
 
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
-use lcasgd_tensor::ops::conv::{conv2d, conv2d_dw, conv2d_dx, Conv2dSpec};
+use lcasgd_tensor::ops::conv::{conv2d, conv2d_dw_into, conv2d_dx, Conv2dSpec};
 use lcasgd_tensor::Tensor;
 
 /// Reorders an NCHW tensor into pixel rows: `[n, c, h, w] -> [n·h·w, c]`,
@@ -59,8 +59,10 @@ struct Conv2dBack {
 }
 impl BackwardOp for Conv2dBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
-        let dw = conv2d_dw(ctx.grad, ctx.value(self.x), &self.spec);
-        ctx.accumulate(self.w, dw);
+        // `conv2d_dw_into` stores every element, so over the zeroed buffer
+        // it leaves exactly what `conv2d_dw` returns.
+        let (dy, x) = (ctx.grad, ctx.value(self.x));
+        ctx.accumulate_with(self.w, |dw| conv2d_dw_into(dy, x, &self.spec, dw));
         if ctx.needs_grad(self.x) {
             let dx = conv2d_dx(ctx.grad, ctx.value(self.w), &self.spec, self.in_h, self.in_w);
             ctx.accumulate(self.x, dx);

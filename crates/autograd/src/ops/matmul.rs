@@ -30,10 +30,9 @@ impl BackwardOp for LinearBack {
             let dx = ctx.grad.matmul(ctx.value(self.w));
             ctx.accumulate(self.x, dx);
         }
-        let dw = ctx.grad.matmul_tn(ctx.value(self.x));
-        let db = ctx.grad.sum_rows();
-        ctx.accumulate(self.w, dw);
-        ctx.accumulate(self.b, db);
+        let (dy, x) = (ctx.grad, ctx.value(self.x));
+        ctx.accumulate_with(self.w, |dw| dy.matmul_tn_into(x, dw));
+        ctx.accumulate(self.b, dy.sum_rows());
     }
 }
 

@@ -75,10 +75,10 @@ fn bench_resnet_iteration(c: &mut Criterion) {
     c.bench_function("tiny_resnet_train_iteration", |bench| {
         bench.iter(|| {
             let mut g = Graph::new();
-            let (logits, ctx) = net.forward(&mut g, x.clone(), true);
+            let (logits, _) = net.forward(&mut g, x.clone(), true);
             let loss = g.softmax_cross_entropy(logits, &labels);
             g.backward(loss);
-            let grads = net.flat_grads(&mut g, &ctx);
+            let grads = net.flat_grads(&mut g);
             net.axpy_params(&grads, -1e-4);
             black_box(g.value(loss).item())
         });

@@ -15,7 +15,9 @@
 
 use crate::baseline;
 use lcasgd_autograd::{Graph, Var};
+use lcasgd_nn::layer::Layer;
 use lcasgd_nn::lstm::LstmState;
+use lcasgd_nn::Network;
 use lcasgd_tensor::ops::conv::{col2im, conv2d, conv2d_dw, conv2d_dx, im2col, Conv2dSpec};
 use lcasgd_tensor::{Rng, Tensor};
 use rayon::prelude::*;
@@ -47,6 +49,46 @@ pub mod seed {
 
     const PAR_ROWS: usize = 8;
     const PAR_FLOPS: usize = 1 << 18;
+
+    /// `Tensor::clone` as it was when these kernels were written: a copy
+    /// of the buffer. (Today's shares it until one side writes.)
+    fn copied(t: &Tensor) -> Tensor {
+        Tensor::from_vec(t.data().to_vec(), t.dims())
+    }
+
+    /// One learner iteration on an MLP as commit `0cd55c6` ran it: install
+    /// the pulled weights, put a *copy* of every parameter on the tape,
+    /// backpropagate into a fresh tensor per parameter, gather those into
+    /// a new flat vector. Returns the loss and the flat gradient.
+    pub fn train_step(
+        net: &mut Network,
+        weights: &[f32],
+        x: &Tensor,
+        labels: &[usize],
+    ) -> (f32, Vec<f32>) {
+        net.set_flat_params(weights);
+        let mut g = Graph::new();
+        let mut h = g.input(copied(x));
+        let mut leaves = Vec::new();
+        for layer in net.layers() {
+            h = match layer {
+                Layer::Linear(l) => {
+                    let (w, b) = (g.leaf(copied(&l.weight)), g.leaf(copied(&l.bias)));
+                    leaves.extend([w, b]);
+                    g.linear(h, w, b)
+                }
+                Layer::Relu => g.relu(h),
+                _ => unreachable!("an MLP without BatchNorm is linear layers and ReLUs"),
+            };
+        }
+        let loss = g.softmax_cross_entropy(h, labels);
+        g.backward(loss);
+        let mut grads = Vec::with_capacity(net.num_params());
+        for v in leaves {
+            grads.extend_from_slice(g.take_grad(v).expect("every parameter is reached").data());
+        }
+        (g.value(loss).item(), grads)
+    }
 
     fn matmul_rows(out_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize, n: usize) {
         for (out_row, a_row) in out_rows.chunks_exact_mut(n).zip(a_rows.chunks_exact(k)) {
@@ -316,7 +358,7 @@ pub mod seed {
             x: Var,
             state: &LstmState,
         ) -> (Var, Vec<(Var, Var)>, Vec<Var>) {
-            let leaves: Vec<Var> = self.params.iter().map(|p| g.leaf(p.clone())).collect();
+            let leaves: Vec<Var> = self.params.iter().map(|p| g.leaf(copied(p))).collect();
             let hsz = self.hidden;
             let mut cur = x;
             let mut new_state = Vec::with_capacity(state.layers.len());
@@ -491,6 +533,48 @@ fn randn(dims: &[usize], seed: u64) -> Tensor {
 /// harness cannot quietly benchmark two kernels computing different things.
 pub fn measure_all(samples: usize) -> Vec<KernelReport> {
     let mut reports = Vec::new();
+
+    // One learner iteration on the benchmark's wide MLP at its batch:
+    // install weights → forward → backward → gradient handed over. The seed
+    // side asks the heap for five model-sized blocks per iteration (two
+    // weight copies, two `dW`s, the gathered vector), the shipping side
+    // for none: the tape shares
+    // the parameters, `backward` writes into one arena, and the arena
+    // comes back once "sent". First of all rows, so neither side inherits
+    // a heap — or an mmap threshold — another row's blocks have shaped.
+    {
+        let dims = [256, 1024, 1024, 10];
+        let build = || lcasgd_nn::mlp::mlp(&dims, false, &mut Rng::seed_from_u64(30));
+        let (mut seed_net, mut net) = (build(), build());
+        let weights = net.flat_params();
+        let x = randn(&[16, dims[0]], 31);
+        let labels: Vec<usize> = (0..16).map(|i| (3 * i) % dims[3]).collect();
+        // The shipping path; `spent` is the gradient vector of the step
+        // before, back from wherever it was sent.
+        let step = |net: &mut Network, spent: Vec<f32>| {
+            net.set_flat_params(&weights);
+            let mut g = Graph::new();
+            let (logits, _) = net.forward(&mut g, x.clone(), true);
+            let loss = g.softmax_cross_entropy(logits, &labels);
+            g.set_grad_arena(spent);
+            g.backward(loss);
+            (g.value(loss).item(), net.flat_grads(&mut g))
+        };
+        // Same arithmetic in the same order: equal losses, equal gradients.
+        let reference = seed::train_step(&mut seed_net, &weights, &x, &labels);
+        assert!(reference == step(&mut net, Vec::new()), "train_step mismatch");
+        let mut spent = Vec::new();
+        let seed_step = || seed::train_step(&mut seed_net, &weights, &x, &labels).0;
+        let opt_step = || {
+            let (loss, grads) = step(&mut net, std::mem::take(&mut spent));
+            spent = grads;
+            loss
+        };
+        // Five times the samples: the seed side's time is mostly page faults,
+        // whose cost wanders more than arithmetic's, and only the minimum of
+        // many rounds is steady enough for the gate.
+        row(&mut reports, "train_step", "mlp_w_b16".into(), samples * 5, seed_step, opt_step);
+    }
 
     // Square GEMM at the paper's hidden sizes (acceptance target: >= 2x).
     {

@@ -64,21 +64,46 @@ impl CompressedGrad {
         }
     }
 
+    /// Entries of the dense gradient this message stands for.
+    pub fn len(&self) -> usize {
+        match self {
+            CompressedGrad::Dense(v) => v.len(),
+            CompressedGrad::Sparse { len, .. } => *len,
+            CompressedGrad::Quantized { levels, .. } => levels.len(),
+            CompressedGrad::Bf16(halves) => halves.len(),
+        }
+    }
+
+    /// Whether the message stands for an empty gradient.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Reconstructs the dense gradient.
     pub fn decompress(&self) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.len()];
+        self.decompress_into(&mut out);
+        out
+    }
+
+    /// [`decompress`](Self::decompress) written over `out`, which must have
+    /// the gradient's [`len`](Self::len).
+    pub fn decompress_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len(), "decompression buffer length mismatch");
         match self {
-            CompressedGrad::Dense(v) => v.clone(),
-            CompressedGrad::Sparse { len, entries } => {
-                let mut out = vec![0.0f32; *len];
+            CompressedGrad::Dense(v) => out.copy_from_slice(v),
+            CompressedGrad::Sparse { entries, .. } => {
+                out.fill(0.0);
                 for &(i, v) in entries {
                     out[i as usize] = v;
                 }
-                out
             }
             CompressedGrad::Quantized { scale, levels } => {
-                levels.iter().map(|&l| l as f32 * scale).collect()
+                out.iter_mut().zip(levels).for_each(|(o, &l)| *o = l as f32 * scale);
             }
-            CompressedGrad::Bf16(halves) => halves.iter().map(|&b| bf16_decode(b)).collect(),
+            CompressedGrad::Bf16(halves) => {
+                out.iter_mut().zip(halves).for_each(|(o, &b)| *o = bf16_decode(b));
+            }
         }
     }
 
@@ -161,7 +186,7 @@ impl WireMsg for CompressedGrad {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
         match r.u8()? {
-            0 => Ok(CompressedGrad::Dense(r.vec_f32()?)),
+            0 => Ok(CompressedGrad::Dense(r.bulk_vec_f32()?)),
             1 => {
                 let len = r.u64()? as usize;
                 // Indices are u32, so a valid dense length fits in one;
@@ -203,7 +228,17 @@ impl Compression {
     /// Compresses `grads`, folding in and updating the worker's error-
     /// feedback residual when one is provided (`residual.len()` must match
     /// `grads.len()`; pass `None` to disable compensation).
-    pub fn compress(&self, grads: &[f32], mut residual: Option<&mut Vec<f32>>) -> CompressedGrad {
+    pub fn compress(&self, grads: &[f32], residual: Option<&mut Vec<f32>>) -> CompressedGrad {
+        self.compress_slice(grads, residual.map(Vec::as_mut_slice))
+    }
+
+    /// [`compress`](Self::compress) against a residual that is a range of
+    /// a longer one (a shard's slice of the worker's).
+    pub(crate) fn compress_slice(
+        &self,
+        grads: &[f32],
+        mut residual: Option<&mut [f32]>,
+    ) -> CompressedGrad {
         // With error feedback the residual buffer doubles as the signal:
         // e ← g + e in place, compress it, then e ← e − decompress(out).
         // No model-sized temporary is allocated beyond the output itself.
@@ -278,7 +313,10 @@ impl Compression {
 
 /// Compresses a gradient for the wire, maintaining the worker's error-
 /// feedback residual. `Compression::None` short-circuits to a dense
-/// payload without touching the residual.
+/// payload without touching the residual. The co-simulator's only (it
+/// goes when `trainer/cosim.rs` does): the engine's push path is
+/// [`shard_wire_grads`](crate::shard::shard_wire_grads), whose one-shard
+/// case is this and which also hands the gradient's vector back.
 pub(crate) fn wire_grads(
     scheme: &Compression,
     grads: Vec<f32>,

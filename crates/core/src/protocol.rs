@@ -19,6 +19,7 @@ use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::{ClusterError, PackedF32, WireCodec, WireMsg, WireReader};
 use lcasgd_tensor::Tensor;
+use std::sync::Arc;
 
 /// Worker → server messages (Algorithm 1's uplink).
 ///
@@ -91,8 +92,12 @@ pub enum ClusterResp {
     /// Current weights and their version (staleness is measured against
     /// it when the gradient comes back). `directive` is present only when
     /// a supervisor is active. `epoch` is the server's fencing epoch —
-    /// how workers learn about a promotion.
-    Weights { flat: Vec<f32>, version: u64, directive: Option<PullDirective>, epoch: u64 },
+    /// how workers learn about a promotion. `flat` is shared, not owned:
+    /// the server puts one snapshot per version into every reply at that
+    /// version ([`ShardGroup::snapshot`](crate::shard::ShardGroup::snapshot)),
+    /// and a transport that moves the message instead of encoding it
+    /// delivers that very vector.
+    Weights { flat: Arc<Vec<f32>>, version: u64, directive: Option<PullDirective>, epoch: u64 },
     /// Reply to `State`: everything the worker needs to build the
     /// compensated loss seed (Formula 5) locally.
     Compensation { l_delay: f32, one_step: f32, km: u32 },
@@ -107,8 +112,8 @@ pub enum ClusterResp {
     ReplicaAck { seq: u64 },
     /// `Weights` with the flat vector quantized by the run's wire codec
     /// (bf16 or int8-with-scale), the downlink half of the bandwidth
-    /// saving. Workers call [`ClusterResp::normalize`] right after decode
-    /// so the rest of the loop only ever sees `Weights`.
+    /// saving. A worker unpacks it straight into its copy of the model
+    /// ([`PackedF32::unpack_into`]), beside the plain variant's arm.
     QWeights { packed: PackedF32, version: u64, directive: Option<PullDirective>, epoch: u64 },
 }
 
@@ -117,27 +122,15 @@ impl ClusterResp {
     /// `Weights` for f32, `QWeights` otherwise (quantizing `flat`).
     pub fn weights_for(
         codec: WireCodec,
-        flat: Vec<f32>,
+        flat: impl Into<Arc<Vec<f32>>>,
         version: u64,
         directive: Option<PullDirective>,
         epoch: u64,
     ) -> ClusterResp {
+        let flat = flat.into();
         match PackedF32::pack(codec, &flat) {
             Some(packed) => ClusterResp::QWeights { packed, version, directive, epoch },
             None => ClusterResp::Weights { flat, version, directive, epoch },
-        }
-    }
-
-    /// Collapses the quantized variant: `QWeights` dequantizes into
-    /// `Weights`, everything else passes through. Workers call this once
-    /// per reply so code downstream of the transport never matches on
-    /// `QWeights`.
-    pub fn normalize(self) -> ClusterResp {
-        match self {
-            ClusterResp::QWeights { packed, version, directive, epoch } => {
-                ClusterResp::Weights { flat: packed.unpack(), version, directive, epoch }
-            }
-            other => other,
         }
     }
 }
@@ -441,7 +434,7 @@ impl WireMsg for ClusterResp {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
         match r.u8()? {
             0 => {
-                let flat = r.vec_f32()?;
+                let flat = r.bulk_vec_f32()?.into();
                 let version = r.u64()?;
                 let epoch = r.u64()?;
                 let directive = read_directive(r)?;
@@ -585,14 +578,14 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         let w = ClusterResp::Weights {
-            flat: vec![1.0, -2.0, 3.5],
+            flat: vec![1.0, -2.0, 3.5].into(),
             version: 7,
             directive: None,
             epoch: 2,
         };
         match ClusterResp::decoded(&w.encoded()).unwrap() {
             ClusterResp::Weights { flat, version, directive, epoch } => {
-                assert_eq!(flat, vec![1.0, -2.0, 3.5]);
+                assert_eq!(*flat, vec![1.0, -2.0, 3.5]);
                 assert_eq!(version, 7);
                 assert_eq!(directive, None);
                 assert_eq!(epoch, 2);
@@ -621,34 +614,33 @@ mod tests {
     }
 
     #[test]
-    fn quantized_weights_roundtrip_and_normalize() {
+    fn quantized_weights_roundtrip() {
         let flat = vec![1.0f32, -2.5, 0.125, 1000.0, -0.004];
         for codec in [WireCodec::Bf16, WireCodec::Int8] {
             let directive = Some(PullDirective { mode: AlgoMode::Asgd, shard: Some(vec![2, 7]) });
             let resp = ClusterResp::weights_for(codec, flat.clone(), 11, directive.clone(), 3);
             assert!(matches!(resp, ClusterResp::QWeights { .. }), "{codec} should quantize");
-            let back = ClusterResp::decoded(&resp.encoded()).unwrap().normalize();
-            match back {
-                ClusterResp::Weights { flat: got, version, directive: d, epoch } => {
+            match ClusterResp::decoded(&resp.encoded()).unwrap() {
+                ClusterResp::QWeights { packed, version, directive: d, epoch } => {
                     assert_eq!((version, epoch), (11, 3));
                     assert_eq!(d, directive);
+                    let got = packed.unpack();
                     assert_eq!(got.len(), flat.len());
-                    for (a, b) in flat.iter().zip(&got) {
+                    for (a, b) in flat.iter().zip(got.iter()) {
                         // Both codecs bound relative error by their
                         // precision (bf16: 2⁻⁸; int8: max/127 per block).
                         assert!((a - b).abs() <= a.abs() / 100.0 + 8.0, "{codec}: {a} vs {b}");
                     }
                 }
-                _ => panic!("normalize must yield Weights"),
+                _ => panic!("a quantized reply decodes as QWeights"),
             }
         }
         // F32 stays a plain Weights reply — bit-identical seed encoding.
         let resp = ClusterResp::weights_for(WireCodec::F32, flat.clone(), 11, None, 3);
         assert!(matches!(resp, ClusterResp::Weights { .. }));
-        let plain = ClusterResp::Weights { flat, version: 11, directive: None, epoch: 3 };
+        let plain =
+            ClusterResp::Weights { flat: flat.into(), version: 11, directive: None, epoch: 3 };
         assert_eq!(resp.encoded(), plain.encoded());
-        // normalize is the identity off the quantized variant.
-        assert!(matches!(ClusterResp::Stop.normalize(), ClusterResp::Stop));
     }
 
     #[test]
@@ -667,7 +659,7 @@ mod tests {
             Some(PullDirective { mode: AlgoMode::Asgd, shard: Some(vec![3, 1, 4, 15]) }),
         ] {
             let w = ClusterResp::Weights {
-                flat: vec![0.5],
+                flat: vec![0.5].into(),
                 version: 99,
                 directive: directive.clone(),
                 epoch: 0,

@@ -27,9 +27,20 @@ pub struct ParameterServer {
 impl ParameterServer {
     /// Initializes from the canonical network's weights and BN state.
     pub fn new(net: &Network, num_workers: usize, bn_mode: BnMode, bn_momentum: f32) -> Self {
+        Self::with_weights(net.flat_params(), net.bn_state(), num_workers, bn_mode, bn_momentum)
+    }
+
+    /// A server over `weights` — all of a model's, or one shard's slice.
+    pub fn with_weights(
+        weights: Vec<f32>,
+        bn: BnState,
+        num_workers: usize,
+        bn_mode: BnMode,
+        bn_momentum: f32,
+    ) -> Self {
         ParameterServer {
-            weights: net.flat_params(),
-            bn: net.bn_state(),
+            weights,
+            bn,
             version: 0,
             iter: Vec::new(),
             last_arrival_version: vec![None; num_workers],
@@ -61,10 +72,11 @@ impl ParameterServer {
     }
 
     /// Averages M gradients and applies one update (SSGD, Formula 1).
-    pub fn apply_grad_avg(&mut self, grads: &[Vec<f32>], lr: f32) {
+    pub fn apply_grad_avg(&mut self, grads: &[impl AsRef<[f32]>], lr: f32) {
         assert!(!grads.is_empty());
         let scale = lr / grads.len() as f32;
-        for g in grads {
+        let grads: Vec<&[f32]> = grads.iter().map(AsRef::as_ref).collect();
+        for g in &grads {
             assert_eq!(g.len(), self.weights.len());
         }
         for (i, w) in self.weights.iter_mut().enumerate() {

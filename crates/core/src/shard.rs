@@ -12,12 +12,13 @@
 //! the BN running statistics. See DESIGN.md §11.
 
 use crate::bnmode::BnMode;
-use crate::comm::{wire_grads, CompressedGrad, Compression};
+use crate::comm::{CompressedGrad, Compression};
 use crate::server::ParameterServer;
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
 use lcasgd_nn::Network;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Partition of a flat weight vector of length `len` into `n` contiguous
 /// ranges. Shard `s` owns `range(s)`; the first `len % n` shards are one
@@ -106,9 +107,26 @@ impl ShardSpec {
 /// shard carrying the merged (model-global) bookkeeping — the arrival log
 /// and BN statistics — while every shard keeps its own weights slice and
 /// version counter.
+///
+/// The group is also the one owner of the copies of its weights that leave
+/// the server: [`snapshot`](Self::snapshot) lends out one shared vector per
+/// (shard, version) — to every pull at that version, the epoch evaluator,
+/// the write-ahead log's "before" image — and refills the same allocation
+/// for the next version once the last borrower has let go (DESIGN.md
+/// §12.6).
 pub struct ShardGroup {
     spec: ShardSpec,
     shards: Vec<ParameterServer>,
+    snapshots: Vec<Snapshot>,
+}
+
+/// A shard's lendable copy of its weights.
+#[derive(Default)]
+struct Snapshot {
+    weights: Arc<Vec<f32>>,
+    /// False once the shard's weights have moved on from `weights`; every
+    /// `ShardGroup` method that writes them clears it.
+    current: bool,
 }
 
 impl ShardGroup {
@@ -124,12 +142,18 @@ impl ShardGroup {
         let spec = ShardSpec::even(flat.len(), n)?;
         let shards = (0..n)
             .map(|s| {
-                let mut ps = ParameterServer::new(net, num_workers, bn_mode, bn_momentum);
-                ps.weights = spec.slice(&flat, s).to_vec();
-                ps
+                let weights = spec.slice(&flat, s).to_vec();
+                ParameterServer::with_weights(
+                    weights,
+                    net.bn_state(),
+                    num_workers,
+                    bn_mode,
+                    bn_momentum,
+                )
             })
             .collect();
-        Ok(ShardGroup { spec, shards })
+        let snapshots = (0..n).map(|_| Snapshot::default()).collect();
+        Ok(ShardGroup { spec, shards, snapshots })
     }
 
     /// The partition.
@@ -147,19 +171,44 @@ impl ShardGroup {
         &self.shards[s]
     }
 
-    /// Shard `s`, mutable.
-    pub fn shard_mut(&mut self, s: usize) -> &mut ParameterServer {
-        &mut self.shards[s]
-    }
-
     /// The lead shard (shard 0), owner of the merged bookkeeping.
     pub fn lead(&self) -> &ParameterServer {
         &self.shards[0]
     }
 
-    /// The lead shard, mutable.
-    pub fn lead_mut(&mut self) -> &mut ParameterServer {
-        &mut self.shards[0]
+    /// A shared copy of shard `s`'s weights as they are now. Calls between
+    /// two writes return the same vector; the first call after a write
+    /// copies the weights — into the previous snapshot's allocation when
+    /// nobody holds that any more, which is the steady state on a transport
+    /// that encodes a reply and drops it.
+    pub fn snapshot(&mut self, s: usize) -> Arc<Vec<f32>> {
+        let (shard, snap) = (&self.shards[s], &mut self.snapshots[s]);
+        if !snap.current {
+            match Arc::get_mut(&mut snap.weights) {
+                Some(buf) => {
+                    buf.clear();
+                    buf.extend_from_slice(&shard.weights);
+                }
+                None => snap.weights = Arc::new(shard.weights.clone()),
+            }
+            snap.current = true;
+        }
+        Arc::clone(&snap.weights)
+    }
+
+    /// A shared copy of the whole flat weight vector: shard 0's
+    /// [`snapshot`](Self::snapshot) when that is the whole model, else a
+    /// fresh [`assembled_weights`](Self::assembled_weights).
+    pub fn assembled_snapshot(&mut self) -> Arc<Vec<f32>> {
+        if self.count() == 1 {
+            self.snapshot(0)
+        } else {
+            Arc::new(self.assembled_weights())
+        }
+    }
+
+    fn weights_written(&mut self) {
+        self.snapshots.iter_mut().for_each(|snap| snap.current = false);
     }
 
     /// Merged update count: the number of completed pushes. Identical on
@@ -189,12 +238,16 @@ impl ShardGroup {
         Ok(())
     }
 
+    /// Restores the merged arrival log ("iter") from a checkpoint.
+    pub fn restore_arrival_log(&mut self, iter: Vec<usize>) {
+        self.shards[0].iter = iter;
+    }
+
     /// Assembles the full flat weight vector from the shard slices.
     pub fn assembled_weights(&self) -> Vec<f32> {
-        let parts: Vec<&[f32]> = self.shards.iter().map(|s| s.weights.as_slice()).collect();
         let mut flat = Vec::with_capacity(self.spec.len());
-        for part in parts {
-            flat.extend_from_slice(part);
+        for shard in &self.shards {
+            flat.extend_from_slice(&shard.weights);
         }
         flat
     }
@@ -206,6 +259,7 @@ impl ShardGroup {
         for (s, shard) in self.shards.iter_mut().enumerate() {
             shard.weights.copy_from_slice(&flat[self.spec.range(s)]);
         }
+        self.weights_written();
     }
 
     /// Formula 8 across all shards: each shard applies its slice, so
@@ -215,6 +269,7 @@ impl ShardGroup {
         for (s, shard) in self.shards.iter_mut().enumerate() {
             shard.apply_grad(&grads[self.spec.range(s)], lr);
         }
+        self.weights_written();
     }
 
     /// DC-ASGD's Formula 3 across all shards, against the per-shard
@@ -226,19 +281,21 @@ impl ShardGroup {
             let r = self.spec.range(s);
             shard.apply_grad_dc(&grads[r.clone()], lr, lambda, &w_bak[r]);
         }
+        self.weights_written();
     }
 
     /// SSGD's averaged update (Formula 1) across all shards.
-    pub fn apply_grad_avg(&mut self, grads: &[Vec<f32>], lr: f32) {
+    pub fn apply_grad_avg(&mut self, grads: &[impl AsRef<[f32]>], lr: f32) {
         assert!(!grads.is_empty());
         for g in grads {
-            assert_eq!(g.len(), self.spec.len(), "gradient length mismatch");
+            assert_eq!(g.as_ref().len(), self.spec.len(), "gradient length mismatch");
         }
         for (s, shard) in self.shards.iter_mut().enumerate() {
             let r = self.spec.range(s);
-            let slices: Vec<Vec<f32>> = grads.iter().map(|g| g[r.clone()].to_vec()).collect();
+            let slices: Vec<&[f32]> = grads.iter().map(|g| &g.as_ref()[r.clone()]).collect();
             shard.apply_grad_avg(&slices, lr);
         }
+        self.weights_written();
     }
 
     /// Merged arrival log (lead shard): "Append m to iter" and derive the
@@ -281,35 +338,37 @@ impl ShardGroup {
 
 // ------------------------------------------------------------- push path
 
-/// Compresses a full gradient into per-shard wire slices, maintaining the
-/// worker's full-length error-feedback residual. One shard delegates to
-/// [`wire_grads`] unchanged (bitwise-identical to the unsharded path);
-/// with more shards each slice is compressed independently against its
-/// slice of the residual.
+/// Turns a full gradient into per-shard wire slices, maintaining the
+/// worker's full-length error-feedback residual: each shard's range of
+/// `grads` is compressed on its own against the same range of the
+/// residual, in place (one shard: the whole vector against the whole
+/// residual, bitwise the unsharded path). Returns the slices and, with
+/// them, the gradient vector when they were made from a borrow of it;
+/// a single uncompressed slice *is* the vector, moved into the message.
 pub(crate) fn shard_wire_grads(
     scheme: &Compression,
     spec: &ShardSpec,
     grads: Vec<f32>,
     residual: &mut Vec<f32>,
-) -> Vec<CompressedGrad> {
-    if spec.count() == 1 {
-        return vec![wire_grads(scheme, grads, residual)];
-    }
+) -> (Vec<CompressedGrad>, Option<Vec<f32>>) {
+    assert_eq!(grads.len(), spec.len(), "gradient length mismatch");
     if *scheme == Compression::None {
-        return spec.split(&grads).into_iter().map(CompressedGrad::Dense).collect();
+        if spec.count() == 1 {
+            return (vec![CompressedGrad::Dense(grads)], None);
+        }
+        let slices = spec.split(&grads).into_iter().map(CompressedGrad::Dense).collect();
+        return (slices, Some(grads));
     }
     if residual.len() != grads.len() {
         *residual = vec![0.0; grads.len()];
     }
-    (0..spec.count())
+    let slices = (0..spec.count())
         .map(|s| {
             let r = spec.range(s);
-            let mut res = residual[r.clone()].to_vec();
-            let cg = scheme.compress(&grads[r.clone()], Some(&mut res));
-            residual[r].copy_from_slice(&res);
-            cg
+            scheme.compress_slice(&grads[r.clone()], Some(&mut residual[r]))
         })
-        .collect()
+        .collect();
+    (slices, Some(grads))
 }
 
 /// One shard's slice of a gradient push, as it comes off the wire.
@@ -329,10 +388,13 @@ pub(crate) struct PendingPush {
     pub push_seq: u64,
     pub pull_version: u64,
     pub loss: f32,
-    /// Full-length assembly buffer; slice `s` is written at the spec's
-    /// range for `s`. With one shard the only slice *is* the gradient
-    /// and is adopted whole, so no buffer is allocated or copied into.
+    /// Full-length assembly buffer; slice `s` is unpacked into the spec's
+    /// range for `s`. With one shard a dense slice *is* the gradient and
+    /// is adopted whole, so no buffer is allocated or copied into.
     pub grads: Vec<f32>,
+    /// Whether `grads` is such an adopted vector — the transport's, if it
+    /// decoded the message — rather than a buffer of the assembly's.
+    pub adopted: bool,
     /// Bitmask of shards whose slice has arrived ([`ShardSpec::MAX_SHARDS`]
     /// is 64 so one word suffices).
     seen: u64,
@@ -350,11 +412,14 @@ pub(crate) struct PendingPush {
 pub(crate) struct PushAssembly {
     spec: ShardSpec,
     pending: Vec<Option<PendingPush>>,
+    /// Assembly buffers of applied pushes ([`reclaim`](Self::reclaim)),
+    /// for the next ones to assemble into.
+    spent: Vec<Vec<f32>>,
 }
 
 impl PushAssembly {
     pub(crate) fn new(spec: ShardSpec, workers: usize) -> Self {
-        PushAssembly { spec, pending: (0..workers).map(|_| None).collect() }
+        PushAssembly { spec, pending: (0..workers).map(|_| None).collect(), spent: Vec::new() }
     }
 
     /// Buffers one slice of worker `w`'s push and returns the push once
@@ -367,8 +432,7 @@ impl PushAssembly {
         if sh >= n {
             return None;
         }
-        let grads = slice.grads.into_dense();
-        if grads.len() != self.spec.range(sh).len() {
+        if slice.grads.len() != self.spec.range(sh).len() {
             // A slice that does not fit its shard cannot be assembled;
             // drop the whole push rather than apply garbage.
             self.pending[w] = None;
@@ -379,10 +443,18 @@ impl PushAssembly {
             _ => {
                 // First slice of a new push; a leftover buffer from an
                 // abandoned one is discarded.
+                let adopted = n == 1 && matches!(slice.grads, CompressedGrad::Dense(_));
+                let mut grads = Vec::new();
+                if !adopted {
+                    grads = self.spent.pop().unwrap_or_default();
+                    grads.resize(self.spec.len(), 0.0);
+                }
                 self.pending[w].insert(PendingPush {
                     push_seq: slice.push_seq,
                     pull_version: slice.pull_version,
                     loss: slice.loss,
+                    grads,
+                    adopted,
                     ..PendingPush::default()
                 })
             }
@@ -391,12 +463,11 @@ impl PushAssembly {
             p.seen |= 1 << sh;
             p.got += 1;
         }
-        if n == 1 {
+        if p.adopted {
             // The only slice is the whole gradient: adopt it.
-            p.grads = grads;
+            p.grads = slice.grads.into_dense();
         } else {
-            p.grads.resize(self.spec.len(), 0.0);
-            p.grads[self.spec.range(sh)].copy_from_slice(&grads);
+            slice.grads.decompress_into(&mut p.grads[self.spec.range(sh)]);
         }
         if sh == 0 {
             // BN payloads ride the lead slice only.
@@ -407,6 +478,20 @@ impl PushAssembly {
             return None;
         }
         self.pending[w].take()
+    }
+
+    /// Takes back the gradient of a push this assembly completed, once it
+    /// has been applied. A buffer of the assembly's is kept for the next
+    /// push; an [`adopted`](PendingPush::adopted) vector was never the
+    /// assembly's and is returned for the caller to pass on to whoever
+    /// decoded it. The assembly allocates a buffer only when it has none
+    /// left, so it never holds more than pushes were in flight at once.
+    pub(crate) fn reclaim(&mut self, grads: Vec<f32>, adopted: bool) -> Option<Vec<f32>> {
+        if adopted {
+            return Some(grads);
+        }
+        self.spent.push(grads);
+        None
     }
 
     /// Discards worker `w`'s half-assembled push (a fenced or duplicate
@@ -454,6 +539,46 @@ mod tests {
         assert!(ShardSpec::even(10, 0).is_err());
         assert!(ShardSpec::even(3, 4).is_err(), "more shards than weights");
         assert!(ShardSpec::even(100, ShardSpec::MAX_SHARDS + 1).is_err());
+    }
+
+    fn slice(shard: usize, push_seq: u64, grads: CompressedGrad) -> PushSlice {
+        PushSlice {
+            push_seq,
+            pull_version: 0,
+            loss: 0.0,
+            shard,
+            grads,
+            batch_stats: Vec::new(),
+            running: BnState::default(),
+        }
+    }
+
+    #[test]
+    fn an_applied_gradient_goes_back_to_whoever_made_it() {
+        let g = vec![0.5f32, -1.0, 2.0, 0.0];
+        let packed = || Compression::Uniform { bits: 8 }.compress(&g, None);
+        // One shard, dense: the message's own vector is adopted, and is
+        // the transport's to have back.
+        let mut one = PushAssembly::new(ShardSpec::even(4, 1).unwrap(), 1);
+        let push = one.accept(0, slice(0, 1, CompressedGrad::Dense(g.clone()))).unwrap();
+        assert!(push.adopted);
+        assert_eq!(one.reclaim(push.grads, push.adopted), Some(g.clone()));
+        // One shard, packed: unpacked into a buffer of the assembly's own,
+        // which nobody else gets — and which the next push is unpacked into.
+        let push = one.accept(0, slice(0, 2, packed())).unwrap();
+        assert!(!push.adopted);
+        assert_eq!(push.grads, packed().decompress());
+        let buffer = push.grads.as_ptr();
+        assert_eq!(one.reclaim(push.grads, push.adopted), None);
+        let push = one.accept(0, slice(0, 3, packed())).unwrap();
+        assert_eq!(push.grads.as_ptr(), buffer);
+        // Several shards: always the assembly's buffer.
+        let mut two = PushAssembly::new(ShardSpec::even(4, 2).unwrap(), 1);
+        assert!(two.accept(0, slice(1, 1, CompressedGrad::Dense(g[2..].to_vec()))).is_none());
+        let push = two.accept(0, slice(0, 1, CompressedGrad::Dense(g[..2].to_vec()))).unwrap();
+        assert!(!push.adopted);
+        assert_eq!(push.grads, g);
+        assert_eq!(two.reclaim(push.grads, push.adopted), None);
     }
 
     #[test]

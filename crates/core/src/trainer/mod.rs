@@ -80,8 +80,17 @@ impl<'a> EvalHarness<'a> {
     }
 
     fn evaluate(&mut self, weights: &[f32], bn: &BnState) -> (f32, f32) {
+        self.load(weights, bn);
+        self.evaluate_loaded()
+    }
+
+    fn load(&mut self, weights: &[f32], bn: &BnState) {
         self.net.set_flat_params(weights);
         self.net.set_bn_state(bn);
+    }
+
+    /// Both error rates of the model last [`load`](Self::load)ed.
+    fn evaluate_loaded(&self) -> (f32, f32) {
         let (train_err, _) = evaluate(&self.net, &self.train_x, &self.train_y, self.batch);
         let (test_err, _) = evaluate(&self.net, &self.test.inputs, &self.test.labels, self.batch);
         (train_err, test_err)
@@ -122,7 +131,7 @@ fn epoch_record(
 /// ends up bitwise what inline evaluation would have made it. At most one
 /// snapshot is in flight: a second `submit` first waits for the first.
 struct Evaluator {
-    jobs: Sender<(Vec<f32>, BnState)>,
+    jobs: Sender<(Arc<Vec<f32>>, BnState)>,
     results: Receiver<(f32, f32)>,
     /// Index of the record whose error rates are in flight.
     pending: Option<usize>,
@@ -130,7 +139,7 @@ struct Evaluator {
 
 impl Evaluator {
     /// Queues the evaluation of the newest record in `records`.
-    fn submit(&mut self, records: &mut [EpochRecord], weights: Vec<f32>, bn: BnState) {
+    fn submit(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
         self.collect(records);
         // A send can only fail once the evaluator has panicked, which
         // `run_cluster_with` turns into the run's error when it joins it.
@@ -156,11 +165,15 @@ impl Evaluator {
 /// until the server (and its [`Evaluator`]) is gone.
 fn serve_evaluations(
     mut harness: EvalHarness<'_>,
-    jobs: Receiver<(Vec<f32>, BnState)>,
+    jobs: Receiver<(Arc<Vec<f32>>, BnState)>,
     results: Sender<(f32, f32)>,
 ) {
     for (weights, bn) in jobs {
-        if results.send(harness.evaluate(&weights, &bn)).is_err() {
+        harness.load(&weights, &bn);
+        // The server's snapshot: let go of it before the long part, so the
+        // server can refill it for the next version instead of allocating.
+        drop(weights);
+        if results.send(harness.evaluate_loaded()).is_err() {
             return;
         }
     }

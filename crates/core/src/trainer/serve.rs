@@ -7,6 +7,7 @@
 use super::{km_steps, open_record, updates_per_epoch, Evaluator, RunEnv};
 use crate::algorithms::Algorithm;
 use crate::checkpoint::TrainingCheckpoint;
+use crate::comm::CompressedGrad;
 use crate::metrics::{EpochRecord, FaultReport, OverheadStats, PredictorTrace, RunResult};
 use crate::predictor::{
     LossPrediction, LossPredictor, LossPredictorSnapshot, StepPredictor, StepPredictorSnapshot,
@@ -66,15 +67,13 @@ fn adopt_server_state(group: &mut ShardGroup, ck: &TrainingCheckpoint) -> Result
         // An unsharded (or single-shard) checkpoint: lockstep version
         // counters mean every shard adopts the global count, so such a
         // checkpoint resumes under any shard layout.
-        for s in 0..group.count() {
-            group.shard_mut(s).version = ck.version;
-        }
+        group.restore_versions(&vec![ck.version; group.count()])?;
     } else {
         group.restore_versions(&ck.shard_versions)?;
     }
     group.load_weights(&ck.weights);
     group.set_bn(ck.bn.clone());
-    group.lead_mut().iter = ck.iter.clone();
+    group.restore_arrival_log(ck.iter.clone());
     Ok(())
 }
 
@@ -232,6 +231,17 @@ struct GoodState {
     predictors: (Option<LossPredictorSnapshot>, Option<StepPredictorSnapshot>),
 }
 
+/// One worker's contribution to an SSGD round, parked at the barrier.
+struct ParkedGrad {
+    worker: usize,
+    grads: Vec<f32>,
+    /// Whether `grads` is a vector the transport decoded (a dense push),
+    /// which goes back to it after the round, or one unpacked here.
+    decoded: bool,
+    running: BnState,
+    batch_stats: Vec<BnBatchStats>,
+}
+
 /// The parameter server of one run. [`run_cluster_with`] sets it up in
 /// stages — `new`, the option fields, `resume`, `attach_standby`, `start` —
 /// and the backend then drives it one message at a time through `handle`.
@@ -258,7 +268,7 @@ pub(super) struct Server<'a> {
     /// change must not reinterpret an in-flight push).
     pulled_mode: Vec<AlgoMode>,
     /// SSGD barrier: gradients parked until the round is full.
-    round: Vec<(usize, Vec<f32>, BnState, Vec<BnBatchStats>)>,
+    round: Vec<ParkedGrad>,
 
     // ---- progress ------------------------------------------------------
     // Async algorithms count gradient applications; SSGD counts rounds.
@@ -482,26 +492,23 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Replies to `to` with shard `sh`'s weights. Directive-free replies
-    /// carry a coalescing key: at one (shard, epoch, version) they are
-    /// byte-identical, so the reactor encodes one for all of them.
+    /// Replies to `to` with shard `sh`'s weights: the group's one snapshot
+    /// of them at this version, shared by every reply that carries it.
+    /// Directive-free replies also carry a coalescing key: at one (shard,
+    /// epoch, version) they are byte-identical, so the reactor encodes one
+    /// for all of them.
     fn reply_weights(
-        &self,
+        &mut self,
         to: usize,
         sh: usize,
         directive: Option<PullDirective>,
         ctx: &mut ServerCtx<ClusterResp>,
     ) {
-        let shard = self.group.shard(sh);
+        let version = self.group.shard(sh).version;
         let epoch = self.fence.epoch();
-        let key = directive.is_none().then(|| coalesce_key(sh as u32, epoch, shard.version));
-        let resp = ClusterResp::weights_for(
-            self.codec,
-            shard.weights.clone(),
-            shard.version,
-            directive,
-            epoch,
-        );
+        let key = directive.is_none().then(|| coalesce_key(sh as u32, epoch, version));
+        let weights = self.group.snapshot(sh);
+        let resp = ClusterResp::weights_for(self.codec, weights, version, directive, epoch);
         match key {
             Some(key) => ctx.reply_to_keyed(to, resp, key),
             None => ctx.reply_to(to, resp),
@@ -559,7 +566,14 @@ impl<'a> Server<'a> {
             // Late gradients past the target (or past a planned halt) are
             // dropped, as a real server shutting down would drop them.
             if let Some(push) = self.pushes.accept(w, slice) {
-                self.on_push(w, push);
+                // The applied gradient's vector goes back to whoever made
+                // it: the assembly's buffer to the assembly, a vector the
+                // transport decoded to the transport.
+                let adopted = push.adopted;
+                let spent = self.on_push(w, push);
+                if let Some(decoded) = spent.and_then(|g| self.pushes.reclaim(g, adopted)) {
+                    ctx.recycle(decoded);
+                }
             }
         }
     }
@@ -567,44 +581,55 @@ impl<'a> Server<'a> {
     /// Formula 1's barrier: park until all M contributions are in, then
     /// average-apply and release everyone at once.
     fn on_ssgd_grad(&mut self, w: usize, slice: PushSlice, ctx: &mut ServerCtx<ClusterResp>) {
-        self.round.push((w, slice.grads.into_dense(), slice.running, slice.batch_stats));
+        // Only a dense gradient's vector is the transport's to have back;
+        // one unpacked here is this round's own and is dropped with it.
+        let (grads, decoded) = match slice.grads {
+            CompressedGrad::Dense(decoded) => (decoded, true),
+            packed => (packed.decompress(), false),
+        };
+        let (running, batch_stats) = (slice.running, slice.batch_stats);
+        self.round.push(ParkedGrad { worker: w, grads, decoded, running, batch_stats });
         self.losses.push(slice.loss);
         if self.round.len() < self.env.workers {
             return;
         }
         let cfg = self.env.cfg;
         let lr = cfg.lr.at_epoch(self.rounds_done / self.rounds_per_epoch) * cfg.ssgd_lr_scale;
-        let gs: Vec<Vec<f32>> = self.round.iter().map(|(_, g, _, _)| g.clone()).collect();
+        let gs: Vec<&[f32]> = self.round.iter().map(|p| p.grads.as_slice()).collect();
         let t_apply = Instant::now();
         self.group.apply_grad_avg(&gs, lr);
-        for (_, _, running, batch) in &self.round {
-            self.group.absorb_bn(running, batch);
+        for p in &self.round {
+            self.group.absorb_bn(&p.running, &p.batch_stats);
         }
         let sink = &self.env.sink;
         sink.wall_span_at(None, phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
         self.rounds_done += 1;
         if self.rounds_done.is_multiple_of(self.rounds_per_epoch) {
-            let weights = self.group.lead().weights.clone();
-            self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr, weights);
+            self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr);
         }
         let stop = self.rounds_done >= self.rounds_target;
-        for &(parked, ..) in &self.round {
+        for ParkedGrad { worker: parked, grads, decoded, .. } in std::mem::take(&mut self.round) {
+            if decoded {
+                ctx.recycle(grads);
+            }
             if stop {
                 ctx.reply_to(parked, ClusterResp::Stop);
             } else {
-                // The whole released round shares one weights snapshot —
+                // The whole released round — and the epoch evaluation, if
+                // one was just queued — shares one weights snapshot, and
                 // the reactor encodes it once.
                 self.reply_weights(parked, 0, None, ctx);
             }
         }
-        self.round.clear();
     }
 
     /// A whole push has arrived: admit it, apply it (Formula 8 / Formula
     /// 3), then run the post-apply steps. Their order is load-bearing —
-    /// DESIGN.md §13.2 gives the reason for each position.
-    fn on_push(&mut self, w: usize, mut push: PendingPush) {
+    /// DESIGN.md §13.2 gives the reason for each position. Returns the
+    /// gradient's vector once it has been applied (the supervisor keeps or
+    /// drops the ones it does not admit).
+    fn on_push(&mut self, w: usize, mut push: PendingPush) -> Option<Vec<f32>> {
         let stale = (self.group.version() - push.pull_version) as u32;
         let g = std::mem::take(&mut push.grads);
         // Admission control: the supervisor may discard, park, or LR-scale
@@ -618,11 +643,15 @@ impl<'a> Server<'a> {
             }
             None => (Some(g), 1.0, false),
         };
-        if let Some(g) = g {
+        if let Some(g) = &g {
             // The write-ahead log ships the apply as per-shard deltas, so
-            // snapshot the weights they are taken against.
-            let before = self.repl.as_ref().map(|_| self.group.assembled_weights());
-            let lr = self.apply(w, &push, &g, stale, lr_scale);
+            // hold on to the weights they are taken against: each shard's
+            // snapshot at the version this push moves it on from.
+            let before: Option<Vec<Arc<Vec<f32>>>> = self
+                .repl
+                .as_ref()
+                .map(|_| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
+            let lr = self.apply(w, &push, g, stale, lr_scale);
             if let Some(before) = before {
                 self.log_to_wal(w, &push, stale, &before);
             }
@@ -634,6 +663,7 @@ impl<'a> Server<'a> {
         }
         self.rollback_or_snapshot(want_rollback);
         self.trace_health_events();
+        g
     }
 
     /// Applies an admitted gradient to every shard (Formula 8, or Formula 3
@@ -673,17 +703,17 @@ impl<'a> Server<'a> {
     }
 
     /// Step 1: ship the apply to the standby as per-shard deltas against
-    /// `before`, one log record per shard, consecutive seqs. The last one
-    /// alone carries a fused apply's side effects (arrival-log entry, BN
-    /// state), so the standby counts a push applied only when it is whole.
-    fn log_to_wal(&mut self, w: usize, push: &PendingPush, stale: u32, before: &[f32]) {
+    /// `before` (each shard's weights as the apply found them), one log
+    /// record per shard, consecutive seqs. The last one alone carries a
+    /// fused apply's side effects (arrival-log entry, BN state), so the
+    /// standby counts a push applied only when it is whole.
+    fn log_to_wal(&mut self, w: usize, push: &PendingPush, stale: u32, before: &[Arc<Vec<f32>>]) {
         let Some(rs) = self.repl.as_mut() else { return };
         let group = &self.group;
         let fused = self.pulled_mode[w] != AlgoMode::Lc;
-        for s in 0..group.count() {
-            let base = &before[group.spec().range(s)];
+        for (s, base) in before.iter().enumerate() {
             let delta: Vec<f32> =
-                group.shard(s).weights.iter().zip(base).map(|(a, b)| a - b).collect();
+                group.shard(s).weights.iter().zip(base.iter()).map(|(a, b)| a - b).collect();
             let digest = LogRecord::digest_of(&delta);
             let side_effects = fused && s + 1 == group.count();
             rs.log(LogRecord {
@@ -711,16 +741,17 @@ impl<'a> Server<'a> {
         if !self.applied.is_multiple_of(self.updates_per_epoch) {
             return;
         }
-        let weights = self.group.assembled_weights();
-        self.record_epoch(self.applied / self.updates_per_epoch, lr, weights);
+        self.record_epoch(self.applied / self.updates_per_epoch, lr);
         self.snapshot_standby();
     }
 
-    /// Stamps epoch `epoch`'s record and hands `weights` — the model the
-    /// epoch ended on — to the evaluator thread, which fills in the error
-    /// rates while this thread goes back to Algorithm 2.
-    fn record_epoch(&mut self, epoch: usize, lr: f32, weights: Vec<f32>) {
+    /// Stamps epoch `epoch`'s record and hands the model the epoch ended on
+    /// — the group's snapshot of it, shared with the pulls at this version
+    /// — to the evaluator thread, which fills in the error rates while this
+    /// thread goes back to Algorithm 2.
+    fn record_epoch(&mut self, epoch: usize, lr: f32) {
         self.records.push(open_record(epoch, self.now(), &mut self.losses, lr));
+        let weights = self.group.assembled_snapshot();
         self.eval.submit(&mut self.records, weights, self.group.bn().clone());
     }
 

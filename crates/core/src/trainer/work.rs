@@ -4,7 +4,7 @@
 
 use super::ModelFn;
 use crate::algorithms::Algorithm;
-use crate::comm::{wire_grads, Compression};
+use crate::comm::{CompressedGrad, Compression};
 use crate::config::ExperimentConfig;
 use crate::protocol::{ClusterReq, ClusterResp, PullDirective};
 use crate::shard::{shard_wire_grads, ShardSpec};
@@ -15,8 +15,11 @@ use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_data::Dataset;
 use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::WorkerLink;
+use lcasgd_tensor::ops::tune::{band_budget, current_num_threads, with_num_threads};
 use lcasgd_tensor::Rng;
 use parking_lot::Mutex;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one run's worker threads and its server share: the read-only
@@ -32,6 +35,9 @@ pub(super) struct RunEnv<'a> {
     /// quantized in both directions.
     pub compression: Compression,
     pub workers: usize,
+    /// Kernel bands each worker's compute may fork, so that all of them
+    /// together fit the threads the run was started with (DESIGN.md §8.3).
+    bands: usize,
     pub spec: ShardSpec,
     /// The sink observes; it never feeds back into scheduling, so a traced
     /// run applies bit-identical updates to an untraced one.
@@ -89,6 +95,9 @@ impl<'a> RunEnv<'a> {
             clock,
             compression,
             workers: nodes.len(),
+            // Read here, on the thread that starts the run — where a
+            // caller's `with_num_threads` applies — not on the workers'.
+            bands: band_budget(current_num_threads(), nodes.len()),
             spec,
             sink,
             incarnations: Mutex::new(vec![0; nodes.len()]),
@@ -137,23 +146,26 @@ pub(super) fn worker_loop(
         // resets this worker's arrival history and predictor stream.
         let _ = link.send(ClusterReq::Join { incarnation });
     }
-    if env.cfg.algorithm == Algorithm::Ssgd {
-        ssgd_loop(w, link, env, &mut node);
-    } else {
-        let seq_base = u64::from(incarnation) << 32;
-        Session {
-            w,
-            link,
-            env,
-            residual: Vec::new(),
-            last_t_comp: 0.0,
-            srv_epoch: 0,
-            seq_base,
-            push_counter: 0,
-            fenced_retries: 0,
+    with_num_threads(env.bands, || {
+        if env.cfg.algorithm == Algorithm::Ssgd {
+            ssgd_loop(w, link, env, &mut node);
+        } else {
+            let seq_base = u64::from(incarnation) << 32;
+            Session {
+                w,
+                link,
+                env,
+                weights: vec![0.0; env.spec.len()],
+                residual: Vec::new(),
+                last_t_comp: 0.0,
+                srv_epoch: 0,
+                seq_base,
+                push_counter: 0,
+                fenced_retries: 0,
+            }
+            .run(&mut node);
         }
-        .run(&mut node);
-    }
+    });
     // Return the replica to its slot: a restarted incarnation of this
     // worker (crash-recovery re-invokes `worker_loop`) picks it back up.
     env.batch_pos.lock()[w] = node.batch_progress();
@@ -170,18 +182,22 @@ fn ssgd_loop(
     env: &RunEnv<'_>,
     node: &mut WorkerNode,
 ) {
+    let mut weights = vec![0.0; env.spec.len()];
     let mut residual = Vec::new();
     let pull_start = Instant::now();
-    let mut resp = match link.request(ClusterReq::Pull { epoch: 0, shard: 0 }) {
-        Ok(r) => r.normalize(),
-        Err(_) => return,
-    };
+    let Ok(mut resp) = link.request(ClusterReq::Pull { epoch: 0, shard: 0 }) else { return };
     env.span(w, phase::PULL, pull_start);
-    while let ClusterResp::Weights { flat, version, .. } = resp {
+    let whole = 0..weights.len();
+    while let Ok((version, ..)) = install_reply(link, &mut weights, whole.clone(), resp) {
         let compute_start = Instant::now();
-        let (loss, grads, batch_stats) = node.compute_gradient(&flat, env.train);
+        let (loss, grads, batch_stats) = node.compute_gradient(&weights, env.train);
         env.span(w, phase::COMPUTE, compute_start);
-        let grads = wire_grads(&env.compression, grads, &mut residual);
+        let (mut slices, spent) =
+            shard_wire_grads(&env.compression, &env.spec, grads, &mut residual);
+        if let Some(spent) = spent {
+            node.recycle_grads(spent);
+        }
+        let grads = slices.pop().expect("SSGD runs one shard");
         let running = node.bn_running();
         // The barrier: this request blocks until the whole round has
         // arrived and the server releases the new weights.
@@ -196,16 +212,56 @@ fn ssgd_loop(
             push_seq: 0,
             shard: 0,
         }) {
-            Ok(r) => r.normalize(),
+            Ok(r) => r,
             Err(_) => return,
         };
         env.span(w, phase::PUSH, push_start);
     }
 }
 
-/// A whole weight vector, as [`Session::try_pull`] assembled it.
+/// Installs a weights reply, plain or packed, at `range` of `weights` —
+/// the one way a worker consumes one — and returns the version, directive
+/// and server epoch it carried. Any other reply, or one whose length is not
+/// the range's, comes back as the error.
+///
+/// A plain vector the transport decoded for this worker alone goes back to
+/// the transport for the next reply — and when it is the whole model it is
+/// not even copied: it becomes `weights`, and the previous one goes back
+/// instead. A packed reply is unpacked straight into the range; nothing of
+/// it is the transport's to have back.
+fn install_reply(
+    link: &mut dyn WorkerLink<ClusterReq, ClusterResp>,
+    weights: &mut Vec<f32>,
+    range: Range<usize>,
+    resp: ClusterResp,
+) -> Result<(u64, Option<PullDirective>, u64), ClusterResp> {
+    match resp {
+        ClusterResp::Weights { flat, version, directive, epoch } if flat.len() == range.len() => {
+            match Arc::try_unwrap(flat) {
+                Ok(mut decoded) => {
+                    if range.len() == weights.len() {
+                        std::mem::swap(weights, &mut decoded);
+                    } else {
+                        weights[range].copy_from_slice(&decoded);
+                    }
+                    link.recycle(decoded);
+                }
+                Err(shared) => weights[range].copy_from_slice(&shared),
+            }
+            Ok((version, directive, epoch))
+        }
+        ClusterResp::QWeights { packed, version, directive, epoch }
+            if packed.len() == range.len() =>
+        {
+            packed.unpack_into(&mut weights[range]);
+            Ok((version, directive, epoch))
+        }
+        other => Err(other),
+    }
+}
+
+/// What came with the weights [`Session::try_pull`] installed.
 struct Pulled {
-    flat: Vec<f32>,
     version: u64,
     directive: Option<PullDirective>,
     /// Seconds the successful pull took, lead request to last slice:
@@ -237,6 +293,9 @@ struct Session<'a> {
     w: usize,
     link: &'a mut dyn WorkerLink<ClusterReq, ClusterResp>,
     env: &'a RunEnv<'a>,
+    /// This worker's copy of the model as last pulled: every reply's slice
+    /// lands in its range of this one vector, pull after pull.
+    weights: Vec<f32>,
     /// Error-feedback residual of the uplink compression.
     residual: Vec<f32>,
     last_t_comp: f32,
@@ -300,56 +359,39 @@ impl Session<'_> {
         }
     }
 
-    /// One attempt: the lead pull, then one pull per remaining shard.
+    /// One attempt: one pull per shard, the lead first, each reply's slice
+    /// installed in its range of `self.weights`. With a single shard the
+    /// message sequence is exactly the unsharded protocol's.
     fn try_pull(&mut self) -> Pull {
-        let spec = &self.env.spec;
         let pull_start = Instant::now();
-        let lead = ClusterReq::Pull { epoch: self.srv_epoch, shard: 0 };
-        let Ok(resp) = self.link.request(lead) else { return Pull::Stop };
-        self.env.span(self.w, phase::PULL, pull_start);
-        let (mut flat, version, directive) = match resp.normalize() {
-            ClusterResp::Weights { flat, version, directive, epoch } => {
-                self.srv_epoch = epoch;
-                (flat, version, directive)
-            }
-            ClusterResp::Fenced { epoch } => {
-                self.srv_epoch = epoch;
-                return Pull::Fenced;
-            }
-            _ => return Pull::Stop,
-        };
-        // Sharded layout: the lead pull delivered shard 0's slice; fan out
-        // one pull per remaining shard and assemble the full vector. With
-        // a single shard this is a no-op and the message sequence is
-        // exactly the unsharded protocol's.
-        if spec.count() > 1 {
-            if flat.len() != spec.range(0).len() {
-                return Pull::Stop;
-            }
-            let mut full = vec![0.0f32; spec.len()];
-            full[spec.range(0)].copy_from_slice(&flat);
-            for sh in 1..spec.count() {
-                let shard_start = Instant::now();
-                let req = ClusterReq::Pull { epoch: self.srv_epoch, shard: sh as u32 };
-                match self.link.request(req).map(ClusterResp::normalize) {
-                    Ok(ClusterResp::Weights { flat: slice, epoch, .. })
-                        if slice.len() == spec.range(sh).len() =>
-                    {
+        let mut lead = None;
+        for sh in 0..self.env.spec.count() {
+            let shard_start = Instant::now();
+            let req = ClusterReq::Pull { epoch: self.srv_epoch, shard: sh as u32 };
+            let Ok(resp) = self.link.request(req) else { return Pull::Stop };
+            self.env.span(self.w, phase::PULL, shard_start);
+            let range = self.env.spec.range(sh);
+            let (version, directive) =
+                match install_reply(self.link, &mut self.weights, range, resp) {
+                    Ok((version, directive, epoch)) => {
                         self.srv_epoch = epoch;
-                        full[spec.range(sh)].copy_from_slice(&slice);
-                        self.env.span(self.w, phase::PULL, shard_start);
+                        (version, directive)
                     }
-                    Ok(ClusterResp::Fenced { epoch }) => {
+                    Err(ClusterResp::Fenced { epoch }) => {
                         self.srv_epoch = epoch;
                         return Pull::Fenced;
                     }
-                    _ => return Pull::Stop,
-                }
+                    Err(_) => return Pull::Stop,
+                };
+            // The lead pull alone carries the version the gradient will be
+            // measured against, and the supervisor's directive.
+            if sh == 0 {
+                lead = Some((version, directive));
             }
-            flat = full;
         }
+        let (version, directive) = lead.expect("a partition has at least one shard");
         let t_comm = pull_start.elapsed().as_secs_f32();
-        Pull::Whole(Pulled { flat, version, directive, t_comm })
+        Pull::Whole(Pulled { version, directive, t_comm })
     }
 
     /// Counts one more consecutive fenced reply and, while the bound
@@ -372,7 +414,7 @@ impl Session<'_> {
     fn two_phase_iteration(&mut self, node: &mut WorkerNode, pulled: Pulled) -> Iteration {
         let (env, w) = (self.env, self.w);
         let compute_start = Instant::now();
-        let (loss, batch_stats) = node.forward_phase(&pulled.flat, env.train);
+        let (loss, batch_stats) = node.forward_phase(&self.weights, env.train);
         env.span(w, phase::COMPUTE, compute_start);
         let running = node.bn_running();
         let state = ClusterReq::State {
@@ -402,32 +444,41 @@ impl Session<'_> {
         self.last_t_comp = compute_start.elapsed().as_secs_f32();
         // The server absorbed this iteration's BN statistics with the
         // state message; the push carries none.
-        self.push_grads(grads, pulled.version, loss, None)
+        self.push_grads(node, grads, pulled.version, loss, None)
     }
 
     /// The fused iteration of ASGD, DC-ASGD and demoted LC workers.
     fn fused_iteration(&mut self, node: &mut WorkerNode, pulled: Pulled) -> Iteration {
         let compute_start = Instant::now();
-        let (loss, grads, batch_stats) = node.compute_gradient(&pulled.flat, self.env.train);
+        let (loss, grads, batch_stats) = node.compute_gradient(&self.weights, self.env.train);
         self.env.span(self.w, phase::COMPUTE, compute_start);
         self.last_t_comp = compute_start.elapsed().as_secs_f32();
         let bn = Some((batch_stats, node.bn_running()));
-        self.push_grads(grads, pulled.version, loss, bn)
+        self.push_grads(node, grads, pulled.version, loss, bn)
     }
 
     /// Algorithm 1 line 12: one fire-and-forget `Grad` per shard, all
     /// under one dedup sequence number. The BN payload rides only the
     /// lead-shard slice; the follower slices carry empty stats so the
-    /// merged absorption happens exactly once per push.
+    /// merged absorption happens exactly once per push. The gradient's
+    /// vector ends up back with `node`, as its next backward pass's arena,
+    /// whenever the push leaves it behind: at once if the slices were
+    /// compressed or copied out of it, after the send if it went out whole
+    /// over a transport that only reads the message.
     fn push_grads(
         &mut self,
+        node: &mut WorkerNode,
         grads: Vec<f32>,
         pull_version: u64,
         loss: f32,
         mut bn: Option<(Vec<BnBatchStats>, BnState)>,
     ) -> Iteration {
         let env = self.env;
-        let slices = shard_wire_grads(&env.compression, &env.spec, grads, &mut self.residual);
+        let (slices, spent) =
+            shard_wire_grads(&env.compression, &env.spec, grads, &mut self.residual);
+        if let Some(spent) = spent {
+            node.recycle_grads(spent);
+        }
         self.push_counter += 1;
         let push_seq = self.seq_base | self.push_counter;
         let push_start = Instant::now();
@@ -443,8 +494,14 @@ impl Session<'_> {
                 push_seq,
                 shard: sh as u32,
             };
-            if self.link.send(push).is_err() {
-                return Iteration::Stop;
+            match self.link.send(push) {
+                Ok(Some(ClusterReq::Grad { grads: CompressedGrad::Dense(sent), .. }))
+                    if sent.len() == env.spec.len() =>
+                {
+                    node.recycle_grads(sent)
+                }
+                Ok(_) => {}
+                Err(_) => return Iteration::Stop,
             }
         }
         env.span(self.w, phase::PUSH, push_start);

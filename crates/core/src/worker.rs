@@ -17,14 +17,12 @@
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_autograd::{Graph, Var};
 use lcasgd_data::{BatchIter, Dataset};
-use lcasgd_nn::layer::ForwardCtx;
 use lcasgd_nn::network::BnState;
 use lcasgd_nn::Network;
 
 struct PendingForward {
     graph: Graph,
     loss_var: Var,
-    ctx: ForwardCtx,
     loss: f32,
 }
 
@@ -34,6 +32,10 @@ pub struct WorkerNode {
     pub net: Network,
     batches: BatchIter,
     pending: Option<PendingForward>,
+    /// A gradient vector this worker handed out earlier and got back
+    /// ([`recycle_grads`](Self::recycle_grads)): the next backward pass
+    /// writes into it instead of allocating.
+    spent_grads: Vec<f32>,
     /// Momentum for the worker-local BN running EMA (regular-BN path).
     pub bn_momentum: f32,
     /// Server version at the last pull (staleness accounting).
@@ -58,6 +60,7 @@ impl WorkerNode {
             net,
             batches: BatchIter::from_indices(indices, batch_size, seed),
             pending: None,
+            spent_grads: Vec::new(),
             bn_momentum: 0.1,
             version_at_pull: 0,
             last_t_comm: 0.0,
@@ -74,29 +77,43 @@ impl WorkerNode {
     /// record loss + BN batch statistics. Keeps the graph alive for the
     /// deferred backward. Returns `(ℓ_m, batch BN stats)`.
     pub fn forward_phase(&mut self, weights: &[f32], data: &Dataset) -> (f32, Vec<BnBatchStats>) {
+        // A tape shares the parameters' buffers; with the last one gone the
+        // new weights are written into them in place.
+        self.pending = None;
         self.net.set_flat_params(weights);
         let (x, y) = self.batches.next_batch(data);
         let mut graph = Graph::new();
         let (logits, ctx) = self.net.forward(&mut graph, x, true);
         let loss_var = graph.softmax_cross_entropy(logits, &y);
         let loss = graph.value(loss_var).item();
-        let stats: Vec<BnBatchStats> = ctx.bn_stats.clone();
+        let stats = ctx.bn_stats;
         // Maintain the worker-local running EMA (what a regular-BN worker
         // would report).
         self.net.update_bn_running(&stats, self.bn_momentum);
-        self.pending = Some(PendingForward { graph, loss_var, ctx, loss });
+        self.pending = Some(PendingForward { graph, loss_var, loss });
         (loss, stats)
     }
 
     /// Algorithm 1 lines 9–12: backpropagate the compensated loss. `seed`
     /// is the gradient scale produced by the compensation mode (1.0 =
-    /// plain ASGD). Returns the flat gradient `g_m`.
+    /// plain ASGD). Returns the flat gradient `g_m`: the tape's gradient
+    /// arena, which the backward pass wrote every parameter's gradient
+    /// into. Pass the vector to [`recycle_grads`](Self::recycle_grads) once
+    /// it has been sent and the next call reuses it.
     ///
     /// Panics if no forward is pending.
     pub fn backward_phase(&mut self, seed: f32) -> Vec<f32> {
         let mut p = self.pending.take().expect("backward_phase without forward_phase");
+        p.graph.set_grad_arena(std::mem::take(&mut self.spent_grads));
         p.graph.backward_with_seed(p.loss_var, seed);
-        self.net.flat_grads(&mut p.graph, &p.ctx)
+        self.net.flat_grads(&mut p.graph)
+    }
+
+    /// Hands back a gradient vector [`backward_phase`](Self::backward_phase)
+    /// returned, once whoever took it is done with it. Its contents no
+    /// longer matter.
+    pub fn recycle_grads(&mut self, spent: Vec<f32>) {
+        self.spent_grads = spent;
     }
 
     /// The loss recorded by the pending forward, if any.

@@ -52,6 +52,7 @@ use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
 use crate::frame::{crc32, header_bytes, parse_header, FrameKind, HEADER_LEN};
 use crate::pool::BufferPool;
+use lcasgd_simcluster::backend::keep_spent;
 use lcasgd_simcluster::{ClusterError, ServerCtx, TraceHook, TransportStats, WireMsg};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -225,6 +226,12 @@ impl ReactorServer {
         let mut result: Result<(), ClusterError> = Ok(());
         let mut cache = ReplyCache::default();
         let mut pending: Vec<PendingReq<Req>> = Vec::new();
+        // Payload vectors of requests the server has finished with
+        // (`ServerCtx::recycle`); the next model-sized requests are decoded
+        // into them. A worker has one such request in flight at a time, so
+        // `m` of them is all a run can use: whatever comes back beyond that
+        // is dropped (`keep_spent`), whoever made it.
+        let mut spent: Vec<Vec<f32>> = Vec::new();
         let started = Instant::now();
 
         'serve: loop {
@@ -403,7 +410,7 @@ impl ReactorServer {
                                 stats.oneways += 1;
                             }
                             let t0 = Instant::now();
-                            let req = match Req::decoded(payload) {
+                            let req = match Req::decoded_reusing(payload, &mut spent) {
                                 Ok(req) => req,
                                 Err(_) => {
                                     // Framed correctly but fails the
@@ -429,6 +436,7 @@ impl ReactorServer {
                             } else {
                                 let mut ctx = ServerCtx::new(rank, false);
                                 server_fn(rank, req, &mut ctx);
+                                keep_spent(&mut spent, ctx.take_recycled(), m);
                                 if let Err(e) = deliver_replies(
                                     ctx.take_keyed_replies(),
                                     m,
@@ -495,6 +503,7 @@ impl ReactorServer {
                 }
                 let mut ctx = ServerCtx::new(preq.rank, true);
                 server_fn(preq.rank, preq.req, &mut ctx);
+                keep_spent(&mut spent, ctx.take_recycled(), m);
                 if let Err(e) = deliver_replies(
                     ctx.take_keyed_replies(),
                     m,

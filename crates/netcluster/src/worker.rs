@@ -21,6 +21,7 @@ use crate::config::NetConfig;
 use crate::frame::{
     crc32, header_bytes, read_frame_into, write_frame, write_payload, Frame, FrameKind, HEADER_LEN,
 };
+use lcasgd_simcluster::backend::keep_spent;
 use lcasgd_simcluster::{ClusterError, FaultHooks, TraceHook, TransportStats, WireMsg, WorkerLink};
 use parking_lot::Mutex;
 use std::io::Write;
@@ -58,6 +59,11 @@ impl StopSignal {
     }
 }
 
+/// Handed-back reply vectors a worker keeps for decoding into: the caller
+/// holds one pulled model at a time and swaps it for the next, so one is in
+/// use and one is on its way back.
+const SPENT_CAP: usize = 2;
+
 struct Conn {
     /// Read half; replies are consumed on the worker's own thread.
     read: TcpStream,
@@ -88,6 +94,10 @@ pub struct NetWorker {
     /// Reply payloads land here instead of in a fresh allocation per
     /// reply; holds at most the largest reply payload received.
     rbuf: Vec<u8>,
+    /// Payload vectors of replies the caller has finished with
+    /// ([`WorkerLink::recycle`]); the next model-sized replies are decoded
+    /// into them. At most [`SPENT_CAP`] are kept.
+    spent: Vec<Vec<f32>>,
 }
 
 impl NetWorker {
@@ -113,6 +123,7 @@ impl NetWorker {
             breaker,
             wbuf: Vec::new(),
             rbuf: Vec::new(),
+            spent: Vec::new(),
         };
         worker.reconnect()?;
         Ok(worker)
@@ -297,7 +308,8 @@ impl NetWorker {
             self.stats.rtt.record(rtt);
             self.span("comm", sent, rtt);
             let t0 = Instant::now();
-            let resp = match Resp::decoded(&self.rbuf[..header.payload_len]) {
+            let payload = &self.rbuf[..header.payload_len];
+            let resp = match Resp::decoded_reusing(payload, &mut self.spent) {
                 Ok(resp) => resp,
                 Err(e) => {
                     // The frame layer vouched for the bytes, but the codec
@@ -425,8 +437,13 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for NetWorker {
         NetWorker::request(self, &req)
     }
 
-    fn send(&mut self, req: Req) -> Result<(), ClusterError> {
-        NetWorker::send(self, &req)
+    fn send(&mut self, req: Req) -> Result<Option<Req>, ClusterError> {
+        NetWorker::send(self, &req)?;
+        Ok(Some(req))
+    }
+
+    fn recycle(&mut self, spent: Vec<f32>) {
+        keep_spent(&mut self.spent, [spent], SPENT_CAP);
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! Layers are plain state holders; the forward pass threads an autograd
 //! [`Graph`] plus a [`ForwardCtx`] that records (a) the tape `Var` of every
-//! parameter, in visitation order, so gradients can be pulled out after
-//! `backward`, and (b) the batch statistics of every BatchNorm layer, in
-//! layer order — the payload a worker reports to the parameter server for
-//! Async-BN.
+//! parameter, in visitation order — the order the tape's gradient arena
+//! lays their gradients out in — and (b) the batch statistics of every
+//! BatchNorm layer, in layer order — the payload a worker reports to the
+//! parameter server for Async-BN.
 
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_autograd::{Graph, Var};
@@ -28,6 +28,15 @@ impl ForwardCtx {
     /// Fresh context in the given mode.
     pub fn new(train: bool) -> Self {
         ForwardCtx { train, param_vars: Vec::new(), bn_stats: Vec::new() }
+    }
+
+    /// Puts a layer's parameter on the tape. The tape shares the tensor's
+    /// buffer instead of copying it, and its gradient goes to the next
+    /// window of the tape's gradient arena ([`Graph::param`]).
+    fn param(&mut self, g: &mut Graph, t: &Tensor) -> Var {
+        let v = g.param(t.clone());
+        self.param_vars.push(v);
+        v
     }
 }
 
@@ -62,10 +71,8 @@ impl Linear {
 
     /// Builds the forward node, registering parameters on the context.
     pub fn forward(&self, g: &mut Graph, x: Var, ctx: &mut ForwardCtx) -> Var {
-        let w = g.leaf(self.weight.clone());
-        let b = g.leaf(self.bias.clone());
-        ctx.param_vars.push(w);
-        ctx.param_vars.push(b);
+        let w = ctx.param(g, &self.weight);
+        let b = ctx.param(g, &self.bias);
         g.linear(x, w, b)
     }
 }
@@ -91,8 +98,7 @@ impl Conv2d {
     }
 
     pub fn forward(&self, g: &mut Graph, x: Var, ctx: &mut ForwardCtx) -> Var {
-        let w = g.leaf(self.weight.clone());
-        ctx.param_vars.push(w);
+        let w = ctx.param(g, &self.weight);
         g.conv2d(x, w, self.spec)
     }
 }
@@ -129,10 +135,8 @@ impl BatchNorm {
     }
 
     pub fn forward(&self, g: &mut Graph, x: Var, ctx: &mut ForwardCtx) -> Var {
-        let gamma = g.leaf(self.gamma.clone());
-        let beta = g.leaf(self.beta.clone());
-        ctx.param_vars.push(gamma);
-        ctx.param_vars.push(beta);
+        let gamma = ctx.param(g, &self.gamma);
+        let beta = ctx.param(g, &self.beta);
         if ctx.train {
             let rank = g.value(x).shape().rank();
             let (y, stats) = if rank == 4 {

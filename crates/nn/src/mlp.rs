@@ -35,10 +35,10 @@ mod tests {
         let mut rng = Rng::seed_from_u64(131);
         let net = mlp(&[4, 8, 8, 2], true, &mut rng);
         // 3 linear + 2 bn + 2 relu
-        assert_eq!(net.layers.len(), 7);
+        assert_eq!(net.layers().len(), 7);
         assert_eq!(net.num_bn_layers(), 2);
         let net2 = mlp(&[4, 8, 2], false, &mut rng);
-        assert_eq!(net2.layers.len(), 3);
+        assert_eq!(net2.layers().len(), 3);
     }
 
     #[test]
@@ -59,11 +59,11 @@ mod tests {
         let mut last = f32::INFINITY;
         for _ in 0..300 {
             let mut g = Graph::new();
-            let (logits, ctx) = net.forward(&mut g, x.clone(), true);
+            let (logits, _) = net.forward(&mut g, x.clone(), true);
             let loss = g.softmax_cross_entropy(logits, &labels);
             g.backward(loss);
             last = g.value(loss).item();
-            let grads = net.flat_grads(&mut g, &ctx);
+            let grads = net.flat_grads(&mut g);
             net.axpy_params(&grads, -0.5);
         }
         assert!(last < 0.05, "xor loss {last}");

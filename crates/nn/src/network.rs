@@ -20,13 +20,25 @@ pub struct BnState {
 
 /// A feed-forward network (possibly containing residual blocks).
 pub struct Network {
-    pub layers: Vec<Layer>,
+    layers: Vec<Layer>,
+    /// Parameter scalars over all layers; a layer stack's shapes never
+    /// change after construction.
+    num_params: usize,
 }
 
 impl Network {
     /// Wraps a layer stack.
     pub fn new(layers: Vec<Layer>) -> Self {
-        Network { layers }
+        let mut num_params = 0;
+        for l in &layers {
+            l.visit_params(&mut |t| num_params += t.numel());
+        }
+        Network { layers, num_params }
+    }
+
+    /// The layer stack, in forward order.
+    pub fn layers(&self) -> &[Layer] {
+        &self.layers
     }
 
     /// Forward pass over a batch; returns the logits node and the forward
@@ -42,16 +54,12 @@ impl Network {
 
     /// Total number of parameter scalars.
     pub fn num_params(&self) -> usize {
-        let mut n = 0;
-        for l in &self.layers {
-            l.visit_params(&mut |t| n += t.numel());
-        }
-        n
+        self.num_params
     }
 
     /// Serializes all parameters into one flat buffer (visitor order).
     pub fn flat_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
+        let mut out = Vec::with_capacity(self.num_params);
         for l in &self.layers {
             l.visit_params(&mut |t| out.extend_from_slice(t.data()));
         }
@@ -74,18 +82,15 @@ impl Network {
         assert_eq!(off, flat.len(), "flat parameter length mismatch");
     }
 
-    /// Extracts the gradient of every parameter after `g.backward(...)`,
+    /// Takes the gradient of every parameter after `g.backward(...)`,
     /// flattened in the same order as [`flat_params`](Self::flat_params).
-    /// Parameters unreached by backward get zero gradients.
-    pub fn flat_grads(&self, g: &mut Graph, ctx: &ForwardCtx) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for &v in &ctx.param_vars {
-            match g.take_grad(v) {
-                Some(t) => out.extend_from_slice(t.data()),
-                None => out.extend(std::iter::repeat_n(0.0, g.value(v).numel())),
-            }
-        }
-        out
+    /// Parameters unreached by backward get zero gradients. Nothing is
+    /// gathered: the forward pass registered the parameters in that order,
+    /// so this is the tape's gradient arena as `backward` left it.
+    pub fn flat_grads(&self, g: &mut Graph) -> Vec<f32> {
+        let grads = g.take_grad_arena();
+        assert_eq!(grads.len(), self.num_params, "the tape is not this network's forward pass");
+        grads
     }
 
     /// Applies `params += alpha · grads` over the flat representation.
@@ -188,10 +193,10 @@ mod tests {
         let net = tiny_net(&mut rng);
         let mut g = Graph::new();
         let x = Tensor::randn(&[6, 4], 1.0, &mut rng);
-        let (logits, ctx) = net.forward(&mut g, x, true);
+        let (logits, _) = net.forward(&mut g, x, true);
         let loss = g.softmax_cross_entropy(logits, &[0, 1, 2, 0, 1, 2]);
         g.backward(loss);
-        let grads = net.flat_grads(&mut g, &ctx);
+        let grads = net.flat_grads(&mut g);
         assert_eq!(grads.len(), net.num_params());
         assert!(grads.iter().any(|&v| v != 0.0), "gradients should be nonzero");
     }

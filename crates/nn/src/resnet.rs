@@ -160,7 +160,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(122);
         let net = ResNetConfig::resnet18_cifar(10).build(&mut rng);
         // stem + 8 residual blocks + bn + relu + pool + linear
-        assert_eq!(net.layers.len(), 1 + 8 + 4);
+        assert_eq!(net.layers().len(), 1 + 8 + 4);
         // ResNet-18 CIFAR has ~11.2M params; ours is v2-style with 1x1
         // projections — just sanity-bound it.
         let n = net.num_params();
@@ -178,7 +178,7 @@ mod tests {
         let mut last = 0.0;
         for step in 0..30 {
             let mut g = Graph::new();
-            let (logits, ctx) = net.forward(&mut g, x.clone(), true);
+            let (logits, _) = net.forward(&mut g, x.clone(), true);
             let loss = g.softmax_cross_entropy(logits, &labels);
             g.backward(loss);
             let lv = g.value(loss).item();
@@ -186,7 +186,7 @@ mod tests {
                 first = lv;
             }
             last = lv;
-            let grads = net.flat_grads(&mut g, &ctx);
+            let grads = net.flat_grads(&mut g);
             net.axpy_params(&grads, -0.1);
         }
         assert!(last < first * 0.5, "loss did not drop: {first} -> {last}");
@@ -202,7 +202,7 @@ mod tests {
         // Walk layers manually up to the pool to inspect the activation.
         let mut ctx = crate::layer::ForwardCtx::new(false);
         let mut v = g.leaf(x);
-        for layer in &net.layers[..net.layers.len() - 2] {
+        for layer in &net.layers()[..net.layers().len() - 2] {
             v = layer.forward(&mut g, v, &mut ctx);
         }
         // Last inspected layer is BN+ReLU output before pooling.
@@ -255,14 +255,14 @@ mod bottleneck_tests {
         let mut last = 0.0;
         for step in 0..25 {
             let mut g = Graph::new();
-            let (logits, ctx) = net.forward(&mut g, x.clone(), true);
+            let (logits, _) = net.forward(&mut g, x.clone(), true);
             let loss = g.softmax_cross_entropy(logits, &labels);
             g.backward(loss);
             if step == 0 {
                 first = g.value(loss).item();
             }
             last = g.value(loss).item();
-            let grads = net.flat_grads(&mut g, &ctx);
+            let grads = net.flat_grads(&mut g);
             net.axpy_params(&grads, -0.1);
         }
         assert!(last < first * 0.6, "loss {first} -> {last}");

@@ -70,6 +70,9 @@ impl From<std::io::Error> for ClusterError {
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Vectors earlier messages were decoded into and their consumer has
+    /// handed back ([`WireMsg::decoded_reusing`]).
+    spent: Option<&'a mut Vec<Vec<f32>>>,
 }
 
 macro_rules! reader_scalar {
@@ -84,7 +87,7 @@ macro_rules! reader_scalar {
 
 impl<'a> WireReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader { buf, pos: 0, spent: None }
     }
 
     pub fn remaining(&self) -> usize {
@@ -139,8 +142,16 @@ impl<'a> WireReader<'a> {
     /// `n` little-endian `f32`s in one pass: one bounds check for the
     /// whole run, then a conversion loop the compiler vectorizes.
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ClusterError> {
+        let mut out = Vec::new();
+        self.f32s_into(n, &mut out)?;
+        Ok(out)
+    }
+
+    fn f32s_into(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), ClusterError> {
         let bytes = self.take(n.saturating_mul(4))?;
-        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+        out.clear();
+        out.extend(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())));
+        Ok(())
     }
 
     /// `n` little-endian `u16`s in one pass (see [`WireReader::f32s`]).
@@ -157,6 +168,17 @@ impl<'a> WireReader<'a> {
     pub fn vec_f32(&mut self) -> Result<Vec<f32>, ClusterError> {
         let n = self.len(4)?;
         self.f32s(n)
+    }
+
+    /// [`vec_f32`](Self::vec_f32) for a message's model-sized payload (a
+    /// weights reply, a dense gradient): decoded into a vector the reader
+    /// was lent, when it has one, so a steady stream of such messages is
+    /// decoded into the same few allocations.
+    pub fn bulk_vec_f32(&mut self) -> Result<Vec<f32>, ClusterError> {
+        let n = self.len(4)?;
+        let mut out = self.spent.as_mut().and_then(|spent| spent.pop()).unwrap_or_default();
+        self.f32s_into(n, &mut out)?;
+        Ok(out)
     }
 
     pub fn string(&mut self) -> Result<String, ClusterError> {
@@ -259,7 +281,17 @@ pub trait WireMsg: Sized {
     }
 
     fn decoded(bytes: &[u8]) -> Result<Self, ClusterError> {
-        let mut r = WireReader::new(bytes);
+        Self::decoded_reusing(bytes, &mut Vec::new())
+    }
+
+    /// [`decoded`](WireMsg::decoded) for a receiver that gets its messages'
+    /// payload vectors back: `spent` holds vectors earlier messages were
+    /// decoded into and their consumer has finished with
+    /// ([`WorkerLink::recycle`], [`ServerCtx::recycle`]), and a model-sized
+    /// payload is decoded into one of them instead of a new allocation
+    /// ([`WireReader::bulk_vec_f32`]).
+    fn decoded_reusing(bytes: &[u8], spent: &mut Vec<Vec<f32>>) -> Result<Self, ClusterError> {
+        let mut r = WireReader { buf: bytes, pos: 0, spent: Some(spent) };
         let v = Self::decode(&mut r)?;
         r.finish()?;
         Ok(v)
@@ -533,8 +565,28 @@ pub trait WorkerLink<Req, Resp> {
     /// weights, push state and await ℓ_delay, …).
     fn request(&mut self, req: Req) -> Result<Resp, ClusterError>;
 
-    /// Fire-and-forget send (push gradients).
-    fn send(&mut self, req: Req) -> Result<(), ClusterError>;
+    /// Fire-and-forget send (push gradients). A transport that only reads
+    /// the message — one that encodes it onto a wire — hands it back as
+    /// `Ok(Some(req))` so the caller can reuse its buffers; `Ok(None)`
+    /// means the message itself travelled to the server.
+    fn send(&mut self, req: Req) -> Result<Option<Req>, ClusterError>;
+
+    /// Hands back the payload vector of a reply the caller has finished
+    /// with. A transport that decodes replies decodes the next one into it
+    /// ([`WireMsg::decoded_reusing`]); the others drop it.
+    fn recycle(&mut self, spent: Vec<f32>) {
+        drop(spent);
+    }
+}
+
+/// Adds vectors handed back to a decoding transport ([`WorkerLink::recycle`],
+/// [`ServerCtx::recycle`]) to its `spent` list, dropping those that would
+/// take the list past `cap`. The list is popped only when a model-sized
+/// payload is decoded, so without the bound a caller that hands back
+/// vectors the transport never made would grow it for the whole run.
+pub fn keep_spent(spent: &mut Vec<Vec<f32>>, back: impl IntoIterator<Item = Vec<f32>>, cap: usize) {
+    let room = cap.saturating_sub(spent.len());
+    spent.extend(back.into_iter().take(room));
 }
 
 /// The server side's reply sink for one incoming message.
@@ -547,13 +599,14 @@ pub struct ServerCtx<Resp> {
     current: usize,
     expects_reply: bool,
     queued: Vec<(usize, Resp, Option<u64>)>,
+    recycled: Vec<Vec<f32>>,
 }
 
 impl<Resp> ServerCtx<Resp> {
     /// Builds the context for one message. Backends call this; algorithm
     /// code only consumes it.
     pub fn new(current: usize, expects_reply: bool) -> Self {
-        ServerCtx { current, expects_reply, queued: Vec::new() }
+        ServerCtx { current, expects_reply, queued: Vec::new(), recycled: Vec::new() }
     }
 
     /// Rank of the worker whose message is being processed.
@@ -601,6 +654,19 @@ impl<Resp> ServerCtx<Resp> {
     /// only.
     pub fn take_keyed_replies(&mut self) -> Vec<(usize, Resp, Option<u64>)> {
         std::mem::take(&mut self.queued)
+    }
+
+    /// Hands back the payload vector of a request the server has finished
+    /// with (an applied gradient): the server-side counterpart of
+    /// [`WorkerLink::recycle`].
+    pub fn recycle(&mut self, spent: Vec<f32>) {
+        self.recycled.push(spent);
+    }
+
+    /// Drains the vectors handed back through [`ServerCtx::recycle`].
+    /// Backend-side only; a backend that decodes nothing need not call it.
+    pub fn take_recycled(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.recycled)
     }
 }
 
@@ -706,6 +772,16 @@ mod tests {
         let buf = u64::MAX.encoded();
         let mut r = WireReader::new(&buf);
         assert!(matches!(r.vec_f32(), Err(ClusterError::Protocol(_))));
+    }
+
+    #[test]
+    fn handed_back_vectors_past_the_cap_are_dropped() {
+        let mut spent = vec![vec![1.0f32]];
+        keep_spent(&mut spent, [vec![2.0], vec![3.0], vec![4.0]], 3);
+        assert_eq!(spent, [[1.0], [2.0], [3.0]]);
+        keep_spent(&mut spent, [vec![5.0]], 3);
+        keep_spent(&mut spent, [vec![6.0]], 2);
+        assert_eq!(spent.len(), 3, "a full list neither grows nor is cut");
     }
 
     #[test]

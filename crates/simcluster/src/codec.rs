@@ -118,11 +118,16 @@ pub fn int8_pack(vals: &[f32]) -> (Vec<i8>, Vec<f32>) {
 
 /// Inverse of [`int8_pack`].
 pub fn int8_unpack(levels: &[i8], scales: &[f32]) -> Vec<f32> {
-    let mut vals = Vec::with_capacity(levels.len());
-    for (block, &s) in levels.chunks(INT8_BLOCK).zip(scales) {
-        vals.extend(block.iter().map(|&l| l as f32 * s));
-    }
+    let mut vals = vec![0.0; levels.len()];
+    int8_unpack_into(levels, scales, &mut vals);
     vals
+}
+
+fn int8_unpack_into(levels: &[i8], scales: &[f32], out: &mut [f32]) {
+    let blocks = levels.chunks(INT8_BLOCK).zip(out.chunks_mut(INT8_BLOCK));
+    for ((block, vals), &s) in blocks.zip(scales) {
+        vals.iter_mut().zip(block).for_each(|(v, &l)| *v = l as f32 * s);
+    }
 }
 
 /// A dense `f32` vector packed under a [`WireCodec`]. The `F32` case is
@@ -155,9 +160,21 @@ impl PackedF32 {
 
     /// Reconstructs the (lossy) dense vector.
     pub fn unpack(&self) -> Vec<f32> {
+        let mut vals = vec![0.0; self.len()];
+        self.unpack_into(&mut vals);
+        vals
+    }
+
+    /// [`unpack`](Self::unpack) written over `out`, which must have the
+    /// packed vector's [`len`](Self::len) — a shard's range of a worker's
+    /// copy of the model, for one.
+    pub fn unpack_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.len(), "unpack buffer length mismatch");
         match self {
-            PackedF32::Bf16(halves) => halves.iter().map(|&b| bf16_decode(b)).collect(),
-            PackedF32::Int8 { levels, scales } => int8_unpack(levels, scales),
+            PackedF32::Bf16(halves) => {
+                out.iter_mut().zip(halves).for_each(|(v, &b)| *v = bf16_decode(b));
+            }
+            PackedF32::Int8 { levels, scales } => int8_unpack_into(levels, scales, out),
         }
     }
 

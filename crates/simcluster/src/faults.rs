@@ -607,13 +607,13 @@ where
         }
     }
 
-    fn send(&mut self, req: Req) -> Result<(), ClusterError> {
+    fn send(&mut self, req: Req) -> Result<Option<Req>, ClusterError> {
         match self.pre_op(true) {
             Verdict::Crash => Err(ClusterError::Disconnected),
-            Verdict::DropOneway => Ok(()),
+            Verdict::DropOneway => Ok(Some(req)),
             Verdict::CorruptOneway => {
                 self.inner.fault_corrupt_wire();
-                Ok(())
+                Ok(Some(req))
             }
             Verdict::DupOneway => {
                 // WireMsg lacks Clone; a codec round trip is the copy.
@@ -628,6 +628,10 @@ where
             }
             Verdict::Proceed => self.inner.send(req),
         }
+    }
+
+    fn recycle(&mut self, spent: Vec<f32>) {
+        self.inner.recycle(spent);
     }
 }
 
@@ -653,9 +657,9 @@ mod tests {
             self.requested.push(req);
             Ok(req + 100)
         }
-        fn send(&mut self, req: u32) -> Result<(), ClusterError> {
+        fn send(&mut self, req: u32) -> Result<Option<u32>, ClusterError> {
             self.sent.push(req);
-            Ok(())
+            Ok(None)
         }
     }
 
@@ -775,9 +779,9 @@ mod tests {
         fn request(&mut self, _req: Blob) -> Result<u32, ClusterError> {
             Ok(0)
         }
-        fn send(&mut self, req: Blob) -> Result<(), ClusterError> {
+        fn send(&mut self, req: Blob) -> Result<Option<Blob>, ClusterError> {
             self.sent.push(req);
-            Ok(())
+            Ok(None)
         }
     }
 

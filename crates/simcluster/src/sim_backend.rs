@@ -76,10 +76,11 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for SimLink<Resp> {
         Resp::decoded(&bytes)
     }
 
-    fn send(&mut self, req: Req) -> Result<(), ClusterError> {
+    fn send(&mut self, req: Req) -> Result<Option<Req>, ClusterError> {
         let msg =
             WorkerEvent::Msg { worker: self.worker, bytes: req.encoded(), expects_reply: false };
-        self.tx.send(msg).map_err(|_| ClusterError::Disconnected)
+        self.tx.send(msg).map_err(|_| ClusterError::Disconnected)?;
+        Ok(Some(req))
     }
 }
 

@@ -121,8 +121,8 @@ impl<Req: Send, Resp: Send> WorkerLink<Req, Resp> for WorkerHandle<Req, Resp> {
         WorkerHandle::request(self, req)
     }
 
-    fn send(&mut self, req: Req) -> Result<(), ClusterError> {
-        WorkerHandle::send(self, req)
+    fn send(&mut self, req: Req) -> Result<Option<Req>, ClusterError> {
+        WorkerHandle::send(self, req).map(|()| None)
     }
 }
 

@@ -342,12 +342,21 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
 /// packed per image. `dy` is `[n, cout, oh, ow]`; returns
 /// `[cout, cin, k, k]`.
 pub fn conv2d_dw(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let mut dw = Tensor::zeros(&[spec.out_channels, spec.in_channels, spec.kernel, spec.kernel]);
+    conv2d_dw_into(dy, input, spec, dw.data_mut());
+    dw
+}
+
+/// [`conv2d_dw`] written over `dw` (`[cout, cin, k, k]`, flat): every
+/// element is stored, whatever `dw` held.
+pub fn conv2d_dw_into(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec, dw: &mut [f32]) {
     let dims = input.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
     assert_eq!(c, spec.in_channels, "conv2d_dw input channel mismatch");
     let (oh, ow) = spec.out_hw(h, w);
     let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
     assert_eq!(dy.dims(), &[n, cout, oh, ow], "conv2d_dw dy shape");
+    assert_eq!(dw.len(), cout * plen, "conv2d_dw output length");
     let patches = Patches::new(spec, h, w);
     let (base, off) = patches.tables();
     let map = GatherMap::new(off, base);
@@ -362,13 +371,11 @@ pub fn conv2d_dw(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec) -> Tensor {
         dy_img.pack(MatRef::transposed(dy_slab, ohw));
         gemm_gather(&mut dwt, cout, 1, &map, patches.padded(&mut scratch, img), &dy_img);
     }
-    let mut dw = Tensor::zeros(&[cout, spec.in_channels, spec.kernel, spec.kernel]);
-    for (co, row) in dw.data_mut().chunks_exact_mut(plen).enumerate() {
+    for (co, row) in dw.chunks_exact_mut(plen).enumerate() {
         for (l, v) in row.iter_mut().enumerate() {
             *v = dwt[l * cout + co];
         }
     }
-    dw
 }
 
 /// Convolution input gradient: per image, the patch-major

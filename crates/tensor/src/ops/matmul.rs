@@ -61,17 +61,26 @@ impl Tensor {
     /// `self.transpose() × other` without materializing the transpose:
     /// `[k, m]ᵀ × [k, n] -> [m, n]`. Used by linear-layer backward passes.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(&[self.dims()[1], other.dims()[1]]);
+        self.matmul_tn_into(other, out.data_mut());
+        out
+    }
+
+    /// [`matmul_tn`](Self::matmul_tn) accumulated into `out` (`[m, n]`,
+    /// row-major): `out += selfᵀ × other`. Over zeros that is the product,
+    /// bit for bit what `matmul_tn` returns.
+    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut [f32]) {
         assert_eq!(self.shape().rank(), 2);
         assert_eq!(other.shape().rank(), 2);
         let (k, m) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul_tn inner dims");
+        assert_eq!(out.len(), m * n, "matmul_tn output length");
         let a = self.data();
         let b = other.data();
-        let mut out = Tensor::zeros(&[m, n]);
         if use_packed_gemm(m, n, k) {
             gemm(
-                out.data_mut(),
+                out,
                 m,
                 n,
                 k,
@@ -79,11 +88,10 @@ impl Tensor {
                 MatRef::row_major(b, n),
                 gemm_threads(m, n, k),
             );
-            return out;
+            return;
         }
         // out[i, j] = sum_k a[k, i] * b[k, j]; accumulate k-major so both
         // reads stream sequentially.
-        let od = out.data_mut();
         for kk in 0..k {
             let a_row = &a[kk * m..kk * m + m];
             let b_row = &b[kk * n..kk * n + n];
@@ -91,13 +99,12 @@ impl Tensor {
                 if aki == 0.0 {
                     continue;
                 }
-                let o = &mut od[i * n..i * n + n];
+                let o = &mut out[i * n..i * n + n];
                 for (ov, &bv) in o.iter_mut().zip(b_row) {
                     *ov += aki * bv;
                 }
             }
         }
-        out
     }
 
     /// `self × other.transpose()` without materializing the transpose:
@@ -210,6 +217,20 @@ mod tests {
         let a = random(&[70, 50], &mut rng);
         let b = random(&[70, 60], &mut rng);
         assert_close(&a.matmul_tn(&b), &a.transpose2d().matmul(&b), 1e-3);
+    }
+
+    #[test]
+    fn tn_into_over_zeros_is_the_product_and_accumulates_otherwise() {
+        let mut rng = Rng::seed_from_u64(41);
+        for dims in [([7, 5], [7, 6]), ([70, 50], [70, 60])] {
+            let (a, b) = (random(&dims.0, &mut rng), random(&dims.1, &mut rng));
+            let want = a.matmul_tn(&b);
+            let mut out = vec![0.0f32; want.numel()];
+            a.matmul_tn_into(&b, &mut out);
+            assert_eq!(out, want.data());
+            a.matmul_tn_into(&b, &mut out);
+            assert_close(&Tensor::from_vec(out, want.dims()), &want.scale(2.0), 1e-4);
+        }
     }
 
     #[test]

@@ -15,6 +15,20 @@
 //! single output element is always accumulated in the same order (see
 //! DESIGN.md §8).
 
+/// The thread count kernels fan out to, and its scoped override, for the
+/// crates above this one: the training engine budgets kernel bands per
+/// worker through them without a dependency of its own on the pool.
+pub use rayon::{current_num_threads, with_num_threads};
+
+/// Kernel bands each of `workers` concurrently computing threads may fork
+/// when `threads` are available in all: `workers × bands ≤ threads`, and
+/// never less than one. Derived, not configured — `RAYON_NUM_THREADS`
+/// stays the one global cap — and free of consequences for results, since
+/// kernels split only output rows (DESIGN.md §8.3).
+pub fn band_budget(threads: usize, workers: usize) -> usize {
+    (threads / workers.max(1)).max(1)
+}
+
 /// Rows-of-output threshold before a matmul dispatches to the thread pool.
 /// A single LSTM predictor step multiplies `[1, h] × [h, 4h]`; those must
 /// stay serial.
@@ -113,6 +127,22 @@ mod tests {
         // it must never pay packing or thread-dispatch overhead.
         assert!(!use_packed_gemm(1, 512, 128));
         assert_eq!(gemm_threads(1, 512, 128), 1);
+    }
+
+    #[test]
+    fn band_budget_fits_the_cores_and_never_starves_a_worker() {
+        for threads in [1, 2, 4, 8] {
+            for workers in [1, 2, 4, 8] {
+                let bands = band_budget(threads, workers);
+                assert!(bands >= 1, "{threads} threads, {workers} workers");
+                assert!(bands == 1 || workers * bands <= threads, "{threads} / {workers}");
+                // No band is left unused while a worker could take one more.
+                assert!(workers * (bands + 1) > threads, "{threads} / {workers}");
+            }
+        }
+        assert_eq!(band_budget(2, 2), 1);
+        assert_eq!(band_budget(8, 2), 4);
+        assert_eq!(band_budget(2, 1), 2);
     }
 
     #[test]

@@ -2,15 +2,26 @@
 
 use crate::shape::Shape;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
 /// All operations that produce a new tensor allocate exactly once; in-place
 /// variants (`*_inplace`, `add_assign_*`) exist for the optimizer and
 /// parameter-server hot paths.
+///
+/// The buffer is shared copy-on-write: `clone()` is O(1) and shares it,
+/// and the first mutable access to a shared buffer ([`data_mut`] and
+/// everything built on it) copies it first. That is how a model's
+/// parameters sit on an autograd tape without being copied: the tape holds
+/// clones, and since it is dropped before the next weights are installed,
+/// that install finds every buffer unshared and writes in place (DESIGN.md
+/// §12.6).
+///
+/// [`data_mut`]: Self::data_mut
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     shape: Shape,
 }
 
@@ -28,19 +39,19 @@ impl Tensor {
             data.len(),
             shape
         );
-        Tensor { data, shape }
+        Tensor { data: Arc::new(data), shape }
     }
 
     /// A tensor of zeros.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: vec![0.0; shape.numel()], shape }
+        Tensor { data: Arc::new(vec![0.0; shape.numel()]), shape }
     }
 
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: vec![value; shape.numel()], shape }
+        Tensor { data: Arc::new(vec![value; shape.numel()]), shape }
     }
 
     /// A tensor of ones.
@@ -50,21 +61,21 @@ impl Tensor {
 
     /// A rank-0 scalar tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { data: vec![value], shape: Shape::scalar() }
+        Tensor { data: Arc::new(vec![value]), shape: Shape::scalar() }
     }
 
     /// The `n`×`n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            t.data_mut()[i * n + i] = 1.0;
         }
         t
     }
 
     /// Zeros with the same shape as `other`.
     pub fn zeros_like(other: &Tensor) -> Self {
-        Tensor { data: vec![0.0; other.numel()], shape: other.shape.clone() }
+        Tensor { data: Arc::new(vec![0.0; other.numel()]), shape: other.shape.clone() }
     }
 
     // ---------------------------------------------------------- accessors
@@ -89,14 +100,16 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the flat buffer.
+    /// Mutable view of the flat buffer; copies it first if a clone of this
+    /// tensor still shares it.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Consumes the tensor, returning its buffer.
+    /// Consumes the tensor, returning its buffer (a copy of it if a clone
+    /// still shares it).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Value at a multi-index.
@@ -107,7 +120,7 @@ impl Tensor {
     /// Mutable value at a multi-index.
     pub fn at_mut(&mut self, index: &[usize]) -> &mut f32 {
         let off = self.shape.offset(index);
-        &mut self.data[off]
+        &mut self.data_mut()[off]
     }
 
     /// The single value of a scalar or 1-element tensor.
@@ -127,7 +140,7 @@ impl Tensor {
         self
     }
 
-    /// Like [`reshape`](Self::reshape) but clones the buffer.
+    /// Like [`reshape`](Self::reshape) on a clone (which shares the buffer).
     pub fn reshaped(&self, dims: &[usize]) -> Self {
         self.clone().reshape(dims)
     }
@@ -203,7 +216,7 @@ impl Tensor {
             && self
                 .data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .all(|(a, b)| (a - b).abs() <= tol + tol * a.abs().max(b.abs()))
     }
 
@@ -298,6 +311,22 @@ mod tests {
     fn norm_matches_manual() {
         let t = Tensor::from_vec(vec![3.0, 4.0], &[2]);
         assert!((t.norm() - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clones_share_until_written_and_unshared_writes_stay_in_place() {
+        let mut a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
+        let at = a.data().as_ptr();
+        let b = a.clone();
+        assert_eq!(b.data().as_ptr(), at, "a clone shares the buffer");
+        a.data_mut()[0] = 9.0;
+        assert_eq!(b.data(), &[1.0, 2.0, 3.0], "the clone never sees the write");
+        assert_eq!(a.data(), &[9.0, 2.0, 3.0]);
+        drop(b);
+        let at = a.data().as_ptr();
+        a.data_mut()[1] = 7.0;
+        assert_eq!(a.data().as_ptr(), at, "an unshared buffer is written in place");
+        assert_eq!(a.into_vec(), vec![9.0, 7.0, 3.0]);
     }
 
     #[test]

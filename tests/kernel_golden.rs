@@ -1,4 +1,5 @@
-//! Golden checksums of the convolution and BatchNorm kernels.
+//! Golden checksums of the convolution and BatchNorm kernels, and of the
+//! flat gradient a whole training step hands over.
 //!
 //! `kernel_differential` bounds the kernels' distance from naive reference
 //! loops; this suite pins their *bits*. Every expected value below was
@@ -11,6 +12,11 @@
 //! differential tolerance. Each case runs at 1 and at 4 forced threads and
 //! both must reproduce the constant.
 //!
+//! The flat-gradient constants were taken the same way at commit `0cd55c6`,
+//! the parent of the PR that made `backward` write every parameter's
+//! gradient into one arena instead of gathering per-parameter tensors:
+//! the vector a learner pushes is bit for bit the one that commit pushed.
+//!
 //! The convolution constants belong to the AVX2+FMA micro-kernel: fused
 //! rounding is a per-machine property (DESIGN.md §8.4), so on a host
 //! without FMA that half reports itself skipped and the portable path
@@ -19,6 +25,8 @@
 //! only (no libm call), so its constants hold everywhere.
 
 use lc_asgd::autograd::Graph;
+use lc_asgd::nn::mlp::mlp;
+use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::simcluster::codec::crc32;
 use lc_asgd::tensor::ops::conv::{conv2d, conv2d_dw, conv2d_dx, Conv2dSpec};
 use lc_asgd::tensor::{Rng, Tensor};
@@ -101,14 +109,19 @@ fn conv_checksums() -> Vec<[u32; 3]> {
         .collect()
 }
 
-#[test]
-fn convolutions_reproduce_the_parent_commits_bits() {
+/// Whether the GEMM micro-kernel with fused rounding is the one that runs.
+fn fused_kernels() -> bool {
     #[cfg(target_arch = "x86_64")]
     let fused =
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
     #[cfg(not(target_arch = "x86_64"))]
     let fused = false;
-    if !fused {
+    fused
+}
+
+#[test]
+fn convolutions_reproduce_the_parent_commits_bits() {
+    if !fused_kernels() {
         eprintln!("kernel_golden: no AVX2+FMA on this host; convolution constants skipped");
         return;
     }
@@ -181,5 +194,58 @@ fn batch_norm_reproduces_the_parent_commits_bits() {
                 .collect()
         });
         assert_eq!(got, BN_GOLDEN, "at {threads} threads, got {got:#010x?}");
+    }
+}
+
+/// The flat gradient of one training step, as the learner pushes it:
+/// `(model, batch input dims, classes, backward seed)`.
+type GradCase = (&'static str, &'static [usize], usize, f32);
+
+const GRAD_CASES: [GradCase; 4] = [
+    // The benchmark's two models at its batch, the second under an LC-ASGD
+    // compensation seed.
+    ("resnet-tiny", &[16, 3, 10, 10], 10, 1.0),
+    ("resnet-tiny", &[16, 3, 10, 10], 10, 1.375),
+    // The two MLP flavours: small GEMMs on the serial path with BatchNorm
+    // between them, and wide ones on the packed, banded path without.
+    ("mlp-bn", &[16, 20], 5, 0.75),
+    ("mlp-wide", &[16, 256], 10, 1.0),
+];
+
+fn grad_checksums() -> Vec<u32> {
+    GRAD_CASES
+        .iter()
+        .enumerate()
+        .map(|(i, &(model, dims, classes, seed))| {
+            let mut rng = Rng::seed_from_u64(3000 + i as u64);
+            let net = match model {
+                "resnet-tiny" => ResNetConfig::tiny(3, classes).build(&mut rng),
+                "mlp-bn" => mlp(&[20, 32, 16, classes], true, &mut rng),
+                _ => mlp(&[256, 1024, 1024, classes], false, &mut rng),
+            };
+            let labels: Vec<usize> = (0..dims[0]).map(|j| (7 * j + i) % classes).collect();
+            let mut g = Graph::new();
+            let (logits, _) = net.forward(&mut g, uniform(dims, 3100 + i as u64), true);
+            let loss = g.softmax_cross_entropy(logits, &labels);
+            g.backward_with_seed(loss, seed);
+            let grads = net.flat_grads(&mut g);
+            assert_eq!(grads.len(), net.num_params());
+            crc32(&grads.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>())
+        })
+        .collect()
+}
+
+/// One entry per [`GRAD_CASES`].
+const GRAD_GOLDEN: [u32; 4] = [0x095c94ff, 0xd6bd72fc, 0x43556804, 0xd9f223ea];
+
+#[test]
+fn flat_gradients_reproduce_the_parent_commits_bits() {
+    if !fused_kernels() {
+        eprintln!("kernel_golden: no AVX2+FMA on this host; gradient constants skipped");
+        return;
+    }
+    for threads in [1, 4] {
+        let got = rayon::with_num_threads(threads, grad_checksums);
+        assert_eq!(got, GRAD_GOLDEN, "at {threads} threads, got {got:#010x?}");
     }
 }

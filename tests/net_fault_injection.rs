@@ -95,7 +95,7 @@ fn hung_worker_is_dropped_and_survivors_finish() {
                         ctx.reply(ClusterResp::Stop);
                     } else {
                         ctx.reply(ClusterResp::Weights {
-                            flat: server.weights.clone(),
+                            flat: server.weights.clone().into(),
                             version: server.version,
                             directive: None,
                             epoch: 0,

@@ -182,10 +182,10 @@ proptest! {
         version in any::<u64>(),
         epoch in any::<u64>(),
     ) {
-        let msg = ClusterResp::Weights { flat: flat.clone(), version, directive: None, epoch };
+        let msg = ClusterResp::Weights { flat: flat.clone().into(), version, directive: None, epoch };
         match ClusterResp::decoded(&msg.encoded()).unwrap() {
             ClusterResp::Weights { flat: f, version: v, directive: None, epoch: e } => {
-                prop_assert_eq!(f, flat);
+                prop_assert_eq!(&*f, &flat);
                 prop_assert_eq!(v, version);
                 prop_assert_eq!(e, epoch);
             }

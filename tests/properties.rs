@@ -208,6 +208,37 @@ mod thread_invariance {
             pin("conv2d_dx", || conv2d_dx(&dy, &w, &spec, hw, hw));
         }
     }
+
+    /// The band budget (`tune::band_budget`) is read from the thread that
+    /// starts a run and applied on the worker threads: a whole
+    /// `ThreadCluster` run — one worker, so its schedule is fixed — trains
+    /// to the same bits with one band as with four.
+    #[test]
+    fn a_training_run_is_thread_invariant_under_the_band_budget() {
+        use lc_asgd::prelude::*;
+        use lc_asgd::tensor::ops::tune::{band_budget, gemm_threads};
+        let (train, test) = lc_asgd::data::synth::blobs_split(5, 128, 16, 8, 1.0, 3);
+        let mut cfg = ExperimentConfig::new(Algorithm::Sgd, 1, Scale::Tiny, 23);
+        cfg.epochs = 3;
+        cfg.batch_size = 16;
+        let build = |rng: &mut Rng| lc_asgd::nn::mlp::mlp(&[128, 256, 5], true, rng);
+        // The first layer's GEMMs are past the fork thresholds, so the
+        // budget decides how they run.
+        assert_eq!(rayon::with_num_threads(4, || gemm_threads(16, 256, 128)), 4);
+        assert_eq!((band_budget(4, 1), band_budget(1, 1)), (4, 1));
+        let run = |threads| {
+            let result = rayon::with_num_threads(threads, || {
+                run_cluster(ThreadCluster::new(1), &cfg, &build, &train, &test)
+            });
+            let records = result.expect("the run completes").epochs;
+            assert_eq!(records.len(), 3);
+            records
+                .iter()
+                .map(|r| [r.train_loss, r.train_error, r.test_error, r.lr].map(f32::to_bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(1), run(4));
+    }
 }
 
 mod extension_properties {

@@ -82,7 +82,7 @@ proptest! {
     ) {
         let via_codec =
             ClusterResp::weights_for(WireCodec::F32, flat.clone(), version, None, epoch);
-        let plain = ClusterResp::Weights { flat, version, directive: None, epoch };
+        let plain = ClusterResp::Weights { flat: flat.into(), version, directive: None, epoch };
         let mut a = Vec::new();
         let mut b = Vec::new();
         via_codec.encode(&mut a);

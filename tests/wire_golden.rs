@@ -369,8 +369,12 @@ fn weights_replies_encode_to_the_reference_bytes() {
     for n in [0, 1, 5, 1031] {
         let flat = awkward(n);
         for directive in [None, directive()] {
-            let resp =
-                ClusterResp::Weights { flat: flat.clone(), version: 77, directive, epoch: 3 };
+            let resp = ClusterResp::Weights {
+                flat: flat.clone().into(),
+                version: 77,
+                directive,
+                epoch: 3,
+            };
             let ClusterResp::Weights { directive, .. } = &resp else { unreachable!() };
             let mut want = Ref::default();
             want.u8(0).vec_f32(&flat).u64(77).u64(3).directive(directive);
@@ -460,7 +464,7 @@ fn checkpoints_encode_to_the_reference_bytes() {
 #[test]
 fn frames_carry_the_reference_checksum() {
     let payload =
-        ClusterResp::Weights { flat: awkward(5000), version: 1, directive: None, epoch: 0 }
+        ClusterResp::Weights { flat: awkward(5000).into(), version: 1, directive: None, epoch: 0 }
             .encoded();
     assert_eq!(frame::crc32(&payload), crc32_bitwise(&payload));
     let mut wire = Vec::new();
@@ -496,7 +500,8 @@ fn bulk_decode_reproduces_every_bit_pattern_a_per_element_decode_does() {
     assert_eq!(bits(&bulk), bits(&vals));
 
     // The same through the messages that carry model-sized runs.
-    let resp = ClusterResp::Weights { flat: vals.clone(), version: 1, directive: None, epoch: 0 };
+    let resp =
+        ClusterResp::Weights { flat: vals.clone().into(), version: 1, directive: None, epoch: 0 };
     match ClusterResp::decoded(&resp.encoded()).unwrap() {
         ClusterResp::Weights { flat, .. } => assert_eq!(bits(&flat), bits(&vals)),
         _ => panic!("variant changed"),
@@ -548,7 +553,8 @@ fn bulk_decode_of_quantized_runs_matches_per_element_decode() {
 #[test]
 fn truncated_model_sized_messages_are_rejected() {
     let resp =
-        ClusterResp::Weights { flat: smooth(300), version: 1, directive: None, epoch: 0 }.encoded();
+        ClusterResp::Weights { flat: smooth(300).into(), version: 1, directive: None, epoch: 0 }
+            .encoded();
     let qresp = ClusterResp::weights_for(WireCodec::Int8, smooth(600), 1, None, 0).encoded();
     let rec = log_record(smooth(300)).encoded();
     for (what, bytes) in [("Weights", &resp), ("QWeights", &qresp)] {

@@ -114,6 +114,15 @@ echo "==> CRC differential + golden byte-identity suites (hard 300s timeout)"
 timeout 300 cargo test -q --release -p lcasgd-simcluster crc
 timeout 300 cargo test -q --release --test wire_golden
 
+# One int8 quantizer, bit-exact: `codec::level` must equal libm's
+# `round().clamp() as i8` on all 2³² f32 inputs (the ignored test, ≈ 15 s
+# on two cores), and the downlink pack and the uplink's error feedback must
+# reproduce the loops they replaced — levels, scales, message bytes and
+# residual bits — at 1 and 4 shards.
+echo "==> int8 quantizer exhaustive + codec differential suites (hard 300s timeout)"
+timeout 300 cargo test -q --release -p lcasgd-simcluster level -- --ignored
+timeout 300 cargo test -q --release -p lcasgd-bench --test codec_differential
+
 # Kernel performance: re-measure the hot kernels and fail if any
 # kernel's single-thread speedup over its seed copy fell >20% below the
 # committed BENCH_kernels.json's, or its time rose >3x. (One thread,

@@ -3,9 +3,9 @@
 //! The `kernel-baseline` binary times the hot tensor kernels twice — once
 //! with byte-faithful copies of the *seed* implementations (the pre-packing
 //! row-kernel matmul, the materializing im2col conv, the per-element
-//! `channel_of` BatchNorm and the forking elementwise map, preserved in
-//! [`seed`]) and once through the shipping `lcasgd-tensor` /
-//! `lcasgd-autograd` entry points — and emits `BENCH_kernels.json`. The
+//! `channel_of` BatchNorm, the forking elementwise map and the libm-rounding
+//! quantizers, preserved in [`seed`]) and once through the shipping entry
+//! points — and emits `BENCH_kernels.json`. The
 //! committed copy of that file is the perf baseline: CI re-measures in
 //! `--smoke` mode and fails when any kernel's *single-thread speedup over
 //! its seed* falls more than [`GATE_TOLERANCE`] below the committed one
@@ -15,9 +15,13 @@
 
 use crate::baseline;
 use lcasgd_autograd::{Graph, Var};
+use lcasgd_core::comm::CompressedGrad;
+use lcasgd_core::Compression;
 use lcasgd_nn::layer::Layer;
 use lcasgd_nn::lstm::LstmState;
 use lcasgd_nn::Network;
+use lcasgd_simcluster::codec::{bf16_decode, bf16_encode, int8_pack, INT8_BLOCK};
+use lcasgd_simcluster::WireMsg;
 use lcasgd_tensor::ops::conv::{col2im, conv2d, conv2d_dw, conv2d_dx, im2col, Conv2dSpec};
 use lcasgd_tensor::{Rng, Tensor};
 use rayon::prelude::*;
@@ -322,6 +326,66 @@ pub mod seed {
     pub fn ema(dst: &mut Tensor, src: &Tensor, momentum: f32) {
         dst.scale_inplace(1.0 - momentum);
         dst.add_assign_scaled(src, momentum);
+    }
+
+    /// `codec::int8_pack` as commit `d2be4b4` shipped it: per block a serial
+    /// `maxnum` fold, then libm's `roundf` and a saturating cast per entry
+    /// (neither of which LLVM vectorizes on baseline x86-64).
+    pub fn int8_pack(vals: &[f32]) -> (Vec<i8>, Vec<f32>) {
+        let mut levels = Vec::with_capacity(vals.len());
+        let mut scales = Vec::with_capacity(vals.len().div_ceil(INT8_BLOCK));
+        for block in vals.chunks(INT8_BLOCK) {
+            let max = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+            let scale = if max > 0.0 && max.is_finite() { max / 127.0 } else { 1.0 };
+            scales.push(scale);
+            levels.extend(block.iter().map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8));
+        }
+        (levels, scales)
+    }
+
+    /// `Compression::Uniform { bits }` as commit `d2be4b4` ran it, in four
+    /// passes: fold the residual in, take the maximum, quantize, subtract
+    /// the decompressed message from the residual.
+    pub fn uniform(bits: u8, grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
+        let residual = fold(grads, residual);
+        let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
+        let max = signal.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let levels_per_sign = ((1u32 << (bits - 1)) - 1) as f32;
+        let scale = if max > 0.0 { max / levels_per_sign } else { 1.0 };
+        let levels: Vec<i8> = signal
+            .iter()
+            .map(|&v| (v / scale).round().clamp(-levels_per_sign, levels_per_sign) as i8)
+            .collect();
+        if let Some(r) = residual {
+            for (s, &l) in r.iter_mut().zip(&levels) {
+                *s -= l as f32 * scale;
+            }
+        }
+        CompressedGrad::Quantized { scale, levels }
+    }
+
+    /// `Compression::Bf16` as commit `d2be4b4` ran it: fold the residual in,
+    /// encode, subtract the decoded message in a pass of its own.
+    pub fn bf16(grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
+        let residual = fold(grads, residual);
+        let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
+        let halves: Vec<u16> = signal.iter().map(|&v| bf16_encode(v)).collect();
+        if let Some(r) = residual {
+            for (s, &h) in r.iter_mut().zip(&halves) {
+                *s -= bf16_decode(h);
+            }
+        }
+        CompressedGrad::Bf16(halves)
+    }
+
+    /// The error-feedback fold both schemes started with: `e ← e + g`.
+    fn fold<'a>(grads: &[f32], residual: Option<&'a mut [f32]>) -> Option<&'a mut [f32]> {
+        let r = residual?;
+        assert_eq!(r.len(), grads.len(), "residual length mismatch");
+        for (e, g) in r.iter_mut().zip(grads) {
+            *e += g;
+        }
+        Some(r)
     }
 
     /// The predictors' LSTM as it ran until the fused cell replaced it
@@ -858,6 +922,47 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
                 d
             },
         );
+    }
+    // The int8 wire's quantizer at the wide MLP's size: the server packing
+    // one weights reply, and a worker's 8-bit push with error feedback; and
+    // the bf16 push, which no benchmark workload runs. Each side carries its
+    // own residual from call to call, as a worker does.
+    {
+        let len = 1_323_018;
+        let weights = randn(&[len], 25);
+        assert!(seed::int8_pack(weights.data()) == int8_pack(weights.data()), "int8 mismatch");
+        row(
+            &mut reports,
+            "int8_pack",
+            format!("{len}"),
+            samples,
+            || seed::int8_pack(weights.data()),
+            || int8_pack(weights.data()),
+        );
+        let grads: Vec<f32> = randn(&[len], 26).data().iter().map(|g| g * 1e-3).collect();
+        for (name, scheme) in
+            [("uniform8_ef", Compression::Uniform { bits: 8 }), ("bf16_ef", Compression::Bf16)]
+        {
+            let seed_push = |residual: &mut Vec<f32>| match scheme {
+                Compression::Bf16 => seed::bf16(&grads, Some(residual)),
+                _ => seed::uniform(8, &grads, Some(residual)),
+            };
+            let (mut seed_res, mut res) = (vec![0.0; len], vec![0.0; len]);
+            for _ in 0..2 {
+                let want = seed_push(&mut seed_res).encoded();
+                assert!(want == scheme.compress(&grads, Some(&mut res)).encoded(), "{name}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&seed_res) == bits(&res), "{name} residual mismatch");
+            }
+            row(
+                &mut reports,
+                name,
+                format!("{len}"),
+                samples,
+                || seed_push(&mut seed_res),
+                || scheme.compress(&grads, Some(&mut res)),
+            );
+        }
     }
     reports
 }

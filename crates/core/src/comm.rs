@@ -9,7 +9,7 @@
 //! lost (the mechanism behind ECQ-SGD's convergence speedup).
 
 use lcasgd_simcluster::backend::wire;
-use lcasgd_simcluster::codec::{bf16_decode, bf16_encode};
+use lcasgd_simcluster::codec::{bf16_decode, bf16_encode, level, max_abs_nan};
 use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader};
 
 /// A gradient compression scheme.
@@ -115,35 +115,6 @@ impl CompressedGrad {
             packed => packed.decompress(),
         }
     }
-
-    /// `signal ← signal − decompress(self)`, element for element what
-    /// subtracting the decompressed vector would give, without building it.
-    fn subtract_from(&self, signal: &mut [f32]) {
-        match self {
-            CompressedGrad::Dense(v) => {
-                for (s, a) in signal.iter_mut().zip(v) {
-                    *s -= a;
-                }
-            }
-            CompressedGrad::Sparse { entries, .. } => {
-                // Entries absent from the message decompress to +0.0, and
-                // `s − 0.0` is `s` for every `s`: only the kept ones move.
-                for &(i, a) in entries {
-                    signal[i as usize] -= a;
-                }
-            }
-            CompressedGrad::Quantized { scale, levels } => {
-                for (s, &l) in signal.iter_mut().zip(levels) {
-                    *s -= l as f32 * scale;
-                }
-            }
-            CompressedGrad::Bf16(halves) => {
-                for (s, &h) in signal.iter_mut().zip(halves) {
-                    *s -= bf16_decode(h);
-                }
-            }
-        }
-    }
 }
 
 /// Wire encoding: `CompressedGrad` is the payload of the gradient push in
@@ -237,57 +208,17 @@ impl Compression {
     pub(crate) fn compress_slice(
         &self,
         grads: &[f32],
-        mut residual: Option<&mut [f32]>,
+        residual: Option<&mut [f32]>,
     ) -> CompressedGrad {
-        // With error feedback the residual buffer doubles as the signal:
-        // e ← g + e in place, compress it, then e ← e − decompress(out).
-        // No model-sized temporary is allocated beyond the output itself.
-        if let Some(r) = residual.as_deref_mut() {
+        if let Some(r) = residual.as_deref() {
             assert_eq!(r.len(), grads.len(), "residual length mismatch");
-            for (e, g) in r.iter_mut().zip(grads) {
-                *e += g;
-            }
         }
-        let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
-
-        let out = match *self {
-            Compression::None => CompressedGrad::Dense(signal.to_vec()),
-            Compression::TopK { k_frac } => {
-                assert!(k_frac > 0.0 && k_frac <= 1.0, "k_frac out of range");
-                let k = ((grads.len() as f32 * k_frac).ceil() as usize).clamp(1, grads.len());
-                // Partial select by magnitude.
-                let mut idx: Vec<u32> = (0..grads.len() as u32).collect();
-                idx.select_nth_unstable_by(k - 1, |&a, &b| {
-                    signal[b as usize]
-                        .abs()
-                        .partial_cmp(&signal[a as usize].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut entries: Vec<(u32, f32)> =
-                    idx[..k].iter().map(|&i| (i, signal[i as usize])).collect();
-                entries.sort_unstable_by_key(|&(i, _)| i);
-                CompressedGrad::Sparse { len: grads.len(), entries }
-            }
-            Compression::Uniform { bits } => {
-                assert!((2..=8).contains(&bits), "bits out of range");
-                let max = signal.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                let levels_per_sign = ((1u32 << (bits - 1)) - 1) as f32;
-                let scale = if max > 0.0 { max / levels_per_sign } else { 1.0 };
-                let levels: Vec<i8> = signal
-                    .iter()
-                    .map(|&v| (v / scale).round().clamp(-levels_per_sign, levels_per_sign) as i8)
-                    .collect();
-                CompressedGrad::Quantized { scale, levels }
-            }
-            Compression::Bf16 => {
-                CompressedGrad::Bf16(signal.iter().map(|&v| bf16_encode(v)).collect())
-            }
-        };
-
-        if let Some(r) = residual {
-            out.subtract_from(r);
+        match *self {
+            Compression::None => dense(grads, residual),
+            Compression::TopK { k_frac } => top_k(k_frac, grads, residual),
+            Compression::Uniform { bits } => uniform(bits, grads, residual),
+            Compression::Bf16 => bf16(grads, residual),
         }
-        out
     }
 
     /// The compression a wire codec implies when the run has none of its
@@ -309,6 +240,105 @@ impl Compression {
         let probe = self.compress(&vec![1.0; n.max(1)], None);
         dense / probe.wire_bytes() as f32
     }
+}
+
+// The four schemes. With error feedback the residual buffer doubles as the
+// signal: e ← e + g in place, compress it, then e ← e − decompress(out),
+// each entry's subtraction exactly what subtracting the decompressed vector
+// would do. No model-sized temporary is allocated beyond the output itself.
+
+fn dense(grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
+    let Some(r) = residual else { return CompressedGrad::Dense(grads.to_vec()) };
+    r.iter_mut().zip(grads).for_each(|(e, g)| *e += g);
+    let out = r.to_vec();
+    r.iter_mut().zip(&out).for_each(|(e, a)| *e -= a);
+    CompressedGrad::Dense(out)
+}
+
+fn top_k(k_frac: f32, grads: &[f32], mut residual: Option<&mut [f32]>) -> CompressedGrad {
+    assert!(k_frac > 0.0 && k_frac <= 1.0, "k_frac out of range");
+    if let Some(r) = residual.as_deref_mut() {
+        r.iter_mut().zip(grads).for_each(|(e, g)| *e += g);
+    }
+    let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
+    let k = ((grads.len() as f32 * k_frac).ceil() as usize).clamp(1, grads.len());
+    // Partial select by magnitude.
+    let mut idx: Vec<u32> = (0..grads.len() as u32).collect();
+    idx.select_nth_unstable_by(k - 1, |&a, &b| {
+        signal[b as usize]
+            .abs()
+            .partial_cmp(&signal[a as usize].abs())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut entries: Vec<(u32, f32)> = idx[..k].iter().map(|&i| (i, signal[i as usize])).collect();
+    entries.sort_unstable_by_key(|&(i, _)| i);
+    // Entries absent from the message decompress to +0.0, and `e − 0.0` is
+    // `e` for every `e`: only the kept ones move.
+    if let Some(r) = residual {
+        for &(i, a) in &entries {
+            r[i as usize] -= a;
+        }
+    }
+    CompressedGrad::Sparse { len: grads.len(), entries }
+}
+
+/// Entries of the residual folded in per step of `uniform`'s first pass,
+/// then scanned while they are still in L1.
+const FOLD_BLOCK: usize = 1024;
+
+/// Two passes: fold the residual in and scan the signal for its largest
+/// magnitude and any NaN; then quantize each entry and take what was sent
+/// off the residual. Both with `codec`'s quantizer, the downlink's.
+///
+/// A non-finite signal goes out as scale NaN, so the receiver decompresses
+/// a non-finite gradient — as the `f32` path would deliver — and its NaN
+/// sentinel can fire; the residual restarts from zero. (Quantized against
+/// an infinite scale every level would be 0 and `e − 0·∞` would turn the
+/// whole residual NaN, and every later push would be finite zeros.)
+fn uniform(bits: u8, grads: &[f32], mut residual: Option<&mut [f32]>) -> CompressedGrad {
+    assert!((2..=8).contains(&bits), "bits out of range");
+    let lim = ((1u32 << (bits - 1)) - 1) as f32;
+    let (max, nan) = match residual.as_deref_mut() {
+        Some(r) => r.chunks_mut(FOLD_BLOCK).zip(grads.chunks(FOLD_BLOCK)).fold(
+            (0.0f32, false),
+            |(max, nan), (e, g)| {
+                e.iter_mut().zip(g).for_each(|(e, g)| *e += g);
+                let (block_max, block_nan) = max_abs_nan(e);
+                (max.max(block_max), nan | block_nan)
+            },
+        ),
+        None => max_abs_nan(grads),
+    };
+    let mut levels = vec![0i8; grads.len()];
+    if nan || !max.is_finite() {
+        if let Some(r) = residual {
+            r.fill(0.0);
+        }
+        return CompressedGrad::Quantized { scale: f32::NAN, levels };
+    }
+    let scale = if max > 0.0 { max / lim } else { 1.0 };
+    match residual {
+        Some(r) => levels.iter_mut().zip(r).for_each(|(l, e)| {
+            *l = level(*e / scale, lim);
+            *e -= *l as f32 * scale;
+        }),
+        None => levels.iter_mut().zip(grads).for_each(|(l, &g)| *l = level(g / scale, lim)),
+    }
+    CompressedGrad::Quantized { scale, levels }
+}
+
+/// One pass: fold, encode, take the decoded value off the residual.
+fn bf16(grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
+    let mut halves = vec![0u16; grads.len()];
+    match residual {
+        Some(r) => halves.iter_mut().zip(r).zip(grads).for_each(|((h, e), g)| {
+            *e += g;
+            *h = bf16_encode(*e);
+            *e -= bf16_decode(*h);
+        }),
+        None => halves.iter_mut().zip(grads).for_each(|(h, &g)| *h = bf16_encode(g)),
+    }
+    CompressedGrad::Bf16(halves)
 }
 
 /// Compresses a gradient for the wire, maintaining the worker's error-
@@ -423,6 +453,34 @@ mod tests {
             let want = reference_residual(&grads, &carried, &out);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&residual), bits(&want), "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_entry_reaches_the_server_and_leaves_no_trace_in_the_residual() {
+        let finite = sample();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for bits in [2, 8] {
+                let scheme = Compression::Uniform { bits };
+                let mut residual: Vec<f32> = (0..8).map(|i| i as f32 * 1e-3).collect();
+                scheme.compress(&finite, Some(&mut residual));
+                let mut grads = finite.clone();
+                grads[3] = poison;
+                for fed_back in [true, false] {
+                    let out = scheme.compress(&grads, fed_back.then_some(&mut residual));
+                    // The server sees a non-finite gradient, as f32 would
+                    // deliver, off the wire as much as in memory.
+                    let back = CompressedGrad::decoded(&out.encoded()).unwrap();
+                    assert!(back.decompress().iter().any(|g| !g.is_finite()), "{poison} {bits}");
+                }
+                assert!(residual.iter().all(|e| e.is_finite()), "{poison} {bits}: {residual:?}");
+                // The next finite push is what a fresh residual gives.
+                let next = scheme.compress(&finite, Some(&mut residual));
+                let mut fresh = vec![0.0; 8];
+                let want = scheme.compress(&finite, Some(&mut fresh));
+                assert_eq!(next.encoded(), want.encoded(), "{poison} {bits}");
+                assert_eq!(residual, fresh, "{poison} {bits}");
+            }
         }
     }
 

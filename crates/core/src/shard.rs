@@ -345,7 +345,9 @@ impl ShardGroup {
 /// residual, bitwise the unsharded path). Returns the slices and, with
 /// them, the gradient vector when they were made from a borrow of it;
 /// a single uncompressed slice *is* the vector, moved into the message.
-pub(crate) fn shard_wire_grads(
+/// The worker's push path; public so the codec differential suite can
+/// drive it.
+pub fn shard_wire_grads(
     scheme: &Compression,
     spec: &ShardSpec,
     grads: Vec<f32>,

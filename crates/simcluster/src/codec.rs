@@ -15,7 +15,9 @@
 //!
 //! The gradient *uplink* is not encoded here: it already has a lossy path
 //! with error feedback (`lcasgd-core`'s `CompressedGrad` residual
-//! machinery), and the codec simply selects a matching scheme there.
+//! machinery), and the codec simply selects a matching scheme there. Both
+//! directions quantize with the same two functions, [`max_abs_nan`] and
+//! [`level`].
 
 use crate::backend::{wire, ClusterError, WireMsg, WireReader};
 pub use crate::crc::{crc32, Crc32};
@@ -102,16 +104,88 @@ pub fn bf16_decode(b: u16) -> f32 {
     f32::from_bits((b as u32) << 16)
 }
 
+/// Independent accumulators of [`max_abs_nan`]: one SSE register pair, so
+/// the fold is two vector `max`es per eight entries, not a serial chain.
+const LANES: usize = 8;
+
+/// The largest `|v|` in `vals` (0 when there is none) with NaNs ignored
+/// exactly as `f32::max` ignores them, and whether any entry is NaN.
+///
+/// Each lane keeps `if a > m { a } else { m }`, one `maxps`: a lane starts
+/// at +0 and only ever takes a magnitude, so it is never NaN, and against a
+/// non-NaN `m` that select is `m.max(a)`. Max is exact, so which lane saw
+/// which entry cannot change the result.
+pub fn max_abs_nan(vals: &[f32]) -> (f32, bool) {
+    let mut max = [0.0f32; LANES];
+    let mut nan = [false; LANES];
+    let mut chunks = vals.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for ((m, n), &v) in max.iter_mut().zip(&mut nan).zip(chunk) {
+            let a = v.abs();
+            *m = if a > *m { a } else { *m };
+            *n |= a.is_nan();
+        }
+    }
+    let mut any_nan = nan.contains(&true);
+    for &v in chunks.remainder() {
+        max[0] = max[0].max(v.abs());
+        any_nan |= v.is_nan();
+    }
+    (max.iter().fold(0.0, |m, &l| m.max(l)), any_nan)
+}
+
+/// [`max_abs_nan`]'s maximum: `vals.iter().fold(0.0, |m, v| m.max(v.abs()))`
+/// bit for bit, in eight lanes.
+pub fn max_abs(vals: &[f32]) -> f32 {
+    max_abs_nan(vals).0
+}
+
+/// `q.round().clamp(-lim, lim) as i8` for every `f32` `q` and every integral
+/// `lim` in `0..=127`, from operations that vectorize (`f32::round` is a
+/// libm call on baseline x86-64, and a saturating `as i8` is a branch):
+///
+/// - NaN goes to 0, as the saturating cast sends it; then `q` is clamped
+///   to `c` by comparison. Clamping first is the same as clamping after,
+///   because `round` is monotone and the bounds are integers.
+/// - `m = c + 1.5·2²³` lands in `[2²³, 2²⁴)`, where the float spacing is 1,
+///   so the addition rounds `c` to an integer, half to even, and that
+///   integer is `m`'s bit pattern less `1.5·2²³`'s.
+/// - `d = c − (m − 1.5·2²³)` is exact, so the two ties that half-to-even
+///   sends towards zero (`d = ±0.5`) are recognised and moved away from it.
+///
+/// DESIGN.md §12.3 has the exactness argument; the whole `f32` range is
+/// checked against the libm expression by an ignored test in this module.
+#[inline]
+pub fn level(q: f32, lim: f32) -> i8 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
+    let c = if q.is_nan() {
+        0.0
+    } else if q < -lim {
+        -lim
+    } else if q > lim {
+        lim
+    } else {
+        q
+    };
+    let m = c + MAGIC;
+    let even = m.to_bits().wrapping_sub(MAGIC.to_bits()) as i32;
+    let d = c - (m - MAGIC);
+    let up = (d == 0.5 && c > 0.0) as i32;
+    let down = (d == -0.5 && c < 0.0) as i32;
+    (even + up - down) as i8
+}
+
 /// Quantizes `vals` into `int8` levels with one scale per
-/// [`INT8_BLOCK`]-entry block. Returns `(levels, scales)`.
+/// [`INT8_BLOCK`]-entry block. Returns `(levels, scales)`. A block whose
+/// largest magnitude is 0 or not finite gets scale 1.
 pub fn int8_pack(vals: &[f32]) -> (Vec<i8>, Vec<f32>) {
-    let mut levels = Vec::with_capacity(vals.len());
+    let mut levels = vec![0i8; vals.len()];
     let mut scales = Vec::with_capacity(vals.len().div_ceil(INT8_BLOCK));
-    for block in vals.chunks(INT8_BLOCK) {
-        let max = block.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    for (block, out) in vals.chunks(INT8_BLOCK).zip(levels.chunks_mut(INT8_BLOCK)) {
+        let max = max_abs(block);
         let scale = if max > 0.0 && max.is_finite() { max / 127.0 } else { 1.0 };
         scales.push(scale);
-        levels.extend(block.iter().map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8));
+        out.iter_mut().zip(block).for_each(|(l, &v)| *l = level(v / scale, 127.0));
     }
     (levels, scales)
 }
@@ -284,6 +358,81 @@ mod tests {
                 assert!((a - b).abs() <= step / 2.0 + 1e-6, "block {block}: {a} vs {b}");
             }
         }
+    }
+
+    /// What [`level`] replaces: libm's `roundf`, then a saturating cast.
+    fn libm_level(q: f32, lim: f32) -> i8 {
+        q.round().clamp(-lim, lim) as i8
+    }
+
+    /// Bit patterns `0, stride, 2·stride, …` below 2³² that `level`
+    /// quantizes differently from [`libm_level`], split across the cores.
+    fn level_mismatches(lim: f32, stride: u64) -> Vec<u32> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
+        let per = (1u64 << 32).div_ceil(threads * stride) * stride;
+        std::thread::scope(|s| {
+            let parts: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        let end = ((t + 1) * per).min(1 << 32);
+                        (t * per..end)
+                            .step_by(stride as usize)
+                            .map(|b| b as u32)
+                            .filter(|&b| {
+                                let q = f32::from_bits(b);
+                                level(q, lim) != libm_level(q, lim)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            parts.into_iter().flat_map(|p| p.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    #[ignore = "all 2³² inputs: run in release with -- --ignored"]
+    fn level_equals_round_clamp_cast_for_every_f32() {
+        assert_eq!(level_mismatches(127.0, 1), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn level_equals_round_clamp_cast_at_every_width() {
+        for lim in [1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0] {
+            assert_eq!(level_mismatches(lim, 4096), Vec::<u32>::new(), "lim {lim}");
+        }
+        // The inputs a stride can step over: ties on both sides of every
+        // level, their neighbours, the bounds, the non-finite values.
+        let mut qs = vec![0.0f32, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        qs.extend([f32::MIN_POSITIVE, 1e-45, -1e-45, f32::MAX, f32::MIN, 0.49999997, -0.49999997]);
+        for k in -130..=130 {
+            let t = k as f32 + 0.5;
+            qs.extend([t, t.next_down(), t.next_up(), k as f32]);
+        }
+        for lim in [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0] {
+            for &q in &qs {
+                assert_eq!(level(q, lim), libm_level(q, lim), "q {q:e} lim {lim}");
+            }
+        }
+    }
+
+    #[test]
+    fn max_abs_ignores_nans_as_f32_max_does() {
+        let serial = |v: &[f32]| v.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        for n in [0usize, 1, 7, 8, 9, 255, 256, 257] {
+            let mut vals: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            assert_eq!(max_abs_nan(&vals), (serial(&vals), false), "len {n}");
+            for at in [0, n / 2, n.saturating_sub(1)].into_iter().filter(|_| n > 0) {
+                let mut v = vals.clone();
+                v[at] = f32::NAN;
+                assert_eq!(max_abs_nan(&v), (serial(&v), true), "len {n}, NaN at {at}");
+            }
+            if n > 0 {
+                vals[n - 1] = f32::NEG_INFINITY;
+                assert_eq!(max_abs(&vals), f32::INFINITY);
+            }
+        }
+        assert_eq!(max_abs(&[f32::NAN, -0.0]).to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -204,6 +204,20 @@ grep -q 'sharded across 4 model shards' "$SHARD_OUT" || { echo "no shard summary
 grep -q 'failovers 1' "$SHARD_OUT" || { echo "sharded failover did not happen"; exit 1; }
 rm -f "$KILL_PLAN" "$SHARD_OUT"
 
+# CLI smoke: 3 shards do not divide --flush-every 4, so a replication batch
+# must still end on a push boundary — the kill promotes whole pushes and
+# the re-armed standby is never lost.
+echo "==> lcasgd train --shards 3 --standby kill smoke"
+KILL_PLAN=$(mktemp /tmp/lcasgd_ci_shards3.XXXXXX.txt)
+SHARD_OUT=$(mktemp /tmp/lcasgd_ci_shards3.XXXXXX.log)
+printf 'primary-kill at-update=7\n' > "$KILL_PLAN"
+timeout 120 ./target/release/lcasgd train --algorithm asgd --workers 2 \
+    --scale tiny --epochs 2 --shards 3 --standby --flush-every 4 \
+    --lease-ms 200 --fault-plan "$KILL_PLAN" > "$SHARD_OUT"
+grep -q 'failovers 1' "$SHARD_OUT" || { echo "3-shard failover did not happen"; exit 1; }
+if grep -q 'DEGRADED' "$SHARD_OUT"; then echo "3-shard failover lost its standby"; exit 1; fi
+rm -f "$KILL_PLAN" "$SHARD_OUT"
+
 # CLI smoke: quantized runs must exit 0 on both lossy codecs.
 echo "==> lcasgd train --wire-codec smoke"
 for CODEC in bf16 int8; do

@@ -6,23 +6,25 @@
 //! modeled by the fault plan), but losing the server loses the run. This
 //! module makes the server replaceable:
 //!
-//! * every applied push becomes a sequenced [`LogRecord`] — a write-ahead
-//!   update log carrying the weight delta, its CRC-32 digest, and the
-//!   apply's side effects (arrival-log entry, BN absorption, per-worker
-//!   push sequence number);
+//! * every applied push becomes one sequenced [`LogRecord`] per model
+//!   shard — a write-ahead update log carrying the weight delta, its
+//!   CRC-32 digest, and the apply's side effects (arrival-log entry, BN
+//!   absorption, per-worker push sequence number);
 //! * a [`StandbyReplica`] is bootstrapped from a
 //!   [`TrainingCheckpoint`] snapshot and kept hot by streaming log
-//!   deltas over a [`ReplicaDuplex`] — in-process channels on the
+//!   records over a [`ReplicaDuplex`] — in-process channels on the
 //!   simulator and thread backends, CRC-framed loopback TCP on the
-//!   network backend;
+//!   network backend — plus, at every epoch boundary, a refresh of what
+//!   the log does not carry;
 //! * an [`EpochFence`] enforces at-most-once apply across a failover:
 //!   workers carry the server epoch on every Pull/State/Grad, a killed
 //!   primary's epoch is fenced off, the standby promotes with `epoch+1`,
 //!   and per-worker push sequence numbers (replayed from the log) reject
 //!   any delayed duplicate of an already-applied push;
 //! * the primary's end of the stream (`ReplicationStream`, driven by the
-//!   trainer's server) buffers records, flushes them as acknowledged
-//!   batches, ships snapshots, and degrades to an inert no-op — training
+//!   trainer's server) encodes records straight from the weights into one
+//!   reused batch buffer, keeps one acknowledged batch in flight, ships
+//!   refreshes and snapshots, and degrades to an inert no-op — training
 //!   continues unreplicated — when the standby stops answering;
 //! * a [`Lease`] ties the primary's right to apply writes to recent
 //!   standby acknowledgment: a primary whose lease is revoked (the kill)
@@ -31,22 +33,39 @@
 //!
 //! ## Determinism
 //!
-//! Replication is *batched synchronous*: the primary buffers records and
-//! flushes every [`StandbyConfig::flush_every`] records as one
-//! `Replicate` message, blocking for the `ReplicaAck`. The standby
-//! therefore lags the primary by at most `flush_every - 1` applied
-//! updates, and the lost tail at a kill is a pure function of the
-//! applied-update count — independent of thread timing — so a fault plan
-//! that kills the primary at update *k* promotes bit-identical standby
-//! state on every run of the deterministic simulator.
+//! The primary buffers the records of whole pushes and flushes them as
+//! one `Replicate` batch at the first push boundary at or after
+//! [`StandbyConfig::flush_every`] records, so the standby never holds some
+//! shards of a push and not others. A flush sends and returns: its
+//! `ReplicaAck` is awaited before the next message to the standby, in the
+//! lease check, at a planned kill and at the end of the run. The kill
+//! settles the batch in flight before it takes the replica, so the lost
+//! tail is exactly the unflushed records — fewer than `flush_every`,
+//! whole pushes only — a pure function of the applied-update count,
+//! independent of thread timing: a fault plan that kills the primary at
+//! update *k* promotes bit-identical standby state on every run of the
+//! deterministic simulator.
+//!
+//! The records alone keep the mirror's weights bitwise the primary's.
+//! Every apply computes each weight as `a = fl(b − x)`, and for such an
+//! `a` the logged delta `d = fl(a − b)` replays exactly: `fl(b + d) = a`
+//! under round-to-nearest. A supervisor rollback's restore has no such
+//! form, so the primary re-bootstraps the standby after one.
 //!
 //! ## What the log does not carry
 //!
-//! State-path side effects (LC-ASGD's predictor observations and
-//! `log_arrival` calls in the `State` handler) are not logged; they reach
-//! the standby only at snapshot refreshes. After a failover the promoted
-//! server's predictors therefore resume from the last snapshot and
-//! re-adapt online — the same recovery contract as a checkpoint resume.
+//! LC-ASGD's state path (the `State` handler's `log_arrival`, BN
+//! absorption and predictor observations) and a rejoining worker's resets
+//! change server state without an applied push. At every epoch boundary
+//! the primary flushes its buffered records and then ships a refresh
+//! ([`ReplicaPayload::Refresh`]) of exactly what promotion reads and the
+//! records do not mirror: both predictor snapshots, the arrival state,
+//! `iter` and the BN state — no weights, so it waits for no evaluation. The
+//! standby is therefore current at every boundary; a kill mid-epoch
+//! promotes those fields as of the last boundary, and the predictors
+//! re-adapt online — the recovery contract of a checkpoint resume. Full
+//! snapshots bootstrap the standby, re-arm it after a promotion, and
+//! re-bootstrap it after a rollback.
 //!
 //! [`ReplicaDuplex`]: lcasgd_simcluster::ReplicaDuplex
 //! [`TrainingCheckpoint`]: crate::checkpoint::TrainingCheckpoint
@@ -67,9 +86,12 @@ use std::time::{Duration, Instant};
 /// Standby attachment options, set via `RunOptions::standby`.
 #[derive(Clone, Debug)]
 pub struct StandbyConfig {
-    /// Log records per synchronous replication flush. The standby lags
-    /// the primary by at most `flush_every - 1` applied updates, and a
-    /// kill loses at most that many. 1 = fully synchronous.
+    /// Log records per replication batch. A push over `S` model shards is
+    /// `S` records, and a batch is flushed at the first push boundary at
+    /// or after `flush_every` records: it carries `⌈flush_every / S⌉`
+    /// whole pushes, at most `flush_every + S − 1` records. A kill loses
+    /// the unflushed records only — fewer than `flush_every`, that is at
+    /// most `⌊(flush_every − 1) / S⌋` whole pushes. 1 = every push flushed.
     pub flush_every: u64,
     /// Lease duration: on wall-clock backends the primary refuses to
     /// apply a write unless the standby acknowledged within this window
@@ -149,30 +171,19 @@ impl WireMsg for LogRecord {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        wire::put_u64(buf, self.seq);
-        wire::put_u64(buf, self.epoch);
-        wire::put_u32(buf, self.worker);
-        wire::put_u64(buf, self.push_seq);
-        wire::put_u64(buf, self.version);
-        wire::put_u32(buf, self.staleness);
-        wire::put_f32(buf, self.loss);
-        wire::put_vec_f32(buf, &self.delta);
-        wire::put_u32(buf, self.digest);
-        match self.arrival {
-            None => wire::put_u8(buf, 0),
-            Some(v) => {
-                wire::put_u8(buf, 1);
-                wire::put_u64(buf, v);
-            }
-        }
-        match &self.bn {
-            None => wire::put_u8(buf, 0),
-            Some(bn) => {
-                wire::put_u8(buf, 1);
-                crate::protocol::put_bn_state(buf, bn);
-            }
-        }
-        wire::put_u32(buf, self.shard);
+        let head = PushHead {
+            epoch: self.epoch,
+            worker: self.worker,
+            push_seq: self.push_seq,
+            version: self.version,
+            staleness: self.staleness,
+            loss: self.loss,
+        };
+        let put_delta = |buf: &mut Vec<u8>| {
+            wire::put_vec_f32(buf, &self.delta);
+            wire::put_u32(buf, self.digest);
+        };
+        put_record(buf, self.seq, &head, put_delta, self.arrival, self.bn.as_ref(), self.shard);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
@@ -183,7 +194,8 @@ impl WireMsg for LogRecord {
         let version = r.u64()?;
         let staleness = r.u32()?;
         let loss = r.f32()?;
-        let delta = r.vec_f32()?;
+        // A slice of the model: into a vector the standby handed back.
+        let delta = r.bulk_vec_f32()?;
         let digest = r.u32()?;
         let arrival = match r.u8()? {
             0 => None,
@@ -213,33 +225,112 @@ impl WireMsg for LogRecord {
     }
 }
 
+/// What every record of one applied push shares: a [`LogRecord`] less its
+/// sequence number, shard, delta, digest and side effects.
+pub(crate) struct PushHead {
+    pub epoch: u64,
+    pub worker: u32,
+    pub push_seq: u64,
+    pub version: u64,
+    pub staleness: u32,
+    pub loss: f32,
+}
+
+/// [`LogRecord`]'s encoding, with `put_delta` writing the length-prefixed
+/// delta and its digest: the one layout [`LogRecord::encode`] and
+/// `ReplicationStream::log_push` both write.
+fn put_record(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    head: &PushHead,
+    put_delta: impl FnOnce(&mut Vec<u8>),
+    arrival: Option<u64>,
+    bn: Option<&BnState>,
+    shard: u32,
+) {
+    wire::put_u64(buf, seq);
+    wire::put_u64(buf, head.epoch);
+    wire::put_u32(buf, head.worker);
+    wire::put_u64(buf, head.push_seq);
+    wire::put_u64(buf, head.version);
+    wire::put_u32(buf, head.staleness);
+    wire::put_f32(buf, head.loss);
+    put_delta(buf);
+    match arrival {
+        None => wire::put_u8(buf, 0),
+        Some(v) => {
+            wire::put_u8(buf, 1);
+            wire::put_u64(buf, v);
+        }
+    }
+    match bn {
+        None => wire::put_u8(buf, 0),
+        Some(bn) => {
+            wire::put_u8(buf, 1);
+            crate::protocol::put_bn_state(buf, bn);
+        }
+    }
+    wire::put_u32(buf, shard);
+}
+
+/// Writes the delta `after − before` as [`LogRecord`] encodes one — length
+/// prefix, little-endian `f32`s, their CRC-32 digest — in one pass: each
+/// block is subtracted, written and hashed while it is in cache, and no
+/// delta vector exists.
+fn put_delta(buf: &mut Vec<u8>, after: &[f32], before: &[f32]) {
+    const BLOCK: usize = 1024;
+    assert_eq!(after.len(), before.len(), "delta of two different slices");
+    wire::put_u64(buf, after.len() as u64);
+    buf.reserve(4 * after.len() + 4);
+    let mut crc = Crc32::new();
+    for (a, b) in after.chunks(BLOCK).zip(before.chunks(BLOCK)) {
+        let start = buf.len();
+        buf.resize(start + 4 * a.len(), 0);
+        for (out, (x, y)) in buf[start..].chunks_exact_mut(4).zip(a.iter().zip(b)) {
+            out.copy_from_slice(&(x - y).to_le_bytes());
+        }
+        crc.update(&buf[start..]);
+    }
+    wire::put_u32(buf, crc.finish());
+}
+
 /// Payload of `ClusterReq::Replicate`: what the primary streams to its
 /// standby over the replica duplex.
 pub enum ReplicaPayload {
-    /// Full-state bootstrap (and periodic refresh): a
-    /// [`TrainingCheckpoint`] blob (self-checking — magic + CRC) plus
-    /// the log sequence number the record stream continues from.
+    /// Full-state bootstrap, post-promotion re-arm and post-rollback
+    /// re-bootstrap: a [`TrainingCheckpoint`] blob (self-checking — magic +
+    /// CRC) plus the log sequence number the record stream continues from.
     Snapshot { next_seq: u64, blob: Vec<u8> },
     /// A flushed batch of log records, contiguous in `seq`.
     Records(Vec<LogRecord>),
+    /// The epoch-boundary refresh: a [`TrainingCheckpoint`] blob holding
+    /// only what promotion reads and the records do not mirror — both
+    /// predictor snapshots, the arrival state, `iter` and the BN state;
+    /// weights, epoch records and batch positions stay empty. `seq` is the
+    /// last record flushed ahead of it, which the standby must have
+    /// applied.
+    Refresh { seq: u64, blob: Vec<u8> },
 }
 
 impl WireMsg for ReplicaPayload {
     fn size_hint(&self) -> usize {
         17 + match self {
-            ReplicaPayload::Snapshot { blob, .. } => blob.len(),
+            ReplicaPayload::Snapshot { blob, .. } | ReplicaPayload::Refresh { blob, .. } => {
+                blob.len()
+            }
             ReplicaPayload::Records(recs) => recs.iter().map(WireMsg::size_hint).sum(),
         }
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
+        let put_blob = |buf: &mut Vec<u8>, tag: u8, seq: u64, blob: &[u8]| {
+            wire::put_u8(buf, tag);
+            wire::put_u64(buf, seq);
+            wire::put_u64(buf, blob.len() as u64);
+            buf.extend_from_slice(blob);
+        };
         match self {
-            ReplicaPayload::Snapshot { next_seq, blob } => {
-                wire::put_u8(buf, 0);
-                wire::put_u64(buf, *next_seq);
-                wire::put_u64(buf, blob.len() as u64);
-                buf.extend_from_slice(blob);
-            }
+            ReplicaPayload::Snapshot { next_seq, blob } => put_blob(buf, 0, *next_seq, blob),
             ReplicaPayload::Records(recs) => {
                 wire::put_u8(buf, 1);
                 wire::put_u64(buf, recs.len() as u64);
@@ -247,15 +338,21 @@ impl WireMsg for ReplicaPayload {
                     rec.encode(buf);
                 }
             }
+            ReplicaPayload::Refresh { seq, blob } => put_blob(buf, 2, *seq, blob),
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
         match r.u8()? {
-            0 => {
-                let next_seq = r.u64()?;
+            tag @ (0 | 2) => {
+                let seq = r.u64()?;
                 let n = r.len(1)?;
-                Ok(ReplicaPayload::Snapshot { next_seq, blob: r.bytes(n)?.to_vec() })
+                let blob = r.bytes(n)?.to_vec();
+                Ok(if tag == 0 {
+                    ReplicaPayload::Snapshot { next_seq: seq, blob }
+                } else {
+                    ReplicaPayload::Refresh { seq, blob }
+                })
             }
             1 => {
                 // Records are variable-size; guard the count against the
@@ -272,8 +369,9 @@ impl WireMsg for ReplicaPayload {
 // -------------------------------------------------------------- standby
 
 /// The hot standby's mirror of the parameter-server state: a snapshot
-/// advanced record-by-record. Fields the log does not carry (predictor
-/// state, worker batch positions) stay at their snapshot values.
+/// advanced record-by-record, with the state-path fields refreshed at
+/// every epoch boundary. Fields promotion does not read (epoch records,
+/// worker batch positions) stay at their snapshot values.
 pub struct StandbyReplica {
     state: TrainingCheckpoint,
     next_seq: u64,
@@ -367,6 +465,25 @@ impl StandbyReplica {
             self.state.epoch_losses.clear();
         }
         self.next_seq += 1;
+        Ok(())
+    }
+
+    /// Takes an epoch refresh's fields — both predictors, the arrival
+    /// state, `iter`, BN — from `part`; the records mirror the rest. A
+    /// replica that has not applied exactly through `seq`, the last record
+    /// flushed ahead of the refresh, is not current and refuses it.
+    fn refresh(&mut self, seq: u64, part: TrainingCheckpoint) -> Result<(), String> {
+        if seq != self.last_seq() {
+            return Err(format!(
+                "refresh after seq {seq} reached a replica at {}",
+                self.last_seq()
+            ));
+        }
+        self.state.loss_pred = part.loss_pred;
+        self.state.step_pred = part.step_pred;
+        self.state.arrival = part.arrival;
+        self.state.iter = part.iter;
+        self.state.bn = part.bn;
         Ok(())
     }
 
@@ -507,9 +624,13 @@ impl EpochFence {
 /// [`ClusterReq::Replicate`] frames off the duplex, apply them to the
 /// shared replica slot, acknowledge each with
 /// [`ClusterResp::ReplicaAck`]. Returns when the primary hangs up
-/// (duplex disconnect) or on the first protocol/apply error — the
-/// primary's next flush then fails its blocking ack wait, surfacing the
-/// fault instead of silently diverging.
+/// (duplex disconnect) or on the first protocol/apply error — emptying the
+/// slot, so a half-applied mirror is never promoted; the primary's next
+/// ack wait then fails, surfacing the fault instead of silently diverging.
+///
+/// Frames are received into one reused buffer, and each batch's deltas
+/// are decoded into the vectors the previous batch's were, so a steady
+/// stream of records allocates nothing model-sized.
 ///
 /// [`ClusterReq::Replicate`]: crate::protocol::ClusterReq::Replicate
 /// [`ClusterResp::ReplicaAck`]: crate::protocol::ClusterResp::ReplicaAck
@@ -518,37 +639,61 @@ pub fn serve_standby(
     slot: Arc<Mutex<Option<StandbyReplica>>>,
     updates_per_epoch: u64,
 ) {
+    let mut frame = Vec::new();
+    let mut spent = Vec::new();
     loop {
-        let bytes = match duplex.recv() {
-            Ok(b) => b,
-            Err(_) => return, // primary hung up: clean shutdown
-        };
-        let payload = match ClusterReq::decoded(&bytes) {
-            Ok(ClusterReq::Replicate(p)) => p,
-            _ => return,
-        };
-        let acked = match payload {
-            ReplicaPayload::Snapshot { next_seq, blob } => {
-                let Ok(state) = TrainingCheckpoint::from_bytes(&blob) else { return };
-                *slot.lock() =
-                    Some(StandbyReplica::from_snapshot(state, next_seq, updates_per_epoch));
-                next_seq.saturating_sub(1)
-            }
-            ReplicaPayload::Records(recs) => {
-                let mut guard = slot.lock();
-                let Some(rep) = guard.as_mut() else { return };
-                for rec in &recs {
-                    if let Err(e) = rep.apply(rec) {
-                        eprintln!("standby: {e}");
-                        return;
-                    }
-                }
-                rep.last_seq()
-            }
-        };
-        let ack = ClusterResp::ReplicaAck { seq: acked };
-        if duplex.send(&ack.encoded()).is_err() {
+        // An error is the primary hanging up: clean shutdown.
+        let Ok(n) = duplex.recv_into(&mut frame) else { return };
+        let Ok(ClusterReq::Replicate(payload)) =
+            ClusterReq::decoded_reusing(&frame[..n], &mut spent)
+        else {
             return;
+        };
+        let mut guard = slot.lock();
+        let acked = match receive(&mut guard, payload, updates_per_epoch, &mut spent) {
+            Ok(seq) => seq,
+            Err(e) => {
+                eprintln!("standby: {e}");
+                *guard = None;
+                return;
+            }
+        };
+        drop(guard);
+        if duplex.send(&ClusterResp::ReplicaAck { seq: acked }.encoded()).is_err() {
+            return;
+        }
+    }
+}
+
+/// Applies one replication message to the standby's slot and returns the
+/// sequence number to acknowledge. An applied batch's deltas go back to
+/// `spent` in reverse, so the next batch decodes shard `s` into shard
+/// `s`'s vector.
+fn receive(
+    slot: &mut Option<StandbyReplica>,
+    payload: ReplicaPayload,
+    updates_per_epoch: u64,
+    spent: &mut Vec<Vec<f32>>,
+) -> Result<u64, String> {
+    let checkpoint = |blob: &[u8]| TrainingCheckpoint::from_bytes(blob).map_err(|e| e.to_string());
+    let unbooted = || "replication before the bootstrap snapshot".to_string();
+    match payload {
+        ReplicaPayload::Snapshot { next_seq, blob } => {
+            let state = checkpoint(&blob)?;
+            *slot = Some(StandbyReplica::from_snapshot(state, next_seq, updates_per_epoch));
+            Ok(next_seq.saturating_sub(1))
+        }
+        ReplicaPayload::Refresh { seq, blob } => {
+            slot.as_mut().ok_or_else(unbooted)?.refresh(seq, checkpoint(&blob)?)?;
+            Ok(seq)
+        }
+        ReplicaPayload::Records(recs) => {
+            let rep = slot.as_mut().ok_or_else(unbooted)?;
+            for rec in &recs {
+                rep.apply(rec)?;
+            }
+            spent.extend(recs.into_iter().rev().map(|rec| rec.delta));
+            Ok(rep.last_seq())
         }
     }
 }
@@ -597,16 +742,35 @@ impl Lease {
 
 // -------------------------------------------------------- primary stream
 
-/// The primary side of the replication stream: buffers [`LogRecord`]s and
-/// flushes them to the standby thread as synchronous, acknowledged
-/// `Replicate` batches. The blocking ack is what makes the standby's lag
-/// (and therefore the lost tail at a kill) a pure function of the
-/// applied-update count.
+/// What the message in flight was: its ack counts as a flush or as a
+/// snapshot.
+#[derive(Clone, Copy)]
+enum Sent {
+    Batch,
+    State,
+}
+
+/// The primary side of the replication stream: encodes [`LogRecord`]s
+/// straight from the weights into one batch buffer and flushes it to the
+/// standby thread as an acknowledged `Replicate` batch, at most one in
+/// flight. Every place that needs the standby current — the next message,
+/// the lease check, a planned kill, the end of the run — settles the
+/// batch in flight first, which keeps the lost tail at a kill a pure
+/// function of the applied-update count.
 pub(crate) struct ReplicationStream {
     duplex: Box<dyn ReplicaDuplex>,
-    buffer: Vec<LogRecord>,
+    /// The one send buffer, reused message after message: the batch being
+    /// built, or a snapshot or refresh on its way out.
+    buf: Vec<u8>,
+    /// Offset of the record count in an encoded batch, patched at flush.
+    count_at: usize,
+    /// Records encoded into `buf` since the last flush.
+    batched: u64,
     next_seq: u64,
     flush_every: u64,
+    /// The message sent and not yet acknowledged: the sequence number its
+    /// ack must carry, and what it was.
+    in_flight: Option<(u64, Sent)>,
     lease: Lease,
     lease_timeout: Duration,
     pub(crate) report: ReplicationReport,
@@ -624,9 +788,12 @@ impl ReplicationStream {
     pub(crate) fn new(duplex: Box<dyn ReplicaDuplex>, cfg: &StandbyConfig) -> Self {
         ReplicationStream {
             duplex,
-            buffer: Vec::new(),
+            buf: Vec::new(),
+            count_at: 0,
+            batched: 0,
             next_seq: 1,
             flush_every: cfg.flush_every.max(1),
+            in_flight: None,
             lease: Lease::new(cfg.lease),
             lease_timeout: cfg.lease,
             report: ReplicationReport::default(),
@@ -635,65 +802,114 @@ impl ReplicationStream {
         }
     }
 
-    /// Appends an applied push to the log; auto-flushes a full batch.
-    /// Inert once degraded.
-    pub(crate) fn log(&mut self, mut rec: LogRecord) {
+    /// Starts a batch in the empty send buffer: a `Records` payload whose
+    /// record count, its last eight bytes, is filled in at flush.
+    fn begin_batch(&mut self) {
+        ClusterReq::Replicate(ReplicaPayload::Records(Vec::new())).encode(&mut self.buf);
+        self.count_at = self.buf.len() - 8;
+    }
+
+    /// Appends one applied push to the log: a record per shard for the
+    /// `(after, before)` weights of each, consecutive seqs, encoded in
+    /// place. The last record alone carries `side_effects` (a fused
+    /// apply's arrival version and BN state), so the standby counts the
+    /// push only once it is whole. Flushes at the first push boundary at
+    /// or after `flush_every` records. Inert once degraded.
+    pub(crate) fn log_push<'a>(
+        &mut self,
+        head: &PushHead,
+        slices: impl ExactSizeIterator<Item = (&'a [f32], &'a [f32])>,
+        side_effects: Option<(u64, &BnState)>,
+    ) {
         if self.degraded {
             return;
         }
-        rec.seq = self.next_seq;
-        self.next_seq += 1;
-        self.report.log_records += 1;
-        self.buffer.push(rec);
-        if self.buffer.len() as u64 >= self.flush_every {
+        if self.buf.is_empty() {
+            self.begin_batch();
+        }
+        let last = slices.len().saturating_sub(1);
+        for (s, (after, before)) in slices.enumerate() {
+            let (arrival, bn) = side_effects.filter(|_| s == last).unzip();
+            let put = |buf: &mut Vec<u8>| put_delta(buf, after, before);
+            put_record(&mut self.buf, self.next_seq, head, put, arrival, bn, s as u32);
+            self.next_seq += 1;
+            self.batched += 1;
+            self.report.log_records += 1;
+        }
+        if self.batched >= self.flush_every {
             self.flush();
         }
     }
 
-    /// Synchronous flush of the buffered batch (possibly empty — a lease
-    /// heartbeat). Blocks for the standby's ack. Inert once degraded.
+    /// Sends the batch (possibly empty — a lease heartbeat) once the one
+    /// before it is acknowledged, and returns without waiting for its own
+    /// ack. Inert once degraded.
     fn flush(&mut self) {
+        self.settle();
         if self.degraded {
-            self.buffer.clear();
             return;
         }
-        let lag = self.buffer.len() as u64;
-        self.report.max_lag = self.report.max_lag.max(lag);
-        let recs = std::mem::take(&mut self.buffer);
-        self.send_acked(ReplicaPayload::Records(recs));
-        if !self.degraded {
-            self.report.flushes += 1;
+        if self.buf.is_empty() {
+            self.begin_batch();
         }
+        let at = self.count_at;
+        self.buf[at..at + 8].copy_from_slice(&self.batched.to_le_bytes());
+        self.report.max_lag = self.report.max_lag.max(self.batched);
+        self.batched = 0;
+        self.send(Sent::Batch);
     }
 
     /// Ships a full-state snapshot, superseding (and discarding) any
-    /// buffered records — the snapshot already contains their effects.
-    /// Inert once degraded.
+    /// buffered records — the snapshot already contains their effects —
+    /// and waits for its ack: the bootstrap, a re-arm and a rollback's
+    /// re-bootstrap are rare, and a standby lost at bootstrap is then
+    /// found before the run starts. Inert once degraded.
     pub(crate) fn snapshot(&mut self, state: &TrainingCheckpoint) {
+        self.settle();
         if self.degraded {
             return;
         }
-        self.buffer.clear();
-        self.send_acked(ReplicaPayload::Snapshot {
-            next_seq: self.next_seq,
-            blob: state.to_bytes(),
-        });
-        if !self.degraded {
-            self.report.snapshots += 1;
-        }
+        self.buf.clear();
+        self.batched = 0;
+        let blob = state.to_bytes();
+        ClusterReq::Replicate(ReplicaPayload::Snapshot { next_seq: self.next_seq, blob })
+            .encode(&mut self.buf);
+        self.send(Sent::State);
+        self.settle();
     }
 
-    /// Wall-clock lease enforcement: an expired (but unrevoked) lease
-    /// forces a heartbeat round-trip — proof the standby is still
-    /// acknowledging — before the caller applies its next write. A
-    /// degraded stream's lease stays revoked, so this is a no-op.
-    pub(crate) fn ensure_lease(&mut self) {
-        if !self.lease.is_revoked() && !self.lease.held() {
+    /// The epoch-boundary refresh: flushes the buffered records ahead of
+    /// it, so the standby is current at the boundary, then sends `part` —
+    /// the state-path fields of a [`ReplicaPayload::Refresh`] — in flight
+    /// like a batch. Inert once degraded.
+    pub(crate) fn refresh(&mut self, part: &TrainingCheckpoint) {
+        if self.batched > 0 {
             self.flush();
         }
+        self.settle();
+        if self.degraded {
+            return;
+        }
+        let seq = self.next_seq - 1;
+        ClusterReq::Replicate(ReplicaPayload::Refresh { seq, blob: part.to_bytes() })
+            .encode(&mut self.buf);
+        self.send(Sent::State);
     }
 
-    /// Fences the killed primary: its write lease never renews again.
+    /// Wall-clock lease enforcement: settles the message in flight (its
+    /// ack renews the lease), and an expired (but unrevoked) lease then
+    /// forces a heartbeat round-trip — proof the standby is still
+    /// acknowledging — before the caller applies its next write. A
+    /// degraded stream's lease stays revoked, so that part is a no-op.
+    pub(crate) fn ensure_lease(&mut self) {
+        self.settle();
+        if !self.lease.is_revoked() && !self.lease.held() {
+            self.flush();
+            self.settle();
+        }
+    }
+
+    /// Fences the killed primary: its lease never renews again.
     pub(crate) fn revoke_lease(&mut self) {
         self.lease.revoke();
     }
@@ -706,16 +922,31 @@ impl ReplicationStream {
         self.lease = Lease::new(self.lease_timeout);
     }
 
-    fn send_acked(&mut self, payload: ReplicaPayload) {
-        let expect = self.next_seq - 1;
-        let msg = ClusterReq::Replicate(payload);
-        if let Err(e) = self.duplex.send(&msg.encoded()) {
-            self.degrade(format!("standby duplex closed: {e:?}"));
-            return;
+    /// Sends the message in `buf` and empties it; its ack is awaited by
+    /// the next [`settle`](Self::settle).
+    fn send(&mut self, what: Sent) {
+        let sent = self.duplex.send(&self.buf);
+        self.buf.clear();
+        match sent {
+            Ok(()) => self.in_flight = Some((self.next_seq - 1, what)),
+            Err(e) => self.degrade(format!("standby duplex closed: {e:?}")),
         }
+    }
+
+    /// Waits for the ack of the message in flight, if any: a matching ack
+    /// renews the lease and counts the flush or snapshot; anything else
+    /// degrades the stream.
+    pub(crate) fn settle(&mut self) {
+        let Some((expect, what)) = self.in_flight.take() else { return };
         let ack = self.duplex.recv().ok().and_then(|b| ClusterResp::decoded(&b).ok());
         match ack {
-            Some(ClusterResp::ReplicaAck { seq }) if seq == expect => self.lease.renew(),
+            Some(ClusterResp::ReplicaAck { seq }) if seq == expect => {
+                self.lease.renew();
+                match what {
+                    Sent::Batch => self.report.flushes += 1,
+                    Sent::State => self.report.snapshots += 1,
+                }
+            }
             Some(ClusterResp::ReplicaAck { seq }) => {
                 self.degrade(format!("standby acknowledged seq {seq} where {expect} was expected"))
             }
@@ -730,16 +961,21 @@ impl ReplicationStream {
     /// discarded.
     fn degrade(&mut self, why: String) {
         self.degraded = true;
-        self.buffer.clear();
+        self.buf.clear();
+        self.batched = 0;
+        self.in_flight = None;
         self.lease.revoke();
         self.pending_degradation = Some(why);
     }
 
     /// Returns the degradation cause exactly once, the first time it is
     /// polled after the stream degraded — the caller's cue to emit the
-    /// one-time health event, fault record, and trace instant.
-    pub(crate) fn take_degradation(&mut self) -> Option<String> {
-        self.pending_degradation.take()
+    /// one-time health event, fault record, and trace instant — and stamps
+    /// the report with `at_update`, the update count it surfaced at.
+    pub(crate) fn take_degradation(&mut self, at_update: u64) -> Option<String> {
+        let why = self.pending_degradation.take()?;
+        self.report.degraded_at = Some(at_update);
+        Some(why)
     }
 }
 
@@ -751,9 +987,10 @@ impl ReplicationStream {
 pub struct ReplicationReport {
     /// Log records streamed to the standby.
     pub log_records: u64,
-    /// Synchronous flush round-trips (including heartbeats).
+    /// Acknowledged record batches (including lease heartbeats).
     pub flushes: u64,
-    /// Full-state snapshots shipped (bootstrap + refreshes).
+    /// Acknowledged state messages: full snapshots (bootstrap, re-arms,
+    /// rollback re-bootstraps) and epoch refreshes.
     pub snapshots: u64,
     /// Primary kills / standby promotions.
     pub failovers: u64,
@@ -768,7 +1005,8 @@ pub struct ReplicationReport {
     /// Applied-but-unreplicated updates discarded across all failovers.
     pub lost_updates: u64,
     /// Largest primary-to-standby lag observed at a flush boundary, in
-    /// log records (bounded by `flush_every - 1` plus the flush batch).
+    /// log records: the largest batch flushed, at most
+    /// `flush_every + S − 1` over `S` shards ([`StandbyConfig::flush_every`]).
     pub max_lag: u64,
     /// `Some(update_count)` when the standby duplex was lost mid-run and
     /// the primary degraded to unreplicated mode instead of aborting;
@@ -805,6 +1043,9 @@ impl ReplicationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcasgd_simcluster::ChannelDuplex;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
 
     fn record(seq: u64, delta: Vec<f32>) -> LogRecord {
         let digest = LogRecord::digest_of(&delta);
@@ -947,7 +1188,34 @@ mod tests {
             }
             _ => panic!("variant changed"),
         }
+        let refresh = ReplicaPayload::Refresh { seq: 9, blob: vec![4, 5] };
+        match ReplicaPayload::decoded(&refresh.encoded()).unwrap() {
+            ReplicaPayload::Refresh { seq, blob } => assert_eq!((seq, blob), (9, vec![4, 5])),
+            _ => panic!("variant changed"),
+        }
         assert!(ReplicaPayload::decoded(&[9]).is_err());
+    }
+
+    #[test]
+    fn replica_takes_a_refresh_only_when_current() {
+        let mut rep = StandbyReplica::from_snapshot(snapshot(vec![1.0]), 1, 100);
+        rep.apply(&record(1, vec![0.5])).unwrap();
+        let part = TrainingCheckpoint {
+            arrival: vec![Some(1), None, Some(0)],
+            iter: vec![2, 0, 2],
+            bn: BnState {
+                means: vec![lcasgd_tensor::Tensor::from_vec(vec![0.5], &[1])],
+                vars: vec![lcasgd_tensor::Tensor::from_vec(vec![2.0], &[1])],
+            },
+            ..TrainingCheckpoint::default()
+        };
+        let err = rep.refresh(2, part.clone()).unwrap_err();
+        assert!(err.contains("seq 2"), "a replica behind the refresh refuses it: {err}");
+        rep.refresh(1, part.clone()).unwrap();
+        let state = rep.state();
+        assert_eq!((&state.arrival, &state.iter, &state.bn), (&part.arrival, &part.iter, &part.bn));
+        assert_eq!(state.weights, vec![1.5], "the records' weights stay");
+        assert_eq!((state.applied, state.staleness.len()), (1, 1), "so does their history");
     }
 
     #[test]
@@ -1021,47 +1289,293 @@ mod tests {
         }
     }
 
-    fn dead_record() -> LogRecord {
-        LogRecord {
-            seq: 0,
+    fn head(version: u64) -> PushHead {
+        PushHead {
             epoch: 0,
-            worker: 0,
-            push_seq: 1,
-            version: 1,
-            staleness: 0,
-            loss: 1.0,
-            delta: vec![0.25, -0.5],
-            digest: 0,
-            arrival: Some(1),
-            bn: None,
-            shard: 0,
+            worker: (version % 3) as u32,
+            push_seq: (1 << 32) | version,
+            version,
+            staleness: 1,
+            loss: 0.5,
         }
+    }
+
+    /// Logs a push that moved the weights from `before` to `after`, split
+    /// over `spec`'s shards, with a fused apply's side effects.
+    fn push(
+        rs: &mut ReplicationStream,
+        spec: &ShardSpec,
+        version: u64,
+        after: &[f32],
+        before: &[f32],
+    ) {
+        let slices = (0..spec.count()).map(|s| (&after[spec.range(s)], &before[spec.range(s)]));
+        rs.log_push(&head(version), slices, Some((version, &BnState::default())));
     }
 
     #[test]
     fn replication_stream_degrades_instead_of_panicking() {
         let cfg = StandbyConfig { flush_every: 1, ..StandbyConfig::default() };
         let mut rs = ReplicationStream::new(Box::new(DeadDuplex), &cfg);
-        // flush_every=1: the first log flushes synchronously into the
-        // dead duplex. Before the fix this was a
-        // `.expect("standby duplex closed")` panic.
-        rs.log(dead_record());
+        let spec = ShardSpec::even(2, 1).unwrap();
+        // flush_every=1: the first push flushes into the dead duplex.
+        // Before the fix this was a `.expect("standby duplex closed")`
+        // panic.
+        push(&mut rs, &spec, 1, &[0.25, -0.5], &[0.0, 0.0]);
         assert!(rs.degraded, "send failure must degrade the stream");
         assert!(rs.lease.is_revoked(), "a degraded stream never waits on its lease");
-        assert!(rs.buffer.is_empty(), "the unflushed tail is discarded");
+        assert!(rs.buf.is_empty(), "the unflushed tail is discarded");
         assert_eq!(rs.report.flushes, 0, "a failed flush is not a flush");
-        let why = rs.take_degradation().expect("cause surfaces exactly once");
+        let why = rs.take_degradation(1).expect("cause surfaces exactly once");
         assert!(why.contains("standby"), "cause names the standby: {why}");
-        assert!(rs.take_degradation().is_none(), "the cause is one-shot");
+        assert_eq!(rs.report.degraded_at, Some(1));
+        assert!(rs.take_degradation(2).is_none(), "the cause is one-shot");
         // Once degraded every entry point is inert — no panic, no buffer
         // growth, no counter movement.
-        rs.log(dead_record());
+        push(&mut rs, &spec, 2, &[0.25, -0.5], &[0.0, 0.0]);
         rs.flush();
         rs.snapshot(&TrainingCheckpoint::default());
+        rs.refresh(&TrainingCheckpoint::default());
         rs.ensure_lease();
-        assert!(rs.buffer.is_empty());
+        rs.settle();
+        assert!(rs.buf.is_empty());
         assert_eq!(rs.report.flushes, 0);
         assert_eq!(rs.report.snapshots, 0);
-        assert!(rs.take_degradation().is_none(), "inert calls surface no new cause");
+        assert_eq!(rs.report.degraded_at, Some(1));
+        assert!(rs.take_degradation(3).is_none(), "inert calls surface no new cause");
+    }
+
+    /// The primary end of a real standby (`serve_standby` on a thread of
+    /// its own, over a channel pair), keeping every message it sends.
+    struct Tapped {
+        inner: ChannelDuplex,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl ReplicaDuplex for Tapped {
+        fn send(&mut self, payload: &[u8]) -> Result<(), ClusterError> {
+            self.sent.lock().push(payload.to_vec());
+            self.inner.send(payload)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, ClusterError> {
+            self.inner.recv()
+        }
+    }
+
+    /// The standby's end: it holds each ack until the test opens its gate
+    /// (when it has one), counts the acks it sends, and after `acks_left` of
+    /// them hangs up instead.
+    struct Gated {
+        inner: ChannelDuplex,
+        gate: Option<mpsc::Receiver<()>>,
+        acks: Arc<AtomicU64>,
+        acks_left: u64,
+    }
+
+    impl ReplicaDuplex for Gated {
+        fn send(&mut self, payload: &[u8]) -> Result<(), ClusterError> {
+            if self.acks_left == 0 {
+                return Err(ClusterError::Disconnected);
+            }
+            self.acks_left -= 1;
+            if let Some(gate) = &self.gate {
+                // A primary that wrongly waits for this ack fails the test's
+                // count after the timeout instead of hanging it.
+                let _ = gate.recv_timeout(Duration::from_secs(10));
+            }
+            // Counted before it is sent: a primary that has it sees it counted.
+            self.acks.fetch_add(1, Ordering::SeqCst);
+            self.inner.send(payload)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, ClusterError> {
+            self.inner.recv()
+        }
+    }
+
+    struct Standby {
+        rs: ReplicationStream,
+        slot: Arc<Mutex<Option<StandbyReplica>>>,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+        acks: Arc<AtomicU64>,
+        gate: Option<mpsc::Sender<()>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Standby {
+        /// Lets the standby send its next `n` acks.
+        fn open(&self, n: usize) {
+            (0..n).for_each(|_| self.gate.as_ref().expect("a gated standby").send(()).unwrap());
+        }
+
+        fn acks(&self) -> u64 {
+            self.acks.load(Ordering::SeqCst)
+        }
+
+        /// Hangs up on the standby and waits for its thread.
+        fn close(self) {
+            drop(self.rs);
+            drop(self.gate);
+            self.thread.join().expect("the standby thread does not panic");
+        }
+    }
+
+    fn standby(flush_every: u64, gated: bool, acks_left: u64) -> Standby {
+        let (primary, standby) = lcasgd_simcluster::channel_duplex_pair();
+        let (sent, acks) = (Arc::default(), Arc::default());
+        let slot = Arc::new(Mutex::new(None));
+        let (gate, gate_rx) = if gated {
+            let (tx, rx) = mpsc::channel();
+            (Some(tx), Some(rx))
+        } else {
+            (None, None)
+        };
+        let end = Gated { inner: standby, gate: gate_rx, acks: Arc::clone(&acks), acks_left };
+        let serving = Arc::clone(&slot);
+        let thread = std::thread::spawn(move || serve_standby(Box::new(end), serving, 1000));
+        let cfg = StandbyConfig { flush_every, ..StandbyConfig::default() };
+        let tapped = Tapped { inner: primary, sent: Arc::clone(&sent) };
+        let rs = ReplicationStream::new(Box::new(tapped), &cfg);
+        Standby { rs, slot, sent, acks, gate, thread }
+    }
+
+    fn sharded(weights: Vec<f32>, shards: usize) -> TrainingCheckpoint {
+        let shard_versions = if shards == 1 { Vec::new() } else { vec![0; shards] };
+        TrainingCheckpoint { shard_versions, ..snapshot(weights) }
+    }
+
+    #[test]
+    fn records_are_encoded_in_place_and_flushed_at_push_boundaries() {
+        let w = |k: f32| (0..10).map(|i| (i as f32 - 4.5) * k).collect::<Vec<f32>>();
+        // (shards, batches sent by the time each of four pushes is logged)
+        let cases = [(1, [0, 0, 0, 1]), (2, [0, 1, 1, 2]), (3, [0, 1, 1, 2]), (4, [1, 2, 3, 4])];
+        for (shards, flushed) in cases {
+            let mut sb = standby(4, false, u64::MAX);
+            let spec = ShardSpec::even(10, shards).unwrap();
+            sb.rs.snapshot(&sharded(w(0.0), shards));
+            let weights: Vec<Vec<f32>> = (0..=4).map(|k| w(k as f32 * 0.37)).collect();
+            let mut expected = Vec::new();
+            for v in 1..=4u64 {
+                let (after, before) = (&weights[v as usize], &weights[v as usize - 1]);
+                push(&mut sb.rs, &spec, v, after, before);
+                for s in 0..shards {
+                    let r = spec.range(s);
+                    let delta: Vec<f32> =
+                        after[r.clone()].iter().zip(&before[r]).map(|(a, b)| a - b).collect();
+                    let last = s + 1 == shards;
+                    let digest = LogRecord::digest_of(&delta);
+                    let PushHead { epoch, worker, push_seq, version, staleness, loss } = head(v);
+                    expected.push(LogRecord {
+                        seq: expected.len() as u64 + 1,
+                        epoch,
+                        worker,
+                        push_seq,
+                        version,
+                        staleness,
+                        loss,
+                        delta,
+                        digest,
+                        arrival: last.then_some(v),
+                        bn: last.then(BnState::default),
+                        shard: s as u32,
+                    });
+                }
+                let batches = sb.sent.lock().len() - 1;
+                assert_eq!(batches, flushed[v as usize - 1], "{shards} shards after push {v}");
+            }
+            sb.rs.settle();
+            // Each batch is the bytes `LogRecord::encode` makes of whole
+            // pushes' records, and the standby applied them bitwise.
+            let sent = sb.sent.lock();
+            let mut at = 0;
+            for batch in &sent[1..] {
+                let Ok(ClusterReq::Replicate(ReplicaPayload::Records(recs))) =
+                    ClusterReq::decoded(batch)
+                else {
+                    panic!("a batch of records")
+                };
+                assert_eq!(recs.len() % shards, 0, "{shards} shards: a batch splits a push");
+                let want = ClusterReq::Replicate(ReplicaPayload::Records(
+                    expected[at..at + recs.len()].to_vec(),
+                ));
+                assert_eq!(batch, &want.encoded(), "{shards} shards");
+                at += recs.len();
+            }
+            let max_batch = (4u64).div_ceil(shards as u64) * shards as u64;
+            assert_eq!(sb.rs.report.max_lag, max_batch, "{shards} shards");
+            drop(sent);
+            let pushed = at / shards;
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mirrored = sb.slot.lock().as_ref().map(|r| (bits(&r.state().weights), r.applied()));
+            assert_eq!(mirrored, Some((bits(&weights[pushed]), pushed as u64)), "{shards} shards");
+            sb.close();
+        }
+    }
+
+    #[test]
+    fn a_flush_returns_before_its_ack_and_every_site_settles_it() {
+        let mut sb = standby(1, true, u64::MAX);
+        let spec = ShardSpec::even(2, 1).unwrap();
+        let state = |sb: &Standby| (sb.acks(), sb.rs.in_flight.is_some());
+        sb.open(1);
+        sb.rs.snapshot(&snapshot(vec![0.0, 0.0]));
+        assert_eq!(state(&sb), (1, false), "the bootstrap waits for its ack");
+        let mut v = 0;
+        let mut log = |rs: &mut ReplicationStream| {
+            v += 1;
+            push(rs, &spec, v, &[v as f32, 0.5], &[v as f32 - 1.0, 0.5]);
+        };
+        // The standby holds its ack: the push came back without it.
+        log(&mut sb.rs);
+        assert_eq!(state(&sb), (1, true), "a flush returns");
+        // Each site settles the message in flight before going on.
+        sb.open(1);
+        log(&mut sb.rs);
+        assert_eq!(state(&sb), (2, true), "the next flush");
+        sb.open(2);
+        sb.rs.snapshot(&snapshot(vec![2.0, 0.5]));
+        assert_eq!(state(&sb), (4, false), "a snapshot, which waits for its own ack too");
+        log(&mut sb.rs);
+        sb.open(1);
+        sb.rs.refresh(&TrainingCheckpoint::default());
+        assert_eq!(state(&sb), (5, true), "a refresh, which goes in flight");
+        sb.open(1);
+        sb.rs.ensure_lease();
+        assert_eq!(state(&sb), (6, false), "the lease check");
+        // A planned kill and the end of the run call `settle` themselves.
+        log(&mut sb.rs);
+        sb.open(1);
+        sb.rs.settle();
+        assert_eq!(state(&sb), (7, false), "a kill, the end of the run");
+        let report = &sb.rs.report;
+        assert_eq!((report.flushes, report.snapshots, report.log_records), (4, 3, 4));
+        assert_eq!(sb.slot.lock().as_ref().unwrap().state().weights, vec![4.0, 0.5]);
+        sb.close();
+    }
+
+    #[test]
+    fn a_standby_that_hangs_up_is_found_by_the_next_settle() {
+        // The bootstrap and two batches are acknowledged; the third batch
+        // is applied, and then the standby hangs up instead of acking it.
+        let mut sb = standby(1, false, 3);
+        let spec = ShardSpec::even(1, 1).unwrap();
+        sb.rs.snapshot(&snapshot(vec![0.0]));
+        for v in 1..=4u64 {
+            push(&mut sb.rs, &spec, v, &[v as f32], &[v as f32 - 1.0]);
+            // The trainer polls once per applied update.
+            let found = sb.rs.take_degradation(v);
+            assert_eq!(found.is_some(), v == 4, "push {v}: {found:?}");
+        }
+        // Batch 3 went out with push 3; push 4's flush settled it and
+        // found the standby gone, so that is the update the report names.
+        assert_eq!(sb.rs.report.degraded_at, Some(4));
+        assert_eq!(sb.rs.report.flushes, 2);
+        assert!(sb.rs.degraded && sb.rs.lease.is_revoked() && sb.rs.buf.is_empty());
+        push(&mut sb.rs, &spec, 5, &[5.0], &[4.0]);
+        sb.rs.ensure_lease();
+        assert!(sb.rs.take_degradation(5).is_none());
+        assert_eq!(sb.sent.lock().len(), 4, "nothing is sent once degraded");
+        sb.close();
     }
 }

@@ -14,7 +14,7 @@ use crate::predictor::{
 };
 use crate::protocol::{ClusterReq, ClusterResp, PullDirective};
 use crate::replication::{
-    serve_standby, EpochFence, LogRecord, PushVerdict, ReplicationStream, StandbyConfig,
+    serve_standby, EpochFence, PushHead, PushVerdict, ReplicationStream, StandbyConfig,
     StandbyReplica,
 };
 use crate::shard::{PendingPush, PushAssembly, PushSlice, ShardGroup, ShardSpec};
@@ -293,6 +293,11 @@ pub(super) struct Server<'a> {
     repl: Option<ReplicationStream>,
     standby_slot: Option<Arc<Mutex<Option<StandbyReplica>>>>,
     standby_thread: Option<JoinHandle<()>>,
+    /// Whether the state path (a `State` message, a `Join`) has changed
+    /// what the log does not carry — arrival state, `iter`, BN, predictors
+    /// — since the standby was last made current. Read by the mirror check
+    /// at a kill.
+    state_path_unlogged: bool,
     pub(super) fault_plan: Option<FaultPlan>,
     /// A planned server restart: checkpoint and halt once this many
     /// updates have applied.
@@ -354,6 +359,7 @@ impl<'a> Server<'a> {
             repl: None,
             standby_slot: None,
             standby_thread: None,
+            state_path_unlogged: false,
             fault_plan: None,
             halt_at: None,
             halted: false,
@@ -454,6 +460,7 @@ impl<'a> Server<'a> {
         self.predictors.reset_worker(w);
         self.backups.forget(w);
         self.pushes.abandon(w);
+        self.state_path_unlogged = true;
     }
 
     /// A pull of one shard's weights (Algorithm 1 line 1, Algorithm 2
@@ -526,6 +533,7 @@ impl<'a> Server<'a> {
             ctx.reply(ClusterResp::Fenced { epoch: self.fence.epoch() });
             return;
         }
+        self.state_path_unlogged = true;
         let actual_step = self.group.log_arrival(w) as f32;
         let (reply, expected_loss) = self.predictors.observe(w, actual_step, &msg, &self.env.sink);
         self.group.absorb_bn(&msg.running, &msg.batch_stats);
@@ -661,7 +669,12 @@ impl<'a> Server<'a> {
             self.planned_kill();
             self.report_degradation();
         }
-        self.rollback_or_snapshot(want_rollback);
+        if self.rollback_or_snapshot(want_rollback) {
+            // No log record can carry a restore: the standby starts over
+            // from the restored state.
+            self.snapshot_standby();
+            self.report_degradation();
+        }
         self.trace_health_events();
         g
     }
@@ -704,45 +717,53 @@ impl<'a> Server<'a> {
 
     /// Step 1: ship the apply to the standby as per-shard deltas against
     /// `before` (each shard's weights as the apply found them), one log
-    /// record per shard, consecutive seqs. The last one alone carries a
-    /// fused apply's side effects (arrival-log entry, BN state), so the
-    /// standby counts a push applied only when it is whole.
+    /// record per shard, consecutive seqs, encoded by the stream straight
+    /// from the two. The last one alone carries a fused apply's side
+    /// effects (arrival-log entry, BN state), so the standby counts a push
+    /// applied only when it is whole.
     fn log_to_wal(&mut self, w: usize, push: &PendingPush, stale: u32, before: &[Arc<Vec<f32>>]) {
         let Some(rs) = self.repl.as_mut() else { return };
         let group = &self.group;
+        let head = PushHead {
+            epoch: self.fence.epoch(),
+            worker: w as u32,
+            push_seq: push.push_seq,
+            version: group.version(),
+            staleness: stale,
+            loss: push.loss,
+        };
         let fused = self.pulled_mode[w] != AlgoMode::Lc;
-        for (s, base) in before.iter().enumerate() {
-            let delta: Vec<f32> =
-                group.shard(s).weights.iter().zip(base.iter()).map(|(a, b)| a - b).collect();
-            let digest = LogRecord::digest_of(&delta);
-            let side_effects = fused && s + 1 == group.count();
-            rs.log(LogRecord {
-                seq: 0, // assigned by the stream
-                epoch: self.fence.epoch(),
-                worker: w as u32,
-                push_seq: push.push_seq,
-                version: group.version(),
-                staleness: stale,
-                loss: push.loss,
-                delta,
-                digest,
-                arrival: side_effects.then(|| group.version()),
-                bn: side_effects.then(|| group.bn().clone()),
-                shard: s as u32,
-            });
-        }
+        let side_effects = fused.then(|| (group.version(), group.bn()));
+        let slices = before.iter().enumerate().map(|(s, b)| (&group.shard(s).weights[..], &b[..]));
+        rs.log_push(&head, slices, side_effects);
     }
 
     /// Step 2: at an epoch boundary, record the epoch and publish its
-    /// weights for evaluation, then refresh the standby's snapshot: fields
-    /// the log does not carry (predictor state, batch positions, epoch
-    /// records) catch up here.
+    /// weights for evaluation, then refresh the standby.
     fn close_epoch(&mut self, lr: f32) {
         if !self.applied.is_multiple_of(self.updates_per_epoch) {
             return;
         }
         self.record_epoch(self.applied / self.updates_per_epoch, lr);
-        self.snapshot_standby();
+        self.refresh_standby();
+    }
+
+    /// The epoch refresh: what promotion reads and the records do not
+    /// mirror — both predictors, the arrival state, `iter`, BN. No weights,
+    /// so it neither copies the model nor waits for the evaluation just
+    /// handed off.
+    fn refresh_standby(&mut self) {
+        let Some(rs) = self.repl.as_mut() else { return };
+        let (loss_pred, step_pred) = self.predictors.snapshot();
+        rs.refresh(&TrainingCheckpoint {
+            bn: self.group.bn().clone(),
+            arrival: self.group.arrival_state(),
+            iter: self.group.lead().iter.clone(),
+            loss_pred,
+            step_pred,
+            ..TrainingCheckpoint::default()
+        });
+        self.state_path_unlogged = false;
     }
 
     /// Stamps epoch `epoch`'s record and hands the model the epoch ended on
@@ -799,13 +820,16 @@ impl<'a> Server<'a> {
 
     /// Step 5: the planned primary kill — fenced failover. Deterministic
     /// on the simulator: the trigger is the applied-update count, the
-    /// standby's content is fixed by the synchronous flush cadence, and
-    /// the promoted state is a pure function of both.
+    /// standby's content is fixed by the flush cadence, and the promoted
+    /// state is a pure function of both.
     fn planned_kill(&mut self) {
         let Some(killed_at) = self.kill_at.take_if(|k| self.applied as u64 >= *k) else { return };
-        // Fence the dead primary: its lease never renews again, and its
-        // unflushed tail is discarded.
-        self.repl.as_mut().expect("primary kill requires a standby").revoke_lease();
+        let rs = self.repl.as_mut().expect("primary kill requires a standby");
+        // The batch in flight lands first, so the kill loses exactly the
+        // unflushed records. Then fence the dead primary: its lease never
+        // renews again, and its unflushed tail is discarded.
+        rs.settle();
+        rs.revoke_lease();
         let slot = self.standby_slot.as_ref().expect("standby slot exists");
         let Some(replica) = slot.lock().take() else {
             // The standby was already lost (the stream degraded): there is
@@ -817,6 +841,9 @@ impl<'a> Server<'a> {
         };
         let ck = replica.into_state();
         let lost = self.applied as u64 - ck.applied;
+        if cfg!(debug_assertions) && lost == 0 {
+            self.assert_mirrored(&ck);
+        }
         let from_epoch = self.fence.epoch();
         // Adopt the standby's mirrored state wholesale.
         if let Err(error) = adopt_server_state(&mut self.group, &ck) {
@@ -863,6 +890,40 @@ impl<'a> Server<'a> {
         });
     }
 
+    /// The standby equals the primary wherever the log says it must, bit
+    /// for bit: checked at a kill that loses nothing. Weights, shard
+    /// versions, the dedup state and the run's history always; the fields
+    /// only the epoch refresh carries when the state path has not moved
+    /// them since the standby was last made current.
+    fn assert_mirrored(&self, ck: &TrainingCheckpoint) {
+        let at = self.applied;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let group = &self.group;
+        for s in 0..group.count() {
+            let mirrored = &ck.weights[group.spec().range(s)];
+            assert!(bits(mirrored) == bits(&group.shard(s).weights), "shard {s} weights at {at}");
+        }
+        let versions = match ck.shard_versions.len() {
+            0 => vec![ck.version; group.count()],
+            _ => ck.shard_versions.clone(),
+        };
+        assert_eq!(versions, group.versions(), "shard versions at {at}");
+        assert_eq!(ck.push_seqs, self.fence.push_seqs(), "push sequence numbers at {at}");
+        assert_eq!(ck.staleness, self.staleness, "staleness samples at {at}");
+        assert_eq!(bits(&ck.epoch_losses), bits(&self.losses), "epoch losses at {at}");
+        if self.state_path_unlogged {
+            return;
+        }
+        assert_eq!(ck.arrival, group.arrival_state(), "arrival state at {at}");
+        assert_eq!(ck.iter, group.lead().iter, "iter at {at}");
+        let bn = |b: &BnState| -> Vec<u32> {
+            b.means.iter().chain(&b.vars).flat_map(|t| bits(t.data())).collect()
+        };
+        assert_eq!(bn(&ck.bn), bn(group.bn()), "BN state at {at}");
+        let predictors = (ck.loss_pred.clone(), ck.step_pred.clone());
+        assert!(predictors == self.predictors.snapshot(), "predictors at {at}");
+    }
+
     /// Step 6: any replication interaction of this push may have found the
     /// standby gone; report the one-time degradation on every channel
     /// (DESIGN.md §10).
@@ -879,10 +940,8 @@ impl<'a> Server<'a> {
     /// Polls the replication stream for its one-shot degradation cause and
     /// stamps the report with the update count it surfaced at.
     fn take_degradation(&mut self) -> Option<String> {
-        let rs = self.repl.as_mut()?;
-        let error = rs.take_degradation()?;
-        rs.report.degraded_at = Some(self.applied as u64);
-        Some(error)
+        let at_update = self.applied as u64;
+        self.repl.as_mut()?.take_degradation(at_update)
     }
 
     /// Files a lost standby in the fault log, however it was found gone
@@ -896,19 +955,20 @@ impl<'a> Server<'a> {
     }
 
     /// Step 7: global divergence restores the last-good snapshot;
-    /// otherwise the supervisor may ask for a new one.
-    fn rollback_or_snapshot(&mut self, want_rollback: bool) {
-        let Some(s) = self.sup.as_mut() else { return };
+    /// otherwise the supervisor may ask for a new one. Returns whether the
+    /// state was restored.
+    fn rollback_or_snapshot(&mut self, want_rollback: bool) -> bool {
+        let Some(s) = self.sup.as_mut() else { return false };
         let applied = self.applied as u64;
         if want_rollback {
             // `version` stays monotonic — staleness accounting must never
             // see the clock move backwards; only the *state* rewinds.
-            if let Some(good) = &self.last_good {
-                self.group.load_weights(&good.weights);
-                self.group.set_bn(good.bn.clone());
-                self.predictors.restore(good.predictors.0.as_ref(), good.predictors.1.as_ref());
-                s.rolled_back(applied, good.applied);
-            }
+            let Some(good) = &self.last_good else { return false };
+            self.group.load_weights(&good.weights);
+            self.group.set_bn(good.bn.clone());
+            self.predictors.restore(good.predictors.0.as_ref(), good.predictors.1.as_ref());
+            s.rolled_back(applied, good.applied);
+            return true;
         } else if s.should_snapshot(applied) {
             self.last_good = Some(GoodState {
                 weights: self.group.assembled_weights(),
@@ -917,6 +977,7 @@ impl<'a> Server<'a> {
                 predictors: self.predictors.snapshot(),
             });
         }
+        false
     }
 
     /// Step 8 (and the tail of every state arrival): drain the
@@ -941,17 +1002,19 @@ impl<'a> Server<'a> {
     }
 
     /// Ships the full state to the standby, if one is attached: its
-    /// bootstrap, its epoch-boundary refresh, its post-promotion re-arm.
+    /// bootstrap, its post-promotion re-arm, its re-bootstrap after a
+    /// rollback.
     fn snapshot_standby(&mut self) {
         if let Some(mut rs) = self.repl.take() {
             rs.snapshot(&self.checkpoint());
             self.repl = Some(rs);
+            self.state_path_unlogged = false;
         }
     }
 
-    /// The running server's full state: what the standby is sent and what
-    /// goes to disk — so it waits for the evaluation in flight, and every
-    /// epoch record in it is whole.
+    /// The running server's full state: what goes to disk and into a full
+    /// standby snapshot — so it waits for the evaluation in flight, and
+    /// every epoch record in it is whole.
     fn checkpoint(&mut self) -> TrainingCheckpoint {
         self.eval.collect(&mut self.records);
         let group = &self.group;
@@ -981,8 +1044,13 @@ impl<'a> Server<'a> {
         let env = self.env;
         let (cfg, sink) = (env.cfg, &env.sink);
         // Before any clock is read: the run is over when its last epoch
-        // has been evaluated.
+        // has been evaluated, and its last replication batch acknowledged
+        // (or found lost).
         self.eval.collect(&mut self.records);
+        if let Some(rs) = self.repl.as_mut() {
+            rs.settle();
+        }
+        self.report_degradation();
         // Dropping the stream hangs up the duplex; the standby thread's
         // recv fails and it exits cleanly.
         let replication = self.standby_slot.is_some().then(|| {

@@ -40,7 +40,7 @@ pub use pool::BufferPool;
 pub use reactor::{ReactorServer, COALESCE_PHASE};
 pub use worker::NetWorker;
 
-use frame::{read_frame, write_payload, FrameKind};
+use frame::{read_frame, read_frame_into, write_payload, FrameKind};
 use lcasgd_simcluster::{
     ClusterBackend, ClusterError, FaultPlan, FaultyLink, ReplicaDuplex, ReplicaDuplexPair,
     ServerCtx, TraceHook, TransportStats, WireMsg, WorkerLink,
@@ -70,6 +70,10 @@ impl ReplicaDuplex for TcpReplicaDuplex {
     fn recv(&mut self) -> Result<Vec<u8>, ClusterError> {
         let (frame, _wire) = read_frame(&mut self.stream)?;
         Ok(frame.payload)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<usize, ClusterError> {
+        Ok(read_frame_into(&mut self.stream, buf)?.payload_len)
     }
 }
 

@@ -520,6 +520,16 @@ pub trait ReplicaDuplex: Send {
     /// Blocks for the next replication frame from the peer.
     /// `Disconnected` means the peer hung up (end of stream).
     fn recv(&mut self) -> Result<Vec<u8>, ClusterError>;
+
+    /// [`recv`](Self::recv) into a buffer the caller keeps across frames:
+    /// the frame is `buf[..n]` for the returned `n`. The default moves the
+    /// received vector into `buf`; a transport that reads from a socket
+    /// reads into `buf` itself, so a steady stream of model-sized frames
+    /// allocates nothing.
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<usize, ClusterError> {
+        *buf = self.recv()?;
+        Ok(buf.len())
+    }
 }
 
 /// In-process [`ReplicaDuplex`] over a pair of mpsc channels — the

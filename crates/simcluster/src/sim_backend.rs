@@ -155,6 +155,7 @@ impl ClusterBackend for ClusterSim<SimPayload> {
         // push) only pay the wire.
         let mut charge_phase = vec![false; m];
         let mut result: Result<(), ClusterError> = Ok(());
+        let mut server_panic = None;
 
         std::thread::scope(|scope| {
             for (w, slot) in reply_rxs.iter_mut().enumerate() {
@@ -280,7 +281,16 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                 }
 
                 let mut ctx = ServerCtx::new(w, arrival.payload.expects_reply);
-                server_fn(w, req, &mut ctx);
+                // A panicking server must not leave the workers blocked on
+                // replies, which the scope would wait for forever: stop,
+                // unblock them below, and re-raise once they have joined.
+                let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    server_fn(w, req, &mut ctx)
+                }));
+                if let Err(panic) = served {
+                    server_panic = Some(panic);
+                    break 'drive;
+                }
 
                 for (target, resp) in ctx.take_replies() {
                     if target >= m || state[target] != WState::Awaiting {
@@ -329,6 +339,9 @@ impl ClusterBackend for ClusterSim<SimPayload> {
             while rx.recv().is_ok() {}
         });
 
+        if let Some(panic) = server_panic {
+            std::panic::resume_unwind(panic);
+        }
         result.map(|()| stats)
     }
 }
@@ -448,5 +461,20 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ClusterError::Protocol(_)));
+    }
+
+    #[test]
+    fn a_panicking_server_fails_the_run_instead_of_hanging_it() {
+        let run = std::panic::catch_unwind(|| {
+            sim(3, 5).run(
+                |_w, _req: u8, _ctx: &mut ServerCtx<u8>| panic!("server invariant broken"),
+                |_w, h| {
+                    // The reply never comes: the request fails instead.
+                    assert!(h.request(0).is_err());
+                },
+            )
+        });
+        let panic = run.expect_err("the server's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"server invariant broken"));
     }
 }

@@ -218,6 +218,7 @@ impl ClusterBackend for ThreadCluster {
         let mut stats = TransportStats::default();
         let mut awaiting = vec![false; m];
         let mut result = Ok(());
+        let mut server_panic = None;
         let stop = StopSignal::default();
 
         thread::scope(|scope| {
@@ -299,7 +300,19 @@ impl ClusterBackend for ThreadCluster {
                                 stats.oneways += 1;
                             }
                             let mut ctx = ServerCtx::new(w, expects_reply);
-                            server_fn(w, req, &mut ctx);
+                            // A panicking server must not leave the workers
+                            // blocked on replies, which the scope would wait
+                            // for forever: unblock them (as below), and
+                            // re-raise once they have joined.
+                            let served =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    server_fn(w, req, &mut ctx)
+                                }));
+                            if let Err(panic) = served {
+                                server_panic = Some(panic);
+                                reply_txs.iter_mut().for_each(|t| *t = None);
+                                break 'serve;
+                            }
                             for (target, resp) in ctx.take_replies() {
                                 if target >= m || !awaiting[target] {
                                     result = Err(ClusterError::Protocol(format!(
@@ -344,6 +357,9 @@ impl ClusterBackend for ThreadCluster {
             stop.stop();
         });
 
+        if let Some(panic) = server_panic {
+            std::panic::resume_unwind(panic);
+        }
         result.map(|()| stats)
     }
 }
@@ -371,6 +387,21 @@ mod tests {
         assert_eq!(total, 4 * 55);
         assert_eq!(stats.oneways, 40);
         assert_eq!(stats.requests, 0);
+    }
+
+    #[test]
+    fn a_panicking_server_fails_the_run_instead_of_hanging_it() {
+        let run = std::panic::catch_unwind(|| {
+            ThreadCluster::new(3).run(
+                |_w, _req: u8, _ctx: &mut ServerCtx<u8>| panic!("server invariant broken"),
+                |_w, h| {
+                    // The reply never comes: the request fails instead.
+                    assert!(h.request(0).is_err());
+                },
+            )
+        });
+        let panic = run.expect_err("the server's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"server invariant broken"));
     }
 
     #[test]

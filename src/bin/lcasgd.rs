@@ -42,12 +42,14 @@
 //! Any supervisor flag also routes the run through the thread cluster.
 //!
 //! `--standby` attaches a hot-standby replica of the parameter server:
-//! every applied update streams to a warm mirror as a write-ahead log
-//! record (flushed synchronously every `--flush-every` updates, default
-//! 4), the primary's write lease lasts `--lease-ms` milliseconds
-//! (default 500), and a fault plan with a `primary-kill at-update=N`
-//! line promotes the standby in place of the killed primary with a
-//! bumped fencing epoch. Asynchronous algorithms only.
+//! every applied update streams to a warm mirror as write-ahead log
+//! records, one per model shard, flushed as one acknowledged batch at the
+//! first update boundary at or after `--flush-every` records (default 4;
+//! a kill loses fewer than that many), the primary's write lease lasts
+//! `--lease-ms` milliseconds (default 500), and a fault plan with a
+//! `primary-kill at-update=N` line promotes the standby in place of the
+//! killed primary with a bumped fencing epoch. Asynchronous algorithms
+//! only.
 //!
 //! `--shards N` partitions the parameter server into `N` model shards:
 //! each shard owns a contiguous range of the flat weight vector with its

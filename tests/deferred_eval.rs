@@ -2,7 +2,8 @@
 //! patched into the record afterwards, so a record exists for a while with
 //! both rates still NaN. This suite checks it never leaves the server in
 //! that condition: not in a `RunResult`, not in a `TrainingCheckpoint` on
-//! disk, not in a snapshot shipped to the standby — under a periodic disk
+//! disk, not in a full snapshot shipped to the standby (the epoch refresh
+//! carries no records, and so waits for no evaluation) — under a periodic disk
 //! checkpoint, a standby, a primary kill on an epoch boundary, a supervisor
 //! rollback and a halt + resume — and that records stay in epoch order.
 //! (That the rates are bitwise the inline ones is what `engine_golden`,
@@ -132,25 +133,37 @@ fn a_supervisor_rollback_holds_whole_records() {
     assert_whole("result", &r.epochs);
 }
 
-/// A backend whose replication duplex keeps a copy of every snapshot the
-/// primary ships: what a standby would be promoted from.
+/// What the primary shipped its standby besides records: full snapshots,
+/// and epoch refreshes.
+#[derive(Default)]
+struct Shipped {
+    snapshots: Vec<TrainingCheckpoint>,
+    refreshes: Vec<TrainingCheckpoint>,
+}
+
+/// A backend whose replication duplex keeps a copy of every snapshot and
+/// refresh the primary ships: what a standby would be promoted from.
 struct Tapped<B> {
     inner: B,
-    snapshots: Arc<Mutex<Vec<TrainingCheckpoint>>>,
+    shipped: Arc<Mutex<Shipped>>,
 }
 
 struct TappedEnd {
     inner: Box<dyn ReplicaDuplex>,
-    snapshots: Arc<Mutex<Vec<TrainingCheckpoint>>>,
+    shipped: Arc<Mutex<Shipped>>,
 }
 
 impl ReplicaDuplex for TappedEnd {
     fn send(&mut self, payload: &[u8]) -> Result<(), ClusterError> {
-        if let Ok(ClusterReq::Replicate(ReplicaPayload::Snapshot { blob, .. })) =
-            ClusterReq::decoded(payload)
-        {
-            let ck = TrainingCheckpoint::from_bytes(&blob).expect("snapshots are self-checking");
-            self.snapshots.lock().unwrap().push(ck);
+        let ck = |blob: &[u8]| TrainingCheckpoint::from_bytes(blob).expect("self-checking blobs");
+        match ClusterReq::decoded(payload) {
+            Ok(ClusterReq::Replicate(ReplicaPayload::Snapshot { blob, .. })) => {
+                self.shipped.lock().unwrap().snapshots.push(ck(&blob))
+            }
+            Ok(ClusterReq::Replicate(ReplicaPayload::Refresh { blob, .. })) => {
+                self.shipped.lock().unwrap().refreshes.push(ck(&blob))
+            }
+            _ => {}
         }
         self.inner.send(payload)
     }
@@ -179,7 +192,7 @@ impl<B: ClusterBackend> ClusterBackend for Tapped<B> {
 
     fn replica_duplex(&mut self) -> Result<ReplicaDuplexPair, ClusterError> {
         let (primary, standby) = self.inner.replica_duplex()?;
-        let tapped = TappedEnd { inner: primary, snapshots: self.snapshots.clone() };
+        let tapped = TappedEnd { inner: primary, shipped: self.shipped.clone() };
         Ok((Box::new(tapped), standby))
     }
 
@@ -213,17 +226,26 @@ fn standby_snapshots_and_a_kill_on_the_epoch_boundary_hold_whole_records() {
             }),
             ..RunOptions::default()
         };
-        let snapshots = Arc::new(Mutex::new(Vec::new()));
-        let backend = Tapped { inner: sim(&c, Some(&plan)), snapshots: snapshots.clone() };
+        let shipped = Arc::new(Mutex::new(Shipped::default()));
+        let backend = Tapped { inner: sim(&c, Some(&plan)), shipped: shipped.clone() };
         let r = run(backend, &c, opts);
         assert_eq!(r.replication.as_ref().expect("standby attached").failovers, 1);
         assert_eq!(r.epochs.len(), c.epochs);
         assert_whole(&format!("{algo} result"), &r.epochs);
 
-        let snapshots = snapshots.lock().unwrap();
-        // Bootstrap, one per epoch, one re-arm after the promotion.
-        assert_eq!(snapshots.len(), 1 + c.epochs + 1, "{algo}");
-        for ck in snapshots.iter() {
+        let Shipped { snapshots, refreshes } = &*shipped.lock().unwrap();
+        // Full snapshots: the bootstrap and the re-arm after the promotion
+        // (1 + epochs + 1 = 8 before the epoch refresh carried no model).
+        assert_eq!(snapshots.len(), 2, "{algo}");
+        // One refresh per epoch boundary, each without the model or the
+        // records that would have to wait for its evaluation.
+        assert_eq!(refreshes.len(), c.epochs, "{algo}");
+        for part in refreshes {
+            assert!(part.weights.is_empty() && part.epochs.is_empty(), "{algo}: a refresh");
+            assert_eq!(part.arrival.len(), 4, "{algo}: a refresh carries the arrival state");
+            assert_eq!(part.loss_pred.is_some(), algo == Algorithm::LcAsgd, "{algo}");
+        }
+        for ck in snapshots {
             assert_eq!(
                 ck.epochs.len() as u64,
                 ck.applied / 12,

@@ -223,8 +223,15 @@ fn a_supervised_rollback_keeps_its_schedule() {
 }
 
 fn killed(algo: Algorithm, shards: usize) -> RunResult {
+    killed_with(algo, shards, None)
+}
+
+/// [`killed`], also writing a checkpoint at every epoch boundary — the
+/// last one holds the final weights.
+fn killed_with(algo: Algorithm, shards: usize, ck: Option<std::path::PathBuf>) -> RunResult {
     let plan = FaultPlan::new().with_primary_kill(31);
     let opts = RunOptions {
+        checkpoint_path: ck,
         fault_plan: Some(plan.clone()),
         standby: Some(StandbyConfig {
             flush_every: 4,
@@ -257,6 +264,45 @@ fn a_sharded_lc_primary_kill_keeps_its_schedule() {
         &killed(Algorithm::LcAsgd, 4),
         [1153884195, 1201261763, 3897867813, 0, 563353667, 2725470981],
     );
+}
+
+/// A [`killed_with`] run and the checkpoint its last update wrote.
+fn killed_to_the_end(algo: Algorithm, shards: usize) -> (RunResult, TrainingCheckpoint) {
+    let path = std::env::temp_dir()
+        .join(format!("lcasgd_golden_promote_{algo}_{}.ckpt", std::process::id()));
+    let r = killed_with(algo, shards, Some(path.clone()));
+    let ck = TrainingCheckpoint::load(&path).expect("the run checkpointed");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ck.applied, r.iterations, "{algo}: the last checkpoint is the run's end");
+    (r, ck)
+}
+
+/// What a failover promotes — weights, BN, predictors, arrival state —
+/// decides the run after it. Taken at the commit before the epoch refresh
+/// stopped carrying the model, for the two kill schedules above.
+#[test]
+fn a_failover_promotes_what_the_parent_promoted() {
+    let bytes =
+        |v: &[f32]| -> Vec<u8> { v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect() };
+    // ASGD is value-deterministic on the simulator: every epoch's train
+    // loss bits and the final weights.
+    let (r, ck) = killed_to_the_end(Algorithm::Asgd, 1);
+    let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
+    let prints = [crc32(&bytes(&losses)), crc32(&bytes(&ck.weights))];
+    assert_eq!(prints, [2501484286, 1648116421], "ASGD: [losses, weights]");
+    // LC-ASGD's floats follow the step predictor's wall-clock features
+    // (DESIGN.md §9.4), and those move with how long the server takes:
+    // the parent's own LC standby runs hash differently run to run. What
+    // promotion hands on that is no float is pinned instead — the run's
+    // final `iter` log, arrival state and both predictors' training
+    // counters: a refresh without `iter` or the predictors moves them.
+    let (_, ck) = killed_to_the_end(Algorithm::LcAsgd, 4);
+    let (lp, sp) = (ck.loss_pred.expect("LC state"), ck.step_pred.expect("LC state"));
+    let mut ints: Vec<u64> = ck.iter.iter().map(|&m| m as u64).collect();
+    ints.extend(ck.arrival.iter().map(|a| a.unwrap_or(u64::MAX)));
+    ints.extend([lp.train_steps, sp.train_steps, sp.samples]);
+    let ints = crc32(&ints.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
+    assert_eq!(ints, 1156827894, "LC-ASGD: iter, arrival and predictor counters");
 }
 
 #[test]

@@ -25,6 +25,10 @@ fn build(rng: &mut Rng) -> lc_asgd::nn::Network {
     lc_asgd::nn::mlp::mlp(&[6, 16, 4], false, rng)
 }
 
+fn build_bn(rng: &mut Rng) -> lc_asgd::nn::Network {
+    lc_asgd::nn::mlp::mlp(&[6, 16, 4], true, rng)
+}
+
 fn standby() -> StandbyConfig {
     StandbyConfig { flush_every: 4, lease: std::time::Duration::from_millis(500) }
 }
@@ -173,6 +177,85 @@ fn sim_failover_is_bit_reproducible() {
         b.faults.as_ref().unwrap().records,
         "identical fault records through the failover"
     );
+}
+
+/// A run of `model` under `plan`, which kills the primary, with every push
+/// flushed (`flush_every` 1) so the kill loses nothing.
+fn kill_losing_nothing(
+    c: &ExperimentConfig,
+    model: fn(&mut Rng) -> lc_asgd::nn::Network,
+    plan: FaultPlan,
+    shards: usize,
+    supervisor: Option<SupervisorConfig>,
+) -> RunResult {
+    let (train, test) = task();
+    let what = format!("kill at {:?}, {shards} shards", plan.primary_kill_at_update);
+    let sim: ClusterSim<SimPayload> =
+        ClusterSim::new(c.cluster.clone()).with_fault_plan(plan.clone());
+    let opts = RunOptions {
+        standby: Some(StandbyConfig { flush_every: 1, ..standby() }),
+        supervisor,
+        shards,
+        ..opts(&plan)
+    };
+    let r = run_cluster_with(sim, c, &model, &train, &test, opts).expect("sim failover run");
+    let rep = r.replication.as_ref().expect("standby runs carry a replication report");
+    assert_eq!((rep.failovers, rep.lost_updates, rep.degraded_at), (1, 0, None), "{what}");
+    assert_eq!(r.iterations as usize, c.epochs * train.len().div_ceil(c.batch_size), "{what}");
+    r
+}
+
+/// At a kill that loses nothing the promoted mirror is the primary, bit for
+/// bit: weights, shard versions, dedup state and history — and, when no
+/// `State` message has moved them since the last refresh, arrival state,
+/// `iter`, BN and predictors. The trainer asserts it at the kill in debug
+/// builds (`Server::assert_mirrored`), which is how this suite runs. Kills
+/// mid-epoch (12 updates per epoch), where only the records can have made
+/// the mirror current; and one on an epoch boundary, just after the
+/// refresh, of an LC-ASGD model with BN layers — whose statistics LC-ASGD
+/// absorbs on the state path, which only the refresh carries.
+#[test]
+fn a_kill_promotes_the_primarys_exact_state() {
+    for algo in [Algorithm::Asgd, Algorithm::LcAsgd] {
+        for shards in [1, 3, 4] {
+            let plan = FaultPlan::new().with_primary_kill(17);
+            kill_losing_nothing(&cfg(algo, 4), build, plan, shards, None);
+        }
+    }
+    let plan = FaultPlan::new().with_primary_kill(24);
+    kill_losing_nothing(&cfg(Algorithm::LcAsgd, 4), build_bn, plan, 1, None);
+}
+
+/// A supervisor rollback rewinds weights, BN and predictors, which no log
+/// record can carry: the primary re-bootstraps its standby after one, so a
+/// kill after the rollback still promotes the primary's exact state.
+#[test]
+fn a_kill_after_a_rollback_promotes_the_restored_state() {
+    let c = cfg(Algorithm::Asgd, 4);
+    let barrage = (9..=45)
+        .fold(FaultPlan::new(), |plan, op| plan.with_event(1, op, FaultKind::CorruptPayload));
+    let sup = SupervisorConfig {
+        grad_norm_factor: 3.0,
+        grad_norm_warmup: 6,
+        loss_window: 4,
+        explode_factor: 1.4,
+        snapshot_every: 6,
+        ..SupervisorConfig::default()
+    };
+    // Where the deterministic schedule rolls back first, found by a run
+    // killed at its very end...
+    let plan = barrage.clone().with_primary_kill(119);
+    let r = kill_losing_nothing(&c, build, plan, 1, Some(sup.clone()));
+    let rollback = |r: &RunResult| {
+        let h = r.health.as_ref().expect("supervised runs carry a health report");
+        h.events.iter().find(|(_, ev)| matches!(ev, HealthEvent::RolledBack { .. })).map(|e| e.0)
+    };
+    let at = rollback(&r).expect("the barrage must reach the rollback path");
+    // ... then killed two updates after it.
+    let r = kill_losing_nothing(&c, build, barrage.with_primary_kill(at + 2), 1, Some(sup));
+    assert_eq!(rollback(&r), Some(at), "the same schedule up to the kill");
+    let rep = r.replication.as_ref().unwrap();
+    assert!(rep.snapshots > 1 + 1 + c.epochs as u64, "bootstrap, re-bootstrap, refreshes, re-arm");
 }
 
 #[test]

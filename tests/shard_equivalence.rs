@@ -234,6 +234,44 @@ fn primary_kill_failover_completes_with_four_shards() {
     }
 }
 
+/// A replication batch never splits a push. With 3 shards and
+/// `flush_every` 4 a push is 3 records, so a batch goes out at the push
+/// boundary after 6 records — not after 4, with one slice of the second push
+/// in it and two left behind, which a kill then promoted as a torn push
+/// (the run overshot its target, and the re-armed standby was lost). Every
+/// kill now promotes whole pushes: it loses the unflushed push, if any, and
+/// the run ends exactly on target with the standby still attached.
+#[test]
+fn a_flush_never_splits_a_push_so_every_kill_promotes_whole_pushes() {
+    let (train, test) = task();
+    let c = cfg(Algorithm::Asgd, 4);
+    let target = c.epochs * train.len().div_ceil(c.batch_size);
+    let standby = StandbyConfig { flush_every: 4, lease: std::time::Duration::from_millis(500) };
+    for kill_at in [2u64, 3, 5, 6, 7] {
+        let plan = FaultPlan::new().with_primary_kill(kill_at);
+        let sim: ClusterSim<SimPayload> =
+            ClusterSim::new(c.cluster.clone()).with_fault_plan(plan.clone());
+        let opts = RunOptions {
+            fault_plan: Some(plan),
+            standby: Some(standby.clone()),
+            shards: 3,
+            ..RunOptions::default()
+        };
+        let r = run_cluster_with(sim, &c, &build, &train, &test, opts).expect("sim failover");
+        assert_eq!(r.iterations as usize, target, "kill at {kill_at}");
+        let rep = r.replication.as_ref().expect("standby runs carry a replication report");
+        assert_eq!((rep.failovers, rep.degraded_at), (1, None), "kill at {kill_at}");
+        assert_eq!(rep.lost_updates, kill_at % 2, "kill at {kill_at}: the unflushed push");
+        assert_eq!(rep.max_lag, 6, "kill at {kill_at}: two whole pushes per batch");
+        let faults = r.faults.as_ref().expect("fault plan must produce a report");
+        assert!(
+            !faults.records.iter().any(|rec| matches!(rec, FaultRecord::StandbyLost { .. })),
+            "kill at {kill_at}: {:?}",
+            faults.records
+        );
+    }
+}
+
 /// Sharded checkpoints round-trip: a run snapshotted under `shards = 2`
 /// resumes under the same layout, and a *single-shard* checkpoint (empty
 /// `shard_versions`) resumes under any layout because lockstep versions

@@ -328,6 +328,32 @@ pub mod seed {
         dst.add_assign_scaled(src, momentum);
     }
 
+    /// The rayon shim's `for_each` before its caller ran band 0: one
+    /// spawned thread per band while the calling thread waits at the
+    /// join, here over one-element chunks doing nothing.
+    pub fn fork_join(chunks: &mut [f32]) {
+        let n = chunks.len();
+        let threads = rayon::current_num_threads().min(n);
+        if threads <= 1 {
+            chunks.chunks_mut(1).for_each(|c| {
+                std::hint::black_box(c);
+            });
+            return;
+        }
+        std::thread::scope(|scope| {
+            let mut rest = chunks;
+            for t in 0..threads {
+                let (band, tail) = rest.split_at_mut((t + 1) * n / threads - t * n / threads);
+                rest = tail;
+                scope.spawn(move || {
+                    band.chunks_mut(1).for_each(|c| {
+                        std::hint::black_box(c);
+                    })
+                });
+            }
+        });
+    }
+
     /// `codec::int8_pack` as commit `d2be4b4` shipped it: per block a serial
     /// `maxnum` fold, then libm's `roundf` and a saturating cast per entry
     /// (neither of which LLVM vectorizes on baseline x86-64).
@@ -786,6 +812,27 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             || conv2d_dx(&dy, &w, &spec, 10, 10),
         );
     }
+    // The input gradient of the rest of what the benchmark trains: the
+    // 16→16 and 32→32 3×3 of stages 2 and 3, and their strided entries.
+    for (cin, cout, hw, stride) in [(16, 16, 5, 1), (32, 32, 3, 1), (8, 16, 10, 2), (16, 32, 5, 2)]
+    {
+        let spec =
+            Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride, padding: 1 };
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let w = randn(&[cout, cin, 3, 3], 27);
+        let dy = randn(&[16, cout, oh, ow], 28);
+        let (want, got) =
+            (seed::conv2d_dx(&dy, &w, &spec, hw, hw), conv2d_dx(&dy, &w, &spec, hw, hw));
+        assert!(max_abs_diff(&want, &got) < 1e-2, "conv_dx {cin}->{cout} mismatch");
+        row(
+            &mut reports,
+            "conv3x3_dx",
+            format!("n16_c{cin}-{cout}_{hw}x{hw}_s{stride}p1"),
+            samples * 20,
+            || seed::conv2d_dx(&dy, &w, &spec, hw, hw),
+            || conv2d_dx(&dy, &w, &spec, hw, hw),
+        );
+    }
     // The BatchNorm + ReLU that follows it, forward and backward: the seed
     // loops standalone against the shipping ops on a tape (whose node
     // bookkeeping is therefore charged to the optimized side).
@@ -827,7 +874,8 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
     }
     // The rayon shim's fork/join: a no-op parallel loop over 16 chunks —
     // the cost `tune::CONV_PAR_MACS` and `tune::PAR_FLOPS` are sized
-    // against. There is no seed side: both columns time the same loop.
+    // against. The seed side spawns a thread for every band, the shipping
+    // shim runs band 0 on the calling thread.
     {
         let fork_join = |chunks: &mut [f32]| {
             chunks.par_chunks_mut(1).for_each(|c| {
@@ -841,7 +889,7 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             "fork_join",
             shape,
             samples * 50,
-            || fork_join(&mut a),
+            || seed::fork_join(&mut a),
             || fork_join(&mut b),
         );
     }

@@ -43,10 +43,11 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Runs `f` with [`current_num_threads`] pinned to `n` on the current
-/// thread (worker threads spawned *inside* the scope still see the global
-/// count, but fan-out decisions are made by the calling thread, which is
-/// what matters). The previous override is restored on exit, including on
-/// panic.
+/// thread. Threads a parallel loop spawns inside the scope still see the
+/// global count (the calling thread, which runs the loop's first band
+/// itself, sees `n`), but fan-out decisions are made by the calling
+/// thread, which is what matters. The previous override is restored on
+/// exit, including on panic.
 pub fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n > 0, "thread count must be positive");
     struct Restore(usize);
@@ -104,20 +105,20 @@ pub trait IndexedParallelIterator: Sized + Sync {
             }
             return;
         }
-        let iter = &self;
-        let f = &f;
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = t * n / threads;
-                let hi = (t + 1) * n / threads;
-                scope.spawn(move || {
-                    for i in lo..hi {
-                        // SAFETY: bands are disjoint, so each index is
-                        // claimed exactly once across all threads.
-                        f(unsafe { iter.get(i) });
-                    }
-                });
+        let band = |t: usize| {
+            for i in t * n / threads..(t + 1) * n / threads {
+                // SAFETY: bands are disjoint, so each index is claimed
+                // exactly once across all threads.
+                f(unsafe { self.get(i) });
             }
+        };
+        // Bands 1.. on spawned threads, band 0 on the calling one, which
+        // would otherwise sit idle until the join.
+        std::thread::scope(|scope| {
+            for t in 1..threads {
+                scope.spawn(move || band(t));
+            }
+            band(0);
         });
     }
 }

@@ -17,13 +17,17 @@
 //! * [`conv2d_dw`]: the same operand transposed — rows = patch entries,
 //!   `k` = pixels — against that image's `dY`, packed per image;
 //!   accumulated over images in order, transposed once at the end.
-//! * [`conv2d_dx`]: `dcolsᵀ = Wᵀ·dY` with A read in place from the
-//!   weights and B = that image's `dY`, then folded onto a padded image by
-//!   shifted row adds and the interior copied out.
+//! * [`conv2d_dx`]: the transposed convolution — rows = input pixels, one
+//!   GEMM per stride parity class, `k` = (tap, `co`) read from a
+//!   zero-padded window of that image's `dY` ([`DyWindow`]), B = the
+//!   flipped weights packed once per call; each tile is stored transposed
+//!   into the image's `[cin, h·w]` slab.
 //!
 //! Every output element sees the products and the summation order of the
-//! pack-then-multiply kernels these replaced, so results are bitwise
-//! theirs (`tests/kernel_golden.rs`, DESIGN.md §8.2).
+//! pack-then-multiply kernels these replaced — for the input gradient,
+//! those of the col2im fold in between (`reference::conv2d_dx_fold`) — so
+//! results are bitwise theirs for finite inputs (`tests/kernel_golden.rs`,
+//! DESIGN.md §8.2).
 //!
 //! `im2col`/`col2im` remain public for tests, the kernel benchmark's seed
 //! kernels and external users; no convolution pass calls them.
@@ -67,18 +71,17 @@ impl Conv2dSpec {
 }
 
 /// The padded image one call's virtual im2col operand is read from
-/// (module docs): its geometry, its offset tables, and the copies in and
-/// out of it.
-struct Patches {
-    spec: Conv2dSpec,
-    h: usize,
-    w: usize,
-    hp: usize,
-    wp: usize,
+/// (module docs): its geometry, its offset tables, and the copy into it.
+pub(super) struct Patches {
+    pub(super) spec: Conv2dSpec,
+    pub(super) h: usize,
+    pub(super) w: usize,
+    pub(super) hp: usize,
+    pub(super) wp: usize,
 }
 
 impl Patches {
-    fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Self {
+    pub(super) fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Self {
         Patches { spec: *spec, h, w, hp: h + 2 * spec.padding, wp: w + 2 * spec.padding }
     }
 
@@ -100,13 +103,13 @@ impl Patches {
     }
 
     /// A zeroed padded image (empty when there is no padding to add).
-    fn scratch(&self) -> Vec<f32> {
+    pub(super) fn scratch(&self) -> Vec<f32> {
         let planes = if self.spec.padding == 0 { 0 } else { self.spec.in_channels };
         vec![0.0; planes * self.hp * self.wp]
     }
 
     /// Where row `y` of channel `ch` of the plain image sits in the padded one.
-    fn interior(&self, ch: usize, y: usize) -> std::ops::Range<usize> {
+    pub(super) fn interior(&self, ch: usize, y: usize) -> std::ops::Range<usize> {
         let at = (ch * self.hp + y + self.spec.padding) * self.wp + self.spec.padding;
         at..at + self.w
     }
@@ -125,45 +128,6 @@ impl Patches {
         }
         scratch
     }
-
-    /// The adjoint of the gather: folds patch-major `dcols [plen, oh·ow]`
-    /// onto `dst [c·h·w]` (zero on entry), through `scratch` when the image
-    /// is padded. See [`conv2d_dx`] for why the reverse walk over a
-    /// channel's patch entries is [`col2im`]'s summation order.
-    fn fold(&self, dst: &mut [f32], scratch: &mut [f32], dcols: &[f32]) {
-        if self.spec.padding == 0 {
-            return self.add_planes(dst, dcols);
-        }
-        scratch.fill(0.0);
-        self.add_planes(scratch, dcols);
-        for (ch, plane) in dst.chunks_exact_mut(self.h * self.w).enumerate() {
-            for (y, row) in plane.chunks_exact_mut(self.w).enumerate() {
-                row.copy_from_slice(&scratch[self.interior(ch, y)]);
-            }
-        }
-    }
-
-    /// Adds plane `(ch, ky, kx)` of `dcols` at offset `(ky, kx)` of channel
-    /// `ch` of the padded image `acc`, last plane first.
-    fn add_planes(&self, acc: &mut [f32], dcols: &[f32]) {
-        let (k, s) = (self.spec.kernel, self.spec.stride);
-        let (oh, ow) = self.spec.out_hw(self.h, self.w);
-        for (l, plane) in dcols.chunks_exact(oh * ow).enumerate().rev() {
-            let (ch, ky, kx) = (l / (k * k), l / k % k, l % k);
-            for (oy, row) in plane.chunks_exact(ow).enumerate() {
-                let at = (ch * self.hp + oy * s + ky) * self.wp + kx;
-                if s == 1 {
-                    for (d, &v) in acc[at..at + ow].iter_mut().zip(row) {
-                        *d += v;
-                    }
-                } else {
-                    for (ox, &v) in row.iter().enumerate() {
-                        acc[at + ox * s] += v;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Runs `f(scratch, image, slab)` for every `slab`-long stretch of `data`
@@ -171,7 +135,7 @@ impl Patches {
 /// contiguous bands of images, one per thread. `scratch()` is called once
 /// per band, so what it allocates is never paid per image. Images never
 /// share output, so the split cannot change a result.
-fn for_each_image<S>(
+pub(super) fn for_each_image<S>(
     data: &mut [f32],
     slab: usize,
     threads: usize,
@@ -298,7 +262,7 @@ pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) ->
 
 /// Multiply-adds of one convolution pass (any of the three): the work
 /// measure [`conv_threads`] dispatches on.
-fn macs(n: usize, ohw: usize, spec: &Conv2dSpec) -> usize {
+pub(super) fn macs(n: usize, ohw: usize, spec: &Conv2dSpec) -> usize {
     n * ohw * spec.patch_len() * spec.out_channels
 }
 
@@ -321,7 +285,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
     let src = input.data();
     let patches = Patches::new(spec, h, w);
     let (base, off) = patches.tables();
-    let map = GatherMap::new(base, off);
+    let map = GatherMap::new(base, off, (0..ohw).collect());
     // B[l, co] = W[co, l]: the weight matrix is already [cout, plen].
     let mut wt = PackedB::new(plen, cout);
     wt.pack(MatRef::transposed(weight.data(), plen));
@@ -331,7 +295,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
     for_each_image(out.data_mut(), cout * ohw, threads, scratch, |scratch, img, dst| {
         let img = &src[img * img_stride..][..img_stride];
         // Rows are pixels, columns channels; the slab is [cout, ohw].
-        gemm_gather(dst, 1, ohw, &map, patches.padded(scratch, img), &wt);
+        gemm_gather(dst, ohw, &map, patches.padded(scratch, img), &wt);
     });
     out
 }
@@ -359,7 +323,7 @@ pub fn conv2d_dw_into(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec, dw: &mut [
     assert_eq!(dw.len(), cout * plen, "conv2d_dw output length");
     let patches = Patches::new(spec, h, w);
     let (base, off) = patches.tables();
-    let map = GatherMap::new(off, base);
+    let map = GatherMap::new(off, base, (0..plen).map(|l| l * cout).collect());
     let mut scratch = patches.scratch();
     let mut dy_img = PackedB::new(ohw, cout);
     // Images accumulate serially into dWᵀ (fixed order — thread-count
@@ -369,7 +333,7 @@ pub fn conv2d_dw_into(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec, dw: &mut [
     for (img, dy_slab) in images {
         // B[j, co] = dY[co, j].
         dy_img.pack(MatRef::transposed(dy_slab, ohw));
-        gemm_gather(&mut dwt, cout, 1, &map, patches.padded(&mut scratch, img), &dy_img);
+        gemm_gather(&mut dwt, 1, &map, patches.padded(&mut scratch, img), &dy_img);
     }
     for (co, row) in dw.chunks_exact_mut(plen).enumerate() {
         for (l, v) in row.iter_mut().enumerate() {
@@ -378,45 +342,202 @@ pub fn conv2d_dw_into(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec, dw: &mut [
     }
 }
 
-/// Convolution input gradient: per image, the patch-major
-/// `dcolsᵀ [plen, oh·ow] = Wᵀ × dY_img` as an implicit GEMM (A read in
-/// place from the weights, B = that image's `dY`), folded onto a padded
-/// image and the interior copied out. `dy` is `[n, cout, oh, ow]`;
-/// returns `[n, cin, h, w]`.
+/// One axis of [`conv2d_dx`]'s `dY` window: the input and output extents
+/// and the output indices `lo .. lo + win` that some input pixel's taps
+/// reach. `lo < 0` or `lo + win > out` pads `dY` with zeros on that side;
+/// `lo > 0` or `lo + win < out` crops rows no tap reaches (when
+/// `p ≥ k`).
+#[derive(Clone, Copy)]
+struct Axis {
+    len: usize,
+    out: usize,
+    lo: isize,
+    win: usize,
+}
+
+impl Axis {
+    fn new(len: usize, out: usize, spec: &Conv2dSpec) -> Self {
+        let (k, s, p) = (spec.kernel as isize, spec.stride as isize, spec.padding as isize);
+        // Input index i reaches output (i + p − kk) / s for kernel index kk:
+        // the least is ⌈(p − k + 1) / s⌉ (at i = 0), the greatest
+        // ⌊(len − 1 + p) / s⌋.
+        let least = p - k + 1;
+        let lo = if least <= 0 { -(-least / s) } else { (least + s - 1) / s };
+        let hi = (len as isize - 1 + p) / s + 1;
+        Axis { len, out, lo, win: (hi - lo).max(0) as usize }
+    }
+
+    /// `(taps, pixels)` of parity class `r`: the input indices `i` with
+    /// `(i + p) mod s = r`, each with the window index its last tap reads,
+    /// and how many taps they have — kernel indices `r, r + s, …` below
+    /// `k`. Tap `m` of pixel `i` reads output `(i + p) / s − m`.
+    fn class(&self, spec: &Conv2dSpec, r: usize) -> (usize, Vec<(usize, usize)>) {
+        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+        if r >= k {
+            return (0, Vec::new());
+        }
+        let taps = (k - 1 - r) / s + 1;
+        let pixels = (0..self.len)
+            .filter(|i| (i + p) % s == r)
+            .map(|i| {
+                let last = ((i + p) / s) as isize - taps as isize + 1;
+                (i, (last - self.lo) as usize)
+            })
+            .collect();
+        (taps, pixels)
+    }
+
+    /// The stretch of `dY` inside the window: `(first output index, its
+    /// window index, count)`.
+    fn overlap(&self) -> (usize, usize, usize) {
+        let first = self.lo.max(0);
+        let end = (self.lo + self.win as isize).min(self.out as isize);
+        (first as usize, (first - self.lo) as usize, (end - first).max(0) as usize)
+    }
+
+    fn is_whole(&self) -> bool {
+        self.lo == 0 && self.win == self.out
+    }
+}
+
+/// The `dY` image [`conv2d_dx`] gathers from: both axes' windows, `cout`
+/// planes of `y.win × x.win`.
+struct DyWindow {
+    cout: usize,
+    y: Axis,
+    x: Axis,
+}
+
+impl DyWindow {
+    /// Whether the window is all of `dY`, which is then read in place.
+    fn in_place(&self) -> bool {
+        self.y.is_whole() && self.x.is_whole()
+    }
+
+    /// A zeroed window (empty when `dY` is read in place).
+    fn scratch(&self) -> Vec<f32> {
+        if self.in_place() {
+            return Vec::new();
+        }
+        vec![0.0; self.cout * self.y.win * self.x.win]
+    }
+
+    /// The window over `dy` (one image): `dy` itself when the window is
+    /// all of it, else `scratch` with `dy`'s overlap copied in (the rest
+    /// stays zero from [`scratch`](Self::scratch)).
+    fn fill<'a>(&self, scratch: &'a mut [f32], dy: &'a [f32]) -> &'a [f32] {
+        if self.in_place() {
+            return dy;
+        }
+        let ((y0, wy0, ny), (x0, wx0, nx)) = (self.y.overlap(), self.x.overlap());
+        let plane = self.y.win * self.x.win;
+        for (co, src) in dy.chunks_exact(self.y.out * self.x.out).enumerate() {
+            for r in 0..ny {
+                let from = &src[(y0 + r) * self.x.out + x0..][..nx];
+                scratch[co * plane + (wy0 + r) * self.x.win + wx0..][..nx].copy_from_slice(from);
+            }
+        }
+        scratch
+    }
+
+    /// Parity class `(ry, rx)` as one implicit GEMM over the window: rows
+    /// its pixels in raster order, stored at their place in the `[cin,
+    /// h·w]` slab; depth its taps in descending `(ky, kx)`, `cout` rows
+    /// each; B the flipped weights `B[(tap, co), ci] = W[co, ci, ky, kx]`,
+    /// packed straight from `W`. `None` when no pixel or no tap is in the class.
+    fn class(
+        &self,
+        spec: &Conv2dSpec,
+        ry: usize,
+        rx: usize,
+        w: &[f32],
+    ) -> Option<(GatherMap, PackedB)> {
+        let ((ty, ys), (tx, xs)) = (self.y.class(spec, ry), self.x.class(spec, rx));
+        if ty * tx == 0 || ys.is_empty() || xs.is_empty() {
+            return None;
+        }
+        let (cin, k, s) = (spec.in_channels, spec.kernel, spec.stride);
+        let (ww, plane) = (self.x.win, self.y.win * self.x.win);
+        let mut row_off = Vec::with_capacity(ys.len() * xs.len());
+        let mut out_off = Vec::with_capacity(ys.len() * xs.len());
+        for &(iy, wy) in &ys {
+            for &(ix, wx) in &xs {
+                row_off.push(wy * ww + wx);
+                out_off.push(iy * self.x.len + ix);
+            }
+        }
+        let mut k_off = Vec::with_capacity(ty * tx * self.cout);
+        let mut b = PackedB::new(ty * tx * self.cout, cin);
+        for my in (0..ty).rev() {
+            for mx in (0..tx).rev() {
+                let (ky, kx) = (ry + my * s, rx + mx * s);
+                // Tap m reads m rows above the last tap's row.
+                let shift = (ty - 1 - my) * ww + (tx - 1 - mx);
+                k_off.extend((0..self.cout).map(|co| co * plane + shift));
+                // This tap's [cout, cin] block of W, read in place.
+                let tap = MatRef { data: &w[ky * k + kx..], rs: cin * k * k, cs: k * k };
+                b.pack_rows(k_off.len() - self.cout, tap, self.cout);
+            }
+        }
+        Some((GatherMap::new(row_off, k_off, out_off).taps(self.cout), b))
+    }
+}
+
+/// Convolution input gradient as a transposed convolution: an implicit
+/// GEMM whose rows are input pixels, columns `cin` and depth (tap, `co`),
+/// with A gathered in place from one zero-padded `dY` image per band
+/// ([`DyWindow`]) and B the flipped weights, packed once per call. `dy`
+/// is `[n, cout, oh, ow]`; returns `[n, cin, h, w]`.
 ///
-/// The fold is the col2im adjoint in shifted-row form: patch entry
-/// `(ch, ky, kx)` adds its whole `oh × ow` plane at offset `(ky, kx)` of
-/// channel `ch`. An input pixel is reached from output pixels in
-/// ascending order exactly when `ky`, then `kx`, *descend* — so visiting
-/// the entries of a channel in reverse reproduces [`col2im`]'s
-/// (pixel, patch) summation order element for element, while the inner
-/// loop is a contiguous row add instead of a bounds-tested scatter.
+/// **Parity classes.** Input pixel `(y, x)` is reached by tap `(ky, kx)`
+/// when `ky ≡ y + p` and `kx ≡ x + p (mod s)`, so the pixels split into
+/// `s²` classes with one tap set each, and each class is one gathered GEMM
+/// whose tiles are stored straight into the image's slab. A class no tap
+/// reaches (`s > k`) is skipped: its pixels stay +0.
+///
+/// **Bitwise the col2im fold it replaced** (`reference::conv2d_dx_fold`)
+/// for finite inputs. There, `dcols[(ch, ky, kx), j]` was an fma chain
+/// over ascending `co` from zero, restarted at every `KC` boundary, and
+/// folding visited a channel's patch entries in descending `(ky, kx)` —
+/// ascending output pixel — onto +0. Here a tap is the same chain, the
+/// pieces of a tap are summed the same way, and a pixel's taps are added
+/// in the same descending `(ky, kx)` to a total that starts at +0
+/// ([`GatherMap::taps`]). The rows `dY` lacks — taps that reach past its
+/// edge, which the fold never formed — read the window's zeros: each such
+/// product is ±0, its chain from +0 stays +0, and +0 added to a total
+/// that is never −0 (it starts at +0, and a sum is −0 only when both
+/// addends are) changes nothing. With a non-finite weight, though, that
+/// product is NaN: the output is non-finite wherever the fold's is, and
+/// possibly at pixels the fold left finite.
 pub fn conv2d_dx(dy: &Tensor, weight: &Tensor, spec: &Conv2dSpec, h: usize, w: usize) -> Tensor {
     let n = dy.dims()[0];
     let (oh, ow) = spec.out_hw(h, w);
-    let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
+    let (ohw, cin, cout) = (oh * ow, spec.in_channels, spec.out_channels);
     assert_eq!(dy.dims(), &[n, cout, oh, ow], "conv2d_dx dy shape");
     assert_eq!(
         weight.dims(),
         &[cout, spec.in_channels, spec.kernel, spec.kernel],
         "conv2d_dx weight shape"
     );
-    let mut dx = Tensor::zeros(&[n, spec.in_channels, h, w]);
+    let mut dx = Tensor::zeros(&[n, cin, h, w]);
     let dyd = dy.data();
-    let wd = weight.data();
-    let patches = Patches::new(spec, h, w);
-    // A[l, co] = W[co, l], in place.
-    let map = GatherMap::new((0..plen).collect(), (0..cout).map(|co| co * plen).collect());
-    let img_stride = spec.in_channels * h * w;
+    let window = DyWindow { cout, y: Axis::new(h, oh, spec), x: Axis::new(w, ow, spec) };
+    let s = spec.stride;
+    let classes: Vec<_> =
+        (0..s * s).filter_map(|c| window.class(spec, c / s, c % s, weight.data())).collect();
     let threads = conv_threads(n, macs(n, ohw, spec));
-    let scratch = || (PackedB::new(cout, ohw), vec![0.0f32; plen * ohw], patches.scratch());
-    for_each_image(dx.data_mut(), img_stride, threads, scratch, |state, img, dst| {
-        let (dy_img, dcols, padded) = state;
-        dy_img.pack(MatRef::row_major(&dyd[img * cout * ohw..][..cout * ohw], ohw));
-        dcols.fill(0.0);
-        gemm_gather(dcols, ohw, 1, &map, wd, dy_img);
-        patches.fold(dst, padded, dcols);
-    });
+    for_each_image(
+        dx.data_mut(),
+        cin * h * w,
+        threads,
+        || window.scratch(),
+        |scratch, img, dst| {
+            let src = window.fill(scratch, &dyd[img * cout * ohw..][..cout * ohw]);
+            for (map, b) in &classes {
+                gemm_gather(dst, h * w, map, src, b);
+            }
+        },
+    );
     dx
 }
 
@@ -500,6 +621,35 @@ mod tests {
             &reference::conv2d_dx_ref(&dy, &w, &spec, 5, 8),
             1e-4,
         );
+    }
+
+    #[test]
+    fn non_finite_inputs_give_non_finite_outputs_wherever_the_fold_does() {
+        let mut rng = Rng::seed_from_u64(18);
+        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 1), (2, 3, 2), (5, 1, 0), (1, 2, 0)] {
+            let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kernel, stride, padding };
+            let (h, w) = (7, 6);
+            let (oh, ow) = spec.out_hw(h, w);
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                // A corner, an interior element, then the same in dY.
+                for (in_w, at) in [(true, 0), (true, 13), (false, 0), (false, 2 * oh * ow + 5)] {
+                    let mut wt = random(&[3, 2, kernel, kernel], &mut rng);
+                    let mut dy = random(&[2, 3, oh, ow], &mut rng);
+                    let target = if in_w { &mut wt } else { &mut dy };
+                    let at = at % target.numel();
+                    target.data_mut()[at] = bad;
+                    let got = conv2d_dx(&dy, &wt, &spec, h, w);
+                    let fold = reference::conv2d_dx_fold(&dy, &wt, &spec, h, w);
+                    for (i, (g, f)) in got.data().iter().zip(fold.data()).enumerate() {
+                        assert!(
+                            f.is_finite() || !g.is_finite(),
+                            "{spec:?}, {bad} in {}[{at}]: element {i} is {g}, the fold's {f}",
+                            if in_w { "W" } else { "dY" }
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! micro-kernel fetches element `(i, l)` as `src[row_off[i] + k_off[l]]`
 //! through a [`GatherMap`], which is how an im2col matrix is read straight
 //! out of a padded image — and its B operand is packed once, whole, into a
-//! [`PackedB`] the caller owns.
+//! [`PackedB`] the caller owns. The map also says where each row's result
+//! goes and how its depth is summed ([`GatherMap::taps`]).
 //!
 //! Blocking follows the classic three-loop structure (Goto/BLIS): the
 //! output is swept in `NC`-wide column slabs; for each slab, `KC`-deep
@@ -64,20 +65,27 @@ impl<'a> MatRef<'a> {
     }
 }
 
-/// Packs `B[pc..pc+kc, jc..jc+nc]` into `NR`-lane panels: panel `p` holds
-/// columns `jc + p·NR ..`, laid out k-major (`kc` rows of `NR` lanes each),
-/// zero-padded past `nc` so the micro-kernel never branches on tails.
+/// Packs `B[pc..pc+kc, jc..jc+nc]` into `NR`-lane panels: panel `p`, at
+/// `dst[p·stride ..]`, holds columns `jc + p·NR ..`, laid out k-major
+/// (`kc` rows of `NR` lanes each), zero-padded past `nc` so the
+/// micro-kernel never branches on tails.
 ///
 /// Inlined into both callers: left as a shared out-of-line function it
 /// cost the `[16, 1024] × [1024, 1024]` products, which are mostly B
 /// packing, ≈ 10 % against the copy each GEMM instance used to get.
 #[inline(always)]
-fn pack_b_strided(dst: &mut [f32], b: MatRef<'_>, pc: usize, kc: usize, jc: usize, nc: usize) {
+fn pack_b_strided(
+    dst: &mut [f32],
+    b: MatRef<'_>,
+    (pc, kc): (usize, usize),
+    (jc, nc): (usize, usize),
+    stride: usize,
+) {
     let panels = nc.div_ceil(NR);
     for p in 0..panels {
         let j0 = jc + p * NR;
         let lanes = NR.min(jc + nc - j0);
-        let panel = &mut dst[p * kc * NR..(p + 1) * kc * NR];
+        let panel = &mut dst[p * stride..p * stride + kc * NR];
         for l in 0..kc {
             let row = &mut panel[l * NR..l * NR + NR];
             for (lane, r) in row.iter_mut().enumerate().take(lanes) {
@@ -216,7 +224,7 @@ fn gemm_band(c: &mut [f32], rows: usize, n: usize, k: usize, a: MatRef<'_>, b: M
         let jpanels = nc.div_ceil(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b_strided(&mut bpack, b, pc, kc, jc, nc);
+            pack_b_strided(&mut bpack, b, (pc, kc), (jc, nc), kc * NR);
             for ic in (0..rows).step_by(MC) {
                 let mc = MC.min(rows - ic);
                 pack_a_strided(&mut apack, a, ic, mc, pc, kc);
@@ -275,9 +283,10 @@ pub(crate) fn gemm(
 
 /// A whole `k × n` B operand in micro-kernel layout, packed once and then
 /// read by every [`gemm_gather`] call that shares it (all images of a
-/// convolution, all bands of a forked one). `KC`-deep blocks follow each
-/// other; inside a block the `NR`-lane panels are laid out exactly as
-/// [`pack_b_strided`] writes them, dead lanes zeroed.
+/// convolution, all bands of a forked one). The `NR`-lane panels follow
+/// each other, each `k` rows deep and laid out as [`pack_b_strided`]
+/// writes them, dead lanes zeroed, so any depth range of a panel — a `KC`
+/// block or one tap of a transposed convolution — is one contiguous slice.
 pub(crate) struct PackedB {
     data: Vec<f32>,
     k: usize,
@@ -290,78 +299,113 @@ impl PackedB {
         PackedB { data: vec![0.0; k * n.div_ceil(NR) * NR], k, n }
     }
 
-    /// Floats per `k` step: `n` rounded up to whole panels.
-    fn width(&self) -> usize {
-        self.n.div_ceil(NR) * NR
-    }
-
     /// (Re)packs `b`, a view of logical shape `k × n`.
     pub(crate) fn pack(&mut self, b: MatRef<'_>) {
-        let width = self.width();
-        for pc in (0..self.k).step_by(KC) {
-            let kc = KC.min(self.k - pc);
-            pack_b_strided(&mut self.data[pc * width..(pc + kc) * width], b, pc, kc, 0, self.n);
-        }
+        self.pack_rows(0, b, self.k);
     }
 
-    /// Panel `p` of the `kc`-deep block that starts at row `pc`.
-    fn panel(&self, pc: usize, kc: usize, p: usize) -> &[f32] {
-        let block = pc * self.width();
-        &self.data[block + p * kc * NR..block + (p + 1) * kc * NR]
+    /// Packs `b`, a view of logical shape `rows × n`, as rows `at .. at +
+    /// rows` of the operand.
+    pub(crate) fn pack_rows(&mut self, at: usize, b: MatRef<'_>, rows: usize) {
+        assert!(at + rows <= self.k, "rows {at}..{} of a {}-row operand", at + rows, self.k);
+        pack_b_strided(&mut self.data[at * NR..], b, (0, rows), (0, self.n), self.k * NR);
+    }
+
+    /// Panel `p`: rows `0..k` of columns `p·NR ..`, `NR` floats per row.
+    fn panel(&self, p: usize) -> &[f32] {
+        &self.data[p * self.k * NR..(p + 1) * self.k * NR]
     }
 }
 
-/// The index half of a virtual A operand: element `(i, l)` of the
-/// `row_off.len() × k_off.len()` matrix lives at `src[row_off[i] +
-/// k_off[l]]` of whatever slice [`gemm_gather`] is handed. Separable
-/// offsets are what make an im2col matrix readable in place: pixel `j` of
-/// patch entry `l` sits at `base[j] + off[l]` of the zero-padded image,
-/// for any stride, with no bounds test, division or copy.
+/// The index half of a virtual A operand, and where its product goes:
+/// element `(i, l)` of the `row_off.len() × k_off.len()` matrix lives at
+/// `src[row_off[i] + k_off[l]]` of whatever slice [`gemm_gather`] is
+/// handed, and row `i` of the product is added to `c[out_off[i] + j·c_cs]`.
+/// Separable offsets are what make an im2col matrix readable in place:
+/// pixel `j` of patch entry `l` sits at `base[j] + off[l]` of the
+/// zero-padded image, for any stride, with no bounds test, division or
+/// copy.
 ///
 /// The fields are private so that [`limit`](Self::limit) — the one bound
 /// the micro-kernel's unchecked reads rest on — cannot go stale.
 pub(crate) struct GatherMap {
     row_off: Vec<usize>,
     k_off: Vec<usize>,
+    out_off: Vec<usize>,
+    /// Depth rows per tap; 0 when the depth is not tapped ([`taps`](Self::taps)).
+    tap: usize,
     /// One past the largest index any `(i, l)` pair can form.
     limit: usize,
 }
 
 impl GatherMap {
-    pub(crate) fn new(row_off: Vec<usize>, k_off: Vec<usize>) -> Self {
+    pub(crate) fn new(row_off: Vec<usize>, k_off: Vec<usize>, out_off: Vec<usize>) -> Self {
+        assert_eq!(row_off.len(), out_off.len(), "one output offset per gathered row");
         let max = |v: &[usize]| v.iter().copied().max().unwrap_or(0);
         let limit = max(&row_off)
             .checked_add(max(&k_off))
             .and_then(|m| m.checked_add(1))
             .expect("gather offsets overflow usize");
-        GatherMap { row_off, k_off, limit }
+        GatherMap { row_off, k_off, out_off, tap: 0, limit }
+    }
+
+    /// Sums the depth as consecutive taps of `len` rows (the depth must be
+    /// whole taps) instead of in `KC` blocks added to C one by one: see
+    /// [`gather_tiles`].
+    pub(crate) fn taps(self, len: usize) -> Self {
+        assert!(len > 0 && self.k_off.len().is_multiple_of(len), "depth must be whole taps");
+        GatherMap { tap: len, ..self }
     }
 }
 
 /// The `MR × NR` accumulator block of one micro-kernel call.
 type Tile = [[f32; NR]; MR];
 
-/// The gathered-A twin of [`micro_kernel`]: the same accumulator block and
-/// the same ascending-`l` chain, with the `MR` A values of step `l` read
-/// as `src[ro[r] + k_off[l]]` instead of from a packed micro-panel.
+/// The gathered-A twin of [`micro_kernel`]: the same ascending-`l` chain
+/// from zero, with the `MR` A values of step `l` read as `src[ro[r] +
+/// k_off[l]]` instead of from a packed micro-panel — one chain per
+/// consecutive `tap` rows of `k_off`, each added to `acc` in order.
 #[inline(always)]
-fn gather_kernel(src: &[f32], ro: &[usize; MR], k_off: &[usize], bp: &[f32], acc: &mut Tile) {
-    for (l, &ko) in k_off.iter().enumerate() {
-        let bv: &[f32; NR] = bp[l * NR..l * NR + NR].try_into().unwrap();
-        for r in 0..MR {
-            let a = src[ro[r] + ko];
-            for c in 0..NR {
-                acc[r][c] += a * bv[c];
+fn gather_kernel(
+    src: &[f32],
+    ro: &[usize; MR],
+    k_off: &[usize],
+    bp: &[f32],
+    tap: usize,
+    acc: &mut Tile,
+) {
+    for (t, offs) in k_off.chunks(tap).enumerate() {
+        let mut chain = [[0.0f32; NR]; MR];
+        for (l, &ko) in offs.iter().enumerate() {
+            let at = (t * tap + l) * NR;
+            let bv: &[f32; NR] = bp[at..at + NR].try_into().unwrap();
+            for r in 0..MR {
+                let a = src[ro[r] + ko];
+                for c in 0..NR {
+                    chain[r][c] += a * bv[c];
+                }
             }
+        }
+        add_tile(acc, &chain);
+    }
+}
+
+/// `acc += t`, element by element.
+#[inline(always)]
+fn add_tile(acc: &mut Tile, t: &Tile) {
+    for (a, t) in acc.iter_mut().zip(t) {
+        for (a, t) in a.iter_mut().zip(t) {
+            *a += t;
         }
     }
 }
 
 /// The gathered-A twin of [`micro_kernel_avx2`]: one `fmadd` per step and
-/// element in ascending `l`, so a product computed through it is bitwise
-/// the packed kernel's (the two differ only in where the broadcast loads
-/// from). Kept beside it rather than sharing a body: a shared, closure-fed
-/// body cost the packed matmul path 3–10 %.
+/// element in ascending `l`, from zero, so a chain computed through it is
+/// bitwise the packed kernel's (the two differ only in where the broadcast
+/// loads from); the chain is then added to `acc`. Kept beside it rather
+/// than sharing a body: a shared, closure-fed body cost the packed matmul
+/// path 3–10 %.
 ///
 /// # Safety
 /// The host must support AVX2 and FMA; `bp` must hold `k_off.len() · NR`
@@ -379,61 +423,114 @@ unsafe fn gather_kernel_avx2(
     use std::arch::x86_64::*;
     const { assert!(MR == 4 && NR == 16, "intrinsic kernel is tiled for MR=4, NR=16") };
     debug_assert!(bp.len() >= k_off.len() * NR);
-    // SAFETY: panel extent and gather bound are the caller's contract; the
-    // tile starts from zero, so nothing is read from `acc`.
+    // SAFETY: panel extent and gather bound are the caller's contract;
+    // `acc` rows are `NR = 16` floats, two `ymm` each.
     unsafe {
-        let mut accv = [[_mm256_setzero_ps(); 2]; MR];
+        let mut chain = [[_mm256_setzero_ps(); 2]; MR];
         for (l, &ko) in k_off.iter().enumerate() {
             let bptr = bp.as_ptr().add(l * NR);
             let b0 = _mm256_loadu_ps(bptr);
             let b1 = _mm256_loadu_ps(bptr.add(8));
-            for (r, accr) in accv.iter_mut().enumerate() {
+            for (r, ch) in chain.iter_mut().enumerate() {
                 let av = _mm256_set1_ps(*src.as_ptr().add(ro[r] + ko));
-                accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
+                ch[0] = _mm256_fmadd_ps(av, b0, ch[0]);
+                ch[1] = _mm256_fmadd_ps(av, b1, ch[1]);
             }
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            _mm256_storeu_ps(row.as_mut_ptr(), accv[r][0]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), accv[r][1]);
+            let (lo, hi) = (row.as_mut_ptr(), row.as_mut_ptr().add(8));
+            _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_loadu_ps(lo), chain[r][0]));
+            _mm256_storeu_ps(hi, _mm256_add_ps(_mm256_loadu_ps(hi), chain[r][1]));
+        }
+    }
+}
+
+/// [`gather_kernel_avx2`] over consecutive taps of `tap` rows: each tap a
+/// chain from zero, added in order to a running total that starts from
+/// `acc` and goes back there at the end. With at most 8 live lanes
+/// (`lanes ≤ 8`: a panel of a convolution with 8 input channels) only the
+/// low `ymm` of each row is computed, which halves the `fmadd`s and lets
+/// the total stay in registers beside the chain; otherwise each tap goes
+/// through [`gather_kernel_avx2`] and the total through `acc`. A lane's
+/// arithmetic is the same either way.
+///
+/// # Safety
+/// As for [`gather_kernel_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn gather_taps_avx2(
+    src: &[f32],
+    ro: &[usize; MR],
+    k_off: &[usize],
+    bp: &[f32],
+    tap: usize,
+    lanes: usize,
+    acc: &mut Tile,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(bp.len() >= k_off.len() * NR);
+    if lanes > 8 {
+        for (t, offs) in k_off.chunks(tap).enumerate() {
+            // SAFETY: the caller's contract, for a sub-range of it.
+            unsafe { gather_kernel_avx2(src, ro, offs, &bp[t * tap * NR..], acc) };
+        }
+        return;
+    }
+    // SAFETY: as in `gather_kernel_avx2`; only the first 8 floats of each
+    // `NR`-float row of `bp` and `acc` are touched.
+    unsafe {
+        let mut total: [__m256; MR] = std::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
+        for (t, offs) in k_off.chunks(tap).enumerate() {
+            let mut chain = [_mm256_setzero_ps(); MR];
+            for (l, &ko) in offs.iter().enumerate() {
+                let b0 = _mm256_loadu_ps(bp.as_ptr().add((t * tap + l) * NR));
+                for (r, ch) in chain.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*src.as_ptr().add(ro[r] + ko));
+                    *ch = _mm256_fmadd_ps(av, b0, *ch);
+                }
+            }
+            for (tot, ch) in total.iter_mut().zip(chain) {
+                *tot = _mm256_add_ps(*tot, ch);
+            }
+        }
+        for (row, tot) in acc.iter_mut().zip(total) {
+            _mm256_storeu_ps(row.as_mut_ptr(), tot);
         }
     }
 }
 
 /// Implicit GEMM: `C += A · B` with A read in place through `map` from
-/// `src` and B pre-packed. C is addressed by strides — element `(i, j)` at
-/// `c[i · c_rs + j · c_cs]` — so a tile can be stored row-major or
+/// `src` and B pre-packed. Row `i` of C starts at `c[map.out_off[i]]` and
+/// its columns are `c_cs` apart, so a tile can be stored row-major,
 /// transposed (the `[cout, oh·ow]` NCHW slab of a convolution whose GEMM
-/// rows are pixels).
+/// rows are pixels) or scattered (one parity class of a strided
+/// transposed convolution).
 ///
-/// Blocking and accumulation order are [`gemm_band`]'s: `KC`-deep blocks
-/// in ascending order, each summed from zero in ascending `k` and then
-/// added to C, so a product computed here is bitwise the product the
-/// packed driver computes for the same operands (in either A/B role —
-/// `fma(a, b, c)` is symmetric in `a` and `b`).
-pub(crate) fn gemm_gather(
-    c: &mut [f32],
-    c_rs: usize,
-    c_cs: usize,
-    map: &GatherMap,
-    src: &[f32],
-    b: &PackedB,
-) {
+/// Untapped, blocking and accumulation order are [`gemm_band`]'s:
+/// `KC`-deep blocks in ascending order, each summed from zero in ascending
+/// `k` and then added to C, so a product computed here is bitwise the
+/// product the packed driver computes for the same operands (in either A/B
+/// role — `fma(a, b, c)` is symmetric in `a` and `b`). Tapped, see
+/// [`gather_tiles`].
+pub(crate) fn gemm_gather(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f32], b: &PackedB) {
     assert_eq!(map.k_off.len(), b.k, "gather depth vs packed B depth");
     // The bound every unchecked read of the AVX2 kernel relies on.
     assert!(map.limit <= src.len(), "gather map reaches {} of {}", map.limit, src.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: guarded by the CPUID probe and the assert above.
-        unsafe { gemm_gather_avx2(c, c_rs, c_cs, map, src, b) };
+        unsafe { gemm_gather_avx2(c, c_cs, map, src, b) };
         return;
     }
-    gather_tiles(c, c_rs, c_cs, map, b, |ro, k_off, bp, acc| gather_kernel(src, ro, k_off, bp, acc))
+    gather_tiles(c, c_cs, map, b, |ro, k_off, bp, tap, _, acc| {
+        gather_kernel(src, ro, k_off, bp, tap, acc)
+    })
 }
 
 /// [`gemm_gather`]'s loop nest compiled with AVX2+FMA enabled, so the
 /// intrinsic kernel inlines into it and a tile stays in registers from its
-/// first `fmadd` to the C update — at the `kc` of 8–32 a small
+/// first `fmadd` to the C update — at the `kc` of 8–32 one tap of a small
 /// convolution's input gradient has, a call and two trips through memory
 /// per tile cost as much as the tile.
 ///
@@ -441,54 +538,77 @@ pub(crate) fn gemm_gather(
 /// The host must support AVX2 and FMA, and `map.limit ≤ src.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_gather_avx2(
-    c: &mut [f32],
-    c_rs: usize,
-    c_cs: usize,
-    map: &GatherMap,
-    src: &[f32],
-    b: &PackedB,
-) {
-    gather_tiles(c, c_rs, c_cs, map, b, |ro, k_off, bp, acc| {
+unsafe fn gemm_gather_avx2(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f32], b: &PackedB) {
+    gather_tiles(c, c_cs, map, b, |ro, k_off, bp, tap, lanes, acc| {
         assert!(bp.len() >= k_off.len() * NR, "B panel shorter than kc rows");
         // SAFETY: features are this function's own; the panel length was
         // just checked; `ro` and `k_off` hold entries of `map`, whose
         // largest sum is below `map.limit ≤ src.len()` (caller's contract).
-        unsafe { gather_kernel_avx2(src, ro, k_off, bp, acc) }
+        unsafe {
+            if map.tap != 0 {
+                gather_taps_avx2(src, ro, k_off, bp, tap, lanes, acc)
+            } else {
+                gather_kernel_avx2(src, ro, k_off, bp, acc)
+            }
+        }
     })
 }
 
 /// The tile loop shared by both builds of [`gemm_gather`]: `tile(ro,
-/// k_off, bp, acc)` computes one zeroed `MR × NR` block.
+/// k_off, bp, tap, lanes, acc)` adds to `acc`, in order, one `MR × NR`
+/// fma chain started from zero per consecutive `tap` rows of `k_off`, of
+/// which the first `lanes` columns are live.
+///
+/// The depth is cut into blocks; each block's total starts at +0 and is
+/// added to C when the block ends. Untapped, a block is `KC` deep and is
+/// one chain. Tapped ([`GatherMap::taps`]), the whole depth is one block,
+/// whose total adds the taps in order; a tap is its own chain from zero,
+/// restarted at every `KC` boundary inside the tap with the pieces summed
+/// in order before the tap is added — the order in which a transposed
+/// convolution's col2im fold accumulates its `KC`-blocked `dcols`
+/// (`ops::conv`).
 #[inline(always)]
 fn gather_tiles(
     c: &mut [f32],
-    c_rs: usize,
     c_cs: usize,
     map: &GatherMap,
     b: &PackedB,
-    tile: impl Fn(&[usize; MR], &[usize], &[f32], &mut Tile),
+    tile: impl Fn(&[usize; MR], &[usize], &[f32], usize, usize, &mut Tile),
 ) {
     let (rows, k, n) = (map.row_off.len(), map.k_off.len(), b.n);
-    if rows == 0 {
+    if rows == 0 || k == 0 {
         return;
     }
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        let k_off = &map.k_off[pc..pc + kc];
+    let (block, tap) = if map.tap == 0 { (KC, KC) } else { (k, map.tap) };
+    for pb in (0..k).step_by(block) {
+        let pe = k.min(pb + block);
         for ic in (0..rows).step_by(MC) {
             for p in 0..n.div_ceil(NR) {
-                let bp = b.panel(pc, kc, p);
+                let bp = b.panel(p);
                 let j0 = p * NR;
                 let lanes = NR.min(n - j0);
                 for i0 in (ic..rows.min(ic + MC)).step_by(MR) {
                     let tile_rows = MR.min(rows - i0);
                     // Dead rows of a tail tile re-read the last live row.
                     let ro = std::array::from_fn(|r| map.row_off[i0 + r.min(tile_rows - 1)]);
-                    let mut acc = [[0.0f32; NR]; MR];
-                    tile(&ro, k_off, bp, &mut acc);
-                    for (r, acc_row) in acc.iter().enumerate().take(tile_rows) {
-                        let at = (i0 + r) * c_rs + j0 * c_cs;
+                    let chains = |from: usize, to: usize, tap: usize, acc: &mut Tile| {
+                        tile(&ro, &map.k_off[from..to], &bp[from * NR..to * NR], tap, lanes, acc)
+                    };
+                    let mut total = [[0.0f32; NR]; MR];
+                    if tap <= KC {
+                        chains(pb, pe, tap.min(pe - pb), &mut total);
+                    } else {
+                        for t0 in (pb..pe).step_by(tap) {
+                            let mut sum = [[0.0f32; NR]; MR];
+                            for pc in (t0..t0 + tap).step_by(KC) {
+                                let to = (pc + KC).min(t0 + tap);
+                                chains(pc, to, to - pc, &mut sum);
+                            }
+                            add_tile(&mut total, &sum);
+                        }
+                    }
+                    for (r, acc_row) in total.iter().enumerate().take(tile_rows) {
+                        let at = map.out_off[i0 + r] + j0 * c_cs;
                         if c_cs == 1 {
                             for (o, &v) in c[at..at + lanes].iter_mut().zip(acc_row) {
                                 *o += v;
@@ -593,35 +713,79 @@ mod tests {
         }
     }
 
-    /// A gather map over a random buffer, its matrix materialized
-    /// row-major, and a random B: `(map, src, a, b)`.
-    fn gathered(rows: usize, k: usize, n: usize) -> (GatherMap, Vec<f32>, Vec<f32>, Vec<f32>) {
+    /// Gather offsets over a random buffer, their matrix materialized
+    /// row-major, and a random B: `(row_off, k_off, src, a, b)`.
+    type Gathered = (Vec<usize>, Vec<usize>, Vec<f32>, Vec<f32>, Vec<f32>);
+
+    fn gathered(rows: usize, k: usize, n: usize) -> Gathered {
         // Non-monotone, overlapping offsets, as a strided conv's are.
         let row_off: Vec<usize> = (0..rows).map(|i| (i * 7) % 50 + i / 3).collect();
         let k_off: Vec<usize> = (0..k).map(|l| (l * 13) % 90 + 2 * l).collect();
         let src = filled(rows + 2 * k + 200, 31);
         let a = row_off.iter().flat_map(|&r| k_off.iter().map(move |&o| r + o)).collect::<Vec<_>>();
         let a = a.into_iter().map(|i| src[i]).collect();
-        (GatherMap::new(row_off, k_off), src, a, filled(k * n, 32))
+        (row_off, k_off, src, a, filled(k * n, 32))
+    }
+
+    fn packed(k: usize, n: usize, b: &[f32]) -> PackedB {
+        let mut packed = PackedB::new(k, n);
+        packed.pack(MatRef::row_major(b, n));
+        packed
     }
 
     #[test]
     fn gather_is_bitwise_the_packed_product() {
         // Tails in every dimension; k = 300 spans two KC blocks.
         for &(rows, k, n) in &[(1, 1, 1), (4, 16, 16), (7, 300, 21), (70, 33, 5)] {
-            let (map, src, a, b) = gathered(rows, k, n);
+            let (row_off, k_off, src, a, b) = gathered(rows, k, n);
             let mut want = vec![0.0f32; rows * n];
             gemm(&mut want, rows, n, k, MatRef::row_major(&a, k), MatRef::row_major(&b, n), 1);
-            let mut packed = PackedB::new(k, n);
-            packed.pack(MatRef::row_major(&b, n));
-            let mut row_major = vec![0.0f32; rows * n];
-            gemm_gather(&mut row_major, n, 1, &map, &src, &packed);
-            assert_eq!(row_major, want, "({rows},{k},{n}) row-major store");
-            let mut transposed = vec![0.0f32; rows * n];
-            gemm_gather(&mut transposed, 1, rows, &map, &src, &packed);
+            let packed = packed(k, n, &b);
+            let row_major =
+                GatherMap::new(row_off.clone(), k_off.clone(), (0..rows).map(|i| i * n).collect());
+            let mut c = vec![0.0f32; rows * n];
+            gemm_gather(&mut c, 1, &row_major, &src, &packed);
+            assert_eq!(c, want, "({rows},{k},{n}) row-major store");
+            let transposed = GatherMap::new(row_off, k_off, (0..rows).collect());
+            let mut c = vec![0.0f32; rows * n];
+            gemm_gather(&mut c, rows, &transposed, &src, &packed);
             for (i, row) in want.chunks(n).enumerate() {
                 for (j, &v) in row.iter().enumerate() {
-                    assert_eq!(transposed[j * rows + i], v, "({rows},{k},{n}) transposed store");
+                    assert_eq!(c[j * rows + i], v, "({rows},{k},{n}) transposed store");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn taps_sum_their_chains_then_the_total() {
+        // Taps of 3 and of 300 (> KC, so each tap restarts at KC): the
+        // total is +0 + tap 0 + tap 1 + …, a tap its KC pieces in order.
+        for &(rows, tap, taps, n) in &[(9, 3, 5, 19), (5, 300, 2, 7)] {
+            let k = tap * taps;
+            let (row_off, k_off, src, a, b) = gathered(rows, k, n);
+            let map = GatherMap::new(row_off, k_off, (0..rows).map(|i| i * n).collect()).taps(tap);
+            let mut c = vec![0.0f32; rows * n];
+            gemm_gather(&mut c, 1, &map, &src, &packed(k, n, &b));
+            let chain = |i: usize, j: usize, from: usize, to: usize| {
+                (from..to).fold(0.0f32, |acc, l| a[i * k + l].mul_add(b[l * n + j], acc))
+            };
+            for i in 0..rows {
+                for j in 0..n {
+                    let want = (0..taps).fold(0.0f32, |total, t| {
+                        let pieces = (t * tap..(t + 1) * tap).step_by(KC);
+                        total
+                            + pieces.fold(0.0, |s, pc| {
+                                s + chain(i, j, pc, (pc + KC).min((t + 1) * tap))
+                            })
+                    });
+                    let got = c[i * n + j];
+                    #[cfg(target_arch = "x86_64")]
+                    if avx2_fma_available() {
+                        assert_eq!(got.to_bits(), want.to_bits(), "tap {tap}: ({i}, {j})");
+                        continue;
+                    }
+                    assert!((got - want).abs() <= 1e-4 * (1.0 + want.abs()), "{got} vs {want}");
                 }
             }
         }
@@ -631,12 +795,11 @@ mod tests {
     fn portable_gather_kernel_matches_naive() {
         // The build of the tile loop that AVX2 hosts never dispatch to.
         let (rows, k, n) = (9, 270, 19);
-        let (map, src, a, b) = gathered(rows, k, n);
-        let mut packed = PackedB::new(k, n);
-        packed.pack(MatRef::row_major(&b, n));
+        let (row_off, k_off, src, a, b) = gathered(rows, k, n);
+        let map = GatherMap::new(row_off, k_off, (0..rows).map(|i| i * n).collect());
         let mut c = vec![0.0f32; rows * n];
-        gather_tiles(&mut c, n, 1, &map, &packed, |ro, k_off, bp, acc| {
-            gather_kernel(&src, ro, k_off, bp, acc)
+        gather_tiles(&mut c, 1, &map, &packed(k, n, &b), |ro, k_off, bp, tap, _, acc| {
+            gather_kernel(&src, ro, k_off, bp, tap, acc)
         });
         for (x, y) in c.iter().zip(&naive(rows, n, k, &a, &b)) {
             assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
@@ -646,10 +809,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "gather map reaches")]
     fn gather_past_the_source_is_refused() {
-        let map = GatherMap::new(vec![0, 5], vec![0, 4]);
-        let mut packed = PackedB::new(2, 1);
-        packed.pack(MatRef::row_major(&[1.0, 1.0], 1));
-        gemm_gather(&mut [0.0; 2], 1, 1, &map, &[0.0; 9], &packed);
+        let map = GatherMap::new(vec![0, 5], vec![0, 4], vec![0, 1]);
+        gemm_gather(&mut [0.0; 2], 1, &map, &[0.0; 9], &packed(2, 1, &[1.0, 1.0]));
     }
 
     #[test]

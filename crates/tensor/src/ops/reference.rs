@@ -6,8 +6,14 @@
 //! and under the `reference-kernels` feature, so they can never end up on
 //! a hot path by accident. Do not optimize them: their value is that a
 //! reader can verify them by inspection.
+//!
+//! [`conv2d_dx_fold`] is the exception: not naive, but the blocked kernel
+//! `conv2d_dx` replaced, kept verbatim as the oracle the transposed
+//! convolution is compared with *bit for bit*.
 
-use super::conv::Conv2dSpec;
+use super::conv::{for_each_image, macs, Conv2dSpec, Patches};
+use super::gemm::{gemm_gather, GatherMap, MatRef, PackedB};
+use super::tune::conv_threads;
 use crate::tensor::Tensor;
 
 /// Triple-loop `[m, k] × [k, n]` matrix product.
@@ -164,6 +170,100 @@ pub fn conv2d_dx_ref(
         }
     }
     dx
+}
+
+/// The input gradient as `conv2d_dx` computed it before it became a
+/// transposed convolution: per image, the patch-major
+/// `dcolsᵀ [plen, oh·ow] = Wᵀ × dY_img` as an implicit GEMM (A read in
+/// place from the weights, B = that image's `dY`), folded onto a padded
+/// image and the interior copied out. `dy` is `[n, cout, oh, ow]`;
+/// returns `[n, cin, h, w]`.
+///
+/// The fold is the col2im adjoint in shifted-row form: patch entry
+/// `(ch, ky, kx)` adds its whole `oh × ow` plane at offset `(ky, kx)` of
+/// channel `ch`. An input pixel is reached from output pixels in
+/// ascending order exactly when `ky`, then `kx`, *descend* — so visiting
+/// the entries of a channel in reverse reproduces `col2im`'s
+/// (pixel, patch) summation order element for element, while the inner
+/// loop is a contiguous row add instead of a bounds-tested scatter.
+pub fn conv2d_dx_fold(
+    dy: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    h: usize,
+    w: usize,
+) -> Tensor {
+    let n = dy.dims()[0];
+    let (oh, ow) = spec.out_hw(h, w);
+    let (ohw, plen, cout) = (oh * ow, spec.patch_len(), spec.out_channels);
+    assert_eq!(dy.dims(), &[n, cout, oh, ow], "conv2d_dx dy shape");
+    assert_eq!(
+        weight.dims(),
+        &[cout, spec.in_channels, spec.kernel, spec.kernel],
+        "conv2d_dx weight shape"
+    );
+    let mut dx = Tensor::zeros(&[n, spec.in_channels, h, w]);
+    let dyd = dy.data();
+    let wd = weight.data();
+    let patches = Patches::new(spec, h, w);
+    // A[l, co] = W[co, l], in place; dcols is row-major [plen, ohw].
+    let map = GatherMap::new(
+        (0..plen).collect(),
+        (0..cout).map(|co| co * plen).collect(),
+        (0..plen).map(|l| l * ohw).collect(),
+    );
+    let img_stride = spec.in_channels * h * w;
+    let threads = conv_threads(n, macs(n, ohw, spec));
+    let scratch = || (PackedB::new(cout, ohw), vec![0.0f32; plen * ohw], patches.scratch());
+    for_each_image(dx.data_mut(), img_stride, threads, scratch, |state, img, dst| {
+        let (dy_img, dcols, padded) = state;
+        dy_img.pack(MatRef::row_major(&dyd[img * cout * ohw..][..cout * ohw], ohw));
+        dcols.fill(0.0);
+        gemm_gather(dcols, 1, &map, wd, dy_img);
+        patches.fold(dst, padded, dcols);
+    });
+    dx
+}
+
+impl Patches {
+    /// The adjoint of the gather: folds patch-major `dcols [plen, oh·ow]`
+    /// onto `dst [c·h·w]` (zero on entry), through `scratch` when the image
+    /// is padded. See [`conv2d_dx_fold`] for why the reverse walk over a
+    /// channel's patch entries is `col2im`'s summation order.
+    fn fold(&self, dst: &mut [f32], scratch: &mut [f32], dcols: &[f32]) {
+        if self.spec.padding == 0 {
+            return self.add_planes(dst, dcols);
+        }
+        scratch.fill(0.0);
+        self.add_planes(scratch, dcols);
+        for (ch, plane) in dst.chunks_exact_mut(self.h * self.w).enumerate() {
+            for (y, row) in plane.chunks_exact_mut(self.w).enumerate() {
+                row.copy_from_slice(&scratch[self.interior(ch, y)]);
+            }
+        }
+    }
+
+    /// Adds plane `(ch, ky, kx)` of `dcols` at offset `(ky, kx)` of channel
+    /// `ch` of the padded image `acc`, last plane first.
+    fn add_planes(&self, acc: &mut [f32], dcols: &[f32]) {
+        let (k, s) = (self.spec.kernel, self.spec.stride);
+        let (oh, ow) = self.spec.out_hw(self.h, self.w);
+        for (l, plane) in dcols.chunks_exact(oh * ow).enumerate().rev() {
+            let (ch, ky, kx) = (l / (k * k), l / k % k, l % k);
+            for (oy, row) in plane.chunks_exact(ow).enumerate() {
+                let at = (ch * self.hp + oy * s + ky) * self.wp + kx;
+                if s == 1 {
+                    for (d, &v) in acc[at..at + ow].iter_mut().zip(row) {
+                        *d += v;
+                    }
+                } else {
+                    for (ox, &v) in row.iter().enumerate() {
+                        acc[at + ox * s] += v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Single-loop f32 sum (no f64 widening, no blocking) — the reduction the

@@ -40,15 +40,17 @@ pub const PAR_FLOPS: usize = 1 << 18;
 /// Minimum multiply-adds before a convolution pass fans its images out
 /// over threads.
 ///
-/// The rayon shim forks and joins OS threads per parallel call: a no-op
-/// `par_chunks_mut` over 16 chunks on two cores measures 21 µs at its
-/// minimum, 55–57 µs at the median, 64 µs at p75 and 150–190 µs at p99
-/// (3 × 2000 calls; up to ≈ 90 µs median in the sandbox's contended
-/// regimes; the `fork_join` row of `BENCH_kernels.json` tracks the
-/// minimum), and two bands can at most halve a call. Forking therefore
-/// pays only when the serial call lasts several times that; at the ≈ 10
-/// multiply-adds/ns the implicit-GEMM kernels sustain on one core this
-/// constant is ≈ 0.6 ms of work, about ten median fork/joins. It sits
+/// The rayon shim forks and joins OS threads per parallel call, running
+/// the first band on the calling thread: a no-op `par_chunks_mut` over 16
+/// chunks on two cores measures 10–13 µs at its minimum, 16–22 µs at the
+/// median, 18–23 µs at p75 and 35–53 µs at p99 (3 × 2000 calls; the
+/// `fork_join` row of `BENCH_kernels.json` tracks the minimum), and two
+/// bands can at most halve a call. Forking therefore pays only when the
+/// serial call lasts several times that; at the ≈ 10 multiply-adds/ns the
+/// implicit-GEMM kernels sustain on one core this constant is ≈ 0.6 ms of
+/// work — about ten median fork/joins of the shim that spawned every band
+/// (21 µs minimum, 35–57 µs median), against which it was sized, and
+/// about thirty of today's. It sits
 /// between the two populations the workspace has: ResNet-tiny's
 /// convolutions (at most 5.3 M multiply-adds at the evaluation batch of
 /// 64, 1.3 M at batch 16 — 18 calls per training iteration that used to

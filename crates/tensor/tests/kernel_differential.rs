@@ -10,7 +10,10 @@
 //! so the banded dispatch path is exercised even on single-core CI hosts.
 //!
 //! Tolerance is relative (1e-4 with an absolute floor), since blocked
-//! accumulation reassociates sums relative to the reference loops.
+//! accumulation reassociates sums relative to the reference loops. The
+//! input gradient is held to more on hosts with the AVX2+FMA kernels: it
+//! must equal, bit for bit, `reference::conv2d_dx_fold` — the blocked
+//! col2im kernel the transposed convolution replaced.
 
 use lcasgd_tensor::ops::conv::{conv2d, conv2d_dw, conv2d_dx, Conv2dSpec};
 use lcasgd_tensor::ops::reference;
@@ -38,6 +41,43 @@ fn rel_close(
             what,
             i,
             g,
+            w
+        );
+    }
+    Ok(())
+}
+
+/// Whether the fused AVX2+FMA micro-kernel is the one that runs, the host
+/// on which `conv2d_dx` is pinned bit for bit to the fold.
+fn fused_kernels() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let fused =
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let fused = false;
+    fused
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `conv2d_dx` against the fold it replaced: equal bits on fused hosts.
+fn dx_is_the_fold(
+    dy: &Tensor,
+    wt: &Tensor,
+    spec: &Conv2dSpec,
+    h: usize,
+    w: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    if fused_kernels() {
+        let (got, want) =
+            (conv2d_dx(dy, wt, spec, h, w), reference::conv2d_dx_fold(dy, wt, spec, h, w));
+        prop_assert!(
+            bits(&got) == bits(&want),
+            "conv2d_dx is not the fold's bits: {:?} {}x{}",
+            spec,
+            h,
             w
         );
     }
@@ -96,13 +136,14 @@ proptest! {
         cout in 1usize..10,
         h in 3usize..12,
         w in 3usize..12,
-        kernel_ix in 0usize..2,
-        stride in 1usize..3,
-        padding in 0usize..2,
+        kernel_ix in 0usize..4,
+        stride in 1usize..4,
+        padding_draw in 0usize..6,
         seed in any::<u64>(),
         forced_threads in 0usize..2,
     ) {
-        let kernel = [1, 3][kernel_ix];
+        let kernel = [1, 2, 3, 5][kernel_ix];
+        let padding = padding_draw % (kernel + 1);
         // Skip geometrically-invalid combinations (kernel must fit).
         if h + 2 * padding < kernel || w + 2 * padding < kernel {
             return Ok(());
@@ -120,7 +161,7 @@ proptest! {
                 &reference::conv2d_dx_ref(&dy, &wt, &spec, h, w),
                 "conv2d_dx",
             )?;
-            Ok(())
+            dx_is_the_fold(&dy, &wt, &spec, h, w)
         };
         if forced_threads == 1 {
             rayon::with_num_threads(4, run)?;
@@ -181,7 +222,8 @@ fn matmul_blocking_edges_exhaustive() {
 /// 1×1, a CIFAR-like 3×3 block — and the shapes `tests/kernel_golden.rs`
 /// checksums (what the benchmark trains, plus one case per kernel whose
 /// `k` dimension straddles KC). On a host without AVX2+FMA the golden
-/// constants do not apply; there this is what holds those shapes.
+/// constants do not apply; there this is what holds those shapes. On a
+/// host where they do, `conv2d_dx` is also the fold's bits on each.
 #[test]
 fn conv_specialized_configs_exhaustive() {
     // (n, cin, cout, h, w, kernel, stride, padding)
@@ -217,6 +259,7 @@ fn conv_specialized_configs_exhaustive() {
         let wt = randn(&[cout, cin, kernel, kernel], seed + 1);
         let dy = randn(&[n, cout, oh, ow], seed + 2);
 
+        dx_is_the_fold(&dy, &wt, &spec, h, w).unwrap();
         // (optimized, reference, name, terms per output sum)
         for (got, want, what, terms) in [
             (
@@ -251,5 +294,62 @@ fn conv_specialized_configs_exhaustive() {
                 );
             }
         }
+    }
+}
+
+/// Signed zeros and subnormals in both operands of the input gradient:
+/// products that are ±0 or round to zero, sums that cancel to zero. The
+/// transposed convolution must still be the fold's bits (on fused hosts)
+/// and within tolerance of the naive loops.
+#[test]
+fn conv_dx_signed_zeros_and_subnormals() {
+    let tiny = f32::from_bits(1); // the smallest subnormal
+    let pick = |i: usize, scale: f32| match i % 7 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => tiny,
+        3 => -tiny * 3.0,
+        4 => f32::MIN_POSITIVE * 0.5,
+        _ => scale * ((i * 37 % 11) as f32 - 5.0),
+    };
+    for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 1), (2, 3, 2), (5, 1, 0)] {
+        let spec = Conv2dSpec { in_channels: 3, out_channels: 5, kernel, stride, padding };
+        let (h, w) = (7, 6);
+        let (oh, ow) = spec.out_hw(h, w);
+        let wt = Tensor::from_vec(
+            (0..5 * 3 * kernel * kernel).map(|i| pick(i, 0.25)).collect(),
+            &[5, 3, kernel, kernel],
+        );
+        let dy = Tensor::from_vec(
+            (0..2 * 5 * oh * ow).map(|i| pick(i + 3, 1e-20)).collect(),
+            &[2, 5, oh, ow],
+        );
+        dx_is_the_fold(&dy, &wt, &spec, h, w).unwrap();
+        let (got, want) =
+            (conv2d_dx(&dy, &wt, &spec, h, w), reference::conv2d_dx_ref(&dy, &wt, &spec, h, w));
+        for (&g, &v) in got.data().iter().zip(want.data()) {
+            // The products are near 1e-20, so the floor is relative to that.
+            assert!((g - v).abs() <= REL_TOL * v.abs().max(1e-19), "{spec:?}: {g} vs {v}");
+        }
+    }
+}
+
+/// An all-zero `dY` gives an all-+0 input gradient — no −0, whatever the
+/// weights' signs, and the taps that read the padding included.
+#[test]
+fn conv_dx_of_a_zero_gradient_is_positive_zero() {
+    for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 1), (1, 2, 0), (2, 3, 2)] {
+        let spec = Conv2dSpec { in_channels: 4, out_channels: 3, kernel, stride, padding };
+        let (h, w) = (6, 5);
+        let (oh, ow) = spec.out_hw(h, w);
+        let wt = randn(&[3, 4, kernel, kernel], 77);
+        let dy = Tensor::zeros(&[2, 3, oh, ow]);
+        let got = conv2d_dx(&dy, &wt, &spec, h, w);
+        assert!(
+            bits(&got).iter().all(|&b| b == 0),
+            "{spec:?}: a −0 or nonzero in {:?}",
+            got.data()
+        );
+        dx_is_the_fold(&dy, &wt, &spec, h, w).unwrap();
     }
 }

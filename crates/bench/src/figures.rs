@@ -42,8 +42,8 @@ impl CurveSet {
 
     /// Renders error against elapsed seconds (Figures 4 and 6) — each
     /// curve carries its own time axis, so rows print per run. The axis is
-    /// labelled with the runs' clock domain: the co-simulated drivers
-    /// report *virtual* seconds, real backends wall seconds
+    /// labelled with the runs' clock domain: the simulator reports
+    /// *virtual* seconds, real backends wall seconds
     /// ([`RunResult::clock`]).
     pub fn render_by_time(&self) -> String {
         let clock = self.runs.first().map(|r| r.clock).unwrap_or_default();

@@ -4,10 +4,11 @@
 //! and ImageNet-like workloads with matching ResNet presets), runners for
 //! every figure and table of the paper, and plain-text renderers.
 //!
-//! Each paper artifact has both a criterion bench target (`benches/`) and
-//! a section of the `repro-all` binary (`src/bin/`) that prints the
-//! regenerated rows/series. `EXPERIMENTS.md` at the workspace root records
-//! the paper-vs-measured comparison it produced.
+//! Each paper artifact is a section of the `repro-all` binary
+//! (`src/bin/`), which prints the regenerated rows/series;
+//! `EXPERIMENTS.md` at the workspace root records the paper-vs-measured
+//! comparison it produced. The criterion targets (`benches/`) are the
+//! ablations and the micro-benchmarks.
 
 mod baseline;
 pub mod figures;
@@ -35,9 +36,9 @@ pub fn scale_from_args() -> Scale {
 /// The seed `repro-all` uses, so printed numbers are reproducible.
 pub const REPRO_SEED: u64 = 2020;
 
-/// Seconds-long experiment helpers for the criterion bench targets: the
-/// Tiny scenario with a reduced epoch budget, cached datasets, and knobs
-/// for the ablations. The full-length regenerations live in
+/// Seconds-long experiment helpers for the ablation bench targets: the
+/// Tiny CIFAR-like scenario with a reduced epoch budget, a cached dataset,
+/// and the ablations' knobs. The full-length regenerations live in
 /// `repro-all`; the benches measure the *cost* of each pipeline.
 pub mod quick {
     use crate::Scenario;
@@ -53,11 +54,6 @@ pub mod quick {
     fn cifar() -> &'static Scenario {
         static S: OnceLock<Scenario> = OnceLock::new();
         S.get_or_init(|| Scenario::cifar(Scale::Tiny))
-    }
-
-    fn imagenet() -> &'static Scenario {
-        static S: OnceLock<Scenario> = OnceLock::new();
-        S.get_or_init(|| Scenario::imagenet(Scale::Tiny))
     }
 
     fn run(
@@ -77,11 +73,6 @@ pub mod quick {
         run_experiment(&cfg, &build, &scenario.train, &scenario.test)
     }
 
-    /// Short CIFAR-like run (2 epochs).
-    pub fn cifar_run(algo: Algorithm, m: usize) -> RunResult {
-        run(cifar(), algo, m, 2, BnMode::Async, CompensationMode::Relative)
-    }
-
     /// Short CIFAR-like run with explicit BN mode.
     pub fn cifar_run_bn(algo: Algorithm, m: usize, bn: BnMode) -> RunResult {
         run(cifar(), algo, m, 2, bn, CompensationMode::Relative)
@@ -90,11 +81,6 @@ pub mod quick {
     /// Short LC-ASGD CIFAR run with an explicit compensation mode.
     pub fn cifar_run_comp(m: usize, comp: CompensationMode) -> RunResult {
         run(cifar(), Algorithm::LcAsgd, m, 2, BnMode::Async, comp)
-    }
-
-    /// Short ImageNet-like run (1 epoch; the model is larger).
-    pub fn imagenet_run(algo: Algorithm, m: usize) -> RunResult {
-        run(imagenet(), algo, m, 1, BnMode::Async, CompensationMode::Relative)
     }
 
     /// Short ASGD CIFAR run with gradient compression on the push.

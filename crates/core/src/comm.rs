@@ -341,26 +341,6 @@ fn bf16(grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
     CompressedGrad::Bf16(halves)
 }
 
-/// Compresses a gradient for the wire, maintaining the worker's error-
-/// feedback residual. `Compression::None` short-circuits to a dense
-/// payload without touching the residual. The co-simulator's only (it
-/// goes when `trainer/cosim.rs` does): the engine's push path is
-/// [`shard_wire_grads`](crate::shard::shard_wire_grads), whose one-shard
-/// case is this and which also hands the gradient's vector back.
-pub(crate) fn wire_grads(
-    scheme: &Compression,
-    grads: Vec<f32>,
-    residual: &mut Vec<f32>,
-) -> CompressedGrad {
-    if *scheme == Compression::None {
-        return CompressedGrad::Dense(grads);
-    }
-    if residual.len() != grads.len() {
-        *residual = vec![0.0; grads.len()];
-    }
-    scheme.compress(&grads, Some(residual))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,11 +17,11 @@
 //!   with BN-stat recording, compensated backward (Formula 5), push;
 //! * [`algorithms`] — SGD / SSGD / ASGD / DC-ASGD / LC-ASGD selection;
 //! * [`compensation`] — the three readings of Formula 5 (see DESIGN.md §1);
-//! * [`trainer`] — the training engines: [`trainer::run_cluster`], a
+//! * [`trainer`] — the training engine: [`trainer::run_cluster`], a
 //!   parameter-server state machine and a worker loop joined by any
 //!   [`ClusterBackend`](lcasgd_simcluster::ClusterBackend) (simulator,
-//!   real threads, or TCP sockets), and [`trainer::run_experiment`], the
-//!   co-simulated event loops behind the paper's figures;
+//!   real threads, or TCP sockets); [`trainer::run_experiment`] runs it on
+//!   the simulator for the paper's figures;
 //! * [`protocol`] — the wire encoding of the pull / push-state / push-grad
 //!   messages those backends carry;
 //! * [`supervisor`] — the self-healing health state machine: divergence

@@ -138,8 +138,7 @@ pub struct RunResult {
     pub total_time: f64,
     /// The clock domain `total_time` and every [`EpochRecord::time`] are
     /// measured in: [`ClockDomain::Virtual`] for the discrete-event
-    /// simulator and the co-simulated drivers, [`ClockDomain::Wall`] for
-    /// the thread and TCP backends.
+    /// simulator, [`ClockDomain::Wall`] for the thread and TCP backends.
     pub clock: ClockDomain,
     /// Real (monotonic wall-clock) seconds the run took, regardless of
     /// domain: equal to `total_time` on wall-clock backends, and the
@@ -149,9 +148,8 @@ pub struct RunResult {
     /// Phase-tagged span timeline, when the run was traced (see
     /// [`crate::trace`]); `None` otherwise.
     pub timeline: Option<TraceLog>,
-    /// Transport accounting (bytes, round trips, serialization time) when
-    /// the run was driven through a [`ClusterBackend`]; `None` for the
-    /// co-simulated drivers, which never serialize.
+    /// Transport accounting (bytes, round trips, serialization time) of
+    /// the [`ClusterBackend`] the run was driven through.
     ///
     /// [`ClusterBackend`]: lcasgd_simcluster::ClusterBackend
     pub transport: Option<TransportStats>,
@@ -166,8 +164,7 @@ pub struct RunResult {
     /// ([`crate::replication::ReplicationReport`]); `None` when the run
     /// had no standby attached.
     pub replication: Option<crate::replication::ReplicationReport>,
-    /// Parameter-server shard count the run used (0 for the co-simulated
-    /// drivers, which have no server process; backend runs report ≥ 1).
+    /// Parameter-server shard count the run used (≥ 1).
     pub shards: usize,
 }
 

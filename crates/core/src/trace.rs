@@ -96,14 +96,12 @@ pub struct TraceEvent {
 }
 
 struct SinkInner {
-    /// When false the sink still tracks clocks but drops span events, so
-    /// untraced runs pay nothing beyond two atomic loads per event site.
+    /// When false the sink drops span events, so untraced runs pay nothing
+    /// beyond a branch per event site.
     enabled: bool,
     events: Mutex<Vec<TraceEvent>>,
     /// Wall-clock zero: everything is reported relative to this.
     epoch: Mutex<Option<Instant>>,
-    /// Virtual-clock high-water mark (f64 bits), advanced by the simulator.
-    virt_high: AtomicU64,
     /// Current server model version, stamped onto events as they arrive.
     version: AtomicU64,
     /// Staleness of the last applied update; -1 = none seen yet.
@@ -113,23 +111,16 @@ struct SinkInner {
 /// Clonable, thread-safe event collector. The trainer hands clones to the
 /// backend (as a [`TraceHook`]) and to its own server/worker closures;
 /// [`TraceSink::finish`] snapshots everything into a [`TraceLog`].
-///
-/// The sink also owns the run's two clocks — the wall epoch set by
-/// [`TraceSink::start_clock`] and the virtual high-water mark fed by the
-/// simulator — so the trainer can stamp epoch records in the backend's
-/// own clock domain even mid-run.
 #[derive(Clone)]
 pub struct TraceSink(Arc<SinkInner>);
 
 impl TraceSink {
-    /// A sink that records events when `enabled`, and always tracks the
-    /// virtual-clock high-water mark.
+    /// A sink that records events when `enabled`.
     pub fn new(enabled: bool) -> TraceSink {
         TraceSink(Arc::new(SinkInner {
             enabled,
             events: Mutex::new(Vec::new()),
             epoch: Mutex::new(None),
-            virt_high: AtomicU64::new(0f64.to_bits()),
             version: AtomicU64::new(0),
             staleness: AtomicI64::new(-1),
         }))
@@ -144,11 +135,6 @@ impl TraceSink {
     /// clamped to t=0.
     pub fn start_clock(&self, t0: Instant) {
         *self.0.epoch.lock() = Some(t0);
-    }
-
-    /// Latest virtual time reported by the simulator (0 on real backends).
-    pub fn virt_high(&self) -> f64 {
-        f64::from_bits(self.0.virt_high.load(Ordering::Acquire))
     }
 
     /// Records the server's current model version; stamped onto
@@ -237,7 +223,6 @@ impl TraceSink {
 
     /// Records a virtual-clock span.
     pub fn virt_span_at(&self, worker: Option<usize>, phase: &'static str, start: f64, dur: f64) {
-        self.advance_virt(start + dur);
         if !self.0.enabled {
             return;
         }
@@ -253,22 +238,6 @@ impl TraceSink {
             detail: None,
             instant: false,
         });
-    }
-
-    fn advance_virt(&self, seconds: f64) {
-        // Monotonic max via compare-exchange on the f64 bit pattern.
-        let mut cur = self.0.virt_high.load(Ordering::Acquire);
-        while seconds > f64::from_bits(cur) {
-            match self.0.virt_high.compare_exchange_weak(
-                cur,
-                seconds.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
     }
 
     /// Snapshots the recorded events into an immutable [`TraceLog`],
@@ -291,10 +260,6 @@ impl TraceHook for TraceSink {
 
     fn virt_span(&self, worker: Option<usize>, phase: &'static str, start: f64, dur: f64) {
         self.virt_span_at(worker, phase, start, dur);
-    }
-
-    fn virt_now(&self, seconds: f64) {
-        self.advance_virt(seconds);
     }
 }
 
@@ -647,23 +612,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sink_drops_events_but_tracks_virtual_clock() {
+    fn disabled_sink_drops_events() {
         let sink = TraceSink::new(false);
         sink.wall_span_at(Some(0), phase::COMPUTE, Instant::now(), 1.0);
         sink.virt_span_at(Some(0), phase::COMM, 5.0, 1.5);
-        sink.virt_now(9.25);
         assert!(sink.finish().is_empty());
-        assert!((sink.virt_high() - 9.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn virtual_high_water_is_monotonic() {
-        let sink = TraceSink::new(true);
-        sink.virt_now(4.0);
-        sink.virt_now(2.0);
-        assert!((sink.virt_high() - 4.0).abs() < 1e-12);
-        sink.virt_span_at(None, phase::COMPUTE, 5.0, 1.0);
-        assert!((sink.virt_high() - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,18 +1,13 @@
-//! Training engines: run any of the five algorithms against a dataset.
-//! Two live here, and they are different programs:
-//!
-//! * [`run_cluster`] / [`run_cluster_with`] — the **cluster engine**: the
-//!   pull / push-state / push-grad protocol over any [`ClusterBackend`]
-//!   (discrete-event simulator, real threads, TCP sockets). Two roles
-//!   joined by the backend: a parameter-server state machine with one
-//!   handler per message (`serve`: Algorithm 2 plus sharding, fencing,
-//!   replication, supervision and checkpoints as components) and a worker
-//!   loop (`work`: Algorithm 1). The benchmark and every chaos suite run
-//!   through it; DESIGN.md §13 describes the structure.
-//! * [`run_experiment`] — the older **co-simulated** event loops (`cosim`)
-//!   that still produce the paper's figures and tables.
+//! The training engine: any of the five algorithms against a dataset, as
+//! the pull / push-state / push-grad protocol over any [`ClusterBackend`]
+//! (discrete-event simulator, real threads, TCP sockets). Two roles joined
+//! by the backend: a parameter-server state machine with one handler per
+//! message (`serve`: Algorithm 2 plus sharding, fencing, replication,
+//! supervision and checkpoints as components) and a worker loop (`work`:
+//! Algorithm 1). [`run_experiment`] is [`run_cluster`] on the simulator:
+//! the paper's figures and tables, the benchmark and every chaos suite run
+//! the same program. DESIGN.md §13 describes the structure.
 
-mod cosim;
 mod serve;
 mod work;
 
@@ -29,7 +24,7 @@ use lcasgd_data::{BatchIter, Dataset};
 use lcasgd_nn::metrics::evaluate;
 use lcasgd_nn::network::BnState;
 use lcasgd_nn::Network;
-use lcasgd_simcluster::{ClusterBackend, ClusterError, FaultPlan};
+use lcasgd_simcluster::{ClusterBackend, ClusterError, ClusterSim, FaultPlan};
 use lcasgd_tensor::{Rng, Tensor};
 use serve::Server;
 use std::path::PathBuf;
@@ -41,20 +36,21 @@ use work::{worker_loop, worker_nodes, RunEnv};
 /// algorithm starts "based on the same randomly initialized model" (§5).
 pub type ModelFn<'a> = &'a dyn Fn(&mut Rng) -> Network;
 
-/// Runs one experiment. Dispatches on `cfg.algorithm`.
+/// Runs one experiment on the discrete-event simulator over
+/// `cfg.cluster`, in virtual time: [`run_cluster`] on a [`ClusterSim`].
+/// Sequential SGD runs on the cluster's first worker alone.
 pub fn run_experiment(
     cfg: &ExperimentConfig,
     build: ModelFn<'_>,
     train: &Dataset,
     test: &Dataset,
 ) -> RunResult {
-    match cfg.algorithm {
-        Algorithm::Sgd => cosim::run_sequential(cfg, build, train, test),
-        Algorithm::Ssgd => cosim::run_ssgd(cfg, build, train, test),
-        Algorithm::Asgd | Algorithm::DcAsgd | Algorithm::LcAsgd => {
-            cosim::run_async(cfg, build, train, test)
-        }
+    let mut spec = cfg.cluster.clone();
+    if cfg.algorithm == Algorithm::Sgd {
+        spec.workers.truncate(1);
     }
+    run_cluster(ClusterSim::new(spec), cfg, build, train, test)
+        .expect("a simulated run fails only on a protocol bug")
 }
 
 // ---------------------------------------------------------------- eval
@@ -77,11 +73,6 @@ impl<'a> EvalHarness<'a> {
         let idx: Vec<usize> = (0..n).collect();
         let (train_x, train_y) = train.batch(&idx);
         EvalHarness { net, train_x, train_y, test, batch: cfg.eval_batch }
-    }
-
-    fn evaluate(&mut self, weights: &[f32], bn: &BnState) -> (f32, f32) {
-        self.load(weights, bn);
-        self.evaluate_loaded()
     }
 
     fn load(&mut self, weights: &[f32], bn: &BnState) {
@@ -107,19 +98,6 @@ fn open_record(epoch: usize, time: f64, epoch_losses: &mut Vec<f32>, lr: f32) ->
     };
     epoch_losses.clear();
     EpochRecord { epoch, time, train_error: f32::NAN, test_error: f32::NAN, train_loss, lr }
-}
-
-fn epoch_record(
-    epoch: usize,
-    time: f64,
-    harness: &mut EvalHarness<'_>,
-    weights: &[f32],
-    bn: &BnState,
-    epoch_losses: &mut Vec<f32>,
-    lr: f32,
-) -> EpochRecord {
-    let (train_error, test_error) = harness.evaluate(weights, bn);
-    EpochRecord { train_error, test_error, ..open_record(epoch, time, epoch_losses, lr) }
 }
 
 /// The cluster engine's epoch evaluation, off the server's thread. The
@@ -210,10 +188,11 @@ fn updates_per_epoch(cfg: &ExperimentConfig, train: &Dataset) -> usize {
 /// simulator, real threads, or TCP sockets — through the shared
 /// pull / push-state / push-grad protocol ([`crate::protocol`]).
 ///
-/// Unlike the co-simulated drivers above, timing here is *real*: epoch
-/// timestamps, `total_time`, and the step predictor's `t_comm`/`t_comp`
-/// features are measured wall-clock seconds, and the returned
-/// [`RunResult::transport`] carries the backend's byte/latency accounting.
+/// Epoch timestamps, `total_time` and the step predictor's `t_comm` /
+/// `t_comp` features are in the backend's clock: virtual seconds of the
+/// cost model on the simulator, measured wall-clock seconds on the real
+/// backends. The returned [`RunResult::transport`] carries the backend's
+/// byte/latency accounting.
 ///
 /// The worker count is taken from the backend; construct it with
 /// `cfg.workers` (or 1 for sequential SGD).

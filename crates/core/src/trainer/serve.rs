@@ -253,6 +253,10 @@ pub(super) struct Server<'a> {
     codec: WireCodec,
     is_ssgd: bool,
     t0: Instant,
+    /// On the simulator: the virtual time the message being handled was
+    /// picked up, and the time the last update was applied.
+    virt_now: f64,
+    virt_end: f64,
 
     // ---- Algorithm 2 ---------------------------------------------------
     /// N per-shard server instances behind the one serialized event loop.
@@ -338,6 +342,8 @@ impl<'a> Server<'a> {
             is_ssgd: cfg.algorithm == Algorithm::Ssgd,
             // Reset by `start`, once set-up is over.
             t0: Instant::now(),
+            virt_now: 0.0,
+            virt_end: 0.0,
             predictors: Predictors::new(base_mode == AlgoMode::Lc, cfg.record_traces, m, cfg.seed),
             backups: DcBackups::new(m),
             pushes: PushAssembly::new(group.spec().clone(), m),
@@ -413,17 +419,22 @@ impl<'a> Server<'a> {
         self.env.sink.start_clock(self.t0);
     }
 
-    /// Seconds "now" on the run's clock, for epoch-record stamping:
-    /// virtual on the discrete-event simulator, wall on real backends.
+    /// Seconds "now" on the run's clock, for epoch-record stamping: on the
+    /// discrete-event simulator the virtual time the message being handled
+    /// was picked up (an epoch's record carries the arrival of the push
+    /// that closed it), on real backends the wall clock.
     fn now(&self) -> f64 {
         match self.env.clock {
-            ClockDomain::Virtual => self.env.sink.virt_high(),
+            ClockDomain::Virtual => self.virt_now,
             ClockDomain::Wall => self.t0.elapsed().as_secs_f64(),
         }
     }
 
     /// Algorithm 2's event loop body: one message, one handler.
     pub(super) fn handle(&mut self, w: usize, req: ClusterReq, ctx: &mut ServerCtx<ClusterResp>) {
+        if let Some(at) = ctx.time() {
+            self.virt_now = at;
+        }
         match req {
             ClusterReq::Join { .. } => self.on_join(w),
             // `Replicate` frames travel the dedicated replica duplex, not
@@ -536,6 +547,11 @@ impl<'a> Server<'a> {
         self.state_path_unlogged = true;
         let actual_step = self.group.log_arrival(w) as f32;
         let (reply, expected_loss) = self.predictors.observe(w, actual_step, &msg, &self.env.sink);
+        // The predictors' time in the cost model: nominal, so the virtual
+        // clock replays bit for bit (their measured time is `OverheadStats`).
+        let cost = self.env.cfg.cost;
+        ctx.charge(cost.step_pred);
+        ctx.charge(cost.loss_pred);
         self.group.absorb_bn(&msg.running, &msg.batch_stats);
         if let Some(s) = self.sup.as_mut() {
             // Predictor-health watchdog: a wildly wrong one-step forecast
@@ -612,6 +628,7 @@ impl<'a> Server<'a> {
         let sink = &self.env.sink;
         sink.wall_span_at(None, phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
+        self.virt_end = self.virt_now;
         self.rounds_done += 1;
         if self.rounds_done.is_multiple_of(self.rounds_per_epoch) {
             self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr);
@@ -709,6 +726,7 @@ impl<'a> Server<'a> {
         }
         sink.wall_span_at(Some(w), phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
+        self.virt_end = self.virt_now;
         self.losses.push(push.loss);
         self.applied += 1;
         self.fence.commit_push(w, push.push_seq);
@@ -1105,9 +1123,14 @@ impl<'a> Server<'a> {
             records.append(&mut self.ckpt_failures);
             FaultReport { records, server_halted: self.halted, resumed_at }
         });
-        let total_time = self.now();
+        // On the simulator the run ends with its last update: the messages
+        // that drain it afterwards cost no training time.
+        let total_time = match env.clock {
+            ClockDomain::Virtual => self.virt_end,
+            ClockDomain::Wall => self.t0.elapsed().as_secs_f64(),
+        };
         RunResult {
-            label: format!("{} ({}, cluster)", cfg.algorithm, cfg.bn_mode),
+            label: format!("{} ({})", cfg.algorithm, cfg.bn_mode),
             epochs: self.records,
             staleness: self.staleness,
             trace: want_traces.then_some(self.predictors.trace),

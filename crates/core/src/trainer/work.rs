@@ -192,6 +192,7 @@ fn ssgd_loop(
         let compute_start = Instant::now();
         let (loss, grads, batch_stats) = node.compute_gradient(&weights, env.train);
         env.span(w, phase::COMPUTE, compute_start);
+        link.compute(env.cfg.cost.iteration());
         let (mut slices, spent) =
             shard_wire_grads(&env.compression, &env.spec, grads, &mut residual);
         if let Some(spent) = spent {
@@ -264,8 +265,8 @@ fn install_reply(
 struct Pulled {
     version: u64,
     directive: Option<PullDirective>,
-    /// Seconds the successful pull took, lead request to last slice:
-    /// Algorithm 4's communication feature.
+    /// Seconds the successful pull took on the link's clock, lead request
+    /// to last slice: Algorithm 4's communication feature.
     t_comm: f32,
 }
 
@@ -298,6 +299,8 @@ struct Session<'a> {
     weights: Vec<f32>,
     /// Error-feedback residual of the uplink compression.
     residual: Vec<f32>,
+    /// Seconds the last iteration took on the link's clock, first compute
+    /// to gradient: Algorithm 4's computation feature.
     last_t_comp: f32,
     // Failover routing state: the server epoch this worker last saw
     // (carried on every request), its per-push dedup sequence, and a
@@ -363,7 +366,7 @@ impl Session<'_> {
     /// installed in its range of `self.weights`. With a single shard the
     /// message sequence is exactly the unsharded protocol's.
     fn try_pull(&mut self) -> Pull {
-        let pull_start = Instant::now();
+        let pull_start = self.link.now();
         let mut lead = None;
         for sh in 0..self.env.spec.count() {
             let shard_start = Instant::now();
@@ -390,7 +393,7 @@ impl Session<'_> {
             }
         }
         let (version, directive) = lead.expect("a partition has at least one shard");
-        let t_comm = pull_start.elapsed().as_secs_f32();
+        let t_comm = (self.link.now() - pull_start) as f32;
         Pull::Whole(Pulled { version, directive, t_comm })
     }
 
@@ -412,10 +415,11 @@ impl Session<'_> {
     /// Algorithm 1 as LC-ASGD runs it: push the forward state, receive
     /// ℓ_delay, backpropagate the compensated loss (Formula 5).
     fn two_phase_iteration(&mut self, node: &mut WorkerNode, pulled: Pulled) -> Iteration {
-        let (env, w) = (self.env, self.w);
-        let compute_start = Instant::now();
+        let (env, w, cost) = (self.env, self.w, self.env.cfg.cost);
+        let (clock_start, compute_start) = (self.link.now(), Instant::now());
         let (loss, batch_stats) = node.forward_phase(&self.weights, env.train);
         env.span(w, phase::COMPUTE, compute_start);
+        self.link.compute(cost.forward);
         let running = node.bn_running();
         let state = ClusterReq::State {
             loss,
@@ -441,7 +445,8 @@ impl Session<'_> {
         let backward_start = Instant::now();
         let grads = node.backward_phase(seed);
         env.span(w, phase::COMPUTE, backward_start);
-        self.last_t_comp = compute_start.elapsed().as_secs_f32();
+        self.link.compute(cost.backward);
+        self.last_t_comp = (self.link.now() - clock_start) as f32;
         // The server absorbed this iteration's BN statistics with the
         // state message; the push carries none.
         self.push_grads(node, grads, pulled.version, loss, None)
@@ -449,10 +454,11 @@ impl Session<'_> {
 
     /// The fused iteration of ASGD, DC-ASGD and demoted LC workers.
     fn fused_iteration(&mut self, node: &mut WorkerNode, pulled: Pulled) -> Iteration {
-        let compute_start = Instant::now();
+        let (clock_start, compute_start) = (self.link.now(), Instant::now());
         let (loss, grads, batch_stats) = node.compute_gradient(&self.weights, self.env.train);
         self.env.span(self.w, phase::COMPUTE, compute_start);
-        self.last_t_comp = compute_start.elapsed().as_secs_f32();
+        self.link.compute(self.env.cfg.cost.iteration());
+        self.last_t_comp = (self.link.now() - clock_start) as f32;
         let bn = Some((batch_stats, node.bn_running()));
         self.push_grads(node, grads, pulled.version, loss, bn)
     }

@@ -38,12 +38,6 @@ pub struct WorkerNode {
     spent_grads: Vec<f32>,
     /// Momentum for the worker-local BN running EMA (regular-BN path).
     pub bn_momentum: f32,
-    /// Server version at the last pull (staleness accounting).
-    pub version_at_pull: u64,
-    /// Most recent communication cost observed (t_comm, seconds).
-    pub last_t_comm: f64,
-    /// Most recent gradient-computation cost (t_comp, seconds).
-    pub last_t_comp: f64,
 }
 
 impl WorkerNode {
@@ -62,9 +56,6 @@ impl WorkerNode {
             pending: None,
             spent_grads: Vec::new(),
             bn_momentum: 0.1,
-            version_at_pull: 0,
-            last_t_comm: 0.0,
-            last_t_comp: 0.0,
         }
     }
 

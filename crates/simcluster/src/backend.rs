@@ -497,13 +497,6 @@ pub trait TraceHook: Send + Sync {
     ) {
         let _ = (worker, phase, start_seconds, dur_seconds);
     }
-
-    /// Advances the virtual-clock high-water mark. Simulator backends
-    /// call this as virtual time progresses so the driver can stamp
-    /// epoch records in virtual seconds mid-run.
-    fn virt_now(&self, seconds: f64) {
-        let _ = seconds;
-    }
 }
 
 // ---------------------------------------------------------- replication
@@ -587,6 +580,24 @@ pub trait WorkerLink<Req, Resp> {
     fn recycle(&mut self, spent: Vec<f32>) {
         drop(spent);
     }
+
+    /// Declares the compute phase the worker just finished: `nominal`
+    /// seconds of the run's cost model. The simulator charges the phase to
+    /// this worker's virtual clock, so the next message leaves after it;
+    /// on a real backend the phase took the time it took and this does
+    /// nothing.
+    fn compute(&mut self, nominal: f64) {
+        let _ = nominal;
+    }
+
+    /// Seconds on the clock this worker lives on, for the durations it
+    /// measures (Algorithm 4's `t_comm` / `t_comp`): the wall clock on real
+    /// backends; on the simulator the worker's virtual time — its last
+    /// reply's arrival plus the compute charged since.
+    fn now(&self) -> f64 {
+        static ORIGIN: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+        ORIGIN.get_or_init(std::time::Instant::now).elapsed().as_secs_f64()
+    }
 }
 
 /// Adds vectors handed back to a decoding transport ([`WorkerLink::recycle`],
@@ -610,13 +621,47 @@ pub struct ServerCtx<Resp> {
     expects_reply: bool,
     queued: Vec<(usize, Resp, Option<u64>)>,
     recycled: Vec<Vec<f32>>,
+    time: Option<f64>,
+    charged: f64,
 }
 
 impl<Resp> ServerCtx<Resp> {
     /// Builds the context for one message. Backends call this; algorithm
     /// code only consumes it.
     pub fn new(current: usize, expects_reply: bool) -> Self {
-        ServerCtx { current, expects_reply, queued: Vec::new(), recycled: Vec::new() }
+        ServerCtx {
+            current,
+            expects_reply,
+            queued: Vec::new(),
+            recycled: Vec::new(),
+            time: None,
+            charged: 0.0,
+        }
+    }
+
+    /// [`ServerCtx::new`] for a message the server picks up at virtual
+    /// time `seconds`. Simulator backends only.
+    pub fn at(current: usize, expects_reply: bool, seconds: f64) -> Self {
+        ServerCtx { time: Some(seconds), ..Self::new(current, expects_reply) }
+    }
+
+    /// The virtual time the server picked this message up at; `None` on
+    /// wall-clock backends.
+    pub fn time(&self) -> Option<f64> {
+        self.time
+    }
+
+    /// Charges `seconds` of server work for this message. The simulator
+    /// holds the server busy that long, so the messages behind this one
+    /// wait; this message's replies leave when it was picked up. Real
+    /// backends ignore it: the work took the time it took.
+    pub fn charge(&mut self, seconds: f64) {
+        self.charged += seconds;
+    }
+
+    /// Seconds charged through [`ServerCtx::charge`]. Backend-side only.
+    pub fn charged(&self) -> f64 {
+        self.charged
     }
 
     /// Rank of the worker whose message is being processed.

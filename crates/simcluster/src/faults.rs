@@ -633,6 +633,14 @@ where
     fn recycle(&mut self, spent: Vec<f32>) {
         self.inner.recycle(spent);
     }
+
+    fn compute(&mut self, nominal: f64) {
+        self.inner.compute(nominal);
+    }
+
+    fn now(&self) -> f64 {
+        self.inner.now()
+    }
 }
 
 #[cfg(test)]

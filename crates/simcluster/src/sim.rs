@@ -24,18 +24,12 @@ pub struct Arrival<T> {
     pub time: SimTime,
     /// Sender.
     pub worker: usize,
-    /// Uplink latency experienced by this message.
-    pub uplink: SimTime,
-    /// Duration of the compute phase that preceded the send.
-    pub compute: SimTime,
     /// Algorithm-defined payload.
     pub payload: T,
 }
 
 struct Pending<T> {
     worker: usize,
-    uplink: SimTime,
-    compute: SimTime,
     payload: T,
 }
 
@@ -51,10 +45,6 @@ pub struct ClusterSim<T> {
     worker_rngs: Vec<Rng>,
     /// Cumulative busy time charged to the server (overhead accounting).
     server_busy_total: SimTime,
-    /// Nominal compute-phase cost used when this simulator is driven
-    /// through the [`crate::backend::ClusterBackend`] adapter (direct
-    /// `submit` callers pass their own nominal cost instead).
-    nominal_cost: SimTime,
     /// Fault schedule interpreted by the backend adapter (direct `submit`
     /// callers are unaffected); restarts and link stalls are charged in
     /// virtual time, keeping faulty runs bit-reproducible.
@@ -77,8 +67,6 @@ impl<T> ClusterSim<T> {
             now: 0.0,
             worker_rngs,
             server_busy_total: 0.0,
-            // CIFAR-like per-iteration scale; overridable for backend runs.
-            nominal_cost: 0.032,
             fault_plan: None,
             trace_hook: None,
         }
@@ -106,19 +94,6 @@ impl<T> ClusterSim<T> {
         self.fault_plan.as_ref()
     }
 
-    /// Sets the nominal compute cost per worker phase for backend-driven
-    /// runs (see [`crate::backend::ClusterBackend`]).
-    pub fn with_nominal_cost(mut self, nominal: SimTime) -> Self {
-        assert!(nominal >= 0.0);
-        self.nominal_cost = nominal;
-        self
-    }
-
-    /// Nominal compute-phase cost for backend-driven runs.
-    pub fn nominal_cost(&self) -> SimTime {
-        self.nominal_cost
-    }
-
     /// Number of workers.
     pub fn num_workers(&self) -> usize {
         self.spec.num_workers()
@@ -138,12 +113,23 @@ impl<T> ClusterSim<T> {
     /// virtual time `start`, then sends `payload` to the server. Returns
     /// the sampled compute duration.
     pub fn submit(&mut self, worker: usize, start: SimTime, nominal: f64, payload: T) -> SimTime {
-        let rng = &mut self.worker_rngs[worker];
-        let compute = self.spec.workers[worker].sample_time(nominal, rng);
-        let uplink = self.spec.link.sample_latency(rng);
-        let arrive = start + compute + uplink;
-        self.queue.push(arrive, Pending { worker, uplink, compute, payload });
+        let compute = self.compute_time(worker, nominal);
+        self.send(worker, start + compute, payload);
         compute
+    }
+
+    /// Samples how long worker `w`'s compute phase of nominal cost
+    /// `nominal` takes: the first half of [`submit`](Self::submit).
+    pub fn compute_time(&mut self, worker: usize, nominal: f64) -> SimTime {
+        self.spec.workers[worker].sample_time(nominal, &mut self.worker_rngs[worker])
+    }
+
+    /// Worker `w` sends `payload` at virtual time `at`; it reaches the
+    /// server after a sampled uplink. The second half of
+    /// [`submit`](Self::submit).
+    pub fn send(&mut self, worker: usize, at: SimTime, payload: T) {
+        let uplink = self.spec.link.sample_latency(&mut self.worker_rngs[worker]);
+        self.queue.push(at + uplink, Pending { worker, payload });
     }
 
     /// Samples a downlink latency for a reply to `worker` (the caller adds
@@ -172,13 +158,7 @@ impl<T> ClusterSim<T> {
         let start = wire_time.max(self.server_free);
         self.now = start;
         self.server_free = start;
-        Some(Arrival {
-            time: start,
-            worker: p.worker,
-            uplink: p.uplink,
-            compute: p.compute,
-            payload: p.payload,
-        })
+        Some(Arrival { time: start, worker: p.worker, payload: p.payload })
     }
 
     /// Number of in-flight messages.
@@ -202,7 +182,7 @@ mod tests {
         for expect in 0..3u32 {
             let a = sim.next_arrival().unwrap();
             assert_eq!(a.payload, expect);
-            assert_eq!(a.compute, 1.0);
+            assert_eq!(a.time, 1.0 + 1e-3, "a 1 s phase, then the 1 ms base uplink");
         }
     }
 

@@ -9,10 +9,14 @@
 //! closure only once every live worker is either blocked on a reply or
 //! finished. At that point the pending set is complete, so the earliest
 //! virtual arrival is processed exactly as `ClusterSim`'s direct callers
-//! would. Per-worker virtual clocks advance by sampled compute time (the
-//! first message of each phase is charged [`ClusterSim::nominal_cost`])
+//! would. Per-worker virtual clocks advance by the compute phases workers
+//! declare ([`WorkerLink::compute`], sampled through their compute models)
 //! plus sampled up/downlink latencies, all from the same per-worker RNG
-//! streams as direct simulation.
+//! streams as direct simulation: every message is one compute phase (empty
+//! when none was declared) and one uplink, as a [`ClusterSim::submit`] is.
+//! A worker reads that clock through [`WorkerLink::now`]; the server
+//! charges its own work through [`ServerCtx::charge`] and reads the time a
+//! message was picked up from [`ServerCtx::time`].
 //!
 //! Payloads cross the thread boundary *encoded*, making the simulator a
 //! faithful rehearsal of the TCP backend: byte counts in
@@ -40,6 +44,15 @@ enum WorkerEvent {
         bytes: Vec<u8>,
         expects_reply: bool,
     },
+    /// A compute phase of this nominal cost ended ([`WorkerLink::compute`]).
+    Compute {
+        worker: usize,
+        nominal: f64,
+    },
+    /// The worker reads its virtual clock ([`WorkerLink::now`]).
+    Now {
+        worker: usize,
+    },
     Done {
         worker: usize,
     },
@@ -60,6 +73,7 @@ struct SimLink<Resp> {
     worker: usize,
     tx: Sender<WorkerEvent>,
     reply_rx: Receiver<Vec<u8>>,
+    clock_rx: Receiver<f64>,
     _resp: std::marker::PhantomData<Resp>,
 }
 
@@ -81,6 +95,20 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for SimLink<Resp> {
             WorkerEvent::Msg { worker: self.worker, bytes: req.encoded(), expects_reply: false };
         self.tx.send(msg).map_err(|_| ClusterError::Disconnected)?;
         Ok(Some(req))
+    }
+
+    fn compute(&mut self, nominal: f64) {
+        let _ = self.tx.send(WorkerEvent::Compute { worker: self.worker, nominal });
+    }
+
+    /// The driver answers from this worker's clock, which has seen every
+    /// event the worker sent before (one channel, in order). A dead driver
+    /// reads 0: the next request fails anyway.
+    fn now(&self) -> f64 {
+        if self.tx.send(WorkerEvent::Now { worker: self.worker }).is_err() {
+            return 0.0;
+        }
+        self.clock_rx.recv().unwrap_or(0.0)
     }
 }
 
@@ -131,38 +159,42 @@ impl ClusterBackend for ClusterSim<SimPayload> {
         W: Fn(usize, &mut dyn WorkerLink<Req, Resp>) + Send + Sync,
     {
         let m = self.num_workers();
-        let nominal = self.nominal_cost();
         let plan = self.fault_plan().cloned();
         let hook = self.trace_hook();
         let (tx, rx) = unbounded::<WorkerEvent>();
         let mut reply_txs: Vec<Option<Sender<Vec<u8>>>> = Vec::with_capacity(m);
         let mut reply_rxs: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(m);
+        let mut clock_txs: Vec<Option<Sender<f64>>> = Vec::with_capacity(m);
+        let mut clock_rxs: Vec<Option<Receiver<f64>>> = Vec::with_capacity(m);
         for _ in 0..m {
             let (rtx, rrx) = bounded(1);
             reply_txs.push(Some(rtx));
             reply_rxs.push(Some(rrx));
+            let (clock_tx, clock_rx) = bounded(1);
+            clock_txs.push(Some(clock_tx));
+            clock_rxs.push(Some(clock_rx));
         }
 
         let mut stats = TransportStats::default();
         let mut state = vec![WState::Running; m];
-        // Virtual time at which each worker's current phase started.
+        // Each worker's virtual clock.
         let mut vt = vec![0.0f64; m];
         // Virtual time each worker's outstanding request left the worker.
         let mut sent_at = vec![0.0f64; m];
-        // Charge the nominal compute cost on the first message of each
-        // phase (a phase begins when a reply is delivered); follow-up
-        // messages in the same phase (e.g. grad push right after a state
-        // push) only pay the wire.
-        let mut charge_phase = vec![false; m];
+        // Whether a compute phase was charged since the worker's last
+        // message: the next one leaves after it instead of after an empty
+        // phase.
+        let mut computed = vec![false; m];
         let mut result: Result<(), ClusterError> = Ok(());
         let mut server_panic = None;
 
         std::thread::scope(|scope| {
-            for (w, slot) in reply_rxs.iter_mut().enumerate() {
+            for (w, (slot, clock)) in reply_rxs.iter_mut().zip(&mut clock_rxs).enumerate() {
                 let mut link = SimLink {
                     worker: w,
                     tx: tx.clone(),
                     reply_rx: slot.take().expect("reply receiver taken twice"),
+                    clock_rx: clock.take().expect("clock receiver taken twice"),
                     _resp: std::marker::PhantomData,
                 };
                 let worker_fn = &worker_fn;
@@ -203,18 +235,25 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                 // message for the current decision point.
                 while running > 0 {
                     match rx.recv() {
-                        Ok(WorkerEvent::Msg { worker: w, bytes, expects_reply }) => {
-                            let cost = if charge_phase[w] { nominal } else { 0.0 };
-                            charge_phase[w] = false;
-                            stats.bytes_sent += bytes.len() as u64;
-                            let dur =
-                                self.submit(w, vt[w], cost, SimPayload { bytes, expects_reply });
-                            if dur > 0.0 {
-                                if let Some(h) = &hook {
-                                    h.virt_span(Some(w), "compute", vt[w], dur);
-                                }
+                        Ok(WorkerEvent::Compute { worker: w, nominal }) => {
+                            let dur = self.compute_time(w, nominal);
+                            if let Some(h) = hook.as_ref().filter(|_| dur > 0.0) {
+                                h.virt_span(Some(w), "compute", vt[w], dur);
                             }
                             vt[w] += dur;
+                            computed[w] = true;
+                        }
+                        Ok(WorkerEvent::Now { worker: w }) => {
+                            if let Some(clock) = &clock_txs[w] {
+                                let _ = clock.send(vt[w]);
+                            }
+                        }
+                        Ok(WorkerEvent::Msg { worker: w, bytes, expects_reply }) => {
+                            if !std::mem::take(&mut computed[w]) {
+                                vt[w] += self.compute_time(w, 0.0);
+                            }
+                            stats.bytes_sent += bytes.len() as u64;
+                            self.send(w, vt[w], SimPayload { bytes, expects_reply });
                             if expects_reply {
                                 sent_at[w] = vt[w];
                                 state[w] = WState::Awaiting;
@@ -262,9 +301,6 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                     break 'drive;
                 };
 
-                if let Some(h) = &hook {
-                    h.virt_now(self.now());
-                }
                 let w = arrival.worker;
                 let t0 = Instant::now();
                 let req = match Req::decoded(&arrival.payload.bytes) {
@@ -280,7 +316,7 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                     h.wall_span(Some(w), "codec", t0, decode);
                 }
 
-                let mut ctx = ServerCtx::new(w, arrival.payload.expects_reply);
+                let mut ctx = ServerCtx::at(w, arrival.payload.expects_reply, arrival.time);
                 // A panicking server must not leave the workers blocked on
                 // replies, which the scope would wait for forever: stop,
                 // unblock them below, and re-raise once they have joined.
@@ -290,6 +326,9 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                 if let Err(panic) = served {
                     server_panic = Some(panic);
                     break 'drive;
+                }
+                if ctx.charged() > 0.0 {
+                    self.charge_server(ctx.charged());
                 }
 
                 for (target, resp) in ctx.take_replies() {
@@ -308,10 +347,12 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                     }
                     stats.bytes_received += bytes.len() as u64;
 
-                    // The reply reaches the worker after a sampled downlink;
-                    // that moment starts the worker's next compute phase.
+                    // The reply leaves when the message was picked up (a
+                    // charge delays the messages behind it, not this
+                    // one's replies) and reaches the worker after a
+                    // sampled downlink.
                     let down = self.downlink(target);
-                    let receive_at = self.now() + down;
+                    let receive_at = arrival.time + down;
                     stats.rtt.record((receive_at - sent_at[target]).max(0.0));
                     if let Some(h) = &hook {
                         // The request round trip, from the worker's view:
@@ -322,10 +363,8 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                             sent_at[target],
                             (receive_at - sent_at[target]).max(0.0),
                         );
-                        h.virt_now(receive_at);
                     }
                     vt[target] = receive_at;
-                    charge_phase[target] = true;
                     state[target] = WState::Running;
                     running += 1;
                     let sender = reply_txs[target].as_ref().expect("reply sender present");
@@ -336,6 +375,7 @@ impl ClusterBackend for ClusterSim<SimPayload> {
             // Unblock any workers still waiting (error paths), then drain
             // their remaining traffic so the scope can join.
             reply_txs.iter_mut().for_each(|t| *t = None);
+            clock_txs.iter_mut().for_each(|t| *t = None);
             while rx.recv().is_ok() {}
         });
 
@@ -352,7 +392,7 @@ mod tests {
     use crate::models::ClusterSpec;
 
     fn sim(m: usize, seed: u64) -> ClusterSim<SimPayload> {
-        ClusterSim::new(ClusterSpec::heterogeneous(m, seed)).with_nominal_cost(1.0)
+        ClusterSim::new(ClusterSpec::heterogeneous(m, seed))
     }
 
     #[test]
@@ -367,6 +407,7 @@ mod tests {
                 |_w, h| {
                     let mut last = 0;
                     for _ in 0..5 {
+                        h.compute(1.0);
                         let v = h.request(1).unwrap();
                         assert!(v > last, "server counter must increase");
                         last = v;
@@ -378,9 +419,57 @@ mod tests {
         assert_eq!(stats.requests, 20);
         assert!(stats.bytes_sent > 0 && stats.bytes_received > 0);
         assert_eq!(stats.rtt.count(), 20);
-        // Virtual RTTs include a ≥1s compute phase only on the send side
-        // of the *next* request; the recorded RTT covers wire + queueing.
+        // A request's RTT covers wire + queueing: the 1 s compute phases
+        // are spent before each send, off the round trip.
         assert!(stats.rtt.mean_seconds() > 0.0);
+        assert!(stats.rtt.max_seconds() < 1.0);
+    }
+
+    /// The three seams on the simulator: a declared compute phase and a
+    /// server charge advance virtual time, and both ends read it.
+    #[test]
+    fn declared_compute_and_server_charges_are_virtual_time() {
+        let spec = ClusterSpec::uniform(2);
+        let mut picked_up = Vec::new();
+        ClusterSim::new(spec)
+            .run(
+                |w, _req: u8, ctx: &mut ServerCtx<f64>| {
+                    let at = ctx.time().expect("the simulator stamps every message");
+                    picked_up.push((w, at));
+                    ctx.charge(0.5);
+                    ctx.reply(at);
+                },
+                |w, h| {
+                    assert_eq!(h.now(), 0.0);
+                    h.compute(2.0 * (w + 1) as f64);
+                    assert_eq!(h.now(), 2.0 * (w + 1) as f64, "a uniform worker takes nominal");
+                    let at = h.request(0).unwrap();
+                    // The reply leaves when the message was picked up and
+                    // takes the 1 ms base downlink.
+                    assert_eq!(h.now(), at + 1e-3);
+                },
+            )
+            .unwrap();
+        // Worker 0 arrives at 2.001; worker 1 at 4.001, after the server's
+        // 0.5 s charge for worker 0 has ended, so it is not held.
+        assert_eq!(picked_up, [(0, 2.0 + 1e-3), (1, 4.0 + 1e-3)]);
+    }
+
+    #[test]
+    fn a_charge_holds_the_messages_behind_it() {
+        let mut picked_up = Vec::new();
+        ClusterSim::new(ClusterSpec::uniform(2))
+            .run(
+                |_w, _req: u8, ctx: &mut ServerCtx<()>| {
+                    picked_up.push(ctx.time().unwrap());
+                    ctx.charge(0.5);
+                },
+                |_w, h| {
+                    h.send(0).unwrap();
+                },
+            )
+            .unwrap();
+        assert_eq!(picked_up, [1e-3, 1e-3 + 0.5]);
     }
 
     #[test]

@@ -263,8 +263,7 @@ fn train(args: &Args) {
         })
     });
     // Any robustness or observability flag routes the run through the
-    // real-thread cluster backend; the default path stays the
-    // co-simulated experiment driver.
+    // real-thread cluster backend; the default path is the simulator.
     let cluster_run = fault_plan.is_some()
         || resume.is_some()
         || checkpoint_path.is_some()

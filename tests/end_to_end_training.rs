@@ -110,3 +110,27 @@ fn lc_asgd_pays_predictor_overhead_in_virtual_time() {
         asgd.total_time
     );
 }
+
+/// LC-ASGD on the simulator is a pure function of its configuration: the
+/// step predictor's `t_comm` / `t_comp` come from the worker's virtual
+/// clock, so every run trains the same loss bits.
+#[test]
+fn lc_asgd_on_the_simulator_trains_one_loss_stream() {
+    use lc_asgd::simcluster::{ClusterSim, SimPayload};
+    use std::collections::HashSet;
+    let (train, test) = tiny_image_task();
+    let resnet = ResNetConfig::tiny(3, 10);
+    let build = |rng: &mut Rng| resnet.build(rng);
+    for workers in [4, 8] {
+        let mut c = cfg(Algorithm::LcAsgd, workers);
+        c.epochs = 4;
+        let streams: HashSet<Vec<u32>> = (0..20)
+            .map(|_| {
+                let sim: ClusterSim<SimPayload> = ClusterSim::new(c.cluster.clone());
+                let r = run_cluster(sim, &c, &build, &train, &test).expect("simulated run");
+                r.epochs.iter().map(|e| e.train_loss.to_bits()).collect()
+            })
+            .collect();
+        assert_eq!(streams.len(), 1, "M = {workers}: distinct train-loss streams in 20 runs");
+    }
+}

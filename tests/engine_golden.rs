@@ -7,11 +7,11 @@
 //! the PR that split `run_cluster_with` into a `Server` state machine and a
 //! `worker_loop` (DESIGN.md, "Engine structure"), so a refactor of the
 //! engine that reorders one side effect, drops one message or draws one
-//! extra random number fails here. Only numerics-independent streams are
-//! hashed: LC-ASGD's floats wobble from run to run on the simulator by
-//! design (its step predictor ingests measured wall times, DESIGN.md §9.4)
-//! while its schedule does not. Update a constant only for a deliberate
-//! protocol change, and say so.
+//! extra random number fails here. The six streams are numerics-
+//! independent; LC-ASGD's runs also pin every epoch's `train_loss` bits,
+//! because its step predictor reads the worker's virtual clock on the
+//! simulator and its floats are as reproducible as its schedule. Update a
+//! constant only for a deliberate protocol change, and say so.
 //!
 //! One such change since: a quarantine is counted in arrivals seen by
 //! `Supervisor::admit`, not in applied updates, and its event carries
@@ -19,6 +19,25 @@
 //! and the LC ladder) release it at a different push than before, so their
 //! staleness, clock, transport and health constants were taken again at
 //! that commit; their fault streams and every other run are the originals.
+//!
+//! And one more, when the simulator took its costs from the run's cost
+//! model (DESIGN.md §13.3). Re-taken then:
+//!
+//! * the clock stream of every run but SSGD's: an epoch's record carries
+//!   the virtual time the push that closed it was picked up, not the
+//!   simulator's high-water mark, which ran ahead to the end of every
+//!   compute phase already scheduled (at SSGD's barrier the two coincide);
+//! * every constant of the three LC-ASGD runs that moved (staleness,
+//!   clock, transport, and the ladder's health): a worker declares its
+//!   forward (10 ms) and backward (22 ms) phases, where each of an LC
+//!   iteration's two replies used to start a whole 32 ms iteration, and
+//!   the server is charged the predictors' 2.7 ms per state message;
+//! * the staleness stream of the 4-shard ASGD run (and its transport) and
+//!   of the ASGD primary kill, and so the ASGD promotion print: a message a
+//!   worker sends right after a reply without computing — a follower-shard
+//!   pull, a pull retried after a fenced reply — used to be charged a
+//!   whole iteration's compute and is charged nothing now;
+//! * the LC promotion print, which follows the LC schedule.
 
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::codec::crc32;
@@ -94,26 +113,36 @@ fn check(what: &str, r: &RunResult, want: [u32; 6]) {
     assert_eq!(schedule_prints(r), want, "{what}: {streams}");
 }
 
+/// [`check`] for an LC-ASGD run, plus the CRC-32 of every epoch's
+/// `train_loss` bits.
+fn check_lc(what: &str, r: &RunResult, want: [u32; 6], losses: u32) {
+    check(what, r, want);
+    let bits: Vec<u8> =
+        r.epochs.iter().flat_map(|e| e.train_loss.to_bits().to_le_bytes()).collect();
+    assert_eq!(crc32(&bits), losses, "{what}: train-loss bits");
+}
+
 #[test]
 fn every_algorithm_keeps_its_schedule() {
-    let golden: [(Algorithm, usize, [u32; 6]); 5] = [
-        (Algorithm::Sgd, 1, [3390829173, 1441381347, 3121834518, 0, 0, 0]),
+    let golden: [(Algorithm, usize, [u32; 6]); 4] = [
+        (Algorithm::Sgd, 1, [3390829173, 1507574319, 3121834518, 0, 0, 0]),
         (Algorithm::Ssgd, 4, [264420178, 1940031788, 3075304600, 0, 0, 0]),
-        (Algorithm::Asgd, 4, [349005257, 3714264273, 1743776626, 0, 0, 0]),
-        (Algorithm::DcAsgd, 4, [349005257, 3714264273, 1743776626, 0, 0, 0]),
-        (Algorithm::LcAsgd, 4, [2150736477, 1123167209, 26528520, 0, 0, 0]),
+        (Algorithm::Asgd, 4, [349005257, 2530187955, 1743776626, 0, 0, 0]),
+        (Algorithm::DcAsgd, 4, [349005257, 2530187955, 1743776626, 0, 0, 0]),
     ];
     for (algo, workers, want) in golden {
         let r = run(&cfg(algo, workers), None, RunOptions::default());
         check(&format!("{algo} at M = {workers}"), &r, want);
     }
+    let r = run(&cfg(Algorithm::LcAsgd, 4), None, RunOptions::default());
+    check_lc("LC-ASGD at M = 4", &r, [1657394877, 132088147, 26528520, 0, 0, 0], 2154653098);
 }
 
 #[test]
 fn four_shards_keep_their_schedule() {
     let r = run(&cfg(Algorithm::Asgd, 4), None, RunOptions::default().shards(4));
     assert_eq!(r.shards, 4);
-    check("ASGD, 4 shards", &r, [3842593374, 1575900210, 1306910439, 0, 0, 0]);
+    check("ASGD, 4 shards", &r, [1253312974, 3623412119, 2969961354, 0, 0, 0]);
 }
 
 fn supervised(algo: Algorithm, plan: &FaultPlan, sup: SupervisorConfig) -> RunResult {
@@ -152,15 +181,14 @@ fn a_supervised_nan_storm_keeps_its_schedule() {
     check(
         "ASGD, supervised NaN storm",
         &r,
-        [1203916817, 2383445366, 708844739, 426093487, 702746812, 0],
+        [1203916817, 3595443750, 708844739, 426093487, 702746812, 0],
     );
 }
 
 /// The LC→DC→ASGD ladder: NaN bursts demote worker 0 twice, so its pulls
 /// carry directives, its DC rung snapshots a backup and its pushes are
 /// interpreted under the rung pinned at the lead pull. Count-driven like
-/// the storm above (and the predictor watchdog is disarmed), so LC-ASGD's
-/// wall-fed floats cannot reach a decision.
+/// the storm above, and the predictor watchdog is disarmed.
 #[test]
 fn a_supervised_lc_ladder_keeps_its_schedule() {
     let plan = FaultPlan::new()
@@ -184,10 +212,11 @@ fn a_supervised_lc_ladder_keeps_its_schedule() {
     let r = supervised(Algorithm::LcAsgd, &plan, sup);
     let h = r.health.as_ref().expect("supervised runs carry a health report");
     assert_eq!(h.demotions(), 2, "LC→DC and DC→ASGD:\n{}", h.to_text());
-    check(
+    check_lc(
         "LC-ASGD, supervised ladder",
         &r,
-        [2953309228, 1664347291, 543467725, 1072470511, 1089321771, 0],
+        [4283737842, 1071945225, 2446041491, 262960721, 1089321771, 0],
+        3855093349,
     );
 }
 
@@ -218,7 +247,7 @@ fn a_supervised_rollback_keeps_its_schedule() {
     check(
         "ASGD, supervised rollback",
         &r,
-        [349005257, 3714264273, 1426672353, 284859535, 3175200391, 0],
+        [349005257, 2530187955, 1426672353, 284859535, 3175200391, 0],
     );
 }
 
@@ -250,7 +279,7 @@ fn a_primary_kill_keeps_its_schedule() {
     check(
         "ASGD, primary kill",
         &killed(Algorithm::Asgd, 1),
-        [2221998131, 3822858865, 4065346122, 0, 592060260, 1048159673],
+        [3830264923, 2001194287, 4065346122, 0, 592060260, 1048159673],
     );
 }
 
@@ -259,10 +288,11 @@ fn a_primary_kill_keeps_its_schedule() {
 /// answered from behind the new fence.
 #[test]
 fn a_sharded_lc_primary_kill_keeps_its_schedule() {
-    check(
+    check_lc(
         "LC-ASGD, 4 shards, primary kill",
         &killed(Algorithm::LcAsgd, 4),
-        [1153884195, 1201261763, 3897867813, 0, 563353667, 2725470981],
+        [4091418768, 200447627, 70658677, 0, 563353667, 2725470981],
+        1427491814,
     );
 }
 
@@ -279,7 +309,8 @@ fn killed_to_the_end(algo: Algorithm, shards: usize) -> (RunResult, TrainingChec
 
 /// What a failover promotes — weights, BN, predictors, arrival state —
 /// decides the run after it. Taken at the commit before the epoch refresh
-/// stopped carrying the model, for the two kill schedules above.
+/// stopped carrying the model, for the two kill schedules above (and taken
+/// again with them, see the header).
 #[test]
 fn a_failover_promotes_what_the_parent_promoted() {
     let bytes =
@@ -289,20 +320,18 @@ fn a_failover_promotes_what_the_parent_promoted() {
     let (r, ck) = killed_to_the_end(Algorithm::Asgd, 1);
     let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
     let prints = [crc32(&bytes(&losses)), crc32(&bytes(&ck.weights))];
-    assert_eq!(prints, [2501484286, 1648116421], "ASGD: [losses, weights]");
-    // LC-ASGD's floats follow the step predictor's wall-clock features
-    // (DESIGN.md §9.4), and those move with how long the server takes:
-    // the parent's own LC standby runs hash differently run to run. What
-    // promotion hands on that is no float is pinned instead — the run's
+    assert_eq!(prints, [3839564515, 1042401584], "ASGD: [losses, weights]");
+    // For LC-ASGD, what promotion hands on that is no float: the run's
     // final `iter` log, arrival state and both predictors' training
-    // counters: a refresh without `iter` or the predictors moves them.
+    // counters — a refresh without `iter` or the predictors moves them.
+    // (Its losses are pinned with its schedule above.)
     let (_, ck) = killed_to_the_end(Algorithm::LcAsgd, 4);
     let (lp, sp) = (ck.loss_pred.expect("LC state"), ck.step_pred.expect("LC state"));
     let mut ints: Vec<u64> = ck.iter.iter().map(|&m| m as u64).collect();
     ints.extend(ck.arrival.iter().map(|a| a.unwrap_or(u64::MAX)));
     ints.extend([lp.train_steps, sp.train_steps, sp.samples]);
     let ints = crc32(&ints.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
-    assert_eq!(ints, 1156827894, "LC-ASGD: iter, arrival and predictor counters");
+    assert_eq!(ints, 2163901783, "LC-ASGD: iter, arrival and predictor counters");
 }
 
 #[test]
@@ -319,12 +348,12 @@ fn a_server_restart_and_its_resume_keep_their_schedules() {
     };
     let halted = run(&c, Some(&plan), opts);
     assert!(halted.faults.as_ref().expect("the plan reports").server_halted);
-    check("ASGD, halted half", &halted, [1216703151, 1393730428, 3133049803, 0, 2632329310, 0]);
+    check("ASGD, halted half", &halted, [1216703151, 1149180317, 3133049803, 0, 2632329310, 0]);
 
     let ck = TrainingCheckpoint::load(&path).expect("the halt wrote a checkpoint");
     std::fs::remove_file(&path).ok();
     assert_eq!(ck.applied, 29);
     let resumed = run(&c, None, RunOptions { resume: Some(ck), ..RunOptions::default() });
     assert_eq!(resumed.epochs.len(), c.epochs);
-    check("ASGD, resumed half", &resumed, [3815522312, 3167478094, 916640824, 0, 3086158723, 0]);
+    check("ASGD, resumed half", &resumed, [3815522312, 3898372267, 916640824, 0, 3086158723, 0]);
 }

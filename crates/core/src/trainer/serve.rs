@@ -253,10 +253,9 @@ pub(super) struct Server<'a> {
     codec: WireCodec,
     is_ssgd: bool,
     t0: Instant,
-    /// On the simulator: the virtual time the message being handled was
-    /// picked up, and the time the last update was applied.
-    virt_now: f64,
-    virt_end: f64,
+    /// On the simulator: the virtual time the message that applied the
+    /// last update was picked up.
+    applied_at: f64,
 
     // ---- Algorithm 2 ---------------------------------------------------
     /// N per-shard server instances behind the one serialized event loop.
@@ -342,8 +341,7 @@ impl<'a> Server<'a> {
             is_ssgd: cfg.algorithm == Algorithm::Ssgd,
             // Reset by `start`, once set-up is over.
             t0: Instant::now(),
-            virt_now: 0.0,
-            virt_end: 0.0,
+            applied_at: 0.0,
             predictors: Predictors::new(base_mode == AlgoMode::Lc, cfg.record_traces, m, cfg.seed),
             backups: DcBackups::new(m),
             pushes: PushAssembly::new(group.spec().clone(), m),
@@ -420,21 +418,18 @@ impl<'a> Server<'a> {
     }
 
     /// Seconds "now" on the run's clock, for epoch-record stamping: on the
-    /// discrete-event simulator the virtual time the message being handled
-    /// was picked up (an epoch's record carries the arrival of the push
-    /// that closed it), on real backends the wall clock.
+    /// discrete-event simulator the virtual time of the last applied update
+    /// (an epoch's record carries the arrival of the push that closed it),
+    /// on real backends the wall clock.
     fn now(&self) -> f64 {
         match self.env.clock {
-            ClockDomain::Virtual => self.virt_now,
+            ClockDomain::Virtual => self.applied_at,
             ClockDomain::Wall => self.t0.elapsed().as_secs_f64(),
         }
     }
 
     /// Algorithm 2's event loop body: one message, one handler.
     pub(super) fn handle(&mut self, w: usize, req: ClusterReq, ctx: &mut ServerCtx<ClusterResp>) {
-        if let Some(at) = ctx.time() {
-            self.virt_now = at;
-        }
         match req {
             ClusterReq::Join { .. } => self.on_join(w),
             // `Replicate` frames travel the dedicated replica duplex, not
@@ -594,7 +589,7 @@ impl<'a> Server<'a> {
                 // it: the assembly's buffer to the assembly, a vector the
                 // transport decoded to the transport.
                 let adopted = push.adopted;
-                let spent = self.on_push(w, push);
+                let spent = self.on_push(w, push, ctx.time());
                 if let Some(decoded) = spent.and_then(|g| self.pushes.reclaim(g, adopted)) {
                     ctx.recycle(decoded);
                 }
@@ -628,7 +623,9 @@ impl<'a> Server<'a> {
         let sink = &self.env.sink;
         sink.wall_span_at(None, phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
-        self.virt_end = self.virt_now;
+        if let Some(at) = ctx.time() {
+            self.applied_at = at;
+        }
         self.rounds_done += 1;
         if self.rounds_done.is_multiple_of(self.rounds_per_epoch) {
             self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr);
@@ -653,8 +650,9 @@ impl<'a> Server<'a> {
     /// 3), then run the post-apply steps. Their order is load-bearing —
     /// DESIGN.md §13.2 gives the reason for each position. Returns the
     /// gradient's vector once it has been applied (the supervisor keeps or
-    /// drops the ones it does not admit).
-    fn on_push(&mut self, w: usize, mut push: PendingPush) -> Option<Vec<f32>> {
+    /// drops the ones it does not admit). `at` is the virtual time the
+    /// push's last slice was picked up, on the simulator.
+    fn on_push(&mut self, w: usize, mut push: PendingPush, at: Option<f64>) -> Option<Vec<f32>> {
         let stale = (self.group.version() - push.pull_version) as u32;
         let g = std::mem::take(&mut push.grads);
         // Admission control: the supervisor may discard, park, or LR-scale
@@ -677,6 +675,9 @@ impl<'a> Server<'a> {
                 .as_ref()
                 .map(|_| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
             let lr = self.apply(w, &push, g, stale, lr_scale);
+            if let Some(at) = at {
+                self.applied_at = at;
+            }
             if let Some(before) = before {
                 self.log_to_wal(w, &push, stale, &before);
             }
@@ -726,7 +727,6 @@ impl<'a> Server<'a> {
         }
         sink.wall_span_at(Some(w), phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
-        self.virt_end = self.virt_now;
         self.losses.push(push.loss);
         self.applied += 1;
         self.fence.commit_push(w, push.push_seq);
@@ -1125,10 +1125,7 @@ impl<'a> Server<'a> {
         });
         // On the simulator the run ends with its last update: the messages
         // that drain it afterwards cost no training time.
-        let total_time = match env.clock {
-            ClockDomain::Virtual => self.virt_end,
-            ClockDomain::Wall => self.t0.elapsed().as_secs_f64(),
-        };
+        let total_time = self.now();
         RunResult {
             label: format!("{} ({})", cfg.algorithm, cfg.bn_mode),
             epochs: self.records,

@@ -9,7 +9,9 @@
 //! processes arrivals strictly in arrival order, one at a time (it may
 //! charge processing time, e.g. LC-ASGD's predictor updates); a reply then
 //! travels downlink and the worker starts its next phase. All of pull /
-//! state-push / gradient-push map onto this one primitive.
+//! state-push / gradient-push map onto this one primitive. Each worker's
+//! uplink is FIFO, as a channel or a TCP stream is: a message never
+//! reaches the server before one its worker sent earlier.
 
 use crate::event::{EventQueue, SimTime};
 use crate::faults::FaultPlan;
@@ -43,6 +45,9 @@ pub struct ClusterSim<T> {
     /// One RNG stream per worker (adding workers never perturbs others),
     /// plus one for the server.
     worker_rngs: Vec<Rng>,
+    /// Wire arrival of each worker's latest message: the next one arrives
+    /// no earlier (FIFO uplink).
+    last_arrival: Vec<SimTime>,
     /// Cumulative busy time charged to the server (overhead accounting).
     server_busy_total: SimTime,
     /// Fault schedule interpreted by the backend adapter (direct `submit`
@@ -61,6 +66,7 @@ impl<T> ClusterSim<T> {
         let mut root = Rng::seed_from_u64(spec.seed ^ 0xD15C_7E7E);
         let worker_rngs = (0..spec.num_workers()).map(|i| root.fork(i as u64)).collect();
         ClusterSim {
+            last_arrival: vec![0.0; spec.num_workers()],
             spec,
             queue: EventQueue::new(),
             server_free: 0.0,
@@ -125,11 +131,14 @@ impl<T> ClusterSim<T> {
     }
 
     /// Worker `w` sends `payload` at virtual time `at`; it reaches the
-    /// server after a sampled uplink. The second half of
+    /// server after a sampled uplink, and not before the worker's previous
+    /// message (ties pop in send order). The second half of
     /// [`submit`](Self::submit).
     pub fn send(&mut self, worker: usize, at: SimTime, payload: T) {
         let uplink = self.spec.link.sample_latency(&mut self.worker_rngs[worker]);
-        self.queue.push(at + uplink, Pending { worker, payload });
+        let arrival = (at + uplink).max(self.last_arrival[worker]);
+        self.last_arrival[worker] = arrival;
+        self.queue.push(arrival, Pending { worker, payload });
     }
 
     /// Samples a downlink latency for a reply to `worker` (the caller adds
@@ -184,6 +193,19 @@ mod tests {
             assert_eq!(a.payload, expect);
             assert_eq!(a.time, 1.0 + 1e-3, "a 1 s phase, then the 1 ms base uplink");
         }
+    }
+
+    #[test]
+    fn a_worker_s_messages_arrive_in_send_order() {
+        let mut spec = ClusterSpec::uniform(1);
+        spec.link.jitter_mean = 5e-3;
+        let mut sim: ClusterSim<u32> = ClusterSim::new(spec);
+        for i in 0..200 {
+            sim.send(0, 0.0, i);
+        }
+        let order: Vec<u32> =
+            std::iter::from_fn(|| sim.next_arrival()).map(|a| a.payload).collect();
+        assert_eq!(order, (0..200).collect::<Vec<_>>());
     }
 
     #[test]

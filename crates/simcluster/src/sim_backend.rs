@@ -14,9 +14,10 @@
 //! plus sampled up/downlink latencies, all from the same per-worker RNG
 //! streams as direct simulation: every message is one compute phase (empty
 //! when none was declared) and one uplink, as a [`ClusterSim::submit`] is.
-//! A worker reads that clock through [`WorkerLink::now`]; the server
-//! charges its own work through [`ServerCtx::charge`] and reads the time a
-//! message was picked up from [`ServerCtx::time`].
+//! Each worker keeps a copy of its clock, which the driver sets with every
+//! reply and every charged compute phase, so [`WorkerLink::now`] is a local
+//! read; the server charges its own work through [`ServerCtx::charge`] and
+//! reads the time a message was picked up from [`ServerCtx::time`].
 //!
 //! Payloads cross the thread boundary *encoded*, making the simulator a
 //! faithful rehearsal of the TCP backend: byte counts in
@@ -44,14 +45,11 @@ enum WorkerEvent {
         bytes: Vec<u8>,
         expects_reply: bool,
     },
-    /// A compute phase of this nominal cost ended ([`WorkerLink::compute`]).
+    /// A compute phase of this nominal cost ended ([`WorkerLink::compute`]);
+    /// the driver answers with the worker's clock after it.
     Compute {
         worker: usize,
         nominal: f64,
-    },
-    /// The worker reads its virtual clock ([`WorkerLink::now`]).
-    Now {
-        worker: usize,
     },
     Done {
         worker: usize,
@@ -69,11 +67,17 @@ enum WorkerEvent {
     },
 }
 
+/// What the driver hands a blocked worker: a reply's bytes (empty after a
+/// compute phase) and the worker's virtual clock on receiving it.
+type Delivery = (Vec<u8>, f64);
+
 struct SimLink<Resp> {
     worker: usize,
     tx: Sender<WorkerEvent>,
-    reply_rx: Receiver<Vec<u8>>,
-    clock_rx: Receiver<f64>,
+    reply_rx: Receiver<Delivery>,
+    /// This worker's virtual clock, as the driver last set it plus any
+    /// fault outage charged since.
+    clock: f64,
     _resp: std::marker::PhantomData<Resp>,
 }
 
@@ -86,7 +90,8 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for SimLink<Resp> {
         let msg =
             WorkerEvent::Msg { worker: self.worker, bytes: req.encoded(), expects_reply: true };
         self.tx.send(msg).map_err(|_| ClusterError::Disconnected)?;
-        let bytes = self.reply_rx.recv().map_err(|_| ClusterError::Disconnected)?;
+        let (bytes, clock) = self.reply_rx.recv().map_err(|_| ClusterError::Disconnected)?;
+        self.clock = clock;
         Resp::decoded(&bytes)
     }
 
@@ -97,29 +102,35 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for SimLink<Resp> {
         Ok(Some(req))
     }
 
+    /// The phase's duration is sampled by the driver, from this worker's
+    /// stream. A dead driver leaves the clock as it is: the next request
+    /// fails anyway.
     fn compute(&mut self, nominal: f64) {
-        let _ = self.tx.send(WorkerEvent::Compute { worker: self.worker, nominal });
+        if self.tx.send(WorkerEvent::Compute { worker: self.worker, nominal }).is_ok() {
+            if let Ok((_, clock)) = self.reply_rx.recv() {
+                self.clock = clock;
+            }
+        }
     }
 
-    /// The driver answers from this worker's clock, which has seen every
-    /// event the worker sent before (one channel, in order). A dead driver
-    /// reads 0: the next request fails anyway.
     fn now(&self) -> f64 {
-        if self.tx.send(WorkerEvent::Now { worker: self.worker }).is_err() {
-            return 0.0;
-        }
-        self.clock_rx.recv().unwrap_or(0.0)
+        self.clock
     }
 }
 
 impl<Resp> FaultHooks for SimLink<Resp> {
     fn fault_crash(&mut self, restart_after_ms: Option<u32>) {
+        if let Some(ms) = restart_after_ms {
+            self.clock += f64::from(ms) / 1e3;
+        }
         let _ = self.tx.send(WorkerEvent::Crashed { worker: self.worker, restart_after_ms });
     }
 
     fn fault_delay(&mut self, delay_ms: u32) {
-        // Virtual, not wall-clock: the driver advances this worker's clock.
+        // Virtual, not wall-clock: the driver advances this worker's clock
+        // by the same sum.
         let seconds = f64::from(delay_ms) / 1e3;
+        self.clock += seconds;
         let _ = self.tx.send(WorkerEvent::Delay { worker: self.worker, seconds });
     }
 }
@@ -162,17 +173,12 @@ impl ClusterBackend for ClusterSim<SimPayload> {
         let plan = self.fault_plan().cloned();
         let hook = self.trace_hook();
         let (tx, rx) = unbounded::<WorkerEvent>();
-        let mut reply_txs: Vec<Option<Sender<Vec<u8>>>> = Vec::with_capacity(m);
-        let mut reply_rxs: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(m);
-        let mut clock_txs: Vec<Option<Sender<f64>>> = Vec::with_capacity(m);
-        let mut clock_rxs: Vec<Option<Receiver<f64>>> = Vec::with_capacity(m);
+        let mut reply_txs: Vec<Option<Sender<Delivery>>> = Vec::with_capacity(m);
+        let mut reply_rxs: Vec<Option<Receiver<Delivery>>> = Vec::with_capacity(m);
         for _ in 0..m {
             let (rtx, rrx) = bounded(1);
             reply_txs.push(Some(rtx));
             reply_rxs.push(Some(rrx));
-            let (clock_tx, clock_rx) = bounded(1);
-            clock_txs.push(Some(clock_tx));
-            clock_rxs.push(Some(clock_rx));
         }
 
         let mut stats = TransportStats::default();
@@ -189,12 +195,12 @@ impl ClusterBackend for ClusterSim<SimPayload> {
         let mut server_panic = None;
 
         std::thread::scope(|scope| {
-            for (w, (slot, clock)) in reply_rxs.iter_mut().zip(&mut clock_rxs).enumerate() {
+            for (w, slot) in reply_rxs.iter_mut().enumerate() {
                 let mut link = SimLink {
                     worker: w,
                     tx: tx.clone(),
                     reply_rx: slot.take().expect("reply receiver taken twice"),
-                    clock_rx: clock.take().expect("clock receiver taken twice"),
+                    clock: 0.0,
                     _resp: std::marker::PhantomData,
                 };
                 let worker_fn = &worker_fn;
@@ -242,10 +248,8 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                             }
                             vt[w] += dur;
                             computed[w] = true;
-                        }
-                        Ok(WorkerEvent::Now { worker: w }) => {
-                            if let Some(clock) = &clock_txs[w] {
-                                let _ = clock.send(vt[w]);
+                            if let Some(sender) = &reply_txs[w] {
+                                let _ = sender.send((Vec::new(), vt[w]));
                             }
                         }
                         Ok(WorkerEvent::Msg { worker: w, bytes, expects_reply }) => {
@@ -368,14 +372,13 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                     state[target] = WState::Running;
                     running += 1;
                     let sender = reply_txs[target].as_ref().expect("reply sender present");
-                    let _ = sender.send(bytes);
+                    let _ = sender.send((bytes, receive_at));
                 }
             }
 
             // Unblock any workers still waiting (error paths), then drain
             // their remaining traffic so the scope can join.
             reply_txs.iter_mut().for_each(|t| *t = None);
-            clock_txs.iter_mut().for_each(|t| *t = None);
             while rx.recv().is_ok() {}
         });
 

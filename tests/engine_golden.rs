@@ -20,24 +20,38 @@
 //! staleness, clock, transport and health constants were taken again at
 //! that commit; their fault streams and every other run are the originals.
 //!
-//! And one more, when the simulator took its costs from the run's cost
-//! model (DESIGN.md §13.3). Re-taken then:
+//! And more, when the simulator took its costs from the run's cost model
+//! (DESIGN.md §13.3) and every message of a worker started to reach the
+//! server in the order it was sent. Re-taken then, with the cause of each:
 //!
-//! * the clock stream of every run but SSGD's: an epoch's record carries
+//! * FIFO uplinks. The simulator sampled each message's uplink on its own,
+//!   so the pull a worker sends right after its one-way gradient push
+//!   could reach the server first and read weights without that gradient;
+//!   channels and TCP streams never reorder one sender's messages, and the
+//!   simulator no longer does either. This moves the staleness and clock
+//!   streams of every run but SSGD's (whose barrier orders push before
+//!   pull) and both promotion prints; the transport stream of every run
+//!   whose drain after the last update changed its message count (all but
+//!   SSGD, the LC-ASGD run at M = 4, the LC ladder and the resumed half);
+//!   the health stream of the three supervised runs, whose events follow
+//!   the arrivals; and the ASGD primary kill's replication stream. SGD is
+//!   ASGD with one worker on the cluster engine, and now never stale, as
+//!   sequential SGD is.
+//! * The clock stream of every run but SSGD's: an epoch's record carries
 //!   the virtual time the push that closed it was picked up, not the
 //!   simulator's high-water mark, which ran ahead to the end of every
-//!   compute phase already scheduled (at SSGD's barrier the two coincide);
-//! * every constant of the three LC-ASGD runs that moved (staleness,
-//!   clock, transport, and the ladder's health): a worker declares its
-//!   forward (10 ms) and backward (22 ms) phases, where each of an LC
-//!   iteration's two replies used to start a whole 32 ms iteration, and
-//!   the server is charged the predictors' 2.7 ms per state message;
-//! * the staleness stream of the 4-shard ASGD run (and its transport) and
-//!   of the ASGD primary kill, and so the ASGD promotion print: a message a
-//!   worker sends right after a reply without computing — a follower-shard
-//!   pull, a pull retried after a fenced reply — used to be charged a
-//!   whole iteration's compute and is charged nothing now;
-//! * the LC promotion print, which follows the LC schedule.
+//!   compute phase already scheduled (at SSGD's barrier the two coincide).
+//! * The LC-ASGD runs' schedules and losses: a worker declares its forward
+//!   (10 ms) and backward (22 ms) phases, where each of an LC iteration's
+//!   two replies used to start a whole 32 ms iteration, and the server is
+//!   charged the predictors' 2.7 ms per state message.
+//! * The 4-shard ASGD run and the ASGD primary kill: a message a worker
+//!   sends right after a reply without computing — a follower-shard pull,
+//!   a pull retried after a fenced reply — used to be charged a whole
+//!   iteration's compute and is charged nothing now.
+//!
+//! Every fault stream is unchanged, as are SSGD's six and the LC runs'
+//! replication streams.
 
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::codec::crc32;
@@ -125,24 +139,24 @@ fn check_lc(what: &str, r: &RunResult, want: [u32; 6], losses: u32) {
 #[test]
 fn every_algorithm_keeps_its_schedule() {
     let golden: [(Algorithm, usize, [u32; 6]); 4] = [
-        (Algorithm::Sgd, 1, [3390829173, 1507574319, 3121834518, 0, 0, 0]),
+        (Algorithm::Sgd, 1, [3958532690, 2150453301, 1225790671, 0, 0, 0]),
         (Algorithm::Ssgd, 4, [264420178, 1940031788, 3075304600, 0, 0, 0]),
-        (Algorithm::Asgd, 4, [349005257, 2530187955, 1743776626, 0, 0, 0]),
-        (Algorithm::DcAsgd, 4, [349005257, 2530187955, 1743776626, 0, 0, 0]),
+        (Algorithm::Asgd, 4, [2602208833, 4181553964, 1636071430, 0, 0, 0]),
+        (Algorithm::DcAsgd, 4, [2602208833, 4181553964, 1636071430, 0, 0, 0]),
     ];
     for (algo, workers, want) in golden {
         let r = run(&cfg(algo, workers), None, RunOptions::default());
         check(&format!("{algo} at M = {workers}"), &r, want);
     }
     let r = run(&cfg(Algorithm::LcAsgd, 4), None, RunOptions::default());
-    check_lc("LC-ASGD at M = 4", &r, [1657394877, 132088147, 26528520, 0, 0, 0], 2154653098);
+    check_lc("LC-ASGD at M = 4", &r, [4060491921, 3913260242, 26528520, 0, 0, 0], 4030348317);
 }
 
 #[test]
 fn four_shards_keep_their_schedule() {
     let r = run(&cfg(Algorithm::Asgd, 4), None, RunOptions::default().shards(4));
     assert_eq!(r.shards, 4);
-    check("ASGD, 4 shards", &r, [1253312974, 3623412119, 2969961354, 0, 0, 0]);
+    check("ASGD, 4 shards", &r, [2854568403, 3663551097, 877729724, 0, 0, 0]);
 }
 
 fn supervised(algo: Algorithm, plan: &FaultPlan, sup: SupervisorConfig) -> RunResult {
@@ -181,7 +195,7 @@ fn a_supervised_nan_storm_keeps_its_schedule() {
     check(
         "ASGD, supervised NaN storm",
         &r,
-        [1203916817, 3595443750, 708844739, 426093487, 702746812, 0],
+        [1729493023, 1948491035, 207961866, 4274818186, 702746812, 0],
     );
 }
 
@@ -215,8 +229,8 @@ fn a_supervised_lc_ladder_keeps_its_schedule() {
     check_lc(
         "LC-ASGD, supervised ladder",
         &r,
-        [4283737842, 1071945225, 2446041491, 262960721, 1089321771, 0],
-        3855093349,
+        [897922860, 3887818728, 2446041491, 2943430069, 1089321771, 0],
+        3777079709,
     );
 }
 
@@ -247,7 +261,7 @@ fn a_supervised_rollback_keeps_its_schedule() {
     check(
         "ASGD, supervised rollback",
         &r,
-        [349005257, 2530187955, 1426672353, 284859535, 3175200391, 0],
+        [2602208833, 4181553964, 2160441821, 497697919, 3175200391, 0],
     );
 }
 
@@ -279,7 +293,7 @@ fn a_primary_kill_keeps_its_schedule() {
     check(
         "ASGD, primary kill",
         &killed(Algorithm::Asgd, 1),
-        [3830264923, 2001194287, 4065346122, 0, 592060260, 1048159673],
+        [916206875, 4198313286, 11938911, 0, 592060260, 3265991639],
     );
 }
 
@@ -291,8 +305,8 @@ fn a_sharded_lc_primary_kill_keeps_its_schedule() {
     check_lc(
         "LC-ASGD, 4 shards, primary kill",
         &killed(Algorithm::LcAsgd, 4),
-        [4091418768, 200447627, 70658677, 0, 563353667, 2725470981],
-        1427491814,
+        [1390405590, 189961964, 1422266194, 0, 563353667, 2725470981],
+        1902220661,
     );
 }
 
@@ -320,7 +334,7 @@ fn a_failover_promotes_what_the_parent_promoted() {
     let (r, ck) = killed_to_the_end(Algorithm::Asgd, 1);
     let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
     let prints = [crc32(&bytes(&losses)), crc32(&bytes(&ck.weights))];
-    assert_eq!(prints, [3839564515, 1042401584], "ASGD: [losses, weights]");
+    assert_eq!(prints, [2587238552, 2004252423], "ASGD: [losses, weights]");
     // For LC-ASGD, what promotion hands on that is no float: the run's
     // final `iter` log, arrival state and both predictors' training
     // counters — a refresh without `iter` or the predictors moves them.
@@ -331,7 +345,7 @@ fn a_failover_promotes_what_the_parent_promoted() {
     ints.extend(ck.arrival.iter().map(|a| a.unwrap_or(u64::MAX)));
     ints.extend([lp.train_steps, sp.train_steps, sp.samples]);
     let ints = crc32(&ints.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
-    assert_eq!(ints, 2163901783, "LC-ASGD: iter, arrival and predictor counters");
+    assert_eq!(ints, 3343339324, "LC-ASGD: iter, arrival and predictor counters");
 }
 
 #[test]
@@ -348,12 +362,12 @@ fn a_server_restart_and_its_resume_keep_their_schedules() {
     };
     let halted = run(&c, Some(&plan), opts);
     assert!(halted.faults.as_ref().expect("the plan reports").server_halted);
-    check("ASGD, halted half", &halted, [1216703151, 1149180317, 3133049803, 0, 2632329310, 0]);
+    check("ASGD, halted half", &halted, [3907232511, 3306759863, 3110435542, 0, 2632329310, 0]);
 
     let ck = TrainingCheckpoint::load(&path).expect("the halt wrote a checkpoint");
     std::fs::remove_file(&path).ok();
     assert_eq!(ck.applied, 29);
     let resumed = run(&c, None, RunOptions { resume: Some(ck), ..RunOptions::default() });
     assert_eq!(resumed.epochs.len(), c.epochs);
-    check("ASGD, resumed half", &resumed, [3815522312, 3898372267, 916640824, 0, 3086158723, 0]);
+    check("ASGD, resumed half", &resumed, [2158482237, 1511641747, 916640824, 0, 3086158723, 0]);
 }

@@ -231,4 +231,9 @@ cargo fmt --check "${TOUCHED[@]}"
 echo "==> cargo clippy -D warnings (touched crates)"
 cargo clippy -q "${TOUCHED[@]}" --all-targets -- -D warnings
 
+# Rustdoc: an intra-doc link to a deleted or private item fails here, so a
+# deletion cannot leave a dangling link behind.
+echo "==> cargo doc -D warnings (touched crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${TOUCHED[@]}"
+
 echo "CI OK"

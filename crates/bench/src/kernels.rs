@@ -369,19 +369,17 @@ pub mod seed {
         (levels, scales)
     }
 
-    /// `Compression::Uniform { bits }` as commit `d2be4b4` ran it, in four
-    /// passes: fold the residual in, take the maximum, quantize, subtract
-    /// the decompressed message from the residual.
-    pub fn uniform(bits: u8, grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
+    /// `Compression::Int8` as commit `d2be4b4` ran it (there named
+    /// `Uniform { bits: 8 }`), in four passes: fold the residual in, take
+    /// the maximum, quantize, subtract the decompressed message from the
+    /// residual.
+    pub fn int8(grads: &[f32], residual: Option<&mut [f32]>) -> CompressedGrad {
         let residual = fold(grads, residual);
         let signal: &[f32] = residual.as_deref().map_or(grads, |r| r);
         let max = signal.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let levels_per_sign = ((1u32 << (bits - 1)) - 1) as f32;
-        let scale = if max > 0.0 { max / levels_per_sign } else { 1.0 };
-        let levels: Vec<i8> = signal
-            .iter()
-            .map(|&v| (v / scale).round().clamp(-levels_per_sign, levels_per_sign) as i8)
-            .collect();
+        let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
+        let levels: Vec<i8> =
+            signal.iter().map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8).collect();
         if let Some(r) = residual {
             for (s, &l) in r.iter_mut().zip(&levels) {
                 *s -= l as f32 * scale;
@@ -988,12 +986,10 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             || int8_pack(weights.data()),
         );
         let grads: Vec<f32> = randn(&[len], 26).data().iter().map(|g| g * 1e-3).collect();
-        for (name, scheme) in
-            [("uniform8_ef", Compression::Uniform { bits: 8 }), ("bf16_ef", Compression::Bf16)]
-        {
+        for (name, scheme) in [("uniform8_ef", Compression::Int8), ("bf16_ef", Compression::Bf16)] {
             let seed_push = |residual: &mut Vec<f32>| match scheme {
                 Compression::Bf16 => seed::bf16(&grads, Some(residual)),
-                _ => seed::uniform(8, &grads, Some(residual)),
+                _ => seed::int8(&grads, Some(residual)),
             };
             let (mut seed_res, mut res) = (vec![0.0; len], vec![0.0; len]);
             for _ in 0..2 {
@@ -1043,7 +1039,7 @@ pub fn to_json(reports: &[KernelReport], samples: usize) -> String {
 pub type BaselineEntry = KernelReport;
 
 /// Parses (and schema-validates) a `BENCH_kernels.json` document, of the
-/// exact shape [`to_json`] emits (see [`crate::baseline`]).
+/// exact shape [`to_json`] emits (see `crate::baseline`).
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineEntry>, String> {
     let mut entries = Vec::new();
     for obj in baseline::objects(json, SCHEMA, "kernels")? {

@@ -47,7 +47,8 @@ pub mod quick {
     use lcasgd_core::compensation::CompensationMode;
     use lcasgd_core::config::Scale;
     use lcasgd_core::metrics::RunResult;
-    use lcasgd_core::trainer::run_experiment;
+    use lcasgd_core::trainer::{run_cluster, run_experiment};
+    use lcasgd_simcluster::{ThreadCluster, WireCodec};
     use lcasgd_tensor::Rng;
     use std::sync::OnceLock;
 
@@ -83,17 +84,16 @@ pub mod quick {
         run(cifar(), Algorithm::LcAsgd, m, 2, BnMode::Async, comp)
     }
 
-    /// Short ASGD CIFAR run with gradient compression on the push.
-    pub fn cifar_run_compressed(
-        m: usize,
-        compression: lcasgd_core::comm::Compression,
-    ) -> RunResult {
+    /// Short ASGD CIFAR run on `m` threads with `codec` on the wire (the
+    /// simulator's wire is `f32` only).
+    pub fn cifar_run_codec(m: usize, codec: WireCodec) -> RunResult {
         let scenario = cifar();
         let mut cfg = scenario.config(Algorithm::Asgd, m, crate::REPRO_SEED);
         cfg.epochs = 2;
         cfg.max_eval_train = 128;
-        cfg.compression = compression;
         let build = |rng: &mut Rng| scenario.build_model(rng);
-        run_experiment(&cfg, &build, &scenario.train, &scenario.test)
+        let backend = ThreadCluster::new(m).with_wire_codec(codec);
+        run_cluster(backend, &cfg, &build, &scenario.train, &scenario.test)
+            .unwrap_or_else(|e| panic!("{} thread run failed: {e}", codec.name()))
     }
 }

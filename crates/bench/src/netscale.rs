@@ -425,7 +425,7 @@ pub struct BaselineRow {
 }
 
 /// Parses (and schema-validates) a `BENCH_net.json` document, of the
-/// exact shape [`to_json`] emits (see [`crate::baseline`]).
+/// exact shape [`to_json`] emits (see `crate::baseline`).
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselineRow>, String> {
     let mut rows = Vec::new();
     for obj in baseline::objects(json, SCHEMA, "rows")? {

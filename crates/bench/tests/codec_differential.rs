@@ -1,5 +1,5 @@
 //! Differential suite: the vectorizing int8 quantizer (`codec::int8_pack`,
-//! `Compression::Uniform` and `Compression::Bf16` with error feedback)
+//! `Compression::Int8` and `Compression::Bf16` with error feedback)
 //! against the loops it replaced (`bench::kernels::seed`), bit for bit —
 //! levels, scales, message bytes and residuals — on inputs that hold every
 //! value the rounding can get wrong: NaN, ±∞, ±0, subnormals, exact
@@ -85,14 +85,13 @@ fn int8_pack_reproduces_the_seed_levels_and_scales() {
 }
 
 /// Finite gradients for the uplink: normal values at `std` clamped to
-/// `±lim/16`, one of them exactly `−lim/16` — so the scale is exactly 2⁻⁴ —
-/// and every third entry a hard value within `±lim` over 16, which the
+/// `±127/16`, one of them exactly `−127/16` — so the scale is exactly 2⁻⁴ —
+/// and every third entry a hard value within `±127` over 16, which the
 /// quantizer's division turns back into exactly that value.
-fn finite_grads(len: usize, bits_: u8, std: f32, seed: u64) -> Vec<f32> {
-    let lim = ((1u32 << (bits_ - 1)) - 1) as f32;
-    let max = lim / 16.0;
+fn finite_grads(len: usize, std: f32, seed: u64) -> Vec<f32> {
+    let max = 127.0 / 16.0;
     let mut g: Vec<f32> = randn(len, std, seed).into_iter().map(|v| v.clamp(-max, max)).collect();
-    let hard = hard_values().into_iter().filter(|h| h.abs() <= lim);
+    let hard = hard_values().into_iter().filter(|h| h.abs() <= 127.0);
     g.iter_mut().step_by(3).zip(hard).for_each(|(v, h)| *v = h / 16.0);
     if let Some(v) = g.last_mut() {
         *v = -max;
@@ -101,39 +100,30 @@ fn finite_grads(len: usize, bits_: u8, std: f32, seed: u64) -> Vec<f32> {
 }
 
 #[test]
-fn uniform_without_a_residual_reproduces_the_seed_message() {
-    for bits_ in 2..=8u8 {
-        let scheme = Compression::Uniform { bits: bits_ };
-        for len in [0, 1, 255, 256, 257, 4099] {
-            for (std, seed) in [(1e-3, 1), (1.0, 2), (40.0, 3)] {
-                let g = finite_grads(len, bits_, std, seed);
-                let got = scheme.compress(&g, None).encoded();
-                assert_eq!(got, seed::uniform(bits_, &g, None).encoded(), "bits {bits_} len {len}");
-            }
+fn int8_without_a_residual_reproduces_the_seed_message() {
+    for len in [0, 1, 255, 256, 257, 4099] {
+        for (std, seed) in [(1e-3, 1), (1.0, 2), (40.0, 3)] {
+            let g = finite_grads(len, std, seed);
+            let got = Compression::Int8.compress(&g, None).encoded();
+            assert_eq!(got, seed::int8(&g, None).encoded(), "len {len}");
         }
     }
 }
 
 #[test]
-fn uniform_and_bf16_error_feedback_reproduce_the_seed_through_the_push_path() {
-    let mut schemes: Vec<Compression> = (2..=8).map(|b| Compression::Uniform { bits: b }).collect();
-    schemes.push(Compression::Bf16);
+fn int8_and_bf16_error_feedback_reproduce_the_seed_through_the_push_path() {
     let reference = |scheme: Compression, g: &[f32], r: &mut [f32]| match scheme {
-        Compression::Uniform { bits } => seed::uniform(bits, g, Some(r)),
+        Compression::Int8 => seed::int8(g, Some(r)),
         _ => seed::bf16(g, Some(r)),
     };
     for (len, pushes) in [(4099, 6), (WIDE, 2)] {
         for shards in [1, 4] {
             let spec = ShardSpec::even(len, shards).unwrap();
-            for &scheme in &schemes {
-                let bits_ = match scheme {
-                    Compression::Uniform { bits } => bits,
-                    _ => 8,
-                };
+            for scheme in [Compression::Int8, Compression::Bf16] {
                 let mut residual = Vec::new();
                 let mut want_residual = vec![0.0; len];
                 for push in 0..pushes {
-                    let g = finite_grads(len, bits_, 1e-2, 10 + push);
+                    let g = finite_grads(len, 1e-2, 10 + push);
                     let (slices, _) = shard_wire_grads(&scheme, &spec, g.clone(), &mut residual);
                     assert_eq!(slices.len(), shards);
                     for (s, slice) in slices.iter().enumerate() {

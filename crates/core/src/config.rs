@@ -2,7 +2,6 @@
 
 use crate::algorithms::Algorithm;
 use crate::bnmode::BnMode;
-use crate::comm::Compression;
 use crate::compensation::CompensationMode;
 use lcasgd_nn::LrSchedule;
 use lcasgd_simcluster::ClusterSpec;
@@ -129,11 +128,11 @@ impl Scale {
 
     /// Base learning rate at this scale's batch size. At Paper scale this
     /// is exactly the paper's 0.3 (batch 128). The reduced scales use the
-    /// linearly batch-rescaled rate ×2: the sweep in
-    /// `bench/src/bin/sweep.rs` shows that factor places the scaled task
-    /// in the same mildly-unstable regime where the paper's staleness
-    /// effects are visible (×1 under-trains in the reduced epoch budget,
-    /// ×4 washes the algorithm differences out).
+    /// linearly batch-rescaled rate ×2: the sweep DESIGN.md §1 cites shows
+    /// that factor places the scaled task in the same mildly-unstable
+    /// regime where the paper's staleness effects are visible (×1
+    /// under-trains in the reduced epoch budget, ×4 washes the algorithm
+    /// differences out).
     pub fn cifar_lr(self) -> f32 {
         match self {
             Scale::Paper => 0.3,
@@ -147,30 +146,6 @@ impl Scale {
             Scale::Tiny => 16,
             Scale::Small => 16,
             Scale::Paper => 128,
-        }
-    }
-}
-
-/// Liveness/retry tuning for runs driven over a real network backend
-/// (`trainer::run_cluster` on `lcasgd-netcluster`). Kept as plain
-/// millisecond counts so the algorithm layer stays free of any socket
-/// dependency; the caller maps these onto the backend's own config type.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetTuning {
-    /// Worker heartbeat period.
-    pub heartbeat_interval_ms: u64,
-    /// Server-side silence window before a worker is declared dead.
-    pub heartbeat_timeout_ms: u64,
-    /// Deadline for one blocking request round trip (pull / push-state).
-    pub request_timeout_ms: u64,
-}
-
-impl Default for NetTuning {
-    fn default() -> Self {
-        NetTuning {
-            heartbeat_interval_ms: 250,
-            heartbeat_timeout_ms: 2_000,
-            request_timeout_ms: 30_000,
         }
     }
 }
@@ -212,12 +187,6 @@ pub struct ExperimentConfig {
     /// Shared (paper) or per-worker-sharded training data (the paper's
     /// future-work extension).
     pub partition: DataPartition,
-    /// Optional gradient compression on the worker→server push (related-
-    /// work extension: QSGD/TernGrad/ECQ-SGD-style; error feedback is
-    /// always on when compression is).
-    pub compression: Compression,
-    /// Timeouts for network-backed runs (`trainer::run_cluster` over TCP).
-    pub net: NetTuning,
 }
 
 impl ExperimentConfig {
@@ -246,8 +215,6 @@ impl ExperimentConfig {
             max_eval_train: 512,
             record_traces: false,
             partition: DataPartition::Shared,
-            compression: Compression::None,
-            net: NetTuning::default(),
         }
     }
 

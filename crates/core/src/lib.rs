@@ -60,7 +60,7 @@ pub use bnmode::BnMode;
 pub use checkpoint::TrainingCheckpoint;
 pub use comm::Compression;
 pub use compensation::CompensationMode;
-pub use config::{CostModel, ExperimentConfig, NetTuning, Scale};
+pub use config::{CostModel, ExperimentConfig, Scale};
 pub use metrics::{EpochRecord, FaultReport, OverheadStats, PredictorTrace, RunResult};
 pub use protocol::{ClusterReq, ClusterResp};
 pub use replication::{

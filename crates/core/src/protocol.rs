@@ -7,8 +7,8 @@
 //! [`WireMsg`] with the codec conventions of the simcluster backend
 //! (little-endian, `u64` counts, tag bytes for enums).
 //!
-//! The gradient travels as a [`CompressedGrad`], so an active compression
-//! scheme shrinks the actual TCP bytes — the transport statistics in
+//! The gradient travels as a [`CompressedGrad`], so a lossy wire codec
+//! shrinks the actual TCP bytes — the transport statistics in
 //! [`RunResult`](crate::metrics::RunResult) then show the real ratio.
 
 use crate::comm::CompressedGrad;
@@ -491,7 +491,7 @@ mod tests {
                 epoch: 9,
             },
             ClusterReq::Grad {
-                grads: CompressedGrad::Sparse { len: 4, entries: vec![(1, -3.0), (3, 0.5)] },
+                grads: CompressedGrad::Quantized { scale: 0.5, levels: vec![0, -6, 0, 1] },
                 pull_version: 42,
                 loss: 1.25,
                 batch_stats: Vec::new(),

@@ -554,10 +554,6 @@ impl EpochFence {
         self.epoch
     }
 
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Highest applied push sequence number per worker.
     pub fn push_seqs(&self) -> &[u64] {
         &self.push_seqs

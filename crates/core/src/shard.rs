@@ -558,7 +558,7 @@ mod tests {
     #[test]
     fn an_applied_gradient_goes_back_to_whoever_made_it() {
         let g = vec![0.5f32, -1.0, 2.0, 0.0];
-        let packed = || Compression::Uniform { bits: 8 }.compress(&g, None);
+        let packed = || Compression::Int8.compress(&g, None);
         // One shard, dense: the message's own vector is adopted, and is
         // the transport's to have back.
         let mut one = PushAssembly::new(ShardSpec::even(4, 1).unwrap(), 1);

@@ -341,15 +341,9 @@ pub fn run_cluster_with<B: ClusterBackend>(
         s.set_shards(shards.clone());
         s
     });
-    // Wire codec: the backend's negotiated downlink precision. Weights
-    // replies quantize through `ClusterResp::weights_for`; when the run
-    // has no compression scheme of its own, the uplink mirrors the codec.
+    // Wire codec: the backend's negotiated precision. Weights replies
+    // quantize through `ClusterResp::weights_for`; the uplink mirrors it.
     let codec = backend.wire_codec();
-    let compression = if cfg.compression == Compression::None {
-        Compression::for_codec(codec)
-    } else {
-        cfg.compression
-    };
     let sink = TraceSink::new(want_trace);
     let env = RunEnv::new(
         cfg,
@@ -357,7 +351,7 @@ pub fn run_cluster_with<B: ClusterBackend>(
         worker_nodes(cfg, build, shards),
         group.spec().clone(),
         backend.clock_domain(),
-        compression,
+        Compression::for_codec(codec),
         sink.clone(),
     );
     let harness = EvalHarness::new(cfg, build, train, test);
@@ -694,61 +688,5 @@ mod partition_tests {
         for s in shards {
             assert_eq!(s.len(), 7);
         }
-    }
-}
-
-#[cfg(test)]
-mod compression_tests {
-    use super::*;
-    use crate::comm::Compression;
-    use crate::config::Scale;
-    use lcasgd_data::synth::blobs_split;
-    use lcasgd_nn::mlp::mlp;
-    use lcasgd_nn::LrSchedule;
-
-    #[test]
-    fn compressed_asgd_still_learns() {
-        let (train, test) = blobs_split(4, 6, 30, 10, 0.6, 61);
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], true, rng);
-        for compression in [Compression::TopK { k_frac: 0.25 }, Compression::Uniform { bits: 8 }] {
-            let mut cfg = ExperimentConfig::new(Algorithm::Asgd, 4, Scale::Tiny, 19);
-            cfg.epochs = 14;
-            cfg.batch_size = 10;
-            cfg.lr = LrSchedule::constant(0.1);
-            cfg.compression = compression;
-            let r = run_experiment(&cfg, &build, &train, &test);
-            assert!(r.final_test_error() < 0.3, "{compression:?} err {}", r.final_test_error());
-        }
-    }
-
-    #[test]
-    fn compression_changes_the_trajectory() {
-        let (train, test) = blobs_split(4, 6, 30, 10, 0.6, 61);
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], true, rng);
-        let mut base = ExperimentConfig::new(Algorithm::Asgd, 4, Scale::Tiny, 19);
-        base.epochs = 4;
-        base.batch_size = 10;
-        let plain = run_experiment(&base, &build, &train, &test);
-        let mut lossy = base.clone();
-        lossy.compression = Compression::TopK { k_frac: 0.1 };
-        let compressed = run_experiment(&lossy, &build, &train, &test);
-        assert_ne!(
-            plain.epochs.last().unwrap().train_loss,
-            compressed.epochs.last().unwrap().train_loss
-        );
-    }
-
-    #[test]
-    fn lc_asgd_composes_with_compression() {
-        let (train, test) = blobs_split(4, 6, 30, 10, 0.6, 62);
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], true, rng);
-        let mut cfg = ExperimentConfig::new(Algorithm::LcAsgd, 4, Scale::Tiny, 20);
-        cfg.epochs = 14;
-        cfg.batch_size = 10;
-        cfg.lr = LrSchedule::constant(0.1);
-        cfg.compression = Compression::Uniform { bits: 6 };
-        let r = run_experiment(&cfg, &build, &train, &test);
-        assert!(r.final_test_error() < 0.35, "err {}", r.final_test_error());
-        assert!(r.overhead.is_some());
     }
 }

@@ -15,10 +15,11 @@
 //!     24     …  payload        a WireMsg encoding (or rank for Hello)
 //! ```
 //!
-//! All integers are little-endian, matching the [`WireMsg`] codec and the
-//! checkpoint file format. The checksum covers only the payload: header
-//! corruption is caught by the magic/version/kind/flags checks, payload
-//! corruption by the CRC. A frame that fails any check is a
+//! All integers are little-endian, matching the
+//! [`WireMsg`](lcasgd_simcluster::WireMsg) codec and the checkpoint file
+//! format. The checksum covers only the payload: header corruption is
+//! caught by the magic/version/kind/flags checks, payload corruption by
+//! the CRC. A frame that fails any check is a
 //! [`ClusterError::Protocol`]; socket-level failures map through
 //! `From<std::io::Error>` (EOF/reset → `Disconnected`, deadline →
 //! `Timeout`).

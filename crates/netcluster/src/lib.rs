@@ -25,7 +25,7 @@
 //! Transport accounting: the server counts bytes and messages; each
 //! worker measures its own request round trips and serialization time.
 //! [`NetCluster`] merges both sides into one
-//! [`TransportStats`](lcasgd_simcluster::TransportStats).
+//! [`TransportStats`].
 
 pub mod breaker;
 pub mod config;

@@ -741,7 +741,8 @@ pub trait ClusterBackend {
 
     /// How this backend packs dense `f32` payloads on the wire. Protocols
     /// that support quantized encodings consult this to pick matching
-    /// message variants; the default ([`WireCodec::F32`]) is the seed
+    /// message variants; the default
+    /// ([`WireCodec::F32`](crate::codec::WireCodec::F32)) is the seed
     /// protocol's bit-exact encoding.
     fn wire_codec(&self) -> crate::codec::WireCodec {
         crate::codec::WireCodec::F32

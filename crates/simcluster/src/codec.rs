@@ -140,9 +140,9 @@ pub fn max_abs(vals: &[f32]) -> f32 {
     max_abs_nan(vals).0
 }
 
-/// `q.round().clamp(-lim, lim) as i8` for every `f32` `q` and every integral
-/// `lim` in `0..=127`, from operations that vectorize (`f32::round` is a
-/// libm call on baseline x86-64, and a saturating `as i8` is a branch):
+/// `q.round().clamp(-127.0, 127.0) as i8` for every `f32` `q`, from
+/// operations that vectorize (`f32::round` is a libm call on baseline
+/// x86-64, and a saturating `as i8` is a branch):
 ///
 /// - NaN goes to 0, as the saturating cast sends it; then `q` is clamped
 ///   to `c` by comparison. Clamping first is the same as clamping after,
@@ -156,17 +156,10 @@ pub fn max_abs(vals: &[f32]) -> f32 {
 /// DESIGN.md §12.3 has the exactness argument; the whole `f32` range is
 /// checked against the libm expression by an ignored test in this module.
 #[inline]
-pub fn level(q: f32, lim: f32) -> i8 {
+pub fn level(q: f32) -> i8 {
     const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
-    let c = if q.is_nan() {
-        0.0
-    } else if q < -lim {
-        -lim
-    } else if q > lim {
-        lim
-    } else {
-        q
-    };
+    const LIM: f32 = 127.0;
+    let c = if q.is_nan() { 0.0 } else { q.clamp(-LIM, LIM) };
     let m = c + MAGIC;
     let even = m.to_bits().wrapping_sub(MAGIC.to_bits()) as i32;
     let d = c - (m - MAGIC);
@@ -185,7 +178,7 @@ pub fn int8_pack(vals: &[f32]) -> (Vec<i8>, Vec<f32>) {
         let max = max_abs(block);
         let scale = if max > 0.0 && max.is_finite() { max / 127.0 } else { 1.0 };
         scales.push(scale);
-        out.iter_mut().zip(block).for_each(|(l, &v)| *l = level(v / scale, 127.0));
+        out.iter_mut().zip(block).for_each(|(l, &v)| *l = level(v / scale));
     }
     (levels, scales)
 }
@@ -361,13 +354,13 @@ mod tests {
     }
 
     /// What [`level`] replaces: libm's `roundf`, then a saturating cast.
-    fn libm_level(q: f32, lim: f32) -> i8 {
-        q.round().clamp(-lim, lim) as i8
+    fn libm_level(q: f32) -> i8 {
+        q.round().clamp(-127.0, 127.0) as i8
     }
 
     /// Bit patterns `0, stride, 2·stride, …` below 2³² that `level`
     /// quantizes differently from [`libm_level`], split across the cores.
-    fn level_mismatches(lim: f32, stride: u64) -> Vec<u32> {
+    fn level_mismatches(stride: u64) -> Vec<u32> {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4)) as u64;
         let per = (1u64 << 32).div_ceil(threads * stride) * stride;
         std::thread::scope(|s| {
@@ -380,7 +373,7 @@ mod tests {
                             .map(|b| b as u32)
                             .filter(|&b| {
                                 let q = f32::from_bits(b);
-                                level(q, lim) != libm_level(q, lim)
+                                level(q) != libm_level(q)
                             })
                             .collect::<Vec<_>>()
                     })
@@ -393,14 +386,12 @@ mod tests {
     #[test]
     #[ignore = "all 2³² inputs: run in release with -- --ignored"]
     fn level_equals_round_clamp_cast_for_every_f32() {
-        assert_eq!(level_mismatches(127.0, 1), Vec::<u32>::new());
+        assert_eq!(level_mismatches(1), Vec::<u32>::new());
     }
 
     #[test]
-    fn level_equals_round_clamp_cast_at_every_width() {
-        for lim in [1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0] {
-            assert_eq!(level_mismatches(lim, 4096), Vec::<u32>::new(), "lim {lim}");
-        }
+    fn level_equals_round_clamp_cast_on_a_stride_and_every_tie() {
+        assert_eq!(level_mismatches(4096), Vec::<u32>::new());
         // The inputs a stride can step over: ties on both sides of every
         // level, their neighbours, the bounds, the non-finite values.
         let mut qs = vec![0.0f32, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
@@ -409,10 +400,8 @@ mod tests {
             let t = k as f32 + 0.5;
             qs.extend([t, t.next_down(), t.next_up(), k as f32]);
         }
-        for lim in [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0] {
-            for &q in &qs {
-                assert_eq!(level(q, lim), libm_level(q, lim), "q {q:e} lim {lim}");
-            }
+        for &q in &qs {
+            assert_eq!(level(q), libm_level(q), "q {q:e}");
         }
     }
 

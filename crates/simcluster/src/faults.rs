@@ -1,4 +1,5 @@
-//! Deterministic fault injection shared by every [`ClusterBackend`].
+//! Deterministic fault injection shared by every
+//! [`ClusterBackend`](crate::ClusterBackend).
 //!
 //! A [`FaultPlan`] is a schedule of failures — worker crashes (with or
 //! without restart), dropped/duplicated/corrupted messages, slow links and

@@ -6,10 +6,10 @@
 //! itself when `padding = 0`) element (pixel `j`, patch entry `l`) of that
 //! matrix is `padded[base[j] + off[l]]` with
 //! `base[j] = oy·s·wp + ox·s` and `off[l] = ch·hp·wp + ky·wp + kx` — two
-//! small tables built once per call ([`Patches`]), after which no inner
+//! small tables built once per call (`Patches`), after which no inner
 //! loop holds a bounds test, a division or a copy, for any stride. The
 //! GEMM micro-kernel gathers its A operand through those tables
-//! ([`gemm_gather`]):
+//! (`gemm_gather`):
 //!
 //! * [`conv2d`]: rows = pixels, `k` = patch entries, B = `Wᵀ` packed once
 //!   per call; each tile is stored transposed, straight into the image's
@@ -19,7 +19,7 @@
 //!   accumulated over images in order, transposed once at the end.
 //! * [`conv2d_dx`]: the transposed convolution — rows = input pixels, one
 //!   GEMM per stride parity class, `k` = (tap, `co`) read from a
-//!   zero-padded window of that image's `dY` ([`DyWindow`]), B = the
+//!   zero-padded window of that image's `dY` (`DyWindow`), B = the
 //!   flipped weights packed once per call; each tile is stored transposed
 //!   into the image's `[cin, h·w]` slab.
 //!
@@ -486,7 +486,7 @@ impl DyWindow {
 /// Convolution input gradient as a transposed convolution: an implicit
 /// GEMM whose rows are input pixels, columns `cin` and depth (tap, `co`),
 /// with A gathered in place from one zero-padded `dY` image per band
-/// ([`DyWindow`]) and B the flipped weights, packed once per call. `dy`
+/// (`DyWindow`) and B the flipped weights, packed once per call. `dy`
 /// is `[n, cout, oh, ow]`; returns `[n, cin, h, w]`.
 ///
 /// **Parity classes.** Input pixel `(y, x)` is reached by tap `(ky, kx)`
@@ -502,7 +502,7 @@ impl DyWindow {
 /// ascending output pixel — onto +0. Here a tap is the same chain, the
 /// pieces of a tap are summed the same way, and a pixel's taps are added
 /// in the same descending `(ky, kx)` to a total that starts at +0
-/// ([`GatherMap::taps`]). The rows `dY` lacks — taps that reach past its
+/// (`GatherMap::taps`). The rows `dY` lacks — taps that reach past its
 /// edge, which the fold never formed — read the window's zeros: each such
 /// product is ±0, its chain from +0 stays +0, and +0 added to a total
 /// that is never −0 (it starts at +0, and a sum is −0 only when both

@@ -48,11 +48,6 @@ impl Tensor {
         zip_binary(self, other, |a, b| a * b)
     }
 
-    /// Elementwise quotient.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        zip_binary(self, other, |a, b| a / b)
-    }
-
     /// Adds a scalar.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         map_unary(self, |x| x + s)
@@ -106,29 +101,9 @@ impl Tensor {
         map_unary(self, |x| x.tanh())
     }
 
-    /// Natural exponential.
-    pub fn exp_map(&self) -> Tensor {
-        map_unary(self, |x| x.exp())
-    }
-
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
         map_unary(self, |x| x * x)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt_map(&self) -> Tensor {
-        map_unary(self, |x| x.sqrt())
-    }
-
-    /// Elementwise absolute value.
-    pub fn abs_map(&self) -> Tensor {
-        map_unary(self, |x| x.abs())
-    }
-
-    /// Clamps every element into `[lo, hi]`.
-    pub fn clamp_map(&self, lo: f32, hi: f32) -> Tensor {
-        map_unary(self, |x| x.clamp(lo, hi))
     }
 
     /// Adds `bias` (shape = trailing dims of `self`) to every slice along
@@ -248,11 +223,5 @@ mod tests {
         fused.scale_add_inplace(1.0 - momentum, &src, momentum);
         let two_pass = crate::ops::reference::ema_ref(&dst, &src, momentum);
         assert_eq!(fused.data(), two_pass.data());
-    }
-
-    #[test]
-    fn clamp_bounds() {
-        let t = Tensor::from_vec(vec![-5., 0.5, 5.], &[3]);
-        assert_eq!(t.clamp_map(-1., 1.).data(), &[-1., 0.5, 1.]);
     }
 }

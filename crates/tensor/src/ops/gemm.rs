@@ -1,16 +1,16 @@
 //! Cache-blocked, register-tiled GEMM with panel packing.
 //!
-//! One register tile serves two drivers. [`gemm`] is the packed product
+//! One register tile serves two drivers. `gemm` is the packed product
 //! behind `matmul`, `matmul_tn` and `matmul_nt`: the operand layout is
 //! abstracted as a [`MatRef`] (base slice plus row/column strides), so a
 //! transposed operand is handled by the packing routine rather than by a
-//! materialized transpose. [`gemm_gather`] is the implicit GEMM behind the
+//! materialized transpose. `gemm_gather` is the implicit GEMM behind the
 //! convolutions (`ops::conv`): its A operand is never packed at all — the
 //! micro-kernel fetches element `(i, l)` as `src[row_off[i] + k_off[l]]`
-//! through a [`GatherMap`], which is how an im2col matrix is read straight
+//! through a `GatherMap`, which is how an im2col matrix is read straight
 //! out of a padded image — and its B operand is packed once, whole, into a
-//! [`PackedB`] the caller owns. The map also says where each row's result
-//! goes and how its depth is summed ([`GatherMap::taps`]).
+//! `PackedB` the caller owns. The map also says where each row's result
+//! goes and how its depth is summed (`GatherMap::taps`).
 //!
 //! Blocking follows the classic three-loop structure (Goto/BLIS): the
 //! output is swept in `NC`-wide column slabs; for each slab, `KC`-deep

@@ -266,20 +266,6 @@ impl Patches {
     }
 }
 
-/// Single-loop f32 sum (no f64 widening, no blocking) — the reduction the
-/// optimized `sum_rows`/EMA kernels are compared against.
-pub fn sum_rows_ref(t: &Tensor) -> Tensor {
-    let b = t.dims()[0];
-    let row = t.numel() / b.max(1);
-    let mut out = Tensor::zeros(&t.dims()[1..]);
-    for i in 0..b {
-        for j in 0..row {
-            out.data_mut()[j] += t.data()[i * row + j];
-        }
-    }
-    out
-}
-
 /// Two-pass (unfused) EMA update: `dst = (1−m)·dst`, then `dst += m·src`.
 /// Reference for the fused `scale_add_inplace` kernel.
 pub fn ema_ref(dst: &Tensor, src: &Tensor, momentum: f32) -> Tensor {

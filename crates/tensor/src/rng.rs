@@ -66,11 +66,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std: f64) -> f64 {
-        mean + std * self.normal()
-    }
-
     /// Lognormal: `exp(N(mu, sigma))`. Used for compute-time jitter, which
     /// is right-skewed in real clusters.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {

@@ -1,36 +1,26 @@
-//! Library extensions in one tour: gradient compression on the push path
-//! (QSGD/ECQ-style, with error feedback) and checkpoint/restore.
+//! Library extensions in one tour: a lossy wire codec on the push path
+//! (int8 / bf16 with ECQ-style error feedback) and checkpoint/restore.
 //!
 //! ```sh
 //! cargo run --release --example compression_and_checkpoints
 //! ```
 
-use lc_asgd::core::comm::Compression;
 use lc_asgd::nn::checkpoint::Checkpoint;
 use lc_asgd::prelude::*;
+use lc_asgd::simcluster::WireCodec;
 
 fn main() {
     let (train, test) = SyntheticImageSpec::cifar10_like(8, 8, 24, 10).generate();
     let resnet = lc_asgd::nn::resnet::ResNetConfig::tiny(3, 10);
     let build = |rng: &mut Rng| resnet.build(rng);
 
-    println!("{:<22} {:>10} {:>12}", "push compression", "err %", "wire ratio");
-    for compression in [
-        Compression::None,
-        Compression::Uniform { bits: 8 },
-        Compression::Uniform { bits: 4 },
-        Compression::TopK { k_frac: 0.1 },
-    ] {
+    println!("{:<12} {:>10}", "wire codec", "err %");
+    for codec in [WireCodec::F32, WireCodec::Bf16, WireCodec::Int8] {
         let mut cfg = ExperimentConfig::new(Algorithm::LcAsgd, 8, Scale::Tiny, 77);
         cfg.epochs = 10;
-        cfg.compression = compression;
-        let r = run_experiment(&cfg, &build, &train, &test);
-        println!(
-            "{:<22} {:>10.2} {:>11.1}x",
-            format!("{compression:?}"),
-            r.final_test_error() * 100.0,
-            compression.ratio(20_000)
-        );
+        let backend = ThreadCluster::new(8).with_wire_codec(codec);
+        let r = run_cluster(backend, &cfg, &build, &train, &test).expect("thread run failed");
+        println!("{:<12} {:>10.2}", codec.name(), r.final_test_error() * 100.0);
     }
 
     // Checkpoint a trained model and restore it into a fresh instance.

@@ -12,24 +12,10 @@
 //! cargo run --release --example net_training
 //! ```
 
-use std::time::Duration;
-
 use lc_asgd::data::synth::blobs_split;
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::nn::optimizer::LrSchedule;
 use lc_asgd::prelude::*;
-
-/// Maps the transport-agnostic tuning knobs in `ExperimentConfig` onto
-/// the TCP backend's own config (core never depends on sockets, so the
-/// translation lives with the caller).
-fn net_config(t: &NetTuning) -> NetConfig {
-    NetConfig {
-        heartbeat_interval: Duration::from_millis(t.heartbeat_interval_ms),
-        heartbeat_timeout: Duration::from_millis(t.heartbeat_timeout_ms),
-        request_timeout: Duration::from_millis(t.request_timeout_ms),
-        ..NetConfig::default()
-    }
-}
 
 fn main() {
     let workers = 4;
@@ -47,8 +33,7 @@ fn main() {
     let plan = FaultPlan::new()
         .with_event(1, 6, FaultKind::Crash { restart_after_ms: Some(25) })
         .with_event(3, 4, FaultKind::SlowLink { delay_ms: 15 });
-    let backend =
-        NetCluster::new(workers).with_config(net_config(&cfg.net)).with_fault_plan(plan.clone());
+    let backend = NetCluster::new(workers).with_fault_plan(plan.clone());
     let opts = RunOptions { fault_plan: Some(plan), trace: true, ..RunOptions::default() };
 
     println!("training LC-ASGD with {workers} workers over loopback TCP (with fault injection)…\n");

@@ -32,7 +32,7 @@ pub mod prelude {
     pub use lcasgd_core::bnmode::BnMode;
     pub use lcasgd_core::checkpoint::TrainingCheckpoint;
     pub use lcasgd_core::compensation::CompensationMode;
-    pub use lcasgd_core::config::{ExperimentConfig, NetTuning, Scale};
+    pub use lcasgd_core::config::{ExperimentConfig, Scale};
     pub use lcasgd_core::metrics::{FaultReport, RunResult};
     pub use lcasgd_core::replication::{ReplicationReport, StandbyConfig};
     pub use lcasgd_core::supervisor::{

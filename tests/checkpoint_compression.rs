@@ -1,12 +1,12 @@
 //! Integration tests for the library extensions: checkpoint/restore
-//! around distributed runs, gradient compression inside them, and
+//! around distributed runs, an int8 wire inside them, and
 //! partitioned data end-to-end.
 
-use lc_asgd::core::comm::Compression;
 use lc_asgd::core::config::DataPartition;
 use lc_asgd::nn::checkpoint::Checkpoint;
 use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
+use lc_asgd::simcluster::WireCodec;
 
 fn task() -> (Dataset, Dataset) {
     SyntheticImageSpec::cifar10_like(8, 8, 16, 8).generate()
@@ -39,24 +39,11 @@ fn compressed_distributed_training_on_images() {
     let build = |rng: &mut Rng| resnet.build(rng);
     let mut cfg = ExperimentConfig::new(Algorithm::Asgd, 4, Scale::Tiny, 29);
     cfg.epochs = 6;
-    cfg.compression = Compression::Uniform { bits: 8 };
-    let lossy = run_experiment(&cfg, &build, &train, &test);
+    let backend = ThreadCluster::new(4).with_wire_codec(WireCodec::Int8);
+    let lossy = run_cluster(backend, &cfg, &build, &train, &test).expect("int8 thread run failed");
     let first = lossy.epochs.first().unwrap().train_error;
     let last = lossy.epochs.last().unwrap().train_error;
     assert!(last <= first, "compressed run should still improve: {first} -> {last}");
-}
-
-#[test]
-fn compression_is_deterministic_too() {
-    let (train, test) = task();
-    let resnet = ResNetConfig::tiny(3, 10);
-    let build = |rng: &mut Rng| resnet.build(rng);
-    let mut cfg = ExperimentConfig::new(Algorithm::LcAsgd, 4, Scale::Tiny, 31);
-    cfg.epochs = 4;
-    cfg.compression = Compression::TopK { k_frac: 0.2 };
-    let a = run_experiment(&cfg, &build, &train, &test);
-    let b = run_experiment(&cfg, &build, &train, &test);
-    assert_eq!(a.epochs.last().unwrap().train_loss, b.epochs.last().unwrap().train_loss);
 }
 
 #[test]

@@ -10,7 +10,7 @@ use lc_asgd::data::synth::blobs_split;
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::nn::optimizer::LrSchedule;
 use lc_asgd::prelude::*;
-use lc_asgd::simcluster::{ClusterSim, SimPayload, WireMsg};
+use lc_asgd::simcluster::{ClusterSim, SimPayload, WireCodec, WireMsg};
 use proptest::prelude::*;
 
 fn task() -> (Dataset, Dataset) {
@@ -90,51 +90,30 @@ fn all_three_backends_drive_the_trainer() {
 #[test]
 fn compression_shrinks_tcp_bytes() {
     let (train, test) = task();
-    let mut plain = cfg(Algorithm::Asgd, 2);
-    plain.epochs = 2;
-    let mut lossy = plain.clone();
-    lossy.compression = Compression::TopK { k_frac: 0.1 };
-
-    let fat = run_cluster(
-        NetCluster::new(2).with_config(NetConfig::fast()),
-        &plain,
-        &build,
-        &train,
-        &test,
-    )
-    .unwrap();
-    let thin = run_cluster(
-        NetCluster::new(2).with_config(NetConfig::fast()),
-        &lossy,
-        &build,
-        &train,
-        &test,
-    )
-    .unwrap();
-    let fat_bytes = fat.transport.unwrap().bytes_sent;
-    let thin_bytes = thin.transport.unwrap().bytes_sent;
+    let mut c = cfg(Algorithm::Asgd, 2);
+    c.epochs = 2;
+    let run = |wire_codec| {
+        let net_cfg = NetConfig { wire_codec, ..NetConfig::fast() };
+        let r = run_cluster(NetCluster::new(2).with_config(net_cfg), &c, &build, &train, &test);
+        r.unwrap().transport.unwrap().bytes_sent
+    };
+    let (fat_bytes, thin_bytes) = (run(WireCodec::F32), run(WireCodec::Int8));
     assert!(
         thin_bytes < fat_bytes,
-        "top-k gradients must shrink the uplink: {thin_bytes} vs {fat_bytes}"
+        "int8 gradients must shrink the uplink: {thin_bytes} vs {fat_bytes}"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every compression scheme's output survives the wire bit-exactly.
+    /// Every push encoding's output survives the wire bit-exactly.
     #[test]
     fn compressed_grads_survive_the_wire(
         grads in prop::collection::vec(-10.0f32..10.0, 1..64),
-        pick in 0u8..3,
-        k_pct in 1u32..100,
-        bits in 2u8..8,
+        pick in 0usize..3,
     ) {
-        let scheme = match pick {
-            0 => Compression::None,
-            1 => Compression::TopK { k_frac: k_pct as f32 / 100.0 },
-            _ => Compression::Uniform { bits },
-        };
+        let scheme = [Compression::None, Compression::Bf16, Compression::Int8][pick];
         let sent = scheme.compress(&grads, None);
         let got = CompressedGrad::decoded(&sent.encoded()).unwrap();
         prop_assert_eq!(got.decompress(), sent.decompress());

@@ -197,23 +197,33 @@ fn three_backends_agree_with_quantization_off() {
     }
 }
 
-/// Quantized runs still train. The thread backend quantizes at protocol
+/// Quantized runs still train, ASGD and LC-ASGD alike (the predictors
+/// compose with a lossy uplink). The thread backend quantizes at protocol
 /// construction (not transport encode), so this exercises the identical
 /// lossy path a TCP run takes.
 #[test]
 fn quantized_thread_runs_converge() {
     let (train, test) = task();
-    let c = cfg(4);
-    for codec in [WireCodec::Bf16, WireCodec::Int8] {
-        let r =
-            run_cluster(ThreadCluster::new(4).with_wire_codec(codec), &c, &build, &train, &test)
-                .unwrap_or_else(|e| panic!("{} run failed: {e}", codec.name()));
-        assert!(
-            r.final_test_error() < 0.35,
-            "{} must still converge: err {}",
-            codec.name(),
-            r.final_test_error()
-        );
+    for algo in [Algorithm::Asgd, Algorithm::LcAsgd] {
+        let mut c = cfg(4);
+        c.algorithm = algo;
+        for codec in [WireCodec::Bf16, WireCodec::Int8] {
+            let what = format!("{algo:?}/{}", codec.name());
+            let r = run_cluster(
+                ThreadCluster::new(4).with_wire_codec(codec),
+                &c,
+                &build,
+                &train,
+                &test,
+            )
+            .unwrap_or_else(|e| panic!("{what} run failed: {e}"));
+            assert!(
+                r.final_test_error() < 0.35,
+                "{what} must still converge: err {}",
+                r.final_test_error()
+            );
+            assert_eq!(r.overhead.is_some(), algo == Algorithm::LcAsgd, "{what}");
+        }
     }
 }
 

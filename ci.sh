@@ -66,12 +66,14 @@ timeout 300 cargo test -q --release --test predictor_alloc
 timeout 300 cargo test -q --release --test deferred_eval
 timeout 300 cargo test -q --release -p lcasgd-bench --test lstm_differential
 
-# Every model-sized buffer has one owner: a steady-state learner iteration
-# asks the heap for nothing of that size, a whole TCP run of the 5.3 MB
+# Every model-sized buffer has one owner and every activation-sized one
+# comes back through its thread's tensor cache: a steady-state learner
+# iteration asks the heap for nothing model-sized (and a ResNet-tiny one
+# for at most 2 requests of a page or more), a whole TCP run of the 5.3 MB
 # model for a bounded handful per applied update (a counting global
 # allocator; release, so the counts are those of the shipped codegen).
 # The cluster half hangs rather than fails when liveness regresses.
-echo "==> model-sized allocation suite (hard 300s timeout)"
+echo "==> model- and activation-sized allocation suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test model_alloc
 
 # Observability contract: traced LC-ASGD on all three backends must tile
@@ -88,8 +90,11 @@ timeout 300 cargo test -q --release --test trace_integration
 # for bit, the checksums their pack-then-multiply / per-element
 # predecessors produced (tests/kernel_golden.rs). Run in release so the
 # differential proptests cover all cases quickly (and so the AVX2
-# dispatch path — the one production uses — is what gets tested).
+# dispatch path — the one production uses — is what gets tested). The
+# tensor crate's unit tests include the buffer cache's (zeros from a
+# reused buffer, retention rules, its byte bound), on the shipped codegen.
 echo "==> kernel differential + determinism + golden suites (hard 300s timeout)"
+timeout 120 cargo test -q --release -p lcasgd-tensor --lib
 timeout 300 cargo test -q --release -p lcasgd-tensor --test kernel_differential
 timeout 300 cargo test -q --release --test properties thread_invariance
 timeout 300 cargo test -q --release --test kernel_golden

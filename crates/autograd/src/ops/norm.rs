@@ -98,7 +98,8 @@ impl BackwardOp for BnBack {
         let gamma = ctx.value(self.gamma).data();
         let inv_std = self.inv_std.data();
         let m = self.m as f32;
-        let mut dx = Tensor::zeros_like(&self.xhat);
+        // The runs cover every element: no fill needed.
+        let mut dx = Tensor::for_overwrite(self.xhat.dims());
         let dxd = dx.data_mut();
         for (ch, run) in self.layout.runs(dy.len()) {
             let scale = gamma[ch] * inv_std[ch] / m;
@@ -131,7 +132,8 @@ impl BackwardOp for InferenceBack {
         let (dgamma, dbeta) = channel_sums(self.layout, dy, self.xhat.data());
         let gamma = ctx.value(self.gamma).data();
         let inv_std = self.inv_std.data();
-        let mut dx = Tensor::zeros_like(&self.xhat);
+        // The runs cover every element: no fill needed.
+        let mut dx = Tensor::for_overwrite(self.xhat.dims());
         let dxd = dx.data_mut();
         for (ch, run) in self.layout.runs(dy.len()) {
             let (g, s) = (gamma[ch], inv_std[ch]);
@@ -157,14 +159,16 @@ fn normalize(
 ) -> (Tensor, Tensor, Tensor) {
     let inv_std =
         Tensor::from_vec(var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect(), var.dims());
-    let mut xhat = x.clone();
-    let mut y = Tensor::zeros_like(x);
-    let (xh, yd) = (xhat.data_mut(), y.data_mut());
+    // Both outputs are fresh buffers every element of which the loop
+    // writes, so neither starts as a copy or a fill.
+    let mut xhat = Tensor::for_overwrite(x.dims());
+    let mut y = Tensor::for_overwrite(x.dims());
+    let (xd, xh, yd) = (x.data(), xhat.data_mut(), y.data_mut());
     let (md, isd, gd, bd) = (mean.data(), inv_std.data(), gamma.data(), beta.data());
     for (ch, run) in layout.runs(xh.len()) {
         let (m, s, g, b) = (md[ch], isd[ch], gd[ch], bd[ch]);
-        for (v, o) in xh[run.clone()].iter_mut().zip(&mut yd[run]) {
-            *v = (*v - m) * s;
+        for ((v, o), &xv) in xh[run.clone()].iter_mut().zip(&mut yd[run.clone()]).zip(&xd[run]) {
+            *v = (xv - m) * s;
             *o = *v * g + b;
         }
     }

@@ -21,6 +21,7 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+mod buffer;
 pub mod init;
 pub mod ops;
 pub mod rng;

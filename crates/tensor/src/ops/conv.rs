@@ -34,6 +34,7 @@
 
 use super::gemm::{gemm_gather, GatherMap, MatRef, PackedB};
 use super::tune::conv_threads;
+use crate::buffer::Buffer;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
@@ -103,9 +104,9 @@ impl Patches {
     }
 
     /// A zeroed padded image (empty when there is no padding to add).
-    pub(super) fn scratch(&self) -> Vec<f32> {
+    pub(super) fn scratch(&self) -> Buffer {
         let planes = if self.spec.padding == 0 { 0 } else { self.spec.in_channels };
-        vec![0.0; planes * self.hp * self.wp]
+        Buffer::zeroed(planes * self.hp * self.wp)
     }
 
     /// Where row `y` of channel `ch` of the plain image sits in the padded one.
@@ -328,7 +329,7 @@ pub fn conv2d_dw_into(dy: &Tensor, input: &Tensor, spec: &Conv2dSpec, dw: &mut [
     let mut dy_img = PackedB::new(ohw, cout);
     // Images accumulate serially into dWᵀ (fixed order — thread-count
     // invariant).
-    let mut dwt = vec![0.0f32; plen * cout];
+    let mut dwt = Buffer::zeroed(plen * cout);
     let images = input.data().chunks_exact(c * h * w).zip(dy.data().chunks_exact(cout * ohw));
     for (img, dy_slab) in images {
         // B[j, co] = dY[co, j].
@@ -415,11 +416,11 @@ impl DyWindow {
     }
 
     /// A zeroed window (empty when `dY` is read in place).
-    fn scratch(&self) -> Vec<f32> {
+    fn scratch(&self) -> Buffer {
         if self.in_place() {
-            return Vec::new();
+            return Buffer::zeroed(0);
         }
-        vec![0.0; self.cout * self.y.win * self.x.win]
+        Buffer::zeroed(self.cout * self.y.win * self.x.win)
     }
 
     /// The window over `dy` (one image): `dy` itself when the window is

@@ -5,13 +5,17 @@
 //! forked branch lost to the serial one at every size from 2¹⁴ to 2²²
 //! elements on two cores (3 vs 38 µs, 59 vs 155 µs, 2.0 vs 2.4 ms — the
 //! `relu` rows of `BENCH_kernels.json`), so the branch and its threshold
-//! are gone. Revisit only with a persistent pool (ROADMAP item 3).
+//! are gone. Revisit only with a persistent pool (ROADMAP item 11).
+//!
+//! An op that makes a new tensor writes every element of a fresh buffer
+//! ([`Tensor::for_overwrite`]) from its inputs, rather than copying an
+//! input and updating the copy: one pass over memory instead of two.
 
 use crate::tensor::Tensor;
 
 fn map_unary(t: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
-    let mut out = t.clone();
-    map_unary_inplace(&mut out, f);
+    let mut out = Tensor::for_overwrite(t.dims());
+    out.data_mut().iter_mut().zip(t.data()).for_each(|(o, &x)| *o = f(x));
     out
 }
 
@@ -27,8 +31,9 @@ fn zip_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         a.shape(),
         b.shape()
     );
-    let mut out = a.clone();
-    out.data_mut().iter_mut().zip(b.data()).for_each(|(x, &y)| *x = f(*x, y));
+    let mut out = Tensor::for_overwrite(a.dims());
+    let pairs = a.data().iter().zip(b.data());
+    out.data_mut().iter_mut().zip(pairs).for_each(|(o, (&x, &y))| *o = f(x, y));
     out
 }
 
@@ -116,11 +121,11 @@ impl Tensor {
             bias.shape()
         );
         let row = bias.numel();
-        let mut out = self.clone();
+        let mut out = Tensor::for_overwrite(self.dims());
         let bd = bias.data();
-        for chunk in out.data_mut().chunks_mut(row) {
-            for (x, &b) in chunk.iter_mut().zip(bd) {
-                *x += b;
+        for (dst, src) in out.data_mut().chunks_mut(row).zip(self.data().chunks(row)) {
+            for ((o, &x), &b) in dst.iter_mut().zip(src).zip(bd) {
+                *o = x + b;
             }
         }
         out
@@ -131,20 +136,16 @@ impl Tensor {
     /// layers where the bias does not span the spatial dims.
     pub fn add_channels(&self, bias: &Tensor) -> Tensor {
         assert_eq!(self.shape().rank(), 4, "add_channels expects NCHW");
-        let (n, c, h, w) = (self.dims()[0], self.dims()[1], self.dims()[2], self.dims()[3]);
+        let (c, hw) = (self.dims()[1], self.dims()[2] * self.dims()[3]);
         assert_eq!(bias.dims(), &[c], "channel bias shape");
-        let hw = h * w;
-        let mut out = self.clone();
-        let bd = bias.data();
-        out.data_mut().chunks_mut(c * hw).for_each(|img| {
-            for ch in 0..c {
-                let b = bd[ch];
-                for x in &mut img[ch * hw..(ch + 1) * hw] {
-                    *x += b;
-                }
+        let mut out = Tensor::for_overwrite(self.dims());
+        // Plane k of the activation is channel k mod c.
+        let planes = out.data_mut().chunks_mut(hw.max(1)).zip(self.data().chunks(hw.max(1)));
+        for ((dst, src), &b) in planes.zip(bias.data().iter().cycle()) {
+            for (o, &x) in dst.iter_mut().zip(src) {
+                *o = x + b;
             }
-        });
-        let _ = n;
+        }
         out
     }
 }

@@ -29,6 +29,7 @@
 //! `tests/properties.rs` pins this contract.
 
 use super::tune::{KC, MC, MR, NC, NR};
+use crate::buffer::Buffer;
 use rayon::prelude::*;
 
 /// A strided view of an `f32` matrix: element `(i, j)` lives at
@@ -288,7 +289,7 @@ pub(crate) fn gemm(
 /// writes them, dead lanes zeroed, so any depth range of a panel — a `KC`
 /// block or one tap of a transposed convolution — is one contiguous slice.
 pub(crate) struct PackedB {
-    data: Vec<f32>,
+    data: Buffer,
     k: usize,
     n: usize,
 }
@@ -296,7 +297,7 @@ pub(crate) struct PackedB {
 impl PackedB {
     /// Storage for a `k × n` operand; [`pack`](Self::pack) fills it.
     pub(crate) fn new(k: usize, n: usize) -> Self {
-        PackedB { data: vec![0.0; k * n.div_ceil(NR) * NR], k, n }
+        PackedB { data: Buffer::zeroed(k * n.div_ceil(NR) * NR), k, n }
     }
 
     /// (Re)packs `b`, a view of logical shape `k × n`.

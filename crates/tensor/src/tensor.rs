@@ -1,5 +1,6 @@
 //! The dense `f32` tensor type.
 
+use crate::buffer::Buffer;
 use crate::shape::Shape;
 use std::fmt;
 use std::sync::Arc;
@@ -18,10 +19,15 @@ use std::sync::Arc;
 /// that install finds every buffer unshared and writes in place (DESIGN.md
 /// §12.6).
 ///
+/// The buffer itself comes from the calling thread's tensor cache and goes
+/// back to it when the last tensor sharing it drops (`buffer.rs`), so a
+/// training iteration reuses the previous one's activation storage instead
+/// of faulting fresh pages in.
+///
 /// [`data_mut`]: Self::data_mut
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Arc<Vec<f32>>,
+    data: Arc<Buffer>,
     shape: Shape,
 }
 
@@ -39,19 +45,32 @@ impl Tensor {
             data.len(),
             shape
         );
+        Tensor::from_buffer(data.into(), shape)
+    }
+
+    /// Wraps a buffer of `shape.numel()` elements.
+    fn from_buffer(data: Buffer, shape: Shape) -> Self {
+        debug_assert_eq!(data.len(), shape.numel());
         Tensor { data: Arc::new(data), shape }
     }
 
     /// A tensor of zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        Tensor { data: Arc::new(vec![0.0; shape.numel()]), shape }
+        Self::full(dims, 0.0)
     }
 
     /// A tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: Arc::new(vec![value; shape.numel()]), shape }
+        Tensor::from_buffer(Buffer::filled(shape.numel(), value), shape)
+    }
+
+    /// A tensor whose values are unspecified — a recycled buffer's stale
+    /// ones — for a caller that writes every element before reading any.
+    /// It skips the fill [`zeros`](Self::zeros) would make.
+    pub fn for_overwrite(dims: &[usize]) -> Self {
+        let shape = Shape::new(dims);
+        Tensor::from_buffer(Buffer::for_overwrite(shape.numel()), shape)
     }
 
     /// A tensor of ones.
@@ -61,7 +80,7 @@ impl Tensor {
 
     /// A rank-0 scalar tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { data: Arc::new(vec![value]), shape: Shape::scalar() }
+        Tensor::from_buffer(vec![value].into(), Shape::scalar())
     }
 
     /// The `n`×`n` identity matrix.
@@ -75,7 +94,7 @@ impl Tensor {
 
     /// Zeros with the same shape as `other`.
     pub fn zeros_like(other: &Tensor) -> Self {
-        Tensor { data: Arc::new(vec![0.0; other.numel()]), shape: other.shape.clone() }
+        Tensor::from_buffer(Buffer::zeroed(other.numel()), other.shape.clone())
     }
 
     // ---------------------------------------------------------- accessors
@@ -103,13 +122,16 @@ impl Tensor {
     /// Mutable view of the flat buffer; copies it first if a clone of this
     /// tensor still shares it.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        Arc::make_mut(&mut self.data).as_mut_slice()
+        &mut Arc::make_mut(&mut self.data)[..]
     }
 
     /// Consumes the tensor, returning its buffer (a copy of it if a clone
-    /// still shares it).
+    /// still shares it). The buffer leaves the tensor cache.
     pub fn into_vec(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
+        match Arc::try_unwrap(self.data) {
+            Ok(unique) => unique.into_vec(),
+            Err(shared) => shared.to_vec(),
+        }
     }
 
     /// Value at a multi-index.
@@ -193,14 +215,15 @@ impl Tensor {
     pub fn gather_rows(&self, rows: &[usize]) -> Tensor {
         assert!(self.shape.rank() >= 1);
         let row = self.shape.numel() / self.shape.dim(0).max(1);
-        let mut data = Vec::with_capacity(rows.len() * row);
-        for &r in rows {
-            assert!(r < self.shape.dim(0), "row {r} out of {}", self.shape.dim(0));
-            data.extend_from_slice(&self.data[r * row..(r + 1) * row]);
-        }
         let mut dims = self.shape.dims().to_vec();
         dims[0] = rows.len();
-        Tensor::from_vec(data, &dims)
+        let mut out = Tensor::for_overwrite(&dims);
+        let data = out.data_mut();
+        for (i, &r) in rows.iter().enumerate() {
+            assert!(r < self.shape.dim(0), "row {r} out of {}", self.shape.dim(0));
+            data[i * row..(i + 1) * row].copy_from_slice(&self.data[r * row..(r + 1) * row]);
+        }
+        out
     }
 
     // ---------------------------------------------------------- diagnostics
@@ -230,7 +253,7 @@ impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?} ", self.shape)?;
         if self.numel() <= 16 {
-            write!(f, "{:?}", self.data)
+            write!(f, "{:?}", self.data())
         } else {
             write!(f, "[{} elements, norm {:.4}]", self.numel(), self.norm())
         }

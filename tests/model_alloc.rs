@@ -1,6 +1,9 @@
 //! A model-sized buffer has one owner that outlives the iteration
 //! (DESIGN.md §12.6): a learner in steady state asks the heap for nothing
 //! of that size, and a whole TCP run for a bounded handful per update.
+//! An activation-sized buffer is recycled through its thread's tensor
+//! cache: a steady-state ResNet-tiny iteration asks the heap for almost
+//! nothing of at least [`PAGE`] bytes.
 //!
 //! The model is the benchmark's wide one, `mlp(&[256, 1024, 1024, 10])` at
 //! batch 16: 5.3 MB of parameters, whose two large weight matrices are
@@ -11,12 +14,21 @@
 //! the f32 run 11.8 and of the int8 + 4 shards + standby run 38; before the
 //! write-ahead log encoded its records in place, that run still made 11.3.)
 //!
+//! An activation-sized request (a page up to the mmap threshold, 128 KiB
+//! by default) costs no mapping, but is not free either: it comes from
+//! the top of the heap, and when a whole tape of them is freed at once
+//! glibc trims that top and returns its pages to the kernel, so the next
+//! iteration faults every page back in, zero-filled. Before the tensor
+//! cache, ResNet-tiny's 88 such requests (2.2 MB) per iteration cost a
+//! benchmark run ≈ 300 000 minor faults and a fifth of its CPU time.
+//!
 //! The counting allocator is the whole binary's and counts every thread's
 //! requests, so the tests take turns.
 
 use lc_asgd::core::worker::WorkerNode;
 use lc_asgd::data::synth::blobs_split;
 use lc_asgd::nn::mlp::mlp;
+use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::WireCodec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,6 +37,8 @@ use std::sync::Mutex;
 
 /// What counts as model-sized.
 const BIG: usize = 1 << 20;
+/// What counts as activation-sized: a page.
+const PAGE: usize = 4 << 10;
 const BATCH: usize = 16;
 
 /// Heap requests of at least [`BIG`] bytes, over all threads, and the bytes
@@ -34,11 +48,18 @@ const BATCH: usize = 16;
 static BIG_REQUESTS: AtomicU64 = AtomicU64::new(0);
 static BIG_LIVE: AtomicU64 = AtomicU64::new(0);
 static BIG_PEAK: AtomicU64 = AtomicU64::new(0);
+/// Heap requests of at least [`PAGE`] bytes, and their bytes.
+static PAGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
+static PAGE_BYTES: AtomicU64 = AtomicU64::new(0);
 static TURN: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
 fn born(size: usize) {
+    if size >= PAGE {
+        PAGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
+        PAGE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
     if size >= BIG {
         BIG_REQUESTS.fetch_add(1, Ordering::Relaxed);
         let live = BIG_LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
@@ -94,6 +115,24 @@ fn big_requests_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (BIG_REQUESTS.load(Ordering::Relaxed) - before, out)
 }
 
+/// One learner iteration as a worker runs it, fused or in LC-ASGD's two
+/// phases, ending with the pushed gradient handed back.
+fn iterate(node: &mut WorkerNode, weights: &[f32], data: &Dataset, two_phase: bool) {
+    let grads = if two_phase {
+        // LC-ASGD's order: the forward state goes out, a compensated seed
+        // comes back, then the backward pass.
+        let (loss, _) = node.forward_phase(weights, data);
+        let running = node.bn_running();
+        assert!(loss.is_finite() && running.means.len() == running.vars.len());
+        node.backward_phase(1.25)
+    } else {
+        node.compute_gradient(weights, data).1
+    };
+    assert_eq!(grads.len(), weights.len());
+    // The push has been encoded: the vector comes back.
+    node.recycle_grads(grads);
+}
+
 #[test]
 fn a_steady_state_learner_iteration_makes_no_model_sized_request() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -102,25 +141,60 @@ fn a_steady_state_learner_iteration_makes_no_model_sized_request() {
         let net = wide(&mut Rng::seed_from_u64(3));
         let weights = net.flat_params();
         let mut node = WorkerNode::new(net, train.len(), BATCH, 9);
-        let iterate = |node: &mut WorkerNode| {
-            let grads = if two_phase {
-                // LC-ASGD's order: the forward state goes out, a
-                // compensated seed comes back, then the backward pass.
-                let (loss, _) = node.forward_phase(&weights, &train);
-                let running = node.bn_running();
-                assert!(loss.is_finite() && running.means.is_empty());
-                node.backward_phase(1.25)
-            } else {
-                node.compute_gradient(&weights, &train).1
-            };
-            assert_eq!(grads.len(), weights.len());
-            // The push has been encoded: the vector comes back.
-            node.recycle_grads(grads);
-        };
         // Warm-up: the first backward pass makes the gradient arena.
-        (0..2).for_each(|_| iterate(&mut node));
-        let (big, ()) = big_requests_of(|| (0..20).for_each(|_| iterate(&mut node)));
+        (0..2).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        let (big, ()) = big_requests_of(|| {
+            (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase))
+        });
         assert_eq!(big, 0, "model-sized requests in 20 iterations (two_phase = {two_phase})");
+    }
+}
+
+/// The benchmark's ResNet-tiny task: CIFAR-like 10×10 images, as
+/// `Scale::Small` makes them.
+fn images() -> Dataset {
+    let hw = Scale::Small.cifar_hw();
+    let per_class = Scale::Small.cifar_train_per_class();
+    let spec = SyntheticImageSpec {
+        noise: 1.2,
+        label_noise: 0.08,
+        seed: 5,
+        ..SyntheticImageSpec::cifar10_like(hw, hw, per_class, 1)
+    };
+    spec.generate().0
+}
+
+/// Activation-sized requests of a steady-state ResNet-tiny iteration, at
+/// most. Every tensor buffer of the tape comes from the learner thread's
+/// tensor cache and goes back to it when the tape drops; what is left is
+/// the tape's own node list (4.6 KB) growing once. Before the cache an
+/// iteration asked the heap for 88 buffers, 2.2 MB.
+const RESNET_PAGE_REQUESTS: f64 = 2.0;
+
+#[test]
+fn a_steady_state_resnet_iteration_reuses_its_activation_buffers() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let train = images();
+    for two_phase in [false, true] {
+        let net = ResNetConfig::tiny(3, 10).build(&mut Rng::seed_from_u64(3));
+        let weights = net.flat_params();
+        let mut node = WorkerNode::new(net, train.len(), BATCH, 9);
+        // Warm-up: the gradient arena, and a first tape's buffers.
+        (0..3).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        let (requests, bytes) =
+            (PAGE_REQUESTS.load(Ordering::Relaxed), PAGE_BYTES.load(Ordering::Relaxed));
+        (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        let per_iter = |now: u64, then: u64| (now - then) as f64 / 20.0;
+        let requests = per_iter(PAGE_REQUESTS.load(Ordering::Relaxed), requests);
+        let bytes = per_iter(PAGE_BYTES.load(Ordering::Relaxed), bytes);
+        let kb = bytes / 1e3;
+        println!(
+            "  ResNet-tiny, two_phase = {two_phase}: {requests:.1} requests >= 4 KiB, {kb:.1} KB"
+        );
+        assert!(
+            requests <= RESNET_PAGE_REQUESTS,
+            "{requests:.1} activation-sized requests per iteration (two_phase = {two_phase})"
+        );
     }
 }
 

@@ -5,9 +5,7 @@
 //! Taken straight from the heap, those buffers lie at the top of glibc's
 //! heap when the tape drops; glibc trims the freed top and hands its pages
 //! back to the kernel, and the next iteration faults every one of them in
-//! again, zero-filled. ResNet-tiny at batch 16 asked the heap for 88
-//! buffers of at least 4 KiB (2.2 MB) per iteration that way, and a
-//! benchmark run spent a fifth of its CPU time in those faults.
+//! again, zero-filled.
 //!
 //! [`Buffer`] is the storage of every [`Tensor`](crate::Tensor) and of the
 //! GEMM's packed operands. A thread's request takes a free buffer of that
@@ -28,8 +26,9 @@
 //! library does not own the allocator of the program that links it
 //! (DESIGN.md §12.6).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The most bytes of free buffers one thread keeps. Between two
 /// steady-state ResNet-tiny iterations at batch 16 (the benchmark's), a
@@ -38,7 +37,7 @@ use std::ops::{Deref, DerefMut};
 /// thread that cycles more cannot hoard it.
 pub(crate) const RETAIN_BYTES: usize = 4 << 20;
 
-/// A thread's free buffers, one shelf per length it has requested.
+/// A thread's free buffers, one shelf per length it has kept.
 struct Cache {
     shelves: Vec<Shelf>,
     /// Capacity, in bytes, of every buffer on a shelf.
@@ -52,23 +51,28 @@ struct Shelf {
 
 thread_local! {
     static CACHE: RefCell<Cache> = const { RefCell::new(Cache { shelves: Vec::new(), bytes: 0 }) };
+    /// This thread's home id; 0 until its first request.
+    static HOME: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Which thread's cache `c` is: its address, unique among live threads.
-fn home_of(c: &RefCell<Cache>) -> usize {
-    c as *const RefCell<Cache> as usize
+/// The last home id handed to a thread. Ids never repeat, so a buffer
+/// outliving its thread is never taken in by a later one.
+static LAST_HOME: AtomicUsize = AtomicUsize::new(0);
+
+/// This thread's home id, taking the next one on first use.
+fn home() -> usize {
+    HOME.with(|h| {
+        if h.get() == 0 {
+            h.set(LAST_HOME.fetch_add(1, Ordering::Relaxed) + 1);
+        }
+        h.get()
+    })
 }
 
 impl Cache {
     /// A free buffer of `len` elements, if there is one.
     fn take(&mut self, len: usize) -> Option<Vec<f32>> {
-        let shelf = match self.shelves.iter().position(|s| s.len == len) {
-            Some(i) => &mut self.shelves[i],
-            None => {
-                self.shelves.push(Shelf { len, free: Vec::new() });
-                return None;
-            }
-        };
+        let shelf = self.shelves.iter_mut().find(|s| s.len == len)?;
         let v = shelf.free.pop()?;
         self.bytes -= bytes_of(&v);
         Some(v)
@@ -81,9 +85,10 @@ impl Cache {
         if self.bytes + bytes > RETAIN_BYTES {
             return;
         }
-        if let Some(shelf) = self.shelves.iter_mut().find(|s| s.len == v.len()) {
-            self.bytes += bytes;
-            shelf.free.push(v);
+        self.bytes += bytes;
+        match self.shelves.iter_mut().find(|s| s.len == v.len()) {
+            Some(shelf) => shelf.free.push(v),
+            None => self.shelves.push(Shelf { len: v.len(), free: vec![v] }),
         }
     }
 }
@@ -93,10 +98,10 @@ fn bytes_of(v: &Vec<f32>) -> usize {
 }
 
 /// This thread's free buffer of `len` elements if it has one, and the
-/// home of a buffer made for this request (0 once the cache is torn down).
+/// home of a buffer made for this request.
 fn request(len: usize) -> (Option<Vec<f32>>, usize) {
     let free = |c: &RefCell<Cache>| c.try_borrow_mut().ok()?.take(len);
-    CACHE.try_with(|c| (free(c), home_of(c))).unwrap_or((None, 0))
+    (CACHE.try_with(free).ok().flatten(), home())
 }
 
 /// A buffer of `f32`s that goes back to the cache of the thread that
@@ -104,7 +109,8 @@ fn request(len: usize) -> (Option<Vec<f32>>, usize) {
 /// slice, so its length — the key it is shelved under — never changes.
 pub(crate) struct Buffer {
     data: Vec<f32>,
-    /// [`home_of`] the cache it came from; 0 for a buffer made elsewhere.
+    /// The [`home`] of the thread that made it; 0 for a buffer made
+    /// elsewhere.
     home: usize,
 }
 
@@ -166,14 +172,15 @@ impl Drop for Buffer {
         if self.home == 0 || self.data.capacity() == 0 {
             return;
         }
-        let (v, home) = (std::mem::take(&mut self.data), self.home);
-        // Away from home, during the thread's teardown (`try_with` fails)
-        // and on a re-entrant drop, `v` is freed with the closure.
+        if HOME.try_with(Cell::get) != Ok(self.home) {
+            return;
+        }
+        let v = std::mem::take(&mut self.data);
+        // During the thread's teardown (`try_with` fails) and on a
+        // re-entrant drop, `v` is freed with the closure.
         let _ = CACHE.try_with(move |c| {
-            if home_of(c) == home {
-                if let Ok(mut cache) = c.try_borrow_mut() {
-                    cache.give(v);
-                }
+            if let Ok(mut cache) = c.try_borrow_mut() {
+                cache.give(v);
             }
         });
     }
@@ -249,6 +256,14 @@ mod tests {
         drop(theirs);
         drop(Tensor::from_vec(vec![3.0; len], &[len]));
         assert_eq!(retained(), before + len * 4);
+    }
+
+    #[test]
+    fn a_later_thread_never_gets_an_exited_threads_home() {
+        // Sequential threads may reuse one another's stacks, and with them
+        // the addresses of their thread-locals; their ids still differ.
+        let ids: Vec<usize> = (0..4).map(|_| std::thread::spawn(home).join().unwrap()).collect();
+        assert!(ids[0] != 0 && ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
     }
 
     #[test]

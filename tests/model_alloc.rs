@@ -18,9 +18,8 @@
 //! by default) costs no mapping, but is not free either: it comes from
 //! the top of the heap, and when a whole tape of them is freed at once
 //! glibc trims that top and returns its pages to the kernel, so the next
-//! iteration faults every page back in, zero-filled. Before the tensor
-//! cache, ResNet-tiny's 88 such requests (2.2 MB) per iteration cost a
-//! benchmark run ≈ 300 000 minor faults and a fifth of its CPU time.
+//! iteration faults every page back in, zero-filled — a minor fault per
+//! 4 KiB page, every iteration.
 //!
 //! The counting allocator is the whole binary's and counts every thread's
 //! requests, so the tests take turns.
@@ -116,14 +115,17 @@ fn big_requests_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// One learner iteration as a worker runs it, fused or in LC-ASGD's two
-/// phases, ending with the pushed gradient handed back.
-fn iterate(node: &mut WorkerNode, weights: &[f32], data: &Dataset, two_phase: bool) {
+/// phases, ending with the pushed gradient handed back. `has_bn`: whether
+/// the model has BatchNorm, so the forward phase reports running stats.
+fn iterate(node: &mut WorkerNode, weights: &[f32], data: &Dataset, two_phase: bool, has_bn: bool) {
     let grads = if two_phase {
         // LC-ASGD's order: the forward state goes out, a compensated seed
         // comes back, then the backward pass.
         let (loss, _) = node.forward_phase(weights, data);
         let running = node.bn_running();
-        assert!(loss.is_finite() && running.means.len() == running.vars.len());
+        assert!(loss.is_finite());
+        assert_eq!(running.means.is_empty(), !has_bn, "running stats (has_bn = {has_bn})");
+        assert_eq!(running.means.len(), running.vars.len());
         node.backward_phase(1.25)
     } else {
         node.compute_gradient(weights, data).1
@@ -142,9 +144,9 @@ fn a_steady_state_learner_iteration_makes_no_model_sized_request() {
         let weights = net.flat_params();
         let mut node = WorkerNode::new(net, train.len(), BATCH, 9);
         // Warm-up: the first backward pass makes the gradient arena.
-        (0..2).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        (0..2).for_each(|_| iterate(&mut node, &weights, &train, two_phase, false));
         let (big, ()) = big_requests_of(|| {
-            (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase))
+            (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase, false))
         });
         assert_eq!(big, 0, "model-sized requests in 20 iterations (two_phase = {two_phase})");
     }
@@ -167,8 +169,7 @@ fn images() -> Dataset {
 /// Activation-sized requests of a steady-state ResNet-tiny iteration, at
 /// most. Every tensor buffer of the tape comes from the learner thread's
 /// tensor cache and goes back to it when the tape drops; what is left is
-/// the tape's own node list (4.6 KB) growing once. Before the cache an
-/// iteration asked the heap for 88 buffers, 2.2 MB.
+/// the tape's own node list (4.6 KB) growing once.
 const RESNET_PAGE_REQUESTS: f64 = 2.0;
 
 #[test]
@@ -180,10 +181,10 @@ fn a_steady_state_resnet_iteration_reuses_its_activation_buffers() {
         let weights = net.flat_params();
         let mut node = WorkerNode::new(net, train.len(), BATCH, 9);
         // Warm-up: the gradient arena, and a first tape's buffers.
-        (0..3).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        (0..3).for_each(|_| iterate(&mut node, &weights, &train, two_phase, true));
         let (requests, bytes) =
             (PAGE_REQUESTS.load(Ordering::Relaxed), PAGE_BYTES.load(Ordering::Relaxed));
-        (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase));
+        (0..20).for_each(|_| iterate(&mut node, &weights, &train, two_phase, true));
         let per_iter = |now: u64, then: u64| (now - then) as f64 / 20.0;
         let requests = per_iter(PAGE_REQUESTS.load(Ordering::Relaxed), requests);
         let bytes = per_iter(PAGE_BYTES.load(Ordering::Relaxed), bytes);

@@ -70,9 +70,12 @@ timeout 300 cargo test -q --release -p lcasgd-bench --test lstm_differential
 # comes back through its thread's tensor cache: a steady-state learner
 # iteration asks the heap for nothing model-sized (and a ResNet-tiny one
 # for at most 2 requests of a page or more), a whole TCP run of the 5.3 MB
-# model for a bounded handful per applied update (a counting global
-# allocator; release, so the counts are those of the shipped codegen).
-# The cluster half hangs rather than fails when liveness regresses.
+# model for a bounded handful per applied update, and the f32 one-shard
+# run's peak of live model-sized bytes stays at most 19 models (15–16
+# held, 75.5–80.6 MiB; 120.9 MiB when every frame was a byte buffer on
+# both sides of the wire) — a counting global allocator; release, so the
+# counts are those of the shipped codegen. The cluster half hangs rather than fails
+# when liveness regresses.
 echo "==> model- and activation-sized allocation suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test model_alloc
 
@@ -111,10 +114,14 @@ timeout 120 cargo test -q --release -p lcasgd-netcluster pool
 
 # One checksum, byte-identical formats: the dispatched CRC-32 (PCLMULQDQ
 # where the host has it) must equal the portable slicing-by-16 path and
-# the bitwise oracle at every length, alignment and streaming split; and
-# the bulk codecs must emit exactly the bytes of the per-element reference
+# the bitwise oracle at every length, alignment and streaming split; the
+# bulk codecs must emit exactly the bytes of the per-element reference
 # encoder, decode every bit pattern, refuse oversize lengths up front, and
-# still load a checkpoint and a WAL record written before they existed.
+# still load a checkpoint and a WAL record written before they existed;
+# and every message, through every sink — windows of 1 B to 64 KiB, the
+# checksum sink — must give exactly those bytes, decode the same when it
+# streams in piece by piece, and fail as a frame (its checksum), not in
+# the codec, when a byte of it is flipped (tests/wire_golden.rs).
 echo "==> CRC differential + golden byte-identity suites (hard 300s timeout)"
 timeout 300 cargo test -q --release -p lcasgd-simcluster crc
 timeout 300 cargo test -q --release --test wire_golden

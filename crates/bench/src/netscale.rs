@@ -20,7 +20,7 @@ use crate::baseline;
 use lcasgd_netcluster::frame::{self, Frame, FrameKind, HEADER_LEN};
 use lcasgd_netcluster::{NetConfig, ReactorServer};
 use lcasgd_simcluster::backend::{wire, ServerCtx};
-use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader};
+use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader, WireSink};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,13 +76,13 @@ pub struct ScaleResp {
 }
 
 impl WireMsg for ScaleReq {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             ScaleReq::Pull => wire::put_u8(buf, 0),
             ScaleReq::Grad { levels } => {
                 wire::put_u8(buf, 1);
                 wire::put_u64(buf, levels.len() as u64);
-                buf.extend_from_slice(levels);
+                buf.put(levels);
             }
         }
     }
@@ -101,7 +101,7 @@ impl WireMsg for ScaleReq {
 }
 
 impl WireMsg for ScaleResp {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         wire::put_vec_f32(buf, &self.flat);
         wire::put_u64(buf, self.version);
     }

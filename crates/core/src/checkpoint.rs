@@ -29,7 +29,7 @@ use crate::predictor::{LossPredictorSnapshot, StepPredictorSnapshot};
 use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::codec::crc32;
-use lcasgd_simcluster::{ClusterError, WireReader};
+use lcasgd_simcluster::{ClusterError, Window, WireReader, WireSink};
 use lcasgd_tensor::Tensor;
 use std::fs;
 use std::io::{self, Write};
@@ -100,27 +100,27 @@ fn bad(why: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, why.to_string())
 }
 
-fn put_u64s(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u64>) {
+fn put_u64s(buf: &mut dyn WireSink, vals: impl ExactSizeIterator<Item = u64>) {
     wire::put_u64(buf, vals.len() as u64);
-    buf.extend(vals.flat_map(u64::to_le_bytes));
+    vals.for_each(|v| wire::put_u64(buf, v));
 }
 
-fn get_u64s<'a>(r: &mut WireReader<'a>) -> Parse<impl Iterator<Item = u64> + 'a> {
+fn get_u64s(r: &mut WireReader<'_>) -> Parse<Vec<u64>> {
     let n = r.len(8)?;
-    Ok(r.bytes(n * 8)?.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())))
+    Ok(r.bytes(n * 8)?.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
-fn put_u32s(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u32>) {
+fn put_u32s(buf: &mut dyn WireSink, vals: impl ExactSizeIterator<Item = u32>) {
     wire::put_u64(buf, vals.len() as u64);
-    buf.extend(vals.flat_map(u32::to_le_bytes));
+    vals.for_each(|v| wire::put_u32(buf, v));
 }
 
-fn get_u32s<'a>(r: &mut WireReader<'a>) -> Parse<impl Iterator<Item = u32> + 'a> {
+fn get_u32s(r: &mut WireReader<'_>) -> Parse<Vec<u32>> {
     let n = r.len(4)?;
-    Ok(r.bytes(n * 4)?.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())))
+    Ok(r.bytes(n * 4)?.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
-fn put_lstm_state(buf: &mut Vec<u8>, layers: &[(Vec<f32>, Vec<f32>)]) {
+fn put_lstm_state(buf: &mut dyn WireSink, layers: &[(Vec<f32>, Vec<f32>)]) {
     wire::put_u64(buf, layers.len() as u64);
     for (h, c) in layers {
         wire::put_vec_f32(buf, h);
@@ -134,7 +134,7 @@ fn get_lstm_state(r: &mut WireReader<'_>) -> Parse<Vec<(Vec<f32>, Vec<f32>)>> {
     (0..n).map(|_| Ok((r.vec_f32()?, r.vec_f32()?))).collect()
 }
 
-fn put_opt_f32(buf: &mut Vec<u8>, v: Option<f32>) {
+fn put_opt_f32(buf: &mut dyn WireSink, v: Option<f32>) {
     wire::put_bool(buf, v.is_some());
     if let Some(x) = v {
         wire::put_f32(buf, x);
@@ -148,23 +148,8 @@ fn get_opt_f32(r: &mut WireReader<'_>) -> Parse<Option<f32>> {
 // ------------------------------------------------------------ (de)coding
 
 impl TrainingCheckpoint {
-    /// Bytes the model-sized and history fields will occupy: the capacity
-    /// `to_bytes` asks for up front (scalars ride in the slack).
-    fn size_hint(&self) -> usize {
-        let f32s = self.weights.len()
-            + self.epoch_losses.len()
-            + self.loss_pred.as_ref().map_or(0, |lp| lp.params.len())
-            + self.step_pred.as_ref().map_or(0, |sp| sp.params.len());
-        let u32s = self.iter.len() + self.staleness.len();
-        let u64s = self.arrival.len()
-            + 2 * self.worker_batches.len()
-            + self.push_seqs.len()
-            + self.shard_versions.len();
-        1024 + 4 * (f32s + u32s) + 8 * u64s + 32 * self.epochs.len()
-    }
-
     /// Serializes the body (everything between magic and CRC).
-    fn write_body(&self, w: &mut Vec<u8>) {
+    fn write_body(&self, w: &mut dyn WireSink) {
         wire::put_vec_f32(w, &self.weights);
         wire::put_u64(w, self.bn.means.len() as u64);
         for (mean, var) in self.bn.means.iter().zip(&self.bn.vars) {
@@ -237,9 +222,9 @@ impl TrainingCheckpoint {
         }
         let version = r.u64()?;
         let applied = r.u64()?;
-        let arrival = get_u64s(r)?.map(|v| (v != NO_ARRIVAL).then_some(v)).collect();
-        let iter = get_u32s(r)?.map(|m| m as usize).collect();
-        let staleness = get_u32s(r)?.collect();
+        let arrival = get_u64s(r)?.into_iter().map(|v| (v != NO_ARRIVAL).then_some(v)).collect();
+        let iter = get_u32s(r)?.into_iter().map(|m| m as usize).collect();
+        let staleness = get_u32s(r)?;
         let epoch_losses = r.vec_f32()?;
         let n = r.len(32)?;
         let epochs = (0..n)
@@ -290,8 +275,8 @@ impl TrainingCheckpoint {
         let n = r.len(16)?;
         let worker_batches = (0..n).map(|_| Ok((r.u64()?, r.u64()?))).collect::<Parse<_>>()?;
         let server_epoch = r.u64()?;
-        let push_seqs = get_u64s(r)?.collect();
-        let shard_versions = get_u64s(r)?.collect();
+        let push_seqs = get_u64s(r)?;
+        let shard_versions = get_u64s(r)?;
         Ok(TrainingCheckpoint {
             weights,
             bn,
@@ -313,7 +298,10 @@ impl TrainingCheckpoint {
 
     /// Serializes to `magic ‖ body ‖ crc32(magic ‖ body)`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.size_hint());
+        let mut none = Vec::new();
+        let mut count = Window::new(&mut none, 0, 0);
+        self.write_body(&mut count);
+        let mut buf = Vec::with_capacity(MAGIC.len() + count.seen() + 4);
         buf.extend_from_slice(MAGIC);
         self.write_body(&mut buf);
         let crc = crc32(&buf);

@@ -10,7 +10,7 @@
 
 use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::codec::{bf16_decode, bf16_encode, level, max_abs_nan};
-use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader};
+use lcasgd_simcluster::{ClusterError, WireCodec, WireMsg, WireReader, WireSink};
 
 /// How a gradient push is encoded: one variant per [`WireCodec`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,11 +100,13 @@ impl CompressedGrad {
 /// (tag byte, then the variant's fields; all little-endian, `u64` counts —
 /// the shared codec conventions). Tag 1 is unassigned and refused.
 impl WireMsg for CompressedGrad {
-    fn size_hint(&self) -> usize {
-        17 + self.wire_bytes()
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        if let CompressedGrad::Dense(v) = self {
+            spent.push(v);
+        }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             CompressedGrad::Dense(v) => {
                 wire::put_u8(buf, 0);

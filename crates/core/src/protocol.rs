@@ -17,7 +17,7 @@ use crate::supervisor::AlgoMode;
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::backend::wire;
-use lcasgd_simcluster::{ClusterError, PackedF32, WireCodec, WireMsg, WireReader};
+use lcasgd_simcluster::{ClusterError, PackedF32, WireCodec, WireMsg, WireReader, WireSink};
 use lcasgd_tensor::Tensor;
 use std::sync::Arc;
 
@@ -136,28 +136,8 @@ impl ClusterResp {
 }
 
 // ------------------------------------------------------- field helpers
-//
-// The `*_len` functions feed `WireMsg::size_hint`: the encoded size of the
-// field they are named after, so a message's buffer is allocated once.
 
-fn tensor_len(t: &Tensor) -> usize {
-    16 + 8 * t.dims().len() + 4 * t.data().len()
-}
-
-pub(crate) fn bn_state_len(s: &BnState) -> usize {
-    16 + s.means.iter().chain(&s.vars).map(tensor_len).sum::<usize>()
-}
-
-fn batch_stats_len(stats: &[BnBatchStats]) -> usize {
-    8 + stats.iter().map(|s| tensor_len(&s.mean) + tensor_len(&s.var)).sum::<usize>()
-}
-
-fn directive_len(directive: &Option<PullDirective>) -> usize {
-    let shard = directive.as_ref().and_then(|d| d.shard.as_ref());
-    3 + shard.map_or(0, |s| 8 + 8 * s.len())
-}
-
-fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+fn put_tensor(buf: &mut (impl WireSink + ?Sized), t: &Tensor) {
     let dims = t.dims();
     wire::put_u64(buf, dims.len() as u64);
     for &d in dims {
@@ -183,7 +163,7 @@ fn read_tensor(r: &mut WireReader<'_>) -> Result<Tensor, ClusterError> {
     Ok(Tensor::from_vec(data, &dims))
 }
 
-pub(crate) fn put_bn_state(buf: &mut Vec<u8>, s: &BnState) {
+pub(crate) fn put_bn_state(buf: &mut (impl WireSink + ?Sized), s: &BnState) {
     wire::put_u64(buf, s.means.len() as u64);
     for t in &s.means {
         put_tensor(buf, t);
@@ -202,7 +182,7 @@ pub(crate) fn read_bn_state(r: &mut WireReader<'_>) -> Result<BnState, ClusterEr
     Ok(BnState { means, vars })
 }
 
-fn put_batch_stats(buf: &mut Vec<u8>, stats: &[BnBatchStats]) {
+fn put_batch_stats(buf: &mut (impl WireSink + ?Sized), stats: &[BnBatchStats]) {
     wire::put_u64(buf, stats.len() as u64);
     for s in stats {
         put_tensor(buf, &s.mean);
@@ -215,7 +195,7 @@ fn read_batch_stats(r: &mut WireReader<'_>) -> Result<Vec<BnBatchStats>, Cluster
     (0..n).map(|_| Ok(BnBatchStats { mean: read_tensor(r)?, var: read_tensor(r)? })).collect()
 }
 
-fn put_directive(buf: &mut Vec<u8>, directive: &Option<PullDirective>) {
+fn put_directive(buf: &mut (impl WireSink + ?Sized), directive: &Option<PullDirective>) {
     match directive {
         None => wire::put_u8(buf, 0),
         Some(d) => {
@@ -294,21 +274,15 @@ impl WireMsg for ClusterReq {
         }
     }
 
-    fn size_hint(&self) -> usize {
-        // Tag and scalar fields fit in the constant.
-        64 + match self {
-            ClusterReq::Pull { .. } | ClusterReq::Join { .. } => 0,
-            ClusterReq::State { running, batch_stats, .. } => {
-                bn_state_len(running) + batch_stats_len(batch_stats)
-            }
-            ClusterReq::Grad { grads, batch_stats, running, .. } => {
-                grads.size_hint() + batch_stats_len(batch_stats) + bn_state_len(running)
-            }
-            ClusterReq::Replicate(payload) => payload.size_hint(),
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        match self {
+            ClusterReq::Grad { grads, .. } => grads.give_back(spent),
+            ClusterReq::Replicate(payload) => payload.give_back(spent),
+            _ => {}
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             ClusterReq::Pull { epoch, shard } => {
                 wire::put_u8(buf, 0);
@@ -384,20 +358,13 @@ impl WireMsg for ClusterReq {
 }
 
 impl WireMsg for ClusterResp {
-    fn size_hint(&self) -> usize {
-        // Tag and scalar fields fit in the constant.
-        32 + match self {
-            ClusterResp::Weights { flat, directive, .. } => {
-                4 * flat.len() + directive_len(directive)
-            }
-            ClusterResp::QWeights { packed, directive, .. } => {
-                packed.size_hint() + directive_len(directive)
-            }
-            _ => 0,
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        if let ClusterResp::Weights { flat, .. } = self {
+            spent.extend(Arc::into_inner(flat));
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             ClusterResp::Weights { flat, version, directive, epoch } => {
                 wire::put_u8(buf, 0);

@@ -76,7 +76,7 @@ use crate::shard::ShardSpec;
 use lcasgd_nn::network::BnState;
 use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::codec::Crc32;
-use lcasgd_simcluster::{ClusterError, ReplicaDuplex, WireMsg, WireReader};
+use lcasgd_simcluster::{ClusterError, ReplicaDuplex, WireMsg, WireReader, WireSink};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -166,11 +166,11 @@ impl LogRecord {
 }
 
 impl WireMsg for LogRecord {
-    fn size_hint(&self) -> usize {
-        64 + 4 * self.delta.len() + self.bn.as_ref().map_or(0, crate::protocol::bn_state_len)
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        spent.push(self.delta);
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         let head = PushHead {
             epoch: self.epoch,
             worker: self.worker,
@@ -179,7 +179,7 @@ impl WireMsg for LogRecord {
             staleness: self.staleness,
             loss: self.loss,
         };
-        let put_delta = |buf: &mut Vec<u8>| {
+        let put_delta = |buf: &mut _| {
             wire::put_vec_f32(buf, &self.delta);
             wire::put_u32(buf, self.digest);
         };
@@ -239,11 +239,11 @@ pub(crate) struct PushHead {
 /// [`LogRecord`]'s encoding, with `put_delta` writing the length-prefixed
 /// delta and its digest: the one layout [`LogRecord::encode`] and
 /// `ReplicationStream::log_push` both write.
-fn put_record(
-    buf: &mut Vec<u8>,
+fn put_record<S: WireSink + ?Sized>(
+    buf: &mut S,
     seq: u64,
     head: &PushHead,
-    put_delta: impl FnOnce(&mut Vec<u8>),
+    put_delta: impl FnOnce(&mut S),
     arrival: Option<u64>,
     bn: Option<&BnState>,
     shard: u32,
@@ -313,21 +313,18 @@ pub enum ReplicaPayload {
 }
 
 impl WireMsg for ReplicaPayload {
-    fn size_hint(&self) -> usize {
-        17 + match self {
-            ReplicaPayload::Snapshot { blob, .. } | ReplicaPayload::Refresh { blob, .. } => {
-                blob.len()
-            }
-            ReplicaPayload::Records(recs) => recs.iter().map(WireMsg::size_hint).sum(),
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        if let ReplicaPayload::Records(recs) = self {
+            recs.into_iter().for_each(|rec| rec.give_back(spent));
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let put_blob = |buf: &mut Vec<u8>, tag: u8, seq: u64, blob: &[u8]| {
+    fn encode(&self, buf: &mut dyn WireSink) {
+        let put_blob = |buf: &mut dyn WireSink, tag: u8, seq: u64, blob: &[u8]| {
             wire::put_u8(buf, tag);
             wire::put_u64(buf, seq);
             wire::put_u64(buf, blob.len() as u64);
-            buf.extend_from_slice(blob);
+            buf.put(blob);
         };
         match self {
             ReplicaPayload::Snapshot { next_seq, blob } => put_blob(buf, 0, *next_seq, blob),
@@ -347,7 +344,7 @@ impl WireMsg for ReplicaPayload {
             tag @ (0 | 2) => {
                 let seq = r.u64()?;
                 let n = r.len(1)?;
-                let blob = r.bytes(n)?.to_vec();
+                let blob = r.bytes(n)?;
                 Ok(if tag == 0 {
                     ReplicaPayload::Snapshot { next_seq: seq, blob }
                 } else {

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! All integers are little-endian, matching the
-//! [`WireMsg`](lcasgd_simcluster::WireMsg) codec and the checkpoint file
+//! [`WireMsg`] codec and the checkpoint file
 //! format. The checksum covers only the payload: header corruption is
 //! caught by the magic/version/kind/flags checks, payload corruption by
 //! the CRC. A frame that fails any check is a
@@ -24,10 +24,12 @@
 //! `From<std::io::Error>` (EOF/reset → `Disconnected`, deadline →
 //! `Timeout`).
 
+use lcasgd_simcluster::backend::keep_spent;
 pub use lcasgd_simcluster::codec::crc32;
 use lcasgd_simcluster::codec::Crc32;
-use lcasgd_simcluster::{ClusterError, WireCodec};
+use lcasgd_simcluster::{ClusterError, Window, WireCodec, WireMsg, WireReader};
 use std::io::{Read, Write};
+use std::time::Instant;
 
 /// `b"LCNW"` interpreted as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"LCNW");
@@ -221,32 +223,152 @@ pub fn write_payload(
     Ok((HEADER_LEN + payload.len()) as u64)
 }
 
-/// Most bytes asked of the reader at once while a payload arrives: small
-/// enough that each piece is still in cache when it is hashed, large
-/// enough that a model-sized payload costs a few dozen reads.
-const READ_PIECE: usize = 128 * 1024;
+/// Bytes a frame is staged through on either side of the socket: a
+/// message is encoded into it one window at a time before each write, and
+/// a reply is read into it and decoded one block at a time. Well under a
+/// core's L2, so a block is still in cache when it is hashed, written or
+/// decoded; large enough that a model-sized frame costs a few dozen
+/// system calls.
+pub const STAGE: usize = 128 * 1024;
 
-/// Fills `payload` from `r`, hashing each piece as it arrives, and checks
-/// the result against the header's checksum.
-fn read_payload(r: &mut impl Read, payload: &mut [u8], want_crc: u32) -> Result<(), ClusterError> {
-    let mut crc = Crc32::new();
-    for piece in payload.chunks_mut(READ_PIECE) {
-        r.read_exact(piece)?;
-        crc.update(piece);
-    }
-    let got_crc = crc.finish();
-    if got_crc != want_crc {
+fn check_crc(want: u32, got: u32) -> Result<(), ClusterError> {
+    if got != want {
         return Err(ClusterError::Protocol(format!(
-            "payload checksum mismatch: header says {want_crc:#010x}, payload hashes to {got_crc:#010x}"
+            "payload checksum mismatch: header says {want:#010x}, payload hashes to {got:#010x}"
         )));
     }
     Ok(())
 }
 
-fn read_header(r: &mut impl Read) -> Result<ParsedHeader, ClusterError> {
+/// Fills `payload` from `r`, hashing each piece as it arrives, and checks
+/// the result against the header's checksum.
+fn read_payload(r: &mut impl Read, payload: &mut [u8], want_crc: u32) -> Result<(), ClusterError> {
+    let mut crc = Crc32::new();
+    for piece in payload.chunks_mut(STAGE) {
+        r.read_exact(piece)?;
+        crc.update(piece);
+    }
+    check_crc(want_crc, crc.finish())
+}
+
+/// One `read` into `buf`: at least one byte, or the error `read_exact`
+/// would have given (end of stream is a disconnect).
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ClusterError> {
+    loop {
+        match r.read(buf) {
+            Ok(0) => return Err(ClusterError::Disconnected),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+}
+
+/// Reads and validates one frame header.
+pub fn read_header(r: &mut impl Read) -> Result<ParsedHeader, ClusterError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     parse_header(&header)
+}
+
+/// The checksum and length of `msg`'s encoding, from one pass that builds
+/// nothing: what a frame header carrying it needs before its first byte
+/// is written.
+pub fn checksum(msg: &impl WireMsg) -> (u32, usize) {
+    let mut crc = Crc32::new();
+    msg.encode(&mut crc);
+    (crc.finish(), crc.hashed())
+}
+
+/// Writes frame `header ‖ msg`, whose payload is `len` bytes, one
+/// [`STAGE`] window at a time through `stage`. Returns the seconds spent
+/// encoding.
+pub fn write_msg(
+    w: &mut impl Write,
+    header: &[u8; HEADER_LEN],
+    msg: &impl WireMsg,
+    len: usize,
+    stage: &mut Vec<u8>,
+) -> Result<f64, ClusterError> {
+    let mut encode = 0.0;
+    let mut at = 0;
+    while at < HEADER_LEN + len {
+        let t0 = Instant::now();
+        stage.clear();
+        stage.extend_from_slice(&header[at.min(HEADER_LEN)..]);
+        let room = STAGE - stage.len();
+        msg.encode(&mut Window::new(stage, at.saturating_sub(HEADER_LEN), room));
+        encode += t0.elapsed().as_secs_f64();
+        w.write_all(stage)?;
+        at += stage.len();
+    }
+    w.flush()?;
+    Ok(encode)
+}
+
+/// Reads the payload `header` announces from `r` and decodes it as it
+/// arrives, one [`STAGE`] block at a time through `stage`, hashing each
+/// block as it lands. A model-sized payload is decoded into a vector from
+/// `spent` ([`WireReader::bulk_vec_f32`]).
+///
+/// The outer error is the frame's: the socket failed, or the payload does
+/// not match its checksum. Every byte is read and hashed before the
+/// outcome is decided, so a corrupt frame is a checksum failure even where
+/// its bytes also fail to decode, exactly as if the whole payload had been
+/// checked first; a message decoded from such a frame gives its vectors
+/// back to `spent`. The inner result is the codec's, for a sound frame,
+/// with the seconds spent decoding — the time not spent waiting for or
+/// hashing bytes.
+pub fn read_msg<M: WireMsg>(
+    r: &mut impl Read,
+    header: &ParsedHeader,
+    stage: &mut Vec<u8>,
+    spent: &mut Vec<Vec<f32>>,
+) -> Result<(Result<M, ClusterError>, f64), ClusterError> {
+    let t0 = Instant::now();
+    let lent = spent.len();
+    let mut crc = Crc32::new();
+    let mut io = 0.0;
+    let mut failed = None;
+    // No larger than the payload: a small reply zero-fills no 128 KiB.
+    stage.resize(header.payload_len.clamp(8, STAGE), 0);
+    let (decoded, trailing) = {
+        let mut refill = |block: &mut [u8]| {
+            if let Some(e) = &failed {
+                return Err(ClusterError::clone(e));
+            }
+            let t = Instant::now();
+            let got = read_some(r, block);
+            if let Ok(n) = got {
+                crc.update(&block[..n]);
+            }
+            io += t.elapsed().as_secs_f64();
+            got.inspect_err(|e| failed = Some(e.clone()))
+        };
+        let mut reader =
+            WireReader::streaming(stage, header.payload_len, &mut refill).lending(spent);
+        let decoded = M::decode(&mut reader);
+        let trailing = reader.remaining();
+        let _ = reader.drain();
+        (decoded, trailing)
+    };
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    let decode = t0.elapsed().as_secs_f64() - io;
+    if let Err(e) = check_crc(header.crc, crc.finish()) {
+        if let Ok(msg) = decoded {
+            let mut back = Vec::new();
+            msg.give_back(&mut back);
+            keep_spent(spent, back, lent);
+        }
+        return Err(e);
+    }
+    let msg = match decoded {
+        Ok(_) if trailing > 0 => Err(ClusterError::Protocol(format!("{trailing} trailing bytes"))),
+        other => other,
+    };
+    Ok((msg, decode))
 }
 
 /// Reads one frame, validating magic, version, flags, kind, length bound

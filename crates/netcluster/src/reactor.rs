@@ -16,17 +16,25 @@
 //! * **Pooled read buffers**: each connection parses frames in place out
 //!   of a buffer borrowed from a [`BufferPool`], returned on every close
 //!   path, so connection churn stops allocating once warm.
+//! * **Replies are values, not bytes**: a queued reply is the reply
+//!   itself, with its checksum and length from one pass that builds
+//!   nothing ([`checksum`]); it is encoded one window at a time into the
+//!   reactor's one staging block as the socket takes it, so no model-sized
+//!   byte buffer exists on the way out, and a reply sent to many
+//!   connections is encoded once per window.
 //! * **Pull coalescing**: within a sweep, control frames and oneways
 //!   (gradient pushes) are applied first and blocking requests are
 //!   answered second, at the post-apply server state. Replies carrying
 //!   the same coalescing key (see `ServerCtx::reply_keyed`) are then all
-//!   served from one cached payload encoding + CRC — the reply header is
-//!   re-stamped per request (the checksum covers only the payload), so N
-//!   concurrent pulls of one weights version cost one encode instead of N.
+//!   served from one cached reply + CRC — the reply header is re-stamped
+//!   per request (the checksum covers only the payload), so N concurrent
+//!   pulls of one weights version cost one checksum pass instead of N. An
+//!   entry lives for its sweep, and after it only while a queued write
+//!   holds its reply.
 //!
 //! Coalesced replies are *byte-identical* to per-request replies by
-//! construction: same payload bytes, same CRC, only the echoed `seq`
-//! differs — exactly as if each had been encoded fresh.
+//! construction: the same reply encoded, the same CRC, only the echoed
+//! `seq` differs — exactly as if each had been checksummed fresh.
 //!
 //! Ordering contract: frames from one connection are processed in arrival
 //! order, except that a blocking `Request` is answered after any oneways
@@ -50,14 +58,14 @@
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
-use crate::frame::{crc32, header_bytes, parse_header, FrameKind, HEADER_LEN};
+use crate::frame::{checksum, crc32, header_bytes, parse_header, FrameKind, HEADER_LEN, STAGE};
 use crate::pool::BufferPool;
 use lcasgd_simcluster::backend::keep_spent;
-use lcasgd_simcluster::{ClusterError, ServerCtx, TraceHook, TransportStats, WireMsg};
+use lcasgd_simcluster::{ClusterError, ServerCtx, TraceHook, TransportStats, Window, WireMsg};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,26 +84,6 @@ const IDLE_SLEEP: Duration = Duration::from_micros(300);
 /// largest frame its peer has sent (`HEADER_LEN + MAX_PAYLOAD` at most).
 const READ_CHUNK: usize = 4 * 1024;
 
-/// Most reply encodings the coalescing cache keeps.
-const CACHE_CAP: usize = 64;
-
-/// Byte budget of the coalescing cache: this many times the payload being
-/// inserted, or [`CACHE_FLOOR_BYTES`] if that is more. Keys are
-/// version-unique, so an entry can only be hit until the next apply moves
-/// the version; on a model-sized reply anything older than the last few
-/// is dead weight, and 64 of those would be hundreds of MB.
-///
-/// The cache is emptied wholesale at its bounds, not trimmed one entry at
-/// a time: evicting the oldest 80 KB payload on every insert punches a
-/// hole low in the heap per reply, and on `lc_4w_tcp` glibc's trim/regrow
-/// of the heap top around those holes doubled the server thread's system
-/// time (−15 % samples/s). Freed together the payloads coalesce.
-const CACHE_PAYLOADS: usize = 4;
-
-/// Budget floor: small replies (a sharded model's slices, a small model)
-/// may fill all [`CACHE_CAP`] entries, as they always could.
-const CACHE_FLOOR_BYTES: usize = 8 << 20;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankState {
     Pending,
@@ -104,63 +92,84 @@ enum RankState {
     Dead,
 }
 
-/// One queued outbound frame: a per-request header plus a payload that
-/// may be shared with other replies (coalescing) or the cache.
-struct PendingWrite {
+/// One queued reply: a per-request header and the reply itself, shared
+/// (coalescing) with other replies and the cache. It is encoded one
+/// window at a time as the socket takes it.
+struct PendingWrite<Resp> {
     header: [u8; HEADER_LEN],
-    payload: Rc<Vec<u8>>,
-    /// Bytes of header+payload already written.
+    reply: Rc<Resp>,
+    /// Frame length, header included.
+    total: usize,
+    /// Bytes of the frame already written.
     off: usize,
+    /// The worker it answers, and when it was queued: its `codec` span.
+    rank: usize,
+    queued: Instant,
+    /// Seconds spent encoding its windows so far.
+    encode: f64,
 }
 
-struct Conn {
+struct Conn<Resp> {
     stream: TcpStream,
     rank: Option<usize>,
     last_seen: Instant,
     /// Pooled read buffer; `buf[..filled]` holds unparsed stream bytes.
     buf: Vec<u8>,
     filled: usize,
-    wq: VecDeque<PendingWrite>,
+    wq: VecDeque<PendingWrite<Resp>>,
 }
 
-struct CachedReply {
-    payload: Rc<Vec<u8>>,
+/// The reactor's one staging block: bytes `[from, from + block.len())` of
+/// `reply`'s payload, the window encoded last. Every connection writes
+/// from it (the frame's header and then the window, in one vectored
+/// write), so a reply sent to many connections — a coalesced pull — is
+/// encoded once per window, not once per connection. The `Weak` keeps the
+/// reply's address, not its value: no later reply can be taken for it,
+/// and the reply's snapshot is freed with its last write.
+struct Stage<Resp> {
+    block: Vec<u8>,
+    reply: Weak<Resp>,
+    from: usize,
+}
+
+/// A reply the cache can serve again: the reply, and its encoding's
+/// checksum and length.
+struct CachedReply<Resp> {
+    reply: Rc<Resp>,
     crc: u32,
+    len: usize,
 }
 
-/// The coalescing cache: one payload encoding + CRC per key. It is
-/// emptied wholesale whenever the next insert would take it past
-/// [`CACHE_CAP`] entries or past `max(CACHE_PAYLOADS × newcomer,
-/// CACHE_FLOOR_BYTES)` bytes; the newcomer — the only entry sure to be
-/// live — always stays. A dropped payload that is still queued for
-/// writing lives on in that write queue only.
-#[derive(Default)]
-struct ReplyCache {
-    entries: HashMap<u64, CachedReply>,
-    bytes: usize,
+/// The coalescing cache: one reply, with its checksum and length, per
+/// key. An entry outlives its sweep only while a queued write still holds
+/// its reply ([`ReplyCache::retire`]), so the cache holds at most one
+/// entry per pending request and one per connection, and never keeps a
+/// superseded weights snapshot alive after its writes are done.
+struct ReplyCache<Resp> {
+    entries: HashMap<u64, CachedReply<Resp>>,
 }
 
-impl ReplyCache {
-    fn get(&self, key: u64) -> Option<&CachedReply> {
+impl<Resp> ReplyCache<Resp> {
+    fn new() -> Self {
+        ReplyCache { entries: HashMap::new() }
+    }
+
+    fn get(&self, key: u64) -> Option<&CachedReply<Resp>> {
         self.entries.get(&key)
     }
 
-    /// Caches `payload` under `key`, which must not be present.
-    fn insert(&mut self, key: u64, payload: Rc<Vec<u8>>, crc: u32) {
-        let size = payload.capacity();
-        let budget = (CACHE_PAYLOADS * size).max(CACHE_FLOOR_BYTES);
-        if self.entries.len() >= CACHE_CAP || self.bytes + size > budget {
-            self.entries.clear();
-            self.bytes = 0;
-        }
-        self.bytes += size;
-        self.entries.insert(key, CachedReply { payload, crc });
+    /// Caches `entry` under `key`, which must not be present.
+    fn insert(&mut self, key: u64, entry: CachedReply<Resp>) {
+        self.entries.insert(key, entry);
     }
 
-    /// Bytes of payload capacity the cache itself keeps alive.
-    #[cfg(test)]
-    fn retained_bytes(&self) -> usize {
-        self.bytes
+    /// Drops every entry no queued write holds. Called at the end of each
+    /// sweep: a key is version-unique, so once the next sweep may have
+    /// applied a push the entry may be dead — and a dead weights reply
+    /// would pin its snapshot, making the server's next snapshot a new
+    /// allocation instead of a refill.
+    fn retire(&mut self) {
+        self.entries.retain(|_, e| Rc::strong_count(&e.reply) > 1);
     }
 }
 
@@ -215,7 +224,7 @@ impl ReactorServer {
         self.listener.set_nonblocking(true)?;
 
         let mut pool = BufferPool::new();
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut conns: HashMap<u64, Conn<Resp>> = HashMap::new();
         let mut next_id = 0u64;
         let mut rank_conn: Vec<Option<u64>> = vec![None; m];
         let mut rank_breakers: Vec<CircuitBreaker> =
@@ -224,7 +233,8 @@ impl ReactorServer {
         let mut awaiting: Vec<Option<u64>> = vec![None; m];
         let mut stats = TransportStats::default();
         let mut result: Result<(), ClusterError> = Ok(());
-        let mut cache = ReplyCache::default();
+        let mut cache = ReplyCache::new();
+        let mut stage = Stage { block: Vec::new(), reply: Weak::new(), from: 0 };
         let mut pending: Vec<PendingReq<Req>> = Vec::new();
         // Payload vectors of requests the server has finished with
         // (`ServerCtx::recycle`); the next model-sized requests are decoded
@@ -447,6 +457,7 @@ impl ReactorServer {
                                     &mut rank_state,
                                     &mut awaiting,
                                     &mut cache,
+                                    &mut stage,
                                     &mut stats,
                                     &hook,
                                 ) {
@@ -514,6 +525,7 @@ impl ReactorServer {
                     &mut rank_state,
                     &mut awaiting,
                     &mut cache,
+                    &mut stage,
                     &mut stats,
                     &hook,
                 ) {
@@ -522,24 +534,27 @@ impl ReactorServer {
                 }
             }
 
-            // -- flush write queues stalled on a full socket -----------
+            // -- flush write queues stalled on a full socket. Only a
+            //    byte written is activity: a socket that took nothing
+            //    leaves the sweep idle, so a peer that stops reading
+            //    does not make the loop spin. -----------------------
             let stalled: Vec<u64> =
                 conns.iter().filter(|(_, c)| !c.wq.is_empty()).map(|(&id, _)| id).collect();
             for id in stalled {
                 let Some(conn) = conns.get_mut(&id) else { continue };
-                if try_flush(conn).is_err() {
-                    close_conn(
+                match try_flush(conn, &mut stage, &mut stats, &hook) {
+                    Ok(wrote) => activity |= wrote,
+                    Err(_) => close_conn(
                         &mut conns,
                         id,
                         &mut pool,
                         &mut rank_conn,
                         &mut rank_state,
                         &mut awaiting,
-                    );
-                } else {
-                    activity = true;
+                    ),
                 }
             }
+            cache.retire();
 
             // -- liveness sweeps --------------------------------------
             let now = Instant::now();
@@ -583,7 +598,7 @@ impl ReactorServer {
                 conns.iter().filter(|(_, c)| !c.wq.is_empty()).map(|(&id, _)| id).collect();
             for id in stalled {
                 let Some(conn) = conns.get_mut(&id) else { continue };
-                if try_flush(conn).is_err() {
+                if try_flush(conn, &mut stage, &mut stats, &hook).is_err() {
                     conn.wq.clear();
                 }
             }
@@ -605,8 +620,8 @@ impl ReactorServer {
 /// Hard-closes a connection: shuts the socket, returns the read buffer to
 /// the pool, and updates rank bookkeeping (an Active rank that loses its
 /// live connection is Dead until it re-Hellos).
-fn close_conn(
-    conns: &mut HashMap<u64, Conn>,
+fn close_conn<Resp>(
+    conns: &mut HashMap<u64, Conn<Resp>>,
     id: u64,
     pool: &mut BufferPool,
     rank_conn: &mut [Option<u64>],
@@ -628,49 +643,71 @@ fn close_conn(
     }
 }
 
-/// Writes as much of `conn`'s queue as the socket will take. `Ok` means
-/// the socket is healthy (queue may still be nonempty); `Err` means the
-/// peer is gone and the connection should be closed.
-fn try_flush(conn: &mut Conn) -> io::Result<()> {
-    while let Some(front) = conn.wq.front_mut() {
-        while front.off < HEADER_LEN {
-            match conn.stream.write(&front.header[front.off..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => front.off += n,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Writes as much of `conn`'s queue as the socket will take, encoding the
+/// front reply one [`STAGE`] window at a time into the reactor's staging
+/// block unless that block already holds the bytes. `Ok(true)` if any byte
+/// was written; `Ok` means the socket is healthy (the queue may still be
+/// nonempty), `Err` that the peer is gone and the connection should be
+/// closed. A reply's encoding time is booked as one `codec` span when its
+/// last byte is written.
+fn try_flush<Resp: WireMsg>(
+    conn: &mut Conn<Resp>,
+    stage: &mut Stage<Resp>,
+    stats: &mut TransportStats,
+    hook: &Option<Arc<dyn TraceHook>>,
+) -> io::Result<bool> {
+    let mut wrote = false;
+    loop {
+        let Some(front) = conn.wq.front_mut() else { return Ok(wrote) };
+        if front.off == front.total {
+            stats.serialize_seconds += front.encode;
+            if let Some(h) = hook {
+                h.wall_span(Some(front.rank), "codec", front.queued, front.encode);
             }
+            conn.wq.pop_front();
+            continue;
         }
-        let total = HEADER_LEN + front.payload.len();
-        while front.off < total {
-            match conn.stream.write(&front.payload[front.off - HEADER_LEN..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => front.off += n,
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        let at = front.off.saturating_sub(HEADER_LEN);
+        let staged = Weak::as_ptr(&stage.reply) == Rc::as_ptr(&front.reply)
+            && (stage.from..stage.from + stage.block.len()).contains(&at);
+        if !staged {
+            let t0 = Instant::now();
+            stage.block.clear();
+            front.reply.encode(&mut Window::new(&mut stage.block, at, STAGE));
+            stage.reply = Rc::downgrade(&front.reply);
+            stage.from = at;
+            front.encode += t0.elapsed().as_secs_f64();
+        }
+        let head = IoSlice::new(&front.header[front.off.min(HEADER_LEN)..]);
+        let window = IoSlice::new(&stage.block[at - stage.from..]);
+        match conn.stream.write_vectored(&[head, window]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                front.off += n;
+                wrote = true;
             }
+            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(wrote),
+            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        conn.wq.pop_front();
     }
-    Ok(())
 }
 
-/// Encodes and queues one batch of replies. Same-key replies are served
-/// from the coalescing cache: one payload encoding + CRC shared across
-/// requests, with a fresh header stamped per `seq`.
+/// Queues one batch of replies. Same-key replies are served from the
+/// coalescing cache: one checksum pass shared across requests, with a
+/// fresh header stamped per `seq`.
 #[allow(clippy::too_many_arguments)]
 fn deliver_replies<Resp: WireMsg>(
     replies: Vec<(usize, Resp, Option<u64>)>,
     m: usize,
     coalescing: bool,
-    conns: &mut HashMap<u64, Conn>,
+    conns: &mut HashMap<u64, Conn<Resp>>,
     pool: &mut BufferPool,
     rank_conn: &mut [Option<u64>],
     rank_state: &mut [RankState],
     awaiting: &mut [Option<u64>],
-    cache: &mut ReplyCache,
+    cache: &mut ReplyCache<Resp>,
+    stage: &mut Stage<Resp>,
     stats: &mut TransportStats,
     hook: &Option<Arc<dyn TraceHook>>,
 ) -> Result<(), ClusterError> {
@@ -691,54 +728,54 @@ fn deliver_replies<Resp: WireMsg>(
         };
 
         let t0 = Instant::now();
-        let (payload, crc) = match key.filter(|_| coalescing) {
-            Some(k) => {
-                if let Some(hit) = cache.get(k) {
-                    // Cache hit: byte-identical to a fresh encode (same
-                    // payload, same CRC), no serialize time booked —
-                    // that's the whole point. The span is attributed to
-                    // no worker: it is sweep-level work, not part of any
-                    // single request.
-                    if let Some(h) = hook {
-                        h.wall_span(None, COALESCE_PHASE, t0, t0.elapsed().as_secs_f64());
-                    }
-                    (Rc::clone(&hit.payload), hit.crc)
-                } else {
-                    let payload = Rc::new(resp.encoded());
-                    let crc = crc32(&payload);
-                    let encode = t0.elapsed().as_secs_f64();
-                    stats.serialize_seconds += encode;
-                    if let Some(h) = hook {
-                        h.wall_span(Some(target), "codec", t0, encode);
-                    }
-                    cache.insert(k, Rc::clone(&payload), crc);
-                    (payload, crc)
+        let key = key.filter(|_| coalescing);
+        let (reply, crc, len) = match key.and_then(|k| cache.get(k)) {
+            Some(hit) => {
+                // Cache hit: byte-identical to a fresh reply (same value,
+                // same CRC), no checksum pass booked — that's the whole
+                // point. The span is attributed to no worker: it is
+                // sweep-level work, not part of any single request.
+                if let Some(h) = hook {
+                    h.wall_span(None, COALESCE_PHASE, t0, t0.elapsed().as_secs_f64());
                 }
+                (Rc::clone(&hit.reply), hit.crc, hit.len)
             }
             None => {
-                let payload = Rc::new(resp.encoded());
-                let crc = crc32(&payload);
+                let (crc, len) = checksum(&resp);
                 let encode = t0.elapsed().as_secs_f64();
                 stats.serialize_seconds += encode;
                 if let Some(h) = hook {
                     h.wall_span(Some(target), "codec", t0, encode);
                 }
-                (payload, crc)
+                let reply = Rc::new(resp);
+                if let Some(k) = key {
+                    cache.insert(k, CachedReply { reply: Rc::clone(&reply), crc, len });
+                }
+                (reply, crc, len)
             }
         };
 
-        let header = header_bytes(FrameKind::Reply, seq, payload.len(), crc)?;
-        let wire = (HEADER_LEN + payload.len()) as u64;
+        let header = header_bytes(FrameKind::Reply, seq, len, crc)?;
+        let total = HEADER_LEN + len;
         let cid = rank_conn[target];
         let queued = match cid.and_then(|cid| conns.get_mut(&cid)) {
             Some(conn) => {
-                conn.wq.push_back(PendingWrite { header, payload, off: 0 });
-                Some(try_flush(conn).is_ok())
+                let write = PendingWrite {
+                    header,
+                    reply,
+                    total,
+                    off: 0,
+                    rank: target,
+                    queued: Instant::now(),
+                    encode: 0.0,
+                };
+                conn.wq.push_back(write);
+                Some(try_flush(conn, stage, stats, hook).is_ok())
             }
             None => None,
         };
         match queued {
-            Some(true) => stats.bytes_received += wire,
+            Some(true) => stats.bytes_received += total as u64,
             Some(false) => {
                 // Write failure: the worker is gone; reap it and move on.
                 close_conn(conns, cid.unwrap(), pool, rank_conn, rank_state, awaiting);
@@ -764,51 +801,26 @@ mod tests {
     use crate::worker::NetWorker;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn payload(len: usize) -> Rc<Vec<u8>> {
-        Rc::new(vec![7u8; len])
+    fn entry(reply: &Rc<Vec<f32>>) -> CachedReply<Vec<f32>> {
+        CachedReply { reply: Rc::clone(reply), crc: 0, len: 0 }
     }
 
     #[test]
-    fn model_sized_versions_do_not_accumulate_in_the_cache() {
-        // 200 distinct versions of a 5 MiB reply, as 200 applies produce.
-        let size = 5 << 20;
-        let mut cache = ReplyCache::default();
-        for version in 0..200u64 {
-            cache.insert(version, payload(size), version as u32);
-            assert!(cache.retained_bytes() <= CACHE_PAYLOADS * size, "at version {version}");
-            assert!(cache.entries.len() <= CACHE_PAYLOADS);
-            // The live (newest) key always hits, with its own CRC.
-            assert_eq!(cache.get(version).map(|e| e.crc), Some(version as u32));
-        }
-        assert!(cache.get(0).is_none(), "superseded versions are gone");
-    }
-
-    #[test]
-    fn small_replies_keep_the_entry_cap() {
-        let mut cache = ReplyCache::default();
-        for key in 0..200u64 {
-            cache.insert(key, payload(80_000), 0);
-            assert!(cache.entries.len() <= CACHE_CAP);
-            assert!(cache.retained_bytes() <= CACHE_CAP * 80_000);
-        }
-        // 64 × 80 KB sits under the byte floor: only the entry cap binds,
-        // so the cache filled up exactly as it did before the budget.
-        const { assert!(CACHE_CAP * 80_000 <= CACHE_FLOOR_BYTES) };
-        assert_eq!(cache.entries.len(), 200 % CACHE_CAP);
-    }
-
-    #[test]
-    fn a_newcomer_that_would_break_the_budget_empties_the_cache_first() {
-        let mut cache = ReplyCache::default();
-        for key in 0..CACHE_CAP as u64 - 1 {
-            cache.insert(key, payload(120_000), 0);
-        }
-        assert!(cache.retained_bytes() <= CACHE_FLOOR_BYTES);
-        let size = 2 << 20;
-        cache.insert(1000, payload(size), 0);
-        assert_eq!(cache.retained_bytes(), size);
-        assert_eq!(cache.entries.len(), 1);
-        assert!(cache.get(1000).is_some());
+    fn the_cache_keeps_only_what_a_queued_write_holds() {
+        let mut cache = ReplyCache::new();
+        let queued = Rc::new(vec![1.0f32; 8]);
+        let written = Rc::new(vec![2.0f32; 8]);
+        cache.insert(1, entry(&queued));
+        cache.insert(2, entry(&written));
+        drop(written);
+        // Within the sweep both serve hits.
+        assert!(cache.get(1).is_some() && cache.get(2).is_some());
+        cache.retire();
+        assert!(cache.get(1).is_some(), "a reply still being written stays");
+        assert!(cache.get(2).is_none(), "a written reply goes with its sweep");
+        drop(queued);
+        cache.retire();
+        assert!(cache.entries.is_empty());
     }
 
     /// Frames correctly (valid CRC) but fails the `u32` payload codec.
@@ -818,6 +830,46 @@ mod tests {
 
     fn valid_request(seq: u64, x: u32) -> Frame {
         Frame::new(FrameKind::Request, seq, x.encoded())
+    }
+
+    /// CPU time the calling thread has run, from the scheduler's
+    /// statistics.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").unwrap();
+        Duration::from_nanos(stat.split_whitespace().next().unwrap().parse().unwrap())
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_reply_its_peer_does_not_read_leaves_the_reactor_idle() {
+        // 16 MB, more than loopback's socket buffers hold: the write
+        // stalls until the peer reads.
+        const N: usize = 4 << 20;
+        const STALL: Duration = Duration::from_millis(500);
+        let mut cfg = NetConfig::fast();
+        cfg.heartbeat_timeout = Duration::from_secs(5);
+        let server = ReactorServer::bind("127.0.0.1:0", 1, cfg).unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let peer = scope.spawn(move || {
+                let mut s = TcpStream::connect(addr).unwrap();
+                write_frame(&mut s, &Frame::hello(0)).unwrap();
+                write_frame(&mut s, &valid_request(1, 7)).unwrap();
+                std::thread::sleep(STALL);
+                let (reply, _) = read_frame(&mut s).unwrap();
+                write_frame(&mut s, &Frame::new(FrameKind::Goodbye, 2, Vec::new())).unwrap();
+                Vec::<f32>::decoded(&reply.payload).unwrap().len()
+            });
+            let (wall, cpu) = (Instant::now(), thread_cpu());
+            server
+                .serve(|_w, _x: u32, ctx: &mut ServerCtx<Vec<f32>>| ctx.reply(vec![1.0; N]))
+                .unwrap();
+            let (wall, cpu) = (wall.elapsed(), thread_cpu() - cpu);
+            assert_eq!(peer.join().unwrap(), N);
+            assert!(wall >= STALL);
+            assert!(cpu < wall / 4, "the reactor ran {cpu:?} of {wall:?} while nothing was read");
+        });
     }
 
     #[test]

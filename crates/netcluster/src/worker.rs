@@ -5,6 +5,13 @@
 //! replies), the write half is shared with a background heartbeat thread
 //! that keeps the connection visibly alive between pushes.
 //!
+//! No frame is ever whole in memory. A message goes out as its header —
+//! length and CRC from one checksum pass over the message — then its
+//! payload, encoded one window at a time into the worker's staging block
+//! and written from it. A reply comes in through the same block, one
+//! read at a time, decoded as it arrives and hashed as it lands; a reply
+//! whose checksum fails is a framing failure however its bytes decode.
+//!
 //! Failure handling:
 //! * connects (initial and re-) retry with bounded exponential backoff;
 //! * every blocking request carries a deadline ([`NetConfig::request_timeout`]);
@@ -19,7 +26,8 @@
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
 use crate::frame::{
-    crc32, header_bytes, read_frame_into, write_frame, write_payload, Frame, FrameKind, HEADER_LEN,
+    checksum, header_bytes, read_header, read_msg, write_frame, write_msg, write_payload, Frame,
+    FrameKind, HEADER_LEN,
 };
 use lcasgd_simcluster::backend::keep_spent;
 use lcasgd_simcluster::{ClusterError, FaultHooks, TraceHook, TransportStats, WireMsg, WorkerLink};
@@ -28,7 +36,7 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Interruptible stop flag: the heartbeat thread waits on the condvar
 /// between beats, so teardown wakes it instantly instead of waiting out
@@ -87,13 +95,10 @@ pub struct NetWorker {
     /// breaker and further dial attempts fail fast until the cooldown
     /// admits a half-open probe.
     breaker: CircuitBreaker,
-    /// The outgoing frame, `header ‖ payload`, encoded in place and
-    /// written with one call. Reused across messages: it holds at most
-    /// the largest frame this worker has sent.
-    wbuf: Vec<u8>,
-    /// Reply payloads land here instead of in a fresh allocation per
-    /// reply; holds at most the largest reply payload received.
-    rbuf: Vec<u8>,
+    /// The one staging block, used both ways: a frame goes out encoded
+    /// into it one window at a time, a reply comes in through it one block
+    /// at a time ([`crate::frame::STAGE`] bytes).
+    stage: Vec<u8>,
     /// Payload vectors of replies the caller has finished with
     /// ([`WorkerLink::recycle`]); the next model-sized replies are decoded
     /// into them. At most [`SPENT_CAP`] are kept.
@@ -121,8 +126,7 @@ impl NetWorker {
             finished: false,
             trace_hook: None,
             breaker,
-            wbuf: Vec::new(),
-            rbuf: Vec::new(),
+            stage: Vec::new(),
             spent: Vec::new(),
         };
         worker.reconnect()?;
@@ -225,66 +229,64 @@ impl NetWorker {
         }
     }
 
-    /// Encodes `req` as the next frame of `kind` into the write buffer:
-    /// payload after a header-sized gap, then the header (sequence
-    /// number, length, checksum) filled in over the gap.
-    fn stage<Req: WireMsg>(&mut self, kind: FrameKind, req: &Req) -> Result<u64, ClusterError> {
+    /// Sends `msg` as the next frame of `kind`: the header from one
+    /// checksum pass over the message, then the payload one staging
+    /// window at a time. A failed write reconnects and sends it once more,
+    /// encoded again from the message. Returns the frame's sequence
+    /// number.
+    fn send_frame<M: WireMsg>(&mut self, kind: FrameKind, msg: &M) -> Result<u64, ClusterError> {
         let t0 = Instant::now();
-        self.wbuf.clear();
-        self.wbuf.reserve(HEADER_LEN + req.size_hint());
-        self.wbuf.resize(HEADER_LEN, 0);
-        req.encode(&mut self.wbuf);
-        let encode = t0.elapsed().as_secs_f64();
+        self.seq += 1;
+        let (crc, len) = checksum(msg);
+        let header = header_bytes(kind, self.seq, len, crc)?;
+        let mut encode = t0.elapsed().as_secs_f64();
+        encode += match self.write_staged(&header, msg, len) {
+            Ok(secs) => secs,
+            Err(_) => {
+                self.reconnect()?;
+                self.write_staged(&header, msg, len)?
+            }
+        };
         self.stats.serialize_seconds += encode;
         self.span("codec", t0, encode);
-        self.seq += 1;
-        let payload = &self.wbuf[HEADER_LEN..];
-        let header = header_bytes(kind, self.seq, payload.len(), crc32(payload))?;
-        self.wbuf[..HEADER_LEN].copy_from_slice(&header);
         Ok(self.seq)
     }
 
-    /// Writes the staged frame, reconnecting and retrying once if the
-    /// write itself fails.
-    fn write_with_retry(&mut self) -> Result<(), ClusterError> {
-        match self.write_staged() {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.reconnect()?;
-                self.write_staged()
-            }
-        }
-    }
-
-    fn write_staged(&mut self) -> Result<(), ClusterError> {
+    fn write_staged<M: WireMsg>(
+        &mut self,
+        header: &[u8; HEADER_LEN],
+        msg: &M,
+        len: usize,
+    ) -> Result<f64, ClusterError> {
         let conn = self.conn.as_ref().ok_or(ClusterError::Disconnected)?;
         let mut write = conn.write.lock();
-        write.write_all(&self.wbuf)?;
-        write.flush()?;
-        Ok(())
+        write_msg(&mut *write, header, msg, len, &mut self.stage)
     }
 
-    /// Sends a blocking request and waits for the matching reply.
+    /// A reply that failed as a frame — timeout, disconnect, bad header or
+    /// checksum — leaves the stream in an unknown framing state: it counts
+    /// against the breaker, and the connection is dropped so the next
+    /// operation starts clean.
+    fn framing_failure(&mut self, e: ClusterError) -> ClusterError {
+        self.breaker.record_failure(Instant::now());
+        self.teardown();
+        e
+    }
+
+    /// Sends a blocking request and waits for the matching reply, which
+    /// is decoded as it arrives.
     pub fn request<Req: WireMsg, Resp: WireMsg>(
         &mut self,
         req: &Req,
     ) -> Result<Resp, ClusterError> {
-        let seq = self.stage(FrameKind::Request, req)?;
-        self.write_with_retry()?;
+        let seq = self.send_frame(FrameKind::Request, req)?;
 
         let sent = Instant::now();
         loop {
             let conn = self.conn.as_mut().ok_or(ClusterError::Disconnected)?;
-            let header = match read_frame_into(&mut conn.read, &mut self.rbuf) {
+            let header = match read_header(&mut conn.read) {
                 Ok(header) => header,
-                Err(e) => {
-                    // Timeouts and disconnects both leave the stream in
-                    // an unknown framing state; drop the connection so
-                    // the next operation starts clean.
-                    self.breaker.record_failure(Instant::now());
-                    self.teardown();
-                    return Err(e);
-                }
+                Err(e) => return Err(self.framing_failure(e)),
             };
             if header.kind != FrameKind::Reply {
                 self.teardown();
@@ -294,43 +296,49 @@ impl NetWorker {
                 )));
             }
             if header.seq != seq {
-                // A stale reply from before a reconnect; skip it, but
-                // keep the overall deadline.
+                // A stale reply from before a reconnect: read past it,
+                // checksum and all (as `()`, which decodes none of it),
+                // but keep the overall deadline.
+                let stale =
+                    read_msg::<()>(&mut conn.read, &header, &mut self.stage, &mut self.spent);
+                if let Err(e) = stale {
+                    return Err(self.framing_failure(e));
+                }
                 if sent.elapsed() > self.cfg.request_timeout {
                     self.teardown();
                     return Err(ClusterError::Timeout);
                 }
                 continue;
             }
+            let read = read_msg::<Resp>(&mut conn.read, &header, &mut self.stage, &mut self.spent);
+            let (resp, decode) = match read {
+                Ok(read) => read,
+                Err(e) => return Err(self.framing_failure(e)),
+            };
             // Requests/oneways/bytes are counted server-side; recording
             // them here too would double-count after the backend merge.
-            let rtt = sent.elapsed().as_secs_f64();
+            // The round trip is the wait and the reading; what decoding
+            // took, interleaved with the reading, is the codec's.
+            let rtt = sent.elapsed().as_secs_f64() - decode;
             self.stats.rtt.record(rtt);
             self.span("comm", sent, rtt);
-            let t0 = Instant::now();
-            let payload = &self.rbuf[..header.payload_len];
-            let resp = match Resp::decoded_reusing(payload, &mut self.spent) {
-                Ok(resp) => resp,
-                Err(e) => {
-                    // The frame layer vouched for the bytes, but the codec
-                    // rejected them: the connection's protocol state is
-                    // suspect, so start the next operation from a clean
-                    // reconnect instead of reading mid-conversation.
-                    self.teardown();
-                    return Err(e);
-                }
+            let Ok(resp) = resp else {
+                // The frame layer vouched for the bytes, but the codec
+                // rejected them: the connection's protocol state is
+                // suspect, so start the next operation from a clean
+                // reconnect instead of reading mid-conversation.
+                self.teardown();
+                return resp;
             };
-            let decode = t0.elapsed().as_secs_f64();
             self.stats.serialize_seconds += decode;
-            self.span("codec", t0, decode);
+            self.span("codec", sent + Duration::from_secs_f64(rtt), decode);
             return Ok(resp);
         }
     }
 
     /// Fire-and-forget send.
     pub fn send<Req: WireMsg>(&mut self, req: &Req) -> Result<(), ClusterError> {
-        self.stage(FrameKind::Oneway, req)?;
-        self.write_with_retry()
+        self.send_frame(FrameKind::Oneway, req).map(|_| ())
     }
 
     /// Performs the clean `Goodbye` handshake and closes the connection.
@@ -450,7 +458,6 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for NetWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn breaker_opens_after_repeated_reconnect_failures_and_fails_fast() {

@@ -66,10 +66,143 @@ impl From<std::io::Error> for ClusterError {
 
 // ------------------------------------------------------------------ codec
 
-/// Cursor over a received payload.
+/// Where [`WireMsg::encode`] writes. Each message has one encoder, and the
+/// sink decides what becomes of the bytes:
+///
+/// * `Vec<u8>` appends them — goldens, checkpoints, the WAL and the
+///   simulator;
+/// * [`Crc32`](crate::codec::Crc32) hashes and counts them, building
+///   nothing — a frame header's checksum and length;
+/// * [`Window`] keeps one range of them — a model-sized message sent one
+///   staging block at a time.
+///
+/// The run methods carry a whole vector at once, so a sink can convert it
+/// in one vectorized pass, or skip it by its length.
+pub trait WireSink {
+    /// Raw bytes.
+    fn put(&mut self, bytes: &[u8]);
+    /// Little-endian `f32`s, no length prefix.
+    fn put_f32s(&mut self, v: &[f32]);
+    /// Little-endian `u16`s, no length prefix.
+    fn put_u16s(&mut self, v: &[u16]);
+    /// Two's-complement `i8`s, no length prefix.
+    fn put_i8s(&mut self, v: &[i8]);
+}
+
+/// The exact-size iterators let `extend` reserve once and fill in a
+/// vectorized loop.
+impl WireSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn put_f32s(&mut self, v: &[f32]) {
+        self.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    fn put_u16s(&mut self, v: &[u16]) {
+        self.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    fn put_i8s(&mut self, v: &[i8]) {
+        self.extend(v.iter().map(|&x| x as u8));
+    }
+}
+
+/// A [`WireSink`] that appends bytes `[from, from + room)` of an encoding
+/// to `out` and only counts the rest. A run outside the range is skipped
+/// by its length; one that straddles it is converted only where it
+/// overlaps. So one window of a model-sized message costs its field count
+/// plus `room` bytes of work, and the windows at `0, room, 2·room, …`
+/// concatenate to the whole encoding. With `room` 0 it is a counter:
+/// [`seen`](Window::seen) is then the encoding's length.
+pub struct Window<'a> {
+    out: &'a mut Vec<u8>,
+    /// Bytes still to pass before the range starts.
+    skip: usize,
+    /// Bytes the range still takes.
+    room: usize,
+    seen: usize,
+}
+
+impl<'a> Window<'a> {
+    pub fn new(out: &'a mut Vec<u8>, from: usize, room: usize) -> Self {
+        Window { out, skip: from, room, seen: 0 }
+    }
+
+    /// Bytes of the encoding passed so far: after an `encode`, its length.
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Where the next `n` bytes overlap the range: `(first, end)` within
+    /// them, if they do.
+    fn overlap(&mut self, n: usize) -> Option<(usize, usize)> {
+        self.seen += n;
+        if self.skip >= n {
+            self.skip -= n;
+            return None;
+        }
+        let first = std::mem::take(&mut self.skip);
+        let take = (n - first).min(self.room);
+        self.room -= take;
+        (take > 0).then_some((first, first + take))
+    }
+
+    /// Bytes `[first, end)` of `vals`' little-endian image: a partial
+    /// element at either edge, whole elements in one pass between.
+    fn put_run<T: Copy, const W: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; W]) {
+        let Some((mut at, end)) = self.overlap(vals.len() * W) else { return };
+        while at < end {
+            let (i, off) = (at / W, at % W);
+            if off == 0 && at + W <= end {
+                let whole = end / W;
+                self.out.extend(vals[i..whole].iter().flat_map(|&v| le(v)));
+                at = whole * W;
+            } else {
+                let n = (W - off).min(end - at);
+                self.out.extend_from_slice(&le(vals[i])[off..off + n]);
+                at += n;
+            }
+        }
+    }
+}
+
+impl WireSink for Window<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        if let Some((first, end)) = self.overlap(bytes.len()) {
+            self.out.extend_from_slice(&bytes[first..end]);
+        }
+    }
+    fn put_f32s(&mut self, v: &[f32]) {
+        self.put_run(v, f32::to_le_bytes);
+    }
+    fn put_u16s(&mut self, v: &[u16]) {
+        self.put_run(v, u16::to_le_bytes);
+    }
+    fn put_i8s(&mut self, v: &[i8]) {
+        self.put_run(v, |x: i8| [x as u8]);
+    }
+}
+
+/// A streaming [`WireReader`]'s source, read-like: writes the payload's
+/// next bytes to the front of the slice it is handed and returns how many
+/// (at least one), or fails.
+pub type Refill<'a> = &'a mut dyn FnMut(&mut [u8]) -> Result<usize, ClusterError>;
+
+enum Bytes<'a> {
+    /// The whole payload: nothing to refill.
+    Slice(&'a [u8]),
+    /// A staging block the hook refills; `left` bytes are still to come.
+    Stream { block: &'a mut [u8], refill: Refill<'a>, left: usize },
+}
+
+/// Cursor over a payload: a borrowed slice, or a stream refilled into a
+/// staging block as it is consumed ([`WireReader::streaming`]). Decoding is
+/// the same either way.
 pub struct WireReader<'a> {
-    buf: &'a [u8],
+    bytes: Bytes<'a>,
+    /// Next unread byte, and the end of the valid bytes, of the slice or
+    /// the block.
     pos: usize,
+    end: usize,
     /// Vectors earlier messages were decoded into and their consumer has
     /// handed back ([`WireMsg::decoded_reusing`]).
     spent: Option<&'a mut Vec<Vec<f32>>>,
@@ -87,23 +220,105 @@ macro_rules! reader_scalar {
 
 impl<'a> WireReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0, spent: None }
+        WireReader { bytes: Bytes::Slice(buf), pos: 0, end: buf.len(), spent: None }
+    }
+
+    /// A reader over a `len`-byte payload that `refill` delivers into
+    /// `block` as decoding consumes it. The block must hold at least 8
+    /// bytes, the widest scalar.
+    pub fn streaming(block: &'a mut [u8], len: usize, refill: Refill<'a>) -> Self {
+        assert!(block.len() >= 8, "a streaming block of {} bytes", block.len());
+        WireReader {
+            bytes: Bytes::Stream { block, refill, left: len },
+            pos: 0,
+            end: 0,
+            spent: None,
+        }
+    }
+
+    /// Lends the reader vectors to decode model-sized payloads into
+    /// ([`bulk_vec_f32`](Self::bulk_vec_f32)).
+    pub fn lending(self, spent: &'a mut Vec<Vec<f32>>) -> Self {
+        WireReader { spent: Some(spent), ..self }
     }
 
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        let left = match &self.bytes {
+            Bytes::Slice(_) => 0,
+            Bytes::Stream { left, .. } => *left,
+        };
+        self.end - self.pos + left
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.remaining() < n {
-            return Err(ClusterError::Protocol(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
+    /// The slice, or the block's valid bytes.
+    fn valid(&self) -> &[u8] {
+        match &self.bytes {
+            Bytes::Slice(s) => s,
+            Bytes::Stream { block, .. } => &block[..self.end],
         }
-        let s = &self.buf[self.pos..self.pos + n];
+    }
+
+    fn truncated(&self, n: usize) -> ClusterError {
+        ClusterError::Protocol(format!(
+            "payload truncated: wanted {n} bytes, {} left",
+            self.remaining()
+        ))
+    }
+
+    /// Makes at least `n` (≤ the block's length) bytes available: a stream
+    /// moves its unread tail to the front of the block and refills behind
+    /// it. A slice always holds all it has.
+    fn ensure(&mut self, n: usize) -> Result<(), ClusterError> {
+        if self.end - self.pos >= n {
+            return Ok(());
+        }
+        if self.remaining() < n {
+            return Err(self.truncated(n));
+        }
+        let Bytes::Stream { block, refill, left } = &mut self.bytes else {
+            unreachable!("a slice holds all it has")
+        };
+        block.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < n {
+            let want = (block.len() - self.end).min(*left);
+            let got = refill(&mut block[self.end..self.end + want])?;
+            if got == 0 || got > want {
+                return Err(ClusterError::Protocol(format!(
+                    "payload source gave {got} bytes when asked for {want}"
+                )));
+            }
+            self.end += got;
+            *left -= got;
+        }
+        Ok(())
+    }
+
+    fn take(&mut self, n: usize) -> Result<&[u8], ClusterError> {
+        self.ensure(n)?;
+        let at = self.pos;
         self.pos += n;
-        Ok(s)
+        Ok(&self.valid()[at..at + n])
+    }
+
+    /// The next `n` elements of `w` bytes, handed to `f` in pieces of whole
+    /// elements: one piece from a slice, one per refill from a stream.
+    /// Fails before consuming anything if the payload is shorter.
+    fn pieces(&mut self, n: usize, w: usize, mut f: impl FnMut(&[u8])) -> Result<(), ClusterError> {
+        let total = n.saturating_mul(w);
+        if total > self.remaining() {
+            return Err(self.truncated(total));
+        }
+        let mut todo = total;
+        while todo > 0 {
+            self.ensure(w)?;
+            let k = ((self.end - self.pos) / w * w).min(todo);
+            f(&self.valid()[self.pos..self.pos + k]);
+            self.pos += k;
+            todo -= k;
+        }
+        Ok(())
     }
 
     reader_scalar!(u8, u8);
@@ -135,12 +350,14 @@ impl<'a> WireReader<'a> {
     }
 
     /// The next `n` raw payload bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        self.take(n)
+    pub fn bytes(&mut self, n: usize) -> Result<Vec<u8>, ClusterError> {
+        let mut out = Vec::new();
+        self.pieces(n, 1, |b| out.extend_from_slice(b))?;
+        Ok(out)
     }
 
-    /// `n` little-endian `f32`s in one pass: one bounds check for the
-    /// whole run, then a conversion loop the compiler vectorizes.
+    /// `n` little-endian `f32`s in bulk: one bounds check for the whole
+    /// run, then a conversion loop the compiler vectorizes per piece.
     pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ClusterError> {
         let mut out = Vec::new();
         self.f32s_into(n, &mut out)?;
@@ -148,21 +365,30 @@ impl<'a> WireReader<'a> {
     }
 
     fn f32s_into(&mut self, n: usize, out: &mut Vec<f32>) -> Result<(), ClusterError> {
-        let bytes = self.take(n.saturating_mul(4))?;
+        if n.saturating_mul(4) > self.remaining() {
+            return Err(self.truncated(n.saturating_mul(4)));
+        }
         out.clear();
-        out.extend(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())));
-        Ok(())
+        out.reserve(n);
+        self.pieces(n, 4, |b| {
+            out.extend(b.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())))
+        })
     }
 
-    /// `n` little-endian `u16`s in one pass (see [`WireReader::f32s`]).
+    /// `n` little-endian `u16`s in bulk (see [`WireReader::f32s`]).
     pub fn u16s(&mut self, n: usize) -> Result<Vec<u16>, ClusterError> {
-        let bytes = self.take(n.saturating_mul(2))?;
-        Ok(bytes.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())).collect())
+        let mut out = Vec::new();
+        self.pieces(n, 2, |b| {
+            out.extend(b.chunks_exact(2).map(|c| u16::from_le_bytes(c.try_into().unwrap())))
+        })?;
+        Ok(out)
     }
 
-    /// `n` bytes reinterpreted as two's-complement `i8`s in one pass.
+    /// `n` bytes reinterpreted as two's-complement `i8`s in bulk.
     pub fn i8s(&mut self, n: usize) -> Result<Vec<i8>, ClusterError> {
-        Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
+        let mut out = Vec::new();
+        self.pieces(n, 1, |b| out.extend(b.iter().map(|&b| b as i8)))?;
+        Ok(out)
     }
 
     pub fn vec_f32(&mut self) -> Result<Vec<f32>, ClusterError> {
@@ -183,9 +409,17 @@ impl<'a> WireReader<'a> {
 
     pub fn string(&mut self) -> Result<String, ClusterError> {
         let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.bytes(n)?)
             .map_err(|_| ClusterError::Protocol("invalid utf-8 string".into()))
+    }
+
+    /// Reads and discards the rest of the payload — through the refill
+    /// hook, so whatever the hook checks covers every byte. Returns how
+    /// many bytes that was.
+    pub fn drain(&mut self) -> Result<usize, ClusterError> {
+        let rest = self.remaining();
+        self.pieces(rest, 1, |_| {})?;
+        Ok(rest)
     }
 
     /// Asserts the payload is fully consumed.
@@ -199,49 +433,50 @@ impl<'a> WireReader<'a> {
 }
 
 /// Encoding helpers (little-endian, `u64` length prefixes — the same
-/// conventions as the checkpoint file format).
+/// conventions as the checkpoint file format), for any [`WireSink`].
 pub mod wire {
-    pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-        buf.push(v);
+    use super::WireSink;
+
+    pub fn put_u8(buf: &mut (impl WireSink + ?Sized), v: u8) {
+        buf.put(&[v]);
     }
-    pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_u16(buf: &mut (impl WireSink + ?Sized), v: u16) {
+        buf.put(&v.to_le_bytes());
     }
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_u32(buf: &mut (impl WireSink + ?Sized), v: u32) {
+        buf.put(&v.to_le_bytes());
     }
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_u64(buf: &mut (impl WireSink + ?Sized), v: u64) {
+        buf.put(&v.to_le_bytes());
     }
-    pub fn put_f32(buf: &mut Vec<u8>, v: f32) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_f32(buf: &mut (impl WireSink + ?Sized), v: f32) {
+        buf.put(&v.to_le_bytes());
     }
-    pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-        buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_f64(buf: &mut (impl WireSink + ?Sized), v: f64) {
+        buf.put(&v.to_le_bytes());
     }
-    pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-        buf.push(v as u8);
+    pub fn put_bool(buf: &mut (impl WireSink + ?Sized), v: bool) {
+        buf.put(&[v as u8]);
     }
-    /// Raw little-endian `f32`s, no length prefix. The exact-size
-    /// iterator lets `extend` reserve once and fill in a vectorized loop.
-    pub fn put_f32s(buf: &mut Vec<u8>, v: &[f32]) {
-        buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    /// Raw little-endian `f32`s, no length prefix.
+    pub fn put_f32s(buf: &mut (impl WireSink + ?Sized), v: &[f32]) {
+        buf.put_f32s(v);
     }
     /// Raw little-endian `u16`s, no length prefix.
-    pub fn put_u16s(buf: &mut Vec<u8>, v: &[u16]) {
-        buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+    pub fn put_u16s(buf: &mut (impl WireSink + ?Sized), v: &[u16]) {
+        buf.put_u16s(v);
     }
     /// Raw two's-complement `i8`s, no length prefix.
-    pub fn put_i8s(buf: &mut Vec<u8>, v: &[i8]) {
-        buf.extend(v.iter().map(|&x| x as u8));
+    pub fn put_i8s(buf: &mut (impl WireSink + ?Sized), v: &[i8]) {
+        buf.put_i8s(v);
     }
-    pub fn put_vec_f32(buf: &mut Vec<u8>, v: &[f32]) {
+    pub fn put_vec_f32(buf: &mut (impl WireSink + ?Sized), v: &[f32]) {
         put_u64(buf, v.len() as u64);
-        put_f32s(buf, v);
+        buf.put_f32s(v);
     }
-    pub fn put_string(buf: &mut Vec<u8>, s: &str) {
+    pub fn put_string(buf: &mut (impl WireSink + ?Sized), s: &str) {
         put_u64(buf, s.len() as u64);
-        buf.extend_from_slice(s.as_bytes());
+        buf.put(s.as_bytes());
     }
 }
 
@@ -250,7 +485,8 @@ pub mod wire {
 /// shared bound guarantees that a protocol developed against them runs
 /// over TCP unchanged.
 pub trait WireMsg: Sized {
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// The message's one encoder, into any [`WireSink`].
+    fn encode(&self, buf: &mut dyn WireSink);
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError>;
 
     /// In-place *valid-CRC* payload corruption: deterministically mutate
@@ -265,17 +501,21 @@ pub trait WireMsg: Sized {
         false
     }
 
-    /// Roughly how many bytes [`WireMsg::encode`] will append. Only a
-    /// capacity hint: [`WireMsg::encoded`] sizes its buffer from it, so a
-    /// model-sized message is written into one allocation instead of
-    /// being copied through a series of doublings. Messages that carry
-    /// vectors override it; a few bytes over or under cost nothing.
-    fn size_hint(&self) -> usize {
-        0
+    /// Hands the vectors a decode lent this message
+    /// ([`WireReader::bulk_vec_f32`]) back to `spent`, for a receiver that
+    /// drops the message unread: one decoded as it streamed in whose frame
+    /// then failed its checksum. The default drops them.
+    fn give_back(self, spent: &mut Vec<Vec<f32>>) {
+        let _ = spent;
     }
 
+    /// The encoding in one allocation of its exact length, which a
+    /// counting pass (a [`Window`] that keeps nothing) measures first.
     fn encoded(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.size_hint());
+        let mut none = Vec::new();
+        let mut count = Window::new(&mut none, 0, 0);
+        self.encode(&mut count);
+        let mut buf = Vec::with_capacity(count.seen());
         self.encode(&mut buf);
         buf
     }
@@ -291,7 +531,7 @@ pub trait WireMsg: Sized {
     /// payload is decoded into one of them instead of a new allocation
     /// ([`WireReader::bulk_vec_f32`]).
     fn decoded_reusing(bytes: &[u8], spent: &mut Vec<Vec<f32>>) -> Result<Self, ClusterError> {
-        let mut r = WireReader { buf: bytes, pos: 0, spent: Some(spent) };
+        let mut r = WireReader::new(bytes).lending(spent);
         let v = Self::decode(&mut r)?;
         r.finish()?;
         Ok(v)
@@ -299,7 +539,7 @@ pub trait WireMsg: Sized {
 }
 
 impl WireMsg for () {
-    fn encode(&self, _buf: &mut Vec<u8>) {}
+    fn encode(&self, _buf: &mut dyn WireSink) {}
     fn decode(_r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
         Ok(())
     }
@@ -308,7 +548,7 @@ impl WireMsg for () {
 macro_rules! wiremsg_scalar {
     ($($t:ty => $get:ident / $put:ident),*) => {$(
         impl WireMsg for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
+            fn encode(&self, buf: &mut dyn WireSink) {
                 wire::$put(buf, *self);
             }
             fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
@@ -329,10 +569,7 @@ wiremsg_scalar!(
 );
 
 impl WireMsg for Vec<f32> {
-    fn size_hint(&self) -> usize {
-        8 + 4 * self.len()
-    }
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         wire::put_vec_f32(buf, self);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
@@ -341,7 +578,7 @@ impl WireMsg for Vec<f32> {
 }
 
 impl WireMsg for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         wire::put_string(buf, self);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {

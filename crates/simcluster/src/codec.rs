@@ -19,7 +19,7 @@
 //! directions quantize with the same two functions, [`max_abs_nan`] and
 //! [`level`].
 
-use crate::backend::{wire, ClusterError, WireMsg, WireReader};
+use crate::backend::{wire, ClusterError, WireMsg, WireReader, WireSink};
 pub use crate::crc::{crc32, Crc32};
 
 /// Entries per `int8` quantization block (one `f32` scale each).
@@ -260,14 +260,7 @@ impl PackedF32 {
 }
 
 impl WireMsg for PackedF32 {
-    fn size_hint(&self) -> usize {
-        match self {
-            PackedF32::Bf16(halves) => 9 + 2 * halves.len(),
-            PackedF32::Int8 { levels, scales } => 17 + levels.len() + 4 * scales.len(),
-        }
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             PackedF32::Bf16(halves) => {
                 wire::put_u8(buf, 0);

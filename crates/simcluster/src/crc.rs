@@ -18,6 +18,8 @@
 //! below pin them to a bit-at-a-time oracle), so which one ran is never
 //! observable on the wire or on disk.
 
+use crate::backend::WireSink;
+
 /// The reflected IEEE 802.3 generator polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
@@ -190,10 +192,13 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Streaming IEEE CRC-32: feed the message in any number of pieces, split
-/// anywhere; [`Crc32::finish`] equals [`crc32`] of the concatenation.
+/// anywhere; [`Crc32::finish`] equals [`crc32`] of the concatenation, and
+/// [`Crc32::hashed`] is its length. As a [`WireSink`] it gives a message's
+/// checksum and length without building its encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32 {
     state: u32,
+    hashed: usize,
 }
 
 impl Default for Crc32 {
@@ -204,11 +209,12 @@ impl Default for Crc32 {
 
 impl Crc32 {
     pub fn new() -> Self {
-        Crc32 { state: !0 }
+        Crc32 { state: !0, hashed: 0 }
     }
 
     pub fn update(&mut self, data: &[u8]) {
         self.state = update(self.state, data);
+        self.hashed += data.len();
     }
 
     /// Feeds the little-endian bytes of `vals` — what
@@ -216,19 +222,44 @@ impl Crc32 {
     /// the values are staged through a fixed stack block, so hashing a
     /// model-sized vector allocates nothing.
     pub fn update_f32_le(&mut self, vals: &[f32]) {
-        const BLOCK: usize = 1024;
-        let mut bytes = [0u8; BLOCK * 4];
-        for chunk in vals.chunks(BLOCK) {
-            let staged = &mut bytes[..chunk.len() * 4];
-            for (dst, v) in staged.chunks_exact_mut(4).zip(chunk) {
-                dst.copy_from_slice(&v.to_le_bytes());
+        self.update_staged(vals, f32::to_le_bytes);
+    }
+
+    /// Feeds `vals` as `le` lays each out, through a 4 KiB stack block.
+    fn update_staged<T: Copy, const W: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; W]) {
+        const BLOCK: usize = 4096;
+        let mut bytes = [0u8; BLOCK];
+        for chunk in vals.chunks(BLOCK / W) {
+            let staged = &mut bytes[..chunk.len() * W];
+            for (dst, &v) in staged.chunks_exact_mut(W).zip(chunk) {
+                dst.copy_from_slice(&le(v));
             }
             self.update(staged);
         }
     }
 
+    /// Bytes fed so far.
+    pub fn hashed(&self) -> usize {
+        self.hashed
+    }
+
     pub fn finish(self) -> u32 {
         !self.state
+    }
+}
+
+impl WireSink for Crc32 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+    fn put_f32s(&mut self, v: &[f32]) {
+        self.update_f32_le(v);
+    }
+    fn put_u16s(&mut self, v: &[u16]) {
+        self.update_staged(v, u16::to_le_bytes);
+    }
+    fn put_i8s(&mut self, v: &[i8]) {
+        self.update_staged(v, |x: i8| [x as u8]);
     }
 }
 

@@ -757,7 +757,7 @@ mod tests {
     }
 
     impl WireMsg for Blob {
-        fn encode(&self, buf: &mut Vec<u8>) {
+        fn encode(&self, buf: &mut dyn crate::backend::WireSink) {
             crate::backend::wire::put_vec_f32(buf, &self.vals);
         }
         fn decode(r: &mut crate::backend::WireReader<'_>) -> Result<Self, ClusterError> {

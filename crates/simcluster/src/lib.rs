@@ -32,7 +32,7 @@ pub mod thread_cluster;
 pub use backend::{
     channel_duplex_pair, ChannelDuplex, ClockDomain, ClusterBackend, ClusterError,
     LatencyHistogram, ReplicaDuplex, ReplicaDuplexPair, ServerCtx, TraceHook, TransportStats,
-    WireMsg, WireReader, WorkerLink,
+    Window, WireMsg, WireReader, WireSink, WorkerLink,
 };
 pub use codec::{PackedF32, WireCodec};
 pub use event::EventQueue;

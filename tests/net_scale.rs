@@ -15,7 +15,7 @@
 use lc_asgd::netcluster::{frame, NetCluster, NetConfig, NetWorker, ReactorServer, COALESCE_PHASE};
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::backend::wire;
-use lc_asgd::simcluster::{ServerCtx, TraceHook, WireCodec, WireMsg, WireReader};
+use lc_asgd::simcluster::{ServerCtx, TraceHook, WireCodec, WireMsg, WireReader, WireSink};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,7 @@ struct Resp {
 }
 
 impl WireMsg for Req {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         match self {
             Req::Push { push_seq } => {
                 wire::put_u8(buf, 0);
@@ -56,7 +56,7 @@ impl WireMsg for Req {
 }
 
 impl WireMsg for Resp {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut dyn WireSink) {
         wire::put_vec_f32(buf, &self.flat);
         wire::put_u64(buf, self.version);
     }

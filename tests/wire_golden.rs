@@ -8,18 +8,24 @@
 //! per-element decode does (NaN payloads, −0.0); corrupt lengths must be
 //! refused before anything is allocated for them; and blobs written by
 //! the commit before the bulk codecs must still load.
+//!
+//! One encoder serves every sink, so the sinks are held to the bytes of
+//! `encoded()` too: windows of any size concatenate to them, the checksum
+//! sink hashes exactly them, and a payload decoded as it streams in, in
+//! pieces of any size, is the one decoded from the whole slice.
 
 use lc_asgd::autograd::ops::norm::BnBatchStats;
 use lc_asgd::core::comm::CompressedGrad;
 use lc_asgd::core::metrics::EpochRecord;
 use lc_asgd::core::predictor::{LossPredictorSnapshot, StepPredictorSnapshot};
 use lc_asgd::core::protocol::{ClusterReq, ClusterResp, PullDirective};
+use lc_asgd::core::replication::ReplicaPayload;
 use lc_asgd::core::{Compression, LogRecord, TrainingCheckpoint};
 use lc_asgd::netcluster::frame;
 use lc_asgd::nn::network::BnState;
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::codec::{Crc32, INT8_BLOCK};
-use lc_asgd::simcluster::{PackedF32, WireCodec, WireMsg, WireReader};
+use lc_asgd::simcluster::{ClusterError, PackedF32, Window, WireCodec, WireMsg, WireReader};
 
 // ------------------------------------------------- reference encoders
 
@@ -623,4 +629,198 @@ fn a_wal_record_written_by_the_parent_commit_still_verifies() {
     assert_eq!(bits(&rec.delta), bits(&[0.25, -1.0, 3.5, f32::MIN_POSITIVE, -0.0, 1e-30]));
     assert_eq!((rec.seq, rec.version, rec.shard), (7, 19, 1));
     assert_eq!(rec.encoded(), blob);
+}
+
+// ------------------------------------- sinks and the streaming reader
+
+/// Every `ClusterReq` variant, each gradient compression, and every
+/// replication payload, with model-sized runs of `n` values.
+fn requests(n: usize) -> Vec<(String, ClusterReq)> {
+    let grads = [
+        Compression::None.compress(&awkward(n), None),
+        Compression::Int8.compress(&smooth(n), None),
+        Compression::Bf16.compress(&smooth(n), None),
+    ];
+    let mut reqs: Vec<(String, ClusterReq)> = grads
+        .into_iter()
+        .enumerate()
+        .map(|(i, grads)| {
+            let grad = ClusterReq::Grad {
+                grads,
+                pull_version: 41,
+                loss: 1.25,
+                batch_stats: batch_stats(),
+                running: bn_state(),
+                epoch: 2,
+                push_seq: (3 << 32) | 8,
+                shard: 1,
+            };
+            (format!("Grad #{i}"), grad)
+        })
+        .collect();
+    let state = ClusterReq::State {
+        loss: 2.5,
+        running: bn_state(),
+        batch_stats: batch_stats(),
+        t_comm: 0.01,
+        t_comp: 0.2,
+        epoch: 9,
+    };
+    reqs.push(("Pull".into(), ClusterReq::Pull { epoch: 5, shard: 3 }));
+    reqs.push(("State".into(), state));
+    reqs.push(("Join".into(), ClusterReq::Join { incarnation: 2 }));
+    reqs.extend(payloads(n).into_iter().map(|(what, p)| (what, ClusterReq::Replicate(p))));
+    reqs
+}
+
+/// Every `ClusterResp` variant, f32 and both packed weights.
+fn replies(n: usize) -> Vec<(String, ClusterResp)> {
+    let weights = |directive| ClusterResp::Weights {
+        flat: awkward(n).into(),
+        version: 77,
+        directive,
+        epoch: 3,
+    };
+    vec![
+        ("Weights".into(), weights(None)),
+        ("Weights + directive".into(), weights(directive())),
+        ("QWeights int8".into(), ClusterResp::weights_for(WireCodec::Int8, smooth(n), 9, None, 1)),
+        ("QWeights bf16".into(), ClusterResp::weights_for(WireCodec::Bf16, smooth(n), 9, None, 1)),
+        ("Compensation".into(), ClusterResp::Compensation { l_delay: 0.5, one_step: -0.25, km: 3 }),
+        ("Stop".into(), ClusterResp::Stop),
+        ("Fenced".into(), ClusterResp::Fenced { epoch: 4 }),
+        ("ReplicaAck".into(), ClusterResp::ReplicaAck { seq: 99 }),
+    ]
+}
+
+fn payloads(n: usize) -> Vec<(String, ReplicaPayload)> {
+    vec![
+        (
+            "Snapshot".into(),
+            ReplicaPayload::Snapshot { next_seq: 8, blob: checkpoint(awkward(n)).to_bytes() },
+        ),
+        (
+            "Records".into(),
+            ReplicaPayload::Records(vec![log_record(awkward(n)), log_record(smooth(3))]),
+        ),
+        ("Refresh".into(), ReplicaPayload::Refresh { seq: 7, blob: checkpoint(vec![]).to_bytes() }),
+    ]
+}
+
+/// `msg` encoded through windows of `room` bytes, concatenated.
+fn windowed(msg: &impl WireMsg, room: usize) -> Vec<u8> {
+    let (mut whole, mut window) = (Vec::new(), Vec::new());
+    loop {
+        window.clear();
+        msg.encode(&mut Window::new(&mut window, whole.len(), room));
+        if window.is_empty() {
+            return whole;
+        }
+        whole.extend_from_slice(&window);
+    }
+}
+
+/// `bytes` decoded as they stream in, at most `piece` at a time, through
+/// a block of `piece` bytes (8 at least: the widest scalar).
+fn stream_decoded<M: WireMsg>(bytes: &[u8], piece: usize) -> M {
+    let mut rest = bytes;
+    let mut refill = |buf: &mut [u8]| {
+        let n = buf.len().min(piece).min(rest.len());
+        buf[..n].copy_from_slice(&rest[..n]);
+        rest = &rest[n..];
+        Ok(n)
+    };
+    let mut block = vec![0u8; piece.max(8)];
+    let mut r = WireReader::streaming(&mut block, bytes.len(), &mut refill);
+    let msg = M::decode(&mut r).expect("the stream decodes");
+    r.finish().expect("and is consumed to the end");
+    msg
+}
+
+/// Each sink against `encoded()`, for windows and stream pieces of every
+/// size in `sizes` and of the whole message.
+fn check_sinks<M: WireMsg>(msgs: Vec<(String, M)>, sizes: &[usize]) {
+    for (what, msg) in msgs {
+        let bytes = msg.encoded();
+        for &size in sizes.iter().chain([&bytes.len()]) {
+            assert_eq!(windowed(&msg, size), bytes, "{what}: windows of {size}");
+            let back: M = stream_decoded(&bytes, size);
+            assert_eq!(back.encoded(), bytes, "{what}: streamed in pieces of {size}");
+            assert_eq!(
+                M::decoded(&bytes).expect("decodes").encoded(),
+                bytes,
+                "{what}: slice decode"
+            );
+        }
+        let mut crc = Crc32::new();
+        msg.encode(&mut crc);
+        assert_eq!(crc.hashed(), bytes.len(), "{what}: checksum sink length");
+        assert_eq!(crc.finish(), crc32_bitwise(&bytes), "{what}: checksum sink value");
+        assert_eq!(frame::checksum(&msg), (crc32_bitwise(&bytes), bytes.len()), "{what}");
+    }
+}
+
+#[test]
+fn every_message_encodes_the_same_bytes_through_every_sink_and_streams_back() {
+    // Small runs through the narrowest windows and pieces, a run larger
+    // than two of the widest through those.
+    for (n, sizes) in [(1031, &[1, 7][..]), (40_000, &[4096, 65_536][..])] {
+        check_sinks(requests(n), sizes);
+        check_sinks(replies(n), sizes);
+        check_sinks(payloads(n), sizes);
+    }
+}
+
+/// A frame whose payload has one flipped byte fails as a frame — its
+/// checksum — and not in the codec, although the payload is decoded as
+/// it arrives: the rest is drained through the checksum first. A vector
+/// lent for decoding comes back with the message that held it.
+fn check_flips<M: WireMsg>(msgs: Vec<(String, M)>) -> usize {
+    let mut stage = Vec::new();
+    let mut returned = 0;
+    for (what, msg) in msgs {
+        let bytes = msg.encoded();
+        let (crc, payload_len) = frame::checksum(&msg);
+        let header =
+            frame::ParsedHeader { kind: frame::FrameKind::Reply, seq: 1, payload_len, crc };
+        let mut spent = Vec::new();
+        let (sound, _) = frame::read_msg::<M>(&mut &bytes[..], &header, &mut stage, &mut spent)
+            .expect("a sound frame reads");
+        assert_eq!(sound.expect("and decodes").encoded(), bytes, "{what}");
+
+        let stride = (bytes.len() / 23).max(1);
+        for at in (0..bytes.len()).step_by(stride).chain([bytes.len() - 1]) {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x5A;
+            // Roomy enough for any run of the corpus: decoding into it
+            // keeps its allocation.
+            let lent = Vec::<f32>::with_capacity(bytes.len());
+            let lent_at = lent.as_ptr();
+            let mut spent = vec![lent];
+            let Err(err) = frame::read_msg::<M>(&mut &bad[..], &header, &mut stage, &mut spent)
+            else {
+                panic!("{what}, byte {at} flipped: the corrupt frame read");
+            };
+            assert!(
+                matches!(&err, ClusterError::Protocol(why) if why.contains("checksum")),
+                "{what}, byte {at} flipped: {err:?}"
+            );
+            // Where the corrupt bytes still decode, the message held the
+            // lent vector; it must be back.
+            let mut probe = vec![Vec::new()];
+            if M::decoded_reusing(&bad, &mut probe).is_ok() && probe.is_empty() {
+                assert_eq!(spent.len(), 1, "{what}, byte {at} flipped: the lent vector is lost");
+                assert_eq!(spent[0].as_ptr(), lent_at, "{what}, byte {at} flipped");
+                returned += 1;
+            }
+        }
+    }
+    returned
+}
+
+#[test]
+fn a_corrupt_frame_streamed_in_is_a_checksum_failure_and_returns_its_lent_vector() {
+    let returned = check_flips(requests(3001)) + check_flips(replies(3001));
+    let returned = returned + check_flips(payloads(3001));
+    assert!(returned > 0, "no flip landed where the message held a lent vector");
 }

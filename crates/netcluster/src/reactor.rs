@@ -873,6 +873,53 @@ mod tests {
     }
 
     #[test]
+    fn replies_interleaved_through_the_shared_stage_arrive_intact() {
+        // Two 8 MB replies, each larger than a socket holds: one peer reads
+        // at once, the other later, so the reactor's staging block moves
+        // back and forth between two replies at different offsets. Then two
+        // small replies each, every one from offset 0, where the block
+        // still holds the previous reply's window. Every value carries its
+        // rank and request, and `read_frame` checks each reply's CRC.
+        let reply = |rank: usize, x: u32| {
+            let n = if x == 7 { 2 << 20 } else { 1024 };
+            (0..n).map(|i| (i * 2 + rank) as f32 + x as f32 * 0.5).collect::<Vec<f32>>()
+        };
+        let mut cfg = NetConfig::fast();
+        cfg.heartbeat_timeout = Duration::from_secs(5);
+        let server = ReactorServer::bind("127.0.0.1:0", 2, cfg).unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let peers: Vec<_> = (0..2usize)
+                .map(|rank| {
+                    scope.spawn(move || {
+                        let mut s = TcpStream::connect(addr).unwrap();
+                        write_frame(&mut s, &Frame::hello(rank)).unwrap();
+                        let mut got = Vec::new();
+                        for (seq, x) in [(1, 7), (2, 8), (3, 9)] {
+                            write_frame(&mut s, &valid_request(seq, x)).unwrap();
+                            if seq == 1 {
+                                std::thread::sleep(Duration::from_millis(100 * rank as u64));
+                            }
+                            let (frame, _) = read_frame(&mut s).unwrap();
+                            got.push(Vec::<f32>::decoded(&frame.payload).unwrap());
+                        }
+                        write_frame(&mut s, &Frame::new(FrameKind::Goodbye, 4, Vec::new()))
+                            .unwrap();
+                        got
+                    })
+                })
+                .collect();
+            server
+                .serve(|w, x: u32, ctx: &mut ServerCtx<Vec<f32>>| ctx.reply(reply(w, x)))
+                .unwrap();
+            for (rank, peer) in peers.into_iter().enumerate() {
+                let got = peer.join().unwrap();
+                assert!(got == [7, 8, 9].map(|x| reply(rank, x)), "rank {rank}'s replies");
+            }
+        });
+    }
+
+    #[test]
     fn codec_failures_trip_the_rank_breaker_until_cooldown() {
         let mut cfg = NetConfig::fast();
         cfg.breaker = BreakerConfig {

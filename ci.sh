@@ -51,8 +51,11 @@ timeout 120 cargo test -q --release -p lcasgd-core shard
 # — per algorithm, and under shards, a supervisor, a primary kill and a
 # halt + resume — must hash to the constants taken from the commit before
 # the function was split into a server state machine and a worker loop.
-echo "==> engine golden suite (hard 300s timeout)"
+# And the server core is a pure function of its inputs: each of those
+# runs, replayed into a fresh core, makes the same seam calls and replies.
+echo "==> engine golden + core replay suites (hard 300s timeout)"
 timeout 300 cargo test -q --release --test engine_golden
+timeout 300 cargo test -q --release -p lcasgd-core trainer::replay
 
 # The apply thread only applies: the predictors track their series inside
 # full runs, restore bitwise (and from a checkpoint the autograd cell

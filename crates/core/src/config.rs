@@ -170,16 +170,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     pub cluster: ClusterSpec,
     pub cost: CostModel,
-    /// Evaluation batch size.
-    pub eval_batch: usize,
-    /// SSGD-only learning-rate multiplier (linear scaling rule). SSGD's
-    /// gradient averaging moves the model M× less per data epoch than the
-    /// asynchronous algorithms; in the paper's 160-epoch budget that
-    /// merely slows SSGD down, but in the reduced-scale epoch budgets it
-    /// would leave SSGD unconverged and mask the *generalization* gap the
-    /// paper attributes to large effective batches. Defaults to M;
-    /// set to 1.0 to reproduce the paper's literal setting.
-    pub ssgd_lr_scale: f32,
     /// Cap on train-set examples used for the per-epoch train-error curve.
     pub max_eval_train: usize,
     /// Record per-iteration predictor traces (Figures 7–8). Costs memory.
@@ -210,8 +200,6 @@ impl ExperimentConfig {
             seed,
             cluster: ClusterSpec::heterogeneous(workers.max(1), seed),
             cost: CostModel::cifar(),
-            ssgd_lr_scale: workers.max(1) as f32,
-            eval_batch: 64,
             max_eval_train: 512,
             record_traces: false,
             partition: DataPartition::Shared,

@@ -100,6 +100,17 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
+    /// The report of a run's fault list: whether it halted, and where it
+    /// resumed from, are in the records.
+    pub fn new(records: Vec<FaultRecord>) -> Self {
+        let server_halted = records.iter().any(|r| matches!(r, FaultRecord::ServerHalted { .. }));
+        let resumed_at = records.iter().find_map(|r| match r {
+            FaultRecord::Resumed { at_update } => Some(*at_update),
+            _ => None,
+        });
+        FaultReport { records, server_halted, resumed_at: resumed_at.unwrap_or(0) }
+    }
+
     /// Scheduled faults that actually fired.
     pub fn injected(&self) -> usize {
         self.records.iter().filter(|r| matches!(r, FaultRecord::Injected { .. })).count()
@@ -153,9 +164,10 @@ pub struct RunResult {
     ///
     /// [`ClusterBackend`]: lcasgd_simcluster::ClusterBackend
     pub transport: Option<TransportStats>,
-    /// Fault-injection accounting when the run carried a
-    /// [`FaultPlan`](lcasgd_simcluster::FaultPlan); `None` for fault-free
-    /// runs.
+    /// Fault-injection and recovery accounting when the run carried a
+    /// [`FaultPlan`](lcasgd_simcluster::FaultPlan) or recorded a fault or a
+    /// recovery without one (a resume, a lost standby, a failed checkpoint
+    /// write); `None` for fault-free runs.
     pub faults: Option<FaultReport>,
     /// Health transitions recorded by the training supervisor
     /// ([`crate::supervisor`]); `None` when no supervisor was attached.

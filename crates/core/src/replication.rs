@@ -78,7 +78,6 @@ use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::codec::Crc32;
 use lcasgd_simcluster::{ClusterError, ReplicaDuplex, WireMsg, WireReader, WireSink};
 use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // --------------------------------------------------------------- config
@@ -629,7 +628,7 @@ impl EpochFence {
 /// [`ClusterResp::ReplicaAck`]: crate::protocol::ClusterResp::ReplicaAck
 pub fn serve_standby(
     mut duplex: Box<dyn ReplicaDuplex>,
-    slot: Arc<Mutex<Option<StandbyReplica>>>,
+    slot: &Mutex<Option<StandbyReplica>>,
     updates_per_epoch: u64,
 ) {
     let mut frame = Vec::new();
@@ -1039,6 +1038,7 @@ mod tests {
     use lcasgd_simcluster::ChannelDuplex;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
+    use std::sync::Arc;
 
     fn record(seq: u64, delta: Vec<f32>) -> LogRecord {
         let digest = LogRecord::digest_of(&delta);
@@ -1426,7 +1426,7 @@ mod tests {
         };
         let end = Gated { inner: standby, gate: gate_rx, acks: Arc::clone(&acks), acks_left };
         let serving = Arc::clone(&slot);
-        let thread = std::thread::spawn(move || serve_standby(Box::new(end), serving, 1000));
+        let thread = std::thread::spawn(move || serve_standby(Box::new(end), &serving, 1000));
         let cfg = StandbyConfig { flush_every, ..StandbyConfig::default() };
         let tapped = Tapped { inner: primary, sent: Arc::clone(&sent) };
         let rs = ReplicationStream::new(Box::new(tapped), &cfg);

@@ -1,13 +1,14 @@
 //! The training engine: any of the five algorithms against a dataset, as
 //! the pull / push-state / push-grad protocol over any [`ClusterBackend`]
 //! (discrete-event simulator, real threads, TCP sockets). Two roles joined
-//! by the backend: a parameter-server state machine with one handler per
-//! message (`serve`: Algorithm 2 plus sharding, fencing, replication,
-//! supervision and checkpoints as components) and a worker loop (`work`:
-//! Algorithm 1). [`run_experiment`] is [`run_cluster`] on the simulator:
-//! the paper's figures and tables, the benchmark and every chaos suite run
-//! the same program. DESIGN.md §13 describes the structure.
+//! by the backend: a parameter-server core that does no I/O (`serve`:
+//! Algorithm 2) and a worker loop (`work`: Algorithm 1). The shell here
+//! owns the rest: the evaluator and standby threads, the checkpoint file,
+//! the run's clock and the fault list. [`run_experiment`] is
+//! [`run_cluster`] on the simulator. DESIGN.md §13 describes the structure.
 
+#[cfg(test)]
+mod replay;
 mod serve;
 mod work;
 
@@ -15,21 +16,27 @@ use crate::algorithms::Algorithm;
 use crate::checkpoint::TrainingCheckpoint;
 use crate::comm::Compression;
 use crate::config::{DataPartition, ExperimentConfig};
-use crate::metrics::{EpochRecord, RunResult};
-use crate::replication::StandbyConfig;
+use crate::metrics::{EpochRecord, FaultReport, RunResult};
+use crate::replication::{
+    serve_standby, PushHead, ReplicationReport, ReplicationStream, StandbyConfig, StandbyReplica,
+};
 use crate::shard::ShardGroup;
-use crate::supervisor::{AlgoMode, Supervisor, SupervisorConfig};
-use crate::trace::TraceSink;
+use crate::supervisor::SupervisorConfig;
+use crate::trace::{phase, ClockDomain, TraceSink};
 use lcasgd_data::{BatchIter, Dataset};
 use lcasgd_nn::metrics::evaluate;
 use lcasgd_nn::network::BnState;
 use lcasgd_nn::Network;
-use lcasgd_simcluster::{ClusterBackend, ClusterError, ClusterSim, FaultPlan};
+use lcasgd_simcluster::{
+    ClusterBackend, ClusterError, ClusterSim, FaultLog, FaultPlan, FaultRecord, TransportStats,
+};
 use lcasgd_tensor::{Rng, Tensor};
-use serve::Server;
+use parking_lot::Mutex;
+use serve::{Core, Seam};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::time::Instant;
 use work::{worker_loop, worker_nodes, RunEnv};
 
 /// A model factory: must be deterministic in the RNG it is given so every
@@ -55,38 +62,8 @@ pub fn run_experiment(
 
 // ---------------------------------------------------------------- eval
 
-struct EvalHarness<'a> {
-    net: Network,
-    train_x: Tensor,
-    train_y: Vec<usize>,
-    test: &'a Dataset,
-    batch: usize,
-}
-
-impl<'a> EvalHarness<'a> {
-    fn new(cfg: &ExperimentConfig, build: ModelFn<'_>, train: &Dataset, test: &'a Dataset) -> Self {
-        // The eval replica shares the architecture; its weights are
-        // overwritten before every evaluation.
-        let mut rng = Rng::seed_from_u64(cfg.seed);
-        let net = build(&mut rng);
-        let n = train.len().min(cfg.max_eval_train);
-        let idx: Vec<usize> = (0..n).collect();
-        let (train_x, train_y) = train.batch(&idx);
-        EvalHarness { net, train_x, train_y, test, batch: cfg.eval_batch }
-    }
-
-    fn load(&mut self, weights: &[f32], bn: &BnState) {
-        self.net.set_flat_params(weights);
-        self.net.set_bn_state(bn);
-    }
-
-    /// Both error rates of the model last [`load`](Self::load)ed.
-    fn evaluate_loaded(&self) -> (f32, f32) {
-        let (train_err, _) = evaluate(&self.net, &self.train_x, &self.train_y, self.batch);
-        let (test_err, _) = evaluate(&self.net, &self.test.inputs, &self.test.labels, self.batch);
-        (train_err, test_err)
-    }
-}
+/// Evaluation batch size.
+const EVAL_BATCH: usize = 64;
 
 /// An epoch's record before its evaluation: stamped, the epoch's losses
 /// averaged and cleared, both error rates still NaN.
@@ -100,58 +77,25 @@ fn open_record(epoch: usize, time: f64, epoch_losses: &mut Vec<f32>, lr: f32) ->
     EpochRecord { epoch, time, train_error: f32::NAN, test_error: f32::NAN, train_loss, lr }
 }
 
-/// The cluster engine's epoch evaluation, off the server's thread. The
-/// server closes an epoch by pushing an [`open_record`] and handing the
-/// weights it was closed at to [`Evaluator::submit`]; the evaluator thread
-/// ([`serve_evaluations`], owner of the [`EvalHarness`]) sends the two
-/// error rates back and [`Evaluator::collect`] writes them into the
-/// record. Evaluation is a pure function of `(weights, bn)`, so the record
-/// ends up bitwise what inline evaluation would have made it. At most one
-/// snapshot is in flight: a second `submit` first waits for the first.
-struct Evaluator {
-    jobs: Sender<(Arc<Vec<f32>>, BnState)>,
-    results: Receiver<(f32, f32)>,
-    /// Index of the record whose error rates are in flight.
-    pending: Option<usize>,
-}
-
-impl Evaluator {
-    /// Queues the evaluation of the newest record in `records`.
-    fn submit(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
-        self.collect(records);
-        // A send can only fail once the evaluator has panicked, which
-        // `run_cluster_with` turns into the run's error when it joins it.
-        if self.jobs.send((weights, bn)).is_ok() {
-            self.pending = Some(records.len() - 1);
-        }
-    }
-
-    /// Waits for the evaluation in flight, if any, and completes its
-    /// record. Callers that read, ship or truncate `records` call this
-    /// first, so no record is seen half-made and the index stays valid.
-    fn collect(&mut self, records: &mut [EpochRecord]) {
-        let Some(at) = self.pending.take() else { return };
-        // As for `submit`: a dead evaluator hangs up instead of answering.
-        if let Ok((train_error, test_error)) = self.results.recv() {
-            records[at].train_error = train_error;
-            records[at].test_error = test_error;
-        }
-    }
-}
-
-/// The evaluator thread's body: one evaluation per submitted snapshot,
-/// until the server (and its [`Evaluator`]) is gone.
+/// The evaluator thread's body: one evaluation of `net` on the first
+/// training examples and the test set per snapshot the shell submits,
+/// until the shell is gone.
 fn serve_evaluations(
-    mut harness: EvalHarness<'_>,
+    mut net: Network,
+    (train_x, train_y): (Tensor, Vec<usize>),
+    test: &Dataset,
     jobs: Receiver<(Arc<Vec<f32>>, BnState)>,
     results: Sender<(f32, f32)>,
 ) {
     for (weights, bn) in jobs {
-        harness.load(&weights, &bn);
-        // The server's snapshot: let go of it before the long part, so the
-        // server can refill it for the next version instead of allocating.
+        net.set_flat_params(&weights);
+        net.set_bn_state(&bn);
+        // The core's snapshot: let go of it before the long part, so the
+        // core can refill it for the next version instead of allocating.
         drop(weights);
-        if results.send(harness.evaluate_loaded()).is_err() {
+        let (train_err, _) = evaluate(&net, &train_x, &train_y, EVAL_BATCH);
+        let (test_err, _) = evaluate(&net, &test.inputs, &test.labels, EVAL_BATCH);
+        if results.send((train_err, test_err)).is_err() {
             return;
         }
     }
@@ -180,6 +124,177 @@ fn km_steps(km: f32) -> usize {
 /// Gradient applications per epoch under the asynchronous algorithms.
 fn updates_per_epoch(cfg: &ExperimentConfig, train: &Dataset) -> usize {
     train.len().div_ceil(cfg.batch_size).max(1)
+}
+
+// --------------------------------------------------------------- shell
+
+/// The run's side of the core's [`Seam`]: the evaluator's channel pair, the
+/// standby's stream and mirror, the checkpoint file, the run's clock and
+/// its one fault list. Epochs are evaluated off the core's thread, by
+/// [`serve_evaluations`]: a pure function of `(weights, bn)`, so a record
+/// ends up bitwise what inline evaluation would have made it. At most one
+/// snapshot is in flight: a second `evaluate` first waits for the first.
+struct Shell<'a> {
+    env: &'a RunEnv<'a>,
+    jobs: Sender<(Arc<Vec<f32>>, BnState)>,
+    results: Receiver<(f32, f32)>,
+    /// Index of the record whose error rates are in flight.
+    pending: Option<usize>,
+    repl: Option<ReplicationStream>,
+    /// The standby thread's mirror: what a promotion takes over.
+    standby: &'a Mutex<Option<StandbyReplica>>,
+    checkpoint_path: Option<PathBuf>,
+    /// Every fault and recovery of the run: the fault plan's log when the
+    /// run has a plan, so the backend's injections land in it too.
+    faults: FaultLog,
+    t0: Instant,
+    /// The time the last update was stamped with.
+    written_at: f64,
+}
+
+impl Seam for Shell<'_> {
+    fn write(&mut self, at: Option<f64>) -> f64 {
+        // Lease enforcement (wall-clock backends): an expired write lease
+        // forces a heartbeat ack from the standby before this write may
+        // apply.
+        if let Some(rs) = self.repl.as_mut().filter(|_| self.env.clock == ClockDomain::Wall) {
+            rs.ensure_lease();
+        }
+        self.written_at = at.unwrap_or_else(|| self.t0.elapsed().as_secs_f64());
+        self.written_at
+    }
+
+    fn log_push<'s>(
+        &mut self,
+        head: &PushHead,
+        slices: &mut dyn ExactSizeIterator<Item = (&'s [f32], &'s [f32])>,
+        side_effects: Option<(u64, &BnState)>,
+    ) {
+        self.repl.iter_mut().for_each(|rs| rs.log_push(head, &mut *slices, side_effects));
+    }
+
+    fn refresh(&mut self, part: &TrainingCheckpoint) {
+        self.repl.iter_mut().for_each(|rs| rs.refresh(part));
+    }
+
+    fn snapshot(&mut self, state: TrainingCheckpoint) {
+        self.repl.iter_mut().for_each(|rs| rs.snapshot(&state));
+    }
+
+    fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint> {
+        let rs = self.repl.as_mut().expect("primary kill requires a standby");
+        // The batch in flight lands first, so the kill loses exactly the
+        // unflushed records. Then fence the dead primary: its lease never
+        // renews again, and its unflushed tail is discarded.
+        rs.settle();
+        rs.revoke_lease();
+        let mirror = self.standby.lock().take()?.into_state();
+        rs.promoted(applied - mirror.applied);
+        Some(mirror)
+    }
+
+    fn standby_lost(&mut self, at_update: u64) -> Option<String> {
+        self.repl.as_mut()?.take_degradation(at_update)
+    }
+
+    fn hang_up(&mut self) -> Option<ReplicationReport> {
+        // Dropping the stream hangs up the duplex; the standby thread's
+        // recv fails and it exits cleanly.
+        self.repl.take().map(|rs| rs.report)
+    }
+
+    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
+        self.collect(records);
+        // A send can only fail once the evaluator has panicked, which
+        // `run_cluster_with` turns into the run's error when it joins it.
+        if self.jobs.send((weights, bn)).is_ok() {
+            self.pending = Some(records.len() - 1);
+        }
+    }
+
+    fn collect(&mut self, records: &mut [EpochRecord]) {
+        let Some(at) = self.pending.take() else { return };
+        // As for `evaluate`: a dead evaluator hangs up instead of answering.
+        if let Ok((train_error, test_error)) = self.results.recv() {
+            records[at].train_error = train_error;
+            records[at].test_error = test_error;
+        }
+    }
+
+    /// A failed write must not kill training: it goes to the fault list
+    /// and the trace, and the server keeps serving gradients.
+    fn save(&mut self, mut state: TrainingCheckpoint) {
+        let Some(path) = &self.checkpoint_path else { return };
+        state.worker_batches = self.env.batch_pos.lock().clone();
+        let sink = &self.env.sink;
+        let t_ck = Instant::now();
+        match state.save(path) {
+            Ok(()) => {
+                sink.wall_span_at(None, phase::CHECKPOINT, t_ck, t_ck.elapsed().as_secs_f64())
+            }
+            Err(e) => {
+                eprintln!("warning: checkpoint write to {} failed: {e}", path.display());
+                let at_update = state.applied;
+                let rec = FaultRecord::CheckpointFailed { at_update, error: e.to_string() };
+                sink.wall_instant(None, phase::CHECKPOINT, Instant::now(), rec.to_string());
+                self.faults.push(rec);
+            }
+        }
+    }
+
+    fn fault(&mut self, rec: FaultRecord) {
+        self.faults.push(rec);
+    }
+}
+
+impl Shell<'_> {
+    /// Tear-down's second half, after the core's: the fault list replayed
+    /// onto the trace and reported (a `planned` run reports it even when
+    /// nothing fired), and the run's clocks read.
+    fn finish(self, result: RunResult, transport: TransportStats, planned: bool) -> RunResult {
+        let sink = &self.env.sink;
+        // Every fault and recovery goes on the trace timeline as an instant
+        // event, at the wall instant it was filed. Checkpoint failures
+        // already produced a `checkpoint` instant inline.
+        for (rec, at) in self.faults.timed_records() {
+            let worker = match &rec {
+                FaultRecord::Injected { worker, .. }
+                | FaultRecord::WorkerRestarted { worker, .. } => Some(*worker),
+                FaultRecord::CheckpointFailed { .. } => continue,
+                _ => None,
+            };
+            sink.wall_instant(worker, phase::FAULT_INJECT, at, rec.to_string());
+        }
+        let records = self.faults.records();
+        let faults = (planned || !records.is_empty()).then(|| FaultReport::new(records));
+        let wall_time = self.t0.elapsed().as_secs_f64();
+        RunResult {
+            // On the simulator the run ends with its last update: the
+            // messages that drain it afterwards cost no training time.
+            total_time: match self.env.clock {
+                ClockDomain::Virtual => self.written_at,
+                ClockDomain::Wall => wall_time,
+            },
+            wall_time,
+            clock: self.env.clock,
+            transport: Some(transport),
+            faults,
+            timeline: sink.enabled().then(|| sink.finish()),
+            ..result
+        }
+    }
+}
+
+/// Where the core's seam calls pass on their way to the shell: straight
+/// through in a run, through a recorder in the replay test.
+trait Tap {
+    fn with<R>(&mut self, shell: &mut dyn Seam, f: impl FnOnce(&mut dyn Seam) -> R) -> R;
+}
+
+impl Tap for () {
+    fn with<R>(&mut self, shell: &mut dyn Seam, f: impl FnOnce(&mut dyn Seam) -> R) -> R {
+        f(shell)
+    }
 }
 
 // ------------------------------------------------------ backend-driven
@@ -269,60 +384,39 @@ impl RunOptions {
 ///
 /// [`ClusterReq::Join`]: crate::protocol::ClusterReq::Join
 pub fn run_cluster_with<B: ClusterBackend>(
-    mut backend: B,
+    backend: B,
     cfg: &ExperimentConfig,
     build: ModelFn<'_>,
     train: &Dataset,
     test: &Dataset,
     opts: RunOptions,
 ) -> Result<RunResult, ClusterError> {
-    let RunOptions {
-        fault_plan,
-        checkpoint_path,
-        checkpoint_every,
-        resume,
-        trace: want_trace,
-        supervisor,
-        standby,
-        shards: shard_count,
-    } = opts;
+    run_tapped(backend, cfg, build, train, test, opts, &mut ())
+}
+
+/// [`run_cluster_with`], with the core's seam calls passing through `tap`.
+fn run_tapped<B: ClusterBackend>(
+    mut backend: B,
+    cfg: &ExperimentConfig,
+    build: ModelFn<'_>,
+    train: &Dataset,
+    test: &Dataset,
+    opts: RunOptions,
+    tap: &mut impl Tap,
+) -> Result<RunResult, ClusterError> {
     let m = backend.workers();
-    let n_shards = shard_count.max(1);
+    let n_shards = opts.shards.max(1);
 
     // ---- option validation --------------------------------------------
     // SSGD's barrier cannot survive a worker crash (the round would never
     // fill), replies with fresh weights from inside the Grad handler (so
-    // fencing its blocking push would deadlock the round), and has no
-    // admission point: the robustness options target the asynchronous
-    // protocols.
-    let is_ssgd = cfg.algorithm == Algorithm::Ssgd;
+    // fencing or sharding its blocking push would deadlock the round), and
+    // has no admission point: the robustness options target the
+    // asynchronous protocols.
+    let robust = opts.supervisor.is_some() || opts.fault_plan.is_some() || opts.standby.is_some();
     assert!(
-        !(is_ssgd && n_shards > 1),
-        "SSGD's barrier replies with full weights from inside the Grad arm; it does not shard"
-    );
-    assert!(
-        !(is_ssgd && supervisor.is_some()),
-        "the supervisor targets the asynchronous protocols; SSGD's barrier has no admission point"
-    );
-    assert!(
-        !(is_ssgd && fault_plan.is_some()),
-        "fault injection is not supported under SSGD: a crashed worker stalls the barrier"
-    );
-    assert!(
-        !(is_ssgd && standby.is_some()),
-        "hot-standby replication targets the asynchronous protocols; SSGD has no standby support"
-    );
-    // A planned server restart or primary kill is ignored when the resume
-    // point is already past it (it already happened) or when it lies
-    // beyond the run's natural end.
-    let target = (cfg.epochs * updates_per_epoch(cfg, train)) as u64;
-    let resumed_at = resume.as_ref().map_or(0, |ck| ck.applied);
-    let pending = |at: Option<u64>| at.filter(|&a| a > resumed_at && a < target);
-    let halt_at = pending(fault_plan.as_ref().and_then(|p| p.server_restart_at_update));
-    let kill_at = pending(fault_plan.as_ref().and_then(|p| p.primary_kill_at_update));
-    assert!(
-        kill_at.is_none() || standby.is_some(),
-        "a primary-kill fault plan requires a standby (RunOptions::standby)"
+        !(cfg.algorithm == Algorithm::Ssgd && (robust || n_shards > 1)),
+        "SSGD's barrier takes no shards, supervisor, fault plan or standby"
     );
 
     // ---- set-up ---------------------------------------------------------
@@ -330,65 +424,74 @@ pub fn run_cluster_with<B: ClusterBackend>(
     let canonical = build(&mut rng);
     let group = ShardGroup::new(&canonical, m, cfg.bn_mode, cfg.bn_momentum, n_shards)
         .map_err(ClusterError::Protocol)?;
-    let shards = worker_shards(cfg, m, train.len());
-    let base_mode = match cfg.algorithm {
-        Algorithm::LcAsgd => AlgoMode::Lc,
-        Algorithm::DcAsgd => AlgoMode::Dc,
-        _ => AlgoMode::Asgd,
-    };
-    let sup = supervisor.map(|sc| {
-        let mut s = Supervisor::new(sc, base_mode, m);
-        s.set_shards(shards.clone());
-        s
-    });
     // Wire codec: the backend's negotiated precision. Weights replies
     // quantize through `ClusterResp::weights_for`; the uplink mirrors it.
     let codec = backend.wire_codec();
-    let sink = TraceSink::new(want_trace);
+    let sink = TraceSink::new(opts.trace);
     let env = RunEnv::new(
         cfg,
         train,
-        worker_nodes(cfg, build, shards),
+        worker_nodes(cfg, build, worker_shards(cfg, m, train.len())),
         group.spec().clone(),
         backend.clock_domain(),
         Compression::for_codec(codec),
         sink.clone(),
     );
-    let harness = EvalHarness::new(cfg, build, train, test);
+    // The evaluator's replica shares the architecture; its weights are
+    // overwritten before every evaluation.
+    let eval_net = build(&mut Rng::seed_from_u64(cfg.seed));
+    let eval_train = train.batch(&(0..train.len().min(cfg.max_eval_train)).collect::<Vec<_>>());
+    let duplex = opts.standby.as_ref().map(|_| backend.replica_duplex()).transpose()?;
+    let mirror = &Mutex::new(None);
     std::thread::scope(|scope| {
         let (jobs, job_queue) = mpsc::channel();
         let (result_queue, results) = mpsc::channel();
-        let evaluator = scope.spawn(move || serve_evaluations(harness, job_queue, result_queue));
-        let run = || {
-            let eval = Evaluator { jobs, results, pending: None };
-            let mut server = Server::new(&env, eval, group, base_mode, codec, standby.is_some());
-            server.sup = sup;
-            server.fault_plan = fault_plan;
-            server.halt_at = halt_at;
-            server.kill_at = kill_at;
-            server.checkpoint_path = checkpoint_path;
-            if checkpoint_every != 0 {
-                server.checkpoint_every = checkpoint_every;
-            }
-            if let Some(ck) = &resume {
-                server.resume(ck)?;
-            }
-            if let Some(sc) = &standby {
-                server.attach_standby(sc, backend.replica_duplex()?);
+        let evaluator = scope
+            .spawn(move || serve_evaluations(eval_net, eval_train, test, job_queue, result_queue));
+        let upe = updates_per_epoch(cfg, train) as u64;
+        let repl = opts.standby.as_ref().zip(duplex).map(|(sc, (primary_end, standby_end))| {
+            scope.spawn(move || serve_standby(standby_end, mirror, upe));
+            ReplicationStream::new(primary_end, sc)
+        });
+        let shell = Shell {
+            env: &env,
+            jobs,
+            results,
+            pending: None,
+            repl,
+            standby: mirror,
+            checkpoint_path: opts.checkpoint_path.clone(),
+            faults: opts.fault_plan.as_ref().map_or_else(FaultLog::default, FaultPlan::log),
+            t0: Instant::now(),
+            written_at: 0.0,
+        };
+        let run = |mut shell: Shell| {
+            let mut core =
+                tap.with(&mut shell, |seam| Core::new(&env, group, codec, &opts, seam))?;
+            if let Some(ck) = &opts.resume {
+                env.replay_batches(&ck.worker_batches);
+                shell.fault(FaultRecord::Resumed { at_update: ck.applied });
             }
             backend.attach_trace_hook(Arc::new(sink));
-            server.start();
-
+            // The run's clock starts when set-up is over.
+            shell.t0 = Instant::now();
+            env.sink.start_clock(shell.t0);
             let transport = backend.run(
-                |w, req, ctx| server.handle(w, req, ctx),
+                |w, req, ctx| tap.with(&mut shell, |seam| core.handle(w, req, ctx, seam)),
                 |w, link| worker_loop(w, link, &env),
             )?;
-            Ok(server.finish(transport))
+            // Before any clock is read: the run is over when its last
+            // replication batch is acknowledged (or found lost), and its
+            // last epoch evaluated.
+            shell.repl.iter_mut().for_each(ReplicationStream::settle);
+            let result = tap.with(&mut shell, |seam| core.finish(seam));
+            Ok(shell.finish(result, transport, opts.fault_plan.is_some()))
         };
-        let result = run();
-        // The server is gone and its job channel with it, so the evaluator
-        // has returned — unless an evaluation panicked, which left a record
-        // without its error rates: that fails the run.
+        let result = run(shell);
+        // The shell is gone and its job channel and replica duplex with it,
+        // so the evaluator and the standby have returned — unless an
+        // evaluation panicked, which left a record without its error rates:
+        // that fails the run.
         match evaluator.join() {
             Ok(()) => result,
             Err(_) => Err(ClusterError::Protocol("the epoch evaluator thread panicked".into())),
@@ -573,6 +676,62 @@ mod tests {
         assert_eq!(km_steps(7.2), 7);
     }
 
+    /// A simulator whose standby hangs up after it has received `frames`
+    /// replication frames.
+    struct HangsUp(ClusterSim<lcasgd_simcluster::SimPayload>, usize);
+
+    struct Hanging(Box<dyn lcasgd_simcluster::ReplicaDuplex>, usize);
+
+    impl lcasgd_simcluster::ReplicaDuplex for Hanging {
+        fn send(&mut self, payload: &[u8]) -> Result<(), ClusterError> {
+            self.0.send(payload)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, ClusterError> {
+            self.1 = self.1.checked_sub(1).ok_or(ClusterError::Disconnected)?;
+            self.0.recv()
+        }
+    }
+
+    impl ClusterBackend for HangsUp {
+        fn workers(&self) -> usize {
+            self.0.workers()
+        }
+
+        fn clock_domain(&self) -> ClockDomain {
+            self.0.clock_domain()
+        }
+
+        fn replica_duplex(&mut self) -> Result<lcasgd_simcluster::ReplicaDuplexPair, ClusterError> {
+            let (primary, standby) = self.0.replica_duplex()?;
+            Ok((primary, Box::new(Hanging(standby, self.1))))
+        }
+
+        fn run<Req, Resp, S, W>(self, server: S, worker: W) -> Result<TransportStats, ClusterError>
+        where
+            Req: lcasgd_simcluster::WireMsg + Send + 'static,
+            Resp: lcasgd_simcluster::WireMsg + Send + 'static,
+            S: FnMut(usize, Req, &mut lcasgd_simcluster::ServerCtx<Resp>),
+            W: Fn(usize, &mut dyn lcasgd_simcluster::WorkerLink<Req, Resp>) + Send + Sync,
+        {
+            self.0.run(server, worker)
+        }
+    }
+
+    #[test]
+    fn a_lost_standby_is_reported_without_a_fault_plan() {
+        let (train, test) = data();
+        let cfg = blob_cfg(Algorithm::Asgd, 4);
+        let sim = HangsUp(ClusterSim::new(cfg.cluster.clone()), 5);
+        let standby = StandbyConfig { flush_every: 2, ..StandbyConfig::default() };
+        let opts = RunOptions { standby: Some(standby), ..RunOptions::default() };
+        let r = run_cluster_with(sim, &cfg, &build_mlp, &train, &test, opts).unwrap();
+        assert!(r.replication.expect("standby attached").degraded_at.is_some());
+        let faults = r.faults.expect("a lost standby is a fault to report").records;
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert!(matches!(faults[0], FaultRecord::StandbyLost { .. }), "{faults:?}");
+    }
+
     #[test]
     fn checkpoint_worker_mismatch_is_a_descriptive_error() {
         // Satellite: a checkpoint from an M=4 run resumed under M=2 used
@@ -660,8 +819,10 @@ mod partition_tests {
             let mut cfg = ExperimentConfig::new(algo, 4, Scale::Tiny, 13);
             cfg.epochs = 10;
             cfg.batch_size = 8;
-            cfg.lr = LrSchedule::constant(0.1);
-            cfg.ssgd_lr_scale = 1.0;
+            // SSGD's learning rate is scaled by M: a quarter of 0.1 keeps
+            // it at the plain rate.
+            let scale = if algo == Algorithm::Ssgd { 4.0 } else { 1.0 };
+            cfg.lr = LrSchedule::constant(0.1 / scale);
             cfg.partition = DataPartition::Partitioned;
             let r = run_experiment(&cfg, &build, &train, &test);
             assert!(r.final_test_error() < 0.3, "{algo} partitioned err {}", r.final_test_error());

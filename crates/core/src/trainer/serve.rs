@@ -1,36 +1,69 @@
-//! The parameter-server half of the cluster engine: Algorithm 2 as a state
-//! machine with one handler per [`ClusterReq`] ([`Server::handle`]) and a
+//! The parameter-server core of the cluster engine: Algorithm 2 as a state
+//! machine with one handler per [`ClusterReq`] ([`Core::handle`]) and a
 //! fixed sequence of named steps after every applied push
-//! ([`Server::on_push`]). DESIGN.md §13 maps handlers to the paper's lines
-//! and says why the steps run in the order they do.
+//! ([`Core::on_push`]). The core does no I/O: every side effect leaves it
+//! through the [`Seam`] handed to it with each message, at the point in the
+//! message where it happens. DESIGN.md §13 maps handlers to the paper's
+//! lines and says why the steps run in the order they do.
 
-use super::{km_steps, open_record, updates_per_epoch, Evaluator, RunEnv};
+use super::{km_steps, open_record, updates_per_epoch, worker_shards, RunEnv, RunOptions};
 use crate::algorithms::Algorithm;
 use crate::checkpoint::TrainingCheckpoint;
 use crate::comm::CompressedGrad;
-use crate::metrics::{EpochRecord, FaultReport, OverheadStats, PredictorTrace, RunResult};
+use crate::metrics::{EpochRecord, OverheadStats, PredictorTrace, RunResult};
 use crate::predictor::{
     LossPrediction, LossPredictor, LossPredictorSnapshot, StepPredictor, StepPredictorSnapshot,
 };
 use crate::protocol::{ClusterReq, ClusterResp, PullDirective};
-use crate::replication::{
-    serve_standby, EpochFence, PushHead, PushVerdict, ReplicationStream, StandbyConfig,
-    StandbyReplica,
-};
+use crate::replication::{EpochFence, PushHead, PushVerdict, ReplicationReport};
 use crate::shard::{PendingPush, PushAssembly, PushSlice, ShardGroup, ShardSpec};
 use crate::supervisor::{AlgoMode, Supervisor};
-use crate::trace::{phase, ClockDomain, TraceSink};
+use crate::trace::{phase, TraceSink};
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
-use lcasgd_simcluster::{
-    ClusterError, FaultPlan, FaultRecord, ReplicaDuplexPair, ServerCtx, TransportStats, WireCodec,
-};
+use lcasgd_simcluster::{ClusterError, FaultRecord, ServerCtx, WireCodec};
 use lcasgd_tensor::Rng;
-use parking_lot::Mutex;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Everything the core asks of the world outside Algorithm 2. The shell in
+/// [`run_cluster_with`](super::run_cluster_with) implements it over the
+/// evaluator and standby threads, the checkpoint file, the run's clock and
+/// its fault list; a recording fake implements it in the replay test.
+pub(super) trait Seam {
+    /// An admitted update is about to be applied (an expired write lease is
+    /// renewed first). Returns the time on the run's clock it is stamped
+    /// with; `at` is the message's pickup time on the simulator.
+    fn write(&mut self, at: Option<f64>) -> f64;
+    /// Ships one applied push to the standby: a log record per shard of
+    /// its `(after, before)` weights, the last carrying `side_effects`.
+    fn log_push<'s>(
+        &mut self,
+        head: &PushHead,
+        slices: &mut dyn ExactSizeIterator<Item = (&'s [f32], &'s [f32])>,
+        side_effects: Option<(u64, &BnState)>,
+    );
+    /// The standby's epoch refresh: the state-path fields of `part`.
+    fn refresh(&mut self, part: &TrainingCheckpoint);
+    /// Bootstraps or re-arms the standby from the full state.
+    fn snapshot(&mut self, state: TrainingCheckpoint);
+    /// Fences the killed primary and hands over the standby's mirror, if
+    /// there still is a standby: the updates of `applied` it lacks are
+    /// accounted lost, and the promoted server gets a fresh lease.
+    fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint>;
+    /// Why the standby was lost, asked once after the stream lost it.
+    fn standby_lost(&mut self, at_update: u64) -> Option<String>;
+    /// Hangs up on the standby: what replication did, if one was attached.
+    fn hang_up(&mut self) -> Option<ReplicationReport>;
+    /// Queues the evaluation of the newest record in `records` at `weights`.
+    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState);
+    /// Completes the record whose evaluation is in flight, if any.
+    fn collect(&mut self, records: &mut [EpochRecord]);
+    /// Writes the run's checkpoint.
+    fn save(&mut self, state: TrainingCheckpoint);
+    /// Files a fault or recovery record.
+    fn fault(&mut self, rec: FaultRecord);
+}
 
 /// Cache key under which a weights reply may be coalesced: requests for
 /// the same shard at the same fencing epoch and weight version receive
@@ -43,47 +76,13 @@ fn coalesce_key(shard: u32, epoch: u64, version: u64) -> u64 {
     (version << 24) | ((epoch & 0xFFFF) << 8) | (shard as u64 & 0xFF)
 }
 
-/// Adopts a checkpoint's server state into the shard group (checkpoint
-/// resume and failover promotion). Validates *before* mutating: a
-/// mismatched worker count, weight length, or shard-version count is a
-/// descriptive error, never a panic.
-fn adopt_server_state(group: &mut ShardGroup, ck: &TrainingCheckpoint) -> Result<(), String> {
-    if ck.weights.len() != group.spec().len() {
-        return Err(format!(
-            "checkpoint holds {} weights but the model flattens to {}",
-            ck.weights.len(),
-            group.spec().len()
-        ));
-    }
-    if !ck.shard_versions.is_empty() && ck.shard_versions.len() != group.count() {
-        return Err(format!(
-            "checkpoint records {} shard versions but the run partitions the server into {} shards",
-            ck.shard_versions.len(),
-            group.count()
-        ));
-    }
-    group.restore_arrival_state(&ck.arrival)?;
-    if ck.shard_versions.is_empty() {
-        // An unsharded (or single-shard) checkpoint: lockstep version
-        // counters mean every shard adopts the global count, so such a
-        // checkpoint resumes under any shard layout.
-        group.restore_versions(&vec![ck.version; group.count()])?;
-    } else {
-        group.restore_versions(&ck.shard_versions)?;
-    }
-    group.load_weights(&ck.weights);
-    group.set_bn(ck.bn.clone());
-    group.restore_arrival_log(ck.iter.clone());
-    Ok(())
-}
-
 /// LC-ASGD's forward state (Algorithm 1 line 8), as it comes off the wire.
-pub(super) struct StateMsg {
-    pub loss: f32,
-    pub running: BnState,
-    pub batch_stats: Vec<BnBatchStats>,
-    pub t_comm: f32,
-    pub t_comp: f32,
+struct StateMsg {
+    loss: f32,
+    running: BnState,
+    batch_stats: Vec<BnBatchStats>,
+    t_comm: f32,
+    t_comp: f32,
 }
 
 /// The two online-trained predictors (Algorithms 3–4) and the per-worker
@@ -151,15 +150,11 @@ impl Predictors {
         (self.is_lc.then(|| self.loss.snapshot()), self.is_lc.then(|| self.step.snapshot()))
     }
 
-    fn restore(
-        &mut self,
-        loss: Option<&LossPredictorSnapshot>,
-        step: Option<&StepPredictorSnapshot>,
-    ) {
-        if let Some(lp) = loss {
+    fn restore(&mut self, ck: &TrainingCheckpoint) {
+        if let Some(lp) = &ck.loss_pred {
             self.loss.restore(lp);
         }
-        if let Some(sp) = step {
+        if let Some(sp) = &ck.step_pred {
             self.step.restore(sp);
         }
     }
@@ -223,14 +218,6 @@ impl DcBackups {
     }
 }
 
-/// Last-good server state for divergence rollback.
-struct GoodState {
-    weights: Vec<f32>,
-    bn: BnState,
-    applied: u64,
-    predictors: (Option<LossPredictorSnapshot>, Option<StepPredictorSnapshot>),
-}
-
 /// One worker's contribution to an SSGD round, parked at the barrier.
 struct ParkedGrad {
     worker: usize,
@@ -242,20 +229,15 @@ struct ParkedGrad {
     batch_stats: Vec<BnBatchStats>,
 }
 
-/// The parameter server of one run. [`run_cluster_with`] sets it up in
-/// stages — `new`, the option fields, `resume`, `attach_standby`, `start` —
-/// and the backend then drives it one message at a time through `handle`.
+/// The parameter server of one run: Algorithm 2's state and nothing else.
+/// [`run_cluster_with`] builds it with [`Core::new`], and the backend then
+/// drives it one message at a time through `handle`.
 ///
 /// [`run_cluster_with`]: super::run_cluster_with
-pub(super) struct Server<'a> {
+pub(super) struct Core<'a> {
     env: &'a RunEnv<'a>,
-    eval: Evaluator,
     codec: WireCodec,
     is_ssgd: bool,
-    t0: Instant,
-    /// On the simulator: the virtual time the message that applied the
-    /// last update was picked up.
-    applied_at: f64,
 
     // ---- Algorithm 2 ---------------------------------------------------
     /// N per-shard server instances behind the one serialized event loop.
@@ -290,58 +272,70 @@ pub(super) struct Server<'a> {
     /// one serialized point every backend shares — and decides from
     /// message contents and counters only, so its transition sequence is
     /// bit-reproducible on the discrete-event simulator.
-    pub(super) sup: Option<Supervisor>,
-    last_good: Option<GoodState>,
+    sup: Option<Supervisor>,
+    /// Last-good state for divergence rollback: its weights, BN and
+    /// predictors are what a rollback restores.
+    last_good: Option<TrainingCheckpoint>,
     fence: EpochFence,
-    repl: Option<ReplicationStream>,
-    standby_slot: Option<Arc<Mutex<Option<StandbyReplica>>>>,
-    standby_thread: Option<JoinHandle<()>>,
+    /// Whether a standby mirrors this server: every apply is logged.
+    replicated: bool,
     /// Whether the state path (a `State` message, a `Join`) has changed
     /// what the log does not carry — arrival state, `iter`, BN, predictors
     /// — since the standby was last made current. Read by the mirror check
     /// at a kill.
     state_path_unlogged: bool,
-    pub(super) fault_plan: Option<FaultPlan>,
     /// A planned server restart: checkpoint and halt once this many
     /// updates have applied.
-    pub(super) halt_at: Option<u64>,
+    halt_at: Option<u64>,
     halted: bool,
     /// A planned primary kill: at this applied-update count the primary's
     /// lease is revoked, its unreplicated tail is discarded, and the
     /// standby promotes with a bumped fencing epoch.
-    pub(super) kill_at: Option<u64>,
-    pub(super) checkpoint_path: Option<PathBuf>,
-    /// Checkpoint cadence in applied updates.
-    pub(super) checkpoint_every: usize,
-    /// Checkpoint-write failures observed without a fault plan to report
-    /// into; they still must reach [`RunResult::faults`].
-    ckpt_failures: Vec<FaultRecord>,
-    resumed_at: Option<u64>,
+    kill_at: Option<u64>,
+    /// Checkpoint cadence in applied updates, when the run writes them.
+    checkpoint_every: Option<usize>,
 }
 
-impl<'a> Server<'a> {
-    /// `base_mode` is the rung the run's algorithm starts every worker on;
-    /// `fenced` arms epoch fencing (runs with a standby).
+impl<'a> Core<'a> {
+    /// The server of a run under `opts`: resumed from its checkpoint, if
+    /// any, and its standby, if any, bootstrapped from the result.
     pub(super) fn new(
         env: &'a RunEnv<'a>,
-        eval: Evaluator,
         group: ShardGroup,
-        base_mode: AlgoMode,
         codec: WireCodec,
-        fenced: bool,
-    ) -> Self {
+        opts: &RunOptions,
+        seam: &mut dyn Seam,
+    ) -> Result<Self, ClusterError> {
         let cfg = env.cfg;
         let m = env.workers;
+        let base_mode = match cfg.algorithm {
+            Algorithm::LcAsgd => AlgoMode::Lc,
+            Algorithm::DcAsgd => AlgoMode::Dc,
+            _ => AlgoMode::Asgd,
+        };
+        let sup = opts.supervisor.clone().map(|sc| {
+            let mut s = Supervisor::new(sc, base_mode, m);
+            s.set_shards(worker_shards(cfg, m, env.train.len()));
+            s
+        });
         let updates_per_epoch = updates_per_epoch(cfg, env.train);
         let rounds_per_epoch = env.train.len().div_ceil(m * cfg.batch_size).max(1);
-        Server {
+        let target = cfg.epochs * updates_per_epoch;
+        // A planned server restart or primary kill is ignored when the
+        // resume point is already past it (it already happened) or when it
+        // lies beyond the run's natural end.
+        let resumed_at = opts.resume.as_ref().map_or(0, |ck| ck.applied);
+        let pending = |at: Option<u64>| at.filter(|&a| a > resumed_at && a < target as u64);
+        let plan = opts.fault_plan.as_ref();
+        let kill_at = pending(plan.and_then(|p| p.primary_kill_at_update));
+        assert!(
+            kill_at.is_none() || opts.standby.is_some(),
+            "a primary-kill fault plan requires a standby (RunOptions::standby)"
+        );
+        let mut core = Core {
             env,
-            eval,
             codec,
             is_ssgd: cfg.algorithm == Algorithm::Ssgd,
-            // Reset by `start`, once set-up is over.
-            t0: Instant::now(),
-            applied_at: 0.0,
             predictors: Predictors::new(base_mode == AlgoMode::Lc, cfg.record_traces, m, cfg.seed),
             backups: DcBackups::new(m),
             pushes: PushAssembly::new(group.spec().clone(), m),
@@ -349,7 +343,7 @@ impl<'a> Server<'a> {
             round: Vec::with_capacity(m),
             group,
             updates_per_epoch,
-            target: cfg.epochs * updates_per_epoch,
+            target,
             rounds_per_epoch,
             rounds_target: cfg.epochs * rounds_per_epoch,
             applied: 0,
@@ -357,79 +351,93 @@ impl<'a> Server<'a> {
             records: Vec::with_capacity(cfg.epochs),
             losses: Vec::new(),
             staleness: Vec::new(),
-            sup: None,
+            sup,
             last_good: None,
-            fence: EpochFence::new(m, fenced),
-            repl: None,
-            standby_slot: None,
-            standby_thread: None,
+            fence: EpochFence::new(m, opts.standby.is_some()),
+            replicated: opts.standby.is_some(),
             state_path_unlogged: false,
-            fault_plan: None,
-            halt_at: None,
+            halt_at: pending(plan.and_then(|p| p.server_restart_at_update)),
             halted: false,
-            kill_at: None,
-            checkpoint_path: None,
-            checkpoint_every: updates_per_epoch,
-            ckpt_failures: Vec::new(),
-            resumed_at: None,
+            kill_at,
+            checkpoint_every: opts.checkpoint_path.as_ref().map(|_| match opts.checkpoint_every {
+                0 => updates_per_epoch,
+                every => every,
+            }),
+        };
+        // A mismatched checkpoint (wrong worker count, model or shard
+        // layout) is a descriptive error, not a panic.
+        if let Some(ck) = &opts.resume {
+            core.adopt(ck, seam).map_err(|e| {
+                ClusterError::Protocol(format!("cannot resume from checkpoint: {e}"))
+            })?;
         }
+        // The standby may be lost before the run even starts: record it and
+        // run unreplicated rather than aborting.
+        core.snapshot_standby(seam);
+        core.report_degradation(seam);
+        Ok(core)
     }
 
-    /// Resumes from a saved checkpoint. A mismatched one (wrong worker
-    /// count, model or shard layout) is a descriptive error, not a panic.
-    pub(super) fn resume(&mut self, ck: &TrainingCheckpoint) -> Result<(), ClusterError> {
-        adopt_server_state(&mut self.group, ck)
-            .map_err(|e| ClusterError::Protocol(format!("cannot resume from checkpoint: {e}")))?;
+    /// Takes a checkpoint's server state over: the resume of a restarted
+    /// server and the promotion of a standby's mirror. Validates before it
+    /// mutates: a mismatched worker count, weight length or shard-version
+    /// count is a descriptive error, never a panic.
+    fn adopt(&mut self, ck: &TrainingCheckpoint, seam: &mut dyn Seam) -> Result<(), String> {
+        let group = &mut self.group;
+        if ck.weights.len() != group.spec().len() {
+            return Err(format!(
+                "checkpoint holds {} weights but the model flattens to {}",
+                ck.weights.len(),
+                group.spec().len()
+            ));
+        }
+        if !ck.shard_versions.is_empty() && ck.shard_versions.len() != group.count() {
+            return Err(format!(
+                "checkpoint records {} shard versions but the run partitions the server into {} shards",
+                ck.shard_versions.len(),
+                group.count()
+            ));
+        }
+        group.restore_arrival_state(&ck.arrival)?;
+        if ck.shard_versions.is_empty() {
+            // An unsharded (or single-shard) checkpoint: lockstep version
+            // counters mean every shard adopts the global count, so such a
+            // checkpoint resumes under any shard layout.
+            group.restore_versions(&vec![ck.version; group.count()])?;
+        } else {
+            group.restore_versions(&ck.shard_versions)?;
+        }
+        group.load_weights(&ck.weights);
+        group.set_bn(ck.bn.clone());
+        group.restore_arrival_log(ck.iter.clone());
         self.applied = ck.applied as usize;
         self.staleness = ck.staleness.clone();
         self.losses = ck.epoch_losses.clone();
-        self.records = ck.epochs.clone();
-        self.predictors.restore(ck.loss_pred.as_ref(), ck.step_pred.as_ref());
-        self.env.replay_batches(&ck.worker_batches);
-        self.resumed_at = Some(ck.applied);
-        self.log_fault(FaultRecord::Resumed { at_update: ck.applied });
+        // The records this server already closed for the adopted epochs
+        // stay (a standby's are never newer); the checkpoint supplies the
+        // rest. Records of discarded updates are made again when their
+        // boundary is crossed again.
+        seam.collect(&mut self.records);
+        let kept = self.records.len().min(self.applied / self.updates_per_epoch);
+        self.records.truncate(kept);
+        self.records.extend(ck.epochs.iter().skip(kept).cloned());
+        self.predictors.restore(ck);
+        // DC backups and half-assembled pushes reference pulls from the
+        // server whose state this replaces.
+        self.backups.clear();
+        self.pushes.abandon_all();
         self.fence.restore(ck.server_epoch, ck.push_seqs.clone());
         Ok(())
     }
 
-    /// Attaches a hot standby: spawns its serve loop on `standby_end` and
-    /// bootstraps it from a full snapshot of the (possibly resumed)
-    /// initial server state.
-    pub(super) fn attach_standby(&mut self, sc: &StandbyConfig, duplex: ReplicaDuplexPair) {
-        let (primary_end, standby_end) = duplex;
-        let slot = Arc::new(Mutex::new(None));
-        self.standby_slot = Some(slot.clone());
-        let upe = self.updates_per_epoch as u64;
-        self.standby_thread =
-            Some(std::thread::spawn(move || serve_standby(standby_end, slot, upe)));
-        self.repl = Some(ReplicationStream::new(primary_end, sc));
-        self.snapshot_standby();
-        // The standby may have been lost before the run even started:
-        // record it and run unreplicated rather than aborting.
-        if let Some(error) = self.take_degradation() {
-            self.report_standby_lost(self.applied as u64, error);
-        }
-    }
-
-    /// Starts the run's clock; the last step of set-up.
-    pub(super) fn start(&mut self) {
-        self.t0 = Instant::now();
-        self.env.sink.start_clock(self.t0);
-    }
-
-    /// Seconds "now" on the run's clock, for epoch-record stamping: on the
-    /// discrete-event simulator the virtual time of the last applied update
-    /// (an epoch's record carries the arrival of the push that closed it),
-    /// on real backends the wall clock.
-    fn now(&self) -> f64 {
-        match self.env.clock {
-            ClockDomain::Virtual => self.applied_at,
-            ClockDomain::Wall => self.t0.elapsed().as_secs_f64(),
-        }
-    }
-
     /// Algorithm 2's event loop body: one message, one handler.
-    pub(super) fn handle(&mut self, w: usize, req: ClusterReq, ctx: &mut ServerCtx<ClusterResp>) {
+    pub(super) fn handle(
+        &mut self,
+        w: usize,
+        req: ClusterReq,
+        ctx: &mut ServerCtx<ClusterResp>,
+        seam: &mut dyn Seam,
+    ) {
         match req {
             ClusterReq::Join { .. } => self.on_join(w),
             // `Replicate` frames travel the dedicated replica duplex, not
@@ -452,7 +460,7 @@ impl<'a> Server<'a> {
                 let shard = shard as usize;
                 let slice =
                     PushSlice { push_seq, pull_version, loss, shard, grads, batch_stats, running };
-                self.on_grad(w, epoch, slice, ctx)
+                self.on_grad(w, epoch, slice, ctx, seam)
             }
         }
     }
@@ -566,6 +574,7 @@ impl<'a> Server<'a> {
         epoch: u64,
         slice: PushSlice,
         ctx: &mut ServerCtx<ClusterResp>,
+        seam: &mut dyn Seam,
     ) {
         match self.fence.check_push(w, epoch, slice.push_seq) {
             PushVerdict::Admit => {}
@@ -580,7 +589,7 @@ impl<'a> Server<'a> {
             }
         }
         if self.is_ssgd {
-            self.on_ssgd_grad(w, slice, ctx);
+            self.on_ssgd_grad(w, slice, ctx, seam);
         } else if self.applied < self.target && !self.halted {
             // Late gradients past the target (or past a planned halt) are
             // dropped, as a real server shutting down would drop them.
@@ -589,7 +598,7 @@ impl<'a> Server<'a> {
                 // it: the assembly's buffer to the assembly, a vector the
                 // transport decoded to the transport.
                 let adopted = push.adopted;
-                let spent = self.on_push(w, push, ctx.time());
+                let spent = self.on_push(w, push, ctx.time(), seam);
                 if let Some(decoded) = spent.and_then(|g| self.pushes.reclaim(g, adopted)) {
                     ctx.recycle(decoded);
                 }
@@ -599,7 +608,13 @@ impl<'a> Server<'a> {
 
     /// Formula 1's barrier: park until all M contributions are in, then
     /// average-apply and release everyone at once.
-    fn on_ssgd_grad(&mut self, w: usize, slice: PushSlice, ctx: &mut ServerCtx<ClusterResp>) {
+    fn on_ssgd_grad(
+        &mut self,
+        w: usize,
+        slice: PushSlice,
+        ctx: &mut ServerCtx<ClusterResp>,
+        seam: &mut dyn Seam,
+    ) {
         // Only a dense gradient's vector is the transport's to have back;
         // one unpacked here is this round's own and is dropped with it.
         let (grads, decoded) = match slice.grads {
@@ -612,8 +627,13 @@ impl<'a> Server<'a> {
         if self.round.len() < self.env.workers {
             return;
         }
-        let cfg = self.env.cfg;
-        let lr = cfg.lr.at_epoch(self.rounds_done / self.rounds_per_epoch) * cfg.ssgd_lr_scale;
+        // The linear scaling rule: averaging moves the model M× less per
+        // data epoch than the asynchronous algorithms do. In the paper's
+        // 160-epoch budget that merely slows SSGD down; in the reduced-scale
+        // budgets it would leave SSGD unconverged and mask the
+        // generalization gap the paper attributes to large batches.
+        let scale = self.env.workers.max(1) as f32;
+        let lr = self.env.cfg.lr.at_epoch(self.rounds_done / self.rounds_per_epoch) * scale;
         let gs: Vec<&[f32]> = self.round.iter().map(|p| p.grads.as_slice()).collect();
         let t_apply = Instant::now();
         self.group.apply_grad_avg(&gs, lr);
@@ -623,12 +643,10 @@ impl<'a> Server<'a> {
         let sink = &self.env.sink;
         sink.wall_span_at(None, phase::SERVER_APPLY, t_apply, t_apply.elapsed().as_secs_f64());
         sink.note_version(self.group.version());
-        if let Some(at) = ctx.time() {
-            self.applied_at = at;
-        }
+        let now = seam.write(ctx.time());
         self.rounds_done += 1;
         if self.rounds_done.is_multiple_of(self.rounds_per_epoch) {
-            self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr);
+            self.record_epoch(self.rounds_done / self.rounds_per_epoch, lr, now, seam);
         }
         let stop = self.rounds_done >= self.rounds_target;
         for ParkedGrad { worker: parked, grads, decoded, .. } in std::mem::take(&mut self.round) {
@@ -652,7 +670,13 @@ impl<'a> Server<'a> {
     /// gradient's vector once it has been applied (the supervisor keeps or
     /// drops the ones it does not admit). `at` is the virtual time the
     /// push's last slice was picked up, on the simulator.
-    fn on_push(&mut self, w: usize, mut push: PendingPush, at: Option<f64>) -> Option<Vec<f32>> {
+    fn on_push(
+        &mut self,
+        w: usize,
+        mut push: PendingPush,
+        at: Option<f64>,
+        seam: &mut dyn Seam,
+    ) -> Option<Vec<f32>> {
         let stale = (self.group.version() - push.pull_version) as u32;
         let g = std::mem::take(&mut push.grads);
         // Admission control: the supervisor may discard, park, or LR-scale
@@ -671,27 +695,25 @@ impl<'a> Server<'a> {
             // hold on to the weights they are taken against: each shard's
             // snapshot at the version this push moves it on from.
             let before: Option<Vec<Arc<Vec<f32>>>> = self
-                .repl
-                .as_ref()
-                .map(|_| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
+                .replicated
+                .then(|| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
+            // The lease check comes before the write it guards.
+            let now = seam.write(at);
             let lr = self.apply(w, &push, g, stale, lr_scale);
-            if let Some(at) = at {
-                self.applied_at = at;
-            }
             if let Some(before) = before {
-                self.log_to_wal(w, &push, stale, &before);
+                self.log_to_wal(w, &push, stale, &before, seam);
             }
-            self.close_epoch(lr);
-            let halt_now = self.planned_halt();
-            self.write_checkpoint(halt_now);
-            self.planned_kill();
-            self.report_degradation();
+            self.close_epoch(lr, now, seam);
+            let halt_now = self.planned_halt(seam);
+            self.write_checkpoint(halt_now, seam);
+            self.planned_kill(seam);
+            self.report_degradation(seam);
         }
         if self.rollback_or_snapshot(want_rollback) {
             // No log record can carry a restore: the standby starts over
             // from the restored state.
-            self.snapshot_standby();
-            self.report_degradation();
+            self.snapshot_standby(seam);
+            self.report_degradation(seam);
         }
         self.trace_health_events();
         g
@@ -700,16 +722,7 @@ impl<'a> Server<'a> {
     /// Applies an admitted gradient to every shard (Formula 8, or Formula 3
     /// on the DC rung) and commits the push; returns the learning rate used.
     fn apply(&mut self, w: usize, push: &PendingPush, g: &[f32], stale: u32, lr_scale: f32) -> f32 {
-        let env = self.env;
-        let (cfg, sink) = (env.cfg, &env.sink);
-        // Lease enforcement (wall-clock backends): an expired write lease
-        // forces a heartbeat ack from the standby before this write may
-        // apply.
-        if env.clock == ClockDomain::Wall {
-            if let Some(rs) = self.repl.as_mut() {
-                rs.ensure_lease();
-            }
-        }
+        let (cfg, sink) = (self.env.cfg, &self.env.sink);
         self.staleness.push(stale);
         sink.note_staleness(stale);
         let lr = cfg.lr.at_epoch(self.applied / self.updates_per_epoch) * lr_scale;
@@ -739,8 +752,14 @@ impl<'a> Server<'a> {
     /// from the two. The last one alone carries a fused apply's side
     /// effects (arrival-log entry, BN state), so the standby counts a push
     /// applied only when it is whole.
-    fn log_to_wal(&mut self, w: usize, push: &PendingPush, stale: u32, before: &[Arc<Vec<f32>>]) {
-        let Some(rs) = self.repl.as_mut() else { return };
+    fn log_to_wal(
+        &mut self,
+        w: usize,
+        push: &PendingPush,
+        stale: u32,
+        before: &[Arc<Vec<f32>>],
+        seam: &mut dyn Seam,
+    ) {
         let group = &self.group;
         let head = PushHead {
             epoch: self.fence.epoch(),
@@ -752,87 +771,63 @@ impl<'a> Server<'a> {
         };
         let fused = self.pulled_mode[w] != AlgoMode::Lc;
         let side_effects = fused.then(|| (group.version(), group.bn()));
-        let slices = before.iter().enumerate().map(|(s, b)| (&group.shard(s).weights[..], &b[..]));
-        rs.log_push(&head, slices, side_effects);
+        let mut slices =
+            before.iter().enumerate().map(|(s, b)| (&group.shard(s).weights[..], &b[..]));
+        seam.log_push(&head, &mut slices, side_effects);
     }
 
     /// Step 2: at an epoch boundary, record the epoch and publish its
     /// weights for evaluation, then refresh the standby.
-    fn close_epoch(&mut self, lr: f32) {
+    fn close_epoch(&mut self, lr: f32, now: f64, seam: &mut dyn Seam) {
         if !self.applied.is_multiple_of(self.updates_per_epoch) {
             return;
         }
-        self.record_epoch(self.applied / self.updates_per_epoch, lr);
-        self.refresh_standby();
+        self.record_epoch(self.applied / self.updates_per_epoch, lr, now, seam);
+        if self.replicated {
+            // What promotion reads and the records do not mirror — both
+            // predictors, the arrival state, `iter`, BN. No weights, so it
+            // neither copies the model nor waits for the evaluation just
+            // handed off.
+            let (loss_pred, step_pred) = self.predictors.snapshot();
+            seam.refresh(&TrainingCheckpoint {
+                bn: self.group.bn().clone(),
+                arrival: self.group.arrival_state(),
+                iter: self.group.lead().iter.clone(),
+                loss_pred,
+                step_pred,
+                ..TrainingCheckpoint::default()
+            });
+            self.state_path_unlogged = false;
+        }
     }
 
-    /// The epoch refresh: what promotion reads and the records do not
-    /// mirror — both predictors, the arrival state, `iter`, BN. No weights,
-    /// so it neither copies the model nor waits for the evaluation just
-    /// handed off.
-    fn refresh_standby(&mut self) {
-        let Some(rs) = self.repl.as_mut() else { return };
-        let (loss_pred, step_pred) = self.predictors.snapshot();
-        rs.refresh(&TrainingCheckpoint {
-            bn: self.group.bn().clone(),
-            arrival: self.group.arrival_state(),
-            iter: self.group.lead().iter.clone(),
-            loss_pred,
-            step_pred,
-            ..TrainingCheckpoint::default()
-        });
-        self.state_path_unlogged = false;
-    }
-
-    /// Stamps epoch `epoch`'s record and hands the model the epoch ended on
-    /// — the group's snapshot of it, shared with the pulls at this version
-    /// — to the evaluator thread, which fills in the error rates while this
-    /// thread goes back to Algorithm 2.
-    fn record_epoch(&mut self, epoch: usize, lr: f32) {
-        self.records.push(open_record(epoch, self.now(), &mut self.losses, lr));
+    /// Stamps epoch `epoch`'s record with `now` and hands the model the
+    /// epoch ended on — the group's snapshot of it, shared with the pulls
+    /// at this version — to the evaluator, which fills in the error rates
+    /// while this thread goes back to Algorithm 2.
+    fn record_epoch(&mut self, epoch: usize, lr: f32, now: f64, seam: &mut dyn Seam) {
+        self.records.push(open_record(epoch, now, &mut self.losses, lr));
         let weights = self.group.assembled_snapshot();
-        self.eval.submit(&mut self.records, weights, self.group.bn().clone());
+        seam.evaluate(&mut self.records, weights, self.group.bn().clone());
     }
 
     /// Step 3: a planned server restart halts the run once its update
     /// count is reached; pulls answer `Stop` from here on.
-    fn planned_halt(&mut self) -> bool {
+    fn planned_halt(&mut self, seam: &mut dyn Seam) -> bool {
         let halt_now = self.halt_at.is_some_and(|h| self.applied as u64 >= h);
         if halt_now {
             self.halted = true;
-            self.log_fault(FaultRecord::ServerHalted { at_update: self.applied as u64 });
+            seam.fault(FaultRecord::ServerHalted { at_update: self.applied as u64 });
         }
         halt_now
     }
 
-    /// Step 4: the periodic (or halting) on-disk checkpoint. A failed
-    /// write must not kill training: it goes to the fault report and the
-    /// trace, and the server keeps serving gradients.
-    fn write_checkpoint(&mut self, halt_now: bool) {
-        let due = halt_now || self.applied.is_multiple_of(self.checkpoint_every);
-        if self.checkpoint_path.is_none() || !due {
-            return;
-        }
-        let ck = self.checkpoint();
-        let Some(path) = &self.checkpoint_path else { return };
-        let sink = &self.env.sink;
-        let t_ck = Instant::now();
-        match ck.save(path) {
-            Ok(()) => {
-                sink.wall_span_at(None, phase::CHECKPOINT, t_ck, t_ck.elapsed().as_secs_f64())
-            }
-            Err(e) => {
-                eprintln!("warning: checkpoint write to {} failed: {e}", path.display());
-                let rec = FaultRecord::CheckpointFailed {
-                    at_update: self.applied as u64,
-                    error: e.to_string(),
-                };
-                sink.wall_instant(None, phase::CHECKPOINT, Instant::now(), rec.to_string());
-                match &self.fault_plan {
-                    Some(plan) => plan.log().push(rec),
-                    None => self.ckpt_failures.push(rec),
-                }
-            }
+    /// Step 4: the periodic (or halting) checkpoint.
+    fn write_checkpoint(&mut self, halt_now: bool, seam: &mut dyn Seam) {
+        let Some(every) = self.checkpoint_every else { return };
+        if halt_now || self.applied.is_multiple_of(every) {
+            let ck = self.checkpoint(seam);
+            seam.save(ck);
         }
     }
 
@@ -840,53 +835,31 @@ impl<'a> Server<'a> {
     /// on the simulator: the trigger is the applied-update count, the
     /// standby's content is fixed by the flush cadence, and the promoted
     /// state is a pure function of both.
-    fn planned_kill(&mut self) {
+    fn planned_kill(&mut self, seam: &mut dyn Seam) {
         let Some(killed_at) = self.kill_at.take_if(|k| self.applied as u64 >= *k) else { return };
-        let rs = self.repl.as_mut().expect("primary kill requires a standby");
-        // The batch in flight lands first, so the kill loses exactly the
-        // unflushed records. Then fence the dead primary: its lease never
-        // renews again, and its unflushed tail is discarded.
-        rs.settle();
-        rs.revoke_lease();
-        let slot = self.standby_slot.as_ref().expect("standby slot exists");
-        let Some(replica) = slot.lock().take() else {
+        let Some(ck) = seam.promote(self.applied as u64) else {
             // The standby was already lost (the stream degraded): there is
             // nothing to promote. The run continues on the primary's
             // surviving state, unreplicated.
             let error = "planned primary kill found no standby to promote".into();
-            self.report_standby_lost(killed_at, error);
+            seam.fault(FaultRecord::StandbyLost { at_update: killed_at, error });
             return;
         };
-        let ck = replica.into_state();
         let lost = self.applied as u64 - ck.applied;
         if cfg!(debug_assertions) && lost == 0 {
             self.assert_mirrored(&ck);
         }
         let from_epoch = self.fence.epoch();
-        // Adopt the standby's mirrored state wholesale.
-        if let Err(error) = adopt_server_state(&mut self.group, &ck) {
+        if let Err(error) = self.adopt(&ck, seam) {
             // A mirror the promoted layout cannot adopt is as good as a
             // lost standby: record it and keep the primary's state.
-            self.report_standby_lost(killed_at, error);
+            seam.fault(FaultRecord::StandbyLost { at_update: killed_at, error });
             return;
         }
-        self.applied = ck.applied as usize;
-        self.staleness = ck.staleness.clone();
-        self.losses = ck.epoch_losses.clone();
-        // Epoch records computed from discarded updates are recomputed
-        // when the boundary is crossed again.
-        self.eval.collect(&mut self.records);
-        self.records.truncate(self.applied / self.updates_per_epoch);
-        self.predictors.restore(ck.loss_pred.as_ref(), ck.step_pred.as_ref());
-        // DC backups and half-assembled pushes reference pulls from the
-        // dead primary.
-        self.backups.clear();
-        self.pushes.abandon_all();
-        let to_epoch = self.fence.promote(ck.push_seqs.clone());
+        let to_epoch = self.fence.promote(ck.push_seqs);
         // Re-arm: the promoted server is the new primary; re-bootstrap the
         // (now empty) standby slot.
-        self.repl.as_mut().expect("primary kill requires a standby").promoted(lost);
-        self.snapshot_standby();
+        self.snapshot_standby(seam);
         let applied = self.applied as u64;
         if let Some(s) = self.sup.as_mut() {
             s.record_failover(applied, from_epoch, to_epoch, lost);
@@ -900,7 +873,7 @@ impl<'a> Server<'a> {
                  to-epoch={to_epoch} lost-updates={lost}"
             ),
         );
-        self.log_fault(FaultRecord::FailedOver {
+        seam.fault(FaultRecord::FailedOver {
             at_update: killed_at,
             from_epoch,
             to_epoch,
@@ -945,31 +918,15 @@ impl<'a> Server<'a> {
     /// Step 6: any replication interaction of this push may have found the
     /// standby gone; report the one-time degradation on every channel
     /// (DESIGN.md §10).
-    fn report_degradation(&mut self) {
-        let Some(error) = self.take_degradation() else { return };
+    fn report_degradation(&mut self, seam: &mut dyn Seam) {
         let applied = self.applied as u64;
-        let text = self.report_standby_lost(applied, error);
-        self.env.sink.wall_instant(None, phase::HEALTH, Instant::now(), text);
+        let Some(error) = seam.standby_lost(applied) else { return };
+        let rec = FaultRecord::StandbyLost { at_update: applied, error };
+        self.env.sink.wall_instant(None, phase::HEALTH, Instant::now(), rec.to_string());
+        seam.fault(rec);
         if let Some(s) = self.sup.as_mut() {
             s.record_standby_lost(applied);
         }
-    }
-
-    /// Polls the replication stream for its one-shot degradation cause and
-    /// stamps the report with the update count it surfaced at.
-    fn take_degradation(&mut self) -> Option<String> {
-        let at_update = self.applied as u64;
-        self.repl.as_mut()?.take_degradation(at_update)
-    }
-
-    /// Files a lost standby in the fault log, however it was found gone
-    /// (at bootstrap, mid-run, nothing to promote, an unadoptable mirror).
-    /// Returns the record's text: the mid-run case also traces it.
-    fn report_standby_lost(&self, at_update: u64, error: String) -> String {
-        let rec = FaultRecord::StandbyLost { at_update, error };
-        let text = rec.to_string();
-        self.log_fault(rec);
-        text
     }
 
     /// Step 7: global divergence restores the last-good snapshot;
@@ -984,16 +941,11 @@ impl<'a> Server<'a> {
             let Some(good) = &self.last_good else { return false };
             self.group.load_weights(&good.weights);
             self.group.set_bn(good.bn.clone());
-            self.predictors.restore(good.predictors.0.as_ref(), good.predictors.1.as_ref());
+            self.predictors.restore(good);
             s.rolled_back(applied, good.applied);
             return true;
         } else if s.should_snapshot(applied) {
-            self.last_good = Some(GoodState {
-                weights: self.group.assembled_weights(),
-                bn: self.group.bn().clone(),
-                applied,
-                predictors: self.predictors.snapshot(),
-            });
+            self.last_good = Some(self.state());
         }
         false
     }
@@ -1012,29 +964,28 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Appends to the run's fault log, when it has a plan to report into.
-    fn log_fault(&self, rec: FaultRecord) {
-        if let Some(plan) = &self.fault_plan {
-            plan.log().push(rec);
-        }
-    }
-
     /// Ships the full state to the standby, if one is attached: its
     /// bootstrap, its post-promotion re-arm, its re-bootstrap after a
     /// rollback.
-    fn snapshot_standby(&mut self) {
-        if let Some(mut rs) = self.repl.take() {
-            rs.snapshot(&self.checkpoint());
-            self.repl = Some(rs);
+    fn snapshot_standby(&mut self, seam: &mut dyn Seam) {
+        if self.replicated {
+            let ck = self.checkpoint(seam);
+            seam.snapshot(ck);
             self.state_path_unlogged = false;
         }
     }
 
-    /// The running server's full state: what goes to disk and into a full
-    /// standby snapshot — so it waits for the evaluation in flight, and
-    /// every epoch record in it is whole.
-    fn checkpoint(&mut self) -> TrainingCheckpoint {
-        self.eval.collect(&mut self.records);
+    /// The server's full state as it goes to disk and into a full standby
+    /// snapshot: once the evaluation in flight is in, so every epoch record
+    /// in it is whole.
+    fn checkpoint(&mut self, seam: &mut dyn Seam) -> TrainingCheckpoint {
+        seam.collect(&mut self.records);
+        self.state()
+    }
+
+    /// The server's full state as it stands. The workers' batch positions
+    /// are not the server's: the shell adds them to what it writes to disk.
+    fn state(&self) -> TrainingCheckpoint {
         let group = &self.group;
         let (loss_pred, step_pred) = self.predictors.snapshot();
         TrainingCheckpoint {
@@ -1049,56 +1000,27 @@ impl<'a> Server<'a> {
             epochs: self.records.clone(),
             loss_pred,
             step_pred,
-            worker_batches: self.env.batch_pos.lock().clone(),
             server_epoch: self.fence.epoch(),
             push_seqs: self.fence.push_seqs().to_vec(),
             shard_versions: if group.count() == 1 { Vec::new() } else { group.versions() },
+            ..TrainingCheckpoint::default()
         }
     }
 
-    /// Tear-down: hang up on the standby, replay the fault log onto the
-    /// trace, assemble the [`RunResult`].
-    pub(super) fn finish(mut self, transport: TransportStats) -> RunResult {
-        let env = self.env;
-        let (cfg, sink) = (env.cfg, &env.sink);
-        // Before any clock is read: the run is over when its last epoch
-        // has been evaluated, and its last replication batch acknowledged
-        // (or found lost).
-        self.eval.collect(&mut self.records);
-        if let Some(rs) = self.repl.as_mut() {
-            rs.settle();
-        }
-        self.report_degradation();
-        // Dropping the stream hangs up the duplex; the standby thread's
-        // recv fails and it exits cleanly.
-        let replication = self.standby_slot.is_some().then(|| {
-            let mut rep = self.repl.take().map(|rs| rs.report).unwrap_or_default();
-            if let Some(h) = self.standby_thread.take() {
-                let _ = h.join();
-            }
-            rep.final_epoch = self.fence.epoch();
-            rep.fenced_reads = self.fence.fenced_reads;
-            rep.fenced_pushes = self.fence.fenced_pushes;
-            rep.duplicate_pushes = self.fence.duplicate_pushes;
-            rep
+    /// Tear-down, once the shell has settled the standby: the last
+    /// evaluation and degradation report, the hang-up, and the run's
+    /// result as far as the server knows it.
+    pub(super) fn finish(mut self, seam: &mut dyn Seam) -> RunResult {
+        seam.collect(&mut self.records);
+        self.report_degradation(seam);
+        let fence = &self.fence;
+        let replication = seam.hang_up().map(|rep| ReplicationReport {
+            final_epoch: fence.epoch(),
+            fenced_reads: fence.fenced_reads,
+            fenced_pushes: fence.fenced_pushes,
+            duplicate_pushes: fence.duplicate_pushes,
+            ..rep
         });
-
-        // Replay every observed fault/recovery onto the trace timeline as
-        // an instant event, at the wall instant the log stamped it with.
-        // Checkpoint failures already produced a `checkpoint` instant
-        // inline.
-        if let Some(plan) = &self.fault_plan {
-            for (rec, at) in plan.log().timed_records() {
-                let worker = match &rec {
-                    FaultRecord::Injected { worker, .. }
-                    | FaultRecord::WorkerRestarted { worker, .. } => Some(*worker),
-                    FaultRecord::CheckpointFailed { .. } => continue,
-                    _ => None,
-                };
-                sink.wall_instant(worker, phase::FAULT_INJECT, at, rec.to_string());
-            }
-        }
-
         if self.is_ssgd {
             self.staleness = vec![0; self.group.version() as usize];
         }
@@ -1109,39 +1031,17 @@ impl<'a> Server<'a> {
             iterations: self.group.version(),
         });
         let want_traces = predictors.is_lc && predictors.record;
-        // A resumed run (or a checkpoint-write failure) reports even
-        // without a fault plan, so callers can see what happened.
-        let resumed_at = self.resumed_at.unwrap_or(0);
-        let reports = self.fault_plan.is_some()
-            || self.resumed_at.is_some()
-            || !self.ckpt_failures.is_empty();
-        let faults = reports.then(|| {
-            let mut records = self.fault_plan.as_ref().map(|p| p.records()).unwrap_or_default();
-            if self.fault_plan.is_none() && self.resumed_at.is_some() {
-                records.push(FaultRecord::Resumed { at_update: resumed_at });
-            }
-            records.append(&mut self.ckpt_failures);
-            FaultReport { records, server_halted: self.halted, resumed_at }
-        });
-        // On the simulator the run ends with its last update: the messages
-        // that drain it afterwards cost no training time.
-        let total_time = self.now();
         RunResult {
-            label: format!("{} ({})", cfg.algorithm, cfg.bn_mode),
+            label: format!("{} ({})", self.env.cfg.algorithm, self.env.cfg.bn_mode),
             epochs: self.records,
             staleness: self.staleness,
             trace: want_traces.then_some(self.predictors.trace),
             overhead,
             iterations: self.group.version(),
-            total_time,
-            clock: env.clock,
-            wall_time: self.t0.elapsed().as_secs_f64(),
-            transport: Some(transport),
-            faults,
-            timeline: sink.enabled().then(|| sink.finish()),
             health: self.sup.map(Supervisor::into_report),
             replication,
             shards: self.group.count(),
+            ..RunResult::default()
         }
     }
 }

@@ -22,9 +22,9 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What one run's worker threads and its server share: the read-only
-/// description of the run, and the three mutex-guarded tables workers
-/// report into.
+/// What one run's worker threads, its server core and its shell share: the
+/// read-only description of the run, and the two mutex-guarded tables
+/// workers report into.
 pub(super) struct RunEnv<'a> {
     pub cfg: &'a ExperimentConfig,
     pub train: &'a Dataset,
@@ -43,12 +43,10 @@ pub(super) struct RunEnv<'a> {
     /// run applies bit-identical updates to an untraced one.
     pub sink: TraceSink,
     /// Each worker's model replica and batch stream, parked here between
-    /// incarnations: crash recovery re-invokes [`worker_loop`], which
-    /// picks the replica back up.
-    nodes: Mutex<Vec<Option<WorkerNode>>>,
-    /// How many times each worker's process has started (0 = original
-    /// incarnation; >0 = restarted after an injected crash).
-    incarnations: Mutex<Vec<u32>>,
+    /// incarnations (crash recovery re-invokes [`worker_loop`], which
+    /// picks the replica back up), and how many times its process has
+    /// started.
+    nodes: Mutex<Vec<(Option<WorkerNode>, u32)>>,
     /// Latest (reshuffles, pos) each worker reported after pushing a
     /// gradient — what checkpoints record. Positions may lag the worker by
     /// one in-flight iteration: resuming re-computes that batch, which SGD
@@ -100,9 +98,8 @@ impl<'a> RunEnv<'a> {
             bands: band_budget(current_num_threads(), nodes.len()),
             spec,
             sink,
-            incarnations: Mutex::new(vec![0; nodes.len()]),
             batch_pos: Mutex::new(nodes.iter().map(WorkerNode::batch_progress).collect()),
-            nodes: Mutex::new(nodes.into_iter().map(Some).collect()),
+            nodes: Mutex::new(nodes.into_iter().map(|n| (Some(n), 0)).collect()),
         }
     }
 
@@ -111,7 +108,7 @@ impl<'a> RunEnv<'a> {
     pub(super) fn replay_batches(&self, worker_batches: &[(u64, u64)]) {
         let mut nodes = self.nodes.lock();
         for (w, &(reshuffles, pos)) in worker_batches.iter().enumerate() {
-            nodes[w].as_mut().expect("node present").replay_batches_to(reshuffles, pos);
+            nodes[w].0.as_mut().expect("node present").replay_batches_to(reshuffles, pos);
         }
         *self.batch_pos.lock() = worker_batches.to_vec();
     }
@@ -133,12 +130,10 @@ pub(super) fn worker_loop(
     link: &mut dyn WorkerLink<ClusterReq, ClusterResp>,
     env: &RunEnv<'_>,
 ) {
-    let mut node = env.nodes.lock()[w].take().expect("worker slot empty");
-    let incarnation = {
-        let mut inc = env.incarnations.lock();
-        let i = inc[w];
-        inc[w] += 1;
-        i
+    let (mut node, incarnation) = {
+        let (node, started) = &mut env.nodes.lock()[w];
+        *started += 1;
+        (node.take().expect("worker slot empty"), *started - 1)
     };
     if incarnation > 0 {
         // This invocation is a restarted process rejoining after an
@@ -169,7 +164,7 @@ pub(super) fn worker_loop(
     // Return the replica to its slot: a restarted incarnation of this
     // worker (crash-recovery re-invokes `worker_loop`) picks it back up.
     env.batch_pos.lock()[w] = node.batch_progress();
-    env.nodes.lock()[w] = Some(node);
+    env.nodes.lock()[w].0 = Some(node);
 }
 
 /// SSGD's worker: one pull, then every push is a blocking request whose

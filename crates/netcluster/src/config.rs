@@ -71,10 +71,6 @@ pub struct NetConfig {
     pub connect_backoff: Duration,
     /// Ceiling on the exponential backoff.
     pub connect_backoff_cap: Duration,
-    /// How long a primary holds the replication lease without a standby
-    /// acknowledgement before it must stop serving writes and force a
-    /// confirmation round trip (see `lcasgd-core`'s failover design).
-    pub lease_timeout: Duration,
     /// Per-connection circuit breaker thresholds: the worker gates its
     /// redial storms and the server gates codec-failing ranks through
     /// the same error-rate window → open → half-open probe machine.
@@ -101,7 +97,6 @@ impl Default for NetConfig {
             connect_attempts: 5,
             connect_backoff: Duration::from_millis(25),
             connect_backoff_cap: Duration::from_secs(1),
-            lease_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
             wire_codec: WireCodec::F32,
             pull_coalescing: true,
@@ -121,7 +116,6 @@ impl NetConfig {
             connect_attempts: 5,
             connect_backoff: Duration::from_millis(5),
             connect_backoff_cap: Duration::from_millis(100),
-            lease_timeout: Duration::from_millis(100),
             breaker: BreakerConfig::fast(),
             wire_codec: WireCodec::F32,
             pull_coalescing: true,
@@ -153,11 +147,6 @@ impl NetConfig {
         if self.hello_timeout.is_zero() {
             return Err("hello_timeout must be non-zero: a zero window writes every rank off \
                  before its Hello can arrive"
-                .to_string());
-        }
-        if self.lease_timeout.is_zero() {
-            return Err("lease_timeout must be non-zero: a zero lease forces a standby \
-                 confirmation round trip before every write"
                 .to_string());
         }
         Ok(())
@@ -195,11 +184,6 @@ impl NetConfig {
                 self.connect_backoff_cap, self.connect_backoff
             ));
         }
-        if self.lease_timeout.is_zero() {
-            return Err("lease_timeout must be non-zero: a zero lease forces a standby \
-                 confirmation round trip before every write"
-                .to_string());
-        }
         Ok(())
     }
 }
@@ -230,11 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn server_rejects_zero_hello_and_lease_windows() {
+    fn server_rejects_a_zero_hello_window() {
         let cfg = NetConfig { hello_timeout: Duration::ZERO, ..NetConfig::default() };
         assert!(cfg.validate_server().unwrap_err().contains("hello_timeout"));
-        let cfg = NetConfig { lease_timeout: Duration::ZERO, ..NetConfig::default() };
-        assert!(cfg.validate_server().unwrap_err().contains("lease_timeout"));
     }
 
     #[test]
@@ -251,9 +233,6 @@ mod tests {
         let base = NetConfig::default();
         let cfg = NetConfig { connect_backoff_cap: base.connect_backoff / 2, ..base };
         assert!(cfg.validate_worker().unwrap_err().contains("connect_backoff_cap"));
-
-        let cfg = NetConfig { lease_timeout: Duration::ZERO, ..NetConfig::default() };
-        assert!(cfg.validate_worker().unwrap_err().contains("lease_timeout"));
 
         let cfg = NetConfig { heartbeat_interval: Duration::ZERO, ..NetConfig::default() };
         assert!(cfg.validate_worker().unwrap_err().contains("heartbeat_interval"));

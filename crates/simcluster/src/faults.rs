@@ -179,9 +179,22 @@ impl FaultLog {
         self.0.lock().expect("fault log poisoned").push((rec, std::time::Instant::now()));
     }
 
-    /// Snapshot of all records so far.
+    /// Snapshot of all records so far, sorted into a canonical order
+    /// (records from concurrent workers land in the log in scheduler
+    /// order; the canonical sort makes runs comparable).
     pub fn records(&self) -> Vec<FaultRecord> {
-        self.0.lock().expect("fault log poisoned").iter().map(|(r, _)| r.clone()).collect()
+        let log = self.0.lock().expect("fault log poisoned");
+        let mut recs: Vec<FaultRecord> = log.iter().map(|(r, _)| r.clone()).collect();
+        recs.sort_by_key(|r| match r {
+            FaultRecord::Injected { worker, op, .. } => (0, *worker, *op),
+            FaultRecord::WorkerRestarted { worker, op } => (1, *worker, *op),
+            FaultRecord::ServerHalted { at_update } => (2, 0, *at_update),
+            FaultRecord::Resumed { at_update } => (3, 0, *at_update),
+            FaultRecord::CheckpointFailed { at_update, .. } => (4, 0, *at_update),
+            FaultRecord::FailedOver { at_update, .. } => (5, 0, *at_update),
+            FaultRecord::StandbyLost { at_update, .. } => (6, 0, *at_update),
+        });
+        recs
     }
 
     /// Snapshot of all records with their observation instants.
@@ -247,21 +260,10 @@ impl FaultPlan {
         self.log.clone()
     }
 
-    /// Snapshot of recorded faults/recoveries, sorted into a canonical
-    /// order (records from concurrent workers land in the log in
-    /// scheduler order; the canonical sort makes runs comparable).
+    /// Snapshot of recorded faults/recoveries, in the canonical order of
+    /// [`FaultLog::records`].
     pub fn records(&self) -> Vec<FaultRecord> {
-        let mut recs = self.log.records();
-        recs.sort_by_key(|r| match r {
-            FaultRecord::Injected { worker, op, .. } => (0, *worker, *op),
-            FaultRecord::WorkerRestarted { worker, op } => (1, *worker, *op),
-            FaultRecord::ServerHalted { at_update } => (2, 0, *at_update),
-            FaultRecord::Resumed { at_update } => (3, 0, *at_update),
-            FaultRecord::CheckpointFailed { at_update, .. } => (4, 0, *at_update),
-            FaultRecord::FailedOver { at_update, .. } => (5, 0, *at_update),
-            FaultRecord::StandbyLost { at_update, .. } => (6, 0, *at_update),
-        });
-        recs
+        self.log.records()
     }
 
     /// This worker's events, sorted by trigger op.

@@ -429,22 +429,29 @@ fn the_supervised_runs_replay() {
     supervised_replays("rollback", Algorithm::Asgd, barrage, sup);
 }
 
+/// Both kills, also as `a_failover_promotes_what_the_parent_promoted`
+/// runs them: writing a checkpoint at every epoch boundary.
 #[test]
 fn both_primary_kills_replay() {
+    let path = std::env::temp_dir().join(format!("lcasgd_replay_kill_{}.ckpt", std::process::id()));
     for (algo, shards) in [(Algorithm::Asgd, 1), (Algorithm::LcAsgd, 4)] {
-        let plan = FaultPlan::new().with_primary_kill(31);
-        let opts = || RunOptions {
-            fault_plan: Some(plan.clone()),
-            standby: Some(StandbyConfig {
-                flush_every: 4,
-                lease: std::time::Duration::from_millis(500),
-            }),
-            shards,
-            ..RunOptions::default()
-        };
-        let r = replays(&format!("{algo} kill"), &cfg(algo, 4), Some(&plan), opts);
-        assert_eq!(r.replication.expect("standby attached").failovers, 1, "{algo}");
+        for checkpoint_path in [None, Some(path.clone())] {
+            let plan = FaultPlan::new().with_primary_kill(31);
+            let opts = || RunOptions {
+                fault_plan: Some(plan.clone()),
+                checkpoint_path: checkpoint_path.clone(),
+                standby: Some(StandbyConfig {
+                    flush_every: 4,
+                    lease: std::time::Duration::from_millis(500),
+                }),
+                shards,
+                ..RunOptions::default()
+            };
+            let r = replays(&format!("{algo} kill"), &cfg(algo, 4), Some(&plan), opts);
+            assert_eq!(r.replication.expect("standby attached").failovers, 1, "{algo}");
+        }
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

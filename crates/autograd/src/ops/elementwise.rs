@@ -44,6 +44,12 @@ impl BackwardOp for ShiftBack {
     }
 }
 
+/// ReLU's vector-Jacobian product from its saved output `y = max(x, 0)`:
+/// `dx = dy` where `y > 0`, else `+0` (a NaN `y` passes `dy` on).
+pub fn relu_backward(dy: &Tensor, y: &Tensor) -> Tensor {
+    dy.zip_with(y, |g, y| if y <= 0.0 { 0.0 } else { g })
+}
+
 /// Saves the *output* (y = max(x, 0)); dx = dy · 1[y > 0].
 struct ReluBack {
     x: Var,
@@ -51,13 +57,7 @@ struct ReluBack {
 }
 impl BackwardOp for ReluBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
-        let mut g = ctx.grad.clone();
-        for (gv, &yv) in g.data_mut().iter_mut().zip(self.y.data()) {
-            if yv <= 0.0 {
-                *gv = 0.0;
-            }
-        }
-        ctx.accumulate(self.x, g);
+        ctx.accumulate(self.x, relu_backward(ctx.grad, &self.y));
     }
 }
 
@@ -68,11 +68,7 @@ struct SigmoidBack {
 }
 impl BackwardOp for SigmoidBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
-        let mut g = ctx.grad.clone();
-        for (gv, &yv) in g.data_mut().iter_mut().zip(self.y.data()) {
-            *gv *= yv * (1.0 - yv);
-        }
-        ctx.accumulate(self.x, g);
+        ctx.accumulate(self.x, ctx.grad.zip_with(&self.y, |g, y| g * (y * (1.0 - y))));
     }
 }
 
@@ -83,11 +79,7 @@ struct TanhBack {
 }
 impl BackwardOp for TanhBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
-        let mut g = ctx.grad.clone();
-        for (gv, &yv) in g.data_mut().iter_mut().zip(self.y.data()) {
-            *gv *= 1.0 - yv * yv;
-        }
-        ctx.accumulate(self.x, g);
+        ctx.accumulate(self.x, ctx.grad.zip_with(&self.y, |g, y| g * (1.0 - y * y)));
     }
 }
 
@@ -251,6 +243,80 @@ mod tests {
         let s = g.sum(y);
         g.backward(s);
         assert_eq!(g.grad(x).unwrap().data(), &[0., 1., 0.]);
+    }
+
+    /// Hands `dy` to `v` as its upstream gradient, whatever the bits.
+    struct Upstream(Var, Tensor);
+    impl BackwardOp for Upstream {
+        fn backward(&self, ctx: &mut Ctx<'_>) {
+            ctx.accumulate(self.0, self.1.clone());
+        }
+    }
+
+    /// Runs one saved-output node on the tape, with `y` as its saved output
+    /// and `dy` as its upstream gradient; returns the gradient it hands on.
+    fn run_node(
+        node: impl FnOnce(Var, Tensor) -> Box<dyn BackwardOp>,
+        y: &Tensor,
+        dy: &Tensor,
+    ) -> Tensor {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::zeros(y.dims()));
+        let yv = g.push(y.clone(), Some(node(x, y.clone())));
+        let out = g.push(Tensor::zeros(&[1]), Some(Box::new(Upstream(yv, dy.clone()))));
+        g.backward(out);
+        g.take_grad(x).expect("gradient reached x")
+    }
+
+    /// The loop each node ran before it became one `zip_with`: a copy of
+    /// `dy` updated in place.
+    fn old_loop(dy: &Tensor, y: &Tensor, update: impl Fn(&mut f32, f32)) -> Tensor {
+        let mut g = dy.clone();
+        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+            update(gv, yv);
+        }
+        g
+    }
+
+    #[test]
+    fn saved_output_nodes_are_bitwise_their_old_loops_at_the_edges() {
+        let ys = [f32::NAN, -0.0, 0.0, f32::from_bits(1), f32::INFINITY, 0.5, -1.5, 0.99, 3.0];
+        let dys = [-0.0, f32::NAN, 1.25, -3.0];
+        let (y, dy): (Vec<f32>, Vec<f32>) =
+            ys.iter().flat_map(|&y| dys.iter().map(move |&d| (y, d))).unzip();
+        let (y, dy) = (t(y, &[ys.len(), dys.len()]), t(dy, &[ys.len(), dys.len()]));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cases: [(&str, Tensor, Tensor); 3] = [
+            (
+                "relu",
+                run_node(|x, y| Box::new(ReluBack { x, y }), &y, &dy),
+                old_loop(&dy, &y, |gv, yv| {
+                    if yv <= 0.0 {
+                        *gv = 0.0;
+                    }
+                }),
+            ),
+            (
+                "sigmoid",
+                run_node(|x, y| Box::new(SigmoidBack { x, y }), &y, &dy),
+                old_loop(&dy, &y, |gv, yv| *gv *= yv * (1.0 - yv)),
+            ),
+            (
+                "tanh",
+                run_node(|x, y| Box::new(TanhBack { x, y }), &y, &dy),
+                old_loop(&dy, &y, |gv, yv| *gv *= 1.0 - yv * yv),
+            ),
+        ];
+        for (name, got, want) in &cases {
+            assert_eq!(bits(got), bits(want), "{name}: y = {:?}, dy = {:?}", y.data(), dy.data());
+        }
+        // The edges the rule is about: a NaN output passes dy on, a −0.0 dy
+        // behind a positive output stays −0.0, and a ≤ 0 output gives +0.
+        let relu = &cases[0].1;
+        let at = |yi: usize, di: usize| relu.data()[yi * dys.len() + di];
+        assert_eq!(at(0, 2), 1.25);
+        assert_eq!(at(5, 0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!((at(1, 3).to_bits(), at(2, 1).to_bits()), (0, 0));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The `kernel-baseline` binary times the hot tensor kernels twice — once
 //! with byte-faithful copies of the *seed* implementations (the pre-packing
 //! row-kernel matmul, the materializing im2col conv, the per-element
-//! `channel_of` BatchNorm, the forking elementwise map and the libm-rounding
-//! quantizers, preserved in [`seed`]) and once through the shipping entry
+//! `channel_of` BatchNorm, the forking elementwise map, the conditional-store
+//! ReLU backward and the libm-rounding quantizers, preserved in [`seed`]) and once through the shipping entry
 //! points — and emits `BENCH_kernels.json`. The
 //! committed copy of that file is the perf baseline: CI re-measures in
 //! `--smoke` mode and fails when any kernel's *single-thread speedup over
@@ -14,6 +14,7 @@
 //! one-sided under scheduler interference).
 
 use crate::baseline;
+use lcasgd_autograd::ops::elementwise::relu_backward;
 use lcasgd_autograd::{Graph, Var};
 use lcasgd_core::comm::CompressedGrad;
 use lcasgd_core::Compression;
@@ -319,6 +320,20 @@ pub mod seed {
             out.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
         }
         out
+    }
+
+    /// ReLU's backward as commit `9bcddb9` ran it: share `dy`, copy it on
+    /// the first write, then store +0 into the copy wherever `y <= 0` (a
+    /// conditional store per element, which mispredicts on outputs whose
+    /// sign follows no pattern).
+    pub fn relu_backward(dy: &Tensor, y: &Tensor) -> Tensor {
+        let mut g = dy.clone();
+        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+            if yv <= 0.0 {
+                *gv = 0.0;
+            }
+        }
+        g
     }
 
     /// The seed EMA update: two full passes (`scale_inplace` then
@@ -859,6 +874,41 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             n,
             || seed::bn2d_relu(&x, &gamma, &beta, 1e-5),
             taped,
+        );
+    }
+    // ReLU's backward at ResNet-tiny's first-stage activation: `y =
+    // max(x, 0)` of `x ~ N(0, 1)`, what a BatchNorm at its identity init
+    // hands on, so the sign of `y` follows no pattern. Each call takes the
+    // next of eight draws, as each training step sees new activations: on
+    // one draw repeated, the branch predictor learns the seed's 12,800
+    // branches and its time falls ≈ 5× (to ≈ 1.2 ns per element).
+    {
+        let draws: Vec<(Tensor, Tensor)> = (0..8)
+            .map(|i| {
+                (randn(&[16, 8, 10, 10], 40 + 2 * i), randn(&[16, 8, 10, 10], 41 + 2 * i).relu())
+            })
+            .collect();
+        for (dy, y) in &draws {
+            assert_eq!(seed::relu_backward(dy, y), relu_backward(dy, y), "relu_backward mismatch");
+        }
+        let next = |i: &mut usize| {
+            *i = (*i + 1) % draws.len();
+            &draws[*i]
+        };
+        let (mut i, mut j) = (0, 0);
+        row(
+            &mut reports,
+            "relu_backward",
+            "n16_c8_10x10".into(),
+            samples * 20,
+            || {
+                let (dy, y) = next(&mut i);
+                seed::relu_backward(dy, y)
+            },
+            || {
+                let (dy, y) = next(&mut j);
+                relu_backward(dy, y)
+            },
         );
     }
     // Elementwise dispatch: the seed forks from 16 K elements on, the

@@ -36,6 +36,7 @@ use serve::{Core, Seam};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 use work::{worker_loop, worker_nodes, RunEnv};
 
@@ -443,14 +444,21 @@ fn run_tapped<B: ClusterBackend>(
     let eval_train = train.batch(&(0..train.len().min(cfg.max_eval_train)).collect::<Vec<_>>());
     let duplex = opts.standby.as_ref().map(|_| backend.replica_duplex()).transpose()?;
     let mirror = &Mutex::new(None);
-    std::thread::scope(|scope| {
+    thread::scope(|scope| {
         let (jobs, job_queue) = mpsc::channel();
         let (result_queue, results) = mpsc::channel();
-        let evaluator = scope
-            .spawn(move || serve_evaluations(eval_net, eval_train, test, job_queue, result_queue));
+        let evaluator = thread::Builder::new()
+            .name("eval".into())
+            .spawn_scoped(scope, move || {
+                serve_evaluations(eval_net, eval_train, test, job_queue, result_queue)
+            })
+            .expect("spawn the evaluator thread");
         let upe = updates_per_epoch(cfg, train) as u64;
         let repl = opts.standby.as_ref().zip(duplex).map(|(sc, (primary_end, standby_end))| {
-            scope.spawn(move || serve_standby(standby_end, mirror, upe));
+            thread::Builder::new()
+                .name("standby".into())
+                .spawn_scoped(scope, move || serve_standby(standby_end, mirror, upe))
+                .expect("spawn the standby thread");
             ReplicationStream::new(primary_end, sc)
         });
         let shell = Shell {

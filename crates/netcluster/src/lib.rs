@@ -185,7 +185,7 @@ impl ClusterBackend for NetCluster {
                 let hook = hook.clone();
                 let worker_fn = &worker_fn;
                 let worker_stats = &worker_stats;
-                scope.spawn(move || {
+                let learner = move || {
                     // A worker that cannot connect is simply absent; the
                     // server writes its rank off after the hello timeout
                     // and the survivors keep training.
@@ -231,7 +231,11 @@ impl ClusterBackend for NetCluster {
                     if let Err(payload) = outcome {
                         std::panic::resume_unwind(payload);
                     }
-                });
+                };
+                std::thread::Builder::new()
+                    .name(format!("net-worker-{w}"))
+                    .spawn_scoped(scope, learner)
+                    .expect("spawn a worker thread");
             }
             server_result = server.serve(server_fn);
         });

@@ -195,7 +195,7 @@ impl NetWorker {
                 let write = Arc::clone(&write);
                 let stop = Arc::clone(&hb_stop);
                 let interval = self.cfg.heartbeat_interval;
-                std::thread::spawn(move || {
+                let beat = move || {
                     while !stop.wait(interval) {
                         let sent = write_payload(&mut *write.lock(), FrameKind::Heartbeat, 0, &[]);
                         if sent.is_err() {
@@ -204,7 +204,11 @@ impl NetWorker {
                             break;
                         }
                     }
-                })
+                };
+                std::thread::Builder::new()
+                    .name(format!("heartbeat-{}", self.rank))
+                    .spawn(beat)
+                    .expect("spawn the heartbeat thread")
             };
             self.conn = Some(Conn { read: stream, write, hb_stop, hb: Some(hb) });
             self.breaker.record_success();

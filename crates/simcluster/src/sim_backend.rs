@@ -206,7 +206,7 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                 let worker_fn = &worker_fn;
                 let done_tx = tx.clone();
                 let plan = plan.clone();
-                scope.spawn(move || {
+                let learner = move || {
                     // A panicking worker must still report Done, or the
                     // driver's gate would wait on it forever.
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -230,7 +230,11 @@ impl ClusterBackend for ClusterSim<SimPayload> {
                     if let Err(payload) = outcome {
                         std::panic::resume_unwind(payload);
                     }
-                });
+                };
+                std::thread::Builder::new()
+                    .name(format!("learner-{w}"))
+                    .spawn_scoped(scope, learner)
+                    .expect("spawn a learner thread");
             }
             drop(tx);
 

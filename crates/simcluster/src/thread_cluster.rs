@@ -232,7 +232,7 @@ impl ClusterBackend for ThreadCluster {
                 let plan = plan.clone();
                 let ctl = tx.clone();
                 let stop = &stop;
-                scope.spawn(move || match plan {
+                let learner = move || match plan {
                     None => worker_fn(w, &mut handle),
                     Some(plan) => {
                         let mut link = FaultyLink::new(handle, w, &plan);
@@ -256,7 +256,11 @@ impl ClusterBackend for ThreadCluster {
                         }
                         let _ = ctl.send(Envelope { worker: w, msg: EnvMsg::Hangup });
                     }
-                });
+                };
+                thread::Builder::new()
+                    .name(format!("learner-{w}"))
+                    .spawn_scoped(scope, learner)
+                    .expect("spawn a learner thread");
             }
             // Drop the original sender so the loop ends when workers do.
             drop(tx);
@@ -387,6 +391,24 @@ mod tests {
         assert_eq!(total, 4 * 55);
         assert_eq!(stats.oneways, 40);
         assert_eq!(stats.requests, 0);
+    }
+
+    #[test]
+    fn each_learner_runs_on_a_thread_named_after_its_rank() {
+        let names = StdMutex::new(Vec::new());
+        ThreadCluster::new(2)
+            .run(
+                |_w, _req: u8, _ctx: &mut ServerCtx<()>| {},
+                |w, _h| {
+                    let name = thread::current().name().map(str::to_owned);
+                    names.lock().unwrap().push((w, name));
+                },
+            )
+            .unwrap();
+        let mut names = names.into_inner().unwrap();
+        names.sort();
+        assert_eq!(names[0], (0, Some("learner-0".to_owned())));
+        assert_eq!(names[1], (1, Some("learner-1".to_owned())));
     }
 
     #[test]

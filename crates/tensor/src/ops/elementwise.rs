@@ -1,15 +1,15 @@
 //! Elementwise arithmetic, activation maps and in-place updates.
 //!
-//! Every op here is one serial, auto-vectorized pass. They used to fork
-//! above 16 K elements; with the rayon shim's per-call thread spawn the
-//! forked branch lost to the serial one at every size from 2¹⁴ to 2²²
-//! elements on two cores (3 vs 38 µs, 59 vs 155 µs, 2.0 vs 2.4 ms — the
-//! `relu` rows of `BENCH_kernels.json`), so the branch and its threshold
-//! are gone. Revisit only with a persistent pool (ROADMAP item 11).
+//! Every op here is one serial, auto-vectorized pass: with the rayon
+//! shim's per-call thread spawn a forked pass loses at every size from
+//! 2¹⁴ to 2²² elements on two cores (the `relu` rows of
+//! `BENCH_kernels.json`).
 //!
 //! An op that makes a new tensor writes every element of a fresh buffer
 //! ([`Tensor::for_overwrite`]) from its inputs, rather than copying an
-//! input and updating the copy: one pass over memory instead of two.
+//! input and updating the copy: one pass over memory instead of two. A
+//! per-element choice is a value the pass selects (a compare and a
+//! blend), never a store it skips (a branch per element).
 
 use crate::tensor::Tensor;
 
@@ -23,34 +23,35 @@ fn map_unary_inplace(t: &mut Tensor, f: impl Fn(f32) -> f32) {
     t.data_mut().iter_mut().for_each(|x| *x = f(*x));
 }
 
-fn zip_binary(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
-    assert_eq!(
-        a.shape(),
-        b.shape(),
-        "elementwise shape mismatch: {:?} vs {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut out = Tensor::for_overwrite(a.dims());
-    let pairs = a.data().iter().zip(b.data());
-    out.data_mut().iter_mut().zip(pairs).for_each(|(o, (&x, &y))| *o = f(x, y));
-    out
-}
-
 impl Tensor {
+    /// `f(self[i], other[i])` for every element, into a fresh buffer.
+    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        assert_eq!(
+            self.shape(),
+            other.shape(),
+            "elementwise shape mismatch: {:?} vs {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let mut out = Tensor::for_overwrite(self.dims());
+        let pairs = self.data().iter().zip(other.data());
+        out.data_mut().iter_mut().zip(pairs).for_each(|(o, (&x, &y))| *o = f(x, y));
+        out
+    }
+
     /// Elementwise sum.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        zip_binary(self, other, |a, b| a + b)
+        self.zip_with(other, |a, b| a + b)
     }
 
     /// Elementwise difference.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        zip_binary(self, other, |a, b| a - b)
+        self.zip_with(other, |a, b| a - b)
     }
 
     /// Elementwise (Hadamard) product — the `⊗` of DC-ASGD's Formula 3.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        zip_binary(self, other, |a, b| a * b)
+        self.zip_with(other, |a, b| a * b)
     }
 
     /// Adds a scalar.

@@ -157,6 +157,22 @@ echo "==> net-scale --smoke (hard 300s timeout)"
 cargo build --release -q -p lcasgd-bench --bin net-scale
 timeout 300 ./target/release/net-scale --smoke
 
+# Paper harness: the ablations section must print a row per reading of
+# Formula 5 and per predictor width, and an unknown section must exit 2.
+# repro-all lives in lcasgd-bench too — build it explicitly.
+echo "==> repro-all tiny ablations smoke (hard 300s timeout)"
+cargo build --release -q -p lcasgd-bench --bin repro-all
+ABLATIONS=$(timeout 300 ./target/release/repro-all tiny ablations)
+for MODE in literal relative off; do
+    grep -qE "^ *$MODE +[0-9]" <<<"$ABLATIONS" || { echo "ablations miss mode $MODE"; exit 1; }
+done
+for HIDDEN in 16 32 64 128; do
+    grep -qE "^ *$HIDDEN +[0-9]" <<<"$ABLATIONS" || { echo "ablations miss width $HIDDEN"; exit 1; }
+done
+RC=0
+./target/release/repro-all tiny nosuch 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ] || { echo "repro-all tiny nosuch exited $RC, not 2"; exit 1; }
+
 # End-to-end benchmark: its own unit tests, then the short form of the
 # full report — every workload trains for two epochs through the public
 # API and the exit code is the correctness gate (planned updates applied,

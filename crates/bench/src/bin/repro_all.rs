@@ -4,16 +4,28 @@
 //!
 //! Usage: `repro-all [tiny|small|paper] [SECTION...]`, e.g.
 //! `repro-all small fig3 table1`. Sections: `fig2` … `fig8`, `table1` …
-//! `table3`. Figures 3/4 (CIFAR-like) and 5/6 (ImageNet-like) are the
-//! by-epoch and by-time renderings of the same runs, so asking for both of
-//! a pair computes its panels once.
+//! `table3`, and `ablations` (Formula 5's three readings and the
+//! predictor-width sweep). Figures 3/4 (CIFAR-like) and 5/6
+//! (ImageNet-like) are the by-epoch and by-time renderings of the same
+//! runs, so asking for both of a pair computes its panels once.
 
-use lcasgd_bench::{figures, scale_from_args, tables, Scenario, REPRO_SEED};
+use lcasgd_bench::{ablations, figures, scale_from_args, tables, Scenario, REPRO_SEED};
 use std::cell::LazyCell;
 use std::time::Instant;
 
-const SECTIONS: [&str; 10] =
-    ["fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "table2", "table3"];
+const SECTIONS: [&str; 11] = [
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table1",
+    "table2",
+    "table3",
+    "ablations",
+];
 
 /// One benchmark's learning curves at M ∈ {4, 8, 16}, rendered against
 /// epochs and/or against virtual time.
@@ -81,6 +93,12 @@ fn main() {
     }
     if want("table3") {
         print!("{}", tables::table2_3(&imagenet, REPRO_SEED));
+        println!();
+    }
+    if want("ablations") {
+        print!("{}", ablations::compensation(&cifar, REPRO_SEED));
+        println!();
+        print!("{}", ablations::predictor_width());
     }
 
     eprintln!("\ntotal sweep time: {:.1}s", t0.elapsed().as_secs_f64());

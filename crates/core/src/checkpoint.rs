@@ -1,14 +1,15 @@
 //! Full training-state checkpoints: everything a crashed or deliberately
 //! restarted parameter server needs to resume a cluster run mid-stream.
 //!
-//! The model-only snapshot ([`lcasgd_nn::checkpoint::Checkpoint`]) is not
-//! enough for elastic recovery: a resumed LC-ASGD server must also bring
-//! back the optimizer bookkeeping (update counter, per-worker arrival
-//! history for `k_m`), both online LSTM predictors *with their recurrent
-//! state*, the metrics accumulated so far, and each worker's position in
-//! its private batch stream — otherwise the resumed run re-sees examples
-//! and the predictors re-learn from scratch, and the post-resume loss
-//! curve diverges from the uninterrupted one.
+//! A model's weights and BN statistics alone are not enough for elastic
+//! recovery: a resumed LC-ASGD server must also bring back the optimizer
+//! bookkeeping (update counter, per-worker arrival history for `k_m`),
+//! both online LSTM predictors *with their recurrent state*, the metrics
+//! accumulated so far, and each worker's position in its private batch
+//! stream — otherwise the resumed run re-sees examples and the predictors
+//! re-learn from scratch, and the post-resume loss curve diverges from the
+//! uninterrupted one. A model-only snapshot is this format with every
+//! field but `weights` and `bn` at its default.
 //!
 //! ## Format
 //!

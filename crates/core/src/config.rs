@@ -170,8 +170,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     pub cluster: ClusterSpec,
     pub cost: CostModel,
-    /// Cap on train-set examples used for the per-epoch train-error curve.
-    pub max_eval_train: usize,
     /// Record per-iteration predictor traces (Figures 7–8). Costs memory.
     pub record_traces: bool,
     /// Shared (paper) or per-worker-sharded training data (the paper's
@@ -200,7 +198,6 @@ impl ExperimentConfig {
             seed,
             cluster: ClusterSpec::heterogeneous(workers.max(1), seed),
             cost: CostModel::cifar(),
-            max_eval_train: 512,
             record_traces: false,
             partition: DataPartition::Shared,
         }

@@ -65,6 +65,8 @@ pub fn run_experiment(
 
 /// Evaluation batch size.
 const EVAL_BATCH: usize = 64;
+/// Cap on train-set examples used for the per-epoch train-error curve.
+const MAX_EVAL_TRAIN: usize = 512;
 
 /// An epoch's record before its evaluation: stamped, the epoch's losses
 /// averaged and cleared, both error rates still NaN.
@@ -441,7 +443,7 @@ fn run_tapped<B: ClusterBackend>(
     // The evaluator's replica shares the architecture; its weights are
     // overwritten before every evaluation.
     let eval_net = build(&mut Rng::seed_from_u64(cfg.seed));
-    let eval_train = train.batch(&(0..train.len().min(cfg.max_eval_train)).collect::<Vec<_>>());
+    let eval_train = train.batch(&(0..train.len().min(MAX_EVAL_TRAIN)).collect::<Vec<_>>());
     let duplex = opts.standby.as_ref().map(|_| backend.replica_duplex()).transpose()?;
     let mirror = &Mutex::new(None);
     thread::scope(|scope| {

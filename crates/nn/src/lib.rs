@@ -14,7 +14,6 @@
 //! * [`optimizer`] — SGD with momentum and the paper's step LR schedule;
 //! * [`metrics`] — error-rate helpers.
 
-pub mod checkpoint;
 pub mod layer;
 pub mod lstm;
 pub mod metrics;

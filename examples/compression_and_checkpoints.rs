@@ -5,7 +5,6 @@
 //! cargo run --release --example compression_and_checkpoints
 //! ```
 
-use lc_asgd::nn::checkpoint::Checkpoint;
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::WireCodec;
 
@@ -27,9 +26,13 @@ fn main() {
     let mut rng = Rng::seed_from_u64(77);
     let net = resnet.build(&mut rng);
     let path = std::env::temp_dir().join("lcasgd_example.ckpt");
-    Checkpoint::capture(&net).save(&path).expect("save checkpoint");
+    let ck =
+        TrainingCheckpoint { weights: net.flat_params(), bn: net.bn_state(), ..Default::default() };
+    ck.save(&path).expect("save checkpoint");
+    let back = TrainingCheckpoint::load(&path).expect("load checkpoint");
     let mut clone = resnet.build(&mut Rng::seed_from_u64(1234));
-    Checkpoint::load(&path).expect("load checkpoint").restore(&mut clone);
+    clone.set_flat_params(&back.weights);
+    clone.set_bn_state(&back.bn);
     assert_eq!(net.flat_params(), clone.flat_params());
     println!("\ncheckpoint round-trip through {} OK ({} params)", path.display(), net.num_params());
     std::fs::remove_file(&path).ok();

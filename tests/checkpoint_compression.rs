@@ -3,7 +3,6 @@
 //! partitioned data end-to-end.
 
 use lc_asgd::core::config::DataPartition;
-use lc_asgd::nn::checkpoint::Checkpoint;
 use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
 use lc_asgd::simcluster::WireCodec;
@@ -23,11 +22,12 @@ fn checkpoint_resnet_roundtrip_preserves_eval() {
     let eval = |net: &lc_asgd::nn::Network| lc_asgd::nn::metrics::evaluate(net, &x, &y, 16);
     let before = eval(&net);
 
-    let mut buf = Vec::new();
-    Checkpoint::capture(&net).write_to(&mut buf).unwrap();
-    let restored_ck = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
+    let ck =
+        TrainingCheckpoint { weights: net.flat_params(), bn: net.bn_state(), ..Default::default() };
+    let restored = TrainingCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
     let mut other = ResNetConfig::tiny(3, 10).build(&mut Rng::seed_from_u64(999));
-    restored_ck.restore(&mut other);
+    other.set_flat_params(&restored.weights);
+    other.set_bn_state(&restored.bn);
     let after = eval(&other);
     assert_eq!(before, after, "restored network must evaluate identically");
 }

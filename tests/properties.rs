@@ -243,9 +243,8 @@ mod thread_invariance {
 
 mod extension_properties {
     use lc_asgd::core::comm::Compression;
-    use lc_asgd::nn::checkpoint::Checkpoint;
     use lc_asgd::nn::mlp::mlp;
-    use lc_asgd::prelude::Rng;
+    use lc_asgd::prelude::{Rng, TrainingCheckpoint};
     use proptest::prelude::*;
 
     proptest! {
@@ -273,11 +272,15 @@ mod extension_properties {
         ) {
             let mut rng = Rng::seed_from_u64(seed);
             let net = mlp(&[3, hidden, 2], with_bn, &mut rng);
-            let ck = Checkpoint::capture(&net);
-            let mut buf = Vec::new();
-            ck.write_to(&mut buf).unwrap();
-            let back = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
-            prop_assert_eq!(back, ck);
+            let ck = TrainingCheckpoint {
+                weights: net.flat_params(),
+                bn: net.bn_state(),
+                ..Default::default()
+            };
+            let back = TrainingCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back.weights), bits(&ck.weights));
+            prop_assert_eq!(back.bn, ck.bn);
         }
 
         /// With error feedback, the total delivered mass over T rounds of

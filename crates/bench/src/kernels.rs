@@ -825,6 +825,45 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             || conv2d_dx(&dy, &w, &spec, 10, 10),
         );
     }
+    // Forward and weight gradient at the other shapes the gathered GEMM's
+    // two tiles take: the stem (3→8, 8 lanes, 27-deep patches), stage 3's
+    // 32→32 (16 lanes, 9 pixels), and the 8→8 forward at the evaluation
+    // batch of 64.
+    for (n, cin, cout, hw, dw) in
+        [(16, 3, 8, 10, true), (16, 32, 32, 3, true), (64, 8, 8, 10, false)]
+    {
+        let spec =
+            Conv2dSpec { in_channels: cin, out_channels: cout, kernel: 3, stride: 1, padding: 1 };
+        let shape = format!("n{n}_c{cin}-{cout}_{hw}x{hw}_s1p1");
+        let x = randn(&[n, cin, hw, hw], 29);
+        let w = randn(&[cout, cin, 3, 3], 30);
+        let dy = randn(&[n, cout, hw, hw], 31);
+        let close = |a: &Tensor, b: &Tensor| max_abs_diff(a, b) < 1e-2;
+        assert!(
+            close(&seed::conv2d(&x, &w, &spec), &conv2d(&x, &w, &spec)),
+            "conv {shape} mismatch"
+        );
+        row(
+            &mut reports,
+            "conv3x3",
+            shape.clone(),
+            samples * 20,
+            || seed::conv2d(&x, &w, &spec),
+            || conv2d(&x, &w, &spec),
+        );
+        if dw {
+            let (want, got) = (seed::conv2d_dw(&dy, &x, &spec), conv2d_dw(&dy, &x, &spec));
+            assert!(close(&want, &got), "conv_dw {shape} mismatch");
+            row(
+                &mut reports,
+                "conv3x3_dw",
+                shape,
+                samples * 20,
+                || seed::conv2d_dw(&dy, &x, &spec),
+                || conv2d_dw(&dy, &x, &spec),
+            );
+        }
+    }
     // The input gradient of the rest of what the benchmark trains: the
     // 16→16 and 32→32 3×3 of stages 2 and 3, and their strided entries.
     for (cin, cout, hw, stride) in [(16, 16, 5, 1), (32, 32, 3, 1), (8, 16, 10, 2), (16, 32, 5, 2)]
@@ -848,12 +887,14 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
     }
     // The BatchNorm + ReLU that follows it, forward and backward: the seed
     // loops standalone against the shipping ops on a tape (whose node
-    // bookkeeping is therefore charged to the optimized side).
+    // bookkeeping is therefore charged to the optimized side). Each call
+    // takes the next of eight inputs, for the reason the `relu_backward`
+    // row below gives: the seed's ReLU backward branches on every sign.
     {
-        let x = randn(&[16, 8, 10, 10], 20);
+        let xs: Vec<Tensor> = (0..8).map(|i| randn(&[16, 8, 10, 10], 50 + i)).collect();
         let gamma = randn(&[8], 21);
         let beta = randn(&[8], 22);
-        let taped = || {
+        let taped = |x: &Tensor| {
             let mut g = Graph::new();
             let (xv, gv, bv) = (g.leaf(x.clone()), g.leaf(gamma.clone()), g.leaf(beta.clone()));
             let (y, _) = g.batch_norm2d(xv, gv, bv, 1e-5);
@@ -865,15 +906,21 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             (out, take(xv), take(gv), take(bv))
         };
         // Same arithmetic in the same order: the four tensors are equal.
-        assert_eq!(seed::bn2d_relu(&x, &gamma, &beta, 1e-5), taped(), "bn2d_relu mismatch");
-        let n = samples * 20;
+        for x in &xs {
+            assert_eq!(seed::bn2d_relu(x, &gamma, &beta, 1e-5), taped(x), "bn2d_relu mismatch");
+        }
+        let next = |i: &mut usize| {
+            *i = (*i + 1) % xs.len();
+            &xs[*i]
+        };
+        let (mut i, mut j) = (0, 0);
         row(
             &mut reports,
             "bn2d_relu",
             "n16_c8_10x10_fwd+bwd".into(),
-            n,
-            || seed::bn2d_relu(&x, &gamma, &beta, 1e-5),
-            taped,
+            samples * 20,
+            || seed::bn2d_relu(next(&mut i), &gamma, &beta, 1e-5),
+            || taped(next(&mut j)),
         );
     }
     // ReLU's backward at ResNet-tiny's first-stage activation: `y =

@@ -1,6 +1,6 @@
 //! Cache-blocked, register-tiled GEMM with panel packing.
 //!
-//! One register tile serves two drivers. `gemm` is the packed product
+//! Two drivers share one blocking scheme. `gemm` is the packed product
 //! behind `matmul`, `matmul_tn` and `matmul_nt`: the operand layout is
 //! abstracted as a [`MatRef`] (base slice plus row/column strides), so a
 //! transposed operand is handled by the packing routine rather than by a
@@ -10,7 +10,8 @@
 //! through a `GatherMap`, which is how an im2col matrix is read straight
 //! out of a padded image — and its B operand is packed once, whole, into a
 //! `PackedB` the caller owns. The map also says where each row's result
-//! goes and how its depth is summed (`GatherMap::taps`).
+//! goes and how its depth is summed (`GatherMap::taps`), and on AVX2 hosts
+//! its register tile follows B's width (`gemm_gather`).
 //!
 //! Blocking follows the classic three-loop structure (Goto/BLIS): the
 //! output is swept in `NC`-wide column slabs; for each slab, `KC`-deep
@@ -359,146 +360,231 @@ impl GatherMap {
     }
 }
 
-/// The `MR × NR` accumulator block of one micro-kernel call.
+/// The `MR × NR` accumulator block of the portable gathered kernel.
 type Tile = [[f32; NR]; MR];
 
 /// The gathered-A twin of [`micro_kernel`]: the same ascending-`l` chain
 /// from zero, with the `MR` A values of step `l` read as `src[ro[r] +
-/// k_off[l]]` instead of from a packed micro-panel — one chain per
-/// consecutive `tap` rows of `k_off`, each added to `acc` in order.
+/// k_off[l]]` instead of from a packed micro-panel.
 #[inline(always)]
-fn gather_kernel(
-    src: &[f32],
-    ro: &[usize; MR],
-    k_off: &[usize],
-    bp: &[f32],
-    tap: usize,
-    acc: &mut Tile,
-) {
-    for (t, offs) in k_off.chunks(tap).enumerate() {
-        let mut chain = [[0.0f32; NR]; MR];
-        for (l, &ko) in offs.iter().enumerate() {
-            let at = (t * tap + l) * NR;
-            let bv: &[f32; NR] = bp[at..at + NR].try_into().unwrap();
-            for r in 0..MR {
-                let a = src[ro[r] + ko];
-                for c in 0..NR {
-                    chain[r][c] += a * bv[c];
-                }
+fn gather_kernel(src: &[f32], ro: &[usize; MR], k_off: &[usize], bp: &[f32]) -> Tile {
+    let mut chain = [[0.0f32; NR]; MR];
+    for (l, &ko) in k_off.iter().enumerate() {
+        let bv: &[f32; NR] = bp[l * NR..l * NR + NR].try_into().unwrap();
+        for r in 0..MR {
+            let a = src[ro[r] + ko];
+            for c in 0..NR {
+                chain[r][c] += a * bv[c];
             }
         }
-        add_tile(acc, &chain);
     }
+    chain
 }
 
-/// `acc += t`, element by element.
+/// `a + b`, element by element.
 #[inline(always)]
-fn add_tile(acc: &mut Tile, t: &Tile) {
-    for (a, t) in acc.iter_mut().zip(t) {
-        for (a, t) in a.iter_mut().zip(t) {
-            *a += t;
+fn add_tile(mut a: Tile, b: Tile) -> Tile {
+    for (a, b) in a.iter_mut().zip(b) {
+        for (a, b) in a.iter_mut().zip(b) {
+            *a += b;
+        }
+    }
+    a
+}
+
+/// Adds the live `lanes` of each tile row to C: row `r` at `out[r]`,
+/// column `j0 + j` at `j·c_cs` past it.
+#[inline(always)]
+fn add_to_c(c: &mut [f32], c_cs: usize, tile: &[[f32; NR]], out: &[usize], (j0, lanes): Span) {
+    for (&o, row) in out.iter().zip(tile) {
+        let at = o + j0 * c_cs;
+        if c_cs == 1 {
+            for (o, &v) in c[at..at + lanes].iter_mut().zip(row) {
+                *o += v;
+            }
+        } else {
+            for (j, &v) in row.iter().enumerate().take(lanes) {
+                c[at + j * c_cs] += v;
+            }
         }
     }
 }
 
-/// The gathered-A twin of [`micro_kernel_avx2`]: one `fmadd` per step and
-/// element in ascending `l`, from zero, so a chain computed through it is
-/// bitwise the packed kernel's (the two differ only in where the broadcast
-/// loads from); the chain is then added to `acc`. Kept beside it rather
-/// than sharing a body: a shared, closure-fed body cost the packed matmul
-/// path 3–10 %.
+/// The gathered-A twin of [`micro_kernel_avx2`] over an `R`-row tile of
+/// `V` `ymm`s per row: one `fmadd` per step and element in ascending `l`,
+/// from zero, broadcasting `src[ro[r] + k_off[l]]` against the first
+/// `8·V` lanes of B row `l`. A chain is therefore bitwise the packed
+/// kernel's (the two differ only in where the broadcast loads from), for
+/// any `R` and `V`. Kept beside it rather than sharing a body: a shared,
+/// closure-fed body cost the packed matmul path 3–10 %.
 ///
 /// # Safety
-/// The host must support AVX2 and FMA; `bp` must hold `k_off.len() · NR`
-/// values; every `ro[r] + k_off[l]` must be below `src.len()`.
+/// The host must support AVX2 and FMA; `bp` must point at `k_off.len() ·
+/// NR` values; every `ro[r] + k_off[l]` must be below `src.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
-unsafe fn gather_kernel_avx2(
+unsafe fn gather_chain_avx2<const R: usize, const V: usize>(
     src: &[f32],
-    ro: &[usize; MR],
+    ro: &[usize; R],
     k_off: &[usize],
-    bp: &[f32],
-    acc: &mut Tile,
-) {
+    bp: *const f32,
+) -> Ymm<R, V> {
     use std::arch::x86_64::*;
-    const { assert!(MR == 4 && NR == 16, "intrinsic kernel is tiled for MR=4, NR=16") };
-    debug_assert!(bp.len() >= k_off.len() * NR);
-    // SAFETY: panel extent and gather bound are the caller's contract;
-    // `acc` rows are `NR = 16` floats, two `ymm` each.
+    const { assert!(V * 8 <= NR, "a row is at most one B panel wide") };
+    // SAFETY: panel extent and gather bound are the caller's contract.
     unsafe {
-        let mut chain = [[_mm256_setzero_ps(); 2]; MR];
+        let mut chain = [[_mm256_setzero_ps(); V]; R];
         for (l, &ko) in k_off.iter().enumerate() {
-            let bptr = bp.as_ptr().add(l * NR);
-            let b0 = _mm256_loadu_ps(bptr);
-            let b1 = _mm256_loadu_ps(bptr.add(8));
+            let bptr = bp.add(l * NR);
+            let b: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(bptr.add(8 * v)));
             for (r, ch) in chain.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*src.as_ptr().add(ro[r] + ko));
-                ch[0] = _mm256_fmadd_ps(av, b0, ch[0]);
-                ch[1] = _mm256_fmadd_ps(av, b1, ch[1]);
+                let a = _mm256_set1_ps(*src.as_ptr().add(ro[r] + ko));
+                for (ch, &b) in ch.iter_mut().zip(&b) {
+                    *ch = _mm256_fmadd_ps(a, b, *ch);
+                }
             }
         }
-        for (r, row) in acc.iter_mut().enumerate() {
-            let (lo, hi) = (row.as_mut_ptr(), row.as_mut_ptr().add(8));
-            _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_loadu_ps(lo), chain[r][0]));
-            _mm256_storeu_ps(hi, _mm256_add_ps(_mm256_loadu_ps(hi), chain[r][1]));
+        chain
+    }
+}
+
+/// An `R × 8V` tile in `ymm` registers.
+#[cfg(target_arch = "x86_64")]
+type Ymm<const R: usize, const V: usize> = [[std::arch::x86_64::__m256; V]; R];
+
+/// Adds an `R × 8V` register tile to C, as [`add_to_c`] does. Row-major
+/// with every lane live, each row is `V` vector adds in place. When the
+/// rows are consecutive and stored transposed (`R` pixels of a
+/// convolution's NCHW slab), each 8-lane group goes through an in-register
+/// 8 × 8 transpose, and each live column is one vector add of its `R`
+/// values (masked below 8). Anything else goes through memory and
+/// [`add_to_c`]. Each element of C gets the same one addition either way.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn add_ymm_to_c<const R: usize, const V: usize>(
+    c: &mut [f32],
+    c_cs: usize,
+    tile: Ymm<R, V>,
+    out: &[usize],
+    (j0, lanes): Span,
+) {
+    use std::arch::x86_64::*;
+    const { assert!(R <= 8, "a tile is at most 8 rows") };
+    // SAFETY: every pointer comes from a bounds-checked slice of the
+    // length it is read and written at; the mask keeps lanes `R..` of a
+    // short column untouched.
+    unsafe {
+        let add = |dst: &mut [f32], v| {
+            let p = dst.as_mut_ptr();
+            if dst.len() == 8 {
+                _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), v));
+            } else {
+                let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(dst.len() as i32), lane);
+                _mm256_maskstore_ps(p, mask, _mm256_add_ps(_mm256_maskload_ps(p, mask), v));
+            }
+        };
+        if c_cs == 1 && lanes == 8 * V {
+            for (&o, row) in out.iter().zip(tile) {
+                for (v, row) in row.into_iter().enumerate() {
+                    add(&mut c[o + j0 + 8 * v..][..8], row);
+                }
+            }
+        } else if c_cs != 1 && out.len() == R && out.windows(2).all(|w| w[1] == w[0] + 1) {
+            for v in 0..V {
+                let rows =
+                    std::array::from_fn(|r| if r < R { tile[r][v] } else { _mm256_setzero_ps() });
+                for (j, col) in transpose8(rows).into_iter().enumerate() {
+                    if 8 * v + j < lanes {
+                        add(&mut c[out[0] + (j0 + 8 * v + j) * c_cs..][..R], col);
+                    }
+                }
+            }
+        } else {
+            let mut mem = [[0.0f32; NR]; R];
+            for (m, row) in mem.iter_mut().zip(tile) {
+                for (v, row) in row.into_iter().enumerate() {
+                    _mm256_storeu_ps(m[8 * v..][..8].as_mut_ptr(), row);
+                }
+            }
+            add_to_c(c, c_cs, &mem, out, (j0, lanes));
         }
     }
 }
 
-/// [`gather_kernel_avx2`] over consecutive taps of `tap` rows: each tap a
-/// chain from zero, added in order to a running total that starts from
-/// `acc` and goes back there at the end. With at most 8 live lanes
-/// (`lanes ≤ 8`: a panel of a convolution with 8 input channels) only the
-/// low `ymm` of each row is computed, which halves the `fmadd`s and lets
-/// the total stay in registers beside the chain; otherwise each tap goes
-/// through [`gather_kernel_avx2`] and the total through `acc`. A lane's
-/// arithmetic is the same either way.
-///
-/// # Safety
-/// As for [`gather_kernel_avx2`].
+/// The transpose of an 8 × 8 block held as eight rows.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
+#[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn gather_taps_avx2(
-    src: &[f32],
-    ro: &[usize; MR],
-    k_off: &[usize],
-    bp: &[f32],
-    tap: usize,
-    lanes: usize,
-    acc: &mut Tile,
-) {
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
     use std::arch::x86_64::*;
-    debug_assert!(bp.len() >= k_off.len() * NR);
-    if lanes > 8 {
-        for (t, offs) in k_off.chunks(tap).enumerate() {
-            // SAFETY: the caller's contract, for a sub-range of it.
-            unsafe { gather_kernel_avx2(src, ro, offs, &bp[t * tap * NR..], acc) };
+    let lo = |a, b| _mm256_unpacklo_ps(a, b);
+    let hi = |a, b| _mm256_unpackhi_ps(a, b);
+    let t = [lo(r[0], r[1]), hi(r[0], r[1]), lo(r[2], r[3]), hi(r[2], r[3])];
+    let u = [lo(r[4], r[5]), hi(r[4], r[5]), lo(r[6], r[7]), hi(r[6], r[7])];
+    // Rows 0–3 (and 4–7) of columns 0, 1, 2, 3 in the low halves, of
+    // columns 4, 5, 6, 7 in the high ones.
+    let quad = |t: [__m256; 4]| {
+        [
+            _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+            _mm256_shuffle_ps::<0xee>(t[0], t[2]),
+            _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+            _mm256_shuffle_ps::<0xee>(t[1], t[3]),
+        ]
+    };
+    let (s, q) = (quad(t), quad(u));
+    std::array::from_fn(|j| {
+        if j < 4 {
+            _mm256_permute2f128_ps::<0x20>(s[j], q[j])
+        } else {
+            _mm256_permute2f128_ps::<0x31>(s[j - 4], q[j - 4])
         }
-        return;
-    }
-    // SAFETY: as in `gather_kernel_avx2`; only the first 8 floats of each
-    // `NR`-float row of `bp` and `acc` are touched.
-    unsafe {
-        let mut total: [__m256; MR] = std::array::from_fn(|r| _mm256_loadu_ps(acc[r].as_ptr()));
-        for (t, offs) in k_off.chunks(tap).enumerate() {
-            let mut chain = [_mm256_setzero_ps(); MR];
-            for (l, &ko) in offs.iter().enumerate() {
-                let b0 = _mm256_loadu_ps(bp.as_ptr().add((t * tap + l) * NR));
-                for (r, ch) in chain.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*src.as_ptr().add(ro[r] + ko));
-                    *ch = _mm256_fmadd_ps(av, b0, *ch);
-                }
+    })
+}
+
+/// Where a tile's columns are: its first column and how many are live.
+type Span = (usize, usize);
+
+/// A tile's block total: `+0 + tap₀ + tap₁ + …` over the consecutive
+/// `tap`-row taps of its depth `k`, a tap being `chain(rows)` when it is
+/// at most `KC` deep and else `+0 + piece₀ + piece₁ + …` over its
+/// `KC`-deep pieces — the order of a transposed convolution's col2im fold
+/// over its `KC`-blocked `dcols` (`ops::conv`). Untapped, `tap = KC` and a
+/// block is at most `KC` deep: the total is `+0 + chain`.
+#[inline(always)]
+fn block_total<T: Copy>(
+    k: usize,
+    tap: usize,
+    zero: T,
+    add: impl Fn(T, T) -> T,
+    chain: impl Fn(std::ops::Range<usize>) -> T,
+) -> T {
+    debug_assert!(tap > 0);
+    // `while` rather than `step_by`, whose zero-step panic path would keep
+    // values live across the chain and cost it registers.
+    let (mut total, mut t0) = (zero, 0);
+    while t0 < k {
+        let t1 = k.min(t0 + tap);
+        let sum = if t1 - t0 <= KC {
+            chain(t0..t1)
+        } else {
+            let (mut sum, mut pc) = (zero, t0);
+            while pc < t1 {
+                let pe = t1.min(pc + KC);
+                sum = add(sum, chain(pc..pe));
+                pc = pe;
             }
-            for (tot, ch) in total.iter_mut().zip(chain) {
-                *tot = _mm256_add_ps(*tot, ch);
-            }
-        }
-        for (row, tot) in acc.iter_mut().zip(total) {
-            _mm256_storeu_ps(row.as_mut_ptr(), tot);
-        }
+            sum
+        };
+        total = add(total, sum);
+        t0 = t1;
     }
+    total
 }
 
 /// Implicit GEMM: `C += A · B` with A read in place through `map` from
@@ -514,6 +600,13 @@ unsafe fn gather_taps_avx2(
 /// product the packed driver computes for the same operands (in either A/B
 /// role — `fma(a, b, c)` is symmetric in `a` and `b`). Tapped, see
 /// [`gather_tiles`].
+///
+/// On AVX2 hosts the register tile follows the width of B: with at most 8
+/// columns (a convolution with 8 output, or input, channels) 8 rows × one
+/// `ymm`, so no `fmadd` computes a dead lane; otherwise 6 rows × two
+/// `ymm`s. Tapped tiles are 4 rows of one or two `ymm`s: their running
+/// total lives in registers beside the chain. No tile shape changes an
+/// element's arithmetic.
 pub(crate) fn gemm_gather(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f32], b: &PackedB) {
     assert_eq!(map.k_off.len(), b.k, "gather depth vs packed B depth");
     // The bound every unchecked read of the AVX2 kernel relies on.
@@ -521,44 +614,94 @@ pub(crate) fn gemm_gather(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f3
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: guarded by the CPUID probe and the assert above.
-        unsafe { gemm_gather_avx2(c, c_cs, map, src, b) };
+        unsafe {
+            match (map.tap != 0, b.n > 8) {
+                (false, false) => gemm_gather_avx2::<8, 1>(c, c_cs, map, src, b),
+                (false, true) => gemm_gather_avx2::<6, 2>(c, c_cs, map, src, b),
+                (true, false) => gemm_gather_avx2::<4, 1>(c, c_cs, map, src, b),
+                (true, true) => gemm_gather_avx2::<4, 2>(c, c_cs, map, src, b),
+            }
+        }
         return;
     }
-    gather_tiles(c, c_cs, map, b, |ro, k_off, bp, tap, _, acc| {
-        gather_kernel(src, ro, k_off, bp, tap, acc)
+    gemm_gather_portable(c, c_cs, map, src, b)
+}
+
+/// [`gemm_gather`] on `MR × NR` tiles of [`gather_kernel`].
+fn gemm_gather_portable(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f32], b: &PackedB) {
+    gather_tiles(map, b, |ro, k_off, bp, tap, out, span| {
+        let total = block_total(k_off.len(), tap, [[0.0; NR]; MR], add_tile, |rows| {
+            gather_kernel(src, ro, &k_off[rows.clone()], &bp[rows.start * NR..rows.end * NR])
+        });
+        add_to_c(c, c_cs, &total, out, span)
     })
 }
 
-/// [`gemm_gather`]'s loop nest compiled with AVX2+FMA enabled, so the
-/// intrinsic kernel inlines into it and a tile stays in registers from its
-/// first `fmadd` to the C update — at the `kc` of 8–32 one tap of a small
-/// convolution's input gradient has, a call and two trips through memory
-/// per tile cost as much as the tile.
+/// [`gemm_gather`] on `R × 8V` tiles of [`gather_tile_avx2`].
 ///
 /// # Safety
 /// The host must support AVX2 and FMA, and `map.limit ≤ src.len()`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_gather_avx2(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f32], b: &PackedB) {
-    gather_tiles(c, c_cs, map, b, |ro, k_off, bp, tap, lanes, acc| {
-        assert!(bp.len() >= k_off.len() * NR, "B panel shorter than kc rows");
-        // SAFETY: features are this function's own; the panel length was
-        // just checked; `ro` and `k_off` hold entries of `map`, whose
-        // largest sum is below `map.limit ≤ src.len()` (caller's contract).
-        unsafe {
-            if map.tap != 0 {
-                gather_taps_avx2(src, ro, k_off, bp, tap, lanes, acc)
-            } else {
-                gather_kernel_avx2(src, ro, k_off, bp, acc)
-            }
-        }
+unsafe fn gemm_gather_avx2<const R: usize, const V: usize>(
+    c: &mut [f32],
+    c_cs: usize,
+    map: &GatherMap,
+    src: &[f32],
+    b: &PackedB,
+) {
+    gather_tiles(map, b, |ro, k_off, bp, tap, out, span| {
+        // SAFETY: the caller's contract.
+        unsafe { gather_tile_avx2::<R, V>(c, c_cs, src, ro, k_off, bp, tap, out, span) }
     })
 }
 
-/// The tile loop shared by both builds of [`gemm_gather`]: `tile(ro,
-/// k_off, bp, tap, lanes, acc)` adds to `acc`, in order, one `MR × NR`
-/// fma chain started from zero per consecutive `tap` rows of `k_off`, of
-/// which the first `lanes` columns are live.
+/// One tile of [`gemm_gather_avx2`], from its first `fmadd` to the C
+/// update with the tile in registers throughout. Out of line, so that the
+/// chain has the general-purpose registers to itself: inlined into the
+/// tile loop, the eight row offsets of an 8-row tile were reloaded from
+/// the stack at every step.
+///
+/// # Safety
+/// The host must support AVX2 and FMA; `bp` must hold `k_off.len() · NR`
+/// values; every `ro[r] + k_off[l]` must be below `src.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gather_tile_avx2<const R: usize, const V: usize>(
+    c: &mut [f32],
+    c_cs: usize,
+    src: &[f32],
+    ro: &[usize; R],
+    k_off: &[usize],
+    bp: &[f32],
+    tap: usize,
+    out: &[usize],
+    span: Span,
+) {
+    use std::arch::x86_64::*;
+    let add = |a: Ymm<R, V>, b: Ymm<R, V>| -> Ymm<R, V> {
+        std::array::from_fn(|r| std::array::from_fn(|v| _mm256_add_ps(a[r][v], b[r][v])))
+    };
+    debug_assert!(bp.len() >= k_off.len() * NR);
+    let total = block_total(k_off.len(), tap, [[_mm256_setzero_ps(); V]; R], add, |rows| {
+        // SAFETY: features are this function's own; `rows` lies within
+        // `k_off` (`block_total`), whose `NR`-float B rows `bp` holds, and
+        // the gather bound is the caller's contract. Unchecked, because a
+        // panic path here costs the chain registers.
+        unsafe {
+            let bp = bp.as_ptr().add(rows.start * NR);
+            gather_chain_avx2(src, ro, k_off.get_unchecked(rows), bp)
+        }
+    });
+    // SAFETY: features are this function's own.
+    unsafe { add_ymm_to_c(c, c_cs, total, out, span) }
+}
+
+/// The tile loop shared by every build of [`gemm_gather`]: per depth block
+/// and `R`-row tile, `tile(ro, k_off, bp, tap, out, (j0, lanes))` adds to
+/// C the tile's block total over the block's `k_off` and B rows (see
+/// [`block_total`]), for the live rows, at `out`, and the live lanes.
 ///
 /// The depth is cut into blocks; each block's total starts at +0 and is
 /// added to C when the block ends. Untapped, a block is `KC` deep and is
@@ -569,57 +712,31 @@ unsafe fn gemm_gather_avx2(c: &mut [f32], c_cs: usize, map: &GatherMap, src: &[f
 /// convolution's col2im fold accumulates its `KC`-blocked `dcols`
 /// (`ops::conv`).
 #[inline(always)]
-fn gather_tiles(
-    c: &mut [f32],
-    c_cs: usize,
+fn gather_tiles<const R: usize>(
     map: &GatherMap,
     b: &PackedB,
-    tile: impl Fn(&[usize; MR], &[usize], &[f32], usize, usize, &mut Tile),
+    mut tile: impl FnMut(&[usize; R], &[usize], &[f32], usize, &[usize], Span),
 ) {
     let (rows, k, n) = (map.row_off.len(), map.k_off.len(), b.n);
     if rows == 0 || k == 0 {
         return;
     }
     let (block, tap) = if map.tap == 0 { (KC, KC) } else { (k, map.tap) };
+    // Row blocks of whole tiles, at most `MC` rows.
+    let mc = MC / R * R;
     for pb in (0..k).step_by(block) {
         let pe = k.min(pb + block);
-        for ic in (0..rows).step_by(MC) {
+        for ic in (0..rows).step_by(mc) {
             for p in 0..n.div_ceil(NR) {
-                let bp = b.panel(p);
+                let bp = &b.panel(p)[pb * NR..pe * NR];
                 let j0 = p * NR;
                 let lanes = NR.min(n - j0);
-                for i0 in (ic..rows.min(ic + MC)).step_by(MR) {
-                    let tile_rows = MR.min(rows - i0);
+                for i0 in (ic..rows.min(ic + mc)).step_by(R) {
+                    let live = R.min(rows - i0);
                     // Dead rows of a tail tile re-read the last live row.
-                    let ro = std::array::from_fn(|r| map.row_off[i0 + r.min(tile_rows - 1)]);
-                    let chains = |from: usize, to: usize, tap: usize, acc: &mut Tile| {
-                        tile(&ro, &map.k_off[from..to], &bp[from * NR..to * NR], tap, lanes, acc)
-                    };
-                    let mut total = [[0.0f32; NR]; MR];
-                    if tap <= KC {
-                        chains(pb, pe, tap.min(pe - pb), &mut total);
-                    } else {
-                        for t0 in (pb..pe).step_by(tap) {
-                            let mut sum = [[0.0f32; NR]; MR];
-                            for pc in (t0..t0 + tap).step_by(KC) {
-                                let to = (pc + KC).min(t0 + tap);
-                                chains(pc, to, to - pc, &mut sum);
-                            }
-                            add_tile(&mut total, &sum);
-                        }
-                    }
-                    for (r, acc_row) in total.iter().enumerate().take(tile_rows) {
-                        let at = map.out_off[i0 + r] + j0 * c_cs;
-                        if c_cs == 1 {
-                            for (o, &v) in c[at..at + lanes].iter_mut().zip(acc_row) {
-                                *o += v;
-                            }
-                        } else {
-                            for (j, &v) in acc_row.iter().enumerate().take(lanes) {
-                                c[at + j * c_cs] += v;
-                            }
-                        }
-                    }
+                    let ro = std::array::from_fn(|r| map.row_off[i0 + r.min(live - 1)]);
+                    let out = &map.out_off[i0..i0 + live];
+                    tile(&ro, &map.k_off[pb..pe], bp, tap, out, (j0, lanes));
                 }
             }
         }
@@ -734,27 +851,62 @@ mod tests {
         packed
     }
 
+    /// Rows (`GatherMap` rows) and lanes (B columns) on either side of every
+    /// tile height and width the AVX2 build uses (4, 6, 8 rows; 8 and 16
+    /// lanes), and past an `MC` row block.
+    const TAIL_ROWS: [usize; 8] = [1, 5, 6, 7, 8, 9, 13, 100];
+    const TAIL_LANES: [usize; 8] = [1, 5, 7, 8, 9, 16, 17, 21];
+
+    /// The three ways the convolutions store a gathered product, as
+    /// `(out_off, c_cs, c.len())`: row-major (`conv2d_dw`), transposed into
+    /// a contiguous `[n, rows]` slab (`conv2d`), and scattered over one
+    /// stride-2 parity class of an 11-pixel-wide image (`conv2d_dx`).
+    fn layouts(rows: usize, n: usize) -> [(Vec<usize>, usize, usize); 3] {
+        let class = (0..rows).map(|i| (2 * (i / 6) + 1) * 11 + 2 * (i % 6)).collect();
+        let plane = (2 * (rows / 6) + 2) * 11;
+        [
+            ((0..rows).map(|i| i * n).collect(), 1, rows * n),
+            ((0..rows).collect(), rows, rows * n),
+            (class, plane, plane * n),
+        ]
+    }
+
+    /// Runs `map` (without its `out_off`) in each of the [`layouts`] over a
+    /// C that holds random values, and asserts that the `rows × n` elements
+    /// it stores end as `product` leaves them when handed them row-major,
+    /// and that no other element moved.
+    fn assert_stores(
+        (rows, n): (usize, usize),
+        map: impl Fn(Vec<usize>) -> GatherMap,
+        src: &[f32],
+        b: &PackedB,
+        product: impl Fn(&mut [f32]),
+    ) {
+        for (layout, (out_off, c_cs, len)) in layouts(rows, n).into_iter().enumerate() {
+            let mut c = filled(len, 77);
+            let mut expected = c.clone();
+            let at = |e: usize| out_off[e / n] + (e % n) * c_cs;
+            let mut row_major: Vec<f32> = (0..rows * n).map(|e| c[at(e)]).collect();
+            product(&mut row_major);
+            for (e, v) in row_major.into_iter().enumerate() {
+                expected[at(e)] = v;
+            }
+            gemm_gather(&mut c, c_cs, &map(out_off.clone()), src, b);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c), bits(&expected), "{rows} rows, {n} lanes, layout {layout}");
+        }
+    }
+
     #[test]
     fn gather_is_bitwise_the_packed_product() {
         // Tails in every dimension; k = 300 spans two KC blocks.
-        for &(rows, k, n) in &[(1, 1, 1), (4, 16, 16), (7, 300, 21), (70, 33, 5)] {
+        let tails = TAIL_ROWS.iter().flat_map(|&r| TAIL_LANES.iter().map(move |&n| (r, 300, n)));
+        for (rows, k, n) in [(1, 1, 1), (4, 16, 16), (70, 33, 5)].into_iter().chain(tails) {
             let (row_off, k_off, src, a, b) = gathered(rows, k, n);
-            let mut want = vec![0.0f32; rows * n];
-            gemm(&mut want, rows, n, k, MatRef::row_major(&a, k), MatRef::row_major(&b, n), 1);
-            let packed = packed(k, n, &b);
-            let row_major =
-                GatherMap::new(row_off.clone(), k_off.clone(), (0..rows).map(|i| i * n).collect());
-            let mut c = vec![0.0f32; rows * n];
-            gemm_gather(&mut c, 1, &row_major, &src, &packed);
-            assert_eq!(c, want, "({rows},{k},{n}) row-major store");
-            let transposed = GatherMap::new(row_off, k_off, (0..rows).collect());
-            let mut c = vec![0.0f32; rows * n];
-            gemm_gather(&mut c, rows, &transposed, &src, &packed);
-            for (i, row) in want.chunks(n).enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    assert_eq!(c[j * rows + i], v, "({rows},{k},{n}) transposed store");
-                }
-            }
+            let map = |out_off| GatherMap::new(row_off.clone(), k_off.clone(), out_off);
+            assert_stores((rows, n), map, &src, &packed(k, n, &b), |c| {
+                gemm(c, rows, n, k, MatRef::row_major(&a, k), MatRef::row_major(&b, n), 1)
+            });
         }
     }
 
@@ -762,30 +914,39 @@ mod tests {
     fn taps_sum_their_chains_then_the_total() {
         // Taps of 3 and of 300 (> KC, so each tap restarts at KC): the
         // total is +0 + tap 0 + tap 1 + …, a tap its KC pieces in order.
-        for &(rows, tap, taps, n) in &[(9, 3, 5, 19), (5, 300, 2, 7)] {
-            let k = tap * taps;
-            let (row_off, k_off, src, a, b) = gathered(rows, k, n);
-            let map = GatherMap::new(row_off, k_off, (0..rows).map(|i| i * n).collect()).taps(tap);
-            let mut c = vec![0.0f32; rows * n];
-            gemm_gather(&mut c, 1, &map, &src, &packed(k, n, &b));
-            let chain = |i: usize, j: usize, from: usize, to: usize| {
-                (from..to).fold(0.0f32, |acc, l| a[i * k + l].mul_add(b[l * n + j], acc))
-            };
-            for i in 0..rows {
-                for j in 0..n {
-                    let want = (0..taps).fold(0.0f32, |total, t| {
-                        let pieces = (t * tap..(t + 1) * tap).step_by(KC);
-                        total
-                            + pieces.fold(0.0, |s, pc| {
-                                s + chain(i, j, pc, (pc + KC).min((t + 1) * tap))
-                            })
+        let shapes = TAIL_ROWS.iter().flat_map(|&r| TAIL_LANES.iter().map(move |&n| (r, n)));
+        for (rows, n) in shapes {
+            for (tap, taps) in [(3, 5), (300, 2)] {
+                let k = tap * taps;
+                let (row_off, k_off, src, a, b) = gathered(rows, k, n);
+                let chain = |i: usize, j: usize, from: usize, to: usize| {
+                    (from..to).fold(0.0f32, |acc, l| a[i * k + l].mul_add(b[l * n + j], acc))
+                };
+                let want: Vec<f32> = (0..rows * n)
+                    .map(|e| {
+                        let (i, j) = (e / n, e % n);
+                        (0..taps).fold(0.0f32, |total, t| {
+                            let pieces = (t * tap..(t + 1) * tap).step_by(KC);
+                            total
+                                + pieces.fold(0.0, |s, pc| {
+                                    s + chain(i, j, pc, (pc + KC).min((t + 1) * tap))
+                                })
+                        })
+                    })
+                    .collect();
+                let packed = packed(k, n, &b);
+                let map =
+                    |out_off| GatherMap::new(row_off.clone(), k_off.clone(), out_off).taps(tap);
+                #[cfg(target_arch = "x86_64")]
+                if avx2_fma_available() {
+                    assert_stores((rows, n), map, &src, &packed, |c| {
+                        c.iter_mut().zip(&want).for_each(|(c, w)| *c += w)
                     });
-                    let got = c[i * n + j];
-                    #[cfg(target_arch = "x86_64")]
-                    if avx2_fma_available() {
-                        assert_eq!(got.to_bits(), want.to_bits(), "tap {tap}: ({i}, {j})");
-                        continue;
-                    }
+                    continue;
+                }
+                let mut c = vec![0.0f32; rows * n];
+                gemm_gather(&mut c, 1, &map((0..rows).map(|i| i * n).collect()), &src, &packed);
+                for (&got, &want) in c.iter().zip(&want) {
                     assert!((got - want).abs() <= 1e-4 * (1.0 + want.abs()), "{got} vs {want}");
                 }
             }
@@ -799,9 +960,7 @@ mod tests {
         let (row_off, k_off, src, a, b) = gathered(rows, k, n);
         let map = GatherMap::new(row_off, k_off, (0..rows).map(|i| i * n).collect());
         let mut c = vec![0.0f32; rows * n];
-        gather_tiles(&mut c, 1, &map, &packed(k, n, &b), |ro, k_off, bp, tap, _, acc| {
-            gather_kernel(&src, ro, k_off, bp, tap, acc)
-        });
+        gemm_gather_portable(&mut c, 1, &map, &src, &packed(k, n, &b));
         for (x, y) in c.iter().zip(&naive(rows, n, k, &a, &b)) {
             assert!((x - y).abs() <= 1e-4 * (1.0 + y.abs()), "{x} vs {y}");
         }

@@ -46,11 +46,13 @@ pub const PAR_FLOPS: usize = 1 << 18;
 /// median, 18–23 µs at p75 and 35–53 µs at p99 (3 × 2000 calls; the
 /// `fork_join` row of `BENCH_kernels.json` tracks the minimum), and two
 /// bands can at most halve a call. Forking therefore pays only when the
-/// serial call lasts several times that; at the ≈ 10 multiply-adds/ns the
-/// implicit-GEMM kernels sustain on one core this constant is ≈ 0.6 ms of
-/// work — about ten median fork/joins of the shim that spawned every band
-/// (21 µs minimum, 35–57 µs median), against which it was sized, and
-/// about thirty of today's. It sits
+/// serial call lasts several times that; at the ≈ 20 multiply-adds/ns the
+/// implicit-GEMM kernels sustain on one core (13–25 over the
+/// `BENCH_kernels.json` rows at ResNet-tiny's shapes) this constant is
+/// ≈ 0.3 ms of work — about six median fork/joins of the shim that spawned
+/// every band (21 µs minimum, 35–57 µs median), against which it was
+/// sized when the kernels sustained half that, and about fifteen of
+/// today's. It sits
 /// between the two populations the workspace has: ResNet-tiny's
 /// convolutions (at most 5.3 M multiply-adds at the evaluation batch of
 /// 64, 1.3 M at batch 16 — 18 calls per training iteration that used to

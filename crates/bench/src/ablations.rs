@@ -39,7 +39,7 @@ const CALLS: usize = 300;
 
 /// Sweeps the hidden width of both LSTM predictors. Accuracy: the loss
 /// predictor's one-step tracking error (MAE) over the last 100 of
-/// [`CALLS`] losses of a decaying curve. Cost: measured milliseconds per
+/// `CALLS` losses of a decaying curve. Cost: measured milliseconds per
 /// `observe_and_predict` call of each predictor.
 pub fn predictor_width() -> String {
     let rows: Vec<Vec<String>> = [16usize, 32, 64, 128]

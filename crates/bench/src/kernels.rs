@@ -723,6 +723,31 @@ pub fn measure_all(samples: usize) -> Vec<KernelReport> {
             || a.matmul_nt(&bt),
         );
     }
+    // The wide MLP's `[1024, 1024]` layer at the learner's batch (forward
+    // `X·Wᵀ`, then `dX = dY·W`) and at the evaluator's: at most `MC` rows,
+    // so the weight matrix is read in place instead of packed.
+    {
+        let (n, k) = (1024, 1024);
+        let w = randn(&[n, k], 32);
+        type Op = fn(&Tensor, &Tensor) -> Tensor;
+        let ops: [(&str, usize, Op, Op); 3] = [
+            ("matmul_nt", 16, seed::matmul_nt, Tensor::matmul_nt),
+            ("matmul", 16, seed::matmul, Tensor::matmul),
+            ("matmul_nt", 64, seed::matmul_nt, Tensor::matmul_nt),
+        ];
+        for (name, m, seed_op, op) in ops {
+            let x = randn(&[m, k], 33);
+            assert!(max_abs_diff(&seed_op(&x, &w), &op(&x, &w)) < 1e-3, "{name} mismatch");
+            row(
+                &mut reports,
+                name,
+                format!("{m}x{n}x{k}"),
+                samples,
+                || seed_op(&x, &w),
+                || op(&x, &w),
+            );
+        }
+    }
     // ResNet-18 CIFAR body conv: 3x3, 64->64 channels, 32x32 maps
     // (acceptance target: >= 1.5x).
     {

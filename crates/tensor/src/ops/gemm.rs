@@ -5,7 +5,9 @@
 //! abstracted as a [`MatRef`] (base slice plus row/column strides), so a
 //! transposed operand is handled by the packing routine rather than by a
 //! materialized transpose. `gemm_gather` is the implicit GEMM behind the
-//! convolutions (`ops::conv`): its A operand is never packed at all — the
+//! convolutions (`ops::conv`), and behind a `matmul` or `matmul_nt` of at
+//! most `MC` rows with the roles swapped (`ops::matmul`, whose weight
+//! matrix it reads in place): its A operand is never packed at all — the
 //! micro-kernel fetches element `(i, l)` as `src[row_off[i] + k_off[l]]`
 //! through a `GatherMap`, which is how an im2col matrix is read straight
 //! out of a padded image — and its B operand is packed once, whole, into a
@@ -72,9 +74,8 @@ impl<'a> MatRef<'a> {
 /// (`kc` rows of `NR` lanes each), zero-padded past `nc` so the
 /// micro-kernel never branches on tails.
 ///
-/// Inlined into both callers: left as a shared out-of-line function it
-/// cost the `[16, 1024] × [1024, 1024]` products, which are mostly B
-/// packing, ≈ 10 % against the copy each GEMM instance used to get.
+/// Inlined into both callers: a shared out-of-line copy measured ≈ 10 %
+/// slower on products whose time is mostly B packing.
 #[inline(always)]
 fn pack_b_strided(
     dst: &mut [f32],

@@ -6,13 +6,15 @@
 //! [`GEMM_PACK_FLOPS`](super::tune::GEMM_PACK_FLOPS) — notably the LSTM
 //! predictors' `[1, h] × [h, 4h]` gate products — run a serial loop with no
 //! packing or thread dispatch; everything larger goes through the shared
-//! cache-blocked, register-tiled kernel in [`gemm`](super::gemm), which
-//! handles transposed operands via strided packing instead of materialized
-//! transposes and splits output rows across threads without changing
-//! results (DESIGN.md §8).
+//! cache-blocked, register-tiled kernels in [`gemm`](super::gemm), which
+//! handle transposed operands through strides instead of materialized
+//! transposes and split output rows across threads without changing
+//! results (DESIGN.md §8). A `matmul` or `matmul_nt` of at most
+//! [`MC`] rows — a linear layer at a training or evaluation batch — reads
+//! its B in place instead of packing it (`few_rows`).
 
-use super::gemm::{gemm, MatRef};
-use super::tune::{gemm_threads, use_packed_gemm};
+use super::gemm::{gemm, gemm_gather, GatherMap, MatRef, PackedB};
+use super::tune::{gemm_threads, use_packed_gemm, MC};
 use crate::tensor::Tensor;
 
 fn matmul_rows_serial(out_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize, n: usize) {
@@ -30,6 +32,42 @@ fn matmul_rows_serial(out_rows: &mut [f32], a_rows: &[f32], b: &[f32], k: usize,
     }
 }
 
+/// `c = a · b` for a row-major `a` of `m ≤ MC` rows and a `c` of `+0`s,
+/// bitwise what [`gemm`] computes, on the calling thread.
+///
+/// With so few rows [`gemm`] would reuse no B panel across row blocks: it
+/// would pack the whole of B (a 1–4 MB weight matrix) to use each element
+/// for `m` rows. Here the roles swap, `cᵀ = bᵀ · aᵀ`: B is the gathered
+/// operand of [`gemm_gather`], read where it lies (row `j` of `bᵀ` at
+/// `j·cs`, depth `l` at `l·rs`), `aᵀ` is packed (at most `MC / NR` panels)
+/// and each tile goes out through the transposed store (`out_off[j] = j`,
+/// `c_cs = n`). Both sum `KC` blocks in ascending order, each an
+/// ascending-`l` chain from +0 added to C, and `fma` is symmetric in its
+/// factors, so every element gets the same operations: the block total's
+/// extra `+0 +` turns a −0 into +0, which changes nothing added to a C
+/// that starts at +0.
+fn few_rows(c: &mut [f32], (m, n, k): (usize, usize, usize), a: &[f32], b: MatRef<'_>) {
+    debug_assert!(m <= MC && c.len() == m * n);
+    let mut at = PackedB::new(k, m);
+    at.pack(MatRef::transposed(a, k));
+    let map = GatherMap::new(
+        (0..n).map(|j| j * b.cs).collect(),
+        (0..k).map(|l| l * b.rs).collect(),
+        (0..n).collect(),
+    );
+    gemm_gather(c, n, &map, b.data, &at);
+}
+
+/// The packed product `c = a · b` of a row-major `a`: [`few_rows`] up to
+/// [`MC`] rows, [`gemm`] above.
+fn packed(c: &mut [f32], (m, n, k): (usize, usize, usize), a: &[f32], b: MatRef<'_>) {
+    if m <= MC {
+        few_rows(c, (m, n, k), a, b);
+    } else {
+        gemm(c, m, n, k, MatRef::row_major(a, k), b, gemm_threads(m, n, k));
+    }
+}
+
 impl Tensor {
     /// `[m, k] × [k, n] -> [m, n]` matrix product.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
@@ -43,15 +81,7 @@ impl Tensor {
         let a = self.data();
         let b = other.data();
         if use_packed_gemm(m, n, k) {
-            gemm(
-                out.data_mut(),
-                m,
-                n,
-                k,
-                MatRef::row_major(a, k),
-                MatRef::row_major(b, n),
-                gemm_threads(m, n, k),
-            );
+            packed(out.data_mut(), (m, n, k), a, MatRef::row_major(b, n));
         } else {
             matmul_rows_serial(out.data_mut(), a, b, k, n);
         }
@@ -119,15 +149,7 @@ impl Tensor {
         let b = other.data();
         let mut out = Tensor::zeros(&[m, n]);
         if use_packed_gemm(m, n, k) {
-            gemm(
-                out.data_mut(),
-                m,
-                n,
-                k,
-                MatRef::row_major(a, k),
-                MatRef::transposed(b, k),
-                gemm_threads(m, n, k),
-            );
+            packed(out.data_mut(), (m, n, k), a, MatRef::transposed(b, k));
             return out;
         }
         for (i, out_row) in out.data_mut().chunks_mut(n).enumerate() {
@@ -247,6 +269,47 @@ mod tests {
         let a = random(&[70, 50], &mut rng);
         let b = random(&[60, 50], &mut rng);
         assert_close(&a.matmul_nt(&b), &a.matmul(&b.transpose2d()), 1e-3);
+    }
+
+    #[test]
+    fn few_rows_are_bitwise_the_packed_product() {
+        // Row counts on either side of a tile, a panel and `MC` (65 stays
+        // on `gemm`), widths past one and two panels up to the wide MLP's,
+        // depths on either side of `KC`; C starts at +0.
+        let mut rng = Rng::seed_from_u64(60);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut dispatched = 0;
+        for m in [4, 5, 15, 16, 17, 63, 64, 65] {
+            for n in [16, 17, 40, 1024] {
+                for k in [1, 255, 256, 257, 300] {
+                    let (a, b, bt) = (
+                        random(&[m, k], &mut rng),
+                        random(&[k, n], &mut rng),
+                        random(&[n, k], &mut rng),
+                    );
+                    let products: [(MatRef, &dyn Fn() -> Tensor); 2] = [
+                        (MatRef::row_major(b.data(), n), &|| a.matmul(&b)),
+                        (MatRef::transposed(bt.data(), k), &|| a.matmul_nt(&bt)),
+                    ];
+                    for (view, via_op) in products {
+                        let mut want = vec![0.0f32; m * n];
+                        gemm(&mut want, m, n, k, MatRef::row_major(a.data(), k), view, 1);
+                        // Below `GEMM_PACK_FLOPS` the ops take the serial
+                        // loop; the rule itself is checked at every shape.
+                        let got = if use_packed_gemm(m, n, k) {
+                            dispatched += 1;
+                            via_op().into_vec()
+                        } else {
+                            let mut c = vec![0.0f32; m * n];
+                            packed(&mut c, (m, n, k), a.data(), view);
+                            c
+                        };
+                        assert_eq!(bits(&got), bits(&want), "[{m}, {k}] × [{k}, {n}]");
+                    }
+                }
+            }
+        }
+        assert!(dispatched >= 200, "{dispatched} products went through matmul / matmul_nt");
     }
 
     #[test]

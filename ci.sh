@@ -113,7 +113,6 @@ echo "==> net scale-out + wire codec suites (hard 300s timeout)"
 timeout 300 cargo test -q --release --test net_scale
 timeout 300 cargo test -q --release --test wire_codec
 timeout 120 cargo test -q --release -p lcasgd-netcluster reactor
-timeout 120 cargo test -q --release -p lcasgd-netcluster pool
 
 # One checksum, byte-identical formats: the dispatched CRC-32 (PCLMULQDQ
 # where the host has it) must equal the portable slicing-by-16 path and
@@ -198,12 +197,12 @@ rm -f "$TRACE_OUT"
 
 # CLI smoke: a supervised run under a NaN storm must exit 0 and write a
 # non-empty health log recording the quarantine.
-echo "==> lcasgd train --fault-plan --fallback smoke"
+echo "==> lcasgd train --fault-plan --health-log smoke"
 PLAN_FILE=$(mktemp /tmp/lcasgd_ci_plan.XXXXXX.txt)
 HEALTH_OUT=$(mktemp /tmp/lcasgd_ci_health.XXXXXX.log)
 printf 'nan worker=0 at-op=2\nnan worker=0 at-op=5\n' > "$PLAN_FILE"
 timeout 120 ./target/release/lcasgd train --algorithm lc-asgd --workers 2 \
-    --scale tiny --epochs 2 --fault-plan "$PLAN_FILE" --fallback auto \
+    --scale tiny --epochs 2 --fault-plan "$PLAN_FILE" \
     --health-log "$HEALTH_OUT" >/dev/null
 [ -s "$HEALTH_OUT" ] || { echo "health log is empty"; exit 1; }
 grep -q 'nan-gradient' "$HEALTH_OUT" || { echo "health log misses the NaN sentinel"; exit 1; }
@@ -255,6 +254,11 @@ for CODEC in bf16 int8; do
     timeout 120 ./target/release/lcasgd train --algorithm asgd --workers 2 \
         --scale tiny --epochs 2 --wire-codec "$CODEC" >/dev/null
 done
+
+# CLI smoke: a flag train does not read must exit 2, not run with defaults.
+echo "==> lcasgd train --no-such-flag smoke"
+RC=0; ./target/release/lcasgd train --no-such-flag 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ] || { echo "lcasgd train --no-such-flag exited $RC, not 2"; exit 1; }
 
 echo "==> cargo fmt --check (touched crates)"
 cargo fmt --check "${TOUCHED[@]}"

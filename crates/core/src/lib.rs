@@ -25,14 +25,13 @@
 //! * [`protocol`] — the wire encoding of the pull / push-state / push-grad
 //!   messages those backends carry;
 //! * [`supervisor`] — the self-healing health state machine: divergence
-//!   sentinels with quarantine and rollback, staleness admission control
-//!   (reject / clip / requeue) with straggler resharding, and the graded
-//!   LC→DC→ASGD fallback ladder;
+//!   sentinels with quarantine and rollback, a staleness bound with
+//!   straggler resharding, and the graded LC→DC→ASGD fallback ladder;
 //! * [`metrics`] — epoch records, staleness, predictor traces, overheads,
 //!   transport statistics;
 //! * [`trace`] — the observability layer: phase-tagged span events from
-//!   every backend on an explicit clock domain, with Chrome-trace,
-//!   Prometheus-text and per-epoch-summary exporters.
+//!   every backend on an explicit clock domain, exported as a Chrome
+//!   trace.
 
 // The engine was one 1,000-line function once (`run_cluster_with`); the
 // threshold in the workspace's clippy.toml keeps one from growing back.
@@ -68,7 +67,5 @@ pub use replication::{
     StandbyReplica,
 };
 pub use shard::{ShardGroup, ShardSpec};
-pub use supervisor::{
-    AdmissionPolicy, AlgoMode, HealthEvent, HealthReport, Supervisor, SupervisorConfig,
-};
-pub use trace::{ClockDomain, TraceEvent, TraceFormat, TraceLog, TraceSink};
+pub use supervisor::{AlgoMode, HealthEvent, HealthReport, Supervisor, SupervisorConfig};
+pub use trace::{ClockDomain, TraceEvent, TraceLog, TraceSink};

@@ -7,7 +7,7 @@
 //! predictors feed Algorithm 2 garbage compensation, and stragglers push
 //! staleness `k_m` past anything the predictors were trained on. The
 //! [`Supervisor`] is a server-side health state machine that decides, for
-//! every pushed gradient, whether to apply, clip, park, or discard it —
+//! every pushed gradient, whether to apply or discard it —
 //! and, per worker, which rung of the algorithm ladder the next iteration
 //! should run on.
 //!
@@ -27,11 +27,8 @@
 //!    sliding window of pushed losses; when the window mean explodes
 //!    relative to the best window seen, the trainer rolls the model back
 //!    to the last-good in-memory snapshot.
-//! 2. **Staleness admission control** — an optional bound `B` on `k_m`
-//!    with three policies: [`AdmissionPolicy::Reject`] drops over-bound
-//!    gradients, [`AdmissionPolicy::Clip`] applies them with the learning
-//!    rate scaled by `B/k_m`, [`AdmissionPolicy::Requeue`] parks them and
-//!    averages each into the same worker's next admitted gradient.
+//! 2. **Staleness admission control** — an optional bound `B` on `k_m`:
+//!    a gradient pushed with `k_m > B` is dropped, never applied.
 //!    Per-worker staleness EMAs score stragglers; a worker declared
 //!    permanently slow donates half its data shard to the fastest healthy
 //!    peer (delivered through a pull directive).
@@ -96,40 +93,13 @@ impl fmt::Display for AlgoMode {
     }
 }
 
-/// What to do with a gradient whose staleness exceeds the bound.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Drop it: the update is never applied and never counted.
-    #[default]
-    Reject,
-    /// Apply it with the learning rate scaled by `B / k_m`.
-    Clip,
-    /// Park it; average it into the same worker's next admitted gradient.
-    Requeue,
-}
-
-impl fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AdmissionPolicy::Reject => "reject",
-            AdmissionPolicy::Clip => "clip",
-            AdmissionPolicy::Requeue => "requeue",
-        })
-    }
-}
-
 /// Thresholds of the health state machine. The defaults are deliberately
 /// conservative — they only fire on clearly pathological behavior.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Bound `B` on admitted staleness `k_m`; `None` = unbounded.
+    /// Bound `B` on admitted staleness `k_m`; `None` = unbounded. A
+    /// gradient pushed with `k_m > B` is dropped.
     pub staleness_bound: Option<u32>,
-    /// Policy for gradients with `k_m > B`.
-    pub admission: AdmissionPolicy,
-    /// Enable the LC→DC→ASGD fallback ladder (demotions + promotions).
-    /// Off, workers stay on the run's base algorithm and only the
-    /// sentinels/admission act.
-    pub fallback: bool,
     /// A gradient whose L2 norm exceeds `grad_norm_factor ×` the running
     /// EMA of admitted norms is a spike (discarded, one strike).
     pub grad_norm_factor: f32,
@@ -171,8 +141,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             staleness_bound: None,
-            admission: AdmissionPolicy::Reject,
-            fallback: true,
             grad_norm_factor: 8.0,
             grad_norm_warmup: 8,
             quarantine_strikes: 2,
@@ -207,12 +175,8 @@ pub enum HealthEvent {
     LossExplosion { window_mean: f32, baseline: f32 },
     /// The model was restored to the snapshot taken at `to_update`.
     RolledBack { to_update: u64 },
-    /// An over-bound gradient was dropped (reject policy).
+    /// An over-bound gradient was dropped.
     StalenessRejected { worker: usize, staleness: u32, bound: u32 },
-    /// An over-bound gradient was applied with a scaled LR (clip policy).
-    StalenessClipped { worker: usize, staleness: u32, bound: u32 },
-    /// An over-bound gradient was parked (requeue policy).
-    StalenessRequeued { worker: usize, staleness: u32, bound: u32 },
     /// A worker moved one rung down the ladder.
     Demoted { worker: usize, from: AlgoMode, to: AlgoMode },
     /// A worker moved one rung back up after sustained clean behavior.
@@ -237,8 +201,6 @@ impl HealthEvent {
             | HealthEvent::Quarantined { worker, .. }
             | HealthEvent::Released { worker }
             | HealthEvent::StalenessRejected { worker, .. }
-            | HealthEvent::StalenessClipped { worker, .. }
-            | HealthEvent::StalenessRequeued { worker, .. }
             | HealthEvent::Demoted { worker, .. }
             | HealthEvent::Promoted { worker, .. }
             | HealthEvent::StragglerResharded { worker, .. } => Some(*worker),
@@ -269,12 +231,6 @@ impl fmt::Display for HealthEvent {
             }
             HealthEvent::StalenessRejected { worker, staleness, bound } => {
                 write!(f, "staleness-rejected worker={worker} km={staleness} bound={bound}")
-            }
-            HealthEvent::StalenessClipped { worker, staleness, bound } => {
-                write!(f, "staleness-clipped worker={worker} km={staleness} bound={bound}")
-            }
-            HealthEvent::StalenessRequeued { worker, staleness, bound } => {
-                write!(f, "staleness-requeued worker={worker} km={staleness} bound={bound}")
             }
             HealthEvent::Demoted { worker, from, to } => {
                 write!(f, "demoted worker={worker} from={from} to={to}")
@@ -334,7 +290,7 @@ impl HealthReport {
         self.count(|e| matches!(e, HealthEvent::Promoted { .. }))
     }
 
-    /// Over-bound gradients dropped under the reject policy.
+    /// Over-bound gradients dropped.
     pub fn rejected(&self) -> usize {
         self.count(|e| matches!(e, HealthEvent::StalenessRejected { .. }))
     }
@@ -362,13 +318,8 @@ impl HealthReport {
 
 /// The admission verdict for one pushed gradient.
 pub struct Admission {
-    /// The gradient to apply (possibly merged with a parked one), or
-    /// `None` to discard.
+    /// The gradient to apply, or `None` to discard.
     pub grads: Option<Vec<f32>>,
-    /// Learning-rate scale (1.0 except under the clip policy).
-    pub lr_scale: f32,
-    /// The staleness to record for the applied update.
-    pub staleness: u32,
     /// The loss window diverged: the trainer should restore the last-good
     /// snapshot and then call [`Supervisor::rolled_back`].
     pub rollback: bool,
@@ -400,8 +351,6 @@ pub struct Supervisor {
     resharded: Vec<bool>,
     shards: Option<Vec<Vec<usize>>>,
     pending_shard: Vec<Option<Vec<usize>>>,
-    // Requeue policy: parked over-bound gradients.
-    parked: Vec<Option<Vec<f32>>>,
     // Loss-explosion detector.
     window: VecDeque<f32>,
     best_window: Option<f32>,
@@ -430,7 +379,6 @@ impl Supervisor {
             resharded: vec![false; m],
             shards: None,
             pending_shard: vec![None; m],
-            parked: vec![None; m],
             window: VecDeque::new(),
             best_window: None,
             rollbacks: 0,
@@ -504,9 +452,6 @@ impl Supervisor {
     /// threshold is crossed. Any demerit breaks the clean streak.
     fn demerit(&mut self, w: usize, applied: u64, n: u32) {
         self.clean[w] = 0;
-        if !self.cfg.fallback {
-            return;
-        }
         self.demerits[w] += n;
         if self.demerits[w] >= self.cfg.demote_after {
             self.demerits[w] = 0;
@@ -522,9 +467,6 @@ impl Supervisor {
     /// Records a cleanly admitted gradient; a long enough streak promotes
     /// the worker one rung back toward the base algorithm.
     fn reward(&mut self, w: usize, applied: u64) {
-        if !self.cfg.fallback {
-            return;
-        }
         self.clean[w] += 1;
         if self.clean[w] >= self.cfg.promote_after && self.modes[w].rung() > self.base.rung() {
             self.clean[w] = 0;
@@ -637,12 +579,10 @@ impl Supervisor {
         grads: Vec<f32>,
         loss: f32,
     ) -> Admission {
-        const DISCARD: f32 = 1.0;
         /// How fast the spike baseline follows a *rejected* norm, against
         /// 0.1 for an admitted one.
         const REJECTED_NORM_RATE: f32 = 0.02;
-        let discard =
-            |rollback| Admission { grads: None, lr_scale: DISCARD, staleness: stale, rollback };
+        let discard = |rollback| Admission { grads: None, rollback };
 
         // Straggler scoring sees every arrival, even ones about to be
         // discarded — slowness is a property of the worker, not of the
@@ -695,50 +635,21 @@ impl Supervisor {
         }
 
         // Staleness admission.
-        let mut lr_scale = 1.0;
         if let Some(bound) = self.cfg.staleness_bound {
             if stale > bound {
                 self.demerit(w, applied, 1);
-                match self.cfg.admission {
-                    AdmissionPolicy::Reject => {
-                        self.event(
-                            applied,
-                            HealthEvent::StalenessRejected { worker: w, staleness: stale, bound },
-                        );
-                        return discard(false);
-                    }
-                    AdmissionPolicy::Requeue => {
-                        self.event(
-                            applied,
-                            HealthEvent::StalenessRequeued { worker: w, staleness: stale, bound },
-                        );
-                        // Replace any earlier parked gradient: the newer
-                        // one reflects fresher weights.
-                        self.parked[w] = Some(grads);
-                        return discard(false);
-                    }
-                    AdmissionPolicy::Clip => {
-                        self.event(
-                            applied,
-                            HealthEvent::StalenessClipped { worker: w, staleness: stale, bound },
-                        );
-                        lr_scale = bound as f32 / stale as f32;
-                    }
-                }
+                self.event(
+                    applied,
+                    HealthEvent::StalenessRejected { worker: w, staleness: stale, bound },
+                );
+                return discard(false);
             }
         }
 
-        // Admitted: feed the norm EMA, merge any parked gradient, score
-        // the loss window, reward the clean streak.
+        // Admitted: feed the norm EMA, score the loss window, reward the
+        // clean streak.
         self.norm_ema = if self.norm_n == 0 { norm } else { 0.9 * self.norm_ema + 0.1 * norm };
         self.norm_n += 1;
-
-        let grads = match self.parked[w].take() {
-            Some(parked) if parked.len() == grads.len() => {
-                grads.iter().zip(&parked).map(|(a, b)| 0.5 * (a + b)).collect()
-            }
-            _ => grads,
-        };
 
         self.window.push_back(loss);
         while self.window.len() > self.cfg.loss_window.max(1) {
@@ -768,10 +679,8 @@ impl Supervisor {
             }
         }
 
-        if lr_scale == 1.0 {
-            self.reward(w, applied);
-        }
-        Admission { grads: Some(grads), lr_scale, staleness: stale, rollback }
+        self.reward(w, applied);
+        Admission { grads: Some(grads), rollback }
     }
 }
 
@@ -913,32 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_policy_scales_lr() {
-        let mut c = cfg();
-        c.staleness_bound = Some(2);
-        c.admission = AdmissionPolicy::Clip;
-        let mut s = Supervisor::new(c, AlgoMode::Asgd, 1);
-        let a = s.admit(0, 0, 8, vec![0.1], 1.0);
-        assert!(a.grads.is_some());
-        assert!((a.lr_scale - 0.25).abs() < 1e-6);
-        assert_eq!(a.staleness, 8, "clip records the true staleness");
-    }
-
-    #[test]
-    fn requeue_parks_and_merges() {
-        let mut c = cfg();
-        c.staleness_bound = Some(1);
-        c.admission = AdmissionPolicy::Requeue;
-        let mut s = Supervisor::new(c, AlgoMode::Asgd, 1);
-        let a = s.admit(0, 0, 5, vec![2.0, 0.0], 1.0);
-        assert!(a.grads.is_none(), "over-bound gradient parked");
-        let a = s.admit(0, 1, 0, vec![0.0, 4.0], 1.0);
-        assert_eq!(a.grads.as_deref(), Some(&[1.0, 2.0][..]), "averaged with parked");
-        let a = s.admit(0, 2, 0, vec![0.5, 0.5], 1.0);
-        assert_eq!(a.grads.as_deref(), Some(&[0.5, 0.5][..]), "parked slot consumed");
-    }
-
-    #[test]
     fn loss_explosion_requests_one_rollback_then_rearms() {
         let mut s = Supervisor::new(cfg(), AlgoMode::Asgd, 1);
         for i in 0..4 {
@@ -1051,16 +934,6 @@ mod tests {
         assert!(text.contains("at-update=3 nan-gradient worker=0"));
         assert!(text.contains("quarantined worker=0"));
         assert!(text.contains("demoted worker=0 from=lc-asgd to=dc-asgd"));
-    }
-
-    #[test]
-    fn fallback_off_freezes_the_ladder() {
-        let mut c = cfg();
-        c.fallback = false;
-        let mut s = Supervisor::new(c, AlgoMode::Lc, 1);
-        s.admit(0, 0, 0, vec![f32::NAN], 1.0);
-        assert_eq!(s.mode(0), AlgoMode::Lc, "sentinels act, ladder does not");
-        assert!(s.quarantined_until[0].is_some());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Structured run tracing: phase-tagged span events from every backend on
-//! an explicit clock, plus exporters.
+//! an explicit clock, plus a Chrome trace exporter.
 //!
 //! The paper's evidence is all *timing* — staleness distributions (Fig. 8),
 //! predictor overhead (Tables 2–3), convergence-vs-time curves (Figs. 4/6)
@@ -31,19 +31,14 @@
 //!
 //! Every event carries a [`ClockDomain`]. A single run can contain both:
 //! a simulated run's spans are virtual, but its codec and predictor costs
-//! are real measurements and stay on the wall clock. Exporters keep the
-//! two apart (separate `pid`s in the Chrome trace, a `clock` label in the
-//! Prometheus dump).
+//! are real measurements and stay on the wall clock. The exporter keeps
+//! the two apart (separate `pid`s in the Chrome trace).
 //!
-//! ## Exporters
+//! ## Export
 //!
-//! * [`TraceLog::to_chrome_json`] — Chrome `trace_event` JSON, openable in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>;
-//! * [`prometheus_text`] — Prometheus text exposition: per-phase second
-//!   totals, a staleness histogram, transport byte/message counters;
-//! * [`epoch_summary`] — a human-readable per-epoch phase table.
+//! [`TraceLog::to_chrome_json`] writes Chrome `trace_event` JSON, openable
+//! in `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use crate::metrics::RunResult;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -291,18 +286,6 @@ impl TraceLog {
             .sum()
     }
 
-    /// Distinct phases with at least one span in `clock`'s domain, in
-    /// first-appearance order.
-    pub fn phases(&self, clock: ClockDomain) -> Vec<&'static str> {
-        let mut seen = Vec::new();
-        for e in &self.events {
-            if e.clock == clock && !e.instant && !seen.contains(&e.phase) {
-                seen.push(e.phase);
-            }
-        }
-        seen
-    }
-
     /// All instant events (fault markers and the like).
     pub fn instants(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(|e| e.instant)
@@ -404,190 +387,6 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Output format for the CLI's `--trace-format` flag.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Chrome `trace_event` JSON (chrome://tracing, Perfetto).
-    #[default]
-    Chrome,
-    /// Prometheus text exposition of counters and histograms.
-    Prometheus,
-    /// Human-readable per-epoch phase breakdown.
-    Summary,
-}
-
-impl std::str::FromStr for TraceFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<TraceFormat, String> {
-        match s {
-            "chrome" => Ok(TraceFormat::Chrome),
-            "prometheus" => Ok(TraceFormat::Prometheus),
-            "summary" => Ok(TraceFormat::Summary),
-            other => Err(format!("unknown trace format {other:?} (chrome|prometheus|summary)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceFormat::Chrome => "chrome",
-            TraceFormat::Prometheus => "prometheus",
-            TraceFormat::Summary => "summary",
-        })
-    }
-}
-
-/// Renders a run in whichever [`TraceFormat`] the caller picked. Returns
-/// `None` when the run carries no timeline (tracing was off).
-pub fn export(result: &RunResult, format: TraceFormat) -> Option<String> {
-    let log = result.timeline.as_ref()?;
-    Some(match format {
-        TraceFormat::Chrome => log.to_chrome_json(),
-        TraceFormat::Prometheus => prometheus_text(result),
-        TraceFormat::Summary => epoch_summary(result),
-    })
-}
-
-/// Prometheus text exposition: per-phase time totals (labelled by clock
-/// domain), a staleness histogram, transport counters, and the run's
-/// elapsed times in both clocks.
-pub fn prometheus_text(result: &RunResult) -> String {
-    let mut out = String::new();
-    if let Some(log) = &result.timeline {
-        out.push_str("# HELP lcasgd_phase_seconds_total Seconds attributed to each phase.\n");
-        out.push_str("# TYPE lcasgd_phase_seconds_total counter\n");
-        for clock in [ClockDomain::Wall, ClockDomain::Virtual] {
-            for phase in log.phases(clock) {
-                out.push_str(&format!(
-                    "lcasgd_phase_seconds_total{{phase=\"{phase}\",clock=\"{clock}\"}} {:.9}\n",
-                    log.phase_total(phase, clock)
-                ));
-            }
-        }
-        out.push_str("# HELP lcasgd_fault_events_total Fault log entries on the timeline.\n");
-        out.push_str("# TYPE lcasgd_fault_events_total counter\n");
-        out.push_str(&format!("lcasgd_fault_events_total {}\n", log.instants().count()));
-    }
-
-    out.push_str("# HELP lcasgd_staleness Staleness of applied updates.\n");
-    out.push_str("# TYPE lcasgd_staleness histogram\n");
-    for b in [0u32, 1, 2, 4, 8, 16, 32, 64] {
-        let cumulative = result.staleness.iter().filter(|&&s| s <= b).count();
-        out.push_str(&format!("lcasgd_staleness_bucket{{le=\"{b}\"}} {cumulative}\n"));
-    }
-    out.push_str(&format!("lcasgd_staleness_bucket{{le=\"+Inf\"}} {}\n", result.staleness.len()));
-    out.push_str(&format!(
-        "lcasgd_staleness_sum {}\n",
-        result.staleness.iter().map(|&s| u64::from(s)).sum::<u64>()
-    ));
-    out.push_str(&format!("lcasgd_staleness_count {}\n", result.staleness.len()));
-
-    if let Some(t) = &result.transport {
-        out.push_str("# HELP lcasgd_transport_bytes_total Bytes on the wire (framing included).\n");
-        out.push_str("# TYPE lcasgd_transport_bytes_total counter\n");
-        out.push_str(&format!(
-            "lcasgd_transport_bytes_total{{direction=\"worker_to_server\"}} {}\n",
-            t.bytes_sent
-        ));
-        out.push_str(&format!(
-            "lcasgd_transport_bytes_total{{direction=\"server_to_worker\"}} {}\n",
-            t.bytes_received
-        ));
-        out.push_str("# TYPE lcasgd_transport_requests_total counter\n");
-        out.push_str(&format!("lcasgd_transport_requests_total {}\n", t.requests));
-        out.push_str("# TYPE lcasgd_transport_oneways_total counter\n");
-        out.push_str(&format!("lcasgd_transport_oneways_total {}\n", t.oneways));
-        out.push_str("# TYPE lcasgd_codec_seconds_total counter\n");
-        out.push_str(&format!("lcasgd_codec_seconds_total {:.9}\n", t.serialize_seconds));
-    }
-
-    out.push_str("# HELP lcasgd_run_seconds Elapsed run time.\n");
-    out.push_str("# TYPE lcasgd_run_seconds gauge\n");
-    out.push_str(&format!(
-        "lcasgd_run_seconds{{clock=\"{}\"}} {:.6}\n",
-        result.clock, result.total_time
-    ));
-    if result.clock != ClockDomain::Wall {
-        out.push_str(&format!("lcasgd_run_seconds{{clock=\"wall\"}} {:.6}\n", result.wall_time));
-    }
-    out
-}
-
-/// Human-readable per-epoch phase breakdown: spans in the run's own clock
-/// domain are bucketed by epoch boundaries (an epoch owns the spans that
-/// *start* within it); phases recorded on the other clock are totalled
-/// separately below the table.
-pub fn epoch_summary(result: &RunResult) -> String {
-    let Some(log) = &result.timeline else {
-        return "no timeline recorded (run without --trace?)".to_string();
-    };
-    let clock = result.clock;
-    let phases = log.phases(clock);
-    let mut out = format!("per-epoch phase breakdown ({clock} clock, seconds)\n");
-    out.push_str(&format!("{:>5} {:>9}", "epoch", "end"));
-    for p in &phases {
-        out.push_str(&format!(" {:>14}", p));
-    }
-    out.push('\n');
-
-    let mut prev_end = 0.0f64;
-    for (i, e) in result.epochs.iter().enumerate() {
-        out.push_str(&format!("{:>5} {:>9.3}", i + 1, e.time));
-        for p in &phases {
-            let total: f64 = log
-                .events
-                .iter()
-                .filter(|ev| {
-                    ev.phase == *p
-                        && ev.clock == clock
-                        && !ev.instant
-                        && ev.start >= prev_end
-                        && ev.start < e.time
-                })
-                .map(|ev| ev.dur)
-                .sum();
-            out.push_str(&format!(" {:>14.6}", total));
-        }
-        out.push('\n');
-        prev_end = e.time;
-    }
-
-    out.push_str("totals:");
-    for p in &phases {
-        out.push_str(&format!(" {p} {:.6}", log.phase_total(p, clock)));
-    }
-    out.push('\n');
-
-    let other = match clock {
-        ClockDomain::Wall => ClockDomain::Virtual,
-        ClockDomain::Virtual => ClockDomain::Wall,
-    };
-    let other_phases = log.phases(other);
-    if !other_phases.is_empty() {
-        out.push_str(&format!("{other}-clock totals:"));
-        for p in &other_phases {
-            out.push_str(&format!(" {p} {:.6}", log.phase_total(p, other)));
-        }
-        out.push('\n');
-    }
-
-    let faults: Vec<&TraceEvent> = log.instants().collect();
-    if !faults.is_empty() {
-        out.push_str(&format!("fault events ({}):\n", faults.len()));
-        for f in faults {
-            out.push_str(&format!(
-                "  t={:.3}s ({}) {}\n",
-                f.start,
-                f.clock,
-                f.detail.as_deref().unwrap_or(f.phase)
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,14 +435,6 @@ mod tests {
         // tid 3 = worker 2; tid 0 = server.
         assert!(json.contains("\"tid\":3"));
         assert!(json.contains("\"tid\":0"));
-    }
-
-    #[test]
-    fn trace_format_parses() {
-        assert_eq!("chrome".parse::<TraceFormat>().unwrap(), TraceFormat::Chrome);
-        assert_eq!("prometheus".parse::<TraceFormat>().unwrap(), TraceFormat::Prometheus);
-        assert_eq!("summary".parse::<TraceFormat>().unwrap(), TraceFormat::Summary);
-        assert!("xml".parse::<TraceFormat>().is_err());
     }
 
     #[test]

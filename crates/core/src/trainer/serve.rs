@@ -679,16 +679,15 @@ impl<'a> Core<'a> {
     ) -> Option<Vec<f32>> {
         let stale = (self.group.version() - push.pull_version) as u32;
         let g = std::mem::take(&mut push.grads);
-        // Admission control: the supervisor may discard, park, or LR-scale
-        // the gradient. Staleness samples are recorded for *applied*
-        // updates only, so the admitted stream is what the bound policies
-        // guarantee about.
-        let (g, lr_scale, want_rollback) = match self.sup.as_mut() {
+        // Admission control: the supervisor may discard the gradient.
+        // Staleness samples are recorded for *applied* updates only, so the
+        // admitted stream is what the bound guarantees about.
+        let (g, want_rollback) = match self.sup.as_mut() {
             Some(s) => {
                 let adm = s.admit(w, self.applied as u64, stale, g, push.loss);
-                (adm.grads, adm.lr_scale, adm.rollback)
+                (adm.grads, adm.rollback)
             }
-            None => (Some(g), 1.0, false),
+            None => (Some(g), false),
         };
         if let Some(g) = &g {
             // The write-ahead log ships the apply as per-shard deltas, so
@@ -699,7 +698,7 @@ impl<'a> Core<'a> {
                 .then(|| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
             // The lease check comes before the write it guards.
             let now = seam.write(at);
-            let lr = self.apply(w, &push, g, stale, lr_scale);
+            let lr = self.apply(w, &push, g, stale);
             if let Some(before) = before {
                 self.log_to_wal(w, &push, stale, &before, seam);
             }
@@ -721,11 +720,11 @@ impl<'a> Core<'a> {
 
     /// Applies an admitted gradient to every shard (Formula 8, or Formula 3
     /// on the DC rung) and commits the push; returns the learning rate used.
-    fn apply(&mut self, w: usize, push: &PendingPush, g: &[f32], stale: u32, lr_scale: f32) -> f32 {
+    fn apply(&mut self, w: usize, push: &PendingPush, g: &[f32], stale: u32) -> f32 {
         let (cfg, sink) = (self.env.cfg, &self.env.sink);
         self.staleness.push(stale);
         sink.note_staleness(stale);
-        let lr = cfg.lr.at_epoch(self.applied / self.updates_per_epoch) * lr_scale;
+        let lr = cfg.lr.at_epoch(self.applied / self.updates_per_epoch);
         let t_apply = Instant::now();
         let on_dc_rung = self.pulled_mode[w] == AlgoMode::Dc;
         match self.backups.whole(w, g.len()).filter(|_| on_dc_rung) {

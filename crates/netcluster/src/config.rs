@@ -80,11 +80,6 @@ pub struct NetConfig {
     /// different codec. [`WireCodec::F32`] is byte-identical to the seed
     /// protocol (including the 4-byte `Hello` payload).
     pub wire_codec: WireCodec,
-    /// Answer every pull carrying the same coalescing key
-    /// from one cached encoding per server-version tick instead of
-    /// re-encoding per request. Replies are byte-identical either way;
-    /// disabling this only exists for A/B tests.
-    pub pull_coalescing: bool,
 }
 
 impl Default for NetConfig {
@@ -99,7 +94,6 @@ impl Default for NetConfig {
             connect_backoff_cap: Duration::from_secs(1),
             breaker: BreakerConfig::default(),
             wire_codec: WireCodec::F32,
-            pull_coalescing: true,
         }
     }
 }
@@ -118,7 +112,6 @@ impl NetConfig {
             connect_backoff_cap: Duration::from_millis(100),
             breaker: BreakerConfig::fast(),
             wire_codec: WireCodec::F32,
-            pull_coalescing: true,
         }
     }
 
@@ -283,10 +276,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_speaks_the_seed_codec_and_coalesces() {
-        let cfg = NetConfig::default();
-        assert_eq!(cfg.wire_codec, WireCodec::F32);
-        assert!(cfg.pull_coalescing);
+    fn default_config_speaks_the_seed_codec() {
+        assert_eq!(NetConfig::default().wire_codec, WireCodec::F32);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   checksum (see the module docs for the byte layout);
 //! * [`ReactorServer`] — one readiness-driven thread owning the listener
 //!   and every connection, multiplexed onto one serialized Algorithm-2
-//!   event loop, with pooled read buffers, coalesced pull replies and
+//!   event loop, with coalesced pull replies and
 //!   heartbeat-based dead-worker reaping;
 //! * [`NetWorker`] — the client: bounded-exponential-backoff connect and
 //!   reconnect, per-request deadlines, a background heartbeat thread,
@@ -30,13 +30,11 @@
 pub mod breaker;
 pub mod config;
 pub mod frame;
-pub mod pool;
 pub mod reactor;
 pub mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use config::{BackoffSchedule, NetConfig};
-pub use pool::BufferPool;
 pub use reactor::{ReactorServer, COALESCE_PHASE};
 pub use worker::NetWorker;
 
@@ -48,6 +46,7 @@ use lcasgd_simcluster::{
 use parking_lot::Mutex;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// [`ReplicaDuplex`] endpoint over a loopback TCP stream: every
 /// replication payload rides one CRC-checked [`Frame`], so the
@@ -210,18 +209,16 @@ impl ClusterBackend for NetCluster {
                             let mut faulty = FaultyLink::new(link, w, &plan);
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    loop {
-                                        worker_fn(w, &mut faulty);
-                                        let Some(delay_ms) = faulty.crashed_restart_ms() else {
-                                            break; // finished, or dead for good
-                                        };
-                                        std::thread::sleep(std::time::Duration::from_millis(
-                                            u64::from(delay_ms),
-                                        ));
-                                        // The next operation redials and
-                                        // re-Hellos, reviving the rank.
-                                        faulty.resume();
-                                    }
+                                    // After the sleep, the next operation
+                                    // redials and re-Hellos, reviving the rank.
+                                    faulty.run_restarting(
+                                        |link| worker_fn(w, link),
+                                        |delay_ms| {
+                                            let delay = u64::from(delay_ms);
+                                            std::thread::sleep(Duration::from_millis(delay));
+                                            false
+                                        },
+                                    );
                                 }));
                             (faulty.into_inner(), outcome)
                         }
@@ -250,7 +247,6 @@ impl ClusterBackend for NetCluster {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn fast(workers: usize) -> NetCluster {
         NetCluster::new(workers).with_config(NetConfig::fast())

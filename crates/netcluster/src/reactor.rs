@@ -13,9 +13,9 @@
 //! * **One reactor thread** owns the listener and every connection as
 //!   nonblocking sockets, sweeping them for readiness (a small poll loop —
 //!   no epoll binding, no extra threads, trivial teardown).
-//! * **Pooled read buffers**: each connection parses frames in place out
-//!   of a buffer borrowed from a [`BufferPool`], returned on every close
-//!   path, so connection churn stops allocating once warm.
+//! * **One read buffer per connection**: each connection parses frames
+//!   in place out of its own buffer, which grows only to the largest
+//!   frame its peer sends and is freed with the connection.
 //! * **Replies are values, not bytes**: a queued reply is the reply
 //!   itself, with its checksum and length from one pass that builds
 //!   nothing ([`checksum`]); it is encoded one window at a time into the
@@ -59,7 +59,6 @@
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
 use crate::frame::{checksum, crc32, header_bytes, parse_header, FrameKind, HEADER_LEN, STAGE};
-use crate::pool::BufferPool;
 use lcasgd_simcluster::backend::keep_spent;
 use lcasgd_simcluster::{ClusterError, ServerCtx, TraceHook, TransportStats, Window, WireMsg};
 use std::collections::{HashMap, VecDeque};
@@ -113,7 +112,7 @@ struct Conn<Resp> {
     stream: TcpStream,
     rank: Option<usize>,
     last_seen: Instant,
-    /// Pooled read buffer; `buf[..filled]` holds unparsed stream bytes.
+    /// Read buffer; `buf[..filled]` holds unparsed stream bytes.
     buf: Vec<u8>,
     filled: usize,
     wq: VecDeque<PendingWrite<Resp>>,
@@ -223,7 +222,6 @@ impl ReactorServer {
         let hook = self.trace_hook.clone();
         self.listener.set_nonblocking(true)?;
 
-        let mut pool = BufferPool::new();
         let mut conns: HashMap<u64, Conn<Resp>> = HashMap::new();
         let mut next_id = 0u64;
         let mut rank_conn: Vec<Option<u64>> = vec![None; m];
@@ -255,16 +253,13 @@ impl ReactorServer {
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
-                        let mut buf = pool.get();
-                        let cap = buf.capacity().max(READ_CHUNK);
-                        buf.resize(cap, 0);
                         conns.insert(
                             next_id,
                             Conn {
                                 stream,
                                 rank: None,
                                 last_seen: Instant::now(),
-                                buf,
+                                buf: vec![0; READ_CHUNK],
                                 filled: 0,
                                 wq: VecDeque::new(),
                             },
@@ -387,7 +382,6 @@ impl ReactorServer {
                                     close_conn(
                                         &mut conns,
                                         old,
-                                        &mut pool,
                                         &mut rank_conn,
                                         &mut rank_state,
                                         &mut awaiting,
@@ -450,9 +444,7 @@ impl ReactorServer {
                                 if let Err(e) = deliver_replies(
                                     ctx.take_keyed_replies(),
                                     m,
-                                    cfg.pull_coalescing,
                                     &mut conns,
-                                    &mut pool,
                                     &mut rank_conn,
                                     &mut rank_state,
                                     &mut awaiting,
@@ -470,8 +462,7 @@ impl ReactorServer {
                 }
 
                 // Put the (compacted) buffer back, then apply whatever
-                // fate the batch decided. Every close path runs through
-                // close_conn, which returns the buffer to the pool.
+                // fate the batch decided.
                 if let Some(conn) = conns.get_mut(&id) {
                     if pos > 0 {
                         lbuf.copy_within(pos..lfilled, 0);
@@ -483,21 +474,8 @@ impl ReactorServer {
                         conn.last_seen = Instant::now();
                     }
                     if poison || closed {
-                        close_conn(
-                            &mut conns,
-                            id,
-                            &mut pool,
-                            &mut rank_conn,
-                            &mut rank_state,
-                            &mut awaiting,
-                        );
+                        close_conn(&mut conns, id, &mut rank_conn, &mut rank_state, &mut awaiting);
                     }
-                } else {
-                    // The connection vanished while its frames were being
-                    // handled; its pool slot was already settled by
-                    // close_conn, so the taken buffer replaces the empty
-                    // one that was returned there.
-                    drop(lbuf);
                 }
             }
 
@@ -518,9 +496,7 @@ impl ReactorServer {
                 if let Err(e) = deliver_replies(
                     ctx.take_keyed_replies(),
                     m,
-                    cfg.pull_coalescing,
                     &mut conns,
-                    &mut pool,
                     &mut rank_conn,
                     &mut rank_state,
                     &mut awaiting,
@@ -544,14 +520,9 @@ impl ReactorServer {
                 let Some(conn) = conns.get_mut(&id) else { continue };
                 match try_flush(conn, &mut stage, &mut stats, &hook) {
                     Ok(wrote) => activity |= wrote,
-                    Err(_) => close_conn(
-                        &mut conns,
-                        id,
-                        &mut pool,
-                        &mut rank_conn,
-                        &mut rank_state,
-                        &mut awaiting,
-                    ),
+                    Err(_) => {
+                        close_conn(&mut conns, id, &mut rank_conn, &mut rank_state, &mut awaiting)
+                    }
                 }
             }
             cache.retire();
@@ -564,14 +535,7 @@ impl ReactorServer {
                 .map(|(&id, _)| id)
                 .collect();
             for id in stale {
-                close_conn(
-                    &mut conns,
-                    id,
-                    &mut pool,
-                    &mut rank_conn,
-                    &mut rank_state,
-                    &mut awaiting,
-                );
+                close_conn(&mut conns, id, &mut rank_conn, &mut rank_state, &mut awaiting);
             }
             if started.elapsed() > cfg.hello_timeout {
                 for state in rank_state.iter_mut() {
@@ -605,32 +569,28 @@ impl ReactorServer {
             std::thread::sleep(IDLE_SLEEP);
         }
 
-        // Teardown: every surviving connection's buffer goes back to the
-        // pool; the audit proves no close path leaked one.
+        // Teardown: shut every surviving connection.
         let ids: Vec<u64> = conns.keys().copied().collect();
         for id in ids {
-            close_conn(&mut conns, id, &mut pool, &mut rank_conn, &mut rank_state, &mut awaiting);
+            close_conn(&mut conns, id, &mut rank_conn, &mut rank_state, &mut awaiting);
         }
-        debug_assert_eq!(pool.outstanding(), 0, "reactor leaked read buffers");
 
         result.map(|()| stats)
     }
 }
 
-/// Hard-closes a connection: shuts the socket, returns the read buffer to
-/// the pool, and updates rank bookkeeping (an Active rank that loses its
+/// Hard-closes a connection: shuts the socket, frees its buffers, and
+/// updates rank bookkeeping (an Active rank that loses its
 /// live connection is Dead until it re-Hellos).
 fn close_conn<Resp>(
     conns: &mut HashMap<u64, Conn<Resp>>,
     id: u64,
-    pool: &mut BufferPool,
     rank_conn: &mut [Option<u64>],
     rank_state: &mut [RankState],
     awaiting: &mut [Option<u64>],
 ) {
     if let Some(conn) = conns.remove(&id) {
         let _ = conn.stream.shutdown(Shutdown::Both);
-        pool.put(conn.buf);
         if let Some(rank) = conn.rank {
             if rank_conn[rank] == Some(id) {
                 rank_conn[rank] = None;
@@ -700,9 +660,7 @@ fn try_flush<Resp: WireMsg>(
 fn deliver_replies<Resp: WireMsg>(
     replies: Vec<(usize, Resp, Option<u64>)>,
     m: usize,
-    coalescing: bool,
     conns: &mut HashMap<u64, Conn<Resp>>,
-    pool: &mut BufferPool,
     rank_conn: &mut [Option<u64>],
     rank_state: &mut [RankState],
     awaiting: &mut [Option<u64>],
@@ -728,7 +686,6 @@ fn deliver_replies<Resp: WireMsg>(
         };
 
         let t0 = Instant::now();
-        let key = key.filter(|_| coalescing);
         let (reply, crc, len) = match key.and_then(|k| cache.get(k)) {
             Some(hit) => {
                 // Cache hit: byte-identical to a fresh reply (same value,
@@ -778,7 +735,7 @@ fn deliver_replies<Resp: WireMsg>(
             Some(true) => stats.bytes_received += total as u64,
             Some(false) => {
                 // Write failure: the worker is gone; reap it and move on.
-                close_conn(conns, cid.unwrap(), pool, rank_conn, rank_state, awaiting);
+                close_conn(conns, cid.unwrap(), rank_conn, rank_state, awaiting);
             }
             None => {
                 // No live connection: likewise.

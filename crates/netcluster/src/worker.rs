@@ -29,43 +29,14 @@ use crate::frame::{
     checksum, header_bytes, read_header, read_msg, write_frame, write_msg, write_payload, Frame,
     FrameKind, HEADER_LEN,
 };
-use lcasgd_simcluster::backend::keep_spent;
+use lcasgd_simcluster::backend::{keep_spent, StopSignal};
 use lcasgd_simcluster::{ClusterError, FaultHooks, TraceHook, TransportStats, WireMsg, WorkerLink};
 use parking_lot::Mutex;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Interruptible stop flag: the heartbeat thread waits on the condvar
-/// between beats, so teardown wakes it instantly instead of waiting out
-/// a full heartbeat interval.
-struct StopSignal {
-    stopped: StdMutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    fn new() -> Arc<StopSignal> {
-        Arc::new(StopSignal { stopped: StdMutex::new(false), cv: Condvar::new() })
-    }
-
-    fn stop(&self) {
-        *self.stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.cv.notify_all();
-    }
-
-    /// Waits up to `timeout`; returns true once stopped.
-    fn wait(&self, timeout: std::time::Duration) -> bool {
-        let guard = self.stopped.lock().unwrap_or_else(|e| e.into_inner());
-        let (guard, _) = self
-            .cv
-            .wait_timeout_while(guard, timeout, |stopped| !*stopped)
-            .unwrap_or_else(|e| e.into_inner());
-        *guard
-    }
-}
 
 /// Handed-back reply vectors a worker keeps for decoding into: the caller
 /// holds one pulled model at a time and swaps it for the next, so one is in
@@ -190,7 +161,7 @@ impl NetWorker {
                 last_err = e;
                 continue;
             }
-            let hb_stop = StopSignal::new();
+            let hb_stop = Arc::new(StopSignal::default());
             let hb = {
                 let write = Arc::clone(&write);
                 let stop = Arc::clone(&hb_stop);

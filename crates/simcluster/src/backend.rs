@@ -847,6 +847,33 @@ pub fn keep_spent(spent: &mut Vec<Vec<f32>>, back: impl IntoIterator<Item = Vec<
     spent.extend(back.into_iter().take(room));
 }
 
+/// An interruptible stop flag: a thread that waits on it between timed
+/// steps (a crash-restart delay, a heartbeat interval) wakes the moment
+/// teardown fires it instead of sleeping the rest of the step out.
+#[derive(Default)]
+pub struct StopSignal {
+    stopped: std::sync::Mutex<bool>,
+    cv: std::sync::Condvar,
+}
+
+impl StopSignal {
+    /// Fires the signal and wakes every waiter.
+    pub fn stop(&self) {
+        *self.stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.cv.notify_all();
+    }
+
+    /// Sleeps up to `timeout`; returns `true` once the signal has fired.
+    pub fn wait(&self, timeout: std::time::Duration) -> bool {
+        let guard = self.stopped.lock().unwrap_or_else(|e| e.into_inner());
+        let (guard, _) = self
+            .cv
+            .wait_timeout_while(guard, timeout, |stopped| !*stopped)
+            .unwrap_or_else(|e| e.into_inner());
+        *guard
+    }
+}
+
 /// The server side's reply sink for one incoming message.
 ///
 /// Replying is decoupled from returning so the server can (a) answer the

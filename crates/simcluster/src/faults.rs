@@ -457,7 +457,8 @@ enum Verdict {
 /// A [`WorkerLink`] wrapper that interprets a worker's slice of a
 /// [`FaultPlan`], identically on every backend. Backends install it when a
 /// plan is attached and drive the crash/restart loop around `worker_fn`
-/// via [`FaultyLink::crashed_restart_ms`] / [`FaultyLink::resume`].
+/// with [`FaultyLink::run_restarting`] (the simulator, which has no thread
+/// to sleep, with [`FaultyLink::crashed_restart_ms`] / [`FaultyLink::resume`]).
 pub struct FaultyLink<L> {
     inner: L,
     worker: usize,
@@ -507,6 +508,27 @@ impl<L> FaultyLink<L> {
     pub fn resume(&mut self) {
         self.crashed = None;
         self.log.push(FaultRecord::WorkerRestarted { worker: self.worker, op: self.ops });
+    }
+
+    /// The crash-restart loop every wall-clock backend runs a worker in:
+    /// `incarnation` (one call of the worker function) runs until the
+    /// worker finishes or crashes for good. After a crash with restart,
+    /// `sleep(delay_ms)` waits the delay out on the backend's terms and
+    /// returns `true` to abort the restart (at shutdown); otherwise the
+    /// link resumes and the worker runs again.
+    pub fn run_restarting(
+        &mut self,
+        mut incarnation: impl FnMut(&mut Self),
+        mut sleep: impl FnMut(u32) -> bool,
+    ) {
+        incarnation(self);
+        while let Some(delay_ms) = self.crashed_restart_ms() {
+            if sleep(delay_ms) {
+                return;
+            }
+            self.resume();
+            incarnation(self);
+        }
     }
 
     /// Consumes the wrapper, returning the native link.

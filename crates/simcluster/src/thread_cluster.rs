@@ -15,12 +15,11 @@
 //! all workers have hung up.
 
 use crate::backend::{
-    ClusterBackend, ClusterError, ServerCtx, TransportStats, WireMsg, WorkerLink,
+    ClusterBackend, ClusterError, ServerCtx, StopSignal, TransportStats, WireMsg, WorkerLink,
 };
 use crate::codec::WireCodec;
 use crate::faults::{FaultHooks, FaultPlan, FaultyLink};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Condvar, Mutex as StdMutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -48,39 +47,6 @@ enum EnvMsg<Req> {
     /// Control: the worker's thread is about to exit (finished or dead
     /// for good). Only the fault-plan path emits control messages.
     Hangup,
-}
-
-/// Interruptible sleep used for crash-restart delays, so the server can
-/// abort pending restarts at shutdown instead of waiting them out.
-#[derive(Default)]
-struct StopSignal {
-    stopped: StdMutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    fn stop(&self) {
-        *self.stopped.lock().expect("stop signal poisoned") = true;
-        self.cv.notify_all();
-    }
-
-    /// Sleeps up to `timeout`; returns `true` if the signal fired first.
-    fn wait(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut stopped = self.stopped.lock().expect("stop signal poisoned");
-        loop {
-            if *stopped {
-                return true;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            let (guard, _timeout) =
-                self.cv.wait_timeout(stopped, left).expect("stop signal poisoned");
-            stopped = guard;
-        }
-    }
 }
 
 impl<Req: Send, Resp: Send> WorkerHandle<Req, Resp> {
@@ -236,25 +202,26 @@ impl ClusterBackend for ThreadCluster {
                     None => worker_fn(w, &mut handle),
                     Some(plan) => {
                         let mut link = FaultyLink::new(handle, w, &plan);
-                        loop {
-                            worker_fn(w, &mut link);
-                            let Some(delay_ms) = link.crashed_restart_ms() else {
-                                break; // finished, or dead for good
-                            };
-                            // Announce the sleep so the serve loop can
-                            // distinguish "everyone mid-restart" from
-                            // "messages in flight", then sleep
-                            // interruptibly: a shutdown abort wakes the
-                            // thread immediately and ends it.
-                            let _ = ctl
-                                .send(Envelope { worker: w, msg: EnvMsg::Sleeping { delay_ms } });
-                            if stop.wait(Duration::from_millis(u64::from(delay_ms))) {
-                                break; // restart aborted at shutdown
-                            }
-                            link.resume();
-                            let _ = ctl.send(Envelope { worker: w, msg: EnvMsg::Woke });
-                        }
-                        let _ = ctl.send(Envelope { worker: w, msg: EnvMsg::Hangup });
+                        let send = |msg| {
+                            let _ = ctl.send(Envelope { worker: w, msg });
+                        };
+                        link.run_restarting(
+                            |link| worker_fn(w, link),
+                            |delay_ms| {
+                                // Announce the sleep so the serve loop can
+                                // distinguish "everyone mid-restart" from
+                                // "messages in flight", then sleep
+                                // interruptibly: a shutdown abort wakes the
+                                // thread immediately and ends it.
+                                send(EnvMsg::Sleeping { delay_ms });
+                                let aborted = stop.wait(Duration::from_millis(u64::from(delay_ms)));
+                                if !aborted {
+                                    send(EnvMsg::Woke);
+                                }
+                                aborted
+                            },
+                        );
+                        send(EnvMsg::Hangup);
                     }
                 };
                 thread::Builder::new()
@@ -395,7 +362,7 @@ mod tests {
 
     #[test]
     fn each_learner_runs_on_a_thread_named_after_its_rank() {
-        let names = StdMutex::new(Vec::new());
+        let names = std::sync::Mutex::new(Vec::new());
         ThreadCluster::new(2)
             .run(
                 |_w, _req: u8, _ctx: &mut ServerCtx<()>| {},

@@ -124,10 +124,8 @@ fn main() {
     // spans, and transport numbers land in a Chrome trace you can open in
     // chrome://tracing or Perfetto.
     let trace_path = std::env::temp_dir().join("lcasgd_net_training.trace.json");
-    let chrome = lc_asgd::core::trace::export(&r, TraceFormat::Chrome)
-        .expect("traced runs carry a timeline");
-    std::fs::write(&trace_path, chrome).expect("write trace");
     let log = r.timeline.as_ref().expect("traced runs carry a timeline");
+    std::fs::write(&trace_path, log.to_chrome_json()).expect("write trace");
     println!(
         "\ntrace: {} span events ({} fault markers) written to {}",
         log.len(),

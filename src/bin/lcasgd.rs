@@ -7,18 +7,15 @@
 //!                [--partitioned] [--stragglers]
 //!                [--checkpoint PATH] [--checkpoint-every N]
 //!                [--fault-plan PATH] [--resume PATH]
-//!                [--trace PATH] [--trace-format chrome|prometheus|summary]
-//!                [--staleness-bound N] [--admission reject|clip|requeue]
-//!                [--fallback auto|off] [--health-log PATH]
+//!                [--trace PATH] [--staleness-bound N] [--health-log PATH]
 //!                [--standby] [--flush-every N] [--lease-ms N]
 //!                [--shards N] [--wire-codec f32|bf16|int8]
-//! lcasgd staleness [--workers N] [--seed N] [--stragglers]
 //! lcasgd help
 //! ```
 //!
-//! `train` runs one experiment and prints the learning curve;
-//! `staleness` profiles the cluster simulator's staleness distribution
-//! without any model computation.
+//! `train` runs one experiment and prints the learning curve; `help` (or
+//! `--help`) prints the usage above. A flag `train` does not know exits 2
+//! and names the flag.
 //!
 //! `--checkpoint`, `--fault-plan`, `--resume`, and `--trace` switch the
 //! run to the real-thread cluster backend: `--checkpoint PATH` writes a
@@ -28,18 +25,15 @@
 //! run from a previously written checkpoint.
 //!
 //! `--trace PATH` records a phase-tagged span timeline of the run and
-//! writes it to `PATH` in the format chosen by `--trace-format`:
-//! `chrome` (default; load the file in `chrome://tracing` or Perfetto),
-//! `prometheus` (text exposition of phase totals, staleness histogram,
-//! and transport counters), or `summary` (a per-epoch phase breakdown
-//! table).
+//! writes it to `PATH` as Chrome `trace_event` JSON (load the file in
+//! `chrome://tracing` or Perfetto).
 //!
-//! The supervisor flags arm the self-healing training supervisor:
-//! `--staleness-bound N` caps the accepted staleness at `N` under the
-//! `--admission` policy, `--fallback auto|off` enables or freezes the
-//! graded LC-ASGD → DC-ASGD → ASGD fallback ladder (default: auto), and
-//! `--health-log PATH` writes the run's health event log to `PATH`.
-//! Any supervisor flag also routes the run through the thread cluster.
+//! The supervisor flags arm the self-healing training supervisor, with
+//! its graded LC-ASGD → DC-ASGD → ASGD fallback ladder:
+//! `--staleness-bound N` drops every gradient pushed more than `N`
+//! updates stale, and `--health-log PATH` writes the run's health event
+//! log to `PATH`. Either flag also routes the run through the thread
+//! cluster.
 //!
 //! `--standby` attaches a hot-standby replica of the parameter server:
 //! every applied update streams to a warm mirror as write-ahead log
@@ -70,13 +64,65 @@
 use lc_asgd::core::config::DataPartition;
 use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
-use lc_asgd::simcluster::{ClusterSim, ClusterSpec};
+use lc_asgd::simcluster::ClusterSpec;
 use std::path::PathBuf;
 use std::process::exit;
+
+/// `train`'s flags that take a value.
+const TRAIN_VALUES: &[&str] = &[
+    "--algorithm",
+    "--workers",
+    "--scale",
+    "--epochs",
+    "--seed",
+    "--bn",
+    "--dataset",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--fault-plan",
+    "--resume",
+    "--trace",
+    "--staleness-bound",
+    "--health-log",
+    "--flush-every",
+    "--lease-ms",
+    "--shards",
+    "--wire-codec",
+];
+
+/// `train`'s flags that stand alone.
+const TRAIN_SWITCHES: &[&str] = &["--partitioned", "--stragglers", "--standby"];
+
+const USAGE: &str = "usage:
+  lcasgd train [--algorithm sgd|ssgd|asgd|dc-asgd|lc-asgd] [--workers N]
+               [--scale tiny|small|paper] [--epochs N] [--seed N]
+               [--bn regular|async] [--dataset cifar|imagenet]
+               [--partitioned] [--stragglers]
+               [--checkpoint PATH] [--checkpoint-every N]
+               [--fault-plan PATH] [--resume PATH]
+               [--trace PATH] [--staleness-bound N] [--health-log PATH]
+               [--standby] [--flush-every N] [--lease-ms N]
+               [--shards N] [--wire-codec f32|bf16|int8]
+  lcasgd help";
 
 struct Args(Vec<String>);
 
 impl Args {
+    /// The first argument that is neither one of `switches` nor one of
+    /// `values` followed by its value — a misspelt or removed flag, which
+    /// would otherwise run silently with the defaults.
+    fn unknown(&self, values: &[&str], switches: &[&str]) -> Option<&str> {
+        let mut args = self.0.iter();
+        while let Some(a) = args.next() {
+            if values.contains(&a.as_str()) {
+                args.next();
+            } else if !switches.contains(&a.as_str()) {
+                return Some(a);
+            }
+        }
+        None
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
@@ -96,21 +142,22 @@ impl Args {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  lcasgd train [--algorithm sgd|ssgd|asgd|dc-asgd|lc-asgd] [--workers N]\n               [--scale tiny|small|paper] [--epochs N] [--seed N]\n               [--bn regular|async] [--dataset cifar|imagenet]\n               [--partitioned] [--stragglers]\n               [--checkpoint PATH] [--checkpoint-every N]\n               [--fault-plan PATH] [--resume PATH]\n               [--trace PATH] [--trace-format chrome|prometheus|summary]\n               [--staleness-bound N] [--admission reject|clip|requeue]\n               [--fallback auto|off] [--health-log PATH]\n               [--standby] [--flush-every N] [--lease-ms N]\n               [--shards N] [--wire-codec f32|bf16|int8]\n  lcasgd staleness [--workers N] [--seed N] [--stragglers]"
-    );
-    exit(2)
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else { usage() };
-    let args = Args(argv[1..].to_vec());
-    match cmd.as_str() {
-        "train" => train(&args),
-        "staleness" => staleness(&args),
-        _ => usage(),
+    let args = Args(argv.get(1..).unwrap_or_default().to_vec());
+    match argv.first().map(String::as_str) {
+        Some("help" | "--help" | "-h") => println!("{USAGE}"),
+        Some("train") => {
+            if let Some(flag) = args.unknown(TRAIN_VALUES, TRAIN_SWITCHES) {
+                eprintln!("unknown argument for train: {flag}\n{USAGE}");
+                exit(2)
+            }
+            train(&args)
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            exit(2)
+        }
     }
 }
 
@@ -124,34 +171,10 @@ fn supervisor_config(args: &Args, health_log: bool) -> Option<SupervisorConfig> 
             exit(2)
         })
     });
-    let admission = args.value("--admission").map(|v| match v {
-        "reject" => AdmissionPolicy::Reject,
-        "clip" => AdmissionPolicy::Clip,
-        "requeue" => AdmissionPolicy::Requeue,
-        other => {
-            eprintln!("unknown admission policy: {other} (want reject|clip|requeue)");
-            exit(2)
-        }
-    });
-    let fallback = args.value("--fallback").map(|v| match v {
-        "auto" => true,
-        "off" => false,
-        other => {
-            eprintln!("unknown fallback mode: {other} (want auto|off)");
-            exit(2)
-        }
-    });
-    if bound.is_none() && admission.is_none() && fallback.is_none() && !health_log {
+    if bound.is_none() && !health_log {
         return None;
     }
-    let mut cfg = SupervisorConfig { staleness_bound: bound, ..SupervisorConfig::default() };
-    if let Some(policy) = admission {
-        cfg.admission = policy;
-    }
-    if let Some(enabled) = fallback {
-        cfg.fallback = enabled;
-    }
-    Some(cfg)
+    Some(SupervisorConfig { staleness_bound: bound, ..SupervisorConfig::default() })
 }
 
 fn train(args: &Args) {
@@ -244,7 +267,6 @@ fn train(args: &Args) {
     });
     let checkpoint_path = args.value("--checkpoint").map(PathBuf::from);
     let trace_path = args.value("--trace").map(PathBuf::from);
-    let trace_format: TraceFormat = args.parse("--trace-format", TraceFormat::Chrome);
     let health_log = args.value("--health-log").map(PathBuf::from);
     let supervisor = supervisor_config(args, health_log.is_some());
     let standby = args.flag("--standby").then(|| StandbyConfig {
@@ -400,60 +422,22 @@ fn train(args: &Args) {
         println!("training checkpoints written to {}", path.display());
     }
     if let Some(path) = &trace_path {
-        match lc_asgd::core::trace::export(&result, trace_format) {
-            Some(text) => {
-                if let Err(e) = std::fs::write(path, text) {
+        match &result.timeline {
+            Some(log) => {
+                if let Err(e) = std::fs::write(path, log.to_chrome_json()) {
                     eprintln!("cannot write trace to {}: {e}", path.display());
                     exit(1);
                 }
-                println!("{trace_format} trace written to {}", path.display());
+                println!("chrome trace written to {}", path.display());
             }
             None => eprintln!("no timeline was recorded; trace not written"),
         }
     }
 }
 
-fn staleness(args: &Args) {
-    let workers: usize = args.parse("--workers", 16);
-    let seed: u64 = args.parse("--seed", 2020);
-    let spec = if args.flag("--stragglers") {
-        ClusterSpec::with_stragglers(workers, seed)
-    } else {
-        ClusterSpec::heterogeneous(workers, seed)
-    };
-    // Pure timing profile: replay the ASGD message pattern with no model.
-    let mut sim: ClusterSim<u64> = ClusterSim::new(spec);
-    let mut version = 0u64;
-    let mut pulled = vec![0u64; workers];
-    let mut samples = Vec::new();
-    for (w, p) in pulled.iter_mut().enumerate() {
-        *p = version;
-        sim.submit(w, 0.0, 0.032, w as u64);
-    }
-    for _ in 0..workers * 200 {
-        let arr = sim.next_arrival().expect("queue");
-        samples.push((version - pulled[arr.worker]) as u32);
-        version += 1;
-        let down = sim.downlink(arr.worker);
-        pulled[arr.worker] = version;
-        sim.submit(arr.worker, arr.time + down, 0.032, arr.payload);
-    }
-    samples.sort_unstable();
-    let q = |p: f64| samples[((samples.len() - 1) as f64 * p) as usize];
-    println!(
-        "staleness over {} simulated updates (M={workers}): mean {:.2}, p50 {}, p90 {}, p99 {}, max {}",
-        samples.len(),
-        samples.iter().map(|&s| s as f64).sum::<f64>() / samples.len() as f64,
-        q(0.5),
-        q(0.9),
-        q(0.99),
-        samples.last().unwrap()
-    );
-}
-
 #[cfg(test)]
 mod tests {
-    use super::Args;
+    use super::{Args, TRAIN_SWITCHES, TRAIN_VALUES, USAGE};
 
     fn args(s: &[&str]) -> Args {
         Args(s.iter().map(|x| x.to_string()).collect())
@@ -483,17 +467,47 @@ mod tests {
 
     #[test]
     fn supervisor_flags_build_a_config() {
-        use lc_asgd::prelude::AdmissionPolicy;
-        let a = args(&["--staleness-bound", "6", "--admission", "clip", "--fallback", "off"]);
+        let a = args(&["--staleness-bound", "6"]);
         let sc = super::supervisor_config(&a, false).expect("flags arm the supervisor");
         assert_eq!(sc.staleness_bound, Some(6));
-        assert!(matches!(sc.admission, AdmissionPolicy::Clip));
-        assert!(!sc.fallback);
         // No supervisor flags and no health log: unsupervised run.
         assert!(super::supervisor_config(&args(&[]), false).is_none());
         // A health log alone arms the defaults.
         let sc = super::supervisor_config(&args(&[]), true).expect("health log arms defaults");
         assert_eq!(sc.staleness_bound, None);
-        assert!(sc.fallback);
+    }
+
+    #[test]
+    fn train_accepts_every_flag_it_reads() {
+        let a = args(&[
+            "--workers",
+            "2",
+            "--stragglers",
+            "--trace",
+            "t.json",
+            "--standby",
+            "--shards",
+            "4",
+        ]);
+        assert_eq!(a.unknown(TRAIN_VALUES, TRAIN_SWITCHES), None);
+        assert_eq!(args(&[]).unknown(TRAIN_VALUES, TRAIN_SWITCHES), None);
+    }
+
+    #[test]
+    fn train_names_a_flag_it_does_not_read() {
+        let unknown = |s: &[&str]| args(s).unknown(TRAIN_VALUES, TRAIN_SWITCHES).map(String::from);
+        assert_eq!(unknown(&["--admission", "clip"]).as_deref(), Some("--admission"));
+        assert_eq!(unknown(&["--shard", "4"]).as_deref(), Some("--shard"));
+        assert_eq!(unknown(&["--epochs", "2", "--fallback", "off"]).as_deref(), Some("--fallback"));
+        // A value is skipped even when it looks like a flag; a stray word is not.
+        assert_eq!(unknown(&["--trace", "--x.json"]), None);
+        assert_eq!(unknown(&["--standby", "4"]).as_deref(), Some("4"));
+    }
+
+    #[test]
+    fn usage_lists_every_train_flag() {
+        for flag in TRAIN_VALUES.iter().chain(TRAIN_SWITCHES) {
+            assert!(USAGE.contains(&format!("[{flag}")), "usage misses {flag}");
+        }
     }
 }

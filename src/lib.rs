@@ -35,10 +35,8 @@ pub mod prelude {
     pub use lcasgd_core::config::{ExperimentConfig, Scale};
     pub use lcasgd_core::metrics::{FaultReport, RunResult};
     pub use lcasgd_core::replication::{ReplicationReport, StandbyConfig};
-    pub use lcasgd_core::supervisor::{
-        AdmissionPolicy, AlgoMode, HealthEvent, HealthReport, SupervisorConfig,
-    };
-    pub use lcasgd_core::trace::{ClockDomain, TraceFormat, TraceLog, TraceSink};
+    pub use lcasgd_core::supervisor::{AlgoMode, HealthEvent, HealthReport, SupervisorConfig};
+    pub use lcasgd_core::trace::{ClockDomain, TraceLog, TraceSink};
     pub use lcasgd_core::trainer::{run_cluster, run_cluster_with, run_experiment, RunOptions};
     pub use lcasgd_data::{Dataset, SyntheticImageSpec};
     pub use lcasgd_netcluster::{NetCluster, NetConfig};

@@ -149,13 +149,14 @@ impl TraceHook for SpanCounter {
     }
 }
 
-/// Drives `workers` raw blocking sockets through hello + one keyed Pull
-/// each (all requests written before any reply is read, so a coalescing
-/// server answers them in one sweep), and returns the reply payloads
-/// plus the number of coalesce spans the server emitted.
-fn keyed_pull_replies(coalescing: bool, workers: usize) -> (Vec<Vec<u8>>, usize) {
-    let cfg = NetConfig { pull_coalescing: coalescing, ..storm_config() };
-    let mut server = ReactorServer::bind("127.0.0.1:0", workers, cfg).expect("bind loopback");
+/// Drives `workers` raw blocking sockets through hello + one Pull each
+/// (all requests written before any reply is read, so the server answers
+/// them in one sweep), and returns the reply payloads plus the number of
+/// coalesce spans the server emitted. Keyed, every reply carries the same
+/// coalescing key; unkeyed (`ctx.reply`), none is ever cached.
+fn pull_replies(keyed: bool, workers: usize) -> (Vec<Vec<u8>>, usize) {
+    let mut server =
+        ReactorServer::bind("127.0.0.1:0", workers, storm_config()).expect("bind loopback");
     let addr = server.local_addr().expect("bound address");
     let spans = Arc::new(SpanCounter::default());
     server.set_trace_hook(spans.clone());
@@ -163,9 +164,14 @@ fn keyed_pull_replies(coalescing: bool, workers: usize) -> (Vec<Vec<u8>>, usize)
     let serve = std::thread::spawn(move || {
         server.serve(|_w, req: Req, ctx: &mut ServerCtx<Resp>| {
             if let Req::Pull = req {
-                // Same key for every request: maximally coalescable.
                 let flat: Vec<f32> = (0..512).map(|i| (i as f32).sin()).collect();
-                ctx.reply_keyed(Resp { flat, version: 7 }, 42);
+                let resp = Resp { flat, version: 7 };
+                if keyed {
+                    // Same key for every request: maximally coalescable.
+                    ctx.reply_keyed(resp, 42);
+                } else {
+                    ctx.reply(resp);
+                }
             }
         })
     });
@@ -209,8 +215,8 @@ fn keyed_pull_replies(coalescing: bool, workers: usize) -> (Vec<Vec<u8>>, usize)
 #[test]
 fn coalesced_pull_replies_are_byte_identical_to_per_request_replies() {
     const WORKERS: usize = 3;
-    let (coalesced, hits_on) = keyed_pull_replies(true, WORKERS);
-    let (plain, hits_off) = keyed_pull_replies(false, WORKERS);
+    let (coalesced, hits_on) = pull_replies(true, WORKERS);
+    let (plain, hits_off) = pull_replies(false, WORKERS);
 
     for w in 1..WORKERS {
         assert_eq!(coalesced[w], coalesced[0], "same-key replies must share bytes (rank {w})");
@@ -225,7 +231,7 @@ fn coalesced_pull_replies_are_byte_identical_to_per_request_replies() {
     assert_eq!(decoded.version, 7);
     assert_eq!(decoded.flat.len(), 512);
 
-    assert_eq!(hits_off, 0, "coalescing off must never serve from cache");
+    assert_eq!(hits_off, 0, "an unkeyed reply must never be served from cache");
     assert!(
         hits_on >= 1,
         "with all {WORKERS} requests in flight on one key, at least one reply must coalesce"

@@ -6,13 +6,12 @@
 //!   summed over all workers and divided by M land within 5% of the run's
 //!   `total_time`, in the run's own clock domain,
 //! * fault-log entries as instant events on the same timeline,
-//! * a Prometheus dump carrying the staleness histogram and transport
-//!   counters,
+//! * a staleness sample per applied update,
 //!
 //! plus frame-exact transport byte accounting on the TCP backend
 //! (heartbeats, hellos and goodbyes must not leak into the counters).
 
-use lc_asgd::core::trace::{self, phase};
+use lc_asgd::core::trace::phase;
 use lc_asgd::data::synth::blobs_split;
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::nn::optimizer::LrSchedule;
@@ -195,29 +194,14 @@ fn assert_trace_contract(r: &RunResult, label: &str) {
     );
 
     // 3. Valid Chrome trace JSON with the expected envelope.
-    let chrome = trace::export(r, TraceFormat::Chrome).expect("chrome export");
+    let chrome = log.to_chrome_json();
     json_validate(&chrome).unwrap_or_else(|e| panic!("{label}: invalid chrome JSON: {e}"));
     assert!(chrome.contains("\"traceEvents\""), "{label}: missing traceEvents array");
     assert!(chrome.contains("\"ph\":\"X\""), "{label}: no complete (span) events");
     assert!(chrome.contains("\"ph\":\"i\""), "{label}: no instant (fault) events");
 
-    // 4. Prometheus dump: staleness histogram and phase totals present.
-    let prom = trace::export(r, TraceFormat::Prometheus).expect("prometheus export");
-    assert!(
-        prom.contains(&format!("lcasgd_staleness_count {}\n", r.staleness.len())),
-        "{label}: staleness count missing"
-    );
+    // 4. The async run records staleness.
     assert!(!r.staleness.is_empty(), "{label}: async run records staleness");
-    assert!(prom.contains("lcasgd_phase_seconds_total{phase="), "{label}: phase totals missing");
-    assert!(prom.contains("lcasgd_fault_events_total"), "{label}: fault counter missing");
-
-    // 5. The per-epoch summary renders without a panic and names the
-    //    run's clock domain.
-    let summary = trace::export(r, TraceFormat::Summary).expect("summary export");
-    assert!(
-        summary.contains(&format!("({} clock", r.clock)),
-        "{label}: summary must name the clock domain"
-    );
 }
 
 // ------------------------------------------------------------- backends

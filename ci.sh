@@ -259,6 +259,8 @@ done
 echo "==> lcasgd train --no-such-flag smoke"
 RC=0; ./target/release/lcasgd train --no-such-flag 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ] || { echo "lcasgd train --no-such-flag exited $RC, not 2"; exit 1; }
+RC=0; ./target/release/lcasgd train --flush-every 4 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ] || { echo "lcasgd train --flush-every without --standby exited $RC, not 2"; exit 1; }
 
 echo "==> cargo fmt --check (touched crates)"
 cargo fmt --check "${TOUCHED[@]}"

@@ -80,10 +80,10 @@ pub struct TrainingCheckpoint {
     /// Highest applied push sequence number per worker (0 = none yet),
     /// the at-most-once dedup state replayed into a promoted standby.
     pub push_seqs: Vec<u64>,
-    /// Per-shard version counters of a sharded parameter server, in
-    /// shard order. Empty for unsharded (shards = 1) runs; the shard
-    /// layout is reconstructed as [`ShardSpec::even`] of the weight
-    /// length by this list's length.
+    /// The server's version once per shard of a sharded run (every push
+    /// moves every shard, so the entries equal `version`). Empty for
+    /// unsharded (shards = 1) runs; the shard layout is reconstructed as
+    /// [`ShardSpec::even`] of the weight length by this list's length.
     ///
     /// [`ShardSpec::even`]: crate::shard::ShardSpec::even
     pub shard_versions: Vec<u64>,

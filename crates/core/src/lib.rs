@@ -6,13 +6,11 @@
 //!   LC-ASGD: the **loss predictor** (Algorithm 3) forecasting the global
 //!   loss `k` steps ahead, and the **step predictor** (Algorithm 4)
 //!   forecasting how many other updates will land while a worker computes;
-//! * [`server`] — the parameter server (Algorithm 2): weight updates
-//!   (Formula 8), the `iter` arrival log, and BN statistics accumulation
-//!   (Formulas 6–7 for Async-BN);
-//! * [`shard`] — the sharded parameter server: [`shard::ShardSpec`]
-//!   partitioning the flat weight vector into contiguous ranges and
-//!   [`shard::ShardGroup`] running one per-shard server instance behind
-//!   the serialized event loop, with merged (lead-shard) bookkeeping;
+//! * [`shard`] — the parameter server (Algorithm 2):
+//!   [`shard::ShardGroup`] holds the one flat weight vector, its weight
+//!   updates (Formula 8), the `iter` arrival log and the BN statistics
+//!   (Formulas 6–7 for Async-BN); [`shard::ShardSpec`] splits the weights
+//!   into the contiguous ranges pulls and pushes carry;
 //! * [`worker`] — the worker-side computation (Algorithm 1): pull, forward
 //!   with BN-stat recording, compensated backward (Formula 5), push;
 //! * [`algorithms`] — SGD / SSGD / ASGD / DC-ASGD / LC-ASGD selection;
@@ -47,7 +45,6 @@ pub mod metrics;
 pub mod predictor;
 pub mod protocol;
 pub mod replication;
-pub mod server;
 pub mod shard;
 pub mod supervisor;
 pub mod trace;

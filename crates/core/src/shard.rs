@@ -1,19 +1,17 @@
-//! Parameter-server sharding: the flat weight vector split into N
-//! contiguous ranges, each owned by its own [`ParameterServer`] with an
-//! independent version counter.
+//! The parameter server (paper Algorithm 2) and its sharding: one flat
+//! weight vector `w_t`, one update counter `t`, one `iter` arrival log and
+//! one set of BN statistics, with the weights split into N contiguous
+//! ranges on the wire.
 //!
 //! The split is *coordinator-free*: workers fan each pull/push out to the
-//! owning shards over their single ordered link, so no extra process or
-//! routing table exists. Because every push carries a slice for **every**
-//! shard and the slices of one push are applied together, the per-shard
-//! version counters advance in lockstep — shard 0 (the *lead* shard)
-//! therefore also carries the merged bookkeeping that is global to the
-//! model: the `iter` arrival log feeding the LC-ASGD step predictor, and
-//! the BN running statistics. See DESIGN.md §11.
+//! shards over their single ordered link, so no extra process or routing
+//! table exists. Every push carries a slice for **every** shard and the
+//! server applies a push only once it is whole, so sharding partitions
+//! the messages (pulls, push slices, write-ahead log records), never the
+//! server's state. See DESIGN.md §11.
 
 use crate::bnmode::BnMode;
 use crate::comm::{CompressedGrad, Compression};
-use crate::server::ParameterServer;
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
 use lcasgd_nn::Network;
@@ -78,35 +76,17 @@ impl ShardSpec {
         self.bounds[s]..self.bounds[s + 1]
     }
 
-    /// Borrows shard `s`'s slice of a full-length flat vector.
-    pub fn slice<'a>(&self, flat: &'a [f32], s: usize) -> &'a [f32] {
-        assert_eq!(flat.len(), self.len(), "flat vector length mismatch");
-        &flat[self.range(s)]
-    }
-
     /// Splits a full-length flat vector into owned per-shard slices.
     pub fn split(&self, flat: &[f32]) -> Vec<Vec<f32>> {
-        (0..self.count()).map(|s| self.slice(flat, s).to_vec()).collect()
-    }
-
-    /// Concatenates per-shard slices back into the full flat vector,
-    /// checking every slice against its owning range.
-    pub fn assemble(&self, parts: &[Vec<f32>]) -> Vec<f32> {
-        assert_eq!(parts.len(), self.count(), "shard count mismatch");
-        let mut flat = Vec::with_capacity(self.len());
-        for (s, part) in parts.iter().enumerate() {
-            assert_eq!(part.len(), self.range(s).len(), "shard {s} slice length mismatch");
-            flat.extend_from_slice(part);
-        }
-        flat
+        assert_eq!(flat.len(), self.len(), "flat vector length mismatch");
+        (0..self.count()).map(|s| flat[self.range(s)].to_vec()).collect()
     }
 }
 
-/// The sharded parameter server: one [`ParameterServer`] per shard, all
-/// behind the single serialized server event loop. Shard 0 is the *lead*
-/// shard carrying the merged (model-global) bookkeeping — the arrival log
-/// and BN statistics — while every shard keeps its own weights slice and
-/// version counter.
+/// The parameter server of Algorithm 2, behind the single serialized server
+/// event loop: the canonical weights, the global BN statistics, the update
+/// counter `t` and the `iter` arrival log, each held once whatever the
+/// shard count.
 ///
 /// The group is also the one owner of the copies of its weights that leave
 /// the server: [`snapshot`](Self::snapshot) lends out one shared vector per
@@ -116,21 +96,35 @@ impl ShardSpec {
 /// §12.6).
 pub struct ShardGroup {
     spec: ShardSpec,
-    shards: Vec<ParameterServer>,
+    /// Flat canonical weights `w_t`; shard `s` is `spec.range(s)` of them.
+    weights: Vec<f32>,
+    /// Global BN running statistics (`E_z`, `Var_z` per layer).
+    bn: BnState,
+    /// Update counter `t` (number of applied gradients).
+    version: u64,
+    /// Arrival log: which worker's results arrived, in order ("iter").
+    iter: Vec<usize>,
+    /// Per-worker version at their previous logged arrival (for deriving
+    /// the actual step count `k_m`).
+    last_arrival_version: Vec<Option<u64>>,
+    bn_mode: BnMode,
+    /// Momentum `d` of Formulas 6–7.
+    bn_momentum: f32,
     snapshots: Vec<Snapshot>,
 }
 
-/// A shard's lendable copy of its weights.
+/// A shard's lendable copy of its range of the weights.
 #[derive(Default)]
 struct Snapshot {
     weights: Arc<Vec<f32>>,
-    /// False once the shard's weights have moved on from `weights`; every
+    /// False once the weights have moved on from `weights`; every
     /// `ShardGroup` method that writes them clears it.
     current: bool,
 }
 
 impl ShardGroup {
-    /// Builds `n` shards from the canonical network.
+    /// The server over the canonical network's weights and BN state,
+    /// split into `n` shards.
     pub fn new(
         net: &Network,
         num_workers: usize,
@@ -138,22 +132,19 @@ impl ShardGroup {
         bn_momentum: f32,
         n: usize,
     ) -> Result<ShardGroup, String> {
-        let flat = net.flat_params();
-        let spec = ShardSpec::even(flat.len(), n)?;
-        let shards = (0..n)
-            .map(|s| {
-                let weights = spec.slice(&flat, s).to_vec();
-                ParameterServer::with_weights(
-                    weights,
-                    net.bn_state(),
-                    num_workers,
-                    bn_mode,
-                    bn_momentum,
-                )
-            })
-            .collect();
-        let snapshots = (0..n).map(|_| Snapshot::default()).collect();
-        Ok(ShardGroup { spec, shards, snapshots })
+        let weights = net.flat_params();
+        let spec = ShardSpec::even(weights.len(), n)?;
+        Ok(ShardGroup {
+            spec,
+            weights,
+            bn: net.bn_state(),
+            version: 0,
+            iter: Vec::new(),
+            last_arrival_version: vec![None; num_workers],
+            bn_mode,
+            bn_momentum,
+            snapshots: (0..n).map(|_| Snapshot::default()).collect(),
+        })
     }
 
     /// The partition.
@@ -163,17 +154,12 @@ impl ShardGroup {
 
     /// Number of shards.
     pub fn count(&self) -> usize {
-        self.shards.len()
+        self.spec.count()
     }
 
-    /// Shard `s`, immutable.
-    pub fn shard(&self, s: usize) -> &ParameterServer {
-        &self.shards[s]
-    }
-
-    /// The lead shard (shard 0), owner of the merged bookkeeping.
-    pub fn lead(&self) -> &ParameterServer {
-        &self.shards[0]
+    /// The flat weights `w_t`.
+    pub fn weights(&self) -> &[f32] {
+        &self.weights
     }
 
     /// A shared copy of shard `s`'s weights as they are now. Calls between
@@ -182,14 +168,14 @@ impl ShardGroup {
     /// nobody holds that any more, which is the steady state on a transport
     /// that encodes a reply and drops it.
     pub fn snapshot(&mut self, s: usize) -> Arc<Vec<f32>> {
-        let (shard, snap) = (&self.shards[s], &mut self.snapshots[s]);
+        let (weights, snap) = (&self.weights[self.spec.range(s)], &mut self.snapshots[s]);
         if !snap.current {
             match Arc::get_mut(&mut snap.weights) {
                 Some(buf) => {
                     buf.clear();
-                    buf.extend_from_slice(&shard.weights);
+                    buf.extend_from_slice(weights);
                 }
-                None => snap.weights = Arc::new(shard.weights.clone()),
+                None => snap.weights = Arc::new(weights.to_vec()),
             }
             snap.current = true;
         }
@@ -211,128 +197,148 @@ impl ShardGroup {
         self.snapshots.iter_mut().for_each(|snap| snap.current = false);
     }
 
-    /// Merged update count: the number of completed pushes. Identical on
-    /// every shard (slices of one push are applied together), so the lead
-    /// shard's counter is authoritative.
+    /// Update counter `t`: the number of completed pushes.
     pub fn version(&self) -> u64 {
-        self.shards[0].version
+        self.version
     }
 
-    /// Per-shard version counters, for checkpointing.
-    pub fn versions(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.version).collect()
+    /// The arrival log ("iter").
+    pub fn iter(&self) -> &[usize] {
+        &self.iter
     }
 
-    /// Restores per-shard version counters from a checkpoint.
-    pub fn restore_versions(&mut self, versions: &[u64]) -> Result<(), String> {
-        if versions.len() != self.shards.len() {
+    /// Restores the update counter and the arrival log from a checkpoint.
+    pub fn restore_log(&mut self, version: u64, iter: Vec<usize>) {
+        self.version = version;
+        self.iter = iter;
+    }
+
+    /// A copy of the flat weight vector.
+    pub fn assembled_weights(&self) -> Vec<f32> {
+        self.weights.clone()
+    }
+
+    /// Overwrites the weights from a full flat vector (rollback,
+    /// checkpoint restore, failover adoption).
+    pub fn load_weights(&mut self, flat: &[f32]) {
+        self.weights.copy_from_slice(flat);
+        self.weights_written();
+    }
+
+    /// Formula 8: `w_{t+1} = w_t − γ·g_m`.
+    pub fn apply_grad(&mut self, grads: &[f32], lr: f32) {
+        assert_eq!(grads.len(), self.weights.len(), "gradient length mismatch");
+        for (w, &g) in self.weights.iter_mut().zip(grads) {
+            *w -= lr * g;
+        }
+        self.applied();
+    }
+
+    /// DC-ASGD's Formula 3:
+    /// `w_{t+τ+1} = w_{t+τ} − γ·(g + λ·g⊙g⊙(w_{t+τ} − w_bak))`.
+    /// `w_bak` is the snapshot the pushing worker pulled.
+    pub fn apply_grad_dc(&mut self, grads: &[f32], lr: f32, lambda: f32, w_bak: &[f32]) {
+        assert_eq!(grads.len(), self.weights.len(), "gradient length mismatch");
+        assert_eq!(w_bak.len(), self.weights.len(), "backup length mismatch");
+        for ((w, &g), &b) in self.weights.iter_mut().zip(grads).zip(w_bak) {
+            let compensated = g + lambda * g * g * (*w - b);
+            *w -= lr * compensated;
+        }
+        self.applied();
+    }
+
+    /// Averages M gradients and applies one update (SSGD, Formula 1).
+    pub fn apply_grad_avg(&mut self, grads: &[impl AsRef<[f32]>], lr: f32) {
+        assert!(!grads.is_empty());
+        let scale = lr / grads.len() as f32;
+        let grads: Vec<&[f32]> = grads.iter().map(AsRef::as_ref).collect();
+        for g in &grads {
+            assert_eq!(g.len(), self.weights.len(), "gradient length mismatch");
+        }
+        for (i, w) in self.weights.iter_mut().enumerate() {
+            let sum: f32 = grads.iter().map(|g| g[i]).sum();
+            *w -= scale * sum;
+        }
+        self.applied();
+    }
+
+    fn applied(&mut self) {
+        self.version += 1;
+        self.weights_written();
+    }
+
+    /// Logs worker `m`'s result arrival ("Append m to iter") and returns
+    /// the number of server updates since `m`'s previous arrival — the
+    /// *actual* step count used as the step predictor's training label.
+    pub fn log_arrival(&mut self, m: usize) -> u64 {
+        self.iter.push(m);
+        let actual = self.last_arrival_version[m].map(|v| self.version - v).unwrap_or(0);
+        self.last_arrival_version[m] = Some(self.version);
+        actual
+    }
+
+    /// Forgets worker `m`'s arrival history. Called when a crashed worker
+    /// rejoins: its next arrival is the restarted process's *first*, so
+    /// the derived step count must restart from "no history" instead of
+    /// spanning the crash (Algorithm 2's `k_m` bookkeeping per worker).
+    pub fn reset_arrival(&mut self, m: usize) {
+        self.last_arrival_version[m] = None;
+    }
+
+    /// Per-worker version-at-last-arrival, for checkpointing.
+    pub fn arrival_state(&self) -> Vec<Option<u64>> {
+        self.last_arrival_version.clone()
+    }
+
+    /// Restores the arrival bookkeeping captured by
+    /// [`ShardGroup::arrival_state`]. Errs on a worker-count mismatch
+    /// (e.g. a checkpoint taken with a different `--workers`) instead of
+    /// aborting, so the caller can surface the mismatch through checkpoint
+    /// load.
+    pub fn restore_arrival_state(&mut self, state: &[Option<u64>]) -> Result<(), String> {
+        if state.len() != self.last_arrival_version.len() {
             return Err(format!(
-                "checkpoint carries {} shard versions but the run has {} shards",
-                versions.len(),
-                self.shards.len()
+                "checkpoint arrival state covers {} workers but the run has {}; \
+                 resume with --workers {} or start fresh",
+                state.len(),
+                self.last_arrival_version.len(),
+                state.len()
             ));
         }
-        for (shard, &v) in self.shards.iter_mut().zip(versions) {
-            shard.version = v;
-        }
+        self.last_arrival_version = state.to_vec();
         Ok(())
     }
 
-    /// Restores the merged arrival log ("iter") from a checkpoint.
-    pub fn restore_arrival_log(&mut self, iter: Vec<usize>) {
-        self.shards[0].iter = iter;
-    }
-
-    /// Assembles the full flat weight vector from the shard slices.
-    pub fn assembled_weights(&self) -> Vec<f32> {
-        let mut flat = Vec::with_capacity(self.spec.len());
-        for shard in &self.shards {
-            flat.extend_from_slice(&shard.weights);
-        }
-        flat
-    }
-
-    /// Overwrites every shard's slice from a full flat vector (rollback,
-    /// checkpoint restore, failover adoption).
-    pub fn load_weights(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.spec.len(), "flat vector length mismatch");
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.weights.copy_from_slice(&flat[self.spec.range(s)]);
-        }
-        self.weights_written();
-    }
-
-    /// Formula 8 across all shards: each shard applies its slice, so
-    /// every per-shard version counter advances by one.
-    pub fn apply_grad(&mut self, grads: &[f32], lr: f32) {
-        assert_eq!(grads.len(), self.spec.len(), "gradient length mismatch");
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            shard.apply_grad(&grads[self.spec.range(s)], lr);
-        }
-        self.weights_written();
-    }
-
-    /// DC-ASGD's Formula 3 across all shards, against the per-shard
-    /// slices of the pushing worker's backup.
-    pub fn apply_grad_dc(&mut self, grads: &[f32], lr: f32, lambda: f32, w_bak: &[f32]) {
-        assert_eq!(grads.len(), self.spec.len(), "gradient length mismatch");
-        assert_eq!(w_bak.len(), self.spec.len(), "backup length mismatch");
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let r = self.spec.range(s);
-            shard.apply_grad_dc(&grads[r.clone()], lr, lambda, &w_bak[r]);
-        }
-        self.weights_written();
-    }
-
-    /// SSGD's averaged update (Formula 1) across all shards.
-    pub fn apply_grad_avg(&mut self, grads: &[impl AsRef<[f32]>], lr: f32) {
-        assert!(!grads.is_empty());
-        for g in grads {
-            assert_eq!(g.as_ref().len(), self.spec.len(), "gradient length mismatch");
-        }
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let r = self.spec.range(s);
-            let slices: Vec<&[f32]> = grads.iter().map(|g| &g.as_ref()[r.clone()]).collect();
-            shard.apply_grad_avg(&slices, lr);
-        }
-        self.weights_written();
-    }
-
-    /// Merged arrival log (lead shard): "Append m to iter" and derive the
-    /// actual step count since `m`'s previous arrival.
-    pub fn log_arrival(&mut self, m: usize) -> u64 {
-        self.shards[0].log_arrival(m)
-    }
-
-    /// Forgets worker `m`'s arrival history (worker rejoin).
-    pub fn reset_arrival(&mut self, m: usize) {
-        self.shards[0].reset_arrival(m);
-    }
-
-    /// Merged per-worker version-at-last-arrival, for checkpointing.
-    pub fn arrival_state(&self) -> Vec<Option<u64>> {
-        self.shards[0].arrival_state()
-    }
-
-    /// Restores the merged arrival bookkeeping.
-    pub fn restore_arrival_state(&mut self, state: &[Option<u64>]) -> Result<(), String> {
-        self.shards[0].restore_arrival_state(state)
-    }
-
-    /// Absorbs a worker's BN statistics into the merged (lead-shard) BN
-    /// state.
+    /// Absorbs a worker's BN statistics into the global state.
+    ///
+    /// * Regular BN: replace with the worker's local running stats
+    ///   (`worker_running`) — last writer wins (paper §5.3).
+    /// * Async-BN: EMA-accumulate the worker's *batch* stats with momentum
+    ///   `d` (Formulas 6–7).
     pub fn absorb_bn(&mut self, worker_running: &BnState, batch: &[BnBatchStats]) {
-        self.shards[0].absorb_bn(worker_running, batch);
+        match self.bn_mode {
+            BnMode::Regular => {
+                self.bn = worker_running.clone();
+            }
+            BnMode::Async => {
+                assert_eq!(batch.len(), self.bn.means.len(), "BN layer-count mismatch");
+                let d = self.bn_momentum;
+                for (i, s) in batch.iter().enumerate() {
+                    self.bn.means[i].scale_add_inplace(1.0 - d, &s.mean, d);
+                    self.bn.vars[i].scale_add_inplace(1.0 - d, &s.var, d);
+                }
+            }
+        }
     }
 
-    /// The merged BN state.
+    /// The global BN state.
     pub fn bn(&self) -> &BnState {
-        &self.shards[0].bn
+        &self.bn
     }
 
-    /// Overwrites the merged BN state (restore paths).
+    /// Overwrites the global BN state (restore paths).
     pub fn set_bn(&mut self, bn: BnState) {
-        self.shards[0].bn = bn;
+        self.bn = bn;
     }
 }
 
@@ -401,7 +407,7 @@ pub(crate) struct PendingPush {
     /// is 64 so one word suffices).
     seen: u64,
     got: usize,
-    /// BN payloads, carried by the lead (shard-0) slice only.
+    /// BN payloads, carried by shard 0's slice only.
     pub batch_stats: Vec<BnBatchStats>,
     pub running: BnState,
 }
@@ -472,7 +478,7 @@ impl PushAssembly {
             slice.grads.decompress_into(&mut p.grads[self.spec.range(sh)]);
         }
         if sh == 0 {
-            // BN payloads ride the lead slice only.
+            // BN payloads ride shard 0's slice only.
             p.batch_stats = slice.batch_stats;
             p.running = slice.running;
         }
@@ -513,7 +519,7 @@ impl PushAssembly {
 mod tests {
     use super::*;
     use lcasgd_nn::mlp::mlp;
-    use lcasgd_tensor::Rng;
+    use lcasgd_tensor::{Rng, Tensor};
 
     #[test]
     fn even_split_covers_everything_once() {
@@ -584,56 +590,152 @@ mod tests {
     }
 
     #[test]
-    fn split_and_assemble_roundtrip() {
+    fn split_covers_the_vector_in_order() {
         let spec = ShardSpec::even(11, 4).unwrap();
         let flat: Vec<f32> = (0..11).map(|i| i as f32).collect();
         let parts = spec.split(&flat);
         assert_eq!(parts.len(), 4);
-        assert_eq!(spec.assemble(&parts), flat);
+        assert_eq!(parts.concat(), flat);
     }
 
-    fn group(n: usize) -> ShardGroup {
-        let mut rng = Rng::seed_from_u64(77);
-        let net = mlp(&[4, 6, 2], false, &mut rng);
-        ShardGroup::new(&net, 2, BnMode::Regular, 0.5, n).unwrap()
+    fn group(n: usize, bn_mode: BnMode) -> ShardGroup {
+        let mut rng = Rng::seed_from_u64(221);
+        let net = mlp(&[4, 6, 2], true, &mut rng);
+        ShardGroup::new(&net, 3, bn_mode, 0.5, n).unwrap()
+    }
+
+    #[test]
+    fn formula8_update() {
+        let mut s = group(1, BnMode::Async);
+        let w0 = s.weights[0];
+        let mut g = vec![0.0; s.weights.len()];
+        g[0] = 2.0;
+        s.apply_grad(&g, 0.1);
+        assert!((s.weights[0] - (w0 - 0.2)).abs() < 1e-7);
+        assert_eq!(s.version, 1);
+    }
+
+    #[test]
+    fn formula3_dc_compensation() {
+        let mut s = group(1, BnMode::Async);
+        let n = s.weights.len();
+        // Set a known state: w = 1, g = 1, w_bak = 0 → compensated = 1 + λ·1·1·1.
+        s.load_weights(&vec![1.0; n]);
+        let g = vec![1.0; n];
+        let bak = vec![0.0; n];
+        s.apply_grad_dc(&g, 0.1, 0.5, &bak);
+        // w = 1 − 0.1·(1 + 0.5) = 0.85
+        assert!((s.weights[0] - 0.85).abs() < 1e-6);
+    }
+
+    #[test]
+    fn dc_equals_plain_when_no_drift() {
+        // w_bak == w → compensation vanishes.
+        let mut a = group(1, BnMode::Async);
+        let mut b = group(1, BnMode::Async);
+        let g: Vec<f32> = (0..a.weights.len()).map(|i| (i % 5) as f32 * 0.1).collect();
+        let bak = a.weights.clone();
+        a.apply_grad_dc(&g, 0.2, 0.7, &bak);
+        b.apply_grad(&g, 0.2);
+        for (x, y) in a.weights.iter().zip(&b.weights) {
+            assert!((x - y).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn averaged_update_matches_mean() {
+        let mut s = group(1, BnMode::Async);
+        let n = s.weights.len();
+        let w0 = s.weights.clone();
+        let g1 = vec![1.0; n];
+        let g2 = vec![3.0; n];
+        s.apply_grad_avg(&[g1, g2], 0.1);
+        for (w, w0) in s.weights.iter().zip(&w0) {
+            assert!((w - (w0 - 0.2)).abs() < 1e-6); // mean grad = 2, lr 0.1
+        }
+    }
+
+    #[test]
+    fn arrival_log_derives_steps() {
+        let mut s = group(1, BnMode::Async);
+        let g = vec![0.0; s.weights.len()];
+        assert_eq!(s.log_arrival(0), 0); // first arrival: no history
+        s.apply_grad(&g, 0.1);
+        s.apply_grad(&g, 0.1);
+        // Worker 1 interleaves — irrelevant to worker 0's count.
+        assert_eq!(s.log_arrival(1), 0);
+        s.apply_grad(&g, 0.1);
+        assert_eq!(s.log_arrival(0), 3); // three updates since its last arrival
+        assert_eq!(s.iter, vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn restore_arrival_state_rejects_worker_count_mismatch() {
+        let mut s = group(1, BnMode::Async); // 3 workers
+        let err = s.restore_arrival_state(&[Some(4), None]).unwrap_err();
+        assert!(err.contains("2 workers"), "{err}");
+        assert!(err.contains("has 3"), "{err}");
+        // Matching count restores and is observable through log_arrival.
+        s.restore_arrival_state(&[Some(0), None, None]).unwrap();
+        let g = vec![0.0; s.weights.len()];
+        s.apply_grad(&g, 0.1);
+        assert_eq!(s.log_arrival(0), 1, "restored history survives the roundtrip");
+    }
+
+    #[test]
+    fn regular_bn_replaces() {
+        let mut s = group(1, BnMode::Regular);
+        let mut running = s.bn.clone();
+        running.means[0] = Tensor::full(&[6], 9.0);
+        s.absorb_bn(&running, &[]);
+        assert_eq!(s.bn.means[0].data(), &[9.0; 6]);
+    }
+
+    #[test]
+    fn async_bn_accumulates_formulas_6_7() {
+        let mut s = group(1, BnMode::Async); // d = 0.5, initial mean 0, var 1
+        let batch =
+            vec![BnBatchStats { mean: Tensor::full(&[6], 4.0), var: Tensor::full(&[6], 3.0) }];
+        let dummy_running = s.bn.clone();
+        s.absorb_bn(&dummy_running, &batch);
+        // E = 0.5·0 + 0.5·4 = 2 ; Var = 0.5·1 + 0.5·3 = 2
+        assert_eq!(s.bn.means[0].data(), &[2.0; 6]);
+        assert_eq!(s.bn.vars[0].data(), &[2.0; 6]);
+        s.absorb_bn(&dummy_running, &batch);
+        assert_eq!(s.bn.means[0].data(), &[3.0; 6]);
     }
 
     #[test]
     fn sharded_apply_matches_unsharded() {
-        let mut one = group(1);
-        let mut four = group(4);
-        assert_eq!(one.assembled_weights(), four.assembled_weights());
+        let mut one = group(1, BnMode::Regular);
+        let mut four = group(4, BnMode::Regular);
+        assert_eq!(one.weights(), four.weights());
         let g: Vec<f32> = (0..one.spec().len()).map(|i| (i % 7) as f32 * 0.01).collect();
         one.apply_grad(&g, 0.1);
         four.apply_grad(&g, 0.1);
-        assert_eq!(one.assembled_weights(), four.assembled_weights());
+        assert_eq!(one.weights(), four.weights());
         assert_eq!(four.version(), 1);
-        assert_eq!(four.versions(), vec![1; 4], "per-shard counters advance in lockstep");
 
         let bak = one.assembled_weights();
         one.apply_grad_dc(&g, 0.1, 0.04, &bak);
         four.apply_grad_dc(&g, 0.1, 0.04, &bak);
-        assert_eq!(one.assembled_weights(), four.assembled_weights());
+        assert_eq!(one.weights(), four.weights());
 
         one.apply_grad_avg(&[g.clone(), bak.clone()], 0.1);
         four.apply_grad_avg(&[g, bak], 0.1);
-        assert_eq!(one.assembled_weights(), four.assembled_weights());
-        assert_eq!(four.versions(), vec![3; 4]);
+        assert_eq!(one.weights(), four.weights());
+        assert_eq!(four.version(), 3);
     }
 
     #[test]
     fn load_weights_roundtrips_through_shards() {
-        let mut g = group(3);
+        let mut g = group(3, BnMode::Regular);
         let flat: Vec<f32> = (0..g.spec().len()).map(|i| i as f32 * 0.5).collect();
         g.load_weights(&flat);
-        assert_eq!(g.assembled_weights(), flat);
-    }
-
-    #[test]
-    fn restore_versions_validates_shard_count() {
-        let mut g = group(3);
-        assert!(g.restore_versions(&[5, 5]).is_err());
-        g.restore_versions(&[5, 5, 5]).unwrap();
-        assert_eq!(g.version(), 5);
+        let parts: Vec<_> = (0..3).map(|s| g.snapshot(s)).collect();
+        assert_eq!(parts.iter().map(|p| p.as_slice()).collect::<Vec<_>>().concat(), flat);
+        g.apply_grad(&vec![1.0; flat.len()], 0.5);
+        assert_eq!(g.snapshot(1).as_slice(), &g.weights()[g.spec().range(1)]);
+        assert_ne!(g.snapshot(1), parts[1], "a write makes the next snapshot a fresh copy");
     }
 }

@@ -773,6 +773,37 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_shard_version_mismatch_is_a_descriptive_error() {
+        // Every push moves every shard, so the server keeps one version; a
+        // checkpoint whose shard versions disagree with it is corrupt.
+        let (train, test) = data();
+        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
+        let mut cfg = blob_cfg(Algorithm::Asgd, 2);
+        cfg.epochs = 2;
+        let dir = std::env::temp_dir().join("lcasgd-shard-version-mismatch-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s2.ck");
+        let opts = RunOptions {
+            checkpoint_path: Some(path.clone()),
+            checkpoint_every: 5,
+            shards: 2,
+            ..RunOptions::default()
+        };
+        run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts).unwrap();
+        let mut ck = TrainingCheckpoint::load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(ck.shard_versions, vec![ck.version; 2]);
+        ck.shard_versions[1] += 1;
+        let (v, bad) = (ck.version, ck.shard_versions[1]);
+        let opts = RunOptions { resume: Some(ck), shards: 2, ..RunOptions::default() };
+        let err = run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts)
+            .expect_err("disagreeing shard versions must be an error, not a panic");
+        let msg = format!("{err:?}");
+        assert!(msg.contains("cannot resume"), "descriptive error, got: {msg}");
+        assert!(msg.contains(&format!("shard version {bad} but server version {v}")), "{msg}");
+    }
+
+    #[test]
     fn sharded_cluster_run_matches_single_shard_on_sim() {
         // The tentpole identity on the deterministic backend: shards=1 is
         // the unsharded protocol verbatim, and shards=3 must produce the

@@ -173,7 +173,7 @@ impl Predictors {
 struct DcBackups {
     bufs: Vec<Vec<f32>>,
     /// Whether the worker's current iteration is refreshing its backup:
-    /// decided at the lead pull, obeyed by the follower-shard pulls.
+    /// decided at its shard-0 pull, obeyed by its other pulls.
     live: Vec<bool>,
 }
 
@@ -182,20 +182,21 @@ impl DcBackups {
         DcBackups { bufs: vec![Vec::new(); workers], live: vec![false; workers] }
     }
 
-    /// The lead pull of an iteration.
-    fn begin(&mut self, w: usize, on_dc_rung: bool, spec: &ShardSpec, lead: &[f32]) {
-        if on_dc_rung {
-            if self.bufs[w].len() != spec.len() {
-                self.bufs[w] = vec![0.0; spec.len()];
-            }
-            self.bufs[w][spec.range(0)].copy_from_slice(lead);
+    /// The shard-0 pull of an iteration: copies shard 0's range of the
+    /// flat `weights` if the worker is on the DC rung.
+    fn begin(&mut self, w: usize, on_dc_rung: bool, spec: &ShardSpec, weights: &[f32]) {
+        if on_dc_rung && self.bufs[w].len() != spec.len() {
+            self.bufs[w] = vec![0.0; spec.len()];
         }
         self.live[w] = on_dc_rung;
+        self.follow(w, spec, 0, weights);
     }
 
+    /// Copies shard `sh`'s range of the flat `weights` into a live backup.
     fn follow(&mut self, w: usize, spec: &ShardSpec, sh: usize, weights: &[f32]) {
         if self.live[w] {
-            self.bufs[w][spec.range(sh)].copy_from_slice(weights);
+            let r = spec.range(sh);
+            self.bufs[w][r.clone()].copy_from_slice(&weights[r]);
         }
     }
 
@@ -240,10 +241,11 @@ pub(super) struct Core<'a> {
     is_ssgd: bool,
 
     // ---- Algorithm 2 ---------------------------------------------------
-    /// N per-shard server instances behind the one serialized event loop.
-    /// Workers fan pulls/pushes out over their single ordered link, so the
-    /// sharding is coordinator-free and `n = 1` reproduces the unsharded
-    /// message sequence exactly (DESIGN.md §11).
+    /// The server's one state — weights, version, arrival log, BN — split
+    /// into shard ranges on the wire only. Workers fan pulls/pushes out
+    /// over their single ordered link, so the sharding is coordinator-free
+    /// and `n = 1` reproduces the unsharded message sequence exactly
+    /// (DESIGN.md §11).
     group: ShardGroup,
     predictors: Predictors,
     backups: DcBackups,
@@ -380,8 +382,8 @@ impl<'a> Core<'a> {
 
     /// Takes a checkpoint's server state over: the resume of a restarted
     /// server and the promotion of a standby's mirror. Validates before it
-    /// mutates: a mismatched worker count, weight length or shard-version
-    /// count is a descriptive error, never a panic.
+    /// mutates: a mismatched worker count, weight length, shard-version
+    /// count or shard version is a descriptive error, never a panic.
     fn adopt(&mut self, ck: &TrainingCheckpoint, seam: &mut dyn Seam) -> Result<(), String> {
         let group = &mut self.group;
         if ck.weights.len() != group.spec().len() {
@@ -398,18 +400,20 @@ impl<'a> Core<'a> {
                 group.count()
             ));
         }
-        group.restore_arrival_state(&ck.arrival)?;
-        if ck.shard_versions.is_empty() {
-            // An unsharded (or single-shard) checkpoint: lockstep version
-            // counters mean every shard adopts the global count, so such a
-            // checkpoint resumes under any shard layout.
-            group.restore_versions(&vec![ck.version; group.count()])?;
-        } else {
-            group.restore_versions(&ck.shard_versions)?;
+        // Every push moves every shard, so a checkpoint's shard versions
+        // all equal its version; an empty list (one shard) resumes under
+        // any shard layout.
+        if let Some(v) = ck.shard_versions.iter().find(|&&v| v != ck.version) {
+            return Err(format!(
+                "checkpoint records shard version {v} but server version {}; \
+                 the shards of one server share one version",
+                ck.version
+            ));
         }
+        group.restore_arrival_state(&ck.arrival)?;
+        group.restore_log(ck.version, ck.iter.clone());
         group.load_weights(&ck.weights);
         group.set_bn(ck.bn.clone());
-        group.restore_arrival_log(ck.iter.clone());
         self.applied = ck.applied as usize;
         self.staleness = ck.staleness.clone();
         self.losses = ck.epoch_losses.clone();
@@ -503,12 +507,12 @@ impl<'a> Core<'a> {
                 }
             });
             let on_dc_rung = self.pulled_mode[w] == AlgoMode::Dc;
-            self.backups.begin(w, on_dc_rung, self.group.spec(), &self.group.lead().weights);
+            self.backups.begin(w, on_dc_rung, self.group.spec(), self.group.weights());
             self.reply_weights(w, 0, directive, ctx);
         } else {
             // Follower-shard pull: the lead pull already answered the
             // stop/directive questions for this iteration.
-            self.backups.follow(w, self.group.spec(), sh, &self.group.shard(sh).weights);
+            self.backups.follow(w, self.group.spec(), sh, self.group.weights());
             self.reply_weights(w, sh, None, ctx);
         }
     }
@@ -525,7 +529,7 @@ impl<'a> Core<'a> {
         directive: Option<PullDirective>,
         ctx: &mut ServerCtx<ClusterResp>,
     ) {
-        let version = self.group.shard(sh).version;
+        let version = self.group.version();
         let epoch = self.fence.epoch();
         let key = directive.is_none().then(|| coalesce_key(sh as u32, epoch, version));
         let weights = self.group.snapshot(sh);
@@ -537,8 +541,7 @@ impl<'a> Core<'a> {
     }
 
     /// Algorithm 2 lines 2–7: log the arrival, run both predictors, absorb
-    /// the BN statistics, reply with `ℓ_delay`. Arrival bookkeeping is
-    /// model-global, so it lives on the lead shard.
+    /// the BN statistics, reply with `ℓ_delay`.
     fn on_state(&mut self, w: usize, epoch: u64, msg: StateMsg, ctx: &mut ServerCtx<ClusterResp>) {
         if !self.fence.admit_read(epoch) {
             // LC forward state addressed to a fenced primary: the worker
@@ -718,8 +721,8 @@ impl<'a> Core<'a> {
         g
     }
 
-    /// Applies an admitted gradient to every shard (Formula 8, or Formula 3
-    /// on the DC rung) and commits the push; returns the learning rate used.
+    /// Applies an admitted gradient (Formula 8, or Formula 3 on the DC
+    /// rung) and commits the push; returns the learning rate used.
     fn apply(&mut self, w: usize, push: &PendingPush, g: &[f32], stale: u32) -> f32 {
         let (cfg, sink) = (self.env.cfg, &self.env.sink);
         self.staleness.push(stale);
@@ -770,8 +773,8 @@ impl<'a> Core<'a> {
         };
         let fused = self.pulled_mode[w] != AlgoMode::Lc;
         let side_effects = fused.then(|| (group.version(), group.bn()));
-        let mut slices =
-            before.iter().enumerate().map(|(s, b)| (&group.shard(s).weights[..], &b[..]));
+        let (spec, weights) = (group.spec(), group.weights());
+        let mut slices = before.iter().enumerate().map(|(s, b)| (&weights[spec.range(s)], &b[..]));
         seam.log_push(&head, &mut slices, side_effects);
     }
 
@@ -791,7 +794,7 @@ impl<'a> Core<'a> {
             seam.refresh(&TrainingCheckpoint {
                 bn: self.group.bn().clone(),
                 arrival: self.group.arrival_state(),
-                iter: self.group.lead().iter.clone(),
+                iter: self.group.iter().to_vec(),
                 loss_pred,
                 step_pred,
                 ..TrainingCheckpoint::default()
@@ -881,23 +884,16 @@ impl<'a> Core<'a> {
     }
 
     /// The standby equals the primary wherever the log says it must, bit
-    /// for bit: checked at a kill that loses nothing. Weights, shard
-    /// versions, the dedup state and the run's history always; the fields
+    /// for bit: checked at a kill that loses nothing. Weights, the
+    /// version, the dedup state and the run's history always; the fields
     /// only the epoch refresh carries when the state path has not moved
     /// them since the standby was last made current.
     fn assert_mirrored(&self, ck: &TrainingCheckpoint) {
         let at = self.applied;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let group = &self.group;
-        for s in 0..group.count() {
-            let mirrored = &ck.weights[group.spec().range(s)];
-            assert!(bits(mirrored) == bits(&group.shard(s).weights), "shard {s} weights at {at}");
-        }
-        let versions = match ck.shard_versions.len() {
-            0 => vec![ck.version; group.count()],
-            _ => ck.shard_versions.clone(),
-        };
-        assert_eq!(versions, group.versions(), "shard versions at {at}");
+        assert!(bits(&ck.weights) == bits(group.weights()), "weights at {at}");
+        assert_eq!(ck.version, group.version(), "version at {at}");
         assert_eq!(ck.push_seqs, self.fence.push_seqs(), "push sequence numbers at {at}");
         assert_eq!(ck.staleness, self.staleness, "staleness samples at {at}");
         assert_eq!(bits(&ck.epoch_losses), bits(&self.losses), "epoch losses at {at}");
@@ -905,7 +901,7 @@ impl<'a> Core<'a> {
             return;
         }
         assert_eq!(ck.arrival, group.arrival_state(), "arrival state at {at}");
-        assert_eq!(ck.iter, group.lead().iter, "iter at {at}");
+        assert_eq!(ck.iter, group.iter(), "iter at {at}");
         let bn = |b: &BnState| -> Vec<u32> {
             b.means.iter().chain(&b.vars).flat_map(|t| bits(t.data())).collect()
         };
@@ -993,7 +989,7 @@ impl<'a> Core<'a> {
             version: group.version(),
             applied: self.applied as u64,
             arrival: group.arrival_state(),
-            iter: group.lead().iter.clone(),
+            iter: group.iter().to_vec(),
             staleness: self.staleness.clone(),
             epoch_losses: self.losses.clone(),
             epochs: self.records.clone(),
@@ -1001,7 +997,10 @@ impl<'a> Core<'a> {
             step_pred,
             server_epoch: self.fence.epoch(),
             push_seqs: self.fence.push_seqs().to_vec(),
-            shard_versions: if group.count() == 1 { Vec::new() } else { group.versions() },
+            shard_versions: match group.count() {
+                1 => Vec::new(),
+                n => vec![group.version(); n],
+            },
             ..TrainingCheckpoint::default()
         }
     }

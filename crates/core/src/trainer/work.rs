@@ -459,9 +459,9 @@ impl Session<'_> {
     }
 
     /// Algorithm 1 line 12: one fire-and-forget `Grad` per shard, all
-    /// under one dedup sequence number. The BN payload rides only the
-    /// lead-shard slice; the follower slices carry empty stats so the
-    /// merged absorption happens exactly once per push. The gradient's
+    /// under one dedup sequence number. The BN payload rides only shard
+    /// 0's slice; the other slices carry empty stats so the server absorbs
+    /// it exactly once per push. The gradient's
     /// vector ends up back with `node`, as its next backward pass's arena,
     /// whenever the push leaves it behind: at once if the slices were
     /// compressed or copied out of it, after the send if it went out whole

@@ -3,8 +3,7 @@
 //! ```text
 //! lcasgd train   [--algorithm sgd|ssgd|asgd|dc-asgd|lc-asgd] [--workers N]
 //!                [--scale tiny|small|paper] [--epochs N] [--seed N]
-//!                [--bn regular|async] [--dataset cifar|imagenet]
-//!                [--partitioned] [--stragglers]
+//!                [--bn regular|async] [--dataset cifar|imagenet] [--partitioned]
 //!                [--checkpoint PATH] [--checkpoint-every N]
 //!                [--fault-plan PATH] [--resume PATH]
 //!                [--trace PATH] [--staleness-bound N] [--health-log PATH]
@@ -15,7 +14,9 @@
 //!
 //! `train` runs one experiment and prints the learning curve; `help` (or
 //! `--help`) prints the usage above. A flag `train` does not know exits 2
-//! and names the flag.
+//! and names the flag; so does a flag given without the flag it needs
+//! (`--checkpoint-every` without `--checkpoint`, `--flush-every` or
+//! `--lease-ms` without `--standby`), naming both.
 //!
 //! `--checkpoint`, `--fault-plan`, `--resume`, and `--trace` switch the
 //! run to the real-thread cluster backend: `--checkpoint PATH` writes a
@@ -45,12 +46,12 @@
 //! killed primary with a bumped fencing epoch. Asynchronous algorithms
 //! only.
 //!
-//! `--shards N` partitions the parameter server into `N` model shards:
-//! each shard owns a contiguous range of the flat weight vector with its
-//! own version counter and DC-ASGD backups, and workers fan each pull
-//! and push out across the owning shards. `--shards 1` (the default) is
-//! bitwise identical to the unsharded protocol. Asynchronous algorithms
-//! only; routes the run through the thread cluster backend.
+//! `--shards N` splits the pulls and pushes into `N` model shards: each
+//! shard is a contiguous range of the server's one flat weight vector,
+//! and workers fan each pull and push out across the shards. `--shards
+//! 1` (the default) is bitwise identical to the unsharded protocol.
+//! Asynchronous algorithms only; routes the run through the thread
+//! cluster backend.
 //!
 //! `--wire-codec f32|bf16|int8` picks the wire precision for the
 //! pull/push exchange: `f32` (the default) is the lossless seed
@@ -64,7 +65,6 @@
 use lc_asgd::core::config::DataPartition;
 use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
-use lc_asgd::simcluster::ClusterSpec;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -91,13 +91,19 @@ const TRAIN_VALUES: &[&str] = &[
 ];
 
 /// `train`'s flags that stand alone.
-const TRAIN_SWITCHES: &[&str] = &["--partitioned", "--stragglers", "--standby"];
+const TRAIN_SWITCHES: &[&str] = &["--partitioned", "--standby"];
+
+/// `train`'s flags that do nothing without another: (flag, flag it needs).
+const TRAIN_NEEDS: &[(&str, &str)] = &[
+    ("--checkpoint-every", "--checkpoint"),
+    ("--flush-every", "--standby"),
+    ("--lease-ms", "--standby"),
+];
 
 const USAGE: &str = "usage:
   lcasgd train [--algorithm sgd|ssgd|asgd|dc-asgd|lc-asgd] [--workers N]
                [--scale tiny|small|paper] [--epochs N] [--seed N]
-               [--bn regular|async] [--dataset cifar|imagenet]
-               [--partitioned] [--stragglers]
+               [--bn regular|async] [--dataset cifar|imagenet] [--partitioned]
                [--checkpoint PATH] [--checkpoint-every N]
                [--fault-plan PATH] [--resume PATH]
                [--trace PATH] [--staleness-bound N] [--health-log PATH]
@@ -121,6 +127,12 @@ impl Args {
             }
         }
         None
+    }
+
+    /// The first of `needs`' flags that is given without the flag it
+    /// needs, which would otherwise be silently ignored.
+    fn unmet<'a>(&self, needs: &[(&'a str, &'a str)]) -> Option<(&'a str, &'a str)> {
+        needs.iter().copied().find(|&(flag, needed)| self.flag(flag) && !self.flag(needed))
     }
 
     fn flag(&self, name: &str) -> bool {
@@ -150,6 +162,10 @@ fn main() {
         Some("train") => {
             if let Some(flag) = args.unknown(TRAIN_VALUES, TRAIN_SWITCHES) {
                 eprintln!("unknown argument for train: {flag}\n{USAGE}");
+                exit(2)
+            }
+            if let Some((flag, needed)) = args.unmet(TRAIN_NEEDS) {
+                eprintln!("{flag} has no effect without {needed}\n{USAGE}");
                 exit(2)
             }
             train(&args)
@@ -244,9 +260,6 @@ fn train(args: &Args) {
     }
     if args.flag("--partitioned") {
         cfg.partition = DataPartition::Partitioned;
-    }
-    if args.flag("--stragglers") {
-        cfg.cluster = ClusterSpec::with_stragglers(workers.max(1), seed);
     }
 
     let fault_plan = args.value("--fault-plan").map(|path| {
@@ -437,7 +450,7 @@ fn train(args: &Args) {
 
 #[cfg(test)]
 mod tests {
-    use super::{Args, TRAIN_SWITCHES, TRAIN_VALUES, USAGE};
+    use super::{Args, TRAIN_NEEDS, TRAIN_SWITCHES, TRAIN_VALUES, USAGE};
 
     fn args(s: &[&str]) -> Args {
         Args(s.iter().map(|x| x.to_string()).collect())
@@ -445,8 +458,8 @@ mod tests {
 
     #[test]
     fn flags_and_values() {
-        let a = args(&["--workers", "8", "--stragglers"]);
-        assert!(a.flag("--stragglers"));
+        let a = args(&["--workers", "8", "--standby"]);
+        assert!(a.flag("--standby"));
         assert!(!a.flag("--partitioned"));
         assert_eq!(a.value("--workers"), Some("8"));
         assert_eq!(a.value("--seed"), None);
@@ -482,7 +495,7 @@ mod tests {
         let a = args(&[
             "--workers",
             "2",
-            "--stragglers",
+            "--partitioned",
             "--trace",
             "t.json",
             "--standby",
@@ -502,6 +515,24 @@ mod tests {
         // A value is skipped even when it looks like a flag; a stray word is not.
         assert_eq!(unknown(&["--trace", "--x.json"]), None);
         assert_eq!(unknown(&["--standby", "4"]).as_deref(), Some("4"));
+    }
+
+    #[test]
+    fn train_names_a_flag_without_the_flag_it_needs() {
+        let unmet = |s: &[&str]| args(s).unmet(TRAIN_NEEDS);
+        assert_eq!(unmet(&["--flush-every", "4"]), Some(("--flush-every", "--standby")));
+        assert_eq!(unmet(&["--lease-ms", "10"]), Some(("--lease-ms", "--standby")));
+        assert_eq!(
+            unmet(&["--checkpoint-every", "5", "--standby"]),
+            Some(("--checkpoint-every", "--checkpoint"))
+        );
+        assert_eq!(unmet(&["--standby", "--flush-every", "4", "--lease-ms", "10"]), None);
+        assert_eq!(unmet(&["--checkpoint", "c.ck", "--checkpoint-every", "5"]), None);
+        assert_eq!(unmet(&[]), None);
+        for (flag, needed) in TRAIN_NEEDS {
+            assert!(TRAIN_VALUES.contains(flag), "{flag} is a flag train reads");
+            assert!(TRAIN_VALUES.contains(needed) || TRAIN_SWITCHES.contains(needed), "{needed}");
+        }
     }
 
     #[test]

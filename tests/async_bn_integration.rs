@@ -2,7 +2,7 @@
 //! statistics → server accumulation (Formulas 6–7) → evaluation-network
 //! injection.
 
-use lc_asgd::core::server::ParameterServer;
+use lc_asgd::core::ShardGroup;
 use lc_asgd::nn::mlp::mlp;
 use lc_asgd::nn::resnet::ResNetConfig;
 use lc_asgd::prelude::*;
@@ -36,16 +36,16 @@ fn async_accumulation_converges_to_stationary_stats() {
     // must converge to them regardless of the starting state.
     let mut rng = Rng::seed_from_u64(42);
     let net = mlp(&[4, 8, 3], true, &mut rng);
-    let mut server = ParameterServer::new(&net, 2, BnMode::Async, 0.2);
+    let mut server = ShardGroup::new(&net, 2, BnMode::Async, 0.2, 1).unwrap();
     let target = BnBatchStats { mean: Tensor::full(&[8], 3.0), var: Tensor::full(&[8], 7.0) };
     let running = net.bn_state();
     for _ in 0..100 {
         server.absorb_bn(&running, std::slice::from_ref(&target));
     }
-    for &m in server.bn.means[0].data() {
+    for &m in server.bn().means[0].data() {
         assert!((m - 3.0).abs() < 1e-3, "mean {m}");
     }
-    for &v in server.bn.vars[0].data() {
+    for &v in server.bn().vars[0].data() {
         assert!((v - 7.0).abs() < 1e-3, "var {v}");
     }
 }
@@ -55,8 +55,8 @@ fn regular_bn_is_last_writer_wins_async_is_blend() {
     let mut rng = Rng::seed_from_u64(43);
     let net = mlp(&[4, 8, 3], true, &mut rng);
 
-    let mut regular = ParameterServer::new(&net, 2, BnMode::Regular, 0.5);
-    let mut asyncs = ParameterServer::new(&net, 2, BnMode::Async, 0.5);
+    let mut regular = ShardGroup::new(&net, 2, BnMode::Regular, 0.5, 1).unwrap();
+    let mut asyncs = ShardGroup::new(&net, 2, BnMode::Async, 0.5, 1).unwrap();
 
     // Two workers report very different statistics.
     let mut running_a = net.bn_state();
@@ -71,9 +71,9 @@ fn regular_bn_is_last_writer_wins_async_is_blend() {
         s.absorb_bn(&running_b, &batch_b);
     }
     // Regular: worker B overwrote everything.
-    assert_eq!(regular.bn.means[0].data(), &[-10.0; 8]);
+    assert_eq!(regular.bn().means[0].data(), &[-10.0; 8]);
     // Async: a blend of both, strictly between the extremes.
-    let blended = asyncs.bn.means[0].data()[0];
+    let blended = asyncs.bn().means[0].data()[0];
     assert!(blended > -10.0 && blended < 10.0, "blend {blended}");
 }
 

@@ -9,8 +9,8 @@
 
 use lc_asgd::core::comm::CompressedGrad;
 use lc_asgd::core::protocol::{ClusterReq, ClusterResp};
-use lc_asgd::core::server::ParameterServer;
 use lc_asgd::core::worker::WorkerNode;
+use lc_asgd::core::ShardGroup;
 use lc_asgd::data::synth::blobs_split;
 use lc_asgd::netcluster::{NetConfig, NetWorker, ReactorServer};
 use lc_asgd::nn::mlp::mlp;
@@ -28,7 +28,7 @@ fn hung_worker_is_dropped_and_survivors_finish() {
 
     let mut rng = Rng::seed_from_u64(7);
     let canonical = mlp(&[6, 16, 4], false, &mut rng);
-    let mut server = ParameterServer::new(&canonical, m, BnMode::Regular, 0.1);
+    let mut server = ShardGroup::new(&canonical, m, BnMode::Regular, 0.1, 1).unwrap();
 
     let cfg = NetConfig::fast();
     let net_server = ReactorServer::bind("127.0.0.1:0", m, cfg.clone()).expect("bind loopback");
@@ -95,8 +95,8 @@ fn hung_worker_is_dropped_and_survivors_finish() {
                         ctx.reply(ClusterResp::Stop);
                     } else {
                         ctx.reply(ClusterResp::Weights {
-                            flat: server.weights.clone().into(),
-                            version: server.version,
+                            flat: server.snapshot(0),
+                            version: server.version(),
                             directive: None,
                             epoch: 0,
                         });

@@ -133,8 +133,8 @@ fn sharded_runs_complete_on_all_three_backends() {
     }
 }
 
-/// LC-ASGD over shards: the merged arrival stream on the lead shard must
-/// keep feeding the predictors — the run records a staleness sample per
+/// LC-ASGD over shards: the server's one arrival stream must keep
+/// feeding the predictors — the run records a staleness sample per
 /// applied push and still converges.
 #[test]
 fn lc_asgd_predictors_ride_the_merged_shard_stream() {
@@ -274,8 +274,8 @@ fn a_flush_never_splits_a_push_so_every_kill_promotes_whole_pushes() {
 
 /// Sharded checkpoints round-trip: a run snapshotted under `shards = 2`
 /// resumes under the same layout, and a *single-shard* checkpoint (empty
-/// `shard_versions`) resumes under any layout because lockstep versions
-/// let every shard adopt the global counter.
+/// `shard_versions`) resumes under any layout because the server keeps
+/// one version whatever the layout.
 #[test]
 fn sharded_checkpoints_resume() {
     let (train, test) = task();
@@ -320,7 +320,7 @@ fn sharded_checkpoints_resume() {
     assert!(resumed.final_test_error() < 0.35, "err {}", resumed.final_test_error());
 
     // A checkpoint with no shard-version list resumes under a sharded
-    // layout: every shard adopts the global version counter.
+    // layout: the server's one version is the checkpoint's.
     let path1 = dir.join("single.ck");
     let plan = FaultPlan::new().with_server_restart(halt_at);
     run_cluster_with(

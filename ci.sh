@@ -9,6 +9,21 @@ cd "$(dirname "$0")"
 # Crates this sequence of PRs actively touches; lint-gated at -D warnings.
 TOUCHED=(-p lcasgd-tensor -p lcasgd-autograd -p lcasgd-nn -p lcasgd-simcluster -p lcasgd-netcluster -p lcasgd-core -p lcasgd-bench -p lc-asgd)
 
+# Runs a name-filtered `cargo test` under a hard timeout, and fails when
+# the filter selects no test: a deletion must not leave behind a stage
+# that passes vacuously. Usage: filtered SECS CARGO_ARGS... [-- TEST_ARGS...]
+filtered() {
+    local secs=$1
+    shift
+    local sep=(--)
+    [[ " $* " == *" -- "* ]] && sep=()
+    local n
+    n=$(timeout "$secs" cargo test -q --release "$@" "${sep[@]}" --list 2>/dev/null |
+        grep -c ': test$' || true)
+    [ "$n" -gt 0 ] || { echo "cargo test $* selects no test"; exit 1; }
+    timeout "$secs" cargo test -q --release "$@"
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -20,24 +35,23 @@ cargo test -q --workspace
 # a wedged run must kill CI, not stall it.
 echo "==> chaos / fault-injection suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test chaos_faults
-timeout 120 cargo test -q --release -p lcasgd-core checkpoint
-timeout 120 cargo test -q --release -p lcasgd-netcluster frame
+filtered 120 -p lcasgd-core checkpoint
+filtered 120 -p lcasgd-netcluster frame
 
 # Supervisor chaos: the combined NaN-storm + corrupt-payload +
 # straggler run must self-heal on all three backends, and the
 # staleness-bound proptests must hold under arbitrary fault plans.
 echo "==> supervisor chaos suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test supervisor_chaos
-timeout 120 cargo test -q --release -p lcasgd-core supervisor
-timeout 120 cargo test -q --release -p lcasgd-netcluster breaker
+filtered 120 -p lcasgd-core supervisor
 
 # Failover chaos: a primary kill mid-run must promote the hot standby on
 # all three backends (bit-reproducibly on the simulator), epoch fencing
 # must hold at-most-once apply, and the standby's lag must stay bounded.
 echo "==> failover chaos suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test failover_chaos
-timeout 120 cargo test -q --release -p lcasgd-core replication
-timeout 120 cargo test -q --release -p lcasgd-netcluster config
+filtered 120 -p lcasgd-core replication
+filtered 120 -p lcasgd-netcluster config
 
 # Shard equivalence: shards=1 must be bitwise identical to the unsharded
 # protocol on the simulator, shards∈{2,4} must complete and learn on all
@@ -45,7 +59,7 @@ timeout 120 cargo test -q --release -p lcasgd-netcluster config
 # mirrored shard group everywhere.
 echo "==> shard equivalence suite (hard 300s timeout)"
 timeout 300 cargo test -q --release --test shard_equivalence
-timeout 120 cargo test -q --release -p lcasgd-core shard
+filtered 120 -p lcasgd-core shard
 
 # Engine golden: the schedule run_cluster_with produces on the simulator
 # — per algorithm, and under shards, a supervisor, a primary kill and a
@@ -55,7 +69,7 @@ timeout 120 cargo test -q --release -p lcasgd-core shard
 # runs, replayed into a fresh core, makes the same seam calls and replies.
 echo "==> engine golden + core replay suites (hard 300s timeout)"
 timeout 300 cargo test -q --release --test engine_golden
-timeout 300 cargo test -q --release -p lcasgd-core trainer::replay
+filtered 300 -p lcasgd-core trainer::replay
 
 # The apply thread only applies: the predictors track their series inside
 # full runs, restore bitwise (and from a checkpoint the autograd cell
@@ -102,7 +116,7 @@ timeout 300 cargo test -q --release --test trace_integration
 echo "==> kernel differential + determinism + golden suites (hard 300s timeout)"
 timeout 120 cargo test -q --release -p lcasgd-tensor --lib
 timeout 300 cargo test -q --release -p lcasgd-tensor --test kernel_differential
-timeout 300 cargo test -q --release --test properties thread_invariance
+filtered 300 --test properties thread_invariance
 timeout 300 cargo test -q --release --test kernel_golden
 
 # Reactor scale-out + wire codecs: 256-worker zero-loss delivery,
@@ -112,7 +126,7 @@ timeout 300 cargo test -q --release --test kernel_golden
 echo "==> net scale-out + wire codec suites (hard 300s timeout)"
 timeout 300 cargo test -q --release --test net_scale
 timeout 300 cargo test -q --release --test wire_codec
-timeout 120 cargo test -q --release -p lcasgd-netcluster reactor
+filtered 120 -p lcasgd-netcluster reactor
 
 # One checksum, byte-identical formats: the dispatched CRC-32 (PCLMULQDQ
 # where the host has it) must equal the portable slicing-by-16 path and
@@ -125,7 +139,7 @@ timeout 120 cargo test -q --release -p lcasgd-netcluster reactor
 # streams in piece by piece, and fail as a frame (its checksum), not in
 # the codec, when a byte of it is flipped (tests/wire_golden.rs).
 echo "==> CRC differential + golden byte-identity suites (hard 300s timeout)"
-timeout 300 cargo test -q --release -p lcasgd-simcluster crc
+filtered 300 -p lcasgd-simcluster crc
 timeout 300 cargo test -q --release --test wire_golden
 
 # One int8 quantizer, bit-exact: `codec::level` must equal libm's
@@ -134,7 +148,7 @@ timeout 300 cargo test -q --release --test wire_golden
 # reproduce the loops they replaced — levels, scales, message bytes and
 # residual bits — at 1 and 4 shards.
 echo "==> int8 quantizer exhaustive + codec differential suites (hard 300s timeout)"
-timeout 300 cargo test -q --release -p lcasgd-simcluster level -- --ignored
+filtered 300 -p lcasgd-simcluster level -- --ignored
 timeout 300 cargo test -q --release -p lcasgd-bench --test codec_differential
 
 # Kernel performance: re-measure the hot kernels and fail if any
@@ -215,7 +229,7 @@ KILL_PLAN=$(mktemp /tmp/lcasgd_ci_kill.XXXXXX.txt)
 REPL_OUT=$(mktemp /tmp/lcasgd_ci_repl.XXXXXX.log)
 printf 'primary-kill at-update=10\n' > "$KILL_PLAN"
 timeout 120 ./target/release/lcasgd train --algorithm asgd --workers 2 \
-    --scale tiny --epochs 2 --standby --flush-every 4 --lease-ms 200 \
+    --scale tiny --epochs 2 --standby --flush-every 4 \
     --fault-plan "$KILL_PLAN" > "$REPL_OUT"
 grep -q 'replication:' "$REPL_OUT" || { echo "no replication summary"; exit 1; }
 grep -q 'failovers 1' "$REPL_OUT" || { echo "failover did not happen"; exit 1; }
@@ -229,7 +243,7 @@ SHARD_OUT=$(mktemp /tmp/lcasgd_ci_shards.XXXXXX.log)
 printf 'primary-kill at-update=10\n' > "$KILL_PLAN"
 timeout 120 ./target/release/lcasgd train --algorithm asgd --workers 2 \
     --scale tiny --epochs 2 --shards 4 --standby --flush-every 4 \
-    --lease-ms 200 --fault-plan "$KILL_PLAN" > "$SHARD_OUT"
+    --fault-plan "$KILL_PLAN" > "$SHARD_OUT"
 grep -q 'sharded across 4 model shards' "$SHARD_OUT" || { echo "no shard summary"; exit 1; }
 grep -q 'failovers 1' "$SHARD_OUT" || { echo "sharded failover did not happen"; exit 1; }
 rm -f "$KILL_PLAN" "$SHARD_OUT"
@@ -243,7 +257,7 @@ SHARD_OUT=$(mktemp /tmp/lcasgd_ci_shards3.XXXXXX.log)
 printf 'primary-kill at-update=7\n' > "$KILL_PLAN"
 timeout 120 ./target/release/lcasgd train --algorithm asgd --workers 2 \
     --scale tiny --epochs 2 --shards 3 --standby --flush-every 4 \
-    --lease-ms 200 --fault-plan "$KILL_PLAN" > "$SHARD_OUT"
+    --fault-plan "$KILL_PLAN" > "$SHARD_OUT"
 grep -q 'failovers 1' "$SHARD_OUT" || { echo "3-shard failover did not happen"; exit 1; }
 if grep -q 'DEGRADED' "$SHARD_OUT"; then echo "3-shard failover lost its standby"; exit 1; fi
 rm -f "$KILL_PLAN" "$SHARD_OUT"

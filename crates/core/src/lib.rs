@@ -60,7 +60,7 @@ pub use config::{CostModel, ExperimentConfig, Scale};
 pub use metrics::{EpochRecord, FaultReport, OverheadStats, PredictorTrace, RunResult};
 pub use protocol::{ClusterReq, ClusterResp};
 pub use replication::{
-    EpochFence, Lease, LogRecord, PushVerdict, ReplicaPayload, ReplicationReport, StandbyConfig,
+    EpochFence, LogRecord, PushVerdict, ReplicaPayload, ReplicationReport, StandbyConfig,
     StandbyReplica,
 };
 pub use shard::{ShardGroup, ShardSpec};

@@ -25,11 +25,7 @@
 //!   trainer's server) encodes records straight from the weights into one
 //!   reused batch buffer, keeps one acknowledged batch in flight, ships
 //!   refreshes and snapshots, and degrades to an inert no-op — training
-//!   continues unreplicated — when the standby stops answering;
-//! * a [`Lease`] ties the primary's right to apply writes to recent
-//!   standby acknowledgment: a primary whose lease is revoked (the kill)
-//!   or expired (wall-clock backends, standby unresponsive) stops
-//!   accepting writes until the standby re-acks.
+//!   continues unreplicated — when the standby stops answering.
 //!
 //! ## Determinism
 //!
@@ -37,14 +33,14 @@
 //! one `Replicate` batch at the first push boundary at or after
 //! [`StandbyConfig::flush_every`] records, so the standby never holds some
 //! shards of a push and not others. A flush sends and returns: its
-//! `ReplicaAck` is awaited before the next message to the standby, in the
-//! lease check, at a planned kill and at the end of the run. The kill
-//! settles the batch in flight before it takes the replica, so the lost
-//! tail is exactly the unflushed records — fewer than `flush_every`,
-//! whole pushes only — a pure function of the applied-update count,
-//! independent of thread timing: a fault plan that kills the primary at
-//! update *k* promotes bit-identical standby state on every run of the
-//! deterministic simulator.
+//! `ReplicaAck` is awaited before the next message to the standby, at a
+//! planned kill and at the end of the run. The kill settles the batch in
+//! flight before it takes the replica, so the lost tail is exactly the
+//! unflushed records — fewer than `flush_every`, whole pushes only — a
+//! pure function of the applied-update count, independent of thread
+//! timing: a fault plan that kills the primary at update *k* promotes
+//! bit-identical standby state on every run of the deterministic
+//! simulator.
 //!
 //! The records alone keep the mirror's weights bitwise the primary's.
 //! Every apply computes each weight as `a = fl(b − x)`, and for such an
@@ -78,7 +74,6 @@ use lcasgd_simcluster::backend::wire;
 use lcasgd_simcluster::codec::Crc32;
 use lcasgd_simcluster::{ClusterError, ReplicaDuplex, WireMsg, WireReader, WireSink};
 use parking_lot::Mutex;
-use std::time::{Duration, Instant};
 
 // --------------------------------------------------------------- config
 
@@ -92,15 +87,11 @@ pub struct StandbyConfig {
     /// the unflushed records only — fewer than `flush_every`, that is at
     /// most `⌊(flush_every − 1) / S⌋` whole pushes. 1 = every push flushed.
     pub flush_every: u64,
-    /// Lease duration: on wall-clock backends the primary refuses to
-    /// apply a write unless the standby acknowledged within this window
-    /// (forcing a heartbeat flush first when it has not).
-    pub lease: Duration,
 }
 
 impl Default for StandbyConfig {
     fn default() -> Self {
-        StandbyConfig { flush_every: 4, lease: Duration::from_millis(500) }
+        StandbyConfig { flush_every: 4 }
     }
 }
 
@@ -690,48 +681,6 @@ fn receive(
     }
 }
 
-// ---------------------------------------------------------------- lease
-
-/// The primary's write lease: the right to apply updates, contingent on
-/// recent standby acknowledgment. Revocation is permanent (the fenced
-/// primary never writes again); expiry merely forces a heartbeat
-/// round-trip before the next write.
-pub struct Lease {
-    timeout: Duration,
-    expires: Option<Instant>,
-    revoked: bool,
-}
-
-impl Lease {
-    pub fn new(timeout: Duration) -> Self {
-        Lease { timeout, expires: None, revoked: false }
-    }
-
-    /// Extends the lease from now; called on every standby ack. No-op
-    /// once revoked.
-    pub fn renew(&mut self) {
-        if !self.revoked {
-            self.expires = Some(Instant::now() + self.timeout);
-        }
-    }
-
-    /// Permanently fences this primary.
-    pub fn revoke(&mut self) {
-        self.revoked = true;
-        self.expires = None;
-    }
-
-    pub fn is_revoked(&self) -> bool {
-        self.revoked
-    }
-
-    /// True while the lease is neither revoked nor expired. A lease that
-    /// was never renewed is held (the standby has not spoken yet).
-    pub fn held(&self) -> bool {
-        !self.revoked && self.expires.is_none_or(|e| Instant::now() <= e)
-    }
-}
-
 // -------------------------------------------------------- primary stream
 
 /// What the message in flight was: its ack counts as a flush or as a
@@ -746,9 +695,9 @@ enum Sent {
 /// straight from the weights into one batch buffer and flushes it to the
 /// standby thread as an acknowledged `Replicate` batch, at most one in
 /// flight. Every place that needs the standby current — the next message,
-/// the lease check, a planned kill, the end of the run — settles the
-/// batch in flight first, which keeps the lost tail at a kill a pure
-/// function of the applied-update count.
+/// a planned kill, the end of the run — settles the batch in flight first,
+/// which keeps the lost tail at a kill a pure function of the
+/// applied-update count.
 pub(crate) struct ReplicationStream {
     duplex: Box<dyn ReplicaDuplex>,
     /// The one send buffer, reused message after message: the batch being
@@ -763,8 +712,6 @@ pub(crate) struct ReplicationStream {
     /// The message sent and not yet acknowledged: the sequence number its
     /// ack must carry, and what it was.
     in_flight: Option<(u64, Sent)>,
-    lease: Lease,
-    lease_timeout: Duration,
     pub(crate) report: ReplicationReport,
     /// Set when the standby duplex closed or stopped acknowledging: the
     /// stream degrades to an inert no-op — training continues
@@ -786,8 +733,6 @@ impl ReplicationStream {
             next_seq: 1,
             flush_every: cfg.flush_every.max(1),
             in_flight: None,
-            lease: Lease::new(cfg.lease),
-            lease_timeout: cfg.lease,
             report: ReplicationReport::default(),
             degraded: false,
             pending_degradation: None,
@@ -833,16 +778,12 @@ impl ReplicationStream {
         }
     }
 
-    /// Sends the batch (possibly empty — a lease heartbeat) once the one
-    /// before it is acknowledged, and returns without waiting for its own
-    /// ack. Inert once degraded.
+    /// Sends the batch once the one before it is acknowledged, and returns
+    /// without waiting for its own ack. Inert once degraded.
     fn flush(&mut self) {
         self.settle();
         if self.degraded {
             return;
-        }
-        if self.buf.is_empty() {
-            self.begin_batch();
         }
         let at = self.count_at;
         self.buf[at..at + 8].copy_from_slice(&self.batched.to_le_bytes());
@@ -888,30 +829,10 @@ impl ReplicationStream {
         self.send(Sent::State);
     }
 
-    /// Wall-clock lease enforcement: settles the message in flight (its
-    /// ack renews the lease), and an expired (but unrevoked) lease then
-    /// forces a heartbeat round-trip — proof the standby is still
-    /// acknowledging — before the caller applies its next write. A
-    /// degraded stream's lease stays revoked, so that part is a no-op.
-    pub(crate) fn ensure_lease(&mut self) {
-        self.settle();
-        if !self.lease.is_revoked() && !self.lease.held() {
-            self.flush();
-            self.settle();
-        }
-    }
-
-    /// Fences the killed primary: its lease never renews again.
-    pub(crate) fn revoke_lease(&mut self) {
-        self.lease.revoke();
-    }
-
-    /// Accounts a promotion that discarded `lost` unreplicated updates and
-    /// grants the promoted server — the new primary — a fresh lease.
+    /// Accounts a promotion that discarded `lost` unreplicated updates.
     pub(crate) fn promoted(&mut self, lost: u64) {
         self.report.failovers += 1;
         self.report.lost_updates += lost;
-        self.lease = Lease::new(self.lease_timeout);
     }
 
     /// Sends the message in `buf` and empties it; its ack is awaited by
@@ -926,19 +847,15 @@ impl ReplicationStream {
     }
 
     /// Waits for the ack of the message in flight, if any: a matching ack
-    /// renews the lease and counts the flush or snapshot; anything else
-    /// degrades the stream.
+    /// counts the flush or snapshot; anything else degrades the stream.
     pub(crate) fn settle(&mut self) {
         let Some((expect, what)) = self.in_flight.take() else { return };
         let ack = self.duplex.recv().ok().and_then(|b| ClusterResp::decoded(&b).ok());
         match ack {
-            Some(ClusterResp::ReplicaAck { seq }) if seq == expect => {
-                self.lease.renew();
-                match what {
-                    Sent::Batch => self.report.flushes += 1,
-                    Sent::State => self.report.snapshots += 1,
-                }
-            }
+            Some(ClusterResp::ReplicaAck { seq }) if seq == expect => match what {
+                Sent::Batch => self.report.flushes += 1,
+                Sent::State => self.report.snapshots += 1,
+            },
             Some(ClusterResp::ReplicaAck { seq }) => {
                 self.degrade(format!("standby acknowledged seq {seq} where {expect} was expected"))
             }
@@ -948,15 +865,13 @@ impl ReplicationStream {
         }
     }
 
-    /// Drops into unreplicated mode: the lease is revoked (no future
-    /// write will wait on the dead standby) and the buffered tail is
-    /// discarded.
+    /// Drops into unreplicated mode: the buffered tail is discarded and
+    /// every later call is a no-op.
     fn degrade(&mut self, why: String) {
         self.degraded = true;
         self.buf.clear();
         self.batched = 0;
         self.in_flight = None;
-        self.lease.revoke();
         self.pending_degradation = Some(why);
     }
 
@@ -979,7 +894,7 @@ impl ReplicationStream {
 pub struct ReplicationReport {
     /// Log records streamed to the standby.
     pub log_records: u64,
-    /// Acknowledged record batches (including lease heartbeats).
+    /// Acknowledged record batches.
     pub flushes: u64,
     /// Acknowledged state messages: full snapshots (bootstrap, re-arms,
     /// rollback re-bootstraps) and epoch refreshes.
@@ -1039,6 +954,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn record(seq: u64, delta: Vec<f32>) -> LogRecord {
         let digest = LogRecord::digest_of(&delta);
@@ -1251,24 +1167,6 @@ mod tests {
         assert_eq!(fence.check_push(0, 0, 0), PushVerdict::Admit);
     }
 
-    #[test]
-    fn lease_lifecycle() {
-        let mut lease = Lease::new(Duration::from_secs(3600));
-        assert!(lease.held(), "an unrenewed lease is held until the standby speaks");
-        lease.renew();
-        assert!(lease.held());
-        lease.revoke();
-        assert!(!lease.held());
-        assert!(lease.is_revoked());
-        lease.renew();
-        assert!(!lease.held(), "revocation is permanent");
-        let mut expired = Lease::new(Duration::from_secs(0));
-        expired.renew();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(!expired.held(), "a zero-duration lease expires immediately");
-        assert!(!expired.is_revoked());
-    }
-
     /// A duplex whose peer is gone: every operation fails immediately.
     struct DeadDuplex;
 
@@ -1308,7 +1206,7 @@ mod tests {
 
     #[test]
     fn replication_stream_degrades_instead_of_panicking() {
-        let cfg = StandbyConfig { flush_every: 1, ..StandbyConfig::default() };
+        let cfg = StandbyConfig { flush_every: 1 };
         let mut rs = ReplicationStream::new(Box::new(DeadDuplex), &cfg);
         let spec = ShardSpec::even(2, 1).unwrap();
         // flush_every=1: the first push flushes into the dead duplex.
@@ -1316,7 +1214,6 @@ mod tests {
         // panic.
         push(&mut rs, &spec, 1, &[0.25, -0.5], &[0.0, 0.0]);
         assert!(rs.degraded, "send failure must degrade the stream");
-        assert!(rs.lease.is_revoked(), "a degraded stream never waits on its lease");
         assert!(rs.buf.is_empty(), "the unflushed tail is discarded");
         assert_eq!(rs.report.flushes, 0, "a failed flush is not a flush");
         let why = rs.take_degradation(1).expect("cause surfaces exactly once");
@@ -1329,7 +1226,6 @@ mod tests {
         rs.flush();
         rs.snapshot(&TrainingCheckpoint::default());
         rs.refresh(&TrainingCheckpoint::default());
-        rs.ensure_lease();
         rs.settle();
         assert!(rs.buf.is_empty());
         assert_eq!(rs.report.flushes, 0);
@@ -1427,7 +1323,7 @@ mod tests {
         let end = Gated { inner: standby, gate: gate_rx, acks: Arc::clone(&acks), acks_left };
         let serving = Arc::clone(&slot);
         let thread = std::thread::spawn(move || serve_standby(Box::new(end), &serving, 1000));
-        let cfg = StandbyConfig { flush_every, ..StandbyConfig::default() };
+        let cfg = StandbyConfig { flush_every };
         let tapped = Tapped { inner: primary, sent: Arc::clone(&sent) };
         let rs = ReplicationStream::new(Box::new(tapped), &cfg);
         Standby { rs, slot, sent, acks, gate, thread }
@@ -1534,10 +1430,9 @@ mod tests {
         sb.rs.refresh(&TrainingCheckpoint::default());
         assert_eq!(state(&sb), (5, true), "a refresh, which goes in flight");
         sb.open(1);
-        sb.rs.ensure_lease();
-        assert_eq!(state(&sb), (6, false), "the lease check");
-        // A planned kill and the end of the run call `settle` themselves.
         log(&mut sb.rs);
+        assert_eq!(state(&sb), (6, true), "the flush after a refresh");
+        // A planned kill and the end of the run call `settle` themselves.
         sb.open(1);
         sb.rs.settle();
         assert_eq!(state(&sb), (7, false), "a kill, the end of the run");
@@ -1564,9 +1459,8 @@ mod tests {
         // found the standby gone, so that is the update the report names.
         assert_eq!(sb.rs.report.degraded_at, Some(4));
         assert_eq!(sb.rs.report.flushes, 2);
-        assert!(sb.rs.degraded && sb.rs.lease.is_revoked() && sb.rs.buf.is_empty());
+        assert!(sb.rs.degraded && sb.rs.buf.is_empty());
         push(&mut sb.rs, &spec, 5, &[5.0], &[4.0]);
-        sb.rs.ensure_lease();
         assert!(sb.rs.take_degradation(5).is_none());
         assert_eq!(sb.sent.lock().len(), 4, "nothing is sent once degraded");
         sb.close();

@@ -157,12 +157,6 @@ struct Shell<'a> {
 
 impl Seam for Shell<'_> {
     fn write(&mut self, at: Option<f64>) -> f64 {
-        // Lease enforcement (wall-clock backends): an expired write lease
-        // forces a heartbeat ack from the standby before this write may
-        // apply.
-        if let Some(rs) = self.repl.as_mut().filter(|_| self.env.clock == ClockDomain::Wall) {
-            rs.ensure_lease();
-        }
         self.written_at = at.unwrap_or_else(|| self.t0.elapsed().as_secs_f64());
         self.written_at
     }
@@ -187,10 +181,8 @@ impl Seam for Shell<'_> {
     fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint> {
         let rs = self.repl.as_mut().expect("primary kill requires a standby");
         // The batch in flight lands first, so the kill loses exactly the
-        // unflushed records. Then fence the dead primary: its lease never
-        // renews again, and its unflushed tail is discarded.
+        // unflushed records.
         rs.settle();
-        rs.revoke_lease();
         let mirror = self.standby.lock().take()?.into_state();
         rs.promoted(applied - mirror.applied);
         Some(mirror)
@@ -417,10 +409,11 @@ fn run_tapped<B: ClusterBackend>(
     // has no admission point: the robustness options target the
     // asynchronous protocols.
     let robust = opts.supervisor.is_some() || opts.fault_plan.is_some() || opts.standby.is_some();
-    assert!(
-        !(cfg.algorithm == Algorithm::Ssgd && (robust || n_shards > 1)),
-        "SSGD's barrier takes no shards, supervisor, fault plan or standby"
-    );
+    if cfg.algorithm == Algorithm::Ssgd && (robust || n_shards > 1) {
+        return Err(ClusterError::Protocol(
+            "SSGD's barrier takes no shards, supervisor, fault plan or standby".into(),
+        ));
+    }
 
     // ---- set-up ---------------------------------------------------------
     let mut rng = Rng::seed_from_u64(cfg.seed);
@@ -686,9 +679,9 @@ mod tests {
         assert_eq!(km_steps(7.2), 7);
     }
 
-    /// A simulator whose standby hangs up after it has received `frames`
+    /// A backend whose standby hangs up after it has received `frames`
     /// replication frames.
-    struct HangsUp(ClusterSim<lcasgd_simcluster::SimPayload>, usize);
+    struct HangsUp<B>(B, usize);
 
     struct Hanging(Box<dyn lcasgd_simcluster::ReplicaDuplex>, usize);
 
@@ -703,7 +696,7 @@ mod tests {
         }
     }
 
-    impl ClusterBackend for HangsUp {
+    impl<B: ClusterBackend> ClusterBackend for HangsUp<B> {
         fn workers(&self) -> usize {
             self.0.workers()
         }
@@ -728,18 +721,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_lost_standby_is_reported_without_a_fault_plan() {
+    /// Runs `cfg` on `backend` with a standby that hangs up after its fifth
+    /// frame: every planned update still applies, and the loss is reported
+    /// once.
+    fn loses_its_standby(backend: impl ClusterBackend, cfg: &ExperimentConfig) {
         let (train, test) = data();
-        let cfg = blob_cfg(Algorithm::Asgd, 4);
-        let sim = HangsUp(ClusterSim::new(cfg.cluster.clone()), 5);
-        let standby = StandbyConfig { flush_every: 2, ..StandbyConfig::default() };
+        let backend = HangsUp(backend, 5);
+        let standby = StandbyConfig { flush_every: 2 };
         let opts = RunOptions { standby: Some(standby), ..RunOptions::default() };
-        let r = run_cluster_with(sim, &cfg, &build_mlp, &train, &test, opts).unwrap();
+        let r = run_cluster_with(backend, cfg, &build_mlp, &train, &test, opts).unwrap();
+        let planned = cfg.epochs * updates_per_epoch(cfg, &train);
+        assert_eq!(r.iterations as usize, planned, "every planned update applies");
         assert!(r.replication.expect("standby attached").degraded_at.is_some());
         let faults = r.faults.expect("a lost standby is a fault to report").records;
         assert_eq!(faults.len(), 1, "{faults:?}");
         assert!(matches!(faults[0], FaultRecord::StandbyLost { .. }), "{faults:?}");
+    }
+
+    #[test]
+    fn a_lost_standby_is_reported_without_a_fault_plan() {
+        let cfg = blob_cfg(Algorithm::Asgd, 4);
+        loses_its_standby(ClusterSim::new(cfg.cluster.clone()), &cfg);
+    }
+
+    #[test]
+    fn a_lost_standby_is_reported_on_threads_too() {
+        let cfg = blob_cfg(Algorithm::Asgd, 4);
+        loses_its_standby(ThreadCluster::new(4), &cfg);
+    }
+
+    #[test]
+    fn ssgd_with_robustness_options_is_an_error_not_a_panic() {
+        let (train, test) = data();
+        let cfg = blob_cfg(Algorithm::Ssgd, 2);
+        let opts = RunOptions { shards: 2, ..RunOptions::default() };
+        let err = run_cluster_with(ThreadCluster::new(2), &cfg, &build_mlp, &train, &test, opts)
+            .expect_err("SSGD with shards must be an error");
+        let msg = format!("{err:?}");
+        assert!(msg.contains("SSGD's barrier takes no shards"), "{msg}");
+    }
+
+    #[test]
+    fn a_primary_kill_without_a_standby_is_an_error_not_a_panic() {
+        let (train, test) = data();
+        let cfg = blob_cfg(Algorithm::Asgd, 2);
+        let plan = FaultPlan::new().with_primary_kill(3);
+        let opts = RunOptions { fault_plan: Some(plan), ..RunOptions::default() };
+        let err = run_cluster_with(ThreadCluster::new(2), &cfg, &build_mlp, &train, &test, opts)
+            .expect_err("a primary kill without a standby must be an error");
+        let msg = format!("{err:?}");
+        assert!(msg.contains("requires a standby"), "{msg}");
     }
 
     #[test]

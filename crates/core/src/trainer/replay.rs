@@ -440,10 +440,7 @@ fn both_primary_kills_replay() {
             let opts = || RunOptions {
                 fault_plan: Some(plan.clone()),
                 checkpoint_path: checkpoint_path.clone(),
-                standby: Some(StandbyConfig {
-                    flush_every: 4,
-                    lease: std::time::Duration::from_millis(500),
-                }),
+                standby: Some(StandbyConfig { flush_every: 4 }),
                 shards,
                 ..RunOptions::default()
             };

@@ -31,9 +31,9 @@ use std::time::Instant;
 /// evaluator and standby threads, the checkpoint file, the run's clock and
 /// its fault list; a recording fake implements it in the replay test.
 pub(super) trait Seam {
-    /// An admitted update is about to be applied (an expired write lease is
-    /// renewed first). Returns the time on the run's clock it is stamped
-    /// with; `at` is the message's pickup time on the simulator.
+    /// An admitted update is about to be applied. Returns the time on the
+    /// run's clock it is stamped with; `at` is the message's pickup time on
+    /// the simulator.
     fn write(&mut self, at: Option<f64>) -> f64;
     /// Ships one applied push to the standby: a log record per shard of
     /// its `(after, before)` weights, the last carrying `side_effects`.
@@ -47,9 +47,9 @@ pub(super) trait Seam {
     fn refresh(&mut self, part: &TrainingCheckpoint);
     /// Bootstraps or re-arms the standby from the full state.
     fn snapshot(&mut self, state: TrainingCheckpoint);
-    /// Fences the killed primary and hands over the standby's mirror, if
-    /// there still is a standby: the updates of `applied` it lacks are
-    /// accounted lost, and the promoted server gets a fresh lease.
+    /// Settles the killed primary's batch in flight and hands over the
+    /// standby's mirror, if there still is a standby: the updates of
+    /// `applied` it lacks are accounted lost.
     fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint>;
     /// Why the standby was lost, asked once after the stream lost it.
     fn standby_lost(&mut self, at_update: u64) -> Option<String>;
@@ -291,8 +291,8 @@ pub(super) struct Core<'a> {
     halt_at: Option<u64>,
     halted: bool,
     /// A planned primary kill: at this applied-update count the primary's
-    /// lease is revoked, its unreplicated tail is discarded, and the
-    /// standby promotes with a bumped fencing epoch.
+    /// unreplicated tail is discarded and the standby promotes with a
+    /// bumped fencing epoch.
     kill_at: Option<u64>,
     /// Checkpoint cadence in applied updates, when the run writes them.
     checkpoint_every: Option<usize>,
@@ -330,10 +330,11 @@ impl<'a> Core<'a> {
         let pending = |at: Option<u64>| at.filter(|&a| a > resumed_at && a < target as u64);
         let plan = opts.fault_plan.as_ref();
         let kill_at = pending(plan.and_then(|p| p.primary_kill_at_update));
-        assert!(
-            kill_at.is_none() || opts.standby.is_some(),
-            "a primary-kill fault plan requires a standby (RunOptions::standby)"
-        );
+        if kill_at.is_some() && opts.standby.is_none() {
+            return Err(ClusterError::Protocol(
+                "a primary-kill fault plan requires a standby (RunOptions::standby)".into(),
+            ));
+        }
         let mut core = Core {
             env,
             codec,
@@ -699,7 +700,6 @@ impl<'a> Core<'a> {
             let before: Option<Vec<Arc<Vec<f32>>>> = self
                 .replicated
                 .then(|| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
-            // The lease check comes before the write it guards.
             let now = seam.write(at);
             let lr = self.apply(w, &push, g, stale);
             if let Some(before) = before {

@@ -1,6 +1,5 @@
 //! Tuning knobs for the TCP backend's liveness machinery.
 
-use crate::breaker::BreakerConfig;
 use lcasgd_simcluster::WireCodec;
 use std::time::Duration;
 
@@ -71,10 +70,6 @@ pub struct NetConfig {
     pub connect_backoff: Duration,
     /// Ceiling on the exponential backoff.
     pub connect_backoff_cap: Duration,
-    /// Per-connection circuit breaker thresholds: the worker gates its
-    /// redial storms and the server gates codec-failing ranks through
-    /// the same error-rate window → open → half-open probe machine.
-    pub breaker: BreakerConfig,
     /// How dense `f32` payloads are packed on the wire. Negotiated at
     /// `Hello` time: the server closes any connection advertising a
     /// different codec. [`WireCodec::F32`] is byte-identical to the seed
@@ -92,7 +87,6 @@ impl Default for NetConfig {
             connect_attempts: 5,
             connect_backoff: Duration::from_millis(25),
             connect_backoff_cap: Duration::from_secs(1),
-            breaker: BreakerConfig::default(),
             wire_codec: WireCodec::F32,
         }
     }
@@ -110,7 +104,6 @@ impl NetConfig {
             connect_attempts: 5,
             connect_backoff: Duration::from_millis(5),
             connect_backoff_cap: Duration::from_millis(100),
-            breaker: BreakerConfig::fast(),
             wire_codec: WireCodec::F32,
         }
     }

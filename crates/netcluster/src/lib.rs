@@ -27,13 +27,11 @@
 //! [`NetCluster`] merges both sides into one
 //! [`TransportStats`].
 
-pub mod breaker;
 pub mod config;
 pub mod frame;
 pub mod reactor;
 pub mod worker;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use config::{BackoffSchedule, NetConfig};
 pub use reactor::{ReactorServer, COALESCE_PHASE};
 pub use worker::NetWorker;
@@ -332,6 +330,29 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ClusterError::Protocol(_)));
+    }
+
+    #[test]
+    fn a_panicking_server_fails_the_run_instead_of_hanging_it() {
+        // `NetConfig::fast()` waits 5 s for a reply; the panic must reach
+        // the caller in well under half of that, because every worker's
+        // connection closes as the server unwinds.
+        let bound = NetConfig::fast().request_timeout / 2;
+        let t0 = std::time::Instant::now();
+        // What each worker that got to ask was answered; a worker that
+        // dials after the server is gone never asks.
+        let answers = Mutex::new(Vec::new());
+        let run = std::panic::catch_unwind(|| {
+            fast(3).run(
+                |_w, _req: u8, _ctx: &mut ServerCtx<u8>| panic!("server invariant broken"),
+                |_w, h| answers.lock().push(h.request(0).is_ok()),
+            )
+        });
+        let panic = run.expect_err("the server's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"server invariant broken"));
+        assert!(t0.elapsed() < bound, "took {:?}, bound {bound:?}", t0.elapsed());
+        let answers = answers.into_inner();
+        assert!(!answers.is_empty() && !answers.contains(&true), "{answers:?}");
     }
 
     #[test]

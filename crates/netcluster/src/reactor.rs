@@ -7,7 +7,7 @@
 //! owns all mutable server state, so the algorithm closure needs no
 //! locking. (Its predecessor spent a thread per connection; past a few
 //! dozen workers the scheduler, the per-frame allocations and the
-//! serialized reply encoding dominated the apply loop. DESIGN.md §12 keeps
+//! serialized reply encoding dominated the apply loop. CHANGES.md keeps
 //! that server's last measured numbers.)
 //!
 //! * **One reactor thread** owns the listener and every connection as
@@ -49,14 +49,12 @@
 //! instead of stalling. A rank that never says hello within the hello
 //! timeout is likewise written off. A worker may reconnect and re-`Hello`
 //! at any time, superseding (and closing) its old connection and reviving
-//! a dead rank; a rank whose frames keep failing the payload codec has its
-//! redials refused by a per-rank circuit breaker until the cooldown admits
-//! a half-open probe.
+//! a dead rank. A frame that fails the framing layer or the payload codec
+//! drops its connection, and nothing else: the rank may dial again.
 //!
 //! Termination: the run ends when every rank has either finished cleanly
 //! (`Goodbye`) or been declared dead.
 
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
 use crate::frame::{checksum, crc32, header_bytes, parse_header, FrameKind, HEADER_LEN, STAGE};
 use lcasgd_simcluster::backend::keep_spent;
@@ -225,8 +223,6 @@ impl ReactorServer {
         let mut conns: HashMap<u64, Conn<Resp>> = HashMap::new();
         let mut next_id = 0u64;
         let mut rank_conn: Vec<Option<u64>> = vec![None; m];
-        let mut rank_breakers: Vec<CircuitBreaker> =
-            (0..m).map(|_| CircuitBreaker::new(cfg.breaker.clone())).collect();
         let mut rank_state = vec![RankState::Pending; m];
         let mut awaiting: Vec<Option<u64>> = vec![None; m];
         let mut stats = TransportStats::default();
@@ -330,9 +326,7 @@ impl ReactorServer {
                             // An unparseable header means the stream can
                             // never resynchronize: drop the connection
                             // (the threaded server's reader thread exits
-                            // here too). Not a breaker event — the
-                            // breaker guards the payload codec, not the
-                            // framing layer.
+                            // here too).
                             poison = true;
                             break;
                         }
@@ -365,13 +359,6 @@ impl ReactorServer {
                                 break;
                             };
                             if rank >= m || conn_rank.is_some() || codec != cfg.wire_codec {
-                                poison = true;
-                                break;
-                            }
-                            if !rank_breakers[rank].allow(Instant::now()) {
-                                // Open breaker: refuse the redial. The
-                                // rank is still unbound, so this only
-                                // drops the socket.
                                 poison = true;
                                 break;
                             }
@@ -418,17 +405,11 @@ impl ReactorServer {
                                 Ok(req) => req,
                                 Err(_) => {
                                     // Framed correctly but fails the
-                                    // codec: per-connection failure that
-                                    // feeds the rank's breaker, exactly
-                                    // like the threaded server.
-                                    rank_breakers[rank].record_failure(Instant::now());
+                                    // codec: drop the connection.
                                     poison = true;
                                     break;
                                 }
                             };
-                            if rank_breakers[rank].state(Instant::now()) != BreakerState::Closed {
-                                rank_breakers[rank].record_success();
-                            }
                             let decode = t0.elapsed().as_secs_f64();
                             stats.serialize_seconds += decode;
                             if let Some(h) = &hook {
@@ -753,7 +734,6 @@ fn deliver_replies<Resp: WireMsg>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::frame::{read_frame, write_frame, Frame};
     use crate::worker::NetWorker;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -877,14 +857,8 @@ mod tests {
     }
 
     #[test]
-    fn codec_failures_trip_the_rank_breaker_until_cooldown() {
-        let mut cfg = NetConfig::fast();
-        cfg.breaker = BreakerConfig {
-            failure_threshold: 2,
-            window: Duration::from_secs(5),
-            cooldown: Duration::from_millis(500),
-            cooldown_cap: Duration::from_millis(500),
-        };
+    fn a_codec_failure_drops_the_connection_and_nothing_else() {
+        let cfg = NetConfig::fast();
         let server = ReactorServer::bind("127.0.0.1:0", 2, cfg.clone()).unwrap();
         let addr = server.local_addr().unwrap();
         let done = AtomicBool::new(false);
@@ -902,34 +876,25 @@ mod tests {
                 link.finish().unwrap();
             });
             scope.spawn(move || {
-                // Two codec failures (threshold 2) trip rank 0's breaker;
-                // each one costs the connection.
-                for seq in 0..2u64 {
+                let dial = || {
                     let mut s = TcpStream::connect(addr).unwrap();
                     s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
                     write_frame(&mut s, &Frame::hello(0)).unwrap();
+                    s
+                };
+                // Each codec failure costs its connection.
+                for seq in 0..2u64 {
+                    let mut s = dial();
                     write_frame(&mut s, &garbage_request(seq)).unwrap();
                     assert!(read_frame(&mut s).is_err(), "codec failure must drop the link");
                 }
-                // During the cooldown even a clean redial is refused: the
-                // Hello is answered with a hangup, so the valid request
-                // after it never sees a reply.
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-                write_frame(&mut s, &Frame::hello(0)).unwrap();
-                let _ = write_frame(&mut s, &valid_request(10, 7));
-                assert!(read_frame(&mut s).is_err(), "open breaker must refuse the redial");
-                // Past the cooldown the half-open probe is admitted, and
-                // its first clean frame closes the breaker again.
-                std::thread::sleep(Duration::from_millis(700));
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-                write_frame(&mut s, &Frame::hello(0)).unwrap();
-                write_frame(&mut s, &valid_request(11, 7)).unwrap();
+                // And only that: a clean redial is served at once.
+                let mut s = dial();
+                write_frame(&mut s, &valid_request(10, 7)).unwrap();
                 let (reply, _) = read_frame(&mut s).unwrap();
                 assert_eq!(reply.kind, FrameKind::Reply);
                 assert_eq!(u32::decoded(&reply.payload).unwrap(), 14);
-                write_frame(&mut s, &Frame::new(FrameKind::Goodbye, 12, Vec::new())).unwrap();
+                write_frame(&mut s, &Frame::new(FrameKind::Goodbye, 11, Vec::new())).unwrap();
                 done.store(true, Ordering::SeqCst);
             });
             server.serve(|_w, x: u32, ctx: &mut ServerCtx<u32>| ctx.reply(x * 2)).unwrap();

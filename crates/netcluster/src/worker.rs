@@ -23,7 +23,6 @@
 //!   without it looks like a crash to the server, which is exactly what
 //!   the fault-injection tests rely on.
 
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::config::NetConfig;
 use crate::frame::{
     checksum, header_bytes, read_header, read_msg, write_frame, write_msg, write_payload, Frame,
@@ -62,10 +61,6 @@ pub struct NetWorker {
     stats: TransportStats,
     finished: bool,
     trace_hook: Option<Arc<dyn TraceHook>>,
-    /// Gates reconnect storms: repeated transport failures open the
-    /// breaker and further dial attempts fail fast until the cooldown
-    /// admits a half-open probe.
-    breaker: CircuitBreaker,
     /// The one staging block, used both ways: a frame goes out encoded
     /// into it one window at a time, a reply comes in through it one block
     /// at a time ([`crate::frame::STAGE`] bytes).
@@ -86,7 +81,6 @@ impl NetWorker {
     ) -> Result<NetWorker, ClusterError> {
         cfg.validate_worker()
             .map_err(|why| ClusterError::Protocol(format!("invalid NetConfig: {why}")))?;
-        let breaker = CircuitBreaker::new(cfg.breaker.clone());
         let mut worker = NetWorker {
             rank,
             addr,
@@ -96,7 +90,6 @@ impl NetWorker {
             stats: TransportStats::default(),
             finished: false,
             trace_hook: None,
-            breaker,
             stage: Vec::new(),
             spent: Vec::new(),
         };
@@ -124,13 +117,9 @@ impl NetWorker {
 
     /// Tears down any existing connection, then dials the server again
     /// through the config's [`crate::BackoffSchedule`] and re-sends the
-    /// `Hello`. An open circuit breaker fails fast instead of dialing at
-    /// all; a successful dial closes it.
+    /// `Hello`.
     fn reconnect(&mut self) -> Result<(), ClusterError> {
         self.teardown();
-        if !self.breaker.allow(Instant::now()) {
-            return Err(ClusterError::Disconnected);
-        }
         let mut last_err = ClusterError::Disconnected;
         for delay in self.cfg.backoff().delays() {
             if !delay.is_zero() {
@@ -182,16 +171,9 @@ impl NetWorker {
                     .expect("spawn the heartbeat thread")
             };
             self.conn = Some(Conn { read: stream, write, hb_stop, hb: Some(hb) });
-            self.breaker.record_success();
             return Ok(());
         }
-        self.breaker.record_failure(Instant::now());
         Err(last_err)
-    }
-
-    /// The reconnect circuit breaker's current state.
-    pub fn breaker_state(&mut self) -> BreakerState {
-        self.breaker.state(Instant::now())
     }
 
     fn teardown(&mut self) {
@@ -239,11 +221,9 @@ impl NetWorker {
     }
 
     /// A reply that failed as a frame — timeout, disconnect, bad header or
-    /// checksum — leaves the stream in an unknown framing state: it counts
-    /// against the breaker, and the connection is dropped so the next
-    /// operation starts clean.
+    /// checksum — leaves the stream in an unknown framing state: the
+    /// connection is dropped so the next operation starts clean.
     fn framing_failure(&mut self, e: ClusterError) -> ClusterError {
-        self.breaker.record_failure(Instant::now());
         self.teardown();
         e
     }
@@ -427,49 +407,5 @@ impl<Req: WireMsg, Resp: WireMsg> WorkerLink<Req, Resp> for NetWorker {
 
     fn recycle(&mut self, spent: Vec<f32>) {
         keep_spent(&mut self.spent, [spent], SPENT_CAP);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn breaker_opens_after_repeated_reconnect_failures_and_fails_fast() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut cfg = NetConfig::fast();
-        cfg.connect_attempts = 1;
-        cfg.request_timeout = Duration::from_millis(100);
-        cfg.breaker = crate::breaker::BreakerConfig {
-            failure_threshold: 2,
-            window: Duration::from_secs(5),
-            cooldown: Duration::from_secs(5), // long: stays Open for the test
-            cooldown_cap: Duration::from_secs(5),
-        };
-        let accepted = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            stream
-        });
-        let mut w = NetWorker::connect(addr, 0, cfg).unwrap();
-        assert_eq!(w.breaker_state(), BreakerState::Closed);
-        // Server side (and the listener) go away entirely.
-        drop(accepted.join().unwrap());
-        // Failures accumulate — the dead read, then a refused redial —
-        // until the breaker trips.
-        for _ in 0..4 {
-            if w.request::<u32, u32>(&1).is_ok() {
-                panic!("no server to answer");
-            }
-            if w.breaker_state() == BreakerState::Open {
-                break;
-            }
-        }
-        assert_eq!(w.breaker_state(), BreakerState::Open);
-        // Open breaker: the next request fails fast, without dialing.
-        let t0 = Instant::now();
-        assert!(w.request::<u32, u32>(&1).is_err());
-        assert!(t0.elapsed() < Duration::from_millis(50), "open breaker must not dial");
-        w.finished = true; // skip the Drop-path Goodbye on a dead socket
     }
 }

@@ -7,7 +7,7 @@
 //!                [--checkpoint PATH] [--checkpoint-every N]
 //!                [--fault-plan PATH] [--resume PATH]
 //!                [--trace PATH] [--staleness-bound N] [--health-log PATH]
-//!                [--standby] [--flush-every N] [--lease-ms N]
+//!                [--standby] [--flush-every N]
 //!                [--shards N] [--wire-codec f32|bf16|int8]
 //! lcasgd help
 //! ```
@@ -15,8 +15,8 @@
 //! `train` runs one experiment and prints the learning curve; `help` (or
 //! `--help`) prints the usage above. A flag `train` does not know exits 2
 //! and names the flag; so does a flag given without the flag it needs
-//! (`--checkpoint-every` without `--checkpoint`, `--flush-every` or
-//! `--lease-ms` without `--standby`), naming both.
+//! (`--checkpoint-every` without `--checkpoint`, `--flush-every` without
+//! `--standby`), naming both.
 //!
 //! `--checkpoint`, `--fault-plan`, `--resume`, and `--trace` switch the
 //! run to the real-thread cluster backend: `--checkpoint PATH` writes a
@@ -40,8 +40,7 @@
 //! every applied update streams to a warm mirror as write-ahead log
 //! records, one per model shard, flushed as one acknowledged batch at the
 //! first update boundary at or after `--flush-every` records (default 4;
-//! a kill loses fewer than that many), the primary's write lease lasts
-//! `--lease-ms` milliseconds (default 500), and a fault plan with a
+//! a kill loses fewer than that many), and a fault plan with a
 //! `primary-kill at-update=N` line promotes the standby in place of the
 //! killed primary with a bumped fencing epoch. Asynchronous algorithms
 //! only.
@@ -85,7 +84,6 @@ const TRAIN_VALUES: &[&str] = &[
     "--staleness-bound",
     "--health-log",
     "--flush-every",
-    "--lease-ms",
     "--shards",
     "--wire-codec",
 ];
@@ -94,11 +92,8 @@ const TRAIN_VALUES: &[&str] = &[
 const TRAIN_SWITCHES: &[&str] = &["--partitioned", "--standby"];
 
 /// `train`'s flags that do nothing without another: (flag, flag it needs).
-const TRAIN_NEEDS: &[(&str, &str)] = &[
-    ("--checkpoint-every", "--checkpoint"),
-    ("--flush-every", "--standby"),
-    ("--lease-ms", "--standby"),
-];
+const TRAIN_NEEDS: &[(&str, &str)] =
+    &[("--checkpoint-every", "--checkpoint"), ("--flush-every", "--standby")];
 
 const USAGE: &str = "usage:
   lcasgd train [--algorithm sgd|ssgd|asgd|dc-asgd|lc-asgd] [--workers N]
@@ -107,7 +102,7 @@ const USAGE: &str = "usage:
                [--checkpoint PATH] [--checkpoint-every N]
                [--fault-plan PATH] [--resume PATH]
                [--trace PATH] [--staleness-bound N] [--health-log PATH]
-               [--standby] [--flush-every N] [--lease-ms N]
+               [--standby] [--flush-every N]
                [--shards N] [--wire-codec f32|bf16|int8]
   lcasgd help";
 
@@ -284,7 +279,6 @@ fn train(args: &Args) {
     let supervisor = supervisor_config(args, health_log.is_some());
     let standby = args.flag("--standby").then(|| StandbyConfig {
         flush_every: args.parse("--flush-every", StandbyConfig::default().flush_every),
-        lease: std::time::Duration::from_millis(args.parse("--lease-ms", 500)),
     });
     let shards: usize = args.parse("--shards", 1);
     if shards == 0 {
@@ -521,12 +515,11 @@ mod tests {
     fn train_names_a_flag_without_the_flag_it_needs() {
         let unmet = |s: &[&str]| args(s).unmet(TRAIN_NEEDS);
         assert_eq!(unmet(&["--flush-every", "4"]), Some(("--flush-every", "--standby")));
-        assert_eq!(unmet(&["--lease-ms", "10"]), Some(("--lease-ms", "--standby")));
         assert_eq!(
             unmet(&["--checkpoint-every", "5", "--standby"]),
             Some(("--checkpoint-every", "--checkpoint"))
         );
-        assert_eq!(unmet(&["--standby", "--flush-every", "4", "--lease-ms", "10"]), None);
+        assert_eq!(unmet(&["--standby", "--flush-every", "4"]), None);
         assert_eq!(unmet(&["--checkpoint", "c.ck", "--checkpoint-every", "5"]), None);
         assert_eq!(unmet(&[]), None);
         for (flag, needed) in TRAIN_NEEDS {

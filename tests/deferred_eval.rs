@@ -220,10 +220,7 @@ fn standby_snapshots_and_a_kill_on_the_epoch_boundary_hold_whole_records() {
         let plan = FaultPlan::new().with_primary_kill(24);
         let opts = RunOptions {
             fault_plan: Some(plan.clone()),
-            standby: Some(StandbyConfig {
-                flush_every: 4,
-                lease: std::time::Duration::from_millis(500),
-            }),
+            standby: Some(StandbyConfig { flush_every: 4 }),
             ..RunOptions::default()
         };
         let shipped = Arc::new(Mutex::new(Shipped::default()));

@@ -276,10 +276,7 @@ fn killed_with(algo: Algorithm, shards: usize, ck: Option<std::path::PathBuf>) -
     let opts = RunOptions {
         checkpoint_path: ck,
         fault_plan: Some(plan.clone()),
-        standby: Some(StandbyConfig {
-            flush_every: 4,
-            lease: std::time::Duration::from_millis(500),
-        }),
+        standby: Some(StandbyConfig { flush_every: 4 }),
         shards,
         ..RunOptions::default()
     };

@@ -30,7 +30,7 @@ fn build_bn(rng: &mut Rng) -> lc_asgd::nn::Network {
 }
 
 fn standby() -> StandbyConfig {
-    StandbyConfig { flush_every: 4, lease: std::time::Duration::from_millis(500) }
+    StandbyConfig { flush_every: 4 }
 }
 
 fn opts(plan: &FaultPlan) -> RunOptions {
@@ -193,7 +193,7 @@ fn kill_losing_nothing(
     let sim: ClusterSim<SimPayload> =
         ClusterSim::new(c.cluster.clone()).with_fault_plan(plan.clone());
     let opts = RunOptions {
-        standby: Some(StandbyConfig { flush_every: 1, ..standby() }),
+        standby: Some(StandbyConfig { flush_every: 1 }),
         supervisor,
         shards,
         ..opts(&plan)

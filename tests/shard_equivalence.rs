@@ -163,7 +163,7 @@ fn primary_kill_failover_completes_with_four_shards() {
     let shards = 4usize;
     let target = c.epochs * train.len().div_ceil(c.batch_size);
     let kill_at = (target / 2) as u64;
-    let standby = StandbyConfig { flush_every: 4, lease: std::time::Duration::from_millis(500) };
+    let standby = StandbyConfig { flush_every: 4 };
     let opts = |plan: &FaultPlan| RunOptions {
         fault_plan: Some(plan.clone()),
         standby: Some(standby.clone()),
@@ -246,7 +246,7 @@ fn a_flush_never_splits_a_push_so_every_kill_promotes_whole_pushes() {
     let (train, test) = task();
     let c = cfg(Algorithm::Asgd, 4);
     let target = c.epochs * train.len().div_ceil(c.batch_size);
-    let standby = StandbyConfig { flush_every: 4, lease: std::time::Duration::from_millis(500) };
+    let standby = StandbyConfig { flush_every: 4 };
     for kill_at in [2u64, 3, 5, 6, 7] {
         let plan = FaultPlan::new().with_primary_kill(kill_at);
         let sim: ClusterSim<SimPayload> =

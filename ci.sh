@@ -108,7 +108,10 @@ timeout 300 cargo test -q --release --test trace_integration
 # blocking edge, public tensor ops must be bitwise identical across thread
 # counts, and the convolution and BatchNorm kernels must reproduce, bit
 # for bit, the checksums their pack-then-multiply / per-element
-# predecessors produced (tests/kernel_golden.rs). Run in release so the
+# predecessors produced (tests/kernel_golden.rs); so must the model pin:
+# both residual block families (ResNet-tiny's basic blocks and
+# tiny_bottleneck's) — built weights, one training step's loss, gradient
+# and BN statistics, and the inference logits. Run in release so the
 # differential proptests cover all cases quickly (and so the AVX2
 # dispatch path — the one production uses — is what gets tested). The
 # tensor crate's unit tests include the buffer cache's (zeros from a
@@ -275,6 +278,11 @@ RC=0; ./target/release/lcasgd train --no-such-flag 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ] || { echo "lcasgd train --no-such-flag exited $RC, not 2"; exit 1; }
 RC=0; ./target/release/lcasgd train --flush-every 4 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ] || { echo "lcasgd train --flush-every without --standby exited $RC, not 2"; exit 1; }
+# ... and so must a value outside a flag's set, not run with another.
+for BAD in "--dataset foo" "--workers 0"; do
+    RC=0; ./target/release/lcasgd train $BAD 2>/dev/null || RC=$?
+    [ "$RC" -eq 2 ] || { echo "lcasgd train $BAD exited $RC, not 2"; exit 1; }
+done
 
 echo "==> cargo fmt --check (touched crates)"
 cargo fmt --check "${TOUCHED[@]}"

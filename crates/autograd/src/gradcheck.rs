@@ -392,24 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_max_pool() {
-        // Max pooling is piecewise linear; keep entries well separated so
-        // the finite difference doesn't cross an argmax switch.
-        let mut x = randn(&[1, 1, 4, 4], 79);
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v += i as f32 * 0.5;
-        }
-        check(
-            |g, x| {
-                let y = g.max_pool2d(x, 2, 2);
-                let y2 = g.mul(y, y);
-                g.sum(y2)
-            },
-            &x,
-        );
-    }
-
-    #[test]
     fn gc_concat_slice() {
         let other = randn(&[2, 2], 80);
         check(

@@ -12,14 +12,6 @@ impl BackwardOp for AddBack {
     }
 }
 
-struct SubBack(Var, Var);
-impl BackwardOp for SubBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        ctx.accumulate(self.0, ctx.grad.clone());
-        ctx.accumulate(self.1, ctx.grad.scale(-1.0));
-    }
-}
-
 struct MulBack(Var, Var);
 impl BackwardOp for MulBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
@@ -34,13 +26,6 @@ struct ScaleBack(Var, f32);
 impl BackwardOp for ScaleBack {
     fn backward(&self, ctx: &mut Ctx<'_>) {
         ctx.accumulate(self.0, ctx.grad.scale(self.1));
-    }
-}
-
-struct ShiftBack(Var);
-impl BackwardOp for ShiftBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        ctx.accumulate(self.0, ctx.grad.clone());
     }
 }
 
@@ -95,37 +80,11 @@ impl BackwardOp for AddRowsBack {
     }
 }
 
-/// `[n, c, h, w] + bias[c]`: bias gradient sums over N, H, W.
-struct AddChannelsBack {
-    x: Var,
-    bias: Var,
-}
-impl BackwardOp for AddChannelsBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        let d = ctx.grad.dims();
-        let (c, hw) = (d[1], d[2] * d[3]);
-        let mut gb = vec![0.0f32; c];
-        for img in ctx.grad.data().chunks_exact(c * hw) {
-            for (ch, acc) in gb.iter_mut().enumerate() {
-                *acc += img[ch * hw..(ch + 1) * hw].iter().sum::<f32>();
-            }
-        }
-        ctx.accumulate(self.bias, Tensor::from_vec(gb, &[c]));
-        ctx.accumulate(self.x, ctx.grad.clone());
-    }
-}
-
 impl Graph {
     /// Elementwise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).add(self.value(b));
         self.push(v, Some(Box::new(AddBack(a, b))))
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
-        self.push(v, Some(Box::new(SubBack(a, b))))
     }
 
     /// Elementwise product.
@@ -138,12 +97,6 @@ impl Graph {
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let v = self.value(a).scale(s);
         self.push(v, Some(Box::new(ScaleBack(a, s))))
-    }
-
-    /// Addition of a constant (gradient passes through unchanged).
-    pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).add_scalar(s);
-        self.push(v, Some(Box::new(ShiftBack(a))))
     }
 
     /// Rectified linear unit.
@@ -172,18 +125,11 @@ impl Graph {
         let v = self.value(x).add_rows(self.value(bias));
         self.push(v, Some(Box::new(AddRowsBack { x, bias })))
     }
-
-    /// Adds a per-channel bias to an NCHW activation.
-    pub fn add_channels(&mut self, x: Var, bias: Var) -> Var {
-        let v = self.value(x).add_channels(self.value(bias));
-        self.push(v, Some(Box::new(AddChannelsBack { x, bias })))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcasgd_tensor::assert_close;
 
     fn t(v: Vec<f32>, d: &[usize]) -> Tensor {
         Tensor::from_vec(v, d)
@@ -199,17 +145,6 @@ mod tests {
         g.backward(s);
         assert_eq!(g.grad(a).unwrap().data(), &[1., 1.]);
         assert_eq!(g.grad(b).unwrap().data(), &[1., 1.]);
-    }
-
-    #[test]
-    fn sub_grad_negates_rhs() {
-        let mut g = Graph::new();
-        let a = g.leaf(t(vec![1., 2.], &[2]));
-        let b = g.leaf(t(vec![3., 4.], &[2]));
-        let c = g.sub(a, b);
-        let s = g.sum(c);
-        g.backward(s);
-        assert_eq!(g.grad(b).unwrap().data(), &[-1., -1.]);
     }
 
     #[test]
@@ -349,18 +284,6 @@ mod tests {
         g.backward(s);
         assert_eq!(g.grad(b).unwrap().data(), &[3., 3.]);
         assert_eq!(g.grad(x).unwrap().dims(), &[3, 2]);
-    }
-
-    #[test]
-    fn add_channels_bias_grad_sums_nhw() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::zeros(&[2, 3, 2, 2]));
-        let b = g.leaf(Tensor::zeros(&[3]));
-        let y = g.add_channels(x, b);
-        let s = g.sum(y);
-        g.backward(s);
-        // each channel bias touches 2 images × 2×2 pixels = 8 elements
-        assert_close(&g.grad(b).unwrap().clone(), &t(vec![8., 8., 8.], &[3]), 1e-6);
     }
 
     #[test]

@@ -1,25 +1,8 @@
-//! Pooling ops: max pooling and global average pooling.
+//! Global average pooling, ResNet's last spatial reduction.
 
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
 use lcasgd_tensor::Tensor;
-
-struct MaxPoolBack {
-    x: Var,
-    /// Flat input index of each output element's argmax.
-    argmax: Vec<u32>,
-    in_dims: [usize; 4],
-}
-impl BackwardOp for MaxPoolBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        let mut dx = Tensor::zeros(&self.in_dims);
-        let d = dx.data_mut();
-        for (&idx, &g) in self.argmax.iter().zip(ctx.grad.data()) {
-            d[idx as usize] += g;
-        }
-        ctx.accumulate(self.x, dx);
-    }
-}
 
 struct GlobalAvgPoolBack {
     x: Var,
@@ -44,50 +27,6 @@ impl BackwardOp for GlobalAvgPoolBack {
 }
 
 impl Graph {
-    /// `k×k` max pooling with stride `stride` over an NCHW input. The input
-    /// spatial size must be divisible by the window (no padding), matching
-    /// how ResNet's pools are configured.
-    pub fn max_pool2d(&mut self, x: Var, k: usize, stride: usize) -> Var {
-        let xt = self.value(x);
-        assert_eq!(xt.shape().rank(), 4, "max_pool2d expects NCHW");
-        let d = xt.dims();
-        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-        assert!(h >= k && w >= k, "pool window larger than input");
-        let oh = (h - k) / stride + 1;
-        let ow = (w - k) / stride + 1;
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let mut argmax = vec![0u32; n * c * oh * ow];
-        let src = xt.data();
-        {
-            let dst = out.data_mut();
-            let mut o = 0usize;
-            for img in 0..n {
-                for ch in 0..c {
-                    let plane = (img * c + ch) * h * w;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_i = 0usize;
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let i = plane + (oy * stride + ky) * w + ox * stride + kx;
-                                    if src[i] > best {
-                                        best = src[i];
-                                        best_i = i;
-                                    }
-                                }
-                            }
-                            dst[o] = best;
-                            argmax[o] = best_i as u32;
-                            o += 1;
-                        }
-                    }
-                }
-            }
-        }
-        self.push(out, Some(Box::new(MaxPoolBack { x, argmax, in_dims: [n, c, h, w] })))
-    }
-
     /// Global average pooling: `[n, c, h, w] -> [n, c]`. ResNet's final
     /// spatial reduction before the classifier head.
     pub fn global_avg_pool(&mut self, x: Var) -> Var {
@@ -108,43 +47,6 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn max_pool_values() {
-        // 1 image, 1 channel, 4x4 -> 2x2 with k=2, s=2
-        let xt = Tensor::from_vec(
-            vec![1., 2., 5., 6., 3., 4., 7., 8., 9., 10., 13., 14., 11., 12., 15., 16.],
-            &[1, 1, 4, 4],
-        );
-        let mut g = Graph::new();
-        let x = g.leaf(xt);
-        let y = g.max_pool2d(x, 2, 2);
-        assert_eq!(g.value(y).data(), &[4., 8., 12., 16.]);
-    }
-
-    #[test]
-    fn max_pool_grad_routes_to_argmax() {
-        let xt = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 1, 2, 2]);
-        let mut g = Graph::new();
-        let x = g.leaf(xt);
-        let y = g.max_pool2d(x, 2, 2);
-        let s = g.sum(y);
-        g.backward(s);
-        assert_eq!(g.grad(x).unwrap().data(), &[0., 0., 0., 1.]);
-    }
-
-    #[test]
-    fn overlapping_pool_accumulates() {
-        // k=2, stride=1 on 3x3: center pixel may win several windows.
-        let xt = Tensor::from_vec(vec![0., 0., 0., 0., 9., 0., 0., 0., 0.], &[1, 1, 3, 3]);
-        let mut g = Graph::new();
-        let x = g.leaf(xt);
-        let y = g.max_pool2d(x, 2, 1);
-        let s = g.sum(y);
-        g.backward(s);
-        // Center wins all 4 windows.
-        assert_eq!(g.grad(x).unwrap().data()[4], 4.0);
-    }
 
     #[test]
     fn global_avg_pool_value_and_grad() {

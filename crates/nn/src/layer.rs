@@ -152,143 +152,63 @@ impl BatchNorm {
     }
 }
 
-/// Pre-activation residual block: `x + f(x)` where
-/// `f = BN-ReLU-Conv — BN-ReLU-Conv`, with an optional 1×1 strided
-/// projection on the skip path when the shape changes.
+/// Pre-activation (v2) residual block: `x + f(x)`, where `f` is a chain
+/// of BN-ReLU-Conv stages, with a 1×1 strided projection on the skip path
+/// when the shape changes. Two 3×3 stages make the basic block
+/// (ResNet-18/34), a 1×1 → 3×3 → 1×1 chain at a quarter of the width the
+/// bottleneck (ResNet-50).
 pub struct ResidualBlock {
-    pub bn1: BatchNorm,
-    pub conv1: Conv2d,
-    pub bn2: BatchNorm,
-    pub conv2: Conv2d,
+    /// `(BN, conv)` per stage, in forward order; each BN normalizes its
+    /// conv's input.
+    pub stages: Vec<(BatchNorm, Conv2d)>,
     /// 1×1 projection for stride/width changes; `None` for identity skips.
     pub downsample: Option<Conv2d>,
 }
 
 impl ResidualBlock {
-    /// A block mapping `in_ch -> out_ch` with the given stride on its
-    /// first convolution.
-    pub fn new(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Self {
-        let conv1 = Conv2d::new(
-            Conv2dSpec { in_channels: in_ch, out_channels: out_ch, kernel: 3, stride, padding: 1 },
-            rng,
-        );
-        let conv2 = Conv2d::new(
-            Conv2dSpec {
-                in_channels: out_ch,
-                out_channels: out_ch,
-                kernel: 3,
-                stride: 1,
-                padding: 1,
-            },
-            rng,
-        );
-        let downsample = if stride != 1 || in_ch != out_ch {
-            Some(Conv2d::new(
-                Conv2dSpec {
-                    in_channels: in_ch,
-                    out_channels: out_ch,
-                    kernel: 1,
-                    stride,
-                    padding: 0,
-                },
-                rng,
-            ))
-        } else {
-            None
-        };
-        ResidualBlock {
-            bn1: BatchNorm::new(in_ch),
-            conv1,
-            bn2: BatchNorm::new(out_ch),
-            conv2,
-            downsample,
-        }
+    /// A basic block mapping `in_ch -> out_ch`: two 3×3 convolutions, the
+    /// first with the given stride.
+    pub fn basic(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Self {
+        Self::new(&[(in_ch, out_ch, 3, stride), (out_ch, out_ch, 3, 1)], stride, rng)
     }
 
-    pub fn forward(&self, g: &mut Graph, x: Var, ctx: &mut ForwardCtx) -> Var {
-        let pre = self.bn1.forward(g, x, ctx);
-        let pre = g.relu(pre);
-        let h = self.conv1.forward(g, pre, ctx);
-        let h = self.bn2.forward(g, h, ctx);
-        let h = g.relu(h);
-        let h = self.conv2.forward(g, h, ctx);
-        // Pre-activation (v2) convention: when projecting, project the
-        // *pre-activated* input.
-        let skip = match &self.downsample {
-            Some(proj) => proj.forward(g, pre, ctx),
-            None => x,
-        };
-        g.add(h, skip)
-    }
-}
-
-/// Pre-activation bottleneck block (ResNet-50-family):
-/// `BN-ReLU-Conv1×1(c/4) — BN-ReLU-Conv3×3(c/4, stride) — BN-ReLU-Conv1×1(c)`
-/// plus the identity / 1×1-projection skip. Four× cheaper than a basic
-/// block at equal width, which is how the 50-layer networks stay
-/// tractable.
-pub struct BottleneckBlock {
-    pub bn1: BatchNorm,
-    pub conv1: Conv2d,
-    pub bn2: BatchNorm,
-    pub conv2: Conv2d,
-    pub bn3: BatchNorm,
-    pub conv3: Conv2d,
-    pub downsample: Option<Conv2d>,
-}
-
-impl BottleneckBlock {
     /// A bottleneck mapping `in_ch -> out_ch` with the given stride on the
     /// 3×3 convolution. The internal width is `out_ch / 4` (floored, min 1).
-    pub fn new(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Self {
+    pub fn bottleneck(in_ch: usize, out_ch: usize, stride: usize, rng: &mut Rng) -> Self {
         let mid = (out_ch / 4).max(1);
-        let conv1 = Conv2d::new(
-            Conv2dSpec { in_channels: in_ch, out_channels: mid, kernel: 1, stride: 1, padding: 0 },
-            rng,
-        );
-        let conv2 = Conv2d::new(
-            Conv2dSpec { in_channels: mid, out_channels: mid, kernel: 3, stride, padding: 1 },
-            rng,
-        );
-        let conv3 = Conv2d::new(
-            Conv2dSpec { in_channels: mid, out_channels: out_ch, kernel: 1, stride: 1, padding: 0 },
-            rng,
-        );
-        let downsample = if stride != 1 || in_ch != out_ch {
-            Some(Conv2d::new(
-                Conv2dSpec {
-                    in_channels: in_ch,
-                    out_channels: out_ch,
-                    kernel: 1,
-                    stride,
-                    padding: 0,
-                },
-                rng,
-            ))
-        } else {
-            None
+        let convs = [(in_ch, mid, 1, 1), (mid, mid, 3, stride), (mid, out_ch, 1, 1)];
+        Self::new(&convs, stride, rng)
+    }
+
+    /// One stage per `(in, out, kernel, stride)`, padded to keep the kernel
+    /// centred. Draws the convolutions in stage order, then the projection.
+    fn new(convs: &[(usize, usize, usize, usize)], stride: usize, rng: &mut Rng) -> Self {
+        let conv = |in_channels, out_channels, kernel: usize, stride, rng: &mut Rng| {
+            let padding = kernel / 2;
+            Conv2d::new(Conv2dSpec { in_channels, out_channels, kernel, stride, padding }, rng)
         };
-        BottleneckBlock {
-            bn1: BatchNorm::new(in_ch),
-            conv1,
-            bn2: BatchNorm::new(mid),
-            conv2,
-            bn3: BatchNorm::new(mid),
-            conv3,
-            downsample,
-        }
+        let stages: Vec<_> = convs
+            .iter()
+            .map(|&(cin, cout, k, s)| (BatchNorm::new(cin), conv(cin, cout, k, s, rng)))
+            .collect();
+        let (in_ch, out_ch) = (convs[0].0, convs[convs.len() - 1].1);
+        let downsample =
+            (stride != 1 || in_ch != out_ch).then(|| conv(in_ch, out_ch, 1, stride, rng));
+        ResidualBlock { stages, downsample }
     }
 
     pub fn forward(&self, g: &mut Graph, x: Var, ctx: &mut ForwardCtx) -> Var {
-        let pre = self.bn1.forward(g, x, ctx);
-        let pre = g.relu(pre);
-        let h = self.conv1.forward(g, pre, ctx);
-        let h = self.bn2.forward(g, h, ctx);
-        let h = g.relu(h);
-        let h = self.conv2.forward(g, h, ctx);
-        let h = self.bn3.forward(g, h, ctx);
-        let h = g.relu(h);
-        let h = self.conv3.forward(g, h, ctx);
+        let (mut h, mut pre) = (x, x);
+        for (i, (bn, conv)) in self.stages.iter().enumerate() {
+            let a = bn.forward(g, h, ctx);
+            let a = g.relu(a);
+            if i == 0 {
+                pre = a;
+            }
+            h = conv.forward(g, a, ctx);
+        }
+        // Pre-activation (v2) convention: when projecting, project the
+        // *pre-activated* input.
         let skip = match &self.downsample {
             Some(proj) => proj.forward(g, pre, ctx),
             None => x,
@@ -303,18 +223,8 @@ pub enum Layer {
     Conv(Conv2d),
     BatchNorm(BatchNorm),
     Relu,
-    MaxPool {
-        k: usize,
-        stride: usize,
-    },
     GlobalAvgPool,
-    /// Flattens `[n, c, h, w]` to `[n, c·h·w]`.
-    Flatten,
-    /// Boxed (as is `Bottleneck`): whole conv/BN stacks live inside these
-    /// block variants, making them an order of magnitude larger than the
-    /// plain layers.
-    Residual(Box<ResidualBlock>),
-    Bottleneck(Box<BottleneckBlock>),
+    Residual(ResidualBlock),
 }
 
 impl Layer {
@@ -325,15 +235,8 @@ impl Layer {
             Layer::Conv(c) => c.forward(g, x, ctx),
             Layer::BatchNorm(b) => b.forward(g, x, ctx),
             Layer::Relu => g.relu(x),
-            Layer::MaxPool { k, stride } => g.max_pool2d(x, *k, *stride),
             Layer::GlobalAvgPool => g.global_avg_pool(x),
-            Layer::Flatten => {
-                let d = g.value(x).dims().to_vec();
-                let rest: usize = d[1..].iter().product();
-                g.reshape(x, &[d[0], rest])
-            }
             Layer::Residual(r) => r.forward(g, x, ctx),
-            Layer::Bottleneck(b) => b.forward(g, x, ctx),
         }
     }
 
@@ -350,30 +253,13 @@ impl Layer {
                 f(&b.beta);
             }
             Layer::Residual(r) => {
-                // Must match ResidualBlock::forward's registration order:
-                // bn1, conv1, bn2, conv2, downsample.
-                f(&r.bn1.gamma);
-                f(&r.bn1.beta);
-                f(&r.conv1.weight);
-                f(&r.bn2.gamma);
-                f(&r.bn2.beta);
-                f(&r.conv2.weight);
-                if let Some(d) = &r.downsample {
-                    f(&d.weight);
+                // ResidualBlock::forward's registration order.
+                for (bn, conv) in &r.stages {
+                    f(&bn.gamma);
+                    f(&bn.beta);
+                    f(&conv.weight);
                 }
-            }
-            Layer::Bottleneck(b) => {
-                // Mirror of BottleneckBlock::forward's registration order.
-                f(&b.bn1.gamma);
-                f(&b.bn1.beta);
-                f(&b.conv1.weight);
-                f(&b.bn2.gamma);
-                f(&b.bn2.beta);
-                f(&b.conv2.weight);
-                f(&b.bn3.gamma);
-                f(&b.bn3.beta);
-                f(&b.conv3.weight);
-                if let Some(d) = &b.downsample {
+                if let Some(d) = &r.downsample {
                     f(&d.weight);
                 }
             }
@@ -395,27 +281,12 @@ impl Layer {
                 f(&mut b.beta);
             }
             Layer::Residual(r) => {
-                f(&mut r.bn1.gamma);
-                f(&mut r.bn1.beta);
-                f(&mut r.conv1.weight);
-                f(&mut r.bn2.gamma);
-                f(&mut r.bn2.beta);
-                f(&mut r.conv2.weight);
-                if let Some(d) = &mut r.downsample {
-                    f(&mut d.weight);
+                for (bn, conv) in &mut r.stages {
+                    f(&mut bn.gamma);
+                    f(&mut bn.beta);
+                    f(&mut conv.weight);
                 }
-            }
-            Layer::Bottleneck(b) => {
-                f(&mut b.bn1.gamma);
-                f(&mut b.bn1.beta);
-                f(&mut b.conv1.weight);
-                f(&mut b.bn2.gamma);
-                f(&mut b.bn2.beta);
-                f(&mut b.conv2.weight);
-                f(&mut b.bn3.gamma);
-                f(&mut b.bn3.beta);
-                f(&mut b.conv3.weight);
-                if let Some(d) = &mut b.downsample {
+                if let Some(d) = &mut r.downsample {
                     f(&mut d.weight);
                 }
             }
@@ -428,15 +299,7 @@ impl Layer {
     pub fn visit_bn_mut(&mut self, f: &mut impl FnMut(&mut BatchNorm)) {
         match self {
             Layer::BatchNorm(b) => f(b),
-            Layer::Residual(r) => {
-                f(&mut r.bn1);
-                f(&mut r.bn2);
-            }
-            Layer::Bottleneck(b) => {
-                f(&mut b.bn1);
-                f(&mut b.bn2);
-                f(&mut b.bn3);
-            }
+            Layer::Residual(r) => r.stages.iter_mut().for_each(|(bn, _)| f(bn)),
             _ => {}
         }
     }
@@ -445,15 +308,7 @@ impl Layer {
     pub fn visit_bn(&self, f: &mut impl FnMut(&BatchNorm)) {
         match self {
             Layer::BatchNorm(b) => f(b),
-            Layer::Residual(r) => {
-                f(&r.bn1);
-                f(&r.bn2);
-            }
-            Layer::Bottleneck(b) => {
-                f(&b.bn1);
-                f(&b.bn2);
-                f(&b.bn3);
-            }
+            Layer::Residual(r) => r.stages.iter().for_each(|(bn, _)| f(bn)),
             _ => {}
         }
     }
@@ -495,46 +350,43 @@ mod tests {
     #[test]
     fn residual_identity_skip_when_shapes_match() {
         let mut rng = Rng::seed_from_u64(93);
-        let r = ResidualBlock::new(4, 4, 1, &mut rng);
+        let r = ResidualBlock::basic(4, 4, 1, &mut rng);
         assert!(r.downsample.is_none());
-        let r2 = ResidualBlock::new(4, 8, 2, &mut rng);
+        let r2 = ResidualBlock::basic(4, 8, 2, &mut rng);
         assert!(r2.downsample.is_some());
     }
 
     #[test]
     fn residual_forward_shapes() {
         let mut rng = Rng::seed_from_u64(94);
-        let r = ResidualBlock::new(3, 6, 2, &mut rng);
+        let r = ResidualBlock::basic(3, 6, 2, &mut rng);
         let mut g = Graph::new();
         let x = g.leaf(Tensor::randn(&[2, 3, 8, 8], 1.0, &mut rng));
         let mut ctx = ForwardCtx::new(true);
-        let y = Layer::Residual(Box::new(r)).forward(&mut g, x, &mut ctx);
+        let y = Layer::Residual(r).forward(&mut g, x, &mut ctx);
         assert_eq!(g.value(y).dims(), &[2, 6, 4, 4]);
         // Two BN layers recorded stats.
         assert_eq!(ctx.bn_stats.len(), 2);
     }
 
     #[test]
-    fn param_visit_order_matches_forward_registration() {
+    fn param_and_bn_visit_orders_match_forward_registration() {
         let mut rng = Rng::seed_from_u64(95);
-        let layer = Layer::Residual(Box::new(ResidualBlock::new(3, 6, 2, &mut rng)));
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::randn(&[1, 3, 4, 4], 1.0, &mut rng));
-        let mut ctx = ForwardCtx::new(true);
-        layer.forward(&mut g, x, &mut ctx);
-        let mut visited = Vec::new();
-        layer.visit_params(&mut |t| visited.push(t.dims().to_vec()));
-        let from_vars: Vec<Vec<usize>> =
-            ctx.param_vars.iter().map(|&v| g.value(v).dims().to_vec()).collect();
-        assert_eq!(visited, from_vars, "visitor order must mirror forward registration");
-    }
-
-    #[test]
-    fn flatten_shape() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::zeros(&[2, 3, 4, 4]));
-        let mut ctx = ForwardCtx::new(true);
-        let y = Layer::Flatten.forward(&mut g, x, &mut ctx);
-        assert_eq!(g.value(y).dims(), &[2, 48]);
+        for block in [ResidualBlock::basic, ResidualBlock::bottleneck] {
+            let layer = Layer::Residual(block(4, 8, 2, &mut rng));
+            let mut g = Graph::new();
+            let x = g.leaf(Tensor::randn(&[1, 4, 6, 6], 1.0, &mut rng));
+            let mut ctx = ForwardCtx::new(true);
+            layer.forward(&mut g, x, &mut ctx);
+            let mut visited = Vec::new();
+            layer.visit_params(&mut |t| visited.push(t.dims().to_vec()));
+            let from_vars: Vec<Vec<usize>> =
+                ctx.param_vars.iter().map(|&v| g.value(v).dims().to_vec()).collect();
+            assert_eq!(visited, from_vars, "visitor order must mirror forward registration");
+            let mut bn = Vec::new();
+            layer.visit_bn(&mut |b| bn.push(b.features()));
+            let from_stats: Vec<usize> = ctx.bn_stats.iter().map(|s| s.mean.numel()).collect();
+            assert_eq!(bn, from_stats, "BN visitor order must mirror the recorded stats");
+        }
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Stateful neural-network modules on top of `lcasgd-autograd`:
 //!
-//! * [`layer`] — `Linear`, `Conv2d`, `BatchNorm`, pooling, residual blocks,
-//!   all composed through the [`layer::Layer`] enum;
+//! * [`layer`] — `Linear`, `Conv2d`, `BatchNorm` and the pre-activation
+//!   residual block (basic or bottleneck), composed through the
+//!   [`layer::Layer`] enum;
 //! * [`network`] — [`network::Network`]: an ordered layer stack with
 //!   parameter visitors, flat (de)serialization of weights, and gradient
 //!   extraction — the unit the parameter server ships to workers;
@@ -11,7 +12,7 @@
 //!   predictors, with one-step online training;
 //! * [`resnet`] / [`mlp`] — model builders (paper-faithful `resnet18_cifar`
 //!   plus scaled presets);
-//! * [`optimizer`] — SGD with momentum and the paper's step LR schedule;
+//! * [`optimizer`] — the paper's step learning-rate schedule;
 //! * [`metrics`] — error-rate helpers.
 
 pub mod layer;
@@ -25,4 +26,4 @@ pub mod resnet;
 pub use layer::{BatchNorm, Conv2d, ForwardCtx, Layer, Linear};
 pub use lstm::Lstm;
 pub use network::Network;
-pub use optimizer::{LrSchedule, Sgd};
+pub use optimizer::LrSchedule;

@@ -228,7 +228,7 @@ mod tests {
                 },
                 &mut rng,
             )),
-            Layer::Residual(Box::new(ResidualBlock::new(4, 4, 1, &mut rng))),
+            Layer::Residual(ResidualBlock::basic(4, 4, 1, &mut rng)),
             Layer::GlobalAvgPool,
             Layer::Linear(Linear::new(4, 2, &mut rng)),
         ]);

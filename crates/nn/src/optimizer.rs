@@ -1,6 +1,8 @@
-//! SGD with momentum over flat parameter vectors, plus the step learning-
-//! rate schedule the paper uses ("an initial learning rate of 0.3 … divided
-//! by ten after 80 and 120 epochs").
+//! The step learning-rate schedule the paper uses ("an initial learning
+//! rate of 0.3 … divided by ten after 80 and 120 epochs"). The update
+//! itself is the parameter server's plain SGD step (paper Formula 8,
+//! `ShardGroup::apply_grad` in `lcasgd-core`); no optimizer state lives
+//! here.
 
 /// Piecewise-constant learning-rate schedule: `base` divided by `factor`
 /// at each milestone epoch.
@@ -30,35 +32,6 @@ impl LrSchedule {
     }
 }
 
-/// SGD with classical momentum over a flat parameter buffer.
-///
-/// The parameter server's weight update (paper Formula 8) is plain SGD
-/// (`momentum = 0`); the sequential-SGD baseline uses momentum 0.9 like
-/// the ResNet recipe.
-pub struct Sgd {
-    pub momentum: f32,
-    pub weight_decay: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    /// Optimizer for `n` parameters.
-    pub fn new(n: usize, momentum: f32, weight_decay: f32) -> Self {
-        Sgd { momentum, weight_decay, velocity: vec![0.0; n] }
-    }
-
-    /// Applies one update: `v = µv + g + wd·p ; p -= lr·v`.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        assert_eq!(params.len(), self.velocity.len(), "optimizer sized for different model");
-        for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            let g = g + self.weight_decay * *p;
-            *v = self.momentum * *v + g;
-            *p -= lr * *v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,126 +50,5 @@ mod tests {
     fn paper_step_scales_milestones() {
         let s = LrSchedule::paper_step(0.3, 40);
         assert_eq!(s.milestones, vec![20, 30]);
-    }
-
-    #[test]
-    fn plain_sgd_step() {
-        let mut opt = Sgd::new(2, 0.0, 0.0);
-        let mut p = vec![1.0, 2.0];
-        opt.step(&mut p, &[0.5, -0.5], 0.1);
-        assert!((p[0] - 0.95).abs() < 1e-7);
-        assert!((p[1] - 2.05).abs() < 1e-7);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut opt = Sgd::new(1, 0.9, 0.0);
-        let mut p = vec![0.0];
-        opt.step(&mut p, &[1.0], 1.0); // v=1, p=-1
-        opt.step(&mut p, &[1.0], 1.0); // v=1.9, p=-2.9
-        assert!((p[0] + 2.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_pulls_to_zero() {
-        let mut opt = Sgd::new(1, 0.0, 0.1);
-        let mut p = vec![10.0];
-        opt.step(&mut p, &[0.0], 1.0);
-        assert!((p[0] - 9.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quadratic_converges() {
-        // minimize f(p) = (p-3)^2 with momentum SGD
-        let mut opt = Sgd::new(1, 0.9, 0.0);
-        let mut p = vec![0.0f32];
-        for _ in 0..200 {
-            let g = 2.0 * (p[0] - 3.0);
-            opt.step(&mut p, &[g], 0.05);
-        }
-        assert!((p[0] - 3.0).abs() < 1e-3, "p={}", p[0]);
-    }
-}
-
-/// Adam over a flat parameter buffer — the adaptive option for the online
-/// LSTM predictors (whose loss-series inputs are non-stationary; Adam's
-/// per-parameter scaling is the standard remedy).
-pub struct Adam {
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: u64,
-}
-
-impl Adam {
-    /// Optimizer for `n` parameters with the canonical (0.9, 0.999) betas.
-    pub fn new(n: usize) -> Self {
-        Adam { beta1: 0.9, beta2: 0.999, eps: 1e-8, m: vec![0.0; n], v: vec![0.0; n], t: 0 }
-    }
-
-    /// One bias-corrected Adam update.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        assert_eq!(params.len(), self.m.len(), "optimizer sized for different model");
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
-            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-            let mhat = *m / bc1;
-            let vhat = *v / bc2;
-            *p -= lr * mhat / (vhat.sqrt() + self.eps);
-        }
-    }
-}
-
-#[cfg(test)]
-mod adam_tests {
-    use super::*;
-
-    #[test]
-    fn quadratic_converges_fast() {
-        let mut opt = Adam::new(1);
-        let mut p = vec![10.0f32];
-        for _ in 0..500 {
-            let g = 2.0 * (p[0] - 3.0);
-            opt.step(&mut p, &[g], 0.1);
-        }
-        assert!((p[0] - 3.0).abs() < 1e-2, "p = {}", p[0]);
-    }
-
-    #[test]
-    fn step_size_is_scale_invariant() {
-        // Adam's signature property: the first-step size is ~lr regardless
-        // of gradient magnitude.
-        for scale in [1e-3f32, 1.0, 1e3] {
-            let mut opt = Adam::new(1);
-            let mut p = vec![0.0f32];
-            opt.step(&mut p, &[scale], 0.01);
-            assert!((p[0] + 0.01).abs() < 1e-3, "scale {scale}: step {}", p[0]);
-        }
-    }
-
-    #[test]
-    fn ill_conditioned_beats_plain_sgd() {
-        // f(x, y) = x² + 1000·y²: plain SGD with a stable lr crawls on x;
-        // Adam equalizes the directions.
-        let grad = |p: &[f32]| vec![2.0 * p[0], 2000.0 * p[1]];
-        let mut adam = Adam::new(2);
-        let mut pa = vec![5.0f32, 5.0];
-        let mut sgd = Sgd::new(2, 0.0, 0.0);
-        let mut ps = vec![5.0f32, 5.0];
-        for _ in 0..300 {
-            let ga = grad(&pa);
-            adam.step(&mut pa, &ga, 0.05);
-            let gs = grad(&ps);
-            sgd.step(&mut ps, &gs, 0.0009); // near the stability limit
-        }
-        let fa = pa[0] * pa[0] + 1000.0 * pa[1] * pa[1];
-        let fs = ps[0] * ps[0] + 1000.0 * ps[1] * ps[1];
-        assert!(fa < fs, "adam {fa} vs sgd {fs}");
     }
 }

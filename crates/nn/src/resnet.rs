@@ -6,7 +6,7 @@
 //! of residual blocks (stride 2 between stages), a final BN+ReLU, global
 //! average pooling, and a linear classifier.
 
-use crate::layer::{BatchNorm, BottleneckBlock, Conv2d, Layer, Linear, ResidualBlock};
+use crate::layer::{BatchNorm, Conv2d, Layer, Linear, ResidualBlock};
 use crate::network::Network;
 use lcasgd_tensor::ops::conv::Conv2dSpec;
 use lcasgd_tensor::Rng;
@@ -111,19 +111,16 @@ impl ResNetConfig {
             },
             rng,
         )));
+        let block = match self.block {
+            BlockKind::Basic => ResidualBlock::basic,
+            BlockKind::Bottleneck => ResidualBlock::bottleneck,
+        };
         let mut ch = self.width;
         for (stage, &blocks) in self.stage_blocks.iter().enumerate() {
             let out_ch = self.width << stage;
             for b in 0..blocks {
                 let stride = if stage > 0 && b == 0 { 2 } else { 1 };
-                layers.push(match self.block {
-                    BlockKind::Basic => {
-                        Layer::Residual(Box::new(ResidualBlock::new(ch, out_ch, stride, rng)))
-                    }
-                    BlockKind::Bottleneck => {
-                        Layer::Bottleneck(Box::new(BottleneckBlock::new(ch, out_ch, stride, rng)))
-                    }
-                });
+                layers.push(Layer::Residual(block(ch, out_ch, stride, rng)));
                 ch = out_ch;
             }
         }
@@ -227,22 +224,6 @@ mod bottleneck_tests {
         // 3 stages × 1 block × 3 BN + final BN = 10 BN layers.
         assert_eq!(ctx.bn_stats.len(), 10);
         assert_eq!(net.num_bn_layers(), 10);
-    }
-
-    #[test]
-    fn bottleneck_param_visit_matches_forward_order() {
-        let mut rng = Rng::seed_from_u64(126);
-        let layer =
-            Layer::Bottleneck(Box::new(crate::layer::BottleneckBlock::new(4, 8, 2, &mut rng)));
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::randn(&[1, 4, 6, 6], 1.0, &mut rng));
-        let mut ctx = crate::layer::ForwardCtx::new(true);
-        layer.forward(&mut g, x, &mut ctx);
-        let mut visited = Vec::new();
-        layer.visit_params(&mut |t| visited.push(t.dims().to_vec()));
-        let from_vars: Vec<Vec<usize>> =
-            ctx.param_vars.iter().map(|&v| g.value(v).dims().to_vec()).collect();
-        assert_eq!(visited, from_vars);
     }
 
     #[test]

@@ -131,24 +131,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Adds a per-channel bias to a `[n, c, h, w]` activation (`bias` has
-    /// shape `[c]`). Complements [`add_rows`](Self::add_rows) for conv
-    /// layers where the bias does not span the spatial dims.
-    pub fn add_channels(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.shape().rank(), 4, "add_channels expects NCHW");
-        let (c, hw) = (self.dims()[1], self.dims()[2] * self.dims()[3]);
-        assert_eq!(bias.dims(), &[c], "channel bias shape");
-        let mut out = Tensor::for_overwrite(self.dims());
-        // Plane k of the activation is channel k mod c.
-        let planes = out.data_mut().chunks_mut(hw.max(1)).zip(self.data().chunks(hw.max(1)));
-        for ((dst, src), &b) in planes.zip(bias.data().iter().cycle()) {
-            for (o, &x) in dst.iter_mut().zip(src) {
-                *o = x + b;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -205,14 +187,6 @@ mod tests {
         let m = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2]);
         let v = Tensor::from_vec(vec![10., 20.], &[2]);
         assert_eq!(m.add_rows(&v).data(), &[11., 22., 13., 24.]);
-    }
-
-    #[test]
-    fn add_channels_per_feature_map() {
-        // [1, 2, 1, 2] activation, channel bias [100, 200]
-        let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 2, 1, 2]);
-        let b = Tensor::from_vec(vec![100., 200.], &[2]);
-        assert_eq!(a.add_channels(&b).data(), &[101., 102., 203., 204.]);
     }
 
     #[test]

@@ -35,14 +35,9 @@ impl Shape {
         &self.0
     }
 
-    /// Size of dimension `i` (supports negative-from-end via `dim_from_end`).
+    /// Size of dimension `i`.
     pub fn dim(&self, i: usize) -> usize {
         self.0[i]
-    }
-
-    /// Size of the `i`-th dimension counting from the end (0 = last).
-    pub fn dim_from_end(&self, i: usize) -> usize {
-        self.0[self.0.len() - 1 - i]
     }
 
     /// Row-major strides for this shape (innermost stride is 1).

@@ -16,7 +16,9 @@
 //! `--help`) prints the usage above. A flag `train` does not know exits 2
 //! and names the flag; so does a flag given without the flag it needs
 //! (`--checkpoint-every` without `--checkpoint`, `--flush-every` without
-//! `--standby`), naming both.
+//! `--standby`), naming both, and a value outside a flag's set above (or a
+//! `--workers`, `--epochs` or `--shards` of 0), naming the flag and the
+//! value.
 //!
 //! `--checkpoint`, `--fault-plan`, `--resume`, and `--trace` switch the
 //! run to the real-thread cluster backend: `--checkpoint PATH` writes a
@@ -138,6 +140,25 @@ impl Args {
         self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).map(|s| s.as_str())
     }
 
+    /// `name`'s value, which must be one of `choices`; the first is the
+    /// default.
+    fn one_of<'a>(&self, name: &str, choices: &[&'a str]) -> Result<&'a str, String> {
+        let Some(v) = self.value(name) else { return Ok(choices[0]) };
+        choices.iter().copied().find(|&c| c == v).ok_or_else(|| {
+            format!("invalid value for {name}: {v} (expected one of {})", choices.join(", "))
+        })
+    }
+
+    /// `name`'s value as a count of at least 1.
+    fn count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.value(name).map(|v| (v, v.parse())) {
+            None => Ok(default),
+            Some((v, Ok(0))) => Err(format!("invalid value for {name}: {v} (expected at least 1)")),
+            Some((_, Ok(n))) => Ok(n),
+            Some((v, Err(_))) => Err(format!("invalid value for {name}: {v}")),
+        }
+    }
+
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.value(name) {
             Some(v) => v.parse().unwrap_or_else(|_| {
@@ -147,6 +168,14 @@ impl Args {
             None => default,
         }
     }
+}
+
+/// The value of a checked flag, or exit 2 with its message.
+fn or_exit<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2)
+    })
 }
 
 fn main() {
@@ -189,29 +218,22 @@ fn supervisor_config(args: &Args, health_log: bool) -> Option<SupervisorConfig> 
 }
 
 fn train(args: &Args) {
-    let algorithm = match args.value("--algorithm").unwrap_or("lc-asgd") {
-        "sgd" => Algorithm::Sgd,
-        "ssgd" => Algorithm::Ssgd,
-        "asgd" => Algorithm::Asgd,
-        "dc-asgd" => Algorithm::DcAsgd,
-        "lc-asgd" => Algorithm::LcAsgd,
-        other => {
-            eprintln!("unknown algorithm: {other}");
-            exit(2)
-        }
-    };
-    let scale = match args.value("--scale").unwrap_or("tiny") {
-        "tiny" => Scale::Tiny,
+    let algorithm =
+        match or_exit(args.one_of("--algorithm", &["lc-asgd", "sgd", "ssgd", "asgd", "dc-asgd"])) {
+            "sgd" => Algorithm::Sgd,
+            "ssgd" => Algorithm::Ssgd,
+            "asgd" => Algorithm::Asgd,
+            "dc-asgd" => Algorithm::DcAsgd,
+            _ => Algorithm::LcAsgd,
+        };
+    let scale = match or_exit(args.one_of("--scale", &["tiny", "small", "paper"])) {
         "small" => Scale::Small,
         "paper" => Scale::Paper,
-        other => {
-            eprintln!("unknown scale: {other}");
-            exit(2)
-        }
+        _ => Scale::Tiny,
     };
-    let workers: usize = args.parse("--workers", 8);
+    let workers = or_exit(args.count("--workers", 8));
     let seed: u64 = args.parse("--seed", 2020);
-    let dataset = args.value("--dataset").unwrap_or("cifar").to_string();
+    let dataset = or_exit(args.one_of("--dataset", &["cifar", "imagenet"]));
 
     // Dataset + model matching the bench scenarios' spirit.
     let hw = if dataset == "imagenet" { scale.imagenet_hw() } else { scale.cifar_hw() };
@@ -249,8 +271,8 @@ fn train(args: &Args) {
     if dataset == "imagenet" {
         cfg = cfg.imagenet(scale);
     }
-    cfg.epochs = args.parse("--epochs", cfg.epochs);
-    if args.value("--bn") == Some("regular") {
+    cfg.epochs = or_exit(args.count("--epochs", cfg.epochs));
+    if or_exit(args.one_of("--bn", &["async", "regular"])) == "regular" {
         cfg.bn_mode = BnMode::Regular;
     }
     if args.flag("--partitioned") {
@@ -280,11 +302,7 @@ fn train(args: &Args) {
     let standby = args.flag("--standby").then(|| StandbyConfig {
         flush_every: args.parse("--flush-every", StandbyConfig::default().flush_every),
     });
-    let shards: usize = args.parse("--shards", 1);
-    if shards == 0 {
-        eprintln!("--shards must be at least 1");
-        exit(2);
-    }
+    let shards = or_exit(args.count("--shards", 1));
     let wire_codec = args.value("--wire-codec").map(|v| {
         lc_asgd::simcluster::WireCodec::parse(v).unwrap_or_else(|| {
             eprintln!("invalid value for --wire-codec: {v} (expected f32, bf16 or int8)");
@@ -301,21 +319,18 @@ fn train(args: &Args) {
         || standby.is_some()
         || shards > 1
         || wire_codec.is_some();
-    if fault_plan.is_some() && matches!(algorithm, Algorithm::Sgd | Algorithm::Ssgd) {
-        eprintln!("--fault-plan requires an asynchronous algorithm (asgd, dc-asgd, lc-asgd)");
-        exit(2);
-    }
-    if supervisor.is_some() && matches!(algorithm, Algorithm::Sgd | Algorithm::Ssgd) {
-        eprintln!("the supervisor requires an asynchronous algorithm (asgd, dc-asgd, lc-asgd)");
-        exit(2);
-    }
-    if standby.is_some() && matches!(algorithm, Algorithm::Sgd | Algorithm::Ssgd) {
-        eprintln!("--standby requires an asynchronous algorithm (asgd, dc-asgd, lc-asgd)");
-        exit(2);
-    }
-    if shards > 1 && matches!(algorithm, Algorithm::Sgd | Algorithm::Ssgd) {
-        eprintln!("--shards requires an asynchronous algorithm (asgd, dc-asgd, lc-asgd)");
-        exit(2);
+    // What only the asynchronous algorithms run: (given, what it is).
+    let async_only = [
+        (fault_plan.is_some(), "--fault-plan"),
+        (supervisor.is_some(), "the supervisor"),
+        (standby.is_some(), "--standby"),
+        (shards > 1, "--shards"),
+    ];
+    if let Some((_, what)) = async_only.iter().find(|(given, _)| *given) {
+        if matches!(algorithm, Algorithm::Sgd | Algorithm::Ssgd) {
+            eprintln!("{what} requires an asynchronous algorithm (asgd, dc-asgd, lc-asgd)");
+            exit(2);
+        }
     }
 
     println!(
@@ -326,8 +341,8 @@ fn train(args: &Args) {
     );
     let result = if cluster_run {
         let mut backend = match &fault_plan {
-            Some(plan) => ThreadCluster::new(workers.max(1)).with_fault_plan(plan.clone()),
-            None => ThreadCluster::new(workers.max(1)),
+            Some(plan) => ThreadCluster::new(workers).with_fault_plan(plan.clone()),
+            None => ThreadCluster::new(workers),
         };
         if let Some(codec) = wire_codec {
             backend = backend.with_wire_codec(codec);
@@ -533,5 +548,36 @@ mod tests {
         for flag in TRAIN_VALUES.iter().chain(TRAIN_SWITCHES) {
             assert!(USAGE.contains(&format!("[{flag}")), "usage misses {flag}");
         }
+    }
+
+    #[test]
+    fn a_value_outside_its_set_names_the_flag_and_the_value() {
+        let dataset = |s: &[&str]| args(s).one_of("--dataset", &["cifar", "imagenet"]);
+        assert_eq!(dataset(&[]), Ok("cifar"));
+        assert_eq!(dataset(&["--dataset", "imagenet"]), Ok("imagenet"));
+        assert_eq!(
+            dataset(&["--dataset", "foo"]),
+            Err("invalid value for --dataset: foo (expected one of cifar, imagenet)".into())
+        );
+        let bn = args(&["--bn", "foo"]).one_of("--bn", &["async", "regular"]);
+        assert!(bn.unwrap_err().starts_with("invalid value for --bn: foo"));
+    }
+
+    #[test]
+    fn a_count_of_zero_names_the_flag_and_the_value() {
+        assert_eq!(args(&[]).count("--workers", 8), Ok(8));
+        assert_eq!(args(&["--workers", "3"]).count("--workers", 8), Ok(3));
+        assert_eq!(
+            args(&["--workers", "0"]).count("--workers", 8),
+            Err("invalid value for --workers: 0 (expected at least 1)".into())
+        );
+        assert_eq!(
+            args(&["--epochs", "0"]).count("--epochs", 2),
+            Err("invalid value for --epochs: 0 (expected at least 1)".into())
+        );
+        assert_eq!(
+            args(&["--shards", "x"]).count("--shards", 1),
+            Err("invalid value for --shards: x".into())
+        );
     }
 }

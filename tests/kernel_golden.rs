@@ -17,6 +17,12 @@
 //! gradient into one arena instead of gathering per-parameter tensors:
 //! the vector a learner pushes is bit for bit the one that commit pushed.
 //!
+//! The whole-model constants were taken at commit `c1e3c63`, the parent of
+//! the change that made the basic and bottleneck blocks one residual block
+//! of `(BatchNorm, Conv2d)` stages: they pin its initializer draw order, its
+//! tape order and its parameter and BatchNorm visit orders for both
+//! families.
+//!
 //! The convolution constants belong to the AVX2+FMA micro-kernel: fused
 //! rounding is a per-machine property (DESIGN.md §8.4), so on a host
 //! without FMA that half reports itself skipped and the portable path
@@ -247,5 +253,87 @@ fn flat_gradients_reproduce_the_parent_commits_bits() {
     for threads in [1, 4] {
         let got = rayon::with_num_threads(threads, grad_checksums);
         assert_eq!(got, GRAD_GOLDEN, "at {threads} threads, got {got:#010x?}");
+    }
+}
+
+/// The two residual block families' whole-model bits: `(preset, build
+/// seed)`. `tiny` has two downsampling basic blocks, `tiny_bottleneck` two
+/// downsampling bottlenecks (and a projected first block), so every
+/// parameter, BN and tape order of both constructors is on the path.
+const MODEL_CASES: [(&str, u64); 2] = [("tiny", 4000), ("tiny-bottleneck", 4100)];
+
+/// `[flat_params, loss, flat_grads, bn_stats, bn_state, inference logits]`:
+/// the weights `build` draws; one training step's loss bits, flat gradient
+/// and batch statistics (each layer's mean then variance, in forward
+/// order); then, after that step's update and a regular-BN
+/// running-statistics update, the running statistics as `bn_state` reads
+/// them (all means, then all variances) and the logits of an
+/// inference-mode forward.
+fn model_checksums() -> Vec<[u32; 6]> {
+    MODEL_CASES
+        .iter()
+        .map(|&(preset, seed)| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let cfg = match preset {
+                "tiny" => ResNetConfig::tiny(3, 10),
+                _ => ResNetConfig::tiny_bottleneck(3, 10),
+            };
+            let mut net = cfg.build(&mut rng);
+            let params = crc32(&le_bytes(&net.flat_params()));
+            let labels: Vec<usize> = (0..16).map(|j| (3 * j + 1) % 10).collect();
+            let mut g = Graph::new();
+            let (logits, ctx) = net.forward(&mut g, uniform(&[16, 3, 10, 10], seed + 1), true);
+            let loss = g.softmax_cross_entropy(logits, &labels);
+            g.backward(loss);
+            let loss_bits = g.value(loss).item().to_bits();
+            let grads = net.flat_grads(&mut g);
+            let stats: Vec<f32> = ctx
+                .bn_stats
+                .iter()
+                .flat_map(|s| s.mean.data().iter().chain(s.var.data()).copied())
+                .collect();
+            drop(g);
+            net.axpy_params(&grads, -0.05);
+            net.update_bn_running(&ctx.bn_stats, 0.1);
+            let state = net.bn_state();
+            let running: Vec<f32> = state
+                .means
+                .iter()
+                .chain(&state.vars)
+                .flat_map(|t| t.data().iter().copied())
+                .collect();
+            let mut g = Graph::new();
+            let (logits, _) = net.forward(&mut g, uniform(&[8, 3, 10, 10], seed + 2), false);
+            [
+                params,
+                loss_bits,
+                crc32(&le_bytes(&grads)),
+                crc32(&le_bytes(&stats)),
+                crc32(&le_bytes(&running)),
+                crc(g.value(logits)),
+            ]
+        })
+        .collect()
+}
+
+fn le_bytes(v: &[f32]) -> Vec<u8> {
+    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+/// One entry per [`MODEL_CASES`].
+const MODEL_GOLDEN: [[u32; 6]; 2] = [
+    [0x32feb27b, 0x40227d07, 0xfc89d9bc, 0x167233a6, 0xba26ab1d, 0xc76eed86],
+    [0x96d14e9d, 0x4017f55e, 0x3c6dd0cb, 0xd62e4ea8, 0xf0b1b279, 0xfcd830a5],
+];
+
+#[test]
+fn both_residual_block_families_reproduce_the_parent_commits_bits() {
+    if !fused_kernels() {
+        eprintln!("kernel_golden: no AVX2+FMA on this host; model constants skipped");
+        return;
+    }
+    for threads in [1, 4] {
+        let got = rayon::with_num_threads(threads, model_checksums);
+        assert_eq!(got, MODEL_GOLDEN, "at {threads} threads, got {got:#010x?}");
     }
 }

@@ -307,15 +307,15 @@ mod tests {
         let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kernel: 3, stride: 1, padding: 1 };
         let img = Tensor::randn(&[2, 2, 5, 5], 1.0, &mut rng);
         let kern = Tensor::randn(&[3, 2, 3, 3], 0.5, &mut rng);
-        let w = Tensor::randn(&[4, 75], 0.5, &mut rng);
+        let w = Tensor::randn(&[4, 3], 0.5, &mut rng);
         let b = Tensor::randn(&[4], 0.5, &mut rng);
         let run = |as_input: bool| {
             let mut g = Graph::new();
             let x = if as_input { g.input(img.clone()) } else { g.leaf(img.clone()) };
             let (kv, wv, bv) = (g.leaf(kern.clone()), g.leaf(w.clone()), g.leaf(b.clone()));
             let conv = g.conv2d(x, kv, spec);
-            let flat = g.reshape(conv, &[2, 75]);
-            let out = g.linear(flat, wv, bv);
+            let pooled = g.global_avg_pool(conv);
+            let out = g.linear(pooled, wv, bv);
             let loss = g.mean(out);
             g.backward(loss);
             let params = [kv, wv, bv].map(|v| g.grad(v).expect("parameter gradient").clone());
@@ -329,7 +329,7 @@ mod tests {
 
         // Directly under a linear layer, too (the MLPs' first layer).
         let mut g = Graph::new();
-        let x = g.input(Tensor::randn(&[3, 75], 1.0, &mut rng));
+        let x = g.input(Tensor::randn(&[3, 3], 1.0, &mut rng));
         let (wv, bv) = (g.leaf(w), g.leaf(b));
         let out = g.linear(x, wv, bv);
         let loss = g.mean(out);
@@ -376,7 +376,7 @@ mod arena_tests {
     /// A small model with every case the arena has to get right: `w` is
     /// reached twice (two linear layers share it), `unused` not at all,
     /// `neg` receives a gradient of `−0.0`s (a zero upstream gradient
-    /// through a scale by −1), and the pass runs under a seed other than 1.
+    /// through a product with −1), and the pass runs under a seed other than 1.
     /// Parameters are `param`s or plain `leaf`s; returns the flat gradient
     /// in registration order, gathered per leaf in the second case.
     fn flat_grads(as_params: bool, arena: Option<Vec<f32>>) -> Vec<f32> {
@@ -394,9 +394,10 @@ mod arena_tests {
         let h = g.linear(x, w, b);
         let h = g.relu(h);
         let h = g.linear(h, w, b);
-        // relu(−neg) is all zeros with a zero gradient, which the scale
-        // hands on to `neg` as −0.0.
-        let flipped = g.scale(neg, -1.0);
+        // relu(−neg) is all zeros with a zero gradient, which the product
+        // with −1 hands on to `neg` as −0.0.
+        let minus_one = g.input(Tensor::full(&[6], -1.0));
+        let flipped = g.mul(neg, minus_one);
         let dead = g.relu(flipped);
         let h = g.add_rows(h, dead);
         let loss = g.mean(h);
@@ -470,12 +471,12 @@ mod diamond_tests {
     fn diamond_graph_accumulates_both_paths() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(vec![2.0], &[1]));
-        let a = g.scale(x, 3.0); // 3x
+        let a = g.add(x, x); // 2x
         let b = g.mul(x, x); // x²
-        let y = g.add(a, b); // 3x + x²  → dy/dx = 3 + 2x = 7
+        let y = g.add(a, b); // 2x + x²  → dy/dx = 2 + 2x = 6
         let s = g.sum(y);
         g.backward(s);
-        assert!((g.grad(x).unwrap().data()[0] - 7.0).abs() < 1e-6);
+        assert!((g.grad(x).unwrap().data()[0] - 6.0).abs() < 1e-6);
     }
 
     /// Nodes on dead branches (not reachable from the loss) receive no
@@ -484,8 +485,8 @@ mod diamond_tests {
     fn dead_branches_get_no_gradient() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(vec![1.0], &[1]));
-        let dead = g.scale(x, 100.0);
-        let live = g.scale(x, 2.0);
+        let dead = g.relu(x);
+        let live = g.add(x, x); // 2x
         let s = g.sum(live);
         g.backward(s);
         assert!(g.grad(dead).is_none());
@@ -498,7 +499,7 @@ mod diamond_tests {
     fn interior_gradients_are_retained() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let y = g.scale(x, 4.0);
+        let y = g.add(x, x);
         let s = g.sum(y);
         g.backward(s);
         assert_eq!(g.grad(y).unwrap().data(), &[1.0, 1.0]);

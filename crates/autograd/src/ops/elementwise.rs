@@ -22,13 +22,6 @@ impl BackwardOp for MulBack {
     }
 }
 
-struct ScaleBack(Var, f32);
-impl BackwardOp for ScaleBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        ctx.accumulate(self.0, ctx.grad.scale(self.1));
-    }
-}
-
 /// ReLU's vector-Jacobian product from its saved output `y = max(x, 0)`:
 /// `dx = dy` where `y > 0`, else `+0` (a NaN `y` passes `dy` on).
 pub fn relu_backward(dy: &Tensor, y: &Tensor) -> Tensor {
@@ -91,12 +84,6 @@ impl Graph {
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).mul(self.value(b));
         self.push(v, Some(Box::new(MulBack(a, b))))
-    }
-
-    /// Multiplication by a compile-time constant.
-    pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).scale(s);
-        self.push(v, Some(Box::new(ScaleBack(a, s))))
     }
 
     /// Rectified linear unit.
@@ -290,7 +277,8 @@ mod tests {
     fn seed_scales_whole_chain() {
         let mut g = Graph::new();
         let x = g.leaf(t(vec![1., 2.], &[2]));
-        let y = g.scale(x, 3.0);
+        let three = g.input(t(vec![3., 3.], &[2]));
+        let y = g.mul(x, three);
         let s = g.sum(y);
         g.backward_with_seed(s, 2.0);
         assert_eq!(g.grad(x).unwrap().data(), &[6., 6.]);

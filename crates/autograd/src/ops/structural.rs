@@ -1,18 +1,8 @@
-//! Shape-manipulating ops and reductions: reshape, concat, slice, sum, mean.
+//! Shape-manipulating ops and reductions: concat, slice, sum, mean.
 
 use crate::graph::{BackwardOp, Ctx, Var};
 use crate::Graph;
 use lcasgd_tensor::Tensor;
-
-struct ReshapeBack {
-    x: Var,
-    in_dims: Vec<usize>,
-}
-impl BackwardOp for ReshapeBack {
-    fn backward(&self, ctx: &mut Ctx<'_>) {
-        ctx.accumulate(self.x, ctx.grad.reshaped(&self.in_dims));
-    }
-}
 
 /// Concatenation of two rank-2 tensors along the column axis.
 struct ConcatColsBack {
@@ -80,13 +70,6 @@ impl BackwardOp for MeanBack {
 }
 
 impl Graph {
-    /// Reshape to an equal-element-count shape.
-    pub fn reshape(&mut self, x: Var, dims: &[usize]) -> Var {
-        let in_dims = self.value(x).dims().to_vec();
-        let v = self.value(x).reshaped(dims);
-        self.push(v, Some(Box::new(ReshapeBack { x, in_dims })))
-    }
-
     /// Concatenates `[b, na]` and `[b, nb]` into `[b, na+nb]`. The LSTM cell
     /// uses this to join `x_t` with `h_{t-1}`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
@@ -138,16 +121,6 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reshape_grad_restores_shape() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::ones(&[2, 3]));
-        let y = g.reshape(x, &[6]);
-        let s = g.sum(y);
-        g.backward(s);
-        assert_eq!(g.grad(x).unwrap().dims(), &[2, 3]);
-    }
 
     #[test]
     fn concat_then_slice_roundtrip_grads() {

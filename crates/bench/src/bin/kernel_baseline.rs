@@ -56,9 +56,9 @@ fn main() {
                     std::process::exit(1);
                 }
                 println!(
-                    "kernel-baseline --smoke: schema ok, {} kernels' single-thread speedups within {:.0}% of baseline",
+                    "kernel-baseline --smoke: schema ok, {} kernels' single-thread speedups x {:.2} at or above baseline",
                     baseline.len(),
-                    GATE_TOLERANCE * 100.0
+                    1.0 + GATE_TOLERANCE
                 );
             }
             Err(_) => {

@@ -177,40 +177,29 @@ impl WireMsg for LogRecord {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
-        let seq = r.u64()?;
-        let epoch = r.u64()?;
-        let worker = r.u32()?;
-        let push_seq = r.u64()?;
-        let version = r.u64()?;
-        let staleness = r.u32()?;
-        let loss = r.f32()?;
-        // A slice of the model: into a vector the standby handed back.
-        let delta = r.bulk_vec_f32()?;
-        let digest = r.u32()?;
-        let arrival = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            b => return Err(ClusterError::Protocol(format!("bad arrival presence byte {b}"))),
-        };
-        let bn = match r.u8()? {
-            0 => None,
-            1 => Some(crate::protocol::read_bn_state(r)?),
-            b => return Err(ClusterError::Protocol(format!("bad bn presence byte {b}"))),
-        };
-        let shard = r.u32()?;
+        // Fields are read in the order they are written.
         Ok(LogRecord {
-            seq,
-            epoch,
-            worker,
-            push_seq,
-            version,
-            staleness,
-            loss,
-            delta,
-            digest,
-            arrival,
-            bn,
-            shard,
+            seq: r.u64()?,
+            epoch: r.u64()?,
+            worker: r.u32()?,
+            push_seq: r.u64()?,
+            version: r.u64()?,
+            staleness: r.u32()?,
+            loss: r.f32()?,
+            // A slice of the model: into a vector the standby handed back.
+            delta: r.bulk_vec_f32()?,
+            digest: r.u32()?,
+            arrival: match r.u8()? {
+                0 => None,
+                1 => Some(r.u64()?),
+                b => return Err(ClusterError::Protocol(format!("bad arrival presence byte {b}"))),
+            },
+            bn: match r.u8()? {
+                0 => None,
+                1 => Some(crate::protocol::read_bn_state(r)?),
+                b => return Err(ClusterError::Protocol(format!("bad bn presence byte {b}"))),
+            },
+            shard: r.u32()?,
         })
     }
 }
@@ -377,11 +366,6 @@ impl StandbyReplica {
         StandbyReplica { state, next_seq, updates_per_epoch: updates_per_epoch.max(1), spec }
     }
 
-    /// Number of model shards the record stream carries slices for.
-    fn shards(&self) -> usize {
-        self.spec.count()
-    }
-
     /// Applies one log record: verifies sequence continuity and the
     /// delta digest, then replays the slice update; a *completing*
     /// record (the last shard of its push) additionally replays the
@@ -394,12 +378,12 @@ impl StandbyReplica {
             return Err(format!("log record {} digest mismatch", rec.seq));
         }
         let s = rec.shard as usize;
-        if s >= self.shards() {
+        if s >= self.spec.count() {
             return Err(format!(
                 "log record {} addresses shard {} of a {}-shard model",
                 rec.seq,
                 s,
-                self.shards()
+                self.spec.count()
             ));
         }
         let range = self.spec.range(s);
@@ -420,7 +404,7 @@ impl StandbyReplica {
         }
         self.state.version = rec.version;
         self.state.server_epoch = rec.epoch;
-        let completing = s + 1 == self.shards();
+        let completing = s + 1 == self.spec.count();
         if !completing {
             self.next_seq += 1;
             return Ok(());
@@ -508,14 +492,12 @@ pub enum PushVerdict {
     Duplicate,
 }
 
-/// Epoch fencing + per-worker dedup: the at-most-once apply gate.
-///
-/// Inactive fences (runs without a standby) admit everything and keep
+/// Epoch fencing + per-worker dedup: the at-most-once apply gate of a
+/// server with a standby. A server without one holds no fence and keeps
 /// the wire fields at their zero defaults.
 pub struct EpochFence {
     epoch: u64,
     push_seqs: Vec<u64>,
-    active: bool,
     /// Pull/State requests rejected for carrying a dead epoch.
     pub fenced_reads: u64,
     /// Pushes rejected for carrying a dead epoch.
@@ -525,11 +507,10 @@ pub struct EpochFence {
 }
 
 impl EpochFence {
-    pub fn new(workers: usize, active: bool) -> Self {
+    pub fn new(workers: usize) -> Self {
         EpochFence {
             epoch: 0,
             push_seqs: vec![0; workers],
-            active,
             fenced_reads: 0,
             fenced_pushes: 0,
             duplicate_pushes: 0,
@@ -547,9 +528,9 @@ impl EpochFence {
     }
 
     /// Gate for read-path requests (Pull/State): true when the request's
-    /// epoch is current (or the fence is inactive).
+    /// epoch is current.
     pub fn admit_read(&mut self, epoch: u64) -> bool {
-        if !self.active || epoch == self.epoch {
+        if epoch == self.epoch {
             true
         } else {
             self.fenced_reads += 1;
@@ -560,9 +541,6 @@ impl EpochFence {
     /// Gate for pushes: epoch check, then per-worker dedup. `push_seq` 0
     /// is the "no sequencing" sentinel and is never deduplicated.
     pub fn check_push(&mut self, worker: usize, epoch: u64, push_seq: u64) -> PushVerdict {
-        if !self.active {
-            return PushVerdict::Admit;
-        }
         if epoch != self.epoch {
             self.fenced_pushes += 1;
             return PushVerdict::StaleEpoch;
@@ -578,7 +556,7 @@ impl EpochFence {
     /// on. Only *applied* pushes advance the dedup state — a push the
     /// supervisor rejected may legitimately be retried.
     pub fn commit_push(&mut self, worker: usize, push_seq: u64) {
-        if self.active && push_seq != 0 && worker < self.push_seqs.len() {
+        if push_seq != 0 && worker < self.push_seqs.len() {
             self.push_seqs[worker] = push_seq;
         }
     }
@@ -977,20 +955,10 @@ mod tests {
     fn snapshot(weights: Vec<f32>) -> TrainingCheckpoint {
         TrainingCheckpoint {
             weights,
-            bn: BnState::default(),
-            version: 0,
-            applied: 0,
             arrival: vec![None; 3],
-            iter: Vec::new(),
-            staleness: Vec::new(),
-            epoch_losses: Vec::new(),
-            epochs: Vec::new(),
-            loss_pred: None,
-            step_pred: None,
             worker_batches: vec![(0, 0); 3],
-            server_epoch: 0,
             push_seqs: vec![0; 3],
-            shard_versions: Vec::new(),
+            ..TrainingCheckpoint::default()
         }
     }
 
@@ -1005,6 +973,9 @@ mod tests {
         assert_eq!(back, rec);
         let bare = LogRecord { arrival: None, bn: None, ..record(8, vec![1.0]) };
         assert_eq!(LogRecord::decoded(&bare.encoded()).unwrap(), bare);
+        // Every payload variant round-trips in `tests/wire_golden.rs`; an
+        // unknown one is refused.
+        assert!(ReplicaPayload::decoded(&[9]).is_err());
     }
 
     #[test]
@@ -1080,32 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_payload_roundtrips() {
-        let snap = ReplicaPayload::Snapshot { next_seq: 42, blob: vec![1, 2, 3, 250] };
-        match ReplicaPayload::decoded(&snap.encoded()).unwrap() {
-            ReplicaPayload::Snapshot { next_seq, blob } => {
-                assert_eq!(next_seq, 42);
-                assert_eq!(blob, vec![1, 2, 3, 250]);
-            }
-            _ => panic!("variant changed"),
-        }
-        let recs = ReplicaPayload::Records(vec![record(1, vec![1.0]), record(2, vec![-1.0])]);
-        match ReplicaPayload::decoded(&recs.encoded()).unwrap() {
-            ReplicaPayload::Records(back) => {
-                assert_eq!(back.len(), 2);
-                assert_eq!(back[0], record(1, vec![1.0]));
-            }
-            _ => panic!("variant changed"),
-        }
-        let refresh = ReplicaPayload::Refresh { seq: 9, blob: vec![4, 5] };
-        match ReplicaPayload::decoded(&refresh.encoded()).unwrap() {
-            ReplicaPayload::Refresh { seq, blob } => assert_eq!((seq, blob), (9, vec![4, 5])),
-            _ => panic!("variant changed"),
-        }
-        assert!(ReplicaPayload::decoded(&[9]).is_err());
-    }
-
-    #[test]
     fn replica_takes_a_refresh_only_when_current() {
         let mut rep = StandbyReplica::from_snapshot(snapshot(vec![1.0]), 1, 100);
         rep.apply(&record(1, vec![0.5])).unwrap();
@@ -1128,40 +1073,8 @@ mod tests {
     }
 
     #[test]
-    fn inactive_fence_admits_everything() {
-        let mut fence = EpochFence::new(2, false);
-        assert!(fence.admit_read(99));
-        assert_eq!(fence.check_push(0, 99, 5), PushVerdict::Admit);
-        assert_eq!(fence.check_push(0, 99, 5), PushVerdict::Admit);
-        assert_eq!(fence.fenced_pushes + fence.fenced_reads + fence.duplicate_pushes, 0);
-    }
-
-    #[test]
-    fn fence_rejects_stale_epochs_and_duplicates() {
-        let mut fence = EpochFence::new(2, true);
-        assert!(fence.admit_read(0));
-        assert_eq!(fence.check_push(0, 0, 1), PushVerdict::Admit);
-        fence.commit_push(0, 1);
-        // The same push delayed and re-delivered: duplicate.
-        assert_eq!(fence.check_push(0, 0, 1), PushVerdict::Duplicate);
-        // A fresh push from the same worker is fine.
-        assert_eq!(fence.check_push(0, 0, 2), PushVerdict::Admit);
-        // Promotion fences off the old epoch entirely.
-        let new_epoch = fence.promote(vec![1, 0]);
-        assert_eq!(new_epoch, 1);
-        assert!(!fence.admit_read(0));
-        assert_eq!(fence.check_push(0, 0, 2), PushVerdict::StaleEpoch);
-        assert_eq!(fence.check_push(0, 1, 2), PushVerdict::Admit);
-        // Dedup state survived the promotion: seq 1 is still applied.
-        assert_eq!(fence.check_push(0, 1, 1), PushVerdict::Duplicate);
-        assert_eq!(fence.fenced_reads, 1);
-        assert_eq!(fence.fenced_pushes, 1);
-        assert_eq!(fence.duplicate_pushes, 2);
-    }
-
-    #[test]
     fn fence_never_dedups_the_zero_sentinel() {
-        let mut fence = EpochFence::new(1, true);
+        let mut fence = EpochFence::new(1);
         fence.commit_push(0, 0);
         assert_eq!(fence.check_push(0, 0, 0), PushVerdict::Admit);
         assert_eq!(fence.check_push(0, 0, 0), PushVerdict::Admit);

@@ -37,6 +37,7 @@
 //!    LC-ASGD → DC-ASGD → plain ASGD; a long streak of cleanly admitted
 //!    gradients promotes it back, never above the run's base algorithm.
 
+use crate::algorithms::Algorithm;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -54,6 +55,15 @@ pub enum AlgoMode {
 }
 
 impl AlgoMode {
+    /// The rung `algorithm`'s workers start on.
+    pub fn base(algorithm: Algorithm) -> AlgoMode {
+        match algorithm {
+            Algorithm::LcAsgd => AlgoMode::Lc,
+            Algorithm::DcAsgd => AlgoMode::Dc,
+            _ => AlgoMode::Asgd,
+        }
+    }
+
     /// Wire tag (see the pull-directive codec in `protocol`).
     pub fn as_u8(self) -> u8 {
         match self {

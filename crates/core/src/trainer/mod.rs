@@ -2,11 +2,13 @@
 //! the pull / push-state / push-grad protocol over any [`ClusterBackend`]
 //! (discrete-event simulator, real threads, TCP sockets). Two roles joined
 //! by the backend: a parameter-server core that does no I/O (`serve`:
-//! Algorithm 2) and a worker loop (`work`: Algorithm 1). The shell here
-//! owns the rest: the evaluator and standby threads, the checkpoint file,
-//! the run's clock and the fault list. [`run_experiment`] is
+//! Algorithm 2), behind a guard when a robustness option asks for one
+//! (`guard`), and a worker loop (`work`: Algorithm 1). The shell here owns
+//! the rest: the evaluator and standby threads, the checkpoint file, the
+//! run's clock and the fault list. [`run_experiment`] is
 //! [`run_cluster`] on the simulator. DESIGN.md §13 describes the structure.
 
+mod guard;
 #[cfg(test)]
 mod replay;
 mod serve;
@@ -23,6 +25,7 @@ use crate::replication::{
 use crate::shard::ShardGroup;
 use crate::supervisor::SupervisorConfig;
 use crate::trace::{phase, ClockDomain, TraceSink};
+use guard::{Guard, GuardSeam};
 use lcasgd_data::{BatchIter, Dataset};
 use lcasgd_nn::metrics::evaluate;
 use lcasgd_nn::network::BnState;
@@ -131,12 +134,13 @@ fn updates_per_epoch(cfg: &ExperimentConfig, train: &Dataset) -> usize {
 
 // --------------------------------------------------------------- shell
 
-/// The run's side of the core's [`Seam`]: the evaluator's channel pair, the
-/// standby's stream and mirror, the checkpoint file, the run's clock and
-/// its one fault list. Epochs are evaluated off the core's thread, by
-/// [`serve_evaluations`]: a pure function of `(weights, bn)`, so a record
-/// ends up bitwise what inline evaluation would have made it. At most one
-/// snapshot is in flight: a second `evaluate` first waits for the first.
+/// The run's side of the core's [`Seam`] and the guard's [`GuardSeam`]:
+/// the evaluator's channel pair, the standby's stream and mirror, the
+/// checkpoint file, the run's clock and its one fault list. Epochs are
+/// evaluated off the core's thread, by [`serve_evaluations`]: a pure
+/// function of `(weights, bn)`, so a record ends up bitwise what inline
+/// evaluation would have made it. At most one snapshot is in flight: a
+/// second `evaluate` first waits for the first.
 struct Shell<'a> {
     env: &'a RunEnv<'a>,
     jobs: Sender<(Arc<Vec<f32>>, BnState)>,
@@ -161,6 +165,26 @@ impl Seam for Shell<'_> {
         self.written_at
     }
 
+    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
+        self.collect(records);
+        // A send can only fail once the evaluator has panicked, which
+        // `run_cluster_with` turns into the run's error when it joins it.
+        if self.jobs.send((weights, bn)).is_ok() {
+            self.pending = Some(records.len() - 1);
+        }
+    }
+
+    fn collect(&mut self, records: &mut [EpochRecord]) {
+        let Some(at) = self.pending.take() else { return };
+        // As for `evaluate`: a dead evaluator hangs up instead of answering.
+        if let Ok((train_error, test_error)) = self.results.recv() {
+            records[at].train_error = train_error;
+            records[at].test_error = test_error;
+        }
+    }
+}
+
+impl GuardSeam for Shell<'_> {
     fn log_push<'s>(
         &mut self,
         head: &PushHead,
@@ -196,24 +220,6 @@ impl Seam for Shell<'_> {
         // Dropping the stream hangs up the duplex; the standby thread's
         // recv fails and it exits cleanly.
         self.repl.take().map(|rs| rs.report)
-    }
-
-    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
-        self.collect(records);
-        // A send can only fail once the evaluator has panicked, which
-        // `run_cluster_with` turns into the run's error when it joins it.
-        if self.jobs.send((weights, bn)).is_ok() {
-            self.pending = Some(records.len() - 1);
-        }
-    }
-
-    fn collect(&mut self, records: &mut [EpochRecord]) {
-        let Some(at) = self.pending.take() else { return };
-        // As for `evaluate`: a dead evaluator hangs up instead of answering.
-        if let Ok((train_error, test_error)) = self.results.recv() {
-            records[at].train_error = train_error;
-            records[at].test_error = test_error;
-        }
     }
 
     /// A failed write must not kill training: it goes to the fault list
@@ -283,11 +289,11 @@ impl Shell<'_> {
 /// Where the core's seam calls pass on their way to the shell: straight
 /// through in a run, through a recorder in the replay test.
 trait Tap {
-    fn with<R>(&mut self, shell: &mut dyn Seam, f: impl FnOnce(&mut dyn Seam) -> R) -> R;
+    fn with<R>(&mut self, shell: &mut dyn GuardSeam, f: impl FnOnce(&mut dyn GuardSeam) -> R) -> R;
 }
 
 impl Tap for () {
-    fn with<R>(&mut self, shell: &mut dyn Seam, f: impl FnOnce(&mut dyn Seam) -> R) -> R {
+    fn with<R>(&mut self, shell: &mut dyn GuardSeam, f: impl FnOnce(&mut dyn GuardSeam) -> R) -> R {
         f(shell)
     }
 }
@@ -414,6 +420,8 @@ fn run_tapped<B: ClusterBackend>(
             "SSGD's barrier takes no shards, supervisor, fault plan or standby".into(),
         ));
     }
+    // The server runs behind a guard only when an option needs one.
+    let guarded = robust || opts.checkpoint_path.is_some() || opts.resume.is_some();
 
     // ---- set-up ---------------------------------------------------------
     let mut rng = Rng::seed_from_u64(cfg.seed);
@@ -469,8 +477,10 @@ fn run_tapped<B: ClusterBackend>(
             written_at: 0.0,
         };
         let run = |mut shell: Shell| {
-            let mut core =
-                tap.with(&mut shell, |seam| Core::new(&env, group, codec, &opts, seam))?;
+            let mut core = Core::new(&env, group, codec);
+            let mut guard = guarded
+                .then(|| tap.with(&mut shell, |seam| Guard::new(&env, &opts, &mut core, seam)))
+                .transpose()?;
             if let Some(ck) = &opts.resume {
                 env.replay_batches(&ck.worker_batches);
                 shell.fault(FaultRecord::Resumed { at_update: ck.applied });
@@ -480,14 +490,22 @@ fn run_tapped<B: ClusterBackend>(
             shell.t0 = Instant::now();
             env.sink.start_clock(shell.t0);
             let transport = backend.run(
-                |w, req, ctx| tap.with(&mut shell, |seam| core.handle(w, req, ctx, seam)),
+                |w, req, ctx| {
+                    tap.with(&mut shell, |seam| match &mut guard {
+                        Some(guard) => guard.handle(&mut core, w, req, ctx, seam),
+                        None => core.serve(w, req, ctx, seam),
+                    })
+                },
                 |w, link| worker_loop(w, link, &env),
             )?;
             // Before any clock is read: the run is over when its last
             // replication batch is acknowledged (or found lost), and its
             // last epoch evaluated.
             shell.repl.iter_mut().for_each(ReplicationStream::settle);
-            let result = tap.with(&mut shell, |seam| core.finish(seam));
+            let result = tap.with(&mut shell, |seam| match guard {
+                Some(guard) => guard.finish(core, seam),
+                None => core.finish(seam),
+            });
             Ok(shell.finish(result, transport, opts.fault_plan.is_some()))
         };
         let result = run(shell);
@@ -522,6 +540,12 @@ mod tests {
 
     fn build_mlp(rng: &mut Rng) -> Network {
         mlp(&[6, 16, 4], true, rng)
+    }
+
+    /// Threads need a BN-free model: BN-state replace semantics across
+    /// racing threads are validated in the simulator instead.
+    fn build_plain(rng: &mut Rng) -> Network {
+        mlp(&[6, 16, 4], false, rng)
     }
 
     fn data() -> (Dataset, Dataset) {
@@ -585,17 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic() {
-        let (train, test) = data();
-        let cfg = blob_cfg(Algorithm::LcAsgd, 4);
-        let a = run_experiment(&cfg, &build_mlp, &train, &test);
-        let b = run_experiment(&cfg, &build_mlp, &train, &test);
-        assert_eq!(a.final_test_error(), b.final_test_error());
-        assert_eq!(a.staleness, b.staleness);
-        assert_eq!(a.total_time, b.total_time);
-    }
-
-    #[test]
     fn compensation_off_equals_plain_asgd_updates() {
         // With compensation Off the LC gradient path reduces to ASGD's
         // (same math; only message pattern and BN timing differ).
@@ -604,19 +617,6 @@ mod tests {
         cfg.compensation = CompensationMode::Off;
         let r = run_experiment(&cfg, &build_mlp, &train, &test);
         assert!(r.final_test_error() < 0.3);
-    }
-
-    #[test]
-    fn asgd_staleness_grows_with_workers() {
-        let (train, test) = data();
-        let r4 = run_experiment(&blob_cfg(Algorithm::Asgd, 4), &build_mlp, &train, &test);
-        let r16 = run_experiment(&blob_cfg(Algorithm::Asgd, 16), &build_mlp, &train, &test);
-        assert!(
-            r16.mean_staleness() > r4.mean_staleness() * 2.0,
-            "4w {} vs 16w {}",
-            r4.mean_staleness(),
-            r16.mean_staleness()
-        );
     }
 
     #[test]
@@ -638,29 +638,14 @@ mod tests {
         // SSGD barrier via deferred replies, and LC-ASGD's two-phase
         // pull → state → grad exchange.
         let (train, test) = data();
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
         for algo in [Algorithm::Ssgd, Algorithm::LcAsgd] {
             let cfg = blob_cfg(algo, 4);
-            let r = run_cluster(ThreadCluster::new(4), &cfg, &build, &train, &test).unwrap();
+            let r = run_cluster(ThreadCluster::new(4), &cfg, &build_plain, &train, &test).unwrap();
             assert_eq!(r.epochs.len(), cfg.epochs, "{algo}");
             assert!(r.final_test_error() < 0.35, "{algo} err {}", r.final_test_error());
             let t = r.transport.expect("backend runs report transport");
             assert!(t.requests > 0, "{algo} must do blocking round trips");
         }
-    }
-
-    #[test]
-    fn threaded_asgd_converges_and_reports_staleness() {
-        let (train, test) = data();
-        let mut cfg = blob_cfg(Algorithm::Asgd, 4);
-        cfg.epochs = 10;
-        // Threads need a BN-free model: BN-state replace semantics across
-        // racing threads are validated in the simulator instead.
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
-        let r = run_cluster(ThreadCluster::new(4), &cfg, &build, &train, &test).unwrap();
-        assert_eq!(r.iterations as usize, 10 * 12);
-        assert!(r.final_test_error() < 0.3, "err {}", r.final_test_error());
-        assert_eq!(r.staleness.len() as u64, r.iterations);
     }
 
     #[test]
@@ -773,33 +758,44 @@ mod tests {
         assert!(msg.contains("requires a standby"), "{msg}");
     }
 
-    #[test]
-    fn checkpoint_worker_mismatch_is_a_descriptive_error() {
-        // Satellite: a checkpoint from an M=4 run resumed under M=2 used
-        // to die on `assert_eq!` inside `restore_arrival_state`; it must
-        // surface as a recoverable transport error instead.
+    /// The last checkpoint of a two-epoch ASGD run on `workers` threads
+    /// over `shards` shards, written every fifth update.
+    fn thread_checkpoint(workers: usize, shards: usize) -> TrainingCheckpoint {
         let (train, test) = data();
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
-        let mut cfg4 = blob_cfg(Algorithm::Asgd, 4);
-        cfg4.epochs = 2;
-        let dir = std::env::temp_dir().join("lcasgd-worker-mismatch-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m4.ck");
-        let opts = RunOptions {
-            checkpoint_path: Some(path.clone()),
-            checkpoint_every: 5,
-            ..RunOptions::default()
-        };
-        run_cluster_with(ThreadCluster::new(4), &cfg4, &build, &train, &test, opts).unwrap();
+        let mut cfg = blob_cfg(Algorithm::Asgd, workers);
+        cfg.epochs = 2;
+        let name = format!("lcasgd-resume-{workers}-{shards}-{}.ck", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let checkpoint_path = Some(path.clone());
+        let opts =
+            RunOptions { checkpoint_path, checkpoint_every: 5, shards, ..Default::default() };
+        run_cluster_with(ThreadCluster::new(workers), &cfg, &build_plain, &train, &test, opts)
+            .unwrap();
         let ck = TrainingCheckpoint::load(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let mut cfg2 = blob_cfg(Algorithm::Asgd, 2);
-        cfg2.epochs = 2;
-        let opts = RunOptions { resume: Some(ck), ..RunOptions::default() };
-        let err = run_cluster_with(ThreadCluster::new(2), &cfg2, &build, &train, &test, opts)
-            .expect_err("worker-count mismatch must be an error, not a panic");
+        std::fs::remove_file(&path).ok();
+        ck
+    }
+
+    /// Resumes `ck` on `workers` threads over `shards` shards: an error
+    /// that says so, never a panic.
+    fn resume_error(ck: TrainingCheckpoint, workers: usize, shards: usize) -> String {
+        let (train, test) = data();
+        let mut cfg = blob_cfg(Algorithm::Asgd, workers);
+        cfg.epochs = 2;
+        let opts = RunOptions { resume: Some(ck), shards, ..RunOptions::default() };
+        let err =
+            run_cluster_with(ThreadCluster::new(workers), &cfg, &build_plain, &train, &test, opts)
+                .expect_err("a mismatched checkpoint must be an error, not a panic");
         let msg = format!("{err:?}");
         assert!(msg.contains("cannot resume"), "descriptive error, got: {msg}");
+        msg
+    }
+
+    #[test]
+    fn checkpoint_worker_mismatch_is_a_descriptive_error() {
+        // A checkpoint from an M=4 run resumed under M=2 used to die on
+        // `assert_eq!` inside `restore_arrival_state`.
+        let msg = resume_error(thread_checkpoint(4, 1), 2, 1);
         assert!(msg.contains('4') && msg.contains('2'), "names both counts: {msg}");
     }
 
@@ -807,71 +803,12 @@ mod tests {
     fn checkpoint_shard_version_mismatch_is_a_descriptive_error() {
         // Every push moves every shard, so the server keeps one version; a
         // checkpoint whose shard versions disagree with it is corrupt.
-        let (train, test) = data();
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
-        let mut cfg = blob_cfg(Algorithm::Asgd, 2);
-        cfg.epochs = 2;
-        let dir = std::env::temp_dir().join("lcasgd-shard-version-mismatch-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("s2.ck");
-        let opts = RunOptions {
-            checkpoint_path: Some(path.clone()),
-            checkpoint_every: 5,
-            shards: 2,
-            ..RunOptions::default()
-        };
-        run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts).unwrap();
-        let mut ck = TrainingCheckpoint::load(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        let mut ck = thread_checkpoint(2, 2);
         assert_eq!(ck.shard_versions, vec![ck.version; 2]);
         ck.shard_versions[1] += 1;
         let (v, bad) = (ck.version, ck.shard_versions[1]);
-        let opts = RunOptions { resume: Some(ck), shards: 2, ..RunOptions::default() };
-        let err = run_cluster_with(ThreadCluster::new(2), &cfg, &build, &train, &test, opts)
-            .expect_err("disagreeing shard versions must be an error, not a panic");
-        let msg = format!("{err:?}");
-        assert!(msg.contains("cannot resume"), "descriptive error, got: {msg}");
+        let msg = resume_error(ck, 2, 2);
         assert!(msg.contains(&format!("shard version {bad} but server version {v}")), "{msg}");
-    }
-
-    #[test]
-    fn sharded_cluster_run_matches_single_shard_on_sim() {
-        // The tentpole identity on the deterministic backend: shards=1 is
-        // the unsharded protocol verbatim, and shards=3 must produce the
-        // same applied-update count and converge (its message schedule
-        // differs, so floats may not be bitwise equal to shards=1 here —
-        // the bitwise claim for shards=1 vs the seed lives in
-        // tests/shard_equivalence.rs).
-        let (train, test) = data();
-        let build = |rng: &mut Rng| mlp(&[6, 16, 4], false, rng);
-        let mut cfg = blob_cfg(Algorithm::LcAsgd, 4);
-        cfg.epochs = 8;
-        let base =
-            run_cluster(ClusterSim::new(cfg.cluster.clone()), &cfg, &build, &train, &test).unwrap();
-        let one = run_cluster_with(
-            ClusterSim::new(cfg.cluster.clone()),
-            &cfg,
-            &build,
-            &train,
-            &test,
-            RunOptions::default().shards(1),
-        )
-        .unwrap();
-        assert_eq!(base.staleness, one.staleness, "shards=1 must not perturb the schedule");
-        assert_eq!(base.final_test_error(), one.final_test_error());
-        assert_eq!(one.shards, 1);
-        let three = run_cluster_with(
-            ClusterSim::new(cfg.cluster.clone()),
-            &cfg,
-            &build,
-            &train,
-            &test,
-            RunOptions::default().shards(3),
-        )
-        .unwrap();
-        assert_eq!(three.shards, 3);
-        assert_eq!(three.epochs.len(), cfg.epochs);
-        assert!(three.final_test_error() < 0.35, "err {}", three.final_test_error());
     }
 }
 
@@ -899,19 +836,6 @@ mod partition_tests {
             let r = run_experiment(&cfg, &build, &train, &test);
             assert!(r.final_test_error() < 0.3, "{algo} partitioned err {}", r.final_test_error());
         }
-    }
-
-    #[test]
-    fn shards_are_disjoint_and_cover() {
-        let cfg = {
-            let mut c = ExperimentConfig::new(Algorithm::Asgd, 4, Scale::Tiny, 1);
-            c.partition = DataPartition::Partitioned;
-            c
-        };
-        let shards = worker_shards(&cfg, 4, 10);
-        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The server core is a pure function of its inputs. For every
-//! configuration `tests/engine_golden.rs` pins, a simulator run records the
-//! messages the core was handed (with their pickup times), the replies it
-//! queued and every call it made on its [`Seam`] with the answer the shell
-//! gave. A fresh core, fed those messages behind a fake that plays the
-//! answers back, must make the same calls and queue the same replies, bit
-//! for bit.
+//! The server is a pure function of its inputs. For every configuration
+//! `tests/engine_golden.rs` pins, a simulator run records the messages the
+//! server was handed (with their pickup times), the replies it queued and
+//! every call its core and guard made on their seams with the answer the
+//! shell gave. A fresh core, behind a fresh guard when the run has one, fed
+//! those messages behind a fake that plays the answers back, must make the
+//! same calls and queue the same replies, bit for bit.
 
 use super::*;
 use crate::metrics::EpochRecord;
@@ -14,6 +14,7 @@ use lcasgd_nn::mlp::mlp;
 use lcasgd_nn::LrSchedule;
 use lcasgd_simcluster::codec::crc32;
 use lcasgd_simcluster::{FaultKind, ServerCtx, SimPayload, WireMsg, WorkerLink};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -99,36 +100,26 @@ impl ClusterBackend for Tape {
     }
 }
 
-/// What the shell answered a call with.
-#[derive(Clone)]
-enum Answer {
-    Time(f64),
-    /// The error rates of every record after an `evaluate` or `collect`.
-    Rates(Vec<(f32, f32)>),
-    Mirror(Option<Box<TrainingCheckpoint>>),
-    Lost(Option<String>),
-    Report(Option<ReplicationReport>),
-}
-
 /// The recording fake: every call the core makes on the seam, as its name
 /// and a hash of its arguments, and the shell's answers — taken from the
-/// shell while recording, played back while replaying.
+/// shell while recording, played back while replaying. An `evaluate` or
+/// `collect` answers with the error rates it leaves in the records.
 #[derive(Default)]
 struct Recorder {
     calls: Vec<(&'static str, u32)>,
-    answers: VecDeque<Answer>,
+    answers: VecDeque<Box<dyn Any>>,
     replaying: bool,
 }
 
 impl Tap for Recorder {
-    fn with<R>(&mut self, shell: &mut dyn Seam, f: impl FnOnce(&mut dyn Seam) -> R) -> R {
+    fn with<R>(&mut self, shell: &mut dyn GuardSeam, f: impl FnOnce(&mut dyn GuardSeam) -> R) -> R {
         f(&mut Fake { rec: self, shell })
     }
 }
 
 struct Fake<'s> {
     rec: &'s mut Recorder,
-    shell: &'s mut dyn Seam,
+    shell: &'s mut dyn GuardSeam,
 }
 
 fn f32s(bytes: &mut Vec<u8>, v: &[f32]) {
@@ -149,10 +140,6 @@ fn record_bytes(records: &[EpochRecord]) -> Vec<u8> {
     bytes
 }
 
-fn rates(records: &[EpochRecord]) -> Vec<(f32, f32)> {
-    records.iter().map(|r| (r.train_error, r.test_error)).collect()
-}
-
 impl Fake<'_> {
     fn call(&mut self, name: &'static str, bytes: &[u8]) {
         self.rec.calls.push((name, crc32(bytes)));
@@ -160,17 +147,18 @@ impl Fake<'_> {
 
     /// The shell's answer: asked of it while recording, the recorded one
     /// while replaying.
-    fn answer(&mut self, live: impl FnOnce(&mut dyn Seam) -> Answer) -> Answer {
+    fn answer<T: Clone + 'static>(&mut self, live: impl FnOnce(&mut dyn GuardSeam) -> T) -> T {
         if self.rec.replaying {
-            return self.rec.answers.pop_front().expect("the replay asks what the run asked");
+            let answer = self.rec.answers.pop_front().expect("the replay asks what the run asked");
+            return *answer.downcast().expect("the replay asks what the run asked");
         }
         let answer = live(self.shell);
-        self.rec.answers.push_back(answer.clone());
+        self.rec.answers.push_back(Box::new(answer.clone()));
         answer
     }
 
     /// An effect with no answer: carried out while recording only.
-    fn effect(&mut self, live: impl FnOnce(&mut dyn Seam)) {
+    fn effect(&mut self, live: impl FnOnce(&mut dyn GuardSeam)) {
         if !self.rec.replaying {
             live(self.shell);
         }
@@ -181,17 +169,13 @@ impl Fake<'_> {
     fn fill_rates(
         &mut self,
         records: &mut [EpochRecord],
-        live: impl FnOnce(&mut dyn Seam, &mut [EpochRecord]),
+        live: impl FnOnce(&mut dyn GuardSeam, &mut [EpochRecord]),
     ) {
-        if !self.rec.replaying {
-            live(self.shell, records);
-            self.rec.answers.push_back(Answer::Rates(rates(records)));
-            return;
-        }
-        let Some(Answer::Rates(after)) = self.rec.answers.pop_front() else {
-            panic!("the replay asks what the run asked")
-        };
-        for (r, (train, test)) in records.iter_mut().zip(after) {
+        let rates = self.answer(|shell| {
+            live(shell, records);
+            records.iter().map(|r| (r.train_error, r.test_error)).collect::<Vec<_>>()
+        });
+        for (r, (train, test)) in records.iter_mut().zip(rates) {
             (r.train_error, r.test_error) = (train, test);
         }
     }
@@ -200,12 +184,24 @@ impl Fake<'_> {
 impl Seam for Fake<'_> {
     fn write(&mut self, at: Option<f64>) -> f64 {
         self.call("write", &at.map_or(u64::MAX, f64::to_bits).to_le_bytes());
-        match self.answer(|shell| Answer::Time(shell.write(at))) {
-            Answer::Time(t) => t,
-            _ => unreachable!("write answers with a time"),
-        }
+        self.answer(|shell| shell.write(at))
     }
 
+    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
+        let mut bytes = record_bytes(records);
+        f32s(&mut bytes, &weights);
+        bn_bytes(&mut bytes, &bn);
+        self.call("evaluate", &bytes);
+        self.fill_rates(records, |shell, records| shell.evaluate(records, weights, bn));
+    }
+
+    fn collect(&mut self, records: &mut [EpochRecord]) {
+        self.call("collect", &record_bytes(records));
+        self.fill_rates(records, |shell, records| shell.collect(records));
+    }
+}
+
+impl GuardSeam for Fake<'_> {
     fn log_push<'s>(
         &mut self,
         head: &PushHead,
@@ -243,39 +239,17 @@ impl Seam for Fake<'_> {
 
     fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint> {
         self.call("promote", &applied.to_le_bytes());
-        match self.answer(|shell| Answer::Mirror(shell.promote(applied).map(Box::new))) {
-            Answer::Mirror(m) => m.map(|m| *m),
-            _ => unreachable!("promote answers with a mirror"),
-        }
+        self.answer(|shell| shell.promote(applied))
     }
 
     fn standby_lost(&mut self, at_update: u64) -> Option<String> {
         self.call("standby_lost", &at_update.to_le_bytes());
-        match self.answer(|shell| Answer::Lost(shell.standby_lost(at_update))) {
-            Answer::Lost(l) => l,
-            _ => unreachable!("standby_lost answers with a cause"),
-        }
+        self.answer(|shell| shell.standby_lost(at_update))
     }
 
     fn hang_up(&mut self) -> Option<ReplicationReport> {
         self.call("hang_up", &[]);
-        match self.answer(|shell| Answer::Report(shell.hang_up())) {
-            Answer::Report(r) => r,
-            _ => unreachable!("hang_up answers with a report"),
-        }
-    }
-
-    fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState) {
-        let mut bytes = record_bytes(records);
-        f32s(&mut bytes, &weights);
-        bn_bytes(&mut bytes, &bn);
-        self.call("evaluate", &bytes);
-        self.fill_rates(records, |shell, records| shell.evaluate(records, weights, bn));
-    }
-
-    fn collect(&mut self, records: &mut [EpochRecord]) {
-        self.call("collect", &record_bytes(records));
-        self.fill_rates(records, |shell, records| shell.collect(records));
+        self.answer(|shell| shell.hang_up())
     }
 
     fn save(&mut self, state: TrainingCheckpoint) {

@@ -1,12 +1,14 @@
 //! The parameter-server core of the cluster engine: Algorithm 2 as a state
-//! machine with one handler per [`ClusterReq`] ([`Core::handle`]) and a
-//! fixed sequence of named steps after every applied push
-//! ([`Core::on_push`]). The core does no I/O: every side effect leaves it
-//! through the [`Seam`] handed to it with each message, at the point in the
-//! message where it happens. DESIGN.md §13 maps handlers to the paper's
-//! lines and says why the steps run in the order they do.
+//! machine with one handler per [`ClusterReq`] ([`Core::handle`]) and one
+//! apply ([`Core::apply`]: Formula 8, or Formula 3 on the DC rung; Formula 1
+//! for SSGD's round). The core does no I/O: its side effects leave it
+//! through the [`Seam`] handed to it with each message, at the point where
+//! they happen. In a run with a robustness option, a
+//! [`Guard`](super::guard::Guard) sees each message first and hands the core
+//! an [`Admitted`] one; otherwise [`Core::serve`] admits every message
+//! itself. DESIGN.md §13 maps handlers to the paper's lines.
 
-use super::{km_steps, open_record, updates_per_epoch, worker_shards, RunEnv, RunOptions};
+use super::{km_steps, open_record, updates_per_epoch, RunEnv};
 use crate::algorithms::Algorithm;
 use crate::checkpoint::TrainingCheckpoint;
 use crate::comm::CompressedGrad;
@@ -15,54 +17,51 @@ use crate::predictor::{
     LossPrediction, LossPredictor, LossPredictorSnapshot, StepPredictor, StepPredictorSnapshot,
 };
 use crate::protocol::{ClusterReq, ClusterResp, PullDirective};
-use crate::replication::{EpochFence, PushHead, PushVerdict, ReplicationReport};
 use crate::shard::{PendingPush, PushAssembly, PushSlice, ShardGroup, ShardSpec};
-use crate::supervisor::{AlgoMode, Supervisor};
+use crate::supervisor::AlgoMode;
 use crate::trace::{phase, TraceSink};
 use lcasgd_autograd::ops::norm::BnBatchStats;
 use lcasgd_nn::network::BnState;
-use lcasgd_simcluster::{ClusterError, FaultRecord, ServerCtx, WireCodec};
+use lcasgd_simcluster::{ServerCtx, WireCodec};
 use lcasgd_tensor::Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything the core asks of the world outside Algorithm 2. The shell in
+/// What the core asks of the world outside Algorithm 2. The shell in
 /// [`run_cluster_with`](super::run_cluster_with) implements it over the
-/// evaluator and standby threads, the checkpoint file, the run's clock and
-/// its fault list; a recording fake implements it in the replay test.
+/// evaluator thread and the run's clock; a recording fake implements it in
+/// the replay test.
 pub(super) trait Seam {
-    /// An admitted update is about to be applied. Returns the time on the
-    /// run's clock it is stamped with; `at` is the message's pickup time on
-    /// the simulator.
+    /// An update is about to be applied. Returns the time on the run's
+    /// clock it is stamped with; `at` is the message's pickup time on the
+    /// simulator.
     fn write(&mut self, at: Option<f64>) -> f64;
-    /// Ships one applied push to the standby: a log record per shard of
-    /// its `(after, before)` weights, the last carrying `side_effects`.
-    fn log_push<'s>(
-        &mut self,
-        head: &PushHead,
-        slices: &mut dyn ExactSizeIterator<Item = (&'s [f32], &'s [f32])>,
-        side_effects: Option<(u64, &BnState)>,
-    );
-    /// The standby's epoch refresh: the state-path fields of `part`.
-    fn refresh(&mut self, part: &TrainingCheckpoint);
-    /// Bootstraps or re-arms the standby from the full state.
-    fn snapshot(&mut self, state: TrainingCheckpoint);
-    /// Settles the killed primary's batch in flight and hands over the
-    /// standby's mirror, if there still is a standby: the updates of
-    /// `applied` it lacks are accounted lost.
-    fn promote(&mut self, applied: u64) -> Option<TrainingCheckpoint>;
-    /// Why the standby was lost, asked once after the stream lost it.
-    fn standby_lost(&mut self, at_update: u64) -> Option<String>;
-    /// Hangs up on the standby: what replication did, if one was attached.
-    fn hang_up(&mut self) -> Option<ReplicationReport>;
     /// Queues the evaluation of the newest record in `records` at `weights`.
     fn evaluate(&mut self, records: &mut [EpochRecord], weights: Arc<Vec<f32>>, bn: BnState);
     /// Completes the record whose evaluation is in flight, if any.
     fn collect(&mut self, records: &mut [EpochRecord]);
-    /// Writes the run's checkpoint.
-    fn save(&mut self, state: TrainingCheckpoint);
-    /// Files a fault or recovery record.
-    fn fault(&mut self, rec: FaultRecord);
+}
+
+/// What the guard decided about a message.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Decision {
+    Admit,
+    /// The run has halted: a pull is answered `Stop`, a push slice dropped.
+    Stop,
+    /// A push slice to a dead epoch, or a duplicate of an applied push:
+    /// dropped with the rest of its push.
+    Drop,
+}
+
+/// One message as the core is handed it: the guard's decision about it,
+/// the rung (and any reassigned data shard) a lead pull's iteration runs
+/// at, and the fencing epoch replies carry. [`Core::serve`] admits every
+/// message at epoch 0 with no rung.
+pub(super) struct Admitted {
+    pub req: ClusterReq,
+    pub decision: Decision,
+    pub rung: Option<PullDirective>,
+    pub epoch: u64,
 }
 
 /// Cache key under which a weights reply may be coalesced: requests for
@@ -115,15 +114,14 @@ impl Predictors {
         }
     }
 
-    /// Algorithm 2 lines 2–7 on real measured timings. Returns the reply,
-    /// and the one-step forecast that was pending for this arrival's loss.
+    /// Algorithm 2 lines 2–7 on real measured timings: the reply.
     fn observe(
         &mut self,
         w: usize,
         actual_step: f32,
         msg: &StateMsg,
         sink: &TraceSink,
-    ) -> (ClusterResp, Option<f32>) {
+    ) -> ClusterResp {
         let t_sp = Instant::now();
         let km = self.step.observe_and_predict(w, actual_step, msg.t_comm, msg.t_comp);
         sink.wall_span_at(Some(w), phase::PREDICTOR_STEP, t_sp, t_sp.elapsed().as_secs_f64());
@@ -143,7 +141,7 @@ impl Predictors {
         }
         self.prev_step[w] = Some(km);
         let LossPrediction { l_delay, one_step } = lp;
-        (ClusterResp::Compensation { l_delay, one_step, km: km_int as u32 }, expected_loss)
+        ClusterResp::Compensation { l_delay, one_step, km: km_int as u32 }
     }
 
     fn snapshot(&self) -> (Option<LossPredictorSnapshot>, Option<StepPredictorSnapshot>) {
@@ -211,12 +209,6 @@ impl DcBackups {
         self.bufs[w] = Vec::new();
         self.live[w] = false;
     }
-
-    /// Failover: every backup references a pull from the dead primary.
-    fn clear(&mut self) {
-        self.bufs.iter_mut().for_each(Vec::clear);
-        self.live.fill(false);
-    }
 }
 
 /// One worker's contribution to an SSGD round, parked at the barrier.
@@ -232,7 +224,7 @@ struct ParkedGrad {
 
 /// The parameter server of one run: Algorithm 2's state and nothing else.
 /// [`run_cluster_with`] builds it with [`Core::new`], and the backend then
-/// drives it one message at a time through `handle`.
+/// drives it one message at a time, through the guard or through `serve`.
 ///
 /// [`run_cluster_with`]: super::run_cluster_with
 pub(super) struct Core<'a> {
@@ -268,74 +260,15 @@ pub(super) struct Core<'a> {
     records: Vec<EpochRecord>,
     losses: Vec<f32>,
     staleness: Vec<u32>,
-
-    // ---- robustness ----------------------------------------------------
-    /// The health state machine runs entirely inside the handlers — the
-    /// one serialized point every backend shares — and decides from
-    /// message contents and counters only, so its transition sequence is
-    /// bit-reproducible on the discrete-event simulator.
-    sup: Option<Supervisor>,
-    /// Last-good state for divergence rollback: its weights, BN and
-    /// predictors are what a rollback restores.
-    last_good: Option<TrainingCheckpoint>,
-    fence: EpochFence,
-    /// Whether a standby mirrors this server: every apply is logged.
-    replicated: bool,
-    /// Whether the state path (a `State` message, a `Join`) has changed
-    /// what the log does not carry — arrival state, `iter`, BN, predictors
-    /// — since the standby was last made current. Read by the mirror check
-    /// at a kill.
-    state_path_unlogged: bool,
-    /// A planned server restart: checkpoint and halt once this many
-    /// updates have applied.
-    halt_at: Option<u64>,
-    halted: bool,
-    /// A planned primary kill: at this applied-update count the primary's
-    /// unreplicated tail is discarded and the standby promotes with a
-    /// bumped fencing epoch.
-    kill_at: Option<u64>,
-    /// Checkpoint cadence in applied updates, when the run writes them.
-    checkpoint_every: Option<usize>,
 }
 
 impl<'a> Core<'a> {
-    /// The server of a run under `opts`: resumed from its checkpoint, if
-    /// any, and its standby, if any, bootstrapped from the result.
-    pub(super) fn new(
-        env: &'a RunEnv<'a>,
-        group: ShardGroup,
-        codec: WireCodec,
-        opts: &RunOptions,
-        seam: &mut dyn Seam,
-    ) -> Result<Self, ClusterError> {
-        let cfg = env.cfg;
-        let m = env.workers;
-        let base_mode = match cfg.algorithm {
-            Algorithm::LcAsgd => AlgoMode::Lc,
-            Algorithm::DcAsgd => AlgoMode::Dc,
-            _ => AlgoMode::Asgd,
-        };
-        let sup = opts.supervisor.clone().map(|sc| {
-            let mut s = Supervisor::new(sc, base_mode, m);
-            s.set_shards(worker_shards(cfg, m, env.train.len()));
-            s
-        });
+    pub(super) fn new(env: &'a RunEnv<'a>, group: ShardGroup, codec: WireCodec) -> Self {
+        let (cfg, m) = (env.cfg, env.workers);
+        let base_mode = AlgoMode::base(cfg.algorithm);
         let updates_per_epoch = updates_per_epoch(cfg, env.train);
         let rounds_per_epoch = env.train.len().div_ceil(m * cfg.batch_size).max(1);
-        let target = cfg.epochs * updates_per_epoch;
-        // A planned server restart or primary kill is ignored when the
-        // resume point is already past it (it already happened) or when it
-        // lies beyond the run's natural end.
-        let resumed_at = opts.resume.as_ref().map_or(0, |ck| ck.applied);
-        let pending = |at: Option<u64>| at.filter(|&a| a > resumed_at && a < target as u64);
-        let plan = opts.fault_plan.as_ref();
-        let kill_at = pending(plan.and_then(|p| p.primary_kill_at_update));
-        if kill_at.is_some() && opts.standby.is_none() {
-            return Err(ClusterError::Protocol(
-                "a primary-kill fault plan requires a standby (RunOptions::standby)".into(),
-            ));
-        }
-        let mut core = Core {
+        Core {
             env,
             codec,
             is_ssgd: cfg.algorithm == Algorithm::Ssgd,
@@ -346,7 +279,7 @@ impl<'a> Core<'a> {
             round: Vec::with_capacity(m),
             group,
             updates_per_epoch,
-            target,
+            target: cfg.epochs * updates_per_epoch,
             rounds_per_epoch,
             rounds_target: cfg.epochs * rounds_per_epoch,
             applied: 0,
@@ -354,38 +287,18 @@ impl<'a> Core<'a> {
             records: Vec::with_capacity(cfg.epochs),
             losses: Vec::new(),
             staleness: Vec::new(),
-            sup,
-            last_good: None,
-            fence: EpochFence::new(m, opts.standby.is_some()),
-            replicated: opts.standby.is_some(),
-            state_path_unlogged: false,
-            halt_at: pending(plan.and_then(|p| p.server_restart_at_update)),
-            halted: false,
-            kill_at,
-            checkpoint_every: opts.checkpoint_path.as_ref().map(|_| match opts.checkpoint_every {
-                0 => updates_per_epoch,
-                every => every,
-            }),
-        };
-        // A mismatched checkpoint (wrong worker count, model or shard
-        // layout) is a descriptive error, not a panic.
-        if let Some(ck) = &opts.resume {
-            core.adopt(ck, seam).map_err(|e| {
-                ClusterError::Protocol(format!("cannot resume from checkpoint: {e}"))
-            })?;
         }
-        // The standby may be lost before the run even starts: record it and
-        // run unreplicated rather than aborting.
-        core.snapshot_standby(seam);
-        core.report_degradation(seam);
-        Ok(core)
     }
 
     /// Takes a checkpoint's server state over: the resume of a restarted
     /// server and the promotion of a standby's mirror. Validates before it
     /// mutates: a mismatched worker count, weight length, shard-version
     /// count or shard version is a descriptive error, never a panic.
-    fn adopt(&mut self, ck: &TrainingCheckpoint, seam: &mut dyn Seam) -> Result<(), String> {
+    pub(super) fn adopt(
+        &mut self,
+        ck: &TrainingCheckpoint,
+        seam: &mut dyn Seam,
+    ) -> Result<(), String> {
         let group = &mut self.group;
         if ck.weights.len() != group.spec().len() {
             return Err(format!(
@@ -429,45 +342,76 @@ impl<'a> Core<'a> {
         self.predictors.restore(ck);
         // DC backups and half-assembled pushes reference pulls from the
         // server whose state this replaces.
-        self.backups.clear();
+        self.backups = DcBackups::new(self.env.workers);
         self.pushes.abandon_all();
-        self.fence.restore(ck.server_epoch, ck.push_seqs.clone());
         Ok(())
     }
 
-    /// Algorithm 2's event loop body: one message, one handler.
-    pub(super) fn handle(
+    /// Every message of a run with no guard: admitted, at epoch 0, and a
+    /// whole push applied at once.
+    pub(super) fn serve(
         &mut self,
         w: usize,
         req: ClusterReq,
         ctx: &mut ServerCtx<ClusterResp>,
         seam: &mut dyn Seam,
     ) {
+        let input = Admitted { req, decision: Decision::Admit, rung: None, epoch: 0 };
+        if let Some((mut push, stale)) = self.handle(w, input, ctx, seam) {
+            let g = std::mem::take(&mut push.grads);
+            self.apply(w, &push, &g, stale, ctx.time(), seam);
+            self.recycle(g, push.adopted, ctx);
+        }
+    }
+
+    /// Algorithm 2's event loop body: one message, one handler. Returns a
+    /// push once it is whole, with its staleness, for the caller to apply.
+    pub(super) fn handle(
+        &mut self,
+        w: usize,
+        input: Admitted,
+        ctx: &mut ServerCtx<ClusterResp>,
+        seam: &mut dyn Seam,
+    ) -> Option<(PendingPush, u32)> {
+        let Admitted { req, decision, rung, epoch } = input;
         match req {
             ClusterReq::Join { .. } => self.on_join(w),
             // `Replicate` frames travel the dedicated replica duplex, not
             // the worker links; one arriving here is a protocol violation
             // and is ignored.
             ClusterReq::Replicate(_) => {}
-            ClusterReq::Pull { epoch, shard } => self.on_pull(w, epoch, shard as usize, ctx),
-            ClusterReq::State { loss, running, batch_stats, t_comm, t_comp, epoch } => self
-                .on_state(w, epoch, StateMsg { loss, running, batch_stats, t_comm, t_comp }, ctx),
+            ClusterReq::Pull { shard, .. } => {
+                self.on_pull(w, shard as usize, decision, rung, epoch, ctx)
+            }
+            ClusterReq::State { loss, running, batch_stats, t_comm, t_comp, .. } => {
+                self.on_state(w, StateMsg { loss, running, batch_stats, t_comm, t_comp }, ctx)
+            }
             ClusterReq::Grad {
                 grads,
                 pull_version,
                 loss,
                 batch_stats,
                 running,
-                epoch,
                 push_seq,
                 shard,
+                ..
             } => {
                 let shard = shard as usize;
                 let slice =
                     PushSlice { push_seq, pull_version, loss, shard, grads, batch_stats, running };
-                self.on_grad(w, epoch, slice, ctx, seam)
+                match decision {
+                    Decision::Drop => self.pushes.abandon(w),
+                    // Late gradients past a planned halt are dropped, as a
+                    // real server shutting down would drop them.
+                    Decision::Stop => {}
+                    Decision::Admit if self.is_ssgd => {
+                        self.on_ssgd_grad(w, slice, epoch, ctx, seam)
+                    }
+                    Decision::Admit => return self.on_grad(w, slice),
+                }
             }
         }
+        None
     }
 
     /// A restarted worker announcing itself. Algorithm 2's per-worker
@@ -479,42 +423,41 @@ impl<'a> Core<'a> {
         self.predictors.reset_worker(w);
         self.backups.forget(w);
         self.pushes.abandon(w);
-        self.state_path_unlogged = true;
     }
 
     /// A pull of one shard's weights (Algorithm 1 line 1, Algorithm 2
     /// line 11).
-    fn on_pull(&mut self, w: usize, epoch: u64, sh: usize, ctx: &mut ServerCtx<ClusterResp>) {
-        if !self.fence.admit_read(epoch) || sh >= self.group.count() {
-            // Addressed to a fenced (dead) primary — or to a shard outside
-            // the group (a misconfigured peer): tell the worker the
-            // current epoch so its retry carries it.
-            ctx.reply(ClusterResp::Fenced { epoch: self.fence.epoch() });
-        } else if !self.is_ssgd && (self.applied >= self.target || self.halted) {
+    fn on_pull(
+        &mut self,
+        w: usize,
+        sh: usize,
+        decision: Decision,
+        rung: Option<PullDirective>,
+        epoch: u64,
+        ctx: &mut ServerCtx<ClusterResp>,
+    ) {
+        if sh >= self.group.count() {
+            // A shard outside the group (a misconfigured peer): tell the
+            // worker the current epoch, as a fenced server would.
+            ctx.reply(ClusterResp::Fenced { epoch });
+        } else if decision == Decision::Stop || !self.is_ssgd && self.applied >= self.target {
             ctx.reply(ClusterResp::Stop);
         } else if sh == 0 {
             // The *lead* pull of an iteration. The directive pins the rung
             // (and any reassigned data shard) for the iteration this pull
             // starts; the push coming back is interpreted under the same
             // rung even if the worker is demoted meanwhile.
-            let directive = self.sup.as_mut().map(|s| {
-                let mode = s.mode(w);
-                self.pulled_mode[w] = mode;
-                PullDirective {
-                    mode,
-                    shard: s
-                        .take_pending_shard(w)
-                        .map(|v| v.into_iter().map(|i| i as u64).collect()),
-                }
-            });
+            if let Some(r) = &rung {
+                self.pulled_mode[w] = r.mode;
+            }
             let on_dc_rung = self.pulled_mode[w] == AlgoMode::Dc;
             self.backups.begin(w, on_dc_rung, self.group.spec(), self.group.weights());
-            self.reply_weights(w, 0, directive, ctx);
+            self.reply_weights(w, 0, rung, epoch, ctx);
         } else {
             // Follower-shard pull: the lead pull already answered the
             // stop/directive questions for this iteration.
             self.backups.follow(w, self.group.spec(), sh, self.group.weights());
-            self.reply_weights(w, sh, None, ctx);
+            self.reply_weights(w, sh, None, epoch, ctx);
         }
     }
 
@@ -528,10 +471,10 @@ impl<'a> Core<'a> {
         to: usize,
         sh: usize,
         directive: Option<PullDirective>,
+        epoch: u64,
         ctx: &mut ServerCtx<ClusterResp>,
     ) {
         let version = self.group.version();
-        let epoch = self.fence.epoch();
         let key = directive.is_none().then(|| coalesce_key(sh as u32, epoch, version));
         let weights = self.group.snapshot(sh);
         let resp = ClusterResp::weights_for(self.codec, weights, version, directive, epoch);
@@ -543,71 +486,37 @@ impl<'a> Core<'a> {
 
     /// Algorithm 2 lines 2–7: log the arrival, run both predictors, absorb
     /// the BN statistics, reply with `ℓ_delay`.
-    fn on_state(&mut self, w: usize, epoch: u64, msg: StateMsg, ctx: &mut ServerCtx<ClusterResp>) {
-        if !self.fence.admit_read(epoch) {
-            // LC forward state addressed to a fenced primary: the worker
-            // must abandon the exchange and re-pull from the promoted
-            // server.
-            ctx.reply(ClusterResp::Fenced { epoch: self.fence.epoch() });
-            return;
-        }
-        self.state_path_unlogged = true;
+    fn on_state(&mut self, w: usize, msg: StateMsg, ctx: &mut ServerCtx<ClusterResp>) {
         let actual_step = self.group.log_arrival(w) as f32;
-        let (reply, expected_loss) = self.predictors.observe(w, actual_step, &msg, &self.env.sink);
+        let reply = self.predictors.observe(w, actual_step, &msg, &self.env.sink);
         // The predictors' time in the cost model: nominal, so the virtual
         // clock replays bit for bit (their measured time is `OverheadStats`).
         let cost = self.env.cfg.cost;
         ctx.charge(cost.step_pred);
         ctx.charge(cost.loss_pred);
         self.group.absorb_bn(&msg.running, &msg.batch_stats);
-        if let Some(s) = self.sup.as_mut() {
-            // Predictor-health watchdog: a wildly wrong one-step forecast
-            // is a demerit against this worker's LC rung.
-            s.observe_prediction(w, self.applied as u64, expected_loss, msg.loss);
-        }
-        self.trace_health_events();
         ctx.reply(reply);
     }
 
-    /// One slice of a gradient push (Algorithm 1 line 12): fence it, then
-    /// either park it on the SSGD barrier or buffer it until the push is
-    /// whole and apply that.
-    fn on_grad(
-        &mut self,
-        w: usize,
-        epoch: u64,
-        slice: PushSlice,
-        ctx: &mut ServerCtx<ClusterResp>,
-        seam: &mut dyn Seam,
-    ) {
-        match self.fence.check_push(w, epoch, slice.push_seq) {
-            PushVerdict::Admit => {}
-            // Addressed to a dead epoch, or a delayed duplicate of a push
-            // already applied: dropped on the floor, along with any
-            // half-assembled slices of it. Gradient pushes are oneway
-            // sends in the async protocols, so no reply is owed. (SSGD
-            // never runs with an active fence.)
-            PushVerdict::StaleEpoch | PushVerdict::Duplicate => {
-                self.pushes.abandon(w);
-                return;
-            }
+    /// One slice of an asynchronous push (Algorithm 1 line 12), buffered
+    /// until the push is whole; returns the whole push and its staleness.
+    fn on_grad(&mut self, w: usize, slice: PushSlice) -> Option<(PendingPush, u32)> {
+        let version = self.group.version();
+        if slice.pull_version > version {
+            // Pulled from a version this server has not reached: a peer's
+            // bug, dropped like a duplicate rather than given a staleness
+            // that wraps.
+            self.pushes.abandon(w);
+            return None;
         }
-        if self.is_ssgd {
-            self.on_ssgd_grad(w, slice, ctx, seam);
-        } else if self.applied < self.target && !self.halted {
-            // Late gradients past the target (or past a planned halt) are
-            // dropped, as a real server shutting down would drop them.
-            if let Some(push) = self.pushes.accept(w, slice) {
-                // The applied gradient's vector goes back to whoever made
-                // it: the assembly's buffer to the assembly, a vector the
-                // transport decoded to the transport.
-                let adopted = push.adopted;
-                let spent = self.on_push(w, push, ctx.time(), seam);
-                if let Some(decoded) = spent.and_then(|g| self.pushes.reclaim(g, adopted)) {
-                    ctx.recycle(decoded);
-                }
-            }
+        // Late gradients past the target are dropped, as a real server
+        // shutting down would drop them.
+        if self.applied >= self.target {
+            return None;
         }
+        let push = self.pushes.accept(w, slice)?;
+        let stale = (version - push.pull_version) as u32;
+        Some((push, stale))
     }
 
     /// Formula 1's barrier: park until all M contributions are in, then
@@ -616,6 +525,7 @@ impl<'a> Core<'a> {
         &mut self,
         w: usize,
         slice: PushSlice,
+        epoch: u64,
         ctx: &mut ServerCtx<ClusterResp>,
         seam: &mut dyn Seam,
     ) {
@@ -663,67 +573,26 @@ impl<'a> Core<'a> {
                 // The whole released round — and the epoch evaluation, if
                 // one was just queued — shares one weights snapshot, and
                 // the reactor encodes it once.
-                self.reply_weights(parked, 0, None, ctx);
+                self.reply_weights(parked, 0, None, epoch, ctx);
             }
         }
     }
 
-    /// A whole push has arrived: admit it, apply it (Formula 8 / Formula
-    /// 3), then run the post-apply steps. Their order is load-bearing —
-    /// DESIGN.md §13.2 gives the reason for each position. Returns the
-    /// gradient's vector once it has been applied (the supervisor keeps or
-    /// drops the ones it does not admit). `at` is the virtual time the
-    /// push's last slice was picked up, on the simulator.
-    fn on_push(
+    /// Applies an admitted push (Formula 8, or Formula 3 on the DC rung),
+    /// stamped with the time `at` the push's last slice was picked up on
+    /// the simulator, and closes the epoch it ends, if it ends one:
+    /// records it and hands its weights to the evaluator. Returns whether
+    /// it closed one.
+    pub(super) fn apply(
         &mut self,
         w: usize,
-        mut push: PendingPush,
+        push: &PendingPush,
+        g: &[f32],
+        stale: u32,
         at: Option<f64>,
         seam: &mut dyn Seam,
-    ) -> Option<Vec<f32>> {
-        let stale = (self.group.version() - push.pull_version) as u32;
-        let g = std::mem::take(&mut push.grads);
-        // Admission control: the supervisor may discard the gradient.
-        // Staleness samples are recorded for *applied* updates only, so the
-        // admitted stream is what the bound guarantees about.
-        let (g, want_rollback) = match self.sup.as_mut() {
-            Some(s) => {
-                let adm = s.admit(w, self.applied as u64, stale, g, push.loss);
-                (adm.grads, adm.rollback)
-            }
-            None => (Some(g), false),
-        };
-        if let Some(g) = &g {
-            // The write-ahead log ships the apply as per-shard deltas, so
-            // hold on to the weights they are taken against: each shard's
-            // snapshot at the version this push moves it on from.
-            let before: Option<Vec<Arc<Vec<f32>>>> = self
-                .replicated
-                .then(|| (0..self.group.count()).map(|s| self.group.snapshot(s)).collect());
-            let now = seam.write(at);
-            let lr = self.apply(w, &push, g, stale);
-            if let Some(before) = before {
-                self.log_to_wal(w, &push, stale, &before, seam);
-            }
-            self.close_epoch(lr, now, seam);
-            let halt_now = self.planned_halt(seam);
-            self.write_checkpoint(halt_now, seam);
-            self.planned_kill(seam);
-            self.report_degradation(seam);
-        }
-        if self.rollback_or_snapshot(want_rollback) {
-            // No log record can carry a restore: the standby starts over
-            // from the restored state.
-            self.snapshot_standby(seam);
-            self.report_degradation(seam);
-        }
-        self.trace_health_events();
-        g
-    }
-
-    /// Applies an admitted gradient (Formula 8, or Formula 3 on the DC
-    /// rung) and commits the push; returns the learning rate used.
-    fn apply(&mut self, w: usize, push: &PendingPush, g: &[f32], stale: u32) -> f32 {
+    ) -> bool {
+        let now = seam.write(at);
         let (cfg, sink) = (self.env.cfg, &self.env.sink);
         self.staleness.push(stale);
         sink.note_staleness(stale);
@@ -736,7 +605,7 @@ impl<'a> Core<'a> {
         }
         // An LC iteration logged its arrival and BN statistics with the
         // state message; a fused one does so here.
-        if self.pulled_mode[w] != AlgoMode::Lc {
+        if self.fused(w) {
             self.group.log_arrival(w);
             self.group.absorb_bn(&push.running, &push.batch_stats);
         }
@@ -744,62 +613,25 @@ impl<'a> Core<'a> {
         sink.note_version(self.group.version());
         self.losses.push(push.loss);
         self.applied += 1;
-        self.fence.commit_push(w, push.push_seq);
-        lr
-    }
-
-    /// Step 1: ship the apply to the standby as per-shard deltas against
-    /// `before` (each shard's weights as the apply found them), one log
-    /// record per shard, consecutive seqs, encoded by the stream straight
-    /// from the two. The last one alone carries a fused apply's side
-    /// effects (arrival-log entry, BN state), so the standby counts a push
-    /// applied only when it is whole.
-    fn log_to_wal(
-        &mut self,
-        w: usize,
-        push: &PendingPush,
-        stale: u32,
-        before: &[Arc<Vec<f32>>],
-        seam: &mut dyn Seam,
-    ) {
-        let group = &self.group;
-        let head = PushHead {
-            epoch: self.fence.epoch(),
-            worker: w as u32,
-            push_seq: push.push_seq,
-            version: group.version(),
-            staleness: stale,
-            loss: push.loss,
-        };
-        let fused = self.pulled_mode[w] != AlgoMode::Lc;
-        let side_effects = fused.then(|| (group.version(), group.bn()));
-        let (spec, weights) = (group.spec(), group.weights());
-        let mut slices = before.iter().enumerate().map(|(s, b)| (&weights[spec.range(s)], &b[..]));
-        seam.log_push(&head, &mut slices, side_effects);
-    }
-
-    /// Step 2: at an epoch boundary, record the epoch and publish its
-    /// weights for evaluation, then refresh the standby.
-    fn close_epoch(&mut self, lr: f32, now: f64, seam: &mut dyn Seam) {
-        if !self.applied.is_multiple_of(self.updates_per_epoch) {
-            return;
+        let closes = self.applied.is_multiple_of(self.updates_per_epoch);
+        if closes {
+            self.record_epoch(self.applied / self.updates_per_epoch, lr, now, seam);
         }
-        self.record_epoch(self.applied / self.updates_per_epoch, lr, now, seam);
-        if self.replicated {
-            // What promotion reads and the records do not mirror — both
-            // predictors, the arrival state, `iter`, BN. No weights, so it
-            // neither copies the model nor waits for the evaluation just
-            // handed off.
-            let (loss_pred, step_pred) = self.predictors.snapshot();
-            seam.refresh(&TrainingCheckpoint {
-                bn: self.group.bn().clone(),
-                arrival: self.group.arrival_state(),
-                iter: self.group.iter().to_vec(),
-                loss_pred,
-                step_pred,
-                ..TrainingCheckpoint::default()
-            });
-            self.state_path_unlogged = false;
+        closes
+    }
+
+    /// Whether worker `w`'s iteration ran fused (its arrival and BN ride
+    /// the push) rather than on the LC rung's state message.
+    pub(super) fn fused(&self, w: usize) -> bool {
+        self.pulled_mode[w] != AlgoMode::Lc
+    }
+
+    /// Hands an applied gradient's vector back to whoever made it: the
+    /// assembly's buffer to the assembly, a vector the transport decoded to
+    /// the transport.
+    pub(super) fn recycle(&mut self, g: Vec<f32>, adopted: bool, ctx: &mut ServerCtx<ClusterResp>) {
+        if let Some(decoded) = self.pushes.reclaim(g, adopted) {
+            ctx.recycle(decoded);
         }
     }
 
@@ -813,174 +645,87 @@ impl<'a> Core<'a> {
         seam.evaluate(&mut self.records, weights, self.group.bn().clone());
     }
 
-    /// Step 3: a planned server restart halts the run once its update
-    /// count is reached; pulls answer `Stop` from here on.
-    fn planned_halt(&mut self, seam: &mut dyn Seam) -> bool {
-        let halt_now = self.halt_at.is_some_and(|h| self.applied as u64 >= h);
-        if halt_now {
-            self.halted = true;
-            seam.fault(FaultRecord::ServerHalted { at_update: self.applied as u64 });
-        }
-        halt_now
+    pub(super) fn applied(&self) -> u64 {
+        self.applied as u64
     }
 
-    /// Step 4: the periodic (or halting) checkpoint.
-    fn write_checkpoint(&mut self, halt_now: bool, seam: &mut dyn Seam) {
-        let Some(every) = self.checkpoint_every else { return };
-        if halt_now || self.applied.is_multiple_of(every) {
-            let ck = self.checkpoint(seam);
-            seam.save(ck);
+    /// The loss predictor's one-step forecast for the next arrival's loss.
+    pub(super) fn pending_forecast(&self) -> Option<f32> {
+        self.predictors.loss.pending_forecast()
+    }
+
+    pub(super) fn group(&self) -> &ShardGroup {
+        &self.group
+    }
+
+    /// Each shard's weights as they stand: what a write-ahead record's
+    /// delta is taken against.
+    pub(super) fn shard_snapshots(&mut self) -> Vec<Arc<Vec<f32>>> {
+        (0..self.group.count()).map(|s| self.group.snapshot(s)).collect()
+    }
+
+    /// What the standby's epoch refresh carries: both predictors, the
+    /// arrival state, `iter` and BN. No weights, so it neither copies the
+    /// model nor waits for the evaluation just handed off.
+    pub(super) fn refresh_part(&self) -> TrainingCheckpoint {
+        let (loss_pred, step_pred) = self.predictors.snapshot();
+        TrainingCheckpoint {
+            bn: self.group.bn().clone(),
+            arrival: self.group.arrival_state(),
+            iter: self.group.iter().to_vec(),
+            loss_pred,
+            step_pred,
+            ..TrainingCheckpoint::default()
         }
     }
 
-    /// Step 5: the planned primary kill — fenced failover. Deterministic
-    /// on the simulator: the trigger is the applied-update count, the
-    /// standby's content is fixed by the flush cadence, and the promoted
-    /// state is a pure function of both.
-    fn planned_kill(&mut self, seam: &mut dyn Seam) {
-        let Some(killed_at) = self.kill_at.take_if(|k| self.applied as u64 >= *k) else { return };
-        let Some(ck) = seam.promote(self.applied as u64) else {
-            // The standby was already lost (the stream degraded): there is
-            // nothing to promote. The run continues on the primary's
-            // surviving state, unreplicated.
-            let error = "planned primary kill found no standby to promote".into();
-            seam.fault(FaultRecord::StandbyLost { at_update: killed_at, error });
-            return;
-        };
-        let lost = self.applied as u64 - ck.applied;
-        if cfg!(debug_assertions) && lost == 0 {
-            self.assert_mirrored(&ck);
-        }
-        let from_epoch = self.fence.epoch();
-        if let Err(error) = self.adopt(&ck, seam) {
-            // A mirror the promoted layout cannot adopt is as good as a
-            // lost standby: record it and keep the primary's state.
-            seam.fault(FaultRecord::StandbyLost { at_update: killed_at, error });
-            return;
-        }
-        let to_epoch = self.fence.promote(ck.push_seqs);
-        // Re-arm: the promoted server is the new primary; re-bootstrap the
-        // (now empty) standby slot.
-        self.snapshot_standby(seam);
-        let applied = self.applied as u64;
-        if let Some(s) = self.sup.as_mut() {
-            s.record_failover(applied, from_epoch, to_epoch, lost);
-        }
-        self.env.sink.wall_instant(
-            None,
-            phase::HEALTH,
-            Instant::now(),
-            format!(
-                "at-update={applied} failover from-epoch={from_epoch} \
-                 to-epoch={to_epoch} lost-updates={lost}"
-            ),
-        );
-        seam.fault(FaultRecord::FailedOver {
-            at_update: killed_at,
-            from_epoch,
-            to_epoch,
-            lost_updates: lost,
-        });
+    /// A rollback: weights, BN and predictors back to `good`'s. `version`
+    /// stays monotonic — staleness accounting must never see the clock
+    /// move backwards; only the *state* rewinds.
+    pub(super) fn rewind(&mut self, good: &TrainingCheckpoint) {
+        self.group.load_weights(&good.weights);
+        self.group.set_bn(good.bn.clone());
+        self.predictors.restore(good);
     }
 
-    /// The standby equals the primary wherever the log says it must, bit
-    /// for bit: checked at a kill that loses nothing. Weights, the
-    /// version, the dedup state and the run's history always; the fields
-    /// only the epoch refresh carries when the state path has not moved
-    /// them since the standby was last made current.
-    fn assert_mirrored(&self, ck: &TrainingCheckpoint) {
+    /// The mirror `ck` equals this core wherever the log says it must, bit
+    /// for bit: weights, the version and the run's history always; the
+    /// fields only the epoch refresh carries when `refreshed` (the state
+    /// path has not moved them since the standby was last made current).
+    pub(super) fn assert_mirrored(&self, ck: &TrainingCheckpoint, refreshed: bool) {
         let at = self.applied;
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let group = &self.group;
         assert!(bits(&ck.weights) == bits(group.weights()), "weights at {at}");
         assert_eq!(ck.version, group.version(), "version at {at}");
-        assert_eq!(ck.push_seqs, self.fence.push_seqs(), "push sequence numbers at {at}");
         assert_eq!(ck.staleness, self.staleness, "staleness samples at {at}");
         assert_eq!(bits(&ck.epoch_losses), bits(&self.losses), "epoch losses at {at}");
-        if self.state_path_unlogged {
+        if !refreshed {
             return;
         }
-        assert_eq!(ck.arrival, group.arrival_state(), "arrival state at {at}");
-        assert_eq!(ck.iter, group.iter(), "iter at {at}");
+        let part = self.refresh_part();
+        assert_eq!(ck.arrival, part.arrival, "arrival state at {at}");
+        assert_eq!(ck.iter, part.iter, "iter at {at}");
         let bn = |b: &BnState| -> Vec<u32> {
             b.means.iter().chain(&b.vars).flat_map(|t| bits(t.data())).collect()
         };
-        assert_eq!(bn(&ck.bn), bn(group.bn()), "BN state at {at}");
+        assert_eq!(bn(&ck.bn), bn(&part.bn), "BN state at {at}");
         let predictors = (ck.loss_pred.clone(), ck.step_pred.clone());
-        assert!(predictors == self.predictors.snapshot(), "predictors at {at}");
-    }
-
-    /// Step 6: any replication interaction of this push may have found the
-    /// standby gone; report the one-time degradation on every channel
-    /// (DESIGN.md §10).
-    fn report_degradation(&mut self, seam: &mut dyn Seam) {
-        let applied = self.applied as u64;
-        let Some(error) = seam.standby_lost(applied) else { return };
-        let rec = FaultRecord::StandbyLost { at_update: applied, error };
-        self.env.sink.wall_instant(None, phase::HEALTH, Instant::now(), rec.to_string());
-        seam.fault(rec);
-        if let Some(s) = self.sup.as_mut() {
-            s.record_standby_lost(applied);
-        }
-    }
-
-    /// Step 7: global divergence restores the last-good snapshot;
-    /// otherwise the supervisor may ask for a new one. Returns whether the
-    /// state was restored.
-    fn rollback_or_snapshot(&mut self, want_rollback: bool) -> bool {
-        let Some(s) = self.sup.as_mut() else { return false };
-        let applied = self.applied as u64;
-        if want_rollback {
-            // `version` stays monotonic — staleness accounting must never
-            // see the clock move backwards; only the *state* rewinds.
-            let Some(good) = &self.last_good else { return false };
-            self.group.load_weights(&good.weights);
-            self.group.set_bn(good.bn.clone());
-            self.predictors.restore(good);
-            s.rolled_back(applied, good.applied);
-            return true;
-        } else if s.should_snapshot(applied) {
-            self.last_good = Some(self.state());
-        }
-        false
-    }
-
-    /// Step 8 (and the tail of every state arrival): drain the
-    /// supervisor's new events onto the trace.
-    fn trace_health_events(&mut self) {
-        let Some(s) = self.sup.as_mut() else { return };
-        for (at, ev) in s.drain_new_events() {
-            self.env.sink.wall_instant(
-                ev.worker(),
-                phase::HEALTH,
-                Instant::now(),
-                format!("at-update={at} {ev}"),
-            );
-        }
-    }
-
-    /// Ships the full state to the standby, if one is attached: its
-    /// bootstrap, its post-promotion re-arm, its re-bootstrap after a
-    /// rollback.
-    fn snapshot_standby(&mut self, seam: &mut dyn Seam) {
-        if self.replicated {
-            let ck = self.checkpoint(seam);
-            seam.snapshot(ck);
-            self.state_path_unlogged = false;
-        }
+        assert!(predictors == (part.loss_pred, part.step_pred), "predictors at {at}");
     }
 
     /// The server's full state as it goes to disk and into a full standby
     /// snapshot: once the evaluation in flight is in, so every epoch record
     /// in it is whole.
-    fn checkpoint(&mut self, seam: &mut dyn Seam) -> TrainingCheckpoint {
+    pub(super) fn checkpoint(&mut self, seam: &mut dyn Seam) -> TrainingCheckpoint {
         seam.collect(&mut self.records);
         self.state()
     }
 
-    /// The server's full state as it stands. The workers' batch positions
-    /// are not the server's: the shell adds them to what it writes to disk.
-    fn state(&self) -> TrainingCheckpoint {
+    /// The server's full state as it stands, with no fencing state (the
+    /// guard's). The workers' batch positions are not the server's: the
+    /// shell adds them to what it writes to disk.
+    pub(super) fn state(&self) -> TrainingCheckpoint {
         let group = &self.group;
         let (loss_pred, step_pred) = self.predictors.snapshot();
         TrainingCheckpoint {
@@ -995,8 +740,6 @@ impl<'a> Core<'a> {
             epochs: self.records.clone(),
             loss_pred,
             step_pred,
-            server_epoch: self.fence.epoch(),
-            push_seqs: self.fence.push_seqs().to_vec(),
             shard_versions: match group.count() {
                 1 => Vec::new(),
                 n => vec![group.version(); n],
@@ -1005,20 +748,10 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Tear-down, once the shell has settled the standby: the last
-    /// evaluation and degradation report, the hang-up, and the run's
-    /// result as far as the server knows it.
+    /// Tear-down: the last evaluation, and the run's result as far as the
+    /// core knows it.
     pub(super) fn finish(mut self, seam: &mut dyn Seam) -> RunResult {
         seam.collect(&mut self.records);
-        self.report_degradation(seam);
-        let fence = &self.fence;
-        let replication = seam.hang_up().map(|rep| ReplicationReport {
-            final_epoch: fence.epoch(),
-            fenced_reads: fence.fenced_reads,
-            fenced_pushes: fence.fenced_pushes,
-            duplicate_pushes: fence.duplicate_pushes,
-            ..rep
-        });
         if self.is_ssgd {
             self.staleness = vec![0; self.group.version() as usize];
         }
@@ -1036,8 +769,6 @@ impl<'a> Core<'a> {
             trace: want_traces.then_some(self.predictors.trace),
             overhead,
             iterations: self.group.version(),
-            health: self.sup.map(Supervisor::into_report),
-            replication,
             shards: self.group.count(),
             ..RunResult::default()
         }

@@ -14,7 +14,8 @@
 //!
 //! `train` runs one experiment and prints the learning curve; `help` (or
 //! `--help`) prints the usage above. A flag `train` does not know exits 2
-//! and names the flag; so does a flag given without the flag it needs
+//! and names the flag; so does a flag given twice, a flag whose value is
+//! another flag (`--trace --standby`), a flag given without the flag it needs
 //! (`--checkpoint-every` without `--checkpoint`, `--flush-every` without
 //! `--standby`), naming both, and a value outside a flag's set above (or a
 //! `--workers`, `--epochs` or `--shards` of 0), naming the flag and the
@@ -111,16 +112,24 @@ const USAGE: &str = "usage:
 struct Args(Vec<String>);
 
 impl Args {
-    /// The first argument that is neither one of `switches` nor one of
-    /// `values` followed by its value — a misspelt or removed flag, which
-    /// would otherwise run silently with the defaults.
-    fn unknown(&self, values: &[&str], switches: &[&str]) -> Option<&str> {
-        let mut args = self.0.iter();
+    /// What is wrong with the arguments, as the message to exit with: an
+    /// argument that is no flag of `switches` or `values` (a misspelt flag
+    /// would run with the defaults), a flag given twice, or a value that is
+    /// itself a flag (`--trace --standby` would trace to a file `--standby`).
+    fn misparse(&self, values: &[&str], switches: &[&str]) -> Option<String> {
+        let mut seen = Vec::new();
+        let mut args = self.0.iter().map(String::as_str);
         while let Some(a) = args.next() {
-            if values.contains(&a.as_str()) {
-                args.next();
-            } else if !switches.contains(&a.as_str()) {
-                return Some(a);
+            if !values.contains(&a) && !switches.contains(&a) {
+                return Some(format!("unknown argument for train: {a}"));
+            }
+            if seen.contains(&a) {
+                return Some(format!("{a} is given twice"));
+            }
+            seen.push(a);
+            let value = if values.contains(&a) { args.next() } else { None };
+            if let Some(v) = value.filter(|v| v.starts_with("--")) {
+                return Some(format!("{a} takes a value, not the flag {v}"));
             }
         }
         None
@@ -184,8 +193,8 @@ fn main() {
     match argv.first().map(String::as_str) {
         Some("help" | "--help" | "-h") => println!("{USAGE}"),
         Some("train") => {
-            if let Some(flag) = args.unknown(TRAIN_VALUES, TRAIN_SWITCHES) {
-                eprintln!("unknown argument for train: {flag}\n{USAGE}");
+            if let Some(error) = args.misparse(TRAIN_VALUES, TRAIN_SWITCHES) {
+                eprintln!("{error}\n{USAGE}");
                 exit(2)
             }
             if let Some((flag, needed)) = args.unmet(TRAIN_NEEDS) {
@@ -205,12 +214,7 @@ fn main() {
 /// present; `None` leaves the run unsupervised. `--health-log` alone is
 /// enough to arm the supervisor with its defaults.
 fn supervisor_config(args: &Args, health_log: bool) -> Option<SupervisorConfig> {
-    let bound = args.value("--staleness-bound").map(|v| {
-        v.parse::<u32>().unwrap_or_else(|_| {
-            eprintln!("invalid value for --staleness-bound: {v}");
-            exit(2)
-        })
-    });
+    let bound = args.value("--staleness-bound").map(|_| args.parse("--staleness-bound", 0));
     if bound.is_none() && !health_log {
         return None;
     }
@@ -511,19 +515,45 @@ mod tests {
             "--shards",
             "4",
         ]);
-        assert_eq!(a.unknown(TRAIN_VALUES, TRAIN_SWITCHES), None);
-        assert_eq!(args(&[]).unknown(TRAIN_VALUES, TRAIN_SWITCHES), None);
+        assert_eq!(a.misparse(TRAIN_VALUES, TRAIN_SWITCHES), None);
+        assert_eq!(args(&[]).misparse(TRAIN_VALUES, TRAIN_SWITCHES), None);
     }
 
     #[test]
     fn train_names_a_flag_it_does_not_read() {
-        let unknown = |s: &[&str]| args(s).unknown(TRAIN_VALUES, TRAIN_SWITCHES).map(String::from);
-        assert_eq!(unknown(&["--admission", "clip"]).as_deref(), Some("--admission"));
-        assert_eq!(unknown(&["--shard", "4"]).as_deref(), Some("--shard"));
-        assert_eq!(unknown(&["--epochs", "2", "--fallback", "off"]).as_deref(), Some("--fallback"));
-        // A value is skipped even when it looks like a flag; a stray word is not.
-        assert_eq!(unknown(&["--trace", "--x.json"]), None);
-        assert_eq!(unknown(&["--standby", "4"]).as_deref(), Some("4"));
+        let misparse = |s: &[&str]| args(s).misparse(TRAIN_VALUES, TRAIN_SWITCHES);
+        let unknown = |flag: &str| Some(format!("unknown argument for train: {flag}"));
+        assert_eq!(misparse(&["--admission", "clip"]), unknown("--admission"));
+        assert_eq!(misparse(&["--shard", "4"]), unknown("--shard"));
+        assert_eq!(misparse(&["--epochs", "2", "--fallback", "off"]), unknown("--fallback"));
+        assert_eq!(misparse(&["--standby", "4"]), unknown("4"));
+        // A value that is a flag is refused, naming both, whether or not
+        // `train` reads the second.
+        assert_eq!(
+            misparse(&["--trace", "--x.json"]).as_deref(),
+            Some("--trace takes a value, not the flag --x.json")
+        );
+        assert_eq!(
+            misparse(&["--trace", "--standby"]).as_deref(),
+            Some("--trace takes a value, not the flag --standby")
+        );
+        // A value that merely starts with a dash is a value.
+        assert_eq!(misparse(&["--trace", "-x.json"]), None);
+    }
+
+    #[test]
+    fn train_names_a_flag_given_twice() {
+        let misparse = |s: &[&str]| args(s).misparse(TRAIN_VALUES, TRAIN_SWITCHES);
+        assert_eq!(
+            misparse(&["--algorithm", "asgd", "--algorithm", "sgd", "--workers", "2"]).as_deref(),
+            Some("--algorithm is given twice")
+        );
+        assert_eq!(
+            misparse(&["--standby", "--standby"]).as_deref(),
+            Some("--standby is given twice")
+        );
+        // A value equal to a flag's name later on is not a second flag.
+        assert_eq!(misparse(&["--checkpoint", "c", "--resume", "c"]), None);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! backend-equivalence guarantee from worker faults (`chaos_faults.rs`)
 //! to the server side.
 
-use lc_asgd::core::{EpochFence, PushVerdict};
+use lc_asgd::core::comm::CompressedGrad;
+use lc_asgd::core::{ClusterReq, EpochFence, PushVerdict};
+use lc_asgd::nn::network::BnState;
 use lc_asgd::prelude::*;
-use lc_asgd::simcluster::{ClusterSim, FaultKind, SimPayload};
+use lc_asgd::simcluster::{ClusterSim, FaultKind, ServerCtx, SimPayload, WireMsg, WorkerLink};
 
 fn task() -> (Dataset, Dataset) {
     lc_asgd::data::synth::blobs_split(4, 6, 30, 12, 0.5, 33)
@@ -263,7 +265,7 @@ fn epoch_fencing_rejects_stale_pushes_without_double_apply() {
     // Unit-level proof of at-most-once apply across a promotion: the
     // fence admits a push exactly once, rejects its replay as a
     // duplicate, and rejects anything from a dead epoch outright.
-    let mut fence = EpochFence::new(2, true);
+    let mut fence = EpochFence::new(2);
     assert_eq!(fence.epoch(), 0);
     assert!(fence.admit_read(0));
 
@@ -293,6 +295,64 @@ fn epoch_fencing_rejects_stale_pushes_without_double_apply() {
         matches!(fence.check_push(1, 1, u64::from(1u32) << 32 | 1), PushVerdict::Admit),
         "a restarted worker's new incarnation starts a fresh sequence space"
     );
+    let counted = (fence.fenced_reads, fence.fenced_pushes, fence.duplicate_pushes);
+    assert_eq!(counted, (1, 1, 2), "each rejection is counted once, by its kind");
+}
+
+/// A simulator whose server is handed, before the run, worker 0's push
+/// pulled from version 5: a version the server has not reached.
+struct FromTheFuture(ClusterSim<SimPayload>);
+
+impl ClusterBackend for FromTheFuture {
+    fn workers(&self) -> usize {
+        self.0.workers()
+    }
+
+    fn clock_domain(&self) -> ClockDomain {
+        self.0.clock_domain()
+    }
+
+    fn run<Req, Resp, S, W>(self, mut server: S, worker: W) -> Result<TransportStats, ClusterError>
+    where
+        Req: WireMsg + Send + 'static,
+        Resp: WireMsg + Send + 'static,
+        S: FnMut(usize, Req, &mut ServerCtx<Resp>),
+        W: Fn(usize, &mut dyn WorkerLink<Req, Resp>) + Send + Sync,
+    {
+        let push = ClusterReq::Grad {
+            grads: CompressedGrad::Dense(vec![0.5; build(&mut Rng::seed_from_u64(0)).num_params()]),
+            pull_version: 5,
+            loss: 0.5,
+            batch_stats: Vec::new(),
+            running: BnState::default(),
+            epoch: 0,
+            push_seq: 1 << 20,
+            shard: 0,
+        };
+        let push = Req::decoded(&push.encoded()).expect("a push decodes");
+        server(0, push, &mut ServerCtx::new(0, false));
+        self.0.run(server, worker)
+    }
+}
+
+/// A push from a version the server has not reached is dropped like a
+/// duplicate, with a standby and without: it is not applied, leaves no
+/// staleness sample (its version difference wraps to ≈ 4.29e9, or panics
+/// the server under overflow checks) and commits no push sequence number
+/// (which would make the worker's own later pushes duplicates).
+#[test]
+fn a_push_from_the_future_is_dropped_like_a_duplicate() {
+    let (train, test) = task();
+    let c = cfg(Algorithm::Asgd, 4);
+    let target = c.epochs * train.len().div_ceil(c.batch_size);
+    for standby in [None, Some(standby())] {
+        let sim = FromTheFuture(ClusterSim::new(c.cluster.clone()));
+        let opts = RunOptions { standby, ..RunOptions::default() };
+        let r = run_cluster_with(sim, &c, &build, &train, &test, opts).expect("the run");
+        assert_eq!(r.staleness.len(), target, "one sample per applied push");
+        assert!(r.staleness.iter().all(|&s| s < 100), "{:?}", r.staleness.iter().max());
+        assert_eq!(r.replication.map_or(0, |rep| rep.duplicate_pushes), 0, "no seq committed");
+    }
 }
 
 #[test]

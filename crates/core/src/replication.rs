@@ -177,29 +177,40 @@ impl WireMsg for LogRecord {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, ClusterError> {
-        // Fields are read in the order they are written.
+        let seq = r.u64()?;
+        let epoch = r.u64()?;
+        let worker = r.u32()?;
+        let push_seq = r.u64()?;
+        let version = r.u64()?;
+        let staleness = r.u32()?;
+        let loss = r.f32()?;
+        // A slice of the model: into a vector the standby handed back.
+        let delta = r.bulk_vec_f32()?;
+        let digest = r.u32()?;
+        let arrival = match r.u8()? {
+            0 => None,
+            1 => Some(r.u64()?),
+            b => return Err(ClusterError::Protocol(format!("bad arrival presence byte {b}"))),
+        };
+        let bn = match r.u8()? {
+            0 => None,
+            1 => Some(crate::protocol::read_bn_state(r)?),
+            b => return Err(ClusterError::Protocol(format!("bad bn presence byte {b}"))),
+        };
+        let shard = r.u32()?;
         Ok(LogRecord {
-            seq: r.u64()?,
-            epoch: r.u64()?,
-            worker: r.u32()?,
-            push_seq: r.u64()?,
-            version: r.u64()?,
-            staleness: r.u32()?,
-            loss: r.f32()?,
-            // A slice of the model: into a vector the standby handed back.
-            delta: r.bulk_vec_f32()?,
-            digest: r.u32()?,
-            arrival: match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                b => return Err(ClusterError::Protocol(format!("bad arrival presence byte {b}"))),
-            },
-            bn: match r.u8()? {
-                0 => None,
-                1 => Some(crate::protocol::read_bn_state(r)?),
-                b => return Err(ClusterError::Protocol(format!("bad bn presence byte {b}"))),
-            },
-            shard: r.u32()?,
+            seq,
+            epoch,
+            worker,
+            push_seq,
+            version,
+            staleness,
+            loss,
+            delta,
+            digest,
+            arrival,
+            bn,
+            shard,
         })
     }
 }
@@ -366,6 +377,11 @@ impl StandbyReplica {
         StandbyReplica { state, next_seq, updates_per_epoch: updates_per_epoch.max(1), spec }
     }
 
+    /// Number of model shards the record stream carries slices for.
+    fn shards(&self) -> usize {
+        self.spec.count()
+    }
+
     /// Applies one log record: verifies sequence continuity and the
     /// delta digest, then replays the slice update; a *completing*
     /// record (the last shard of its push) additionally replays the
@@ -378,12 +394,12 @@ impl StandbyReplica {
             return Err(format!("log record {} digest mismatch", rec.seq));
         }
         let s = rec.shard as usize;
-        if s >= self.spec.count() {
+        if s >= self.shards() {
             return Err(format!(
                 "log record {} addresses shard {} of a {}-shard model",
                 rec.seq,
                 s,
-                self.spec.count()
+                self.shards()
             ));
         }
         let range = self.spec.range(s);
@@ -404,7 +420,7 @@ impl StandbyReplica {
         }
         self.state.version = rec.version;
         self.state.server_epoch = rec.epoch;
-        let completing = s + 1 == self.spec.count();
+        let completing = s + 1 == self.shards();
         if !completing {
             self.next_seq += 1;
             return Ok(());
@@ -955,10 +971,20 @@ mod tests {
     fn snapshot(weights: Vec<f32>) -> TrainingCheckpoint {
         TrainingCheckpoint {
             weights,
+            bn: BnState::default(),
+            version: 0,
+            applied: 0,
             arrival: vec![None; 3],
+            iter: Vec::new(),
+            staleness: Vec::new(),
+            epoch_losses: Vec::new(),
+            epochs: Vec::new(),
+            loss_pred: None,
+            step_pred: None,
             worker_batches: vec![(0, 0); 3],
+            server_epoch: 0,
             push_seqs: vec![0; 3],
-            ..TrainingCheckpoint::default()
+            shard_versions: Vec::new(),
         }
     }
 
@@ -973,9 +999,6 @@ mod tests {
         assert_eq!(back, rec);
         let bare = LogRecord { arrival: None, bn: None, ..record(8, vec![1.0]) };
         assert_eq!(LogRecord::decoded(&bare.encoded()).unwrap(), bare);
-        // Every payload variant round-trips in `tests/wire_golden.rs`; an
-        // unknown one is refused.
-        assert!(ReplicaPayload::decoded(&[9]).is_err());
     }
 
     #[test]
@@ -1048,6 +1071,32 @@ mod tests {
         assert!(rep.state().epoch_losses.is_empty(), "boundary clears the window");
         rep.apply(&record(3, vec![0.1])).unwrap();
         assert_eq!(rep.state().epoch_losses.len(), 1);
+    }
+
+    #[test]
+    fn replica_payload_roundtrips() {
+        let snap = ReplicaPayload::Snapshot { next_seq: 42, blob: vec![1, 2, 3, 250] };
+        match ReplicaPayload::decoded(&snap.encoded()).unwrap() {
+            ReplicaPayload::Snapshot { next_seq, blob } => {
+                assert_eq!(next_seq, 42);
+                assert_eq!(blob, vec![1, 2, 3, 250]);
+            }
+            _ => panic!("variant changed"),
+        }
+        let recs = ReplicaPayload::Records(vec![record(1, vec![1.0]), record(2, vec![-1.0])]);
+        match ReplicaPayload::decoded(&recs.encoded()).unwrap() {
+            ReplicaPayload::Records(back) => {
+                assert_eq!(back.len(), 2);
+                assert_eq!(back[0], record(1, vec![1.0]));
+            }
+            _ => panic!("variant changed"),
+        }
+        let refresh = ReplicaPayload::Refresh { seq: 9, blob: vec![4, 5] };
+        match ReplicaPayload::decoded(&refresh.encoded()).unwrap() {
+            ReplicaPayload::Refresh { seq, blob } => assert_eq!((seq, blob), (9, vec![4, 5])),
+            _ => panic!("variant changed"),
+        }
+        assert!(ReplicaPayload::decoded(&[9]).is_err());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The server's robustness layer: what of its role is not Algorithm 2. A
-//! [`Guard`] sees each message before the [`Core`] and hands it on
-//! [`Admitted`]: fenced and deduplicated, stopped after a planned halt and,
-//! at a lead pull, with the supervisor's rung and data-shard directive. It
-//! admits each whole push, and after the core's apply it runs the steps of
-//! DESIGN.md §13.2: the write-ahead log, the standby's refresh, the planned
-//! halt, the checkpoint, the planned kill, the standby-loss report,
-//! rollback and the health trace.
+//! [`Guard`] sees each message before the [`Core`]. It answers or drops
+//! what the epoch fence rejects and, after a planned halt, what a stopped
+//! server would; the rest it hands on [`Admitted`], a lead pull with the
+//! supervisor's rung and data-shard directive. It admits each whole push,
+//! and after the core's apply it runs the steps of DESIGN.md §13.2: the
+//! write-ahead log, the standby's refresh, the planned halt, the
+//! checkpoint, the planned kill, the standby-loss report, rollback and the
+//! health trace.
 
-use super::serve::{Admitted, Core, Decision, Seam};
+use super::serve::{Admitted, Core, Seam};
 use super::{worker_shards, RunEnv, RunOptions};
 use crate::checkpoint::TrainingCheckpoint;
 use crate::metrics::RunResult;
@@ -78,6 +79,9 @@ pub(super) struct Guard<'a> {
     kill_at: Option<u64>,
     /// Checkpoint cadence in applied updates, when the run writes them.
     checkpoint_every: Option<usize>,
+    /// The run's planned update count: past it the core answers a lead
+    /// pull `Stop`, so the supervisor is not asked for its rung.
+    target: u64,
 }
 
 impl<'a> Guard<'a> {
@@ -121,6 +125,7 @@ impl<'a> Guard<'a> {
                 0 => updates_per_epoch,
                 every => every,
             }),
+            target: target as u64,
         };
         // A mismatched checkpoint (wrong worker count, model or shard
         // layout) is a descriptive error, not a panic.
@@ -150,8 +155,8 @@ impl<'a> Guard<'a> {
         Ok(())
     }
 
-    /// Decides about one message, hands it to `core`, and acts on what the
-    /// core hands back.
+    /// Answers or drops one message, or hands it to `core` and acts on what
+    /// the core hands back.
     pub(super) fn handle(
         &mut self,
         core: &mut Core,
@@ -174,16 +179,27 @@ impl<'a> Guard<'a> {
             }
             _ => false,
         };
-        let decision = match &req {
-            ClusterReq::Grad { .. } if fenced => Decision::Drop,
-            _ if fenced => return ctx.reply(ClusterResp::Fenced { epoch }),
-            ClusterReq::Pull { .. } | ClusterReq::Grad { .. } if self.halted => Decision::Stop,
-            _ => Decision::Admit,
-        };
+        if fenced {
+            return match req {
+                ClusterReq::Grad { .. } => core.abandon(w),
+                _ => ctx.reply(ClusterResp::Fenced { epoch }),
+            };
+        }
+        // After a planned halt, pulls of the model are answered `Stop` and
+        // late push slices dropped, as a real server shutting down would.
+        match &req {
+            ClusterReq::Pull { shard, .. }
+                if self.halted && (*shard as usize) < core.group().count() =>
+            {
+                return ctx.reply(ClusterResp::Stop);
+            }
+            ClusterReq::Grad { .. } if self.halted => return,
+            _ => {}
+        }
         self.state_path_unlogged |=
             matches!(req, ClusterReq::Join { .. } | ClusterReq::State { .. });
         let rung = match (&req, &mut self.sup) {
-            (ClusterReq::Pull { shard: 0, .. }, Some(s)) if decision == Decision::Admit => {
+            (ClusterReq::Pull { shard: 0, .. }, Some(s)) if core.applied() < self.target => {
                 let shard = s.take_pending_shard(w);
                 let shard = shard.map(|v| v.into_iter().map(|i| i as u64).collect());
                 Some(PullDirective { mode: s.mode(w), shard })
@@ -195,7 +211,7 @@ impl<'a> Guard<'a> {
             // is a demerit against this worker's LC rung.
             s.observe_prediction(w, core.applied(), core.pending_forecast(), *loss);
         }
-        match core.handle(w, Admitted { req, decision, rung, epoch }, ctx, seam) {
+        match core.handle(w, Admitted { req, rung, epoch }, ctx, seam) {
             Some((push, stale)) => self.on_push(core, w, push, stale, ctx, seam),
             None => self.trace_health_events(),
         }
@@ -224,11 +240,11 @@ impl<'a> Guard<'a> {
             }
             None => (Some(g), false),
         };
-        if let Some(g) = &g {
+        if let Some(g) = g {
             // The write-ahead log ships the apply as per-shard deltas, so
             // hold on to the weights they are taken against.
             let before = self.fence.is_some().then(|| core.shard_snapshots());
-            let closed = core.apply(w, &push, g, stale, ctx.time(), seam);
+            let closed = core.apply(w, &push, g, stale, ctx, seam);
             if let Some(fence) = &mut self.fence {
                 fence.commit_push(w, push.push_seq);
             }
@@ -252,9 +268,6 @@ impl<'a> Guard<'a> {
             self.report_degradation(core, seam);
         }
         self.trace_health_events();
-        if let Some(g) = g {
-            core.recycle(g, push.adopted, ctx);
-        }
     }
 
     /// Step 1: ship the apply to the standby as per-shard deltas against

@@ -609,6 +609,17 @@ mod tests {
     }
 
     #[test]
+    fn runs_are_deterministic() {
+        let (train, test) = data();
+        let cfg = blob_cfg(Algorithm::LcAsgd, 4);
+        let a = run_experiment(&cfg, &build_mlp, &train, &test);
+        let b = run_experiment(&cfg, &build_mlp, &train, &test);
+        assert_eq!(a.final_test_error(), b.final_test_error());
+        assert_eq!(a.staleness, b.staleness);
+        assert_eq!(a.total_time, b.total_time);
+    }
+
+    #[test]
     fn compensation_off_equals_plain_asgd_updates() {
         // With compensation Off the LC gradient path reduces to ASGD's
         // (same math; only message pattern and BN timing differ).
@@ -617,6 +628,19 @@ mod tests {
         cfg.compensation = CompensationMode::Off;
         let r = run_experiment(&cfg, &build_mlp, &train, &test);
         assert!(r.final_test_error() < 0.3);
+    }
+
+    #[test]
+    fn asgd_staleness_grows_with_workers() {
+        let (train, test) = data();
+        let r4 = run_experiment(&blob_cfg(Algorithm::Asgd, 4), &build_mlp, &train, &test);
+        let r16 = run_experiment(&blob_cfg(Algorithm::Asgd, 16), &build_mlp, &train, &test);
+        assert!(
+            r16.mean_staleness() > r4.mean_staleness() * 2.0,
+            "4w {} vs 16w {}",
+            r4.mean_staleness(),
+            r16.mean_staleness()
+        );
     }
 
     #[test]
@@ -646,6 +670,17 @@ mod tests {
             let t = r.transport.expect("backend runs report transport");
             assert!(t.requests > 0, "{algo} must do blocking round trips");
         }
+    }
+
+    #[test]
+    fn threaded_asgd_converges_and_reports_staleness() {
+        let (train, test) = data();
+        let mut cfg = blob_cfg(Algorithm::Asgd, 4);
+        cfg.epochs = 10;
+        let r = run_cluster(ThreadCluster::new(4), &cfg, &build_plain, &train, &test).unwrap();
+        assert_eq!(r.iterations as usize, 10 * 12);
+        assert!(r.final_test_error() < 0.3, "err {}", r.final_test_error());
+        assert_eq!(r.staleness.len() as u64, r.iterations);
     }
 
     #[test]
@@ -810,6 +845,46 @@ mod tests {
         let msg = resume_error(ck, 2, 2);
         assert!(msg.contains(&format!("shard version {bad} but server version {v}")), "{msg}");
     }
+
+    #[test]
+    fn sharded_cluster_run_matches_single_shard_on_sim() {
+        // The tentpole identity on the deterministic backend: shards=1 is
+        // the unsharded protocol verbatim, and shards=3 must produce the
+        // same applied-update count and converge (its message schedule
+        // differs, so floats may not be bitwise equal to shards=1 here —
+        // the bitwise claim for shards=1 vs the seed lives in
+        // tests/shard_equivalence.rs).
+        let (train, test) = data();
+        let mut cfg = blob_cfg(Algorithm::LcAsgd, 4);
+        cfg.epochs = 8;
+        let base =
+            run_cluster(ClusterSim::new(cfg.cluster.clone()), &cfg, &build_plain, &train, &test)
+                .unwrap();
+        let one = run_cluster_with(
+            ClusterSim::new(cfg.cluster.clone()),
+            &cfg,
+            &build_plain,
+            &train,
+            &test,
+            RunOptions::default().shards(1),
+        )
+        .unwrap();
+        assert_eq!(base.staleness, one.staleness, "shards=1 must not perturb the schedule");
+        assert_eq!(base.final_test_error(), one.final_test_error());
+        assert_eq!(one.shards, 1);
+        let three = run_cluster_with(
+            ClusterSim::new(cfg.cluster.clone()),
+            &cfg,
+            &build_plain,
+            &train,
+            &test,
+            RunOptions::default().shards(3),
+        )
+        .unwrap();
+        assert_eq!(three.shards, 3);
+        assert_eq!(three.epochs.len(), cfg.epochs);
+        assert!(three.final_test_error() < 0.35, "err {}", three.final_test_error());
+    }
 }
 
 #[cfg(test)]
@@ -836,6 +911,19 @@ mod partition_tests {
             let r = run_experiment(&cfg, &build, &train, &test);
             assert!(r.final_test_error() < 0.3, "{algo} partitioned err {}", r.final_test_error());
         }
+    }
+
+    #[test]
+    fn shards_are_disjoint_and_cover() {
+        let cfg = {
+            let mut c = ExperimentConfig::new(Algorithm::Asgd, 4, Scale::Tiny, 1);
+            c.partition = DataPartition::Partitioned;
+            c
+        };
+        let shards = worker_shards(&cfg, 4, 10);
+        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -42,24 +42,12 @@ pub(super) trait Seam {
     fn collect(&mut self, records: &mut [EpochRecord]);
 }
 
-/// What the guard decided about a message.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(super) enum Decision {
-    Admit,
-    /// The run has halted: a pull is answered `Stop`, a push slice dropped.
-    Stop,
-    /// A push slice to a dead epoch, or a duplicate of an applied push:
-    /// dropped with the rest of its push.
-    Drop,
-}
-
-/// One message as the core is handed it: the guard's decision about it,
-/// the rung (and any reassigned data shard) a lead pull's iteration runs
-/// at, and the fencing epoch replies carry. [`Core::serve`] admits every
-/// message at epoch 0 with no rung.
+/// One message as the core is handed it: the rung (and any reassigned
+/// data shard) a lead pull's iteration runs at, and the fencing epoch
+/// replies carry. [`Core::serve`] admits every message at epoch 0 with no
+/// rung.
 pub(super) struct Admitted {
     pub req: ClusterReq,
-    pub decision: Decision,
     pub rung: Option<PullDirective>,
     pub epoch: u64,
 }
@@ -356,11 +344,10 @@ impl<'a> Core<'a> {
         ctx: &mut ServerCtx<ClusterResp>,
         seam: &mut dyn Seam,
     ) {
-        let input = Admitted { req, decision: Decision::Admit, rung: None, epoch: 0 };
+        let input = Admitted { req, rung: None, epoch: 0 };
         if let Some((mut push, stale)) = self.handle(w, input, ctx, seam) {
             let g = std::mem::take(&mut push.grads);
-            self.apply(w, &push, &g, stale, ctx.time(), seam);
-            self.recycle(g, push.adopted, ctx);
+            self.apply(w, &push, g, stale, ctx, seam);
         }
     }
 
@@ -373,16 +360,14 @@ impl<'a> Core<'a> {
         ctx: &mut ServerCtx<ClusterResp>,
         seam: &mut dyn Seam,
     ) -> Option<(PendingPush, u32)> {
-        let Admitted { req, decision, rung, epoch } = input;
+        let Admitted { req, rung, epoch } = input;
         match req {
             ClusterReq::Join { .. } => self.on_join(w),
             // `Replicate` frames travel the dedicated replica duplex, not
             // the worker links; one arriving here is a protocol violation
             // and is ignored.
             ClusterReq::Replicate(_) => {}
-            ClusterReq::Pull { shard, .. } => {
-                self.on_pull(w, shard as usize, decision, rung, epoch, ctx)
-            }
+            ClusterReq::Pull { shard, .. } => self.on_pull(w, shard as usize, rung, epoch, ctx),
             ClusterReq::State { loss, running, batch_stats, t_comm, t_comp, .. } => {
                 self.on_state(w, StateMsg { loss, running, batch_stats, t_comm, t_comp }, ctx)
             }
@@ -399,16 +384,10 @@ impl<'a> Core<'a> {
                 let shard = shard as usize;
                 let slice =
                     PushSlice { push_seq, pull_version, loss, shard, grads, batch_stats, running };
-                match decision {
-                    Decision::Drop => self.pushes.abandon(w),
-                    // Late gradients past a planned halt are dropped, as a
-                    // real server shutting down would drop them.
-                    Decision::Stop => {}
-                    Decision::Admit if self.is_ssgd => {
-                        self.on_ssgd_grad(w, slice, epoch, ctx, seam)
-                    }
-                    Decision::Admit => return self.on_grad(w, slice),
+                if !self.is_ssgd {
+                    return self.on_grad(w, slice);
                 }
+                self.on_ssgd_grad(w, slice, epoch, ctx, seam)
             }
         }
         None
@@ -431,7 +410,6 @@ impl<'a> Core<'a> {
         &mut self,
         w: usize,
         sh: usize,
-        decision: Decision,
         rung: Option<PullDirective>,
         epoch: u64,
         ctx: &mut ServerCtx<ClusterResp>,
@@ -440,7 +418,7 @@ impl<'a> Core<'a> {
             // A shard outside the group (a misconfigured peer): tell the
             // worker the current epoch, as a fenced server would.
             ctx.reply(ClusterResp::Fenced { epoch });
-        } else if decision == Decision::Stop || !self.is_ssgd && self.applied >= self.target {
+        } else if !self.is_ssgd && self.applied >= self.target {
             ctx.reply(ClusterResp::Stop);
         } else if sh == 0 {
             // The *lead* pull of an iteration. The directive pins the rung
@@ -578,21 +556,21 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Applies an admitted push (Formula 8, or Formula 3 on the DC rung),
-    /// stamped with the time `at` the push's last slice was picked up on
-    /// the simulator, and closes the epoch it ends, if it ends one:
-    /// records it and hands its weights to the evaluator. Returns whether
-    /// it closed one.
+    /// Applies an admitted push's gradient `g` (Formula 8, or Formula 3 on
+    /// the DC rung), stamped with the time its last slice was picked up on
+    /// the simulator, and closes the epoch it ends, if it ends one: records
+    /// it and hands its weights to the evaluator. Returns whether it closed
+    /// one.
     pub(super) fn apply(
         &mut self,
         w: usize,
         push: &PendingPush,
-        g: &[f32],
+        g: Vec<f32>,
         stale: u32,
-        at: Option<f64>,
+        ctx: &mut ServerCtx<ClusterResp>,
         seam: &mut dyn Seam,
     ) -> bool {
-        let now = seam.write(at);
+        let now = seam.write(ctx.time());
         let (cfg, sink) = (self.env.cfg, &self.env.sink);
         self.staleness.push(stale);
         sink.note_staleness(stale);
@@ -600,8 +578,8 @@ impl<'a> Core<'a> {
         let t_apply = Instant::now();
         let on_dc_rung = self.pulled_mode[w] == AlgoMode::Dc;
         match self.backups.whole(w, g.len()).filter(|_| on_dc_rung) {
-            Some(w_bak) => self.group.apply_grad_dc(g, lr, cfg.lambda, w_bak),
-            None => self.group.apply_grad(g, lr),
+            Some(w_bak) => self.group.apply_grad_dc(&g, lr, cfg.lambda, w_bak),
+            None => self.group.apply_grad(&g, lr),
         }
         // An LC iteration logged its arrival and BN statistics with the
         // state message; a fused one does so here.
@@ -613,6 +591,12 @@ impl<'a> Core<'a> {
         sink.note_version(self.group.version());
         self.losses.push(push.loss);
         self.applied += 1;
+        // The gradient's vector goes back to whoever made it: the
+        // assembly's buffer to the assembly, a vector the transport decoded
+        // to the transport.
+        if let Some(decoded) = self.pushes.reclaim(g, push.adopted) {
+            ctx.recycle(decoded);
+        }
         let closes = self.applied.is_multiple_of(self.updates_per_epoch);
         if closes {
             self.record_epoch(self.applied / self.updates_per_epoch, lr, now, seam);
@@ -626,13 +610,9 @@ impl<'a> Core<'a> {
         self.pulled_mode[w] != AlgoMode::Lc
     }
 
-    /// Hands an applied gradient's vector back to whoever made it: the
-    /// assembly's buffer to the assembly, a vector the transport decoded to
-    /// the transport.
-    pub(super) fn recycle(&mut self, g: Vec<f32>, adopted: bool, ctx: &mut ServerCtx<ClusterResp>) {
-        if let Some(decoded) = self.pushes.reclaim(g, adopted) {
-            ctx.recycle(decoded);
-        }
+    /// Drops worker `w`'s half-assembled push: the guard fenced a slice.
+    pub(super) fn abandon(&mut self, w: usize) {
+        self.pushes.abandon(w);
     }
 
     /// Stamps epoch `epoch`'s record with `now` and hands the model the

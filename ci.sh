@@ -281,8 +281,10 @@ RC=0; ./target/release/lcasgd train --flush-every 4 2>/dev/null || RC=$?
 # ... and so must a value outside a flag's set, a flag given twice and a
 # flag whose value is another flag, not run with another reading; the
 # first line of the error names the flag (the first word of each case).
+# A value flag given last and a --flush-every of 0 are refused the same way.
 for BAD in "--dataset foo" "--workers 0" \
-    "--algorithm asgd --algorithm sgd --workers 2 --epochs 1" "--trace --standby"; do
+    "--algorithm asgd --algorithm sgd --workers 2 --epochs 1" "--trace --standby" \
+    "--trace" "--staleness-bound" "--flush-every 0 --standby"; do
     RC=0; ERR=$(./target/release/lcasgd train $BAD 2>&1 >/dev/null) || RC=$?
     [ "$RC" -eq 2 ] || { echo "lcasgd train $BAD exited $RC, not 2"; exit 1; }
     case "${ERR%%$'\n'*}" in
@@ -290,6 +292,15 @@ for BAD in "--dataset foo" "--workers 0" \
         *) echo "lcasgd train $BAD: '${ERR%%$'\n'*}' does not name ${BAD%% *}"; exit 1 ;;
     esac
 done
+
+# CLI smoke: train runs the data `Scenario::imagenet` builds for repro-all.
+echo "==> lcasgd train --dataset imagenet smoke"
+OUT=$(timeout 120 ./target/release/lcasgd train --algorithm sgd --workers 1 --epochs 1 \
+    --dataset imagenet)
+case "$OUT" in
+    *"192 train / 72 test"*) ;;
+    *) echo "lcasgd train --dataset imagenet does not run Scenario::imagenet's data"; exit 1 ;;
+esac
 
 echo "==> cargo fmt --check (touched crates)"
 cargo fmt --check "${TOUCHED[@]}"

@@ -4,7 +4,7 @@
 //! accuracy when designing the prediction model").
 
 use crate::render::{pct, table};
-use crate::scenario::Scenario;
+use crate::Scenario;
 use lcasgd_core::algorithms::Algorithm;
 use lcasgd_core::compensation::CompensationMode;
 use lcasgd_core::predictor::{LossPredictor, StepPredictor};

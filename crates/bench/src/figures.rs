@@ -2,7 +2,7 @@
 //! plain-text series (one column per curve).
 
 use crate::render::{series_table, sparkline};
-use crate::scenario::Scenario;
+use crate::Scenario;
 use lcasgd_core::algorithms::Algorithm;
 use lcasgd_core::metrics::RunResult;
 use lcasgd_core::trainer::run_experiment;

@@ -1,8 +1,7 @@
 //! # lcasgd-bench
 //!
-//! The benchmark harness: experiment scenarios (synthetic CIFAR-10-like
-//! and ImageNet-like workloads with matching ResNet presets), runners for
-//! every figure and table of the paper, and plain-text renderers.
+//! The benchmark harness: runners for every figure and table of the paper
+//! over `lcasgd-core`'s two scenarios, and plain-text renderers.
 //!
 //! Each paper artifact, and each of the two ablations the paper leaves
 //! open, is a section of the `repro-all` binary (`src/bin/`), which
@@ -17,10 +16,9 @@ pub mod figures;
 pub mod kernels;
 pub mod netscale;
 pub mod render;
-pub mod scenario;
 pub mod tables;
 
-pub use scenario::{Scenario, ScenarioKind};
+pub use lcasgd_core::scenario::{Scenario, ScenarioKind};
 
 use lcasgd_core::config::Scale;
 

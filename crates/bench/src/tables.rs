@@ -1,7 +1,7 @@
 //! Table runners: regenerate the paper's Tables 1–3.
 
 use crate::render::{pct, table};
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::{Scenario, ScenarioKind};
 use lcasgd_core::algorithms::Algorithm;
 use lcasgd_core::bnmode::BnMode;
 use lcasgd_core::metrics::RunResult;

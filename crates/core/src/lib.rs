@@ -25,6 +25,9 @@
 //! * [`supervisor`] — the self-healing health state machine: divergence
 //!   sentinels with quarantine and rollback, a staleness bound with
 //!   straggler resharding, and the graded LC→DC→ASGD fallback ladder;
+//! * [`scenario`] — the paper's two benchmarks as synthetic data, a
+//!   ResNet preset and a configuration per [`Scale`]: what `repro-all`
+//!   and `lcasgd train` both run;
 //! * [`metrics`] — epoch records, staleness, predictor traces, overheads,
 //!   transport statistics;
 //! * [`trace`] — the observability layer: phase-tagged span events from
@@ -45,6 +48,7 @@ pub mod metrics;
 pub mod predictor;
 pub mod protocol;
 pub mod replication;
+pub mod scenario;
 pub mod shard;
 pub mod supervisor;
 pub mod trace;

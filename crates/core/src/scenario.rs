@@ -1,8 +1,8 @@
 //! Experiment scenarios: dataset + model + configuration bundles matching
-//! the paper's two benchmarks.
+//! the paper's two benchmarks, as `repro-all` and `lcasgd train` run them.
 
-use lcasgd_core::algorithms::Algorithm;
-use lcasgd_core::config::{ExperimentConfig, Scale};
+use crate::algorithms::Algorithm;
+use crate::config::{ExperimentConfig, Scale};
 use lcasgd_data::{Dataset, SyntheticImageSpec};
 use lcasgd_nn::resnet::ResNetConfig;
 use lcasgd_nn::Network;
@@ -45,8 +45,7 @@ impl Scenario {
         };
         let (train, test) = spec.generate();
         let resnet = match scale {
-            Scale::Tiny => ResNetConfig::tiny(3, 10),
-            Scale::Small => ResNetConfig::tiny(3, 10),
+            Scale::Tiny | Scale::Small => ResNetConfig::tiny(3, 10),
             Scale::Paper => ResNetConfig::resnet18_cifar(10),
         };
         Scenario { kind: ScenarioKind::Cifar, scale, train, test, resnet }

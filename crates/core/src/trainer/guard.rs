@@ -79,9 +79,6 @@ pub(super) struct Guard<'a> {
     kill_at: Option<u64>,
     /// Checkpoint cadence in applied updates, when the run writes them.
     checkpoint_every: Option<usize>,
-    /// The run's planned update count: past it the core answers a lead
-    /// pull `Stop`, so the supervisor is not asked for its rung.
-    target: u64,
 }
 
 impl<'a> Guard<'a> {
@@ -125,7 +122,6 @@ impl<'a> Guard<'a> {
                 0 => updates_per_epoch,
                 every => every,
             }),
-            target: target as u64,
         };
         // A mismatched checkpoint (wrong worker count, model or shard
         // layout) is a descriptive error, not a panic.
@@ -199,7 +195,9 @@ impl<'a> Guard<'a> {
         self.state_path_unlogged |=
             matches!(req, ClusterReq::Join { .. } | ClusterReq::State { .. });
         let rung = match (&req, &mut self.sup) {
-            (ClusterReq::Pull { shard: 0, .. }, Some(s)) if core.applied() < self.target => {
+            // Past the run's end the core answers a lead pull `Stop`, so the
+            // supervisor is not asked for its rung.
+            (ClusterReq::Pull { shard: 0, .. }, Some(s)) if !core.over() => {
                 let shard = s.take_pending_shard(w);
                 let shard = shard.map(|v| v.into_iter().map(|i| i as u64).collect());
                 Some(PullDirective { mode: s.mode(w), shard })

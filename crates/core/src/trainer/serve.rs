@@ -418,7 +418,7 @@ impl<'a> Core<'a> {
             // A shard outside the group (a misconfigured peer): tell the
             // worker the current epoch, as a fenced server would.
             ctx.reply(ClusterResp::Fenced { epoch });
-        } else if !self.is_ssgd && self.applied >= self.target {
+        } else if !self.is_ssgd && self.over() {
             ctx.reply(ClusterResp::Stop);
         } else if sh == 0 {
             // The *lead* pull of an iteration. The directive pins the rung
@@ -489,7 +489,7 @@ impl<'a> Core<'a> {
         }
         // Late gradients past the target are dropped, as a real server
         // shutting down would drop them.
-        if self.applied >= self.target {
+        if self.over() {
             return None;
         }
         let push = self.pushes.accept(w, slice)?;
@@ -627,6 +627,11 @@ impl<'a> Core<'a> {
 
     pub(super) fn applied(&self) -> u64 {
         self.applied as u64
+    }
+
+    /// Whether the run's planned updates have all applied: the run is over.
+    pub(super) fn over(&self) -> bool {
+        self.applied >= self.target
     }
 
     /// The loss predictor's one-step forecast for the next arrival's loss.

@@ -281,46 +281,46 @@ fn train(args: &Args) {
     if args.given(PARTITIONED) {
         cfg.partition = DataPartition::Partitioned;
     }
+    // Read before the run starts, so that a bad file is refused before any output.
+    let opts = args.on_threads().then(|| RunOptions {
+        fault_plan: args.value(FAULT_PLAN).map(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(2, &format!("cannot read fault plan {path}: {e}")));
+            FaultPlan::parse(&text)
+                .unwrap_or_else(|e| fail(2, &format!("invalid fault plan {path}: {e}")))
+        }),
+        checkpoint_path: args.value(CHECKPOINT).map(Into::into),
+        checkpoint_every: args.number(CHECKPOINT_EVERY).unwrap_or(0),
+        resume: args.value(RESUME).map(|path| {
+            TrainingCheckpoint::load(path)
+                .unwrap_or_else(|e| fail(2, &format!("cannot load checkpoint {path}: {e}")))
+        }),
+        trace: args.given(TRACE),
+        supervisor: supervisor_config(args),
+        standby: args.given(STANDBY).then(|| StandbyConfig {
+            flush_every: args.count(FLUSH_EVERY, StandbyConfig::default().flush_every),
+        }),
+        shards: args.count(SHARDS, 1),
+    });
     println!(
         "training {algorithm} on {dataset}-like data: {} train / {} test, M={workers}, {} epochs",
         scenario.train.len(),
         scenario.test.len(),
         cfg.epochs
     );
-    let result = if args.on_threads() {
-        let fault_plan = args.value(FAULT_PLAN).map(|path| {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(2, &format!("cannot read fault plan {path}: {e}")));
-            FaultPlan::parse(&text)
-                .unwrap_or_else(|e| fail(2, &format!("invalid fault plan {path}: {e}")))
-        });
-        let resume = args.value(RESUME).map(|path| {
-            TrainingCheckpoint::load(path)
-                .unwrap_or_else(|e| fail(2, &format!("cannot load checkpoint {path}: {e}")))
-        });
-        let mut backend = ThreadCluster::new(workers);
-        if let Some(plan) = &fault_plan {
-            backend = backend.with_fault_plan(plan.clone());
+    let result = match opts {
+        Some(opts) => {
+            let mut backend = ThreadCluster::new(workers);
+            if let Some(plan) = &opts.fault_plan {
+                backend = backend.with_fault_plan(plan.clone());
+            }
+            if let Some(codec) = args.value(WIRE_CODEC).and_then(WireCodec::parse) {
+                backend = backend.with_wire_codec(codec);
+            }
+            run_cluster_with(backend, &cfg, &build, &scenario.train, &scenario.test, opts)
+                .unwrap_or_else(|e| fail(1, &format!("cluster run failed: {e}")))
         }
-        if let Some(codec) = args.value(WIRE_CODEC).and_then(WireCodec::parse) {
-            backend = backend.with_wire_codec(codec);
-        }
-        let opts = RunOptions {
-            fault_plan,
-            checkpoint_path: args.value(CHECKPOINT).map(Into::into),
-            checkpoint_every: args.number(CHECKPOINT_EVERY).unwrap_or(0),
-            resume,
-            trace: args.given(TRACE),
-            supervisor: supervisor_config(args),
-            standby: args.given(STANDBY).then(|| StandbyConfig {
-                flush_every: args.count(FLUSH_EVERY, StandbyConfig::default().flush_every),
-            }),
-            shards: args.count(SHARDS, 1),
-        };
-        run_cluster_with(backend, &cfg, &build, &scenario.train, &scenario.test, opts)
-            .unwrap_or_else(|e| fail(1, &format!("cluster run failed: {e}")))
-    } else {
-        run_experiment(&cfg, &build, &scenario.train, &scenario.test)
+        None => run_experiment(&cfg, &build, &scenario.train, &scenario.test),
     };
     println!(" epoch  train err   test err       loss      t (s)");
     for e in &result.epochs {
